@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 from bergman_lab.cli import main as cli_main
+from bergman_lab.reports import worst_exit_code
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -42,11 +43,7 @@ def run(argv=None) -> int:
             cmd += ["--out", str(Path(args.out) / "acceptance")]
         codes.append(cli_main(cmd))
 
-    worst = 0
-    if any(c == 3 for c in codes):
-        worst = 3
-    if any(c == 2 for c in codes):
-        worst = 2
+    worst = worst_exit_code(codes)
     print(f"\nsuite finished: {len(codes)} run(s), worst exit code {worst}")
     return worst
 

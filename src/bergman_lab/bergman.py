@@ -16,6 +16,12 @@ Truncation bookkeeping: since C is triangular in the graded monomial
 order, its leading principal block orthonormalizes the degree-(N-2)
 sub-basis for free, which is how convergence of kernel diagonals in the
 degree is diagnosed without a second Gram build.
+
+A basis build evaluates no monomial on the quadrature nodes: the Gram is
+assembled ring by ring from the weight values (see ``fiber_numerics``).
+Node-valued fields (kernel columns, the frame on the nodes, log-kernel
+weights evaluated on ``quad.nodes``) read the node Vandermonde that the
+quadrature rule builds once per degree and shares across every base point.
 """
 
 from __future__ import annotations
@@ -192,13 +198,19 @@ class BergmanBasis:
     gram: np.ndarray = field(default=None, repr=False)
     quad: QuadratureRule = field(default=None, repr=False)
     weight_vals: np.ndarray = field(default=None, repr=False)
-    vander: np.ndarray = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
 
+    @property
+    def vander(self) -> np.ndarray:
+        """Monomial values on the quadrature nodes, shared by every base point."""
+        return self.quad.node_vandermonde(self.basis)
+
     def monomials_at(self, points) -> np.ndarray:
+        if points is self.quad.nodes:
+            return self.vander
         pts = np.asarray(points, dtype=complex)
         single = pts.ndim == 0 or (pts.ndim == 1 and self.basis.fiber_dim > 1)
         if pts.ndim == 0:
@@ -248,8 +260,7 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
     t = as_complex_tuple(t)
     basis = monomial_basis(N, quad.domain.dim)
     weight_vals = w.weight_values(t, quad)
-    V = vandermonde(basis, quad.nodes)
-    G = gram_matrix(basis, weight_vals, quad, vander=V)
+    G = gram_matrix(basis, weight_vals, quad)
     C, cond = orthonormalize(G, exponents=basis.exponents)
     return BergmanBasis(
         t=t,
@@ -261,7 +272,6 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
         gram=G,
         quad=quad,
         weight_vals=weight_vals,
-        vander=V,
     )
 
 

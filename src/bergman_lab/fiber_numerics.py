@@ -14,6 +14,22 @@ so that ``v^H G v`` is the squared norm of the coefficient vector ``v``
 (entry ``G[j, k]`` pairs basis element ``k`` against the conjugate of basis
 element ``j``); this is the layout under which the orthonormalizing
 transform satisfies ``C^H G C = I``.
+
+The Gram matrix is assembled ring by ring.  On a polar node ``z = r
+e^{i theta}`` the product ``conj(z^j) z^k`` is ``r^(j+k) e^{i (k-j) theta}``
+per coordinate, so the node sum factors into an angular DFT of ``w`` on each
+ring followed by a contraction with radial powers::
+
+    G[j, k] = sum_rings  prod_c r_c^(j_c+k_c) * W_rings(k - j),
+    W_ring(m) = sum_theta w(r, theta) e^{i m theta}.
+
+This is the same discrete sum as ``V^H diag(w) V`` over the node
+Vandermonde ``V`` (same aliasing, same positivity test), only added in a
+different order.  The node Vandermonde itself is needed only for
+node-valued fields (kernel columns, orthonormal frames on the nodes); a
+:class:`QuadratureRule` builds it at the first request per degree and keeps
+it for the rule's lifetime, as it keeps the radial-power and mode-index
+tables of the ring Gram.
 """
 
 from __future__ import annotations
@@ -31,6 +47,8 @@ __all__ = [
     "GramIndefiniteError",
     "DegenerateBasisError",
     "build_quadrature",
+    "check_resolution",
+    "max_exact_degree",
     "monomial_basis",
     "vandermonde",
     "weighted_inner_product",
@@ -143,10 +161,48 @@ class QuadratureRule:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     radial_nodes: tuple[np.ndarray, ...] = field(repr=False)
+    # Per-basis tables built on first use; they live and die with the rule.
+    # Threads (``--threads``) racing on a first use may each build a table;
+    # the builds are bitwise identical, so whichever store lands is correct.
+    _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def node_vandermonde(self, basis: MonomialBasis) -> np.ndarray:
+        """Read-only monomial values on the nodes, built once per basis."""
+        key = ("vandermonde", basis)
+        V = self._tables.get(key)
+        if V is None:
+            V = vandermonde(basis, self.nodes)
+            V.flags.writeable = False
+            self._tables[key] = V
+        return V
+
+    def ring_tables(self, basis: MonomialBasis) -> tuple:
+        """Index and radial-power tables of the ring Gram, built once per basis.
+
+        Returns ``(modes, powers, gather)``: per coordinate the DFT indices
+        of the angular modes ``-N..N`` (negated, see :func:`gram_matrix`)
+        and the ring powers ``r^s`` for ``s = 0..2N``; ``gather`` indexes
+        the contracted ``(s_1, m_1, s_2, m_2, ...)`` tensor at ``s = j + k``,
+        ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``.
+        """
+        key = ("ring", basis)
+        tables = self._tables.get(key)
+        if tables is None:
+            N = basis.max_degree
+            span = np.arange(-N, N + 1)
+            modes = tuple(-span % na for _nr, na in self.shape)
+            powers = tuple(r[:, None] ** np.arange(2 * N + 1)[None, :] for r in self.radial_nodes)
+            E = np.array(basis.exponents)
+            gather = []
+            for c in range(basis.fiber_dim):
+                gather.append(E[:, None, c] + E[None, :, c])
+                gather.append(E[None, :, c] - E[:, None, c] + N)
+            tables = self._tables[key] = (modes, powers, tuple(gather))
+        return tables
 
     @property
     def points(self) -> np.ndarray:
@@ -161,16 +217,31 @@ class QuadratureRule:
         return np.asarray(values).reshape(axes)
 
 
+def check_resolution(n_radial: int, n_angular: int) -> None:
+    """Reject per-coordinate resolutions below the rule's floor."""
+    if n_radial < 4:
+        raise ValueError(f"n_radial must be at least 4, got {n_radial}")
+    if n_angular < 8:
+        raise ValueError(f"n_angular must be at least 8, got {n_angular}")
+
+
+def max_exact_degree(n_angular: int) -> int:
+    """Largest basis degree N with ``N <= n_angular/2 - 1``.
+
+    Up to this degree every monomial product ``z^a conj(z)^b`` with ``a, b
+    <= N`` is integrated exactly by the angular rule; above it angular modes
+    alias.
+    """
+    return n_angular // 2 - 1
+
+
 def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 128) -> QuadratureRule:
     """Tensor Gauss-Legendre (radius) x trapezoid (angle) rule on ``domain``.
 
     Node count grows as ``(n_radial * n_angular) ** d``; d = 2 fibers should
     use a much coarser per-coordinate resolution than the d = 1 default.
     """
-    if n_radial < 4:
-        raise ValueError(f"n_radial must be at least 4, got {n_radial}")
-    if n_angular < 8:
-        raise ValueError(f"n_angular must be at least 8, got {n_angular}")
+    check_resolution(n_radial, n_angular)
     x, w = leggauss(n_radial)
     coord_nodes, coord_wts, radial = [], [], []
     for ro, ri in zip(domain.radii, domain.inner_radii):
@@ -283,26 +354,33 @@ def weighted_inner_product(f, g, weight_values, quad: QuadratureRule) -> complex
 
 
 def gram_matrix(
-    basis: MonomialBasis,
-    weight_values: np.ndarray,
-    quad: QuadratureRule,
-    vander: np.ndarray | None = None,
+    basis: MonomialBasis, weight_values: np.ndarray, quad: QuadratureRule
 ) -> np.ndarray:
-    """Weighted Gram matrix of the monomial basis.
+    """Weighted Gram matrix of the monomial basis, assembled ring by ring.
 
     Entry ``G[j, k]`` pairs monomial ``k`` against the conjugate of monomial
-    ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  Raises
-    :class:`GramIndefiniteError` when the assembled matrix fails positivity,
-    which is the signature of a quadrature too coarse for the degree
-    (angular aliasing makes distinct monomials collide on the nodes).
+    ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  The node sum is taken as
+    an angular DFT of the weighted measure on every ring, contracted with
+    the ring powers ``r^(j+k)`` per coordinate (see the module docstring).
+    Raises :class:`GramIndefiniteError` when the assembled matrix fails
+    positivity, which is the signature of a quadrature too coarse for the
+    degree (angular aliasing makes distinct monomials collide on the nodes).
     """
-    V = vandermonde(basis, quad.nodes) if vander is None else vander
     wv = np.asarray(weight_values, dtype=float)
     if wv.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} weight values, got shape {wv.shape}")
     if not np.all(np.isfinite(wv)) or np.any(wv <= 0):
         raise ValueError("weight values must be finite and positive")
-    G = V.conj().T @ (wv[:, None] * quad.weights[:, None] * V)
+    modes, powers, gather = quad.ring_tables(basis)
+    grid = quad.grid_view(wv * quad.weights)  # axes (r_1, theta_1, r_2, theta_2, ...)
+    # The measure is real, so sum_theta w e^{+i m theta} = fft(w)[-m]: the
+    # mode tables hold the negated indices.
+    F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
+    for c, (idx, P) in enumerate(zip(modes, powers)):
+        F = np.take(F, idx, axis=2 * c + 1)
+        # replace ring axis c by the radial power s = j_c + k_c
+        F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
+    G = F[gather]
     G = 0.5 * (G + G.conj().T)  # symmetrize roundoff
     eigs = np.linalg.eigvalsh(G)
     # relative floor: exact rank deficiency lands at +-eps * max_eig
@@ -327,8 +405,9 @@ def orthonormalize(
     the transform orthonormalizes the corresponding leading sub-basis, which
     keeps degree-truncation diagnostics cheap.
 
-    A pivot below ``pivot_rtol * max(diag)`` aborts with
-    :class:`DegenerateBasisError` naming the offending basis element.
+    One LAPACK Cholesky factorization; a pivot ``diag(L)**2`` at or below
+    ``pivot_rtol * max(diag)`` aborts with :class:`DegenerateBasisError`
+    naming the offending basis element.
     """
     G = np.array(gram, dtype=complex)
     dim = G.shape[0]
@@ -338,19 +417,43 @@ def orthonormalize(
     if float(np.abs(G - G.conj().T).max()) > 1e-12 * scale:
         raise ValueError("gram must be Hermitian")
     max_diag = float(np.real(np.diag(G)).max())
-    L = np.zeros_like(G)
-    for j in range(dim):
-        pivot = float(np.real(G[j, j]) - np.real(L[j, :j] @ L[j, :j].conj()))
-        if pivot <= pivot_rtol * max_diag:
-            label = f"exponent {exponents[j]}" if exponents is not None else f"index {j}"
-            raise DegenerateBasisError(
-                f"degenerate basis: Cholesky pivot {pivot:.3e} at {label} "
-                f"(threshold {pivot_rtol:.1e} * max diagonal {max_diag:.3e})"
-            )
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < dim:
-            L[j + 1 :, j] = (G[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j].conj()) / L[j, j]
+    threshold = pivot_rtol * max_diag
+    try:
+        L = np.linalg.cholesky(G)
+        pivots = np.real(np.diag(L)) ** 2
+        low = np.flatnonzero(pivots <= threshold)
+        collapsed = (int(low[0]), float(pivots[low[0]])) if low.size else None
+    except np.linalg.LinAlgError:
+        collapsed = _collapsed_pivot(G, threshold)
+    if collapsed is not None:
+        j, pivot = collapsed
+        label = f"exponent {exponents[j]}" if exponents is not None else f"index {j}"
+        raise DegenerateBasisError(
+            f"degenerate basis: Cholesky pivot {pivot:.3e} at {label} "
+            f"(threshold {pivot_rtol:.1e} * max diagonal {max_diag:.3e})"
+        )
     transform = np.linalg.inv(L).conj().T
     eigs = np.linalg.eigvalsh(G)
     condition = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
     return transform, condition
+
+
+def _collapsed_pivot(G: np.ndarray, threshold: float) -> tuple[int, float]:
+    """Index and value of the first Cholesky pivot at or below ``threshold``.
+
+    Error path only: LAPACK reports that a factorization failed, not where.
+    The leading blocks are factored in turn; the pivot of the first block
+    that fails is the Schur complement of its last diagonal entry against
+    the block before it.
+    """
+    L = np.zeros((0, 0), dtype=complex)
+    for j in range(G.shape[0]):
+        try:
+            L = np.linalg.cholesky(G[: j + 1, : j + 1])
+        except np.linalg.LinAlgError:
+            x = np.linalg.solve(L, G[:j, j]) if j else np.zeros(0)
+            return j, float(np.real(G[j, j]) - np.real(np.vdot(x, x)))
+        pivot = float(np.real(L[j, j])) ** 2
+        if pivot <= threshold:
+            return j, pivot
+    raise AssertionError("the full Cholesky factorization failed but every leading block passed")

@@ -21,7 +21,10 @@ evaluator objects: a log-kernel field caches one orthonormalized basis
 per base point it is asked about, and mixed weights combine evaluators
 pointwise.  Cost therefore scales with the number of distinct base
 points touched (the Hessian stencils reuse the same handful), not with
-a precomputed grid.
+a precomputed grid.  Evaluating a log-kernel field on ``quad.nodes``
+(which every basis build of the next step does) reads the node
+Vandermonde the quadrature rule keeps, so it costs one (nodes x dim)
+product per base point rather than a fresh Vandermonde.
 """
 
 from __future__ import annotations

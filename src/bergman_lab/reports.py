@@ -27,12 +27,14 @@ __all__ = [
     "canonical_json",
     "config_hash",
     "exit_code",
+    "worst_exit_code",
     "load_summary",
     "merge_reports",
     "write_report",
 ]
 
 VERDICTS = ("pass", "fail", "unconverged")
+VERDICT_EXIT_CODES = {"pass": 0, "fail": 2, "unconverged": 3}
 
 
 def _sanitize(obj):
@@ -95,14 +97,19 @@ class CheckRecord:
         return d
 
 
-def exit_code(records) -> int:
-    """0 when every verdict passes, 2 on any failure, else 3 on unconverged."""
-    verdicts = [r.verdict for r in records]
-    if any(v == "fail" for v in verdicts):
+def worst_exit_code(codes) -> int:
+    """Combine exit codes: 2 dominates 3, which dominates 0."""
+    codes = set(codes)
+    if 2 in codes:
         return 2
-    if any(v == "unconverged" for v in verdicts):
+    if 3 in codes:
         return 3
     return 0
+
+
+def exit_code(records) -> int:
+    """0 when every verdict passes, 2 on any failure, else 3 on unconverged."""
+    return worst_exit_code(VERDICT_EXIT_CODES[r.verdict] for r in records)
 
 
 @dataclass(frozen=True)
@@ -223,9 +230,5 @@ def merge_reports(summaries) -> dict:
         "config_hash": base["config_hash"],
         "scenario_ids": [s["scenario_id"] for s in summaries],
         "records": records,
-        "exit_code": max(
-            (2 if any(r["verdict"] == "fail" for r in records) else 0),
-            (3 if any(r["verdict"] == "unconverged" for r in records)
-             and not any(r["verdict"] == "fail" for r in records) else 0),
-        ),
+        "exit_code": worst_exit_code(VERDICT_EXIT_CODES[r["verdict"]] for r in records),
     }

@@ -34,17 +34,26 @@ Weight forms (entries may be complex, written like ``0.5+0.25j``):
 Defaults: degree 24, quadrature 64 128, h_step 1e-2, tolerance 1e-3,
 patch = origin with radius 0.45, fiber = unit disk, one unit-amplitude
 section at the fiber origin, t0 = patch center, no checks, seed 0.
-Unknown keys and unknown check names are parse errors naming the line.
+Unknown keys, unknown check names and unreadable numbers are parse errors
+naming the line.  The numeric ranges are checked when a :class:`Scenario`
+is constructed, so command-line overrides applied with
+``dataclasses.replace`` meet them too: the quadrature floor of
+:func:`build_quadrature`, ``2 <= degree <= n_angular/2 - 1`` (above that
+angular modes alias), ``0 < h_step < 0.1``, finite nonnegative
+``tolerance``, ``eps0`` and ``twist``, and ``m >= 2``, ``0 <= steps <= 12``
+for the iteration.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bergman import HoloPoly, SectionFamily, SectionOutsideDomainError
-from .fiber_numerics import FiberDomain, build_quadrature
+from .fiber_numerics import FiberDomain, build_quadrature, check_resolution, max_exact_degree
+from .iteration import MAX_STEPS
 from .weights import (
     BasePatch,
     CustomWeight,
@@ -106,6 +115,34 @@ class Scenario:
     seed: int = DEFAULTS["seed"]
     source: str = field(default="", repr=False)
 
+    def __post_init__(self):
+        nr, na = self.quadrature
+        try:
+            check_resolution(nr, na)
+        except ValueError as exc:
+            raise _err(0, "quadrature", str(exc)) from None
+        if self.N < 2:
+            raise _err(0, "degree", "kernel degree must be at least 2")
+        if self.N > max_exact_degree(na):
+            raise _err(
+                0, "degree",
+                f"degree {self.N} exceeds n_angular/2 - 1 = {max_exact_degree(na)} for "
+                f"quadrature {nr} {na}: angular modes would alias (lower the degree or "
+                f"raise n_angular to at least {2 * (self.N + 1)})",
+            )
+        if not 0 < self.h < 0.1:
+            raise _err(0, "h_step", f"step {self.h} outside the sensible range (0, 0.1)")
+        for key, value in (("tolerance", self.tolerance), ("eps0", self.eps0),
+                           ("twist", self.twist)):
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise _err(0, key, f"{value} is not a finite nonnegative number")
+        if self.iteration_m < 2 or not 0 <= self.iteration_steps <= MAX_STEPS:
+            raise _err(
+                0, "iteration",
+                f"need m >= 2 and 0 <= steps <= {MAX_STEPS}, got m {self.iteration_m} "
+                f"steps {self.iteration_steps}",
+            )
+
     def build_quad(self):
         nr, na = self.quadrature
         return build_quadrature(self.fiber, nr, na)
@@ -157,11 +194,13 @@ def _err(lineno: int, key: str, msg: str) -> ScenarioError:
     return ScenarioError(f"{where}, field {key!r}: {msg}")
 
 
-def _parse_complex(tok: str, lineno: int, key: str) -> complex:
+def _parse_number(kind, tok: str, lineno: int, key: str):
+    """``kind(tok)`` for kind int, float or complex, or a ScenarioError naming the line."""
     try:
-        return complex(tok)
+        return kind(tok)
     except ValueError:
-        raise _err(lineno, key, f"cannot read {tok!r} as a number") from None
+        what = "an integer" if kind is int else "a number"
+        raise _err(lineno, key, f"cannot read {tok!r} as {what}") from None
 
 
 def _parse_fiber(value: str, lineno: int) -> FiberDomain:
@@ -186,15 +225,17 @@ def _parse_weight(value: str, n: int, d: int, lineno: int) -> WeightFamily:
     kind, _, rest = value.partition(" ")
     rest = rest.strip()
     if kind == "separable":
-        return QuadraticWeight.separable(float(rest or 1.0), n, d)
+        lam = _parse_number(float, rest or "1.0", lineno, "weight")
+        return QuadraticWeight.separable(lam, n, d)
     if kind == "cross":
-        return QuadraticWeight.cross_term(float(rest or 0.5), n, d)
+        lam = _parse_number(float, rest or "0.5", lineno, "weight")
+        return QuadraticWeight.cross_term(lam, n, d)
     if kind == "quadratic":
         rows = [r.split() for r in rest.split(";")]
         m = n + d
         if len(rows) != m or any(len(r) != m for r in rows):
             raise _err(lineno, "weight", f"quadratic weight needs {m} rows of {m} entries")
-        H = np.array([[_parse_complex(x, lineno, "weight") for x in row] for row in rows])
+        H = np.array([[_parse_number(complex, x, lineno, "weight") for x in row] for row in rows])
         try:
             return QuadraticWeight(n, d, H, label="quadratic")
         except ValueError as exc:
@@ -273,17 +314,14 @@ def parse_scenario(text: str) -> Scenario:
         return (0, default)
 
     lineno, value = take("base_dim", "1")
-    try:
-        n = int(value)
-    except ValueError:
-        raise _err(lineno, "base_dim", f"not an integer: {value!r}") from None
+    n = _parse_number(int, value, lineno, "base_dim")
 
     lineno, value = take("fiber", "disk 1.0")
     fiber = _parse_fiber(value, lineno)
     d = fiber.dim
     if "fiber_dim" in entries:
         lineno, value = entries["fiber_dim"]
-        if int(value) != d:
+        if _parse_number(int, value, lineno, "fiber_dim") != d:
             raise _err(lineno, "fiber_dim", f"fiber_dim {value} contradicts the {d}-dimensional fiber")
 
     lineno, value = take("patch", None)
@@ -294,7 +332,7 @@ def parse_scenario(text: str) -> Scenario:
         toks = coords_text.split()
         if not sep or len(toks) != n:
             raise _err(lineno, "patch", f"expected {n} center coordinate(s), ';', then a radius")
-        center = tuple(_parse_complex(tk, lineno, "patch") for tk in toks)
+        center = tuple(_parse_number(complex, tk, lineno, "patch") for tk in toks)
         try:
             patch = BasePatch(center=center, radius=float(radius_text))
         except ValueError as exc:
@@ -326,14 +364,12 @@ def parse_scenario(text: str) -> Scenario:
         toks = value.split()
         if len(toks) != n:
             raise _err(lineno, "t0", f"expected {n} coordinate(s), got {len(toks)}")
-        t0 = tuple(_parse_complex(tk, lineno, "t0") for tk in toks)
+        t0 = tuple(_parse_number(complex, tk, lineno, "t0") for tk in toks)
     if not patch.contains(t0):
         raise _err(lineno, "t0", f"base point {value!r} lies outside the patch")
 
     lineno, value = take("degree", str(DEFAULTS["degree"]))
-    N = int(value)
-    if N < 2:
-        raise _err(lineno, "degree", "kernel degree must be at least 2")
+    N = _parse_number(int, value, lineno, "degree")
 
     lineno, value = take("quadrature", None)
     if value is None:
@@ -342,18 +378,16 @@ def parse_scenario(text: str) -> Scenario:
         toks = value.split()
         if len(toks) != 2:
             raise _err(lineno, "quadrature", "expected two integers: n_radial n_angular")
-        quadrature = (int(toks[0]), int(toks[1]))
+        quadrature = tuple(_parse_number(int, tok, lineno, "quadrature") for tok in toks)
 
     lineno, value = take("h_step", str(DEFAULTS["h_step"]))
-    h = float(value)
-    if not 0 < h < 0.1:
-        raise _err(lineno, "h_step", f"step {h} outside the sensible range (0, 0.1)")
+    h = _parse_number(float, value, lineno, "h_step")
 
-    _ln, value = take("tolerance", str(DEFAULTS["tolerance"]))
-    tolerance = float(value)
+    lineno, value = take("tolerance", str(DEFAULTS["tolerance"]))
+    tolerance = _parse_number(float, value, lineno, "tolerance")
 
     lineno, value = take("eps0", None)
-    eps0 = None if value is None else float(value)
+    eps0 = None if value is None else _parse_number(float, value, lineno, "eps0")
 
     lineno, value = take("iteration", None)
     iteration_m, iteration_steps = 2, 4
@@ -362,11 +396,11 @@ def parse_scenario(text: str) -> Scenario:
         pairs = dict(zip(toks[::2], toks[1::2]))
         if set(pairs) - {"m", "steps"} or len(toks) % 2:
             raise _err(lineno, "iteration", f"expected 'm <int> steps <int>', got {value!r}")
-        iteration_m = int(pairs.get("m", 2))
-        iteration_steps = int(pairs.get("steps", 4))
+        iteration_m = _parse_number(int, pairs.get("m", "2"), lineno, "iteration")
+        iteration_steps = _parse_number(int, pairs.get("steps", "4"), lineno, "iteration")
 
-    _ln, value = take("twist", "0.0")
-    twist = float(value)
+    lineno, value = take("twist", "0.0")
+    twist = _parse_number(float, value, lineno, "twist")
 
     lineno, value = take("checks", "")
     checks = tuple(value.replace(",", " ").split())
@@ -377,8 +411,8 @@ def parse_scenario(text: str) -> Scenario:
                 f"unknown check {name!r}; registered: {', '.join(CHECK_REGISTRY)}",
             )
 
-    _ln, value = take("seed", str(DEFAULTS["seed"]))
-    seed = int(value)
+    lineno, value = take("seed", str(DEFAULTS["seed"]))
+    seed = _parse_number(int, value, lineno, "seed")
 
     lineno, value = take("id", "scenario")
     sid = value.strip() or "scenario"

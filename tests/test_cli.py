@@ -83,6 +83,23 @@ class TestRunCommand:
         assert code == 2
         assert "scenario error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        "quadrature = 2 4",
+        "degree = abc",
+        "tolerance = nan",
+        "eps0 = -1",
+        "degree = 40\nquadrature = 16 32",
+    ])
+    def test_bad_numeric_field_exits_two(self, scn, capsys, fields):
+        text = f"id = bad\nweight = separable 1.0\n{fields}\nchecks = certify\n"
+        assert main(["run", "--scenario", scn(text)]) == 2
+        assert "scenario error" in capsys.readouterr().err
+
+    def test_degree_override_above_angular_bound_exits_two(self, scn, capsys):
+        assert main(["run", "--scenario", scn(SEPARABLE), "--degree", "48"]) == 2
+        err = capsys.readouterr().err
+        assert "degree" in err and "quadrature" in err
+
 
 class TestSubcommands:
     def test_cross_checks_all_pass(self, scn, capsys):

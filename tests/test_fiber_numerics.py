@@ -13,11 +13,13 @@ Reference values used below, all classical:
 import math
 
 import numpy as np
+import bergman_lab.fiber_numerics as fiber_numerics
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+from bergman_lab.bergman import bergman_basis
 from bergman_lab.fiber_numerics import (
     DegenerateBasisError,
     FiberDomain,
@@ -29,6 +31,7 @@ from bergman_lab.fiber_numerics import (
     vandermonde,
     weighted_inner_product,
 )
+from bergman_lab.weights import QuadraticWeight
 
 
 def gaussian_moment(k: int) -> float:
@@ -200,6 +203,93 @@ class TestGram:
             gram_matrix(basis, w, quad)
 
 
+def brute_force_gram(basis, weight_values, quad):
+    """V^H diag(w) V over the node Vandermonde: the node sum taken directly."""
+    V = vandermonde(basis, quad.nodes)
+    return V.conj().T @ ((weight_values * quad.weights)[:, None] * V)
+
+
+# (domain, n_radial, n_angular, degree): a disk, an annulus, a 12 x 24 polydisc
+RING_CASES = [
+    (FiberDomain.disk(1.0), 48, 96, 16),
+    (FiberDomain.annulus(0.3, 1.0), 32, 64, 12),
+    (FiberDomain.polydisc(1.0, 0.8), 12, 24, 10),
+]
+
+
+def cross_term_weight(nodes, t=0.3 + 0.2j, lam=0.5):
+    """exp(-phi) of |z|^2 + 2 Re(lam conj(t) z_1): not radial for t != 0."""
+    phi = np.sum(np.abs(nodes) ** 2, axis=1) + 2 * np.real(lam * np.conj(t) * nodes[:, 0])
+    return np.exp(-phi)
+
+
+def polynomial_weight(nodes):
+    """exp(-phi) of a polynomial with angular modes 1..3 in every coordinate."""
+    z = nodes[:, 0]
+    w = nodes[:, -1]
+    phi = (np.sum(np.abs(nodes) ** 2, axis=1) + 0.4 * np.real(z**3)
+           + 0.3 * np.real(z * np.conj(w)) + 0.2 * np.abs(z * w) ** 2 + 0.1 * np.imag(w))
+    return np.exp(-phi)
+
+
+class TestRingGram:
+    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
+    @pytest.mark.parametrize("weight", [cross_term_weight, polynomial_weight],
+                             ids=["cross", "polynomial"])
+    def test_equals_brute_force_node_sum(self, case, weight):
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        wv = weight(quad.nodes)
+        G = gram_matrix(basis, wv, quad)
+        B = brute_force_gram(basis, wv, quad)
+        assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
+        # the weights really are non-radial: some off-diagonal entry is O(1)
+        assert np.abs(B - np.diag(np.diag(B))).max() > 1e-3 * np.abs(B).max()
+
+    def test_aliasing_matches_node_sum(self):
+        # modes -6..6 wrap around 8 angles: both routes alias identically
+        quad = build_quadrature(FiberDomain.disk(1.0), n_radial=8, n_angular=8)
+        basis = monomial_basis(6)
+        wv = polynomial_weight(quad.nodes)
+        G = gram_matrix(basis, wv, quad)
+        B = brute_force_gram(basis, wv, quad)
+        assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
+
+
+class TestNodeVandermonde:
+    def test_built_once_per_quadrature_and_degree(self, monkeypatch):
+        built = []
+        original = fiber_numerics.vandermonde
+
+        def counting(basis, nodes):
+            built.append((basis.max_degree, nodes.shape[0]))
+            return original(basis, nodes)
+
+        monkeypatch.setattr(fiber_numerics, "vandermonde", counting)
+        quad = build_quadrature(FiberDomain.disk(1.0), 24, 48)
+        w = QuadraticWeight.cross_term(0.5, 1, 1)
+        bases = [bergman_basis(w, (t,), 10, quad) for t in (0.0, 0.1, 0.2j, -0.15)]
+        assert built == []  # basis builds evaluate no monomial on the nodes
+        cols = [b.kernel_column(0.3) for b in bases]
+        assert built == [(10, quad.size)]
+        assert all(b.vander is bases[0].vander for b in bases)
+        assert bases[1].monomials_at(quad.nodes) is bases[0].vander
+        # the column really is K(node, w) of each basis, not a stale copy
+        for b, col in zip(bases, cols):
+            assert np.allclose(col, vandermonde(b.basis, quad.nodes) @ b.kernel_coefficients(0.3))
+        bergman_basis(w, (0.05,), 8, quad).kernel_column(0.3)
+        other = build_quadrature(FiberDomain.disk(1.0), 24, 48)
+        bergman_basis(w, (0.05,), 10, other).kernel_column(0.3)
+        assert built == [(10, quad.size), (8, quad.size), (10, other.size)]
+
+    def test_shared_copy_is_read_only(self):
+        quad = build_quadrature(FiberDomain.disk(1.0), 8, 16)
+        V = quad.node_vandermonde(monomial_basis(3))
+        with pytest.raises(ValueError):
+            V[0, 0] = 2.0
+
+
 class TestOrthonormalize:
     def test_contract(self, disk_quad):
         basis = monomial_basis(6)
@@ -231,6 +321,16 @@ class TestOrthonormalize:
         G = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
         with pytest.raises(DegenerateBasisError, match="exponent"):
             orthonormalize(G, exponents=((0,), (1,)))
+
+    def test_small_pivot_named_after_successful_factorization(self):
+        G = np.diag([1.0, 1e-15]).astype(complex)
+        with pytest.raises(DegenerateBasisError, match=r"exponent \(1,\)"):
+            orthonormalize(G, exponents=((0,), (1,)))
+
+    def test_failed_factorization_names_first_collapse(self):
+        G = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex)
+        with pytest.raises(DegenerateBasisError, match=r"pivot 0\.000e\+00 at exponent \(2,\)"):
+            orthonormalize(G, exponents=((0,), (1,), (2,)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from bergman_lab.reports import (
     canonical_json,
     config_hash,
     exit_code,
+    worst_exit_code,
     load_summary,
     margins_csv,
     merge_reports,
@@ -69,6 +70,11 @@ class TestCheckRecord:
         assert exit_code([ok]) == 0
         assert exit_code([ok, slow]) == 3
         assert exit_code([ok, slow, bad]) == 2
+
+    def test_worst_exit_code(self):
+        assert worst_exit_code([]) == 0
+        assert worst_exit_code([0, 3, 0]) == 3
+        assert worst_exit_code([3, 2, 0]) == 2
 
 
 class TestRunReport:

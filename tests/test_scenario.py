@@ -1,5 +1,7 @@
 """Scenario text format: defaults, weight forms, validation errors."""
 
+import dataclasses
+
 import pytest
 
 from bergman_lab.reports import config_hash
@@ -168,6 +170,65 @@ class TestParseErrors:
     def test_bad_complex_coordinate(self):
         self.err("weight = separable 1\nt0 = zebra\n", "field 't0'")
 
+    def test_degree_not_an_integer(self):
+        self.err("weight = separable 1\ndegree = abc\n", "field 'degree'.*'abc'")
+
+    def test_quadrature_not_integers(self):
+        self.err("weight = separable 1\nquadrature = 20 x40\n", "field 'quadrature'.*'x40'")
+
+    def test_quadrature_below_rule_floor(self):
+        self.err("weight = separable 1\ndegree = 2\nquadrature = 2 40\n",
+                 "field 'quadrature'.*n_radial")
+
+    def test_quadrature_too_coarse_for_any_degree(self):
+        self.err("weight = separable 1\nquadrature = 2 4\n", "field 'quadrature'")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-3", "abc"])
+    def test_tolerance_must_be_finite_nonnegative(self, value):
+        self.err(f"weight = separable 1\ntolerance = {value}\n", "field 'tolerance'")
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "-0.5", "abc"])
+    def test_eps0_must_be_finite_nonnegative(self, value):
+        self.err(f"weight = separable 1\neps0 = {value}\n", "field 'eps0'")
+
+    def test_h_step_not_a_number(self):
+        self.err("weight = separable 1\nh_step = small\n", "field 'h_step'")
+
+    def test_weight_parameter_not_a_number(self):
+        self.err("weight = cross lots\n", "field 'weight'")
+
+    def test_iteration_counts_not_integers(self):
+        self.err("weight = separable 1\niteration = m two steps 3\n", "field 'iteration'")
+
+    def test_seed_not_an_integer(self):
+        self.err("weight = separable 1\nseed = 1.5\n", "field 'seed'")
+
+
+class TestResolutionGuard:
+    """Angular modes alias above degree n_angular/2 - 1; such runs are refused."""
+
+    def test_degree_above_angular_bound_rejected(self):
+        with pytest.raises(ScenarioError, match="degree.*40.*quadrature.*32"):
+            parse_scenario("weight = separable 1\ndegree = 40\nquadrature = 16 32\n")
+
+    def test_bound_is_inclusive(self):
+        sc = parse_scenario("weight = separable 1\ndegree = 15\nquadrature = 16 32\n")
+        assert sc.N == 15
+        with pytest.raises(ScenarioError, match="degree"):
+            parse_scenario("weight = separable 1\ndegree = 16\nquadrature = 16 32\n")
+
+    def test_override_cannot_bypass_guard(self):
+        sc = parse_scenario("weight = separable 1\ndegree = 10\nquadrature = 16 32\n")
+        with pytest.raises(ScenarioError, match="degree"):
+            dataclasses.replace(sc, N=40)
+
+    def test_override_cannot_bypass_numeric_checks(self):
+        sc = parse_scenario(MINIMAL)
+        with pytest.raises(ScenarioError, match="h_step"):
+            dataclasses.replace(sc, h=float("nan"))
+        with pytest.raises(ScenarioError, match="degree"):
+            dataclasses.replace(sc, N=1)
+
 
 class TestConfig:
     def test_registry_is_fixed(self):
@@ -192,7 +253,7 @@ class TestConfig:
         assert a != b
 
     def test_build_quad_matches_request(self):
-        sc = parse_scenario("weight = separable 1\nquadrature = 20 40\n")
+        sc = parse_scenario("weight = separable 1\ndegree = 16\nquadrature = 20 40\n")
         quad = sc.build_quad()
         assert quad.size == 20 * 40
 
