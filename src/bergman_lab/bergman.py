@@ -22,6 +22,14 @@ assembled ring by ring from the weight values (see ``fiber_numerics``).
 Node-valued fields (kernel columns, the frame on the nodes, log-kernel
 weights evaluated on ``quad.nodes``) read the node Vandermonde that the
 quadrature rule builds once per degree and shares across every base point.
+
+Basis builds are memoized on the quadrature rule, keyed by (weight object,
+base point, degree): the finite-difference stencils of the section, log and
+Hormander checks all visit the same base points, and each point's weight
+values, Gram and transform are computed once per rule.  The memo holds only
+those read-only arrays, weakly keyed by the weight, so an entry lives no
+longer than its weight or its rule (one rule per scenario run); a repeated
+call returns the same arrays, hence bitwise the same numbers.
 """
 
 from __future__ import annotations
@@ -187,13 +195,16 @@ class SectionFamily:
 
 @dataclass(frozen=True, eq=False)
 class BergmanBasis:
-    """Orthonormalized truncated basis at one base point, with node caches."""
+    """Orthonormalized truncated basis at one base point.
+
+    The arrays are read-only: they are shared with the quadrature rule's
+    memo and with every other basis built for the same key.
+    """
 
     t: tuple
     N: int
     basis: MonomialBasis
     transform: np.ndarray = field(repr=False)
-    condition: float = 0.0
     weight_ref: str = ""
     gram: np.ndarray = field(default=None, repr=False)
     quad: QuadratureRule = field(default=None, repr=False)
@@ -256,18 +267,29 @@ class BergmanBasis:
 
 
 def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBasis:
-    """Orthonormalized degree-N basis for the weight slice phi(t, .)."""
+    """Orthonormalized degree-N basis for the weight slice phi(t, .).
+
+    Built once per (weight, t, N) and quadrature rule; later calls wrap the
+    memoized arrays (see the module docstring).  Failed builds are not
+    memoized, so they raise again.
+    """
     t = as_complex_tuple(t)
-    basis = monomial_basis(N, quad.domain.dim)
-    weight_vals = w.weight_values(t, quad)
-    G = gram_matrix(basis, weight_vals, quad)
-    C, cond = orthonormalize(G, exponents=basis.exponents)
+    memo = quad.memo(w)
+    parts = memo.get((t, N))
+    if parts is None:
+        basis = monomial_basis(N, quad.domain.dim)
+        weight_vals = w.weight_values(t, quad)
+        G = gram_matrix(basis, weight_vals, quad)
+        C = orthonormalize(G, exponents=basis.exponents)
+        for arr in (weight_vals, G, C):
+            arr.flags.writeable = False
+        parts = memo[(t, N)] = (basis, C, G, weight_vals)
+    basis, C, G, weight_vals = parts
     return BergmanBasis(
         t=t,
         N=N,
         basis=basis,
         transform=C,
-        condition=cond,
         weight_ref=w.label,
         gram=G,
         quad=quad,

@@ -8,7 +8,10 @@ so on) or, for ``run``, taken verbatim from the scenario's ``checks`` line.
 
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
-settle at the requested resolution, so no verdict was reached).
+settle at the requested resolution, so no verdict was reached).  A scenario
+that cannot be run (a parse error, an out-of-range field, a stencil that
+leaves the base patch) exits 2 before any check; a weight that turns out
+not to be real-valued fails each check that evaluates it, also exit 2.
 
 Reports are deterministic: the same scenario file, overrides and seed
 produce byte-identical records and hence the same report hash, regardless
@@ -34,7 +37,7 @@ from .hormander import assembled_lower_bound, build_hormander_data, dbar_identit
 from .iteration import run_iteration, run_twisted_iteration
 from .reports import CheckRecord, RunReport, config_hash, load_summary, merge_reports, write_report
 from .scenario import CHECK_REGISTRY, Scenario, ScenarioError, parse_scenario
-from .weights import FiberDegenerateError, certify
+from .weights import FiberDegenerateError, NotAWeightError, certify
 
 # Fixed thresholds for the infrastructure checks (independent of the
 # scenario tolerance, which governs the inequality margins instead).
@@ -48,7 +51,8 @@ PSH_SPECTRUM_TOL = 1e-6
 
 
 class _Context:
-    """Shared per-run state: one quadrature rule, one lazy certificate."""
+    """Shared per-run state: one quadrature rule (which carries the run's
+    basis memo), one lazy certificate."""
 
     def __init__(self, sc: Scenario, threads: int = 1):
         self.sc = sc
@@ -282,7 +286,7 @@ def run_check(name: str, ctx: _Context) -> CheckRecord:
         error = ""
     except UnconvergedBasisError as exc:
         verdict, margins, outputs, error = "unconverged", {}, {}, str(exc)
-    except (FiberDegenerateError, ArithmeticError) as exc:
+    except (FiberDegenerateError, ArithmeticError, NotAWeightError) as exc:
         verdict, margins, outputs, error = "fail", {}, {}, str(exc)
     return CheckRecord(
         name=name,

@@ -29,12 +29,14 @@ different order.  The node Vandermonde itself is needed only for
 node-valued fields (kernel columns, orthonormal frames on the nodes); a
 :class:`QuadratureRule` builds it at the first request per degree and keeps
 it for the rule's lifetime, as it keeps the radial-power and mode-index
-tables of the ring Gram.
+tables of the ring Gram and, through :meth:`QuadratureRule.memo`, the
+per-weight results that callers (the Bergman basis builds) store on it.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,6 +171,22 @@ class QuadratureRule:
     @property
     def size(self) -> int:
         return self.nodes.shape[0]
+
+    def memo(self, owner) -> dict:
+        """This rule's store of results computed for ``owner`` (a weight).
+
+        Stores are held weakly by owner, so an entry is freed as soon as its
+        owner or the rule goes.  Stored values must not refer to the owner
+        (that would keep it alive) or to the rule (a cycle that only the
+        cyclic garbage collector frees).
+        """
+        stores = self._tables.get("memo")
+        if stores is None:
+            stores = self._tables.setdefault("memo", weakref.WeakKeyDictionary())
+        store = stores.get(owner)
+        if store is None:
+            store = stores.setdefault(owner, {})
+        return store
 
     def node_vandermonde(self, basis: MonomialBasis) -> np.ndarray:
         """Read-only monomial values on the nodes, built once per basis."""
@@ -396,13 +414,13 @@ def orthonormalize(
     gram: np.ndarray,
     pivot_rtol: float = 1e-13,
     exponents: tuple[tuple[int, ...], ...] | None = None,
-) -> tuple[np.ndarray, float]:
+) -> np.ndarray:
     """Cholesky-based orthonormalizing transform for a Hermitian Gram matrix.
 
-    Returns ``(transform, condition)`` with ``transform^H G transform = I``;
-    columns of ``transform`` are coefficient vectors of an orthonormal frame.
-    Because the factorization is triangular, the leading principal block of
-    the transform orthonormalizes the corresponding leading sub-basis, which
+    Returns ``transform`` with ``transform^H G transform = I``; its columns
+    are coefficient vectors of an orthonormal frame.  Because the
+    factorization is triangular, the leading principal block of the
+    transform orthonormalizes the corresponding leading sub-basis, which
     keeps degree-truncation diagnostics cheap.
 
     One LAPACK Cholesky factorization; a pivot ``diag(L)**2`` at or below
@@ -432,10 +450,7 @@ def orthonormalize(
             f"degenerate basis: Cholesky pivot {pivot:.3e} at {label} "
             f"(threshold {pivot_rtol:.1e} * max diagonal {max_diag:.3e})"
         )
-    transform = np.linalg.inv(L).conj().T
-    eigs = np.linalg.eigvalsh(G)
-    condition = float(eigs[-1] / eigs[0]) if eigs[0] > 0 else math.inf
-    return transform, condition
+    return np.linalg.inv(L).conj().T
 
 
 def _collapsed_pivot(G: np.ndarray, threshold: float) -> tuple[int, float]:

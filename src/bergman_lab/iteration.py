@@ -17,14 +17,16 @@ The ledger records b_k next to the measured Schur trace of the joint
 step's potential aborts the run with the ledger so far.
 
 Iterated weights have no closed form, so they are represented as
-evaluator objects: a log-kernel field caches one orthonormalized basis
-per base point it is asked about, and mixed weights combine evaluators
-pointwise.  Cost therefore scales with the number of distinct base
-points touched (the Hessian stencils reuse the same handful), not with
-a precomputed grid.  Evaluating a log-kernel field on ``quad.nodes``
-(which every basis build of the next step does) reads the node
-Vandermonde the quadrature rule keeps, so it costs one (nodes x dim)
-product per base point rather than a fresh Vandermonde.
+evaluator objects: a log-kernel field evaluates the orthonormalized basis
+of its inner weight at each base point it is asked about, and mixed
+weights combine evaluators pointwise.  The bases come from the basis memo
+on the quadrature rule (see ``bergman``), so each distinct base point is
+built once however often the Hessian stencils revisit it, and cost scales
+with the number of distinct base points touched, not with a precomputed
+grid.  Evaluating a log-kernel field on ``quad.nodes`` (which every basis
+build of the next step does) reads the node Vandermonde the quadrature
+rule keeps, so it costs one (nodes x dim) product per base point rather
+than a fresh Vandermonde.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ class GridMismatchError(ValueError):
 class LogKernelField(WeightFamily):
     """sign * log K_t(xi, xi) for the kernel of an inner weight.
 
-    One basis is built (and kept) per distinct base point; each build is
-    gated on kernel truncation convergence at a probe fiber point.
+    Bases come from the basis memo of ``quad``; the first use of each
+    base point is gated on kernel truncation convergence at a probe fiber
+    point.
     """
 
     kind = "bergman-potential"
@@ -94,7 +97,7 @@ class LogKernelField(WeightFamily):
         self.quad = quad
         self.sign = int(sign)
         self.convergence_tol = float(convergence_tol)
-        self._cache: dict = {}
+        self._gated: set = set()
         self._max_gap = 0.0
         probe = [0.5 * r for r in quad.domain.radii]
         self._probe = probe[0] if inner.d == 1 else tuple(probe)
@@ -106,21 +109,20 @@ class LogKernelField(WeightFamily):
 
     @property
     def cached_points(self) -> int:
-        return len(self._cache)
+        """Distinct base points whose basis passed the truncation gate."""
+        return len(self._gated)
 
     def _basis_at(self, t: tuple):
-        key = tuple(complex(c) for c in t)
-        b = self._cache.get(key)
-        if b is None:
-            b = bergman_basis(self.inner, key, self.N, self.quad)
+        b = bergman_basis(self.inner, t, self.N, self.quad)
+        if b.t not in self._gated:
             gap = b.diag_convergence_gap(self._probe)
             self._max_gap = max(self._max_gap, gap)
             if gap > self.convergence_tol:
                 raise UnconvergedBasisError(
-                    f"kernel truncation not converged at t={key} "
+                    f"kernel truncation not converged at t={b.t} "
                     f"(relative diagonal change {gap:.3e} from degree {self.N - 2} to {self.N})"
                 )
-            self._cache[key] = b
+            self._gated.add(b.t)
         return b
 
     def _value_raw(self, t, pts):
@@ -194,7 +196,7 @@ def bergman_weight(w: WeightFamily, N: int, quad, patch: BasePatch | None = None
     returned field carries the opposite (metric-side) sign, so its
     base-base curvature block is the negative of the log-kernel one.
     When a patch is given the field is pre-evaluated on the patch sample
-    points, populating the cache and the convergence diagnostics.
+    points, filling the basis memo and the convergence diagnostics.
     """
     fld = LogKernelField(w, N, quad, sign=-1, convergence_tol=convergence_tol)
     if patch is not None:

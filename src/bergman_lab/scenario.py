@@ -40,8 +40,9 @@ is constructed, so command-line overrides applied with
 ``dataclasses.replace`` meet them too: the quadrature floor of
 :func:`build_quadrature`, ``2 <= degree <= n_angular/2 - 1`` (above that
 angular modes alias), ``0 < h_step < 0.1``, finite nonnegative
-``tolerance``, ``eps0`` and ``twist``, and ``m >= 2``, ``0 <= steps <= 12``
-for the iteration.
+``tolerance``, ``eps0`` and ``twist``, ``m >= 2``, ``0 <= steps <= 12``
+for the iteration, and every point of the finite-difference stencil of
+step ``h_step`` around ``t0`` inside the base patch.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import HoloPoly, SectionFamily, SectionOutsideDomainError
+from .curvature import Stencil
 from .fiber_numerics import FiberDomain, build_quadrature, check_resolution, max_exact_degree
 from .iteration import MAX_STEPS
 from .weights import (
@@ -132,6 +134,15 @@ class Scenario:
             )
         if not 0 < self.h < 0.1:
             raise _err(0, "h_step", f"step {self.h} outside the sensible range (0, 0.1)")
+        try:
+            Stencil(self.t0, self.h).check_inside(self.patch)
+        except ValueError:
+            raise _err(
+                0, "t0",
+                f"the stencil around t0 = {_coords(self.t0)} with h_step {self.h} leaves "
+                f"the base patch (center {_coords(self.patch.center)}, radius "
+                f"{self.patch.radius}); move t0 inward or lower h_step",
+            ) from None
         for key, value in (("tolerance", self.tolerance), ("eps0", self.eps0),
                            ("twist", self.twist)):
             if value is not None and not (math.isfinite(value) and value >= 0):
@@ -182,6 +193,10 @@ class Scenario:
             "checks": list(self.checks),
             "seed": self.seed,
         }
+
+
+def _coords(point) -> str:
+    return " ".join(f"{c:g}" for c in point)
 
 
 def _poly_key(p: HoloPoly) -> list:

@@ -594,7 +594,8 @@ def certify(
     eps0 = max(0, (1/n) * min Schur trace) provided every fiber block on
     the grid is positive definite and the assembled Hessian never dips
     below -psh_tol; otherwise 0, with diagnostics.  C = max(0, -min base
-    block eigenvalue) always.
+    block eigenvalue) always.  A weight that is not real-valued on the grid
+    raises :class:`NotAWeightError`.
     """
     base_pts = grid.base_points()
     fiber_pts = grid.fiber_points()
@@ -605,6 +606,7 @@ def certify(
 
     def at_base(t_row) -> tuple[float, float, float, float]:
         t = tuple(t_row)
+        w.value(t, fiber_pts)  # raises NotAWeightError where phi is not real
         tt, tf, ff = w.hessian_field(t, fiber_pts)
         assembled = np.concatenate(
             [

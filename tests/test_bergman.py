@@ -11,12 +11,16 @@ Oracles frozen here before implementation details are trusted:
   the frame {1, z} has log det G(t) = -2c|t|^2 + log(g_0 g_1).
 """
 
+import gc
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from bergman_lab import bergman as bergman_module
 from bergman_lab.bergman import (
     HoloPoly,
     SectionFamily,
@@ -29,8 +33,12 @@ from bergman_lab.bergman import (
     section_value,
     section_value_pair,
 )
+from bergman_lab.cli import run_scenario_checks
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
+from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, QuadraticWeight
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def g_moment(k):
@@ -257,3 +265,98 @@ class TestDirectImageGram:
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]
         with pytest.raises(ValueError, match="dependent"):
             direct_image_gram(GAUSS, frame, BasePatch((0j,), 0.5), quad)
+
+
+class CountingWeight(QuadraticWeight):
+    """Separable weight that counts its node evaluations."""
+
+    def __init__(self, c: float = 1.0):
+        super().__init__(1, 1, np.diag([c, 1.0]), label=f"counting c={c}")
+        self.evaluations = 0
+
+    def weight_values(self, t, quad):
+        self.evaluations += 1
+        return super().weight_values(t, quad)
+
+
+class TestBasisMemo:
+    """bergman_basis memoizes per (weight, t, N) on the quadrature rule."""
+
+    @pytest.fixture
+    def grams(self, monkeypatch):
+        calls = []
+        real = bergman_module.gram_matrix
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bergman_module, "gram_matrix", counted)
+        return calls
+
+    def test_repeated_key_builds_once(self, quad, grams):
+        w = CountingWeight()
+        b1 = bergman_basis(w, (0.1,), 12, quad)
+        b2 = bergman_basis(w, 0.1, 12, quad)  # same key, scalar spelling
+        assert (w.evaluations, len(grams)) == (1, 1)
+        assert b2.t == b1.t == (0.1 + 0j,)
+        for name in ("transform", "gram", "weight_vals"):
+            assert getattr(b2, name) is getattr(b1, name)
+
+    def test_reuse_is_bitwise(self, quad):
+        w = CountingWeight(0.5)
+        first = bergman_basis(w, (0.2 - 0.1j,), 12, quad)
+        again = bergman_basis(w, (0.2 - 0.1j,), 12, quad)
+        fresh = bergman_basis(CountingWeight(0.5), (0.2 - 0.1j,), 12, quad)
+        z = np.array([0.3 + 0.2j, -0.1j])
+        assert np.array_equal(again.orthonormal_at(z), first.orthonormal_at(z))
+        assert np.array_equal(fresh.transform, first.transform)
+
+    def test_any_key_change_misses(self, quad, grams):
+        w = CountingWeight()
+        bergman_basis(w, (0.1,), 12, quad)
+        twin = CountingWeight()  # equal parameters, different object
+        bergman_basis(twin, (0.1,), 12, quad)
+        bergman_basis(w, (0.1 + 1e-12j,), 12, quad)
+        bergman_basis(w, (0.1,), 10, quad)
+        other = build_quadrature(FiberDomain.disk(1.0), n_radial=48, n_angular=96)
+        bergman_basis(w, (0.1,), 12, other)
+        assert (w.evaluations, twin.evaluations, len(grams)) == (4, 1, 5)
+
+    def test_cached_arrays_read_only(self, quad):
+        b = bergman_basis(CountingWeight(), (0.0,), 8, quad)
+        for arr in (b.transform, b.gram, b.weight_vals):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            b.transform[0, 0] = 1.0
+
+    def test_entry_dies_with_weight_without_gc(self):
+        q = build_quadrature(FiberDomain.disk(1.0), n_radial=16, n_angular=32)
+        gc.disable()
+        try:
+            w = CountingWeight()
+            ref = weakref.ref(bergman_basis(w, (0.0,), 8, q).transform)
+            assert ref() is not None  # held by the memo
+            del w
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_entry_dies_with_rule_without_gc(self):
+        w = CountingWeight()
+        gc.disable()
+        try:
+            q = build_quadrature(FiberDomain.disk(1.0), n_radial=16, n_angular=32)
+            b = bergman_basis(w, (0.0,), 8, q)
+            ref = weakref.ref(b.transform)
+            del b, q
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_shared_context_matches_fresh_contexts(self):
+        sc = parse_scenario((SCENARIOS / "separable_c1.scn").read_text())
+        shared = run_scenario_checks(sc, sc.checks)
+        fresh = [run_scenario_checks(sc, (name,))[0] for name in sc.checks]  # one run each
+        assert [r.payload() for r in shared] == [r.payload() for r in fresh]
+        assert [r.verdict for r in shared] == ["pass"] * len(sc.checks)

@@ -35,6 +35,14 @@ eps0 = 0.9
 checks = certify
 """
 
+NON_REAL = """
+id = nonreal
+weight = custom (+ (abs2 t1) (abs2 z1) z1)
+degree = 16
+quadrature = 48 96
+checks = certify log_inequality
+"""
+
 NO_CHECKS = """
 id = idle
 weight = separable 1.0
@@ -99,6 +107,22 @@ class TestRunCommand:
         assert main(["run", "--scenario", scn(SEPARABLE), "--degree", "48"]) == 2
         err = capsys.readouterr().err
         assert "degree" in err and "quadrature" in err
+
+
+    def test_non_real_weight_fails_with_message(self, scn, tmp_path, capsys):
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(NON_REAL), "--out", str(out_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "certify: FAIL" in out and "log_inequality: FAIL" in out
+        records = summary_of(out_dir, "nonreal")["records"]
+        assert [r["verdict"] for r in records] == ["fail", "fail"]
+        assert all("is not real-valued" in r["error"] for r in records)
+
+    def test_h_step_override_leaving_patch_exits_two(self, scn, capsys):
+        text = "id = edge\nweight = separable 1.0\nt0 = 0.43\nchecks = certify\n"
+        assert main(["run", "--scenario", scn(text), "--h-step", "0.05"]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and "leaves the base patch" in err
 
 
 class TestSubcommands:

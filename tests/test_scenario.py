@@ -230,6 +230,31 @@ class TestResolutionGuard:
             dataclasses.replace(sc, N=1)
 
 
+
+class TestStencilInsidePatch:
+    """Every FD stencil point around t0 must lie in the validated patch."""
+
+    def test_stencil_leaving_patch_rejected(self):
+        text = "weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.445\nh_step = 0.01\n"
+        with pytest.raises(ScenarioError, match=r"t0.*0\.445.*0\.01.*radius 0\.45"):
+            parse_scenario(text)
+
+    def test_imaginary_direction_checked(self):
+        with pytest.raises(ScenarioError, match="leaves the base patch"):
+            parse_scenario("weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.445j\n")
+
+    def test_second_coordinate_checked(self):
+        text = "base_dim = 2\nweight = separable 1\npatch = 0 0 ; 0.45\nt0 = 0 0.445\n"
+        with pytest.raises(ScenarioError, match="leaves the base patch"):
+            parse_scenario(text)
+
+    def test_h_step_override_meets_the_check(self):
+        sc = parse_scenario("weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.43\n")
+        assert sc.h == 1e-2
+        with pytest.raises(ScenarioError, match="h_step 0.05"):
+            dataclasses.replace(sc, h=0.05)
+
+
 class TestConfig:
     def test_registry_is_fixed(self):
         assert CHECK_REGISTRY == (

@@ -197,6 +197,12 @@ class TestCertify:
         cert = certify(w, default_grid())
         assert cert.eps0 == pytest.approx(1.0, abs=1e-6)
 
+    def test_non_real_weight_not_certified(self):
+        # the holomorphic term z1 has zero Hessian, so only a value check sees it
+        w = CustomWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1) z1)")
+        with pytest.raises(NotAWeightError, match="not real-valued"):
+            certify(w, default_grid())
+
 
 class TestTwist:
     def test_cancels_negative_base_block(self):
