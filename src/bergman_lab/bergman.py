@@ -19,17 +19,20 @@ degree is diagnosed without a second Gram build.
 
 A basis build evaluates no monomial on the quadrature nodes: the Gram is
 assembled ring by ring from the weight values (see ``fiber_numerics``).
-Node-valued fields (kernel columns, the frame on the nodes, log-kernel
-weights evaluated on ``quad.nodes``) read the node Vandermonde that the
-quadrature rule builds once per degree and shares across every base point.
+Kernel columns and the frame on the nodes read the node Vandermonde that
+the quadrature rule builds once per degree and shares across every base
+point; the kernel diagonal on the nodes (log-kernel weights) needs none,
+it is synthesized ring by ring (``fiber_numerics.kernel_diagonal``).
 
 Basis builds are memoized on the quadrature rule, keyed by (weight object,
 base point, degree): the finite-difference stencils of the section, log and
-Hormander checks all visit the same base points, and each point's weight
-values, Gram and transform are computed once per rule.  The memo holds only
-those read-only arrays, weakly keyed by the weight, so an entry lives no
-longer than its weight or its rule (one rule per scenario run); a repeated
-call returns the same arrays, hence bitwise the same numbers.
+Hormander checks all visit the same base points, and each point's Gram and
+transform are computed once per rule.  The weight values ``exp(-phi)`` do
+not depend on the degree, so they are memoized by base point alone and
+shared with the direct-image Grams of the determinant check.  The memo
+holds only those read-only arrays, weakly keyed by the weight, so an entry
+lives no longer than its weight or its rule (one rule per scenario run); a
+repeated call returns the same arrays, hence bitwise the same numbers.
 """
 
 from __future__ import annotations
@@ -266,6 +269,22 @@ class BergmanBasis:
         return abs(full - sub) / max(abs(full), 1e-300)
 
 
+def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
+    """Read-only ``exp(-phi(t, .))`` on the nodes, memoized per base point.
+
+    The values do not depend on the degree, so every basis build and every
+    direct-image Gram at ``t`` shares one evaluation per rule.
+    """
+    t = as_complex_tuple(t)
+    memo = quad.memo(w)
+    vals = memo.get(("weight_values", t))
+    if vals is None:
+        vals = w.weight_values(t, quad)
+        vals.flags.writeable = False
+        memo[("weight_values", t)] = vals
+    return vals
+
+
 def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBasis:
     """Orthonormalized degree-N basis for the weight slice phi(t, .).
 
@@ -278,10 +297,10 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
     parts = memo.get((t, N))
     if parts is None:
         basis = monomial_basis(N, quad.domain.dim)
-        weight_vals = w.weight_values(t, quad)
+        weight_vals = _node_weight_values(w, t, quad)
         G = gram_matrix(basis, weight_vals, quad)
         C = orthonormalize(G, exponents=basis.exponents)
-        for arr in (weight_vals, G, C):
+        for arr in (G, C):
             arr.flags.writeable = False
         parts = memo[(t, N)] = (basis, C, G, weight_vals)
     basis, C, G, weight_vals = parts
@@ -391,8 +410,7 @@ class DirectImageGram:
         return len(self.frame)
 
     def gram_at(self, t) -> np.ndarray:
-        t = as_complex_tuple(t)
-        wv = self.w.weight_values(t, self.quad) * self.quad.weights
+        wv = _node_weight_values(self.w, t, self.quad) * self.quad.weights
         F = self.frame_values
         G = F.conj().T @ (wv[:, None] * F)
         return 0.5 * (G + G.conj().T)

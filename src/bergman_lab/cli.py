@@ -8,10 +8,12 @@ so on) or, for ``run``, taken verbatim from the scenario's ``checks`` line.
 
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
-settle at the requested resolution, so no verdict was reached).  A scenario
-that cannot be run (a parse error, an out-of-range field, a stencil that
-leaves the base patch) exits 2 before any check; a weight that turns out
-not to be real-valued fails each check that evaluates it, also exit 2.
+settle at the requested resolution, so no verdict was reached; the message
+names the knob: ``degree`` and ``quadrature``, or ``h_step``).  A scenario
+that cannot be run (a parse error, an out-of-range field, a quadrature
+above the node cap, a stencil that leaves the base patch) exits 2 before
+any check; a weight that turns out not to be real-valued fails each check
+that evaluates it, also exit 2.
 
 Reports are deterministic: the same scenario file, overrides and seed
 produce byte-identical records and hence the same report hash, regardless
@@ -29,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from .bergman import bergman_basis, direct_image_gram, kernel_eval, reproducing_residual, \
-    extremal_check, section_value_pair
+    extremal_check
 from .curvature import CheckConfig, Stencil, UnconvergedBasisError, check_det_inequality, \
-    check_log_inequality, check_section_inequality, fd_hessian, log_section_field
+    check_log_inequality, check_section_inequality, fd_hessian, log_section_field, \
+    section_truncation, truncation_gate
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import run_iteration, run_twisted_iteration
@@ -111,10 +114,7 @@ def _check_bergman_infra(ctx: _Context):
     b = bergman_basis(sc.weight, sc.t0, sc.N, ctx.quad)
     probe = _fiber_probe(ctx)
     gap = b.diag_convergence_gap(probe)
-    if gap > ctx.cfg.convergence_tol:
-        raise UnconvergedBasisError(
-            f"kernel diagonal moved by {gap:.3e} between degrees {sc.N - 2} and {sc.N}"
-        )
+    truncation_gate(gap, ctx.cfg.convergence_tol, sc.N, "at the fiber probe")
 
     # In-space test function for the reproducing identity (degree <= 2).
     if sc.d == 1:
@@ -186,12 +186,7 @@ def _check_det_inequality(ctx: _Context):
 def _check_psh_spectrum(ctx: _Context):
     """Base-Hessian eigenvalue floor for the log section functional."""
     sc = ctx.sc
-    full, sub = section_value_pair(sc.weight, sc.sections, sc.t0, sc.N, ctx.quad)
-    conv = abs(full - sub) / max(abs(full), 1e-300)
-    if conv > ctx.cfg.convergence_tol:
-        raise UnconvergedBasisError(
-            f"kernel truncation not converged at t0: relative change {conv:.3e}"
-        )
+    _full, conv = section_truncation(sc.weight, sc.sections, sc.t0, ctx.cfg)
     fn = log_section_field(sc.weight, sc.sections, sc.N, ctx.quad)
     H = fd_hessian(fn, Stencil(sc.t0, sc.h), threads=ctx.threads)
     eigs = np.linalg.eigvalsh(H)

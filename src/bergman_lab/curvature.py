@@ -9,7 +9,10 @@ certificate and reports the margin with an explicit tolerance budget.
 
 Verdicts are two-valued here (pass/fail); a failed convergence diagnostic
 raises :class:`UnconvergedBasisError` before any verdict, and the CLI maps
-that to its own third verdict rather than guessing.
+that to its own third verdict rather than guessing.  Every kernel
+truncation check of the package goes through :func:`truncation_gate`, so
+all of them name the same knobs (degree and quadrature); the Richardson
+check names ``h_step``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from .weights import BasePatch, WeightFamily
 
 __all__ = [
     "UnconvergedBasisError",
+    "truncation_gate",
+    "section_truncation",
     "Stencil",
     "CheckConfig",
     "CurvatureReport",
@@ -41,6 +46,20 @@ __all__ = [
 
 class UnconvergedBasisError(ArithmeticError):
     """Convergence diagnostics failed; no verdict was produced."""
+
+
+def truncation_gate(gap: float, tol: float, N: int, where: str) -> None:
+    """The one kernel-truncation gate: the relative change ``gap`` of a
+    kernel quantity from degree N-2 to N must stay within ``tol``.
+
+    ``where`` names the point the gap was measured at.
+    """
+    if gap > tol:
+        raise UnconvergedBasisError(
+            f"kernel truncation not converged {where}: relative change {gap:.3e} from "
+            f"degree {N - 2} to {N} (tolerance {tol:.1e}); raise degree, and quadrature "
+            f"with it (degree is capped at n_angular/2 - 1)"
+        )
 
 
 def _directions(n: int) -> list[np.ndarray]:
@@ -187,7 +206,8 @@ def _trace_with_diagnostics(field_fn, t0, cfg: CheckConfig, *, tol_scale: float 
         if gap > cfg.tolerance * max(1.0, tol_scale):
             raise UnconvergedBasisError(
                 f"finite differencing has not converged: trace changed by {gap:.3e} "
-                f"when halving the step (budget {cfg.tolerance:.1e})"
+                f"when halving h_step {cfg.h:g} (budget {cfg.tolerance:.1e}); lower h_step, "
+                f"or raise it if roundoff in the kernel values dominates"
             )
     return H, trace, diag
 
@@ -202,14 +222,11 @@ def log_section_field(w: WeightFamily, fam: SectionFamily, N: int, quad):
     return lambda t: math.log(section_value(w, fam, t, N, quad))
 
 
-def _gate_convergence(w, fam, t0, cfg):
+def section_truncation(w, fam, t0, cfg) -> tuple[float, float]:
+    """(B(t0), truncation gap), gated by :func:`truncation_gate`."""
     full, sub = section_value_pair(w, fam, t0, cfg.N, cfg.quad)
     gap = abs(full - sub) / max(abs(full), 1e-300)
-    if gap > cfg.convergence_tol:
-        raise UnconvergedBasisError(
-            f"kernel truncation not converged at t0: relative change {gap:.3e} from "
-            f"degree {cfg.N - 2} to {cfg.N} (tolerance {cfg.convergence_tol:.1e})"
-        )
+    truncation_gate(gap, cfg.convergence_tol, cfg.N, "at t0")
     return full, gap
 
 
@@ -218,7 +235,7 @@ def check_section_inequality(
 ) -> CurvatureReport:
     """Trace of the Hessian of B_t<a,a> against n * eps0 * B(t0)."""
     t0 = as_complex_tuple(t0)
-    B0, conv_gap = _gate_convergence(w, fam, t0, cfg)
+    B0, conv_gap = section_truncation(w, fam, t0, cfg)
     fn = section_field(w, fam, cfg.N, cfg.quad)
     H, trace, diag = _trace_with_diagnostics(fn, t0, cfg, tol_scale=B0)
     bound = w.n * eps0 * B0
@@ -243,7 +260,7 @@ def check_log_inequality(
 ) -> CurvatureReport:
     """Trace of the Hessian of log B_t<a,a> against n * eps0."""
     t0 = as_complex_tuple(t0)
-    B0, conv_gap = _gate_convergence(w, fam, t0, cfg)
+    B0, conv_gap = section_truncation(w, fam, t0, cfg)
     if B0 <= 0:
         raise ValueError("section functional vanishes at t0; log check undefined")
     fn = log_section_field(w, fam, cfg.N, cfg.quad)

@@ -25,12 +25,25 @@ ring followed by a contraction with radial powers::
 
 This is the same discrete sum as ``V^H diag(w) V`` over the node
 Vandermonde ``V`` (same aliasing, same positivity test), only added in a
-different order.  The node Vandermonde itself is needed only for
-node-valued fields (kernel columns, orthonormal frames on the nodes); a
+different order.
+
+The kernel diagonal on the nodes is the adjoint of the ring Gram.  With
+``P = C C^H`` (the inverse Gram),
+``K(x, x) = sum_jk P[j, k] r^(j+k) e^{i (j-k) theta}`` per coordinate, so
+:func:`kernel_diagonal` scatters ``P`` into the ``(s, m)`` table through the
+same gather indices, contracts each ``s`` axis with that coordinate's ring
+powers, places the modes with the same mode table and takes one inverse
+FFT over the angular axes.  That costs about ``rings * (2N+1)^2`` per
+coordinate plus one node-sized FFT, against ``nodes * dim^2`` for the
+frame ``V C`` on the nodes.
+
+The node Vandermonde itself is needed only for the remaining node-valued
+fields (kernel columns, orthonormal frames on the nodes); a
 :class:`QuadratureRule` builds it at the first request per degree and keeps
 it for the rule's lifetime, as it keeps the radial-power and mode-index
 tables of the ring Gram and, through :meth:`QuadratureRule.memo`, the
 per-weight results that callers (the Bergman basis builds) store on it.
+A rule holds at most :data:`MAX_NODES` nodes.
 """
 
 from __future__ import annotations
@@ -55,10 +68,15 @@ __all__ = [
     "vandermonde",
     "weighted_inner_product",
     "gram_matrix",
+    "kernel_diagonal",
     "orthonormalize",
 ]
 
 DOMAIN_KINDS = ("disk", "polydisc", "annulus")
+
+# Node cap of one quadrature rule.  A complex node field then takes at most
+# 16 MB; a 2-D fiber at the 64 x 128 default would need 67M nodes.
+MAX_NODES = 2**20
 
 
 class GramIndefiniteError(ArithmeticError):
@@ -235,12 +253,27 @@ class QuadratureRule:
         return np.asarray(values).reshape(axes)
 
 
-def check_resolution(n_radial: int, n_angular: int) -> None:
-    """Reject per-coordinate resolutions below the rule's floor."""
+def check_resolution(n_radial: int, n_angular: int, dim: int = 1) -> None:
+    """Reject per-coordinate resolutions below the rule's floor, and rules
+    on a ``dim``-coordinate fiber with more than :data:`MAX_NODES` nodes.
+
+    The check is arithmetic only, so an oversized request fails before
+    anything is allocated; the message names a resolution that fits.
+    """
     if n_radial < 4:
         raise ValueError(f"n_radial must be at least 4, got {n_radial}")
     if n_angular < 8:
         raise ValueError(f"n_angular must be at least 8, got {n_angular}")
+    nodes = (n_radial * n_angular) ** dim
+    if nodes > MAX_NODES:
+        per_coord = MAX_NODES if dim == 1 else math.isqrt(MAX_NODES)
+        fit_radial = per_coord // n_angular
+        fit = (fit_radial, n_angular) if fit_radial >= 4 else (4, per_coord // 4)
+        raise ValueError(
+            f"quadrature {n_radial} {n_angular} on a {dim}-coordinate fiber has "
+            f"{nodes:,} nodes, above the cap of {MAX_NODES:,}; use at most "
+            f"{per_coord:,} nodes per coordinate, e.g. quadrature {fit[0]} {fit[1]}"
+        )
 
 
 def max_exact_degree(n_angular: int) -> int:
@@ -258,8 +291,10 @@ def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 1
 
     Node count grows as ``(n_radial * n_angular) ** d``; d = 2 fibers should
     use a much coarser per-coordinate resolution than the d = 1 default.
+    Above :data:`MAX_NODES` nodes a ``ValueError`` is raised before any
+    allocation.
     """
-    check_resolution(n_radial, n_angular)
+    check_resolution(n_radial, n_angular, domain.dim)
     x, w = leggauss(n_radial)
     coord_nodes, coord_wts, radial = [], [], []
     for ro, ri in zip(domain.radii, domain.inner_radii):
@@ -408,6 +443,37 @@ def gram_matrix(
             f"degree {basis.max_degree} needs a finer quadrature than {quad.shape}"
         )
     return G
+
+
+def kernel_diagonal(
+    basis: MonomialBasis, transform: np.ndarray, quad: QuadratureRule
+) -> np.ndarray:
+    """Kernel diagonal ``K(x, x) = M(x)^T (C C^H) conj(M(x))`` on every node.
+
+    The adjoint of :func:`gram_matrix`: ``P = C C^H`` is scattered into
+    the ``(s, m)`` table at ``s = j + k``, ``m = k - j`` through the same
+    gather indices, each radial-power axis ``s`` is contracted with that
+    coordinate's ring powers, and one inverse FFT over the angular axes
+    turns the modes into node values (see the module docstring).  No node
+    Vandermonde is evaluated.
+    """
+    modes, powers, gather = quad.ring_tables(basis)
+    T = np.zeros((2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
+    T[gather] = transform @ transform.conj().T  # (j, k) -> (s, m) is one-to-one
+    for c, (idx, P) in enumerate(zip(modes, powers)):
+        # replace radial-power axis s of coordinate c by the ring axis
+        T = np.moveaxis(np.tensordot(P, T, axes=([1], [2 * c])), 0, 2 * c)
+        shape = list(T.shape)
+        shape[2 * c + 1] = quad.shape[c][1]
+        X = np.zeros(shape, dtype=complex)
+        # M_j conj(M_k) carries e^{-i m theta} for m = k - j: the inverse DFT
+        # index -m, which is what the mode table holds
+        X[(slice(None),) * (2 * c + 1) + (idx,)] = T
+        T = X
+    angular = tuple(range(1, T.ndim, 2))
+    n_angular = math.prod(T.shape[a] for a in angular)
+    K = np.fft.ifftn(T, axes=angular).real * n_angular
+    return K.reshape(quad.size)
 
 
 def orthonormalize(

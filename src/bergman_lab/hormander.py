@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanBasis, SectionFamily, bergman_basis, section_value_pair
-from .curvature import CheckConfig, Stencil, UnconvergedBasisError, fd_hessian, section_field
+from .bergman import BergmanBasis, SectionFamily, bergman_basis
+from .curvature import CheckConfig, Stencil, fd_hessian, section_field, section_truncation, \
+    truncation_gate
 from .fiber_numerics import QuadratureRule
 from .utils import as_complex_tuple
 from .weights import FiberDegenerateError, WeightFamily, schur_trace_field
@@ -68,12 +69,8 @@ def _kernel_combination(b: BergmanBasis, points, amps) -> np.ndarray:
 def _check_truncation(b: BergmanBasis, points):
     for p in np.atleast_2d(np.asarray(points, dtype=complex)):
         probe = p[0] if b.basis.fiber_dim == 1 else tuple(p)
-        gap = b.diag_convergence_gap(probe)
-        if gap > CONVERGENCE_TOL:
-            raise UnconvergedBasisError(
-                f"kernel truncation not converged at fiber point {p.tolist()}: "
-                f"relative diagonal change {gap:.3e} from degree {b.N - 2} to {b.N}"
-            )
+        truncation_gate(b.diag_convergence_gap(probe), CONVERGENCE_TOL, b.N,
+                        f"at fiber point {p.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,12 +386,7 @@ def assembled_lower_bound(
     eps0: float = 0.0,
 ) -> AssembledReport:
     t0 = as_complex_tuple(t0)
-    full, sub = section_value_pair(w, fam, t0, cfg.N, cfg.quad)
-    gap = abs(full - sub) / max(abs(full), 1e-300)
-    if gap > cfg.convergence_tol:
-        raise UnconvergedBasisError(
-            f"kernel truncation not converged at t0 (relative change {gap:.3e})"
-        )
+    full, gap = section_truncation(w, fam, t0, cfg)
     data = build_hormander_data(w, fam, t0, cfg.N, cfg.quad)
     measure = data.node_measure
     schur = schur_trace_field(*w.hessian_field(t0, cfg.quad.nodes))

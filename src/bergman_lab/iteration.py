@@ -24,9 +24,11 @@ on the quadrature rule (see ``bergman``), so each distinct base point is
 built once however often the Hessian stencils revisit it, and cost scales
 with the number of distinct base points touched, not with a precomputed
 grid.  Evaluating a log-kernel field on ``quad.nodes`` (which every basis
-build of the next step does) reads the node Vandermonde the quadrature
-rule keeps, so it costs one (nodes x dim) product per base point rather
-than a fresh Vandermonde.
+build of the next step does) synthesizes the kernel diagonal ring by ring
+(``fiber_numerics.kernel_diagonal``): a contraction with the ring powers
+and one node-sized inverse FFT per base point, with no node Vandermonde
+and no (nodes x dim) product.  Any other point set (the Hessian stencils'
+fiber samples) goes through the orthonormal frame.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import bergman_basis
-from .curvature import CheckConfig, UnconvergedBasisError
+from .curvature import CheckConfig, truncation_gate
+from .fiber_numerics import kernel_diagonal
 from .utils import as_complex_tuple
 from .weights import (
     BasePatch,
@@ -117,18 +120,16 @@ class LogKernelField(WeightFamily):
         if b.t not in self._gated:
             gap = b.diag_convergence_gap(self._probe)
             self._max_gap = max(self._max_gap, gap)
-            if gap > self.convergence_tol:
-                raise UnconvergedBasisError(
-                    f"kernel truncation not converged at t={b.t} "
-                    f"(relative diagonal change {gap:.3e} from degree {self.N - 2} to {self.N})"
-                )
+            truncation_gate(gap, self.convergence_tol, self.N, f"at t={b.t}")
             self._gated.add(b.t)
         return b
 
     def _value_raw(self, t, pts):
         b = self._basis_at(t)
-        vals = b.orthonormal_at(pts)
-        diag = np.sum(np.abs(vals) ** 2, axis=-1)
+        if pts is self.quad.nodes:
+            diag = kernel_diagonal(b.basis, b.transform, self.quad)
+        else:
+            diag = np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1)
         if float(diag.min()) <= 0.0:
             raise ArithmeticError("kernel diagonal vanished on the fiber")
         return self.sign * np.log(diag)

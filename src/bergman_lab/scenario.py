@@ -38,7 +38,8 @@ Unknown keys, unknown check names and unreadable numbers are parse errors
 naming the line.  The numeric ranges are checked when a :class:`Scenario`
 is constructed, so command-line overrides applied with
 ``dataclasses.replace`` meet them too: the quadrature floor of
-:func:`build_quadrature`, ``2 <= degree <= n_angular/2 - 1`` (above that
+:func:`build_quadrature` and its node cap (``(n_radial * n_angular) ** d``
+at most ``2**20``), ``2 <= degree <= n_angular/2 - 1`` (above that
 angular modes alias), ``0 < h_step < 0.1``, finite nonnegative
 ``tolerance``, ``eps0`` and ``twist``, ``m >= 2``, ``0 <= steps <= 12``
 for the iteration, and every point of the finite-difference stencil of
@@ -120,7 +121,7 @@ class Scenario:
     def __post_init__(self):
         nr, na = self.quadrature
         try:
-            check_resolution(nr, na)
+            check_resolution(nr, na, self.fiber.dim)
         except ValueError as exc:
             raise _err(0, "quadrature", str(exc)) from None
         if self.N < 2:

@@ -149,14 +149,16 @@ class WeightFamily:
         if len(t) != self.n:
             raise ValueError(f"base point has {len(t)} coordinates, expected {self.n}")
         pts, single = _as_fiber_array(xi, self.d)
-        raw = np.asarray(self._value_raw(t, pts), dtype=complex)
-        scale = max(1.0, float(np.abs(raw).max(initial=0.0)))
-        worst = float(np.abs(raw.imag).max(initial=0.0))
-        if worst > REALITY_TOL * scale:
-            raise NotAWeightError(
-                f"weight {self.label!r} is not real-valued: max |Im| = {worst:.3e}"
-            )
-        out = raw.real
+        raw = np.asarray(self._value_raw(t, pts))
+        if np.iscomplexobj(raw):
+            scale = max(1.0, float(np.abs(raw).max(initial=0.0)))
+            worst = float(np.abs(raw.imag).max(initial=0.0))
+            if worst > REALITY_TOL * scale:
+                raise NotAWeightError(
+                    f"weight {self.label!r} is not real-valued: max |Im| = {worst:.3e}"
+                )
+            raw = raw.real
+        out = np.asarray(raw, dtype=float)
         return float(out[0]) if single else out
 
     def grad_base(self, t, xi) -> np.ndarray:
@@ -232,8 +234,20 @@ class QuadraticWeight(WeightFamily):
         return np.hstack([tcol, pts])
 
     def _value_raw(self, t, pts):
-        X = self._joint(t, pts)
-        return np.einsum("jk,mj,mk->m", self.H, X, np.conj(X))
+        # sum_j H_jj |x_j|^2 + 2 Re sum_{j<k} H_jk x_j conj(x_k), in real
+        # arithmetic; the base coordinates enter as scalars.
+        xs = [(c.real, c.imag) for c in t] + [(pts[:, a].real, pts[:, a].imag) for a in range(self.d)]
+        out = np.zeros(pts.shape[0])
+        for j, (a, b) in enumerate(xs):
+            h = self.H[j, j].real
+            if h:
+                out = out + h * (a * a + b * b)
+            for k in range(j + 1, len(xs)):
+                h = self.H[j, k]
+                if h:
+                    c, d = xs[k]
+                    out = out + 2.0 * (h.real * (a * c + b * d) - h.imag * (b * c - a * d))
+        return out
 
     def grad_base(self, t, xi):
         t = as_complex_tuple(t)

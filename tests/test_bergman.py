@@ -321,7 +321,23 @@ class TestBasisMemo:
         bergman_basis(w, (0.1,), 10, quad)
         other = build_quadrature(FiberDomain.disk(1.0), n_radial=48, n_angular=96)
         bergman_basis(w, (0.1,), 12, other)
-        assert (w.evaluations, twin.evaluations, len(grams)) == (4, 1, 5)
+        # another N builds a new basis on the weight values already stored for t
+        assert (w.evaluations, twin.evaluations, len(grams)) == (3, 1, 5)
+
+    def test_weight_values_shared_across_degrees_and_gram_fields(self, quad):
+        w = CountingWeight(0.5)
+        frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
+        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)  # evaluates t = 0
+        b12 = bergman_basis(w, (0.1,), 12, quad)
+        b10 = bergman_basis(w, (0.1,), 10, quad)
+        G = dig.gram_at((0.1,))
+        bergman_basis(w, (0.0,), 12, quad)
+        assert w.evaluations == 2  # one per base point, whatever reads it
+        assert b10.weight_vals is b12.weight_vals
+        fresh = QuadraticWeight.separable(0.5).weight_values((0.1,), quad) * quad.weights
+        F = dig.frame_values
+        expected = F.conj().T @ (fresh[:, None] * F)
+        assert np.array_equal(G, 0.5 * (expected + expected.conj().T))
 
     def test_cached_arrays_read_only(self, quad):
         b = bergman_basis(CountingWeight(), (0.0,), 8, quad)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from bergman_lab.cli import main
+from bergman_lab.cli import main, run_scenario_checks
+from bergman_lab.scenario import parse_scenario
 
 SEPARABLE = """
 id = sep
@@ -41,6 +42,17 @@ weight = custom (+ (abs2 t1) (abs2 z1) z1)
 degree = 16
 quadrature = 48 96
 checks = certify log_inequality
+"""
+
+COARSE = """
+id = coarse
+weight = cross 0.5
+degree = 4
+quadrature = 48 96
+eps0 = 0.75
+section = 0.8 ; 1.0
+iteration = m 2 steps 2
+checks = bergman_infra section_inequality log_inequality psh_spectrum hormander iterate
 """
 
 NO_CHECKS = """
@@ -85,6 +97,22 @@ class TestRunCommand:
     def test_unconverged_degree_exits_three(self, scn, capsys):
         assert main(["bergman", "--scenario", scn(CROSS), "--degree", "6"]) == 3
         assert "UNCONVERGED" in capsys.readouterr().out
+
+    def test_every_truncation_gate_names_the_knob(self):
+        # degree 4 cannot resolve a section at 0.8: each check meets its gate
+        sc = parse_scenario(COARSE)
+        records = run_scenario_checks(sc, sc.checks)
+        assert [r.verdict for r in records] == ["unconverged"] * len(sc.checks)
+        for rec in records:
+            assert rec.error.startswith("kernel truncation not converged at "), rec.name
+            assert "from degree 2 to 4" in rec.error
+            assert "raise degree, and quadrature with it" in rec.error
+
+    def test_oversized_polydisc_exits_two(self, scn, capsys):
+        text = "id = big\nweight = separable 1.0\nfiber = polydisc 1.0 1.0\nchecks = bergman_infra\n"
+        assert main(["run", "--scenario", scn(text)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err and "67,108,864 nodes" in err
 
     def test_scenario_error_exits_two(self, scn, capsys):
         code = main(["run", "--scenario", scn("id = broken\n")])

@@ -27,6 +27,7 @@ from bergman_lab.curvature import (
     psh_spectrum,
     section_field,
     tilt_field,
+    truncation_gate,
 )
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.weights import BasePatch, QuadraticWeight
@@ -117,6 +118,25 @@ class TestSectionInequality:
         small = CheckConfig(N=6, quad=quad)
         with pytest.raises(UnconvergedBasisError, match="truncation"):
             check_section_inequality(w, near_edge, (0j,), 0.0, small)
+
+
+class TestUnconvergedMessages:
+    def test_truncation_gate_names_degree_and_quadrature(self):
+        truncation_gate(1e-7, 1e-6, 16, "at t0")  # within tolerance: no verdict change
+        with pytest.raises(UnconvergedBasisError) as exc:
+            truncation_gate(2e-3, 1e-6, 16, "at t0")
+        msg = str(exc.value)
+        assert "kernel truncation not converged at t0" in msg
+        assert "from degree 14 to 16" in msg
+        assert "raise degree" in msg and "quadrature" in msg
+
+    def test_richardson_gap_names_h_step(self, quad):
+        # a budget no second difference meets: the h vs h/2 traces differ by O(h^2)
+        strict = CheckConfig(N=20, quad=quad, tolerance=1e-13)
+        w = QuadraticWeight.cross_term(0.5)
+        with pytest.raises(UnconvergedBasisError, match="halving h_step 0.01") as exc:
+            check_section_inequality(w, ORIGIN_FAM, (0j,), 0.75, strict)
+        assert "lower h_step" in str(exc.value)
 
 
 class TestLogInequality:

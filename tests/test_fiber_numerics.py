@@ -25,7 +25,9 @@ from bergman_lab.fiber_numerics import (
     FiberDomain,
     GramIndefiniteError,
     build_quadrature,
+    MAX_NODES,
     gram_matrix,
+    kernel_diagonal,
     monomial_basis,
     orthonormalize,
     vandermonde,
@@ -115,6 +117,16 @@ class TestQuadrature:
             build_quadrature(FiberDomain.disk(1.0), n_radial=3)
         with pytest.raises(ValueError):
             build_quadrature(FiberDomain.disk(1.0), n_angular=6)
+
+    def test_node_cap(self):
+        # 33 x 32 per coordinate: 1056^2 nodes, just above the 2^20 cap
+        assert (33 * 32) ** 2 > MAX_NODES
+        with pytest.raises(ValueError, match=r"1,115,136 nodes.*quadrature 32 32"):
+            build_quadrature(FiberDomain.polydisc(1.0, 1.0), n_radial=33, n_angular=32)
+        quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), n_radial=32, n_angular=32)
+        assert quad.size == MAX_NODES
+        # the d = 1 rule at the same per-coordinate resolution is far below the cap
+        assert build_quadrature(FiberDomain.disk(1.0), 33, 32).size == 33 * 32
 
     def test_grid_view_roundtrip(self, disk_quad):
         vals = np.arange(disk_quad.size, dtype=float)
@@ -288,6 +300,40 @@ class TestNodeVandermonde:
         V = quad.node_vandermonde(monomial_basis(3))
         with pytest.raises(ValueError):
             V[0, 0] = 2.0
+
+
+def brute_force_diagonal(basis, transform, quad):
+    """sum_i |u_i(node)|^2 over the orthonormal frame u = V C on the nodes."""
+    return np.sum(np.abs(vandermonde(basis, quad.nodes) @ transform) ** 2, axis=1)
+
+
+class TestKernelDiagonal:
+    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
+    @pytest.mark.parametrize("weight", [cross_term_weight, polynomial_weight],
+                             ids=["cross", "polynomial"])
+    def test_equals_brute_force_frame_sum(self, case, weight, monkeypatch):
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        C = orthonormalize(gram_matrix(basis, weight(quad.nodes), quad))
+        ref = brute_force_diagonal(basis, C, quad)
+        built = []
+        monkeypatch.setattr(fiber_numerics, "vandermonde", lambda *a: built.append(a))
+        K = kernel_diagonal(basis, C, quad)
+        assert built == []  # synthesized from the ring tables, no node Vandermonde
+        assert K.shape == (quad.size,) and K.dtype == float
+        assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [2, 8, 20])
+    def test_unweighted_disk_closed_form(self, disk_quad, N):
+        # ||z^k||^2 = pi / (k + 1) on the unit disk, so K_N(z, z) is the
+        # partial sum of (k + 1) |z|^(2k) / pi
+        basis = monomial_basis(N)
+        C = orthonormalize(gram_matrix(basis, np.ones(disk_quad.size), disk_quad))
+        r2 = np.abs(disk_quad.points) ** 2
+        oracle = sum((k + 1) * r2**k for k in range(N + 1)) / math.pi
+        K = kernel_diagonal(basis, C, disk_quad)
+        assert np.abs(K - oracle).max() <= 1e-12 * oracle.max()
 
 
 class TestOrthonormalize:

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import bergman_lab.fiber_numerics as fiber_numerics
 from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
@@ -89,6 +90,32 @@ class TestLogKernelField:
         assert fld.cached_points == 1
         fld.value((0.1,), xi)
         assert fld.cached_points == 2
+
+    @pytest.mark.parametrize(
+        "dom, nr, na, N",
+        [
+            (FiberDomain.disk(1.0), 48, 96, 16),
+            (FiberDomain.annulus(0.3, 1.0), 32, 64, 12),
+            (FiberDomain.polydisc(1.0, 0.8), 12, 24, 8),
+        ],
+        ids=["disk", "annulus", "polydisc"],
+    )
+    def test_node_values_match_frame_path(self, dom, nr, na, N, monkeypatch):
+        # quad.nodes itself takes the ring synthesis; an equal copy of the
+        # nodes takes the orthonormal frame, as any other point set does
+        q = build_quadrature(dom, nr, na)
+        w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
+        fld = LogKernelField(w, N, q, sign=-1, convergence_tol=1e-2)
+        t = (0.2 - 0.1j,)
+        built = []
+        original = fiber_numerics.vandermonde
+        monkeypatch.setattr(fiber_numerics, "vandermonde",
+                            lambda b, x: built.append(x.shape[0]) or original(b, x))
+        on_nodes = fld.value(t, q.nodes)
+        assert q.size not in built  # no node Vandermonde on the synthesis path
+        on_copy = fld.value(t, q.nodes.copy())
+        assert on_nodes.shape == on_copy.shape == (q.size,)
+        assert np.abs(on_nodes - on_copy).max() <= 1e-13 * np.abs(on_copy).max()
 
     def test_bad_sign(self, quad):
         with pytest.raises(ValueError, match="sign"):

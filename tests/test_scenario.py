@@ -1,6 +1,7 @@
 """Scenario text format: defaults, weight forms, validation errors."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -111,8 +112,10 @@ class TestWeightForms:
             "weight = separable 1\nfiber = annulus 0.3 1.0\nsection = 0.6 ; 1.0\n"
         )
         assert ring.fiber.kind == "annulus"
+        # the 64 x 128 default exceeds the node cap on a 2-coordinate fiber
         sc = parse_scenario(
             "weight = quadratic 1 0 0 ; 0 1 0 ; 0 0 1\nfiber = polydisc 1.0 0.8\n"
+            "quadrature = 16 64\n"
         )
         assert sc.d == 2
 
@@ -229,6 +232,31 @@ class TestResolutionGuard:
         with pytest.raises(ScenarioError, match="degree"):
             dataclasses.replace(sc, N=1)
 
+
+
+class TestNodeCap:
+    """(n_radial * n_angular) ** d is capped at 2**20 nodes, checked before any allocation."""
+
+    POLYDISC = "weight = quadratic 1 0 0 ; 0 1 0 ; 0 0 1\nfiber = polydisc 1.0 1.0\n"
+
+    def test_default_quadrature_on_polydisc_rejected_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ScenarioError, match=r"'quadrature'.*67,108,864 nodes") as exc:
+                parse_scenario(self.POLYDISC)  # 64 x 128 per coordinate
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one node field alone would take 1 GB
+        # the suggested quadrature keeps n_angular, so the default degree still fits
+        assert "e.g. quadrature 8 128" in str(exc.value)
+        parse_scenario(self.POLYDISC + "quadrature = 8 128\n")
+
+    def test_override_cannot_skip_the_cap(self):
+        sc = parse_scenario(self.POLYDISC + "quadrature = 16 64\n")
+        assert sc.quadrature == (16, 64)
+        with pytest.raises(ScenarioError, match="1,115,136 nodes"):
+            dataclasses.replace(sc, quadrature=(33, 32))
 
 
 class TestStencilInsidePatch:

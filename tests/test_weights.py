@@ -92,6 +92,36 @@ class TestHessianAt:
             w.value((0.5 + 0j,), 0.5j)
 
 
+def einsum_quadratic(H, t, pts):
+    """phi = sum_jk H[j,k] x_j conj(x_k) over the joint coordinates, as one einsum."""
+    X = np.hstack([np.broadcast_to(np.asarray(t, dtype=complex), (pts.shape[0], len(t))), pts])
+    return np.einsum("jk,mj,mk->m", H, X, np.conj(X))
+
+
+class TestQuadraticValues:
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (1, 2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_einsum_oracle(self, n, d, seed):
+        g = np.random.default_rng(seed)
+        A = g.normal(size=(n + d, n + d)) + 1j * g.normal(size=(n + d, n + d))
+        H = 0.5 * (A + A.conj().T)
+        H[0, -1] = H[-1, 0] = 0.0  # a skipped zero entry
+        w = QuadraticWeight(n, d, H)
+        t = tuple(g.normal(size=n) + 1j * g.normal(size=n))
+        pts = g.normal(size=(64, d)) + 1j * g.normal(size=(64, d))
+        vals = w.value(t, pts)
+        oracle = einsum_quadratic(H, t, pts)
+        assert vals.dtype == float
+        assert np.abs(oracle.imag).max() <= 1e-12 * np.abs(oracle).max()
+        assert np.abs(vals - oracle.real).max() <= 1e-13 * np.abs(oracle).max()
+
+    def test_cross_term_closed_form(self):
+        w = QuadraticWeight.cross_term(0.5)
+        t, z = 0.3 - 0.2j, np.array([0.1 + 0.7j, -0.4j])
+        expected = abs(t) ** 2 + np.abs(z) ** 2 + np.real(t * np.conj(z))
+        assert np.allclose(w.value((t,), z), expected, rtol=1e-14, atol=0)
+
+
 class TestSchurTrace:
     def test_identity(self):
         h = ComplexHessian(np.eye(1), np.zeros((1, 1)), np.eye(1))
