@@ -7,10 +7,12 @@ whose exact trace constant is 1 - lam^2.  The scan certifies the constant
 on a grid, measures the log-trace of the section functional, evaluates the
 L2 contraction ratio, and reports the assembled two-step margins, so one
 table shows how every inequality tightens as the coupling approaches 1.
+The log trace and the assembled trace are exact base Hessians, and the
+L2 fields difference at their own fixed step, so no step is a knob here.
 
 Usage:
-    python3 scripts/margin_scan.py [--lams 0.1,0.3,0.5,0.7] [--degree 16]
-                                   [--csv out.csv]
+    PYTHONPATH=src python3 scripts/margin_scan.py [--lams 0.1,0.3,0.5,0.7]
+        [--degree 16] [--quadrature 48,96] [--csv out.csv]
 """
 
 import argparse
@@ -30,10 +32,10 @@ COLUMNS = (
 )
 
 
-def scan_one(lam: float, N: int, quad, h: float) -> dict:
+def scan_one(lam: float, N: int, quad) -> dict:
     w = QuadraticWeight.cross_term(lam)
     fam = SectionFamily.constant([[0.0]])
-    cfg = CheckConfig(N=N, quad=quad, h=h, tolerance=1e-3)
+    cfg = CheckConfig(N=N, quad=quad, tolerance=1e-3)
     grid = GridSpec(patch=BasePatch(center=(0j,), radius=0.45), fiber=quad.domain)
 
     cert = certify(w, grid)
@@ -59,7 +61,6 @@ def run(argv=None) -> int:
     ap.add_argument("--lams", default="0.1,0.3,0.5,0.7,0.9")
     ap.add_argument("--degree", type=int, default=16)
     ap.add_argument("--quadrature", default="48,96")
-    ap.add_argument("--h-step", type=float, default=1e-2)
     ap.add_argument("--csv", default=None, help="also write the table to this path")
     args = ap.parse_args(argv)
 
@@ -69,7 +70,7 @@ def run(argv=None) -> int:
 
     rows = []
     for lam in lams:
-        row = scan_one(lam, args.degree, quad, args.h_step)
+        row = scan_one(lam, args.degree, quad)
         rows.append(row)
         print(
             f"lam={lam:4.2f}  eps0={row['eps0_certified']:.6f} "

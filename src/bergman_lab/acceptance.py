@@ -1,6 +1,6 @@
 """End-to-end acceptance battery.
 
-Twelve numbered criteria (a1..a12) exercise the full stack at fixed
+Thirteen numbered criteria (a1..a13) exercise the full stack at fixed
 resolutions and tolerances, each with an explicit wall-clock budget:
 
   a1  separable weights reproduce the base curvature in the log trace
@@ -16,6 +16,8 @@ resolutions and tolerances, each with an explicit wall-clock budget:
   a10 iteration bound ledger matches a recursive oracle and is met
   a11 base-Hessian spectrum of log B stays above the tolerance floor
   a12 distortion attenuation closed form and monotonicity
+  a13 exact base Hessians of B and log B agree with finite differences
+      (step h, Richardson gate at h/2) within the FD budget
 
 Each criterion returns a CriterionResult; `run_criterion` never raises, so
 one broken criterion cannot mask the others in a suite run.
@@ -31,14 +33,15 @@ from itertools import product
 import numpy as np
 
 from .bergman import HoloPoly, SectionFamily, bergman_basis, direct_image_gram, \
-    extremal_check, reproducing_residual
-from .curvature import CheckConfig, Stencil, check_det_inequality, check_log_inequality, \
-    fd_hessian, log_section_field
+    extremal_check, reproducing_residual, section_hessian
+from .curvature import CheckConfig, check_det_inequality, check_log_inequality, fd_trace, \
+    log_section_field, section_field
 from .fiber_numerics import FiberDomain, build_quadrature
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import run_iteration
-from .weights import BasePatch, QuadraticWeight, distortion_margin, schur_trace_field
+from .weights import BasePatch, PolynomialWeight, QuadraticWeight, distortion_margin, \
+    schur_trace_field
 
 SEED = 20260814
 
@@ -315,8 +318,7 @@ def a11():
     ]
     worst = math.inf
     for w, fam, t0 in cases:
-        fn = log_section_field(w, fam, 16, quad)
-        H = fd_hessian(fn, Stencil(t0, 1e-2))
+        H = section_hessian(w, fam, t0, 16, quad).log_hessian
         eigs = np.linalg.eigvalsh(H)
         scale = max(1.0, float(np.max(np.abs(H))))
         worst = min(worst, float(eigs[0]) + 1e-6 * scale)
@@ -342,9 +344,50 @@ def a12():
     return ok, margin, detail
 
 
+def a13():
+    """Exact base Hessians of B and log B vs. FD with a Richardson gate."""
+    quad = _quad(48, 96)
+    poly = PolynomialWeight.from_text(
+        1, 1, "(+ (* 0.8 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
+    )
+    moving = SectionFamily(
+        1, 1,
+        ((HoloPoly(1, {(0,): 0.2, (1,): 0.3}),),),
+        (HoloPoly(1, {(0,): 1.0, (1,): 0.5, (2,): -0.2j}),),
+    )
+    polydisc = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)
+    H_pd = np.array([[1.0, -0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    cases = [  # (label, weight, sections, t0, degree, quadrature)
+        ("separable", QuadraticWeight.separable(1.0), _origin_sections(), (0.1 + 0.05j,), 16, quad),
+        ("cross", _cross(0.5), SectionFamily.constant([[0.2 + 0.1j]]), (0.05 - 0.02j,), 16, quad),
+        ("cross n=2", _cross_n2(0.5), SectionFamily.constant([[0.1j]], base_dim=2),
+         (0.03 + 0.01j, -0.02j), 16, quad),
+        ("polynomial", poly, moving, (0.1 + 0.05j,), 16, quad),
+        ("polydisc", QuadraticWeight(1, 2, H_pd), SectionFamily.constant([[0.2 + 0.1j, -0.1j]]),
+         (0.05 + 0.03j,), 10, polydisc),
+    ]
+    start = time.perf_counter()
+    worst, worst_diff, worst_label = math.inf, 0.0, ""
+    for label, w, fam, t0, N, q in cases:
+        cfg = _cfg(N, q)
+        exact = section_hessian(w, fam, t0, N, q)
+        _H, fd_B, _ = fd_trace(section_field(w, fam, N, q), t0, cfg, tol_scale=exact.B)
+        _H, fd_log, _ = fd_trace(log_section_field(w, fam, N, q), t0, cfg)
+        diffs = (
+            abs(fd_B - float(np.trace(exact.hessian).real)) / max(1.0, exact.B),
+            abs(fd_log - float(np.trace(exact.log_hessian).real)),
+        )
+        if cfg.tolerance - max(diffs) < worst:
+            worst, worst_diff, worst_label = cfg.tolerance - max(diffs), max(diffs), label
+    budget_ok = (time.perf_counter() - start) <= 30.0
+    detail = f"worst |FD trace - exact trace| {worst_diff:.2e} ({worst_label}) over 5 cases"
+    return worst >= 0 and budget_ok, worst, detail
+
+
 _CRITERIA = {
     "a1": a1, "a2": a2, "a3": a3, "a4": a4, "a5": a5, "a6": a6,
     "a7": a7, "a8": a8, "a9": a9, "a10": a10, "a11": a11, "a12": a12,
+    "a13": a13,
 }
 
 

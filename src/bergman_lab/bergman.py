@@ -24,10 +24,34 @@ the quadrature rule builds once per degree and shares across every base
 point; the kernel diagonal on the nodes (log-kernel weights) needs none,
 it is synthesized ring by ring (``fiber_numerics.kernel_diagonal``).
 
+Base Hessians of the section functional are exact.  With ``u(t) = sum_i
+a_i(t) M(s_i(t))`` (holomorphic in t) and ``P = G^{-1} = C C^H``,
+``B_t<a, a> = u^T P conj(u)``.  The nodes do not move with t, so the base
+derivatives of G are ring Grams of the differentiated measure,
+
+    d_a G        = Gram of  -d_a phi * exp(-phi) * w,
+    d_a dbar_b G = Gram of  (d_a phi * dbar_b phi - d_a dbar_b phi) * exp(-phi) * w,
+
+with ``dbar_b G = (d_b G)^H``; ``d_a P = -P d_aG P`` and ``dbar_b d_a P =
+P dbar_bG P d_aG P + P d_aG P dbar_bG P - P d_a dbar_bG P``.  In the frame
+coordinates ``v = C^H conj(u)``, ``p = C v``, ``e_a = C^H conj(d_a u)``,
+``g_a = C^H d_aG p`` and ``h_a = C^H (d_aG)^H p`` this gives
+
+    d_a B         = (e_a - h_a)^H v,
+    d_a dbar_b B  = (e_a - h_a)^H (e_b - h_b) + g_b^H g_a - p^H d_a dbar_bG p,
+
+the discrete form of the curvature formula for direct images (Berndtsson,
+Ann. of Math. 169, 2009).  It is the exact Hessian of the same discrete
+functional that a finite-difference stencil of :func:`section_value`
+differences, from one basis build, ``n`` Grams ``d_a G`` and ``n(n+1)/2``
+Grams ``d_a dbar_b G``; the weight derivatives come from the weight's own
+``grad_base`` and ``hessian_field``.
+
 Basis builds are memoized on the quadrature rule, keyed by (weight object,
-base point, degree): the finite-difference stencils of the section, log and
-Hormander checks all visit the same base points, and each point's Gram and
-transform are computed once per rule.  The weight values ``exp(-phi)`` do
+base point, degree): the stencils of the determinant and Hormander checks
+visit the same base points, and each point's Gram and transform are
+computed once per rule.  Section Hessians are memoized the same way, keyed
+by (sections, base point, degree).  The weight values ``exp(-phi)`` do
 not depend on the degree, so they are memoized by base point alone and
 shared with the direct-image Grams of the determinant check.  The memo
 holds only those read-only arrays, weakly keyed by the weight, so an entry
@@ -37,6 +61,7 @@ repeated call returns the same arrays, hence bitwise the same numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +72,9 @@ from .fiber_numerics import (
     QuadratureRule,
     gram_matrix,
     monomial_basis,
+    monomial_gradient,
     orthonormalize,
+    ring_gram,
     vandermonde,
 )
 from .utils import as_complex_tuple
@@ -57,6 +84,7 @@ __all__ = [
     "HoloPoly",
     "SectionFamily",
     "BergmanBasis",
+    "SectionHessian",
     "DirectImageGram",
     "SectionOutsideDomainError",
     "bergman_basis",
@@ -65,6 +93,7 @@ __all__ = [
     "extremal_check",
     "section_value",
     "section_value_pair",
+    "section_hessian",
     "direct_image_gram",
 ]
 
@@ -105,6 +134,20 @@ class HoloPoly:
     @property
     def degree(self) -> int:
         return max((sum(e) for e in self.coeffs), default=0)
+
+    @property
+    def key(self) -> tuple:
+        """Hashable value of the polynomial (exponents are unique)."""
+        return (self.nvars, tuple(sorted(self.coeffs.items())))
+
+    def derivative(self, var: int) -> "HoloPoly":
+        """d/d(variable ``var``)."""
+        out = {}
+        for exp, c in self.coeffs.items():
+            if exp[var]:
+                lowered = exp[:var] + (exp[var] - 1,) + exp[var + 1 :]
+                out[lowered] = c * exp[var]
+        return HoloPoly(self.nvars, out)
 
     def __call__(self, point):
         pts = np.asarray(point, dtype=complex)
@@ -179,6 +222,23 @@ class SectionFamily:
     def amplitudes_at(self, t) -> np.ndarray:
         t = np.asarray(as_complex_tuple(t))
         return np.array([a(t) for a in self.amplitudes], dtype=complex)
+
+    @property
+    def key(self) -> tuple:
+        """Hashable value of the family, for memo keys."""
+        return (
+            tuple(tuple(comp.key for comp in s) for s in self.sections),
+            tuple(a.key for a in self.amplitudes),
+        )
+
+    def derivatives_at(self, t) -> tuple[np.ndarray, np.ndarray]:
+        """Base derivatives at t: ``d a_i / dt_k`` with shape (r, n) and
+        ``d s_ic / dt_k`` with shape (r, d, n)."""
+        t = np.asarray(as_complex_tuple(t))
+        n = self.base_dim
+        damps = [[a.derivative(k)(t) for k in range(n)] for a in self.amplitudes]
+        dsecs = [[[comp.derivative(k)(t) for k in range(n)] for comp in s] for s in self.sections]
+        return np.array(damps, dtype=complex), np.array(dsecs, dtype=complex)
 
     def check_inside(self, domain, t, margin_frac: float = SECTION_MARGIN):
         pts = self.sections_at(t)
@@ -388,6 +448,80 @@ def section_value_pair(
     Usub = b.monomials_at(pts)[:, :k] @ b.transform[:k, :k]
     sub = float(np.sum(np.abs(amps @ Usub) ** 2))
     return full, sub
+
+
+@dataclass(frozen=True, eq=False)
+class SectionHessian:
+    """``B_t<a, a>`` at one base point with its exact base derivatives.
+
+    ``grad[a] = d B / dt_a`` and ``hessian[a, b] = d^2 B / dt_a dt_b-bar``
+    (Hermitian), the convention of the finite-difference Hessians.
+    """
+
+    t: tuple
+    B: float
+    grad: np.ndarray = field(repr=False)
+    hessian: np.ndarray = field(repr=False)
+
+    @property
+    def log_hessian(self) -> np.ndarray:
+        """``d^2 log B / dt_a dt_b-bar = H / B - grad grad^H / B^2``."""
+        if self.B <= 0:
+            raise ArithmeticError(f"section functional vanishes at t={self.t}; log B is undefined")
+        g = self.grad / self.B
+        return self.hessian / self.B - np.outer(g, g.conj())
+
+
+def section_hessian(
+    w: WeightFamily, fam: SectionFamily, t, N: int, quad: QuadratureRule
+) -> SectionHessian:
+    """Exact base gradient and Hessian of ``B_t<a, a>`` at ``t``.
+
+    One basis build at ``t`` plus the ring Grams of the differentiated
+    measures (see the module docstring); memoized per (weight, sections,
+    ``t``, ``N``) on the quadrature rule.
+    """
+    t = as_complex_tuple(t)
+    memo = quad.memo(w)
+    key = ("section_hessian", fam.key, t, N)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    fam.check_inside(quad.domain, t)
+    b = bergman_basis(w, t, N, quad)
+    C, n = b.transform, w.n
+    pts, amps = fam.sections_at(t), fam.amplitudes_at(t)
+    damps, dsecs = fam.derivatives_at(t)
+    M = b.monomials_at(pts)  # (r, dim)
+    dM = monomial_gradient(b.basis, pts)  # (r, d, dim)
+    u = amps @ M
+    du = damps.T @ M + np.einsum("i,ick,icj->kj", amps, dsecs, dM)  # (n, dim)
+    Ch = C.conj().T
+    v = Ch @ np.conj(u)
+    p = C @ v
+    e = np.conj(du) @ np.conj(C)  # rows C^H conj(d_a u)
+
+    mu = b.weight_vals * quad.weights
+    dphi = np.asarray(w.grad_base(t, quad.nodes)).reshape(n, quad.size)
+    tt = w.hessian_field(t, quad.nodes)[0]
+    dG = [ring_gram(b.basis, -dphi[a] * mu, quad) for a in range(n)]
+    g = np.array([Ch @ (G @ p) for G in dG])
+    eh = e - np.array([Ch @ (G.conj().T @ p) for G in dG])
+    H = np.empty((n, n), dtype=complex)
+    for a in range(n):
+        for c in range(a, n):
+            ddG = ring_gram(b.basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
+            H[a, c] = np.vdot(eh[a], eh[c]) + np.vdot(g[c], g[a]) - np.vdot(p, ddG @ p)
+            H[c, a] = np.conj(H[a, c])
+    H[np.diag_indices(n)] = H.diagonal().real
+    B = float(np.vdot(v, v).real)
+    if not (math.isfinite(B) and np.all(np.isfinite(H))):
+        raise ArithmeticError(f"section functional or its Hessian is not finite at t={t}")
+    grad = eh.conj() @ v
+    for arr in (grad, H):
+        arr.flags.writeable = False
+    out = memo[key] = SectionHessian(t=t, B=B, grad=grad, hessian=H)
+    return out
 
 
 @dataclass(frozen=True, eq=False)

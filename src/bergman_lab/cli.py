@@ -9,11 +9,13 @@ so on) or, for ``run``, taken verbatim from the scenario's ``checks`` line.
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
 settle at the requested resolution, so no verdict was reached; the message
-names the knob: ``degree`` and ``quadrature``, or ``h_step``).  A scenario
-that cannot be run (a parse error, an out-of-range field, a quadrature
-above the node cap, a stencil that leaves the base patch) exits 2 before
-any check; a weight that turns out not to be real-valued fails each check
-that evaluates it, also exit 2.
+names the knob: ``degree`` and ``quadrature`` for a kernel truncation gap,
+or ``h_step`` for the Richardson gap of ``det_inequality``, the one check
+that still differences a base Hessian).  A scenario that cannot be run (a
+parse error, an out-of-range field, a quadrature above the node cap, a
+stencil that leaves the base patch) exits 2 before any check; a weight
+that turns out not to be real-valued fails each check that evaluates it,
+also exit 2.
 
 Reports are deterministic: the same scenario file, overrides and seed
 produce byte-identical records and hence the same report hash, regardless
@@ -31,10 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .bergman import bergman_basis, direct_image_gram, kernel_eval, reproducing_residual, \
-    extremal_check
-from .curvature import CheckConfig, Stencil, UnconvergedBasisError, check_det_inequality, \
-    check_log_inequality, check_section_inequality, fd_hessian, log_section_field, \
-    section_truncation, truncation_gate
+    extremal_check, section_hessian
+from .curvature import CheckConfig, UnconvergedBasisError, check_det_inequality, \
+    check_log_inequality, check_section_inequality, section_truncation, truncation_gate
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import run_iteration, run_twisted_iteration
@@ -184,11 +185,10 @@ def _check_det_inequality(ctx: _Context):
 
 
 def _check_psh_spectrum(ctx: _Context):
-    """Base-Hessian eigenvalue floor for the log section functional."""
+    """Eigenvalue floor of the exact base Hessian of the log section functional."""
     sc = ctx.sc
     _full, conv = section_truncation(sc.weight, sc.sections, sc.t0, ctx.cfg)
-    fn = log_section_field(sc.weight, sc.sections, sc.N, ctx.quad)
-    H = fd_hessian(fn, Stencil(sc.t0, sc.h), threads=ctx.threads)
+    H = section_hessian(sc.weight, sc.sections, sc.t0, sc.N, ctx.quad).log_hessian
     eigs = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(H))))
     margin = float(eigs[0]) + PSH_SPECTRUM_TOL * scale

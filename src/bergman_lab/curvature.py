@@ -1,11 +1,16 @@
-"""Finite-difference complex Hessians over the base and the inequality checks.
+"""Complex Hessians over the base and the inequality checks.
 
-Scalar fields of interest (section functionals, their logs, determinant
-potentials) are functions of the base point only; their complex Hessians
-are formed by central differences in the real coordinate directions, with
-mixed entries recovered by polarization.  Each check compares the base
-trace of such a Hessian against the lower bound supplied by a weight
-certificate and reports the margin with an explicit tolerance budget.
+The section functional ``B_t<a,a>`` and its log have exact base Hessians
+(``bergman.section_hessian``: one basis build at ``t0`` plus the ring
+Grams of the differentiated weight), so the section, log and spectrum
+checks take no step.  The determinant potential ``-log det G(t)`` is still
+differenced: its complex Hessian is formed by central differences in the
+real coordinate directions, with mixed entries recovered by polarization,
+at step ``h`` and again at ``h/2`` as a Richardson gate (:func:`fd_trace`).
+The same finite-difference route serves as the independent cross-check of
+the exact Hessians.  Each check compares the base trace of a Hessian
+against the lower bound supplied by a weight certificate and reports the
+margin with an explicit tolerance budget.
 
 Verdicts are two-valued here (pass/fail); a failed convergence diagnostic
 raises :class:`UnconvergedBasisError` before any verdict, and the CLI maps
@@ -22,8 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import DirectImageGram, SectionFamily, section_value, section_value_pair
-from .utils import as_complex_tuple, parallel_map, wirtinger_gradient
+from .bergman import DirectImageGram, SectionFamily, section_hessian, section_value, \
+    section_value_pair
+from .utils import as_complex_tuple, parallel_map
 from .weights import BasePatch, WeightFamily
 
 __all__ = [
@@ -34,10 +40,10 @@ __all__ = [
     "CheckConfig",
     "CurvatureReport",
     "fd_hessian",
+    "fd_trace",
     "check_section_inequality",
     "check_log_inequality",
     "check_det_inequality",
-    "tilt_field",
     "psh_spectrum",
     "section_field",
     "log_section_field",
@@ -169,7 +175,11 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Trace inequality outcome for one scalar field at one base point."""
+    """Trace inequality outcome for one scalar field at one base point.
+
+    ``h`` is the finite-difference step behind ``hessian``; 0.0 for an
+    exact Hessian.
+    """
 
     field_name: str
     t0: tuple
@@ -191,8 +201,13 @@ def _verdict(margin: float, tolerance: float) -> str:
     return "pass" if margin >= -tolerance else "fail"
 
 
-def _trace_with_diagnostics(field_fn, t0, cfg: CheckConfig, *, tol_scale: float = 1.0):
-    """Hessian + trace at step h, with a Richardson check at h/2."""
+def fd_trace(field_fn, t0, cfg: CheckConfig, *, tol_scale: float = 1.0):
+    """FD Hessian + trace at step h, with a Richardson check at h/2.
+
+    Returns ``(H, trace, diagnostics)``; raises :class:`UnconvergedBasisError`
+    when the two traces differ by more than ``cfg.tolerance * max(1,
+    tol_scale)`` (with ``cfg.richardson``).
+    """
     st = Stencil(t0, cfg.h)
     H = fd_hessian(field_fn, st, threads=cfg.threads)
     trace = float(np.real(np.trace(H)))
@@ -230,56 +245,46 @@ def section_truncation(w, fam, t0, cfg) -> tuple[float, float]:
     return full, gap
 
 
-def check_section_inequality(
-    w: WeightFamily, fam: SectionFamily, t0, eps0: float, cfg: CheckConfig
-) -> CurvatureReport:
-    """Trace of the Hessian of B_t<a,a> against n * eps0 * B(t0)."""
-    t0 = as_complex_tuple(t0)
-    B0, conv_gap = section_truncation(w, fam, t0, cfg)
-    fn = section_field(w, fam, cfg.N, cfg.quad)
-    H, trace, diag = _trace_with_diagnostics(fn, t0, cfg, tol_scale=B0)
-    bound = w.n * eps0 * B0
+def _report(field_name, t0, h, H, bound, tolerance, diagnostics) -> CurvatureReport:
+    trace = float(np.real(np.trace(H)))
     margin = trace - bound
-    diag.update({"B0": B0, "convergence_gap": conv_gap, "eps0": eps0})
     return CurvatureReport(
-        field_name="section_value",
+        field_name=field_name,
         t0=t0,
-        h=cfg.h,
+        h=h,
         hessian=H,
         trace=trace,
         bound=bound,
         margin=margin,
-        tolerance=cfg.tolerance * max(1.0, B0),
-        verdict=_verdict(margin, cfg.tolerance * max(1.0, B0)),
-        diagnostics=diag,
+        tolerance=tolerance,
+        verdict=_verdict(margin, tolerance),
+        diagnostics=diagnostics,
     )
+
+
+def check_section_inequality(
+    w: WeightFamily, fam: SectionFamily, t0, eps0: float, cfg: CheckConfig
+) -> CurvatureReport:
+    """Trace of the exact Hessian of B_t<a,a> against n * eps0 * B(t0)."""
+    t0 = as_complex_tuple(t0)
+    B0, conv_gap = section_truncation(w, fam, t0, cfg)
+    H = section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian
+    diag = {"B0": B0, "convergence_gap": conv_gap, "eps0": eps0}
+    tol = cfg.tolerance * max(1.0, B0)
+    return _report("section_value", t0, 0.0, H, w.n * eps0 * B0, tol, diag)
 
 
 def check_log_inequality(
     w: WeightFamily, fam: SectionFamily, t0, eps0: float, cfg: CheckConfig
 ) -> CurvatureReport:
-    """Trace of the Hessian of log B_t<a,a> against n * eps0."""
+    """Trace of the exact Hessian of log B_t<a,a> against n * eps0."""
     t0 = as_complex_tuple(t0)
     B0, conv_gap = section_truncation(w, fam, t0, cfg)
     if B0 <= 0:
         raise ValueError("section functional vanishes at t0; log check undefined")
-    fn = log_section_field(w, fam, cfg.N, cfg.quad)
-    H, trace, diag = _trace_with_diagnostics(fn, t0, cfg)
-    bound = w.n * eps0
-    margin = trace - bound
-    diag.update({"B0": B0, "convergence_gap": conv_gap, "eps0": eps0})
-    return CurvatureReport(
-        field_name="log_section_value",
-        t0=t0,
-        h=cfg.h,
-        hessian=H,
-        trace=trace,
-        bound=bound,
-        margin=margin,
-        tolerance=cfg.tolerance,
-        verdict=_verdict(margin, cfg.tolerance),
-        diagnostics=diag,
-    )
+    H = section_hessian(w, fam, t0, cfg.N, cfg.quad).log_hessian
+    diag = {"B0": B0, "convergence_gap": conv_gap, "eps0": eps0}
+    return _report("log_section_value", t0, 0.0, H, w.n * eps0, cfg.tolerance, diag)
 
 
 def check_det_inequality(
@@ -295,51 +300,9 @@ def check_det_inequality(
     t0 = as_complex_tuple(t0)
     if r != dig.rank:
         raise ValueError(f"rank argument {r} disagrees with the frame size {dig.rank}")
-    fn = dig.neg_log_det
-    H, trace, diag = _trace_with_diagnostics(fn, t0, cfg)
-    bound = dig.w.n * r * eps0
-    margin = trace - bound
+    H, _trace, diag = fd_trace(dig.neg_log_det, t0, cfg)
     diag.update({"rank": r, "eps0": eps0})
-    return CurvatureReport(
-        field_name="neg_log_det_gram",
-        t0=t0,
-        h=cfg.h,
-        hessian=H,
-        trace=trace,
-        bound=bound,
-        margin=margin,
-        tolerance=cfg.tolerance,
-        verdict=_verdict(margin, cfg.tolerance),
-        diagnostics=diag,
-    )
-
-
-def tilt_field(field_fn, st: Stencil):
-    """Multiply by the pluriharmonic exponential that flattens the gradient.
-
-    With B0 = field(t0) > 0 and alpha_i = -(2/B0) * dfield/dt_i(t0), the
-    returned field  t -> exp(Re sum_i alpha_i (t_i - t0_i)) * field(t)
-    has, at t0, Hessian trace equal to B0 times the trace of the Hessian of
-    log field — the reduction that turns the logarithmic inequality into a
-    linear one.  Returns (tilted callable, alpha tuple).
-    """
-    t0 = np.asarray(st.center)
-    B0 = float(field_fn(tuple(t0)))
-    if B0 <= 0:
-        raise ValueError(f"field must be positive at the stencil center, got {B0}")
-
-    def eval_at(off):
-        return field_fn(tuple(t0 + off))
-
-    grad = wirtinger_gradient(eval_at, st.n, st.h)
-    alpha = tuple(complex(-2.0 * g / B0) for g in grad)
-
-    def tilted(t):
-        t = np.asarray(as_complex_tuple(t))
-        phase = np.real(np.sum(np.asarray(alpha) * (t - t0)))
-        return math.exp(phase) * field_fn(tuple(t))
-
-    return tilted, alpha
+    return _report("neg_log_det_gram", t0, cfg.h, H, dig.w.n * r * eps0, cfg.tolerance, diag)
 
 
 def psh_spectrum(field_fn, st: Stencil, threads: int = 1) -> float:

@@ -25,7 +25,12 @@ ring followed by a contraction with radial powers::
 
 This is the same discrete sum as ``V^H diag(w) V`` over the node
 Vandermonde ``V`` (same aliasing, same positivity test), only added in a
-different order.
+different order.  :func:`ring_gram` assembles it for any complex node
+measure; :func:`gram_matrix` is the positivity-checked Gram of a weight on
+top of it.  The base derivatives of a weighted Gram are ring Grams of
+complex measures (``-d_a phi * exp(-phi) * w`` and so on), which is how
+the exact base Hessians of the section functional are assembled (see
+``bergman``).
 
 The kernel diagonal on the nodes is the adjoint of the ring Gram.  With
 ``P = C C^H`` (the inverse Gram),
@@ -66,7 +71,8 @@ __all__ = [
     "max_exact_degree",
     "monomial_basis",
     "vandermonde",
-    "weighted_inner_product",
+    "monomial_gradient",
+    "ring_gram",
     "gram_matrix",
     "kernel_diagonal",
     "orthonormalize",
@@ -220,7 +226,7 @@ class QuadratureRule:
         """Index and radial-power tables of the ring Gram, built once per basis.
 
         Returns ``(modes, powers, gather)``: per coordinate the DFT indices
-        of the angular modes ``-N..N`` (negated, see :func:`gram_matrix`)
+        of the angular modes ``-N..N`` (negated, see :func:`ring_gram`)
         and the ring powers ``r^s`` for ``s = 0..2N``; ``gather`` indexes
         the contracted ``(s_1, m_1, s_2, m_2, ...)`` tensor at ``s = j + k``,
         ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``.
@@ -232,7 +238,7 @@ class QuadratureRule:
             span = np.arange(-N, N + 1)
             modes = tuple(-span % na for _nr, na in self.shape)
             powers = tuple(r[:, None] ** np.arange(2 * N + 1)[None, :] for r in self.radial_nodes)
-            E = np.array(basis.exponents)
+            E = basis.exponent_array
             gather = []
             for c in range(basis.fiber_dim):
                 gather.append(E[:, None, c] + E[None, :, c])
@@ -328,11 +334,22 @@ def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 1
 
 @dataclass(frozen=True)
 class MonomialBasis:
-    """Monomials of total degree <= max_degree in graded lexicographic order."""
+    """Monomials of total degree <= max_degree in graded lexicographic order.
+
+    ``exponent_array`` holds the exponents as a read-only ``(dim,
+    fiber_dim)`` integer array, built once per basis: its columns index
+    the per-coordinate power tables of :func:`vandermonde`.
+    """
 
     fiber_dim: int
     max_degree: int
     exponents: tuple[tuple[int, ...], ...]
+    exponent_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        E = np.array(self.exponents, dtype=int).reshape(len(self.exponents), self.fiber_dim)
+        E.flags.writeable = False
+        object.__setattr__(self, "exponent_array", E)
 
     @property
     def dim(self) -> int:
@@ -361,49 +378,67 @@ def monomial_basis(max_degree: int, fiber_dim: int = 1) -> MonomialBasis:
     return basis
 
 
-def vandermonde(basis: MonomialBasis, nodes: np.ndarray) -> np.ndarray:
-    """Matrix of monomial values, shape ``(n_nodes, basis.dim)``."""
+def _power_tables(basis: MonomialBasis, nodes) -> list[np.ndarray]:
+    """Per-coordinate powers ``z_c^k``, ``k = 0..max_degree``, of the points."""
     pts = np.asarray(nodes, dtype=complex)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.shape[1] != basis.fiber_dim:
         raise ValueError("node coordinate count does not match the basis fiber_dim")
+    k = np.arange(basis.max_degree + 1)[None, :]
+    return [pts[:, c, None] ** k for c in range(basis.fiber_dim)]
+
+
+def vandermonde(basis: MonomialBasis, nodes: np.ndarray) -> np.ndarray:
+    """Matrix of monomial values, shape ``(n_nodes, basis.dim)``."""
+    powers = _power_tables(basis, nodes)
     # per-coordinate power tables, then product across coordinates
-    out = np.ones((pts.shape[0], basis.dim), dtype=complex)
-    for c in range(basis.fiber_dim):
-        powers = pts[:, c, None] ** np.arange(basis.max_degree + 1)[None, :]
-        idx = np.fromiter((e[c] for e in basis.exponents), dtype=int, count=basis.dim)
-        out *= powers[:, idx]
+    out = np.ones((powers[0].shape[0], basis.dim), dtype=complex)
+    for c, P in enumerate(powers):
+        out *= P[:, basis.exponent_array[:, c]]
     return out
 
 
-def _values_on_nodes(f, quad: QuadratureRule) -> np.ndarray:
-    if callable(f):
-        arg = quad.points if quad.domain.dim == 1 else quad.nodes
-        f = f(arg)
-    vals = np.asarray(f, dtype=complex)
-    if vals.shape == ():
-        vals = np.full(quad.size, complex(vals))
-    if vals.shape != (quad.size,):
-        raise ValueError(f"expected {quad.size} node values, got shape {vals.shape}")
-    return vals
+def monomial_gradient(basis: MonomialBasis, points: np.ndarray) -> np.ndarray:
+    """Holomorphic derivatives ``d M_j / d z_c`` at the points.
 
-
-def weighted_inner_product(f, g, weight_values, quad: QuadratureRule) -> complex:
-    """Discrete ``integral of f * conj(g) * exp(-phi)``.
-
-    ``f`` and ``g`` may be callables on the nodes or arrays of node values;
-    ``weight_values`` are the values ``exp(-phi)`` at the nodes (must be
-    positive and finite).
+    Shape ``(n_points, fiber_dim, basis.dim)``: ``e_c z_c^(e_c - 1)`` times
+    the other coordinates' powers, zero where ``e_c = 0``.
     """
-    fv = _values_on_nodes(f, quad)
-    gv = _values_on_nodes(g, quad)
-    wv = np.asarray(weight_values, dtype=float)
-    if wv.shape != (quad.size,):
-        raise ValueError(f"expected {quad.size} weight values, got shape {wv.shape}")
-    if not np.all(np.isfinite(wv)) or np.any(wv <= 0):
-        raise ValueError("weight values must be finite and positive")
-    return complex(np.sum(fv * np.conj(gv) * wv * quad.weights))
+    powers = _power_tables(basis, points)
+    E = basis.exponent_array
+    out = np.empty((powers[0].shape[0], basis.fiber_dim, basis.dim), dtype=complex)
+    for c in range(basis.fiber_dim):
+        g = E[:, c] * powers[c][:, np.maximum(E[:, c] - 1, 0)]
+        for c2, P in enumerate(powers):
+            if c2 != c:
+                g = g * P[:, E[:, c2]]
+        out[:, c] = g
+    return out
+
+
+def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -> np.ndarray:
+    """``sum_x conj(M_j(x)) M_k(x) measure(x)`` over the nodes, ring by ring.
+
+    ``measure`` is any (real or complex) node field, quadrature weights
+    included.  The node sum is taken as an angular DFT of the measure on
+    every ring, contracted with the ring powers ``r^(j+k)`` per coordinate
+    (see the module docstring).  No symmetrization and no positivity test:
+    the result is Hermitian only for a real measure.
+    """
+    mu = np.asarray(measure)
+    if mu.shape != (quad.size,):
+        raise ValueError(f"expected {quad.size} measure values, got shape {mu.shape}")
+    modes, powers, gather = quad.ring_tables(basis)
+    grid = quad.grid_view(mu)  # axes (r_1, theta_1, r_2, theta_2, ...)
+    # sum_theta mu e^{+i m theta} = fft(mu)[-m]: the mode tables hold the
+    # negated indices.
+    F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
+    for c, (idx, P) in enumerate(zip(modes, powers)):
+        F = np.take(F, idx, axis=2 * c + 1)
+        # replace ring axis c by the radial power s = j_c + k_c
+        F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
+    return F[gather]
 
 
 def gram_matrix(
@@ -412,28 +447,19 @@ def gram_matrix(
     """Weighted Gram matrix of the monomial basis, assembled ring by ring.
 
     Entry ``G[j, k]`` pairs monomial ``k`` against the conjugate of monomial
-    ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  The node sum is taken as
-    an angular DFT of the weighted measure on every ring, contracted with
-    the ring powers ``r^(j+k)`` per coordinate (see the module docstring).
-    Raises :class:`GramIndefiniteError` when the assembled matrix fails
-    positivity, which is the signature of a quadrature too coarse for the
-    degree (angular aliasing makes distinct monomials collide on the nodes).
+    ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  The node sum is the
+    :func:`ring_gram` of the measure ``weight_values * quad.weights``,
+    symmetrized against roundoff.  Raises :class:`GramIndefiniteError`
+    when the assembled matrix fails positivity, which is the signature of a
+    quadrature too coarse for the degree (angular aliasing makes distinct
+    monomials collide on the nodes).
     """
     wv = np.asarray(weight_values, dtype=float)
     if wv.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} weight values, got shape {wv.shape}")
     if not np.all(np.isfinite(wv)) or np.any(wv <= 0):
         raise ValueError("weight values must be finite and positive")
-    modes, powers, gather = quad.ring_tables(basis)
-    grid = quad.grid_view(wv * quad.weights)  # axes (r_1, theta_1, r_2, theta_2, ...)
-    # The measure is real, so sum_theta w e^{+i m theta} = fft(w)[-m]: the
-    # mode tables hold the negated indices.
-    F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
-    for c, (idx, P) in enumerate(zip(modes, powers)):
-        F = np.take(F, idx, axis=2 * c + 1)
-        # replace ring axis c by the radial power s = j_c + k_c
-        F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
-    G = F[gather]
+    G = ring_gram(basis, wv * quad.weights, quad)
     G = 0.5 * (G + G.conj().T)  # symmetrize roundoff
     eigs = np.linalg.eigvalsh(G)
     # relative floor: exact rank deficiency lands at +-eps * max_eig

@@ -32,9 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanBasis, SectionFamily, bergman_basis
-from .curvature import CheckConfig, Stencil, fd_hessian, section_field, section_truncation, \
-    truncation_gate
+from .bergman import BergmanBasis, SectionFamily, bergman_basis, section_hessian
+from .curvature import CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule
 from .utils import as_complex_tuple
 from .weights import FiberDegenerateError, WeightFamily, schur_trace_field
@@ -358,7 +357,7 @@ def hormander_bound_check(
 class AssembledReport:
     """The assembled curvature lower bound at one base point.
 
-    chain1: trace of the Hessian of B_t<a,a> >= int |Gamma|^2 *
+    chain1: trace of the (exact) Hessian of B_t<a,a> >= int |Gamma|^2 *
     (Schur trace of the weight Hessian) * e^{-phi}; chain2: that integral
     >= n * eps0 * B(t0).
     """
@@ -392,8 +391,7 @@ def assembled_lower_bound(
     schur = schur_trace_field(*w.hessian_field(t0, cfg.quad.nodes))
     rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)
     B0_repro = float(np.sum(np.abs(data.gamma) ** 2 * measure).real)
-    H = fd_hessian(section_field(w, fam, cfg.N, cfg.quad), Stencil(t0, cfg.h), threads=cfg.threads)
-    lhs = float(np.real(np.trace(H)))
+    lhs = float(np.real(np.trace(section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian)))
     tol = cfg.tolerance * max(1.0, full)
     return AssembledReport(
         t0=t0,

@@ -33,7 +33,6 @@ fiber samples) goes through the orthonormal frame.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -60,11 +59,9 @@ __all__ = [
     "StepRecord",
     "IterationLedger",
     "mix_weights",
-    "mixed_bound",
     "bergman_weight",
     "run_iteration",
     "run_twisted_iteration",
-    "sample_field_csv",
 ]
 
 MAX_STEPS = 12
@@ -182,11 +179,6 @@ def mix_weights(phi_B: WeightFamily, phi_L: WeightFamily, m: int) -> MixedWeight
         ((1.0 - 1.0 / m, phi_B), (1.0 / m, phi_L)),
         label=f"mix(m={m}; {phi_B.label}, {phi_L.label})",
     )
-
-
-def mixed_bound(eps_B: float, eps_L: float, m: int) -> float:
-    """Certified trace constant of the mix from those of its parts."""
-    return (1.0 - 1.0 / m) * eps_B + (1.0 / m) * eps_L
 
 
 def bergman_weight(w: WeightFamily, N: int, quad, patch: BasePatch | None = None,
@@ -418,20 +410,3 @@ def run_twisted_iteration(
     per-step twist slack delta_k = C (1 - 1/m)^k in the ledger."""
     twisted = twist_weight(phi_L, C)
     return run_iteration(twisted, m, K, cfg, eps0=eps0, twist_slack=float(C), **kwargs)
-
-
-def sample_field_csv(fld: WeightFamily, t, quad, max_rows: int = 4096) -> str:
-    """CSV dump of a weight field over the quadrature nodes at fixed t."""
-    t = as_complex_tuple(t)
-    vals = fld.value(t, quad.nodes)
-    buf = io.StringIO()
-    cols = [f"xi{c + 1} {p}" for c in range(quad.nodes.shape[1]) for p in ("re", "im")]
-    buf.write(",".join(cols + ["value"]) + "\n")
-    stride = max(1, quad.size // max_rows)
-    for i in range(0, quad.size, stride):
-        parts = []
-        for c in range(quad.nodes.shape[1]):
-            parts += [f"{quad.nodes[i, c].real:.12g}", f"{quad.nodes[i, c].imag:.12g}"]
-        parts.append(f"{vals[i]:.12g}")
-        buf.write(",".join(parts) + "\n")
-    return buf.getvalue()

@@ -30,6 +30,7 @@ from bergman_lab.bergman import (
     extremal_check,
     kernel_eval,
     reproducing_residual,
+    section_hessian,
     section_value,
     section_value_pair,
 )
@@ -68,6 +69,33 @@ class TestHoloPoly:
         p = HoloPoly(2, {(1, 1): 1.0})
         pts = np.array([[1.0, 2.0], [2.0, 0.5]], dtype=complex)
         assert np.allclose(p(pts), [2.0, 1.0])
+
+
+class TestDerivatives:
+    def test_holopoly_derivative(self):
+        p = HoloPoly(2, {(2, 1): 3.0, (0, 1): 1j, (1, 0): 2.0})
+        assert p.derivative(0).coeffs == {(1, 1): 6.0, (0, 0): 2.0}
+        assert p.derivative(1).coeffs == {(2, 0): 3.0, (0, 0): 1j}
+        assert HoloPoly.constant(4.0).derivative(0).coeffs == {}
+
+    def test_section_family_derivatives(self):
+        fam = SectionFamily(
+            2, 1,
+            ((HoloPoly(2, {(0, 0): 0.1, (1, 1): 0.5}),),),
+            (HoloPoly(2, {(0, 0): 1.0, (0, 2): 2.0}),),
+        )
+        damps, dsecs = fam.derivatives_at((0.2, 0.3j))
+        assert damps.shape == (1, 2) and dsecs.shape == (1, 1, 2)
+        assert np.allclose(damps, [[0.0, 4 * 0.3j]])
+        assert np.allclose(dsecs, [[[0.5 * 0.3j, 0.5 * 0.2]]])
+
+    def test_family_key_is_by_value(self):
+        p, q = HoloPoly(2, {(1, 0): 1.0, (0, 0): 2.0}), HoloPoly(2, {(0, 0): 2.0, (1, 0): 1.0})
+        assert p.key == q.key
+        a = SectionFamily.constant([[0.2]])
+        assert a.key == SectionFamily.constant([[0.2]]).key
+        assert a.key != SectionFamily.constant([[0.3]]).key
+        hash(a.key)
 
 
 class TestBergmanBasis:
@@ -265,6 +293,37 @@ class TestDirectImageGram:
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]
         with pytest.raises(ValueError, match="dependent"):
             direct_image_gram(GAUSS, frame, BasePatch((0j,), 0.5), quad)
+
+
+class TestSectionHessian:
+    """Exact base derivatives of B against the separable closed form
+    B(t) = exp(c|t|^2) B(0): dB/dt = c conj(t) B, d^2B/dt dt-bar = c (1 + c|t|^2) B."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.2 - 0.1j])
+    def test_separable_closed_form(self, quad, t):
+        c = 0.7
+        w = QuadraticWeight.separable(c)
+        fam = SectionFamily.constant([[0.3 + 0.1j]])
+        sh = section_hessian(w, fam, (t,), 16, quad)
+        B = section_value(w, fam, (t,), 16, quad)
+        assert sh.B == pytest.approx(B, rel=1e-13)
+        assert sh.grad[0] == pytest.approx(c * np.conj(t) * B, abs=1e-13)
+        assert sh.hessian[0, 0].real == pytest.approx(c * (1 + c * abs(t) ** 2) * B, rel=1e-12)
+        assert sh.log_hessian[0, 0] == pytest.approx(c, abs=1e-13)
+
+    def test_memoized_per_family_point_and_degree(self, quad):
+        w = QuadraticWeight.cross_term(0.5)
+        fam = SectionFamily.constant([[0.2]])
+        first = section_hessian(w, fam, (0.1,), 12, quad)
+        assert section_hessian(w, SectionFamily.constant([[0.2]]), 0.1, 12, quad) is first
+        assert section_hessian(w, fam, (0.1,), 14, quad) is not first
+        assert section_hessian(w, SectionFamily.constant([[0.3]]), (0.1,), 12, quad) is not first
+        assert not first.hessian.flags.writeable
+
+    def test_section_leaving_the_domain_raises(self, quad):
+        fam = SectionFamily.constant([[0.99]])
+        with pytest.raises(SectionOutsideDomainError):
+            section_hessian(GAUSS, fam, (0.0,), 12, quad)
 
 
 class CountingWeight(QuadraticWeight):

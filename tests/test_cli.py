@@ -1,6 +1,7 @@
 """End-to-end command line runs on small scenarios."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -146,11 +147,32 @@ class TestRunCommand:
         assert [r["verdict"] for r in records] == ["fail", "fail"]
         assert all("is not real-valued" in r["error"] for r in records)
 
+    def test_vanishing_section_fails_psh_spectrum_with_message(self):
+        text = ("id = zero\nweight = separable 1.0\ndegree = 12\nquadrature = 32 64\n"
+                "section = 0.1 ; 0.0\nchecks = psh_spectrum\n")
+        sc = parse_scenario(text)
+        [rec] = run_scenario_checks(sc, sc.checks)
+        assert rec.verdict == "fail" and "log B is undefined" in rec.error
+
     def test_h_step_override_leaving_patch_exits_two(self, scn, capsys):
         text = "id = edge\nweight = separable 1.0\nt0 = 0.43\nchecks = certify\n"
         assert main(["run", "--scenario", scn(text), "--h-step", "0.05"]) == 2
         err = capsys.readouterr().err
         assert "scenario error" in err and "leaves the base patch" in err
+
+
+class TestBundledPolydisc:
+    def test_polydisc_cross_passes_with_unit_log_trace(self, tmp_path):
+        # 262,144 nodes: the exact log Hessian needs one basis build at t0
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "polydisc_cross.scn"
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", str(path), "--out", str(out_dir)]) == 0
+        records = summary_of(out_dir, "polydisc_cross")["records"]
+        assert [r["name"] for r in records] == ["certify", "log_inequality", "psh_spectrum"]
+        assert all(r["verdict"] == "pass" for r in records)
+        # the log trace is 1, above the certified 1 - lam^2 = 0.75
+        assert records[1]["outputs"]["trace"] == pytest.approx(1.0, abs=1e-9)
+        assert records[2]["outputs"]["eigenvalues"] == pytest.approx([1.0], abs=1e-9)
 
 
 class TestSubcommands:

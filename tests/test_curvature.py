@@ -1,11 +1,16 @@
-"""FD Hessians over the base and the trace inequality checks.
+"""Base Hessians (exact and finite-difference) and the trace inequality checks.
 
 Closed forms behind the assertions:
 
 * the field exp(c|t|^2 + const) has log-Hessian trace exactly c (n = 1),
 * for the weight |t|^2 + |z|^2 + 2 lam Re(t conj(z)) the certified constant
-  is 1 - lam^2, while the measured log-kernel trace at t = 0 is 1 (the
-  kernel's t-dependence is exp(|t|^2) times a kernel in z + lam t),
+  is 1 - lam^2, while the log trace of any constant section is 1:
+  multiplying by the holomorphic unit exp(-lam conj(t) z) maps the space at
+  t onto the space at 0, so K_t(s, s) = exp(|t|^2 + 2 lam Re(conj(t) s))
+  K_0(s, s), whose log is |t|^2 plus a pluriharmonic term (the truncated
+  space meets this up to its truncation gap),
+* with two base directions of which only t_1 couples, the log Hessian is
+  the identity: trace 2, eigenvalues 1 and 1,
 * the gradient-tilt multiplier for exp(|t|^2) at t0 is -2 conj(t0).
 """
 
@@ -14,7 +19,8 @@ import math
 import numpy as np
 import pytest
 
-from bergman_lab.bergman import HoloPoly, SectionFamily, direct_image_gram
+from bergman_lab import bergman as bergman_module
+from bergman_lab.bergman import HoloPoly, SectionFamily, direct_image_gram, section_hessian
 from bergman_lab.curvature import (
     CheckConfig,
     Stencil,
@@ -23,14 +29,15 @@ from bergman_lab.curvature import (
     check_log_inequality,
     check_section_inequality,
     fd_hessian,
+    fd_trace,
     log_section_field,
     psh_spectrum,
     section_field,
-    tilt_field,
     truncation_gate,
 )
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
-from bergman_lab.weights import BasePatch, QuadraticWeight
+from bergman_lab.weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight
+from helpers import tilt_field
 
 ORIGIN_FAM = SectionFamily.constant([[0.0]])
 
@@ -94,13 +101,93 @@ class TestFdHessian:
         assert np.array_equal(a, b)
 
 
+# a t-dependent section s(t) = 0.2 + 0.3 t with amplitude 1 + 0.5 t - 0.2i t^2
+MOVING_FAM = SectionFamily(
+    1, 1,
+    ((HoloPoly(1, {(0,): 0.2, (1,): 0.3}),),),
+    (HoloPoly(1, {(0,): 1.0, (1,): 0.5, (2,): -0.2j}),),
+)
+
+
+class TestExactHessian:
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("t0, s", [((0j,), 0.0), ((0.1 - 0.2j,), 0.3 + 0.2j)])
+    def test_separable_log_trace_is_c(self, quad, c, t0, s):
+        H = section_hessian(QuadraticWeight.separable(c), SectionFamily.constant([[s]]),
+                            t0, 20, quad).log_hessian
+        assert H[0, 0] == pytest.approx(c, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("t0, s", [((0j,), 0.0), ((0.15 + 0.1j,), -0.3 + 0.25j)])
+    def test_cross_log_trace_is_one(self, quad, lam, t0, s):
+        # 1, not the certified 1 - lam^2
+        H = section_hessian(QuadraticWeight.cross_term(lam), SectionFamily.constant([[s]]),
+                            t0, 20, quad).log_hessian
+        assert H[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_cross_n2_identity(self, quad):
+        w = QuadraticWeight(2, 1, np.array([[1.0, 0.0, -0.5], [0.0, 1.0, 0.0], [-0.5, 0.0, 1.0]]))
+        fam = SectionFamily.constant([[0.2j]], base_dim=2)
+        H = section_hessian(w, fam, (0.05 + 0.02j, -0.1j), 20, quad).log_hessian
+        assert np.trace(H).real == pytest.approx(2.0, abs=1e-9)
+        assert np.allclose(np.linalg.eigvalsh(H), [1.0, 1.0], atol=1e-9)
+
+    @pytest.mark.parametrize("w", [
+        PolynomialWeight.from_text(
+            1, 1, "(+ (* 0.8 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
+        ),
+        CustomWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1) (* 0.2 (re (* t1 (conj z1)))))"),
+    ], ids=["polynomial", "custom"])
+    def test_agrees_with_fd_within_richardson_gap(self, quad, w):
+        # the h/2 stencil is off by about a third of the h vs h/2 gap
+        t0, N = (0.1 + 0.05j,), 20
+        sh = section_hessian(w, MOVING_FAM, t0, N, quad)
+        cfg_ = CheckConfig(N=N, quad=quad)
+        for fn, exact in ((section_field(w, MOVING_FAM, N, quad), sh.hessian),
+                          (log_section_field(w, MOVING_FAM, N, quad), sh.log_hessian)):
+            _H, _trace, diag = fd_trace(fn, t0, cfg_)
+            half = fd_hessian(fn, Stencil(t0, cfg_.h / 2))
+            assert np.abs(half - exact).max() <= diag["richardson_gap"]
+            assert abs(diag["trace_at_half_step"] - np.trace(exact).real) <= diag["richardson_gap"]
+
+    def test_n2_mixed_entries_agree_with_fd(self, quad):
+        H = np.array([[1.0, 0.2j, -0.5], [-0.2j, 1.3, 0.3], [-0.5, 0.3, 1.0]])
+        w = QuadraticWeight(2, 1, H)
+        fam = SectionFamily.constant([[0.1j]], base_dim=2)
+        t0 = (0.03 + 0.01j, -0.02j)
+        sh = section_hessian(w, fam, t0, 20, quad)
+        cfg_ = CheckConfig(N=20, quad=quad)
+        _H, _trace, diag = fd_trace(section_field(w, fam, 20, quad), t0, cfg_)
+        half = fd_hessian(section_field(w, fam, 20, quad), Stencil(t0, cfg_.h / 2))
+        assert np.abs(half - sh.hessian).max() <= diag["richardson_gap"]
+        # quadratic weight: the log Hessian is the base block, whatever the section
+        assert np.allclose(sh.log_hessian, H[:2, :2], atol=1e-9)
+
+    def test_fresh_log_check_builds_one_basis(self, quad, monkeypatch):
+        built = []
+        real = bergman_module.gram_matrix
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bergman_module, "gram_matrix", counted)
+        w = QuadraticWeight.cross_term(0.5)
+        rep = check_log_inequality(w, ORIGIN_FAM, (0.1j,), 0.75, CheckConfig(N=20, quad=quad))
+        assert rep.passed and rep.h == 0.0
+        assert len(built) == 1  # the basis at t0; no stencil point
+        basis_keys = [k for k in quad.memo(w) if k[0] not in ("weight_values", "section_hessian")]
+        assert basis_keys == [((0.1j,), 20)]
+        assert "richardson_gap" not in rep.diagnostics
+
+
 class TestSectionInequality:
     def test_separable_equality(self, cfg):
         w = QuadraticWeight.separable(1.0)
         rep = check_section_inequality(w, ORIGIN_FAM, (0j,), 1.0, cfg)
-        # B(t) = exp(|t|^2) B0, so trace = B0 exactly and the margin is ~0
+        # B(t) = exp(|t|^2) B0, so trace = B0 exactly and the margin is round-off
         assert rep.passed
-        assert abs(rep.margin) < 1e-3 * rep.diagnostics["B0"]
+        assert abs(rep.margin) < 1e-12 * rep.diagnostics["B0"]
 
     def test_cross_term(self, cfg):
         w = QuadraticWeight.cross_term(0.5)
@@ -131,11 +218,15 @@ class TestUnconvergedMessages:
         assert "raise degree" in msg and "quadrature" in msg
 
     def test_richardson_gap_names_h_step(self, quad):
-        # a budget no second difference meets: the h vs h/2 traces differ by O(h^2)
+        # det_inequality is the check that keeps the stencil and its Richardson
+        # gate; a budget no second difference meets: the h vs h/2 traces
+        # differ by O(h^2)
         strict = CheckConfig(N=20, quad=quad, tolerance=1e-13)
         w = QuadraticWeight.cross_term(0.5)
+        frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
+        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
         with pytest.raises(UnconvergedBasisError, match="halving h_step 0.01") as exc:
-            check_section_inequality(w, ORIGIN_FAM, (0j,), 0.75, strict)
+            check_det_inequality(dig, (0j,), 0.75, 2, strict)
         assert "lower h_step" in str(exc.value)
 
 

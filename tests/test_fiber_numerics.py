@@ -29,11 +29,13 @@ from bergman_lab.fiber_numerics import (
     gram_matrix,
     kernel_diagonal,
     monomial_basis,
+    monomial_gradient,
     orthonormalize,
+    ring_gram,
     vandermonde,
-    weighted_inner_product,
 )
 from bergman_lab.weights import QuadraticWeight
+from helpers import weighted_inner_product
 
 
 def gaussian_moment(k: int) -> float:
@@ -168,6 +170,49 @@ class TestMonomialBasis:
         assert np.allclose(V[:, 2], z**2)
 
 
+def vandermonde_reference(basis, nodes):
+    """The Vandermonde as built before the exponent table moved onto the
+    basis: index arrays rebuilt from ``basis.exponents`` on every call."""
+    pts = np.asarray(nodes, dtype=complex)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    out = np.ones((pts.shape[0], basis.dim), dtype=complex)
+    for c in range(basis.fiber_dim):
+        powers = pts[:, c, None] ** np.arange(basis.max_degree + 1)[None, :]
+        idx = np.fromiter((e[c] for e in basis.exponents), dtype=int, count=basis.dim)
+        out *= powers[:, idx]
+    return out
+
+
+class TestVandermondeTables:
+    @pytest.mark.parametrize("N, d", [(0, 1), (16, 1), (10, 2), (7, 2)])
+    def test_bitwise_unchanged(self, N, d, rng):
+        basis = monomial_basis(N, d)
+        pts = rng.normal(size=(37, d)) + 1j * rng.normal(size=(37, d))
+        V = vandermonde(basis, pts)
+        assert V.tobytes() == vandermonde_reference(basis, pts).tobytes()
+
+    def test_exponent_table_built_once_and_read_only(self):
+        basis = monomial_basis(5, 2)
+        assert basis.exponent_array.tolist() == [list(e) for e in basis.exponents]
+        assert not basis.exponent_array.flags.writeable
+        # the table takes no part in equality or hashing
+        assert basis == monomial_basis(5, 2) and hash(basis) == hash(monomial_basis(5, 2))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_monomial_gradient_matches_differences(self, d, rng):
+        basis = monomial_basis(6, d)
+        pts = 0.5 * (rng.normal(size=(5, d)) + 1j * rng.normal(size=(5, d)))
+        grad = monomial_gradient(basis, pts)
+        h = 1e-6
+        for c in range(d):
+            step = np.zeros(d, dtype=complex)
+            step[c] = h
+            # holomorphic: d/dz is the complex difference quotient
+            fd = (vandermonde(basis, pts + step) - vandermonde(basis, pts - step)) / (2 * h)
+            assert np.abs(grad[:, c] - fd).max() < 1e-8
+
+
 class TestInnerProduct:
     def test_matches_oracle(self, disk_quad):
         w = np.exp(-np.abs(disk_quad.points) ** 2)
@@ -267,6 +312,31 @@ class TestRingGram:
         G = gram_matrix(basis, wv, quad)
         B = brute_force_gram(basis, wv, quad)
         assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
+
+
+    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
+    def test_complex_measure_equals_brute_force(self, case, rng):
+        # the measures of the base-derivative Grams are complex
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        phase = rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size)
+        measure = phase * cross_term_weight(quad.nodes) * quad.weights
+        G = ring_gram(basis, measure, quad)
+        V = vandermonde(basis, quad.nodes)
+        B = V.conj().T @ (measure[:, None] * V)
+        assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
+        assert np.abs(B - B.conj().T).max() > 1e-3 * np.abs(B).max()  # not Hermitian
+
+    def test_gram_matrix_is_ring_gram_of_weighted_measure(self, disk_quad):
+        basis = monomial_basis(8)
+        wv = cross_term_weight(disk_quad.nodes)
+        G = ring_gram(basis, wv * disk_quad.weights, disk_quad)
+        assert np.array_equal(gram_matrix(basis, wv, disk_quad), 0.5 * (G + G.conj().T))
+
+    def test_rejects_wrong_measure_shape(self, disk_quad):
+        with pytest.raises(ValueError, match="measure values"):
+            ring_gram(monomial_basis(2), np.ones(3), disk_quad)
 
 
 class TestNodeVandermonde:

@@ -20,12 +20,11 @@ from bergman_lab.iteration import (
     LogKernelField,
     bergman_weight,
     mix_weights,
-    mixed_bound,
     run_iteration,
     run_twisted_iteration,
-    sample_field_csv,
 )
 from bergman_lab.weights import QuadraticWeight
+from helpers import mixed_bound, sample_field_csv
 
 
 @pytest.fixture(scope="module")
