@@ -7,8 +7,8 @@ whose exact trace constant is 1 - lam^2.  The scan certifies the constant
 on a grid, measures the log-trace of the section functional, evaluates the
 L2 contraction ratio, and reports the assembled two-step margins, so one
 table shows how every inequality tightens as the coupling approaches 1.
-The log trace and the assembled trace are exact base Hessians, and the
-L2 fields difference at their own fixed step, so no step is a knob here.
+The log trace, the assembled trace and the L2 fields are all exact base
+derivatives, so no step is a knob here.
 
 Usage:
     PYTHONPATH=src python3 scripts/margin_scan.py [--lams 0.1,0.3,0.5,0.7]
@@ -42,7 +42,7 @@ def scan_one(lam: float, N: int, quad) -> dict:
     rep = check_log_inequality(w, fam, (0.0,), cert.eps0, cfg)
     data = build_hormander_data(w, fam, (0.0,), N, quad)
     bound = hormander_bound_check(data, w)
-    asm = assembled_lower_bound(w, fam, (0.0,), cfg, eps0=cert.eps0)
+    asm = assembled_lower_bound(data, cfg, eps0=cert.eps0)
     return {
         "lam": lam,
         "eps0_exact": 1 - lam**2,

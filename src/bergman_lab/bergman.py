@@ -47,16 +47,22 @@ differences, from one basis build, ``n`` Grams ``d_a G`` and ``n(n+1)/2``
 Grams ``d_a dbar_b G``; the weight derivatives come from the weight's own
 ``grad_base`` and ``hessian_field``.
 
+The same ``d_a G`` gives the Hormander fields (see ``hormander``), and the
+frame Grams of the same measures give the exact Hessian of ``-log det G``.
+
 Basis builds are memoized on the quadrature rule, keyed by (weight object,
-base point, degree): the stencils of the determinant and Hormander checks
-visit the same base points, and each point's Gram and transform are
-computed once per rule.  Section Hessians are memoized the same way, keyed
-by (sections, base point, degree).  The weight values ``exp(-phi)`` do
-not depend on the degree, so they are memoized by base point alone and
-shared with the direct-image Grams of the determinant check.  The memo
-holds only those read-only arrays, weakly keyed by the weight, so an entry
-lives no longer than its weight or its rule (one rule per scenario run); a
-repeated call returns the same arrays, hence bitwise the same numbers.
+base point, degree): every check of a scenario reads the basis at ``t0``
+and the iteration revisits its base points, so each point's Gram and
+transform are computed once per rule.  Section Hessians are memoized the
+same way, keyed by (sections, base point, degree), and so is each ``d_a
+G``, keyed by (base point, degree, direction), which the section Hessian
+and the Hormander fields share.  The weight values ``exp(-phi)`` and the
+node values of ``d_a phi`` do not depend on the degree, so they are
+memoized by base point alone and shared with the direct-image Grams of
+the determinant check.  The memo holds only those read-only arrays,
+weakly keyed by the weight, so an entry lives no longer than its weight or
+its rule (one rule per scenario run); a repeated call returns the same
+arrays, hence bitwise the same numbers.
 """
 
 from __future__ import annotations
@@ -94,6 +100,8 @@ __all__ = [
     "section_value",
     "section_value_pair",
     "section_hessian",
+    "node_base_gradient",
+    "base_gram_derivative",
     "direct_image_gram",
 ]
 
@@ -329,6 +337,17 @@ class BergmanBasis:
         return abs(full - sub) / max(abs(full), 1e-300)
 
 
+def _memoized(w: WeightFamily, quad: QuadratureRule, key, compute) -> np.ndarray:
+    """``compute()``, made read-only and kept in ``quad.memo(w)`` under ``key``."""
+    memo = quad.memo(w)
+    out = memo.get(key)
+    if out is None:
+        out = compute()
+        out.flags.writeable = False
+        memo[key] = out
+    return out
+
+
 def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     """Read-only ``exp(-phi(t, .))`` on the nodes, memoized per base point.
 
@@ -336,13 +355,28 @@ def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     direct-image Gram at ``t`` shares one evaluation per rule.
     """
     t = as_complex_tuple(t)
-    memo = quad.memo(w)
-    vals = memo.get(("weight_values", t))
-    if vals is None:
-        vals = w.weight_values(t, quad)
-        vals.flags.writeable = False
-        memo[("weight_values", t)] = vals
-    return vals
+    return _memoized(w, quad, ("weight_values", t), lambda: w.weight_values(t, quad))
+
+
+def node_base_gradient(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
+    """Read-only ``d phi / dt_a`` on the nodes, shape (n, nodes), memoized
+    per base point like the weight values."""
+    t = as_complex_tuple(t)
+    return _memoized(w, quad, ("grad_base", t),
+                     lambda: np.asarray(w.grad_base(t, quad.nodes)).reshape(w.n, quad.size))
+
+
+def base_gram_derivative(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int) -> np.ndarray:
+    """Read-only ``d_a G`` at t: the ring Gram of ``-d_a phi * exp(-phi) * w``,
+    memoized per (weight, t, N, a) next to the basis."""
+    t = as_complex_tuple(t)
+
+    def compute():
+        b = bergman_basis(w, t, N, quad)
+        mu = b.weight_vals * quad.weights
+        return ring_gram(b.basis, -node_base_gradient(w, t, quad)[a] * mu, quad)
+
+    return _memoized(w, quad, ("d_G", t, N, a), compute)
 
 
 def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBasis:
@@ -502,9 +536,9 @@ def section_hessian(
     e = np.conj(du) @ np.conj(C)  # rows C^H conj(d_a u)
 
     mu = b.weight_vals * quad.weights
-    dphi = np.asarray(w.grad_base(t, quad.nodes)).reshape(n, quad.size)
+    dphi = node_base_gradient(w, t, quad)
     tt = w.hessian_field(t, quad.nodes)[0]
-    dG = [ring_gram(b.basis, -dphi[a] * mu, quad) for a in range(n)]
+    dG = [base_gram_derivative(w, t, N, quad, a) for a in range(n)]
     g = np.array([Ch @ (G @ p) for G in dG])
     eh = e - np.array([Ch @ (G.conj().T @ p) for G in dG])
     H = np.empty((n, n), dtype=complex)
@@ -543,10 +577,12 @@ class DirectImageGram:
     def rank(self) -> int:
         return len(self.frame)
 
-    def gram_at(self, t) -> np.ndarray:
-        wv = _node_weight_values(self.w, t, self.quad) * self.quad.weights
+    def _frame_gram(self, measure: np.ndarray) -> np.ndarray:
         F = self.frame_values
-        G = F.conj().T @ (wv[:, None] * F)
+        return F.conj().T @ (measure[:, None] * F)
+
+    def gram_at(self, t) -> np.ndarray:
+        G = self._frame_gram(_node_weight_values(self.w, t, self.quad) * self.quad.weights)
         return 0.5 * (G + G.conj().T)
 
     def neg_log_det(self, t) -> float:
@@ -555,6 +591,33 @@ class DirectImageGram:
         if sign.real <= 0:
             raise ArithmeticError(f"Gram determinant not positive at t={t}")
         return -float(logabs)
+
+    def neg_log_det_hessian(self, t) -> np.ndarray:
+        """Exact ``d_a dbar_b (-log det G)`` at t (Hermitian, n x n), Berndtsson's
+        direct-image curvature restricted to the frame values ``F``:
+
+            -d_a dbar_b log det G = tr(G^-1 d_aG G^-1 (d_bG)^H) - tr(G^-1 d_a dbar_bG)
+
+        with ``d_a G`` and ``d_a dbar_b G`` the frame Grams of the measures of
+        the module docstring.  Raises ``ArithmeticError`` unless det G > 0.
+        """
+        t = as_complex_tuple(t)
+        self.neg_log_det(t)
+        G, n = self.gram_at(t), self.w.n
+        mu = _node_weight_values(self.w, t, self.quad) * self.quad.weights
+        dphi = node_base_gradient(self.w, t, self.quad)
+        tt = self.w.hessian_field(t, self.quad.nodes)[0]
+        dG = [self._frame_gram(-dphi[a] * mu) for a in range(n)]
+        X = [np.linalg.solve(G, D) for D in dG]
+        Y = [np.linalg.solve(G, D.conj().T) for D in dG]
+        H = np.empty((n, n), dtype=complex)
+        for a in range(n):
+            for b in range(a, n):
+                ddG = self._frame_gram((dphi[a] * np.conj(dphi[b]) - tt[:, a, b]) * mu)
+                H[a, b] = np.sum(X[a] * Y[b].T) - np.trace(np.linalg.solve(G, ddG))
+                H[b, a] = np.conj(H[a, b])
+        H[np.diag_indices(n)] = H.diagonal().real
+        return H
 
 
 def direct_image_gram(

@@ -9,13 +9,14 @@ so on) or, for ``run``, taken verbatim from the scenario's ``checks`` line.
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
 settle at the requested resolution, so no verdict was reached; the message
-names the knob: ``degree`` and ``quadrature`` for a kernel truncation gap,
-or ``h_step`` for the Richardson gap of ``det_inequality``, the one check
-that still differences a base Hessian).  A scenario that cannot be run (a
-parse error, an out-of-range field, a quadrature above the node cap, a
-stencil that leaves the base patch) exits 2 before any check; a weight
-that turns out not to be real-valued fails each check that evaluates it,
-also exit 2.
+names the knob, ``degree`` and ``quadrature`` for a kernel truncation gap).
+Every check but ``iterate`` reads exact base derivatives, so ``h_step`` is
+only the step of the iteration's log-kernel Hessians and of the acceptance
+suite's finite-difference cross-check (a13).  A scenario that cannot be
+run (a parse error, an out-of-range field, a quadrature above the node
+cap, a stencil that leaves the base patch) exits 2 before any check; a
+weight that turns out not to be real-valued fails each check that
+evaluates it, also exit 2.
 
 Reports are deterministic: the same scenario file, overrides and seed
 produce byte-identical records and hence the same report hash, regardless
@@ -157,7 +158,7 @@ def _record_from_curvature(rep):
         "bound": rep.bound,
         "tolerance": rep.tolerance,
     }
-    for key in ("B0", "eps0", "richardson_gap", "rank"):
+    for key in ("B0", "eps0", "rank"):
         if key in rep.diagnostics:
             outputs[key] = float(rep.diagnostics[key])
     return rep.verdict, margins, outputs
@@ -207,7 +208,7 @@ def _check_hormander(ctx: _Context):
     orth = orthogonality_residual(data)
     dbar = dbar_identity_residual(data, sc.weight)
     bound = hormander_bound_check(data, sc.weight, tolerance=RATIO_TOL)
-    asm = assembled_lower_bound(sc.weight, sc.sections, sc.t0, ctx.cfg, eps0=ctx.eps0())
+    asm = assembled_lower_bound(data, ctx.cfg, eps0=ctx.eps0())
     margins = {
         "orthogonality": ORTHOGONALITY_TOL - orth,
         "dbar_identity": DBAR_TOL - dbar,

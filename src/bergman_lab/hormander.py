@@ -4,11 +4,14 @@ For a family of sections s_i with amplitudes a_i and kernel K_t at base
 point t, define on the fiber
 
     Gamma(xi)    = sum_i a_i(t0) K_{t0}(xi, s_i(t0)),
-    Lambda_a(xi) = sum_i a_i(t0) [ d/dt_a - (d phi/dt_a) ] K_t(xi, s_i(t))   at t = t0,
+    Lambda_a(xi) = sum_i a_i(t0) [ d/dt_a - (d phi/dt_a) ] K_t(xi, s_i(t))   at t = t0.
 
-the t-derivative taken by central complex differences (the section motion
-rides along inside it) and the weight term analytically.  Three facts are
-checked numerically:
+Both are exact and need only the basis at ``t0``: ``K_t(xi, w) = M(xi)^T
+P(t) conj(M(w))`` with ``P = G^-1 = C C^H``, and ``conj(M(s_i(t)))`` is
+antiholomorphic in t, so the monomial coefficients of Gamma are ``p = P r``
+with ``r = sum_i a_i(t0) conj(M(s_i(t0)))`` and those of the t-derivative
+are ``-P d_aG p``, ``d_aG`` being ``bergman.base_gram_derivative``.  Three
+facts are checked numerically:
 
 * Lambda_a is orthogonal to every holomorphic function in the truncated
   space (this characterizes the weight-twisted derivative),
@@ -20,9 +23,9 @@ checked numerically:
 
 Angular derivatives use FFT differentiation (exact for the trigonometric
 polynomials a truncated kernel produces on each ring); radial derivatives
-use 3-point stencils on the Gauss-Legendre rings, with the outer two rings
-excluded from residual norms to keep one-sided-stencil error out of the
-contracts.
+use the barycentric collocation matrix on the Gauss-Legendre rings (exact
+for polynomials in r of degree below the ring count, which Gamma and
+Lambda_a are on every ray: Berrut & Trefethen, SIAM Review 46, 2004).
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanBasis, SectionFamily, bergman_basis, section_hessian
+from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
+    node_base_gradient, section_hessian
 from .curvature import CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule
 from .utils import as_complex_tuple
@@ -43,26 +47,16 @@ __all__ = [
     "HormanderBoundReport",
     "AssembledReport",
     "build_hormander_data",
-    "gamma_field",
-    "lambda_field",
     "orthogonality_residual",
     "dbar_identity_residual",
     "hormander_bound_check",
     "assembled_lower_bound",
 ]
 
-LAMBDA_FD_STEP = 1e-4  # t-differencing step; small enough that the O(h^2)
-# error stays far below the 1e-6 orthogonality contract
 CONVERGENCE_TOL = 1e-6
-EDGE_RINGS = 2
-
-
-def _kernel_combination(b: BergmanBasis, points, amps) -> np.ndarray:
-    """sum_i amps_i K(node, points_i) over all quadrature nodes."""
-    M = b.monomials_at(np.atleast_2d(np.asarray(points, dtype=complex)))
-    rhs = np.conj(M).T @ np.asarray(amps, dtype=complex)
-    coeffs = b.transform @ (b.transform.conj().T @ rhs)
-    return b.vander @ coeffs
+# Fields below this times ||Gamma|| are round-off (an uncoupled direction
+# leaves about 1e-16 ||Gamma||), whose relative residuals mean nothing.
+ROUNDOFF_FLOOR = 1e-12
 
 
 def _check_truncation(b: BergmanBasis, points):
@@ -83,7 +77,6 @@ class HormanderData:
     gamma: np.ndarray = field(repr=False)
     directions: tuple = ()
     lambdas: tuple = field(default=(), repr=False)  # one node array per direction
-    h_step: float = LAMBDA_FD_STEP
 
     @property
     def quad(self) -> QuadratureRule:
@@ -95,56 +88,16 @@ class HormanderData:
         return self.basis.weight_vals * self.quad.weights
 
 
-def gamma_field(w: WeightFamily, fam: SectionFamily, t0, N: int, quad: QuadratureRule) -> np.ndarray:
-    """Gamma on the quadrature nodes (holomorphic: a kernel combination)."""
-    t0 = as_complex_tuple(t0)
-    fam.check_inside(quad.domain, t0)
-    b = bergman_basis(w, t0, N, quad)
-    return _kernel_combination(b, fam.sections_at(t0), fam.amplitudes_at(t0))
-
-
-def lambda_field(
-    w: WeightFamily,
-    fam: SectionFamily,
-    t0,
-    alpha: int,
-    N: int,
-    quad: QuadratureRule,
-    h_step: float = LAMBDA_FD_STEP,
-    include_weight_term: bool = True,
-) -> np.ndarray:
-    """Lambda_alpha on the nodes; set include_weight_term=False for the
-    negative control (plain d/dt without the weight twist)."""
-    t0 = as_complex_tuple(t0)
-    b0 = bergman_basis(w, t0, N, quad)
-    return _lambda_for_direction(
-        w, fam, t0, b0, alpha, N, quad, h_step, include_weight_term
-    )
-
-
-def _lambda_for_direction(w, fam, t0, b0, alpha, N, quad, h_step, include_weight_term=True):
+def _lambda_for_direction(w, b0, p, gamma, alpha, include_weight_term=True):
+    """Lambda_alpha = ``V (-P d_aG p) - d_a phi * Gamma`` from the basis at t0."""
     if not 0 <= alpha < w.n:
         raise ValueError(f"direction index {alpha} out of range for base_dim {w.n}")
-    amps0 = fam.amplitudes_at(t0)
-    t0_arr = np.asarray(t0)
-
-    def combo(tau: complex) -> np.ndarray:
-        t = t0_arr.copy()
-        t[alpha] += tau
-        t = tuple(t)
-        fam.check_inside(quad.domain, t)
-        b = bergman_basis(w, t, N, quad)
-        pts = fam.sections_at(t)
-        _check_truncation(b, pts)
-        return _kernel_combination(b, pts, amps0)
-
-    h = h_step
-    dK = (combo(h) - combo(-h) - 1j * (combo(1j * h) - combo(-1j * h))) / (4.0 * h)
+    C, quad = b0.transform, b0.quad
+    dG = base_gram_derivative(w, b0.t, b0.N, quad, alpha)
+    dK = b0.vander @ -(C @ (C.conj().T @ (dG @ p)))
     if not include_weight_term:
         return dK
-    gamma = _kernel_combination(b0, fam.sections_at(t0), amps0)
-    dphi = w.grad_base(t0, quad.nodes)[alpha]
-    return dK - dphi * gamma
+    return dK - node_base_gradient(w, b0.t, quad)[alpha] * gamma
 
 
 def build_hormander_data(
@@ -154,30 +107,19 @@ def build_hormander_data(
     N: int,
     quad: QuadratureRule,
     directions=None,
-    h_step: float = LAMBDA_FD_STEP,
     include_weight_term: bool = True,
 ) -> HormanderData:
     t0 = as_complex_tuple(t0)
     fam.check_inside(quad.domain, t0)
     b0 = bergman_basis(w, t0, N, quad)
-    _check_truncation(b0, fam.sections_at(t0))
-    gamma = _kernel_combination(b0, fam.sections_at(t0), fam.amplitudes_at(t0))
-    if directions is None:
-        directions = tuple(range(w.n))
-    lambdas = tuple(
-        _lambda_for_direction(w, fam, t0, b0, a, N, quad, h_step, include_weight_term)
-        for a in directions
-    )
-    return HormanderData(
-        t0=t0,
-        w=w,
-        fam=fam,
-        basis=b0,
-        gamma=gamma,
-        directions=tuple(directions),
-        lambdas=lambdas,
-        h_step=h_step,
-    )
+    pts = fam.sections_at(t0)
+    _check_truncation(b0, pts)
+    C = b0.transform
+    p = C @ (C.conj().T @ (np.conj(b0.monomials_at(pts)).T @ fam.amplitudes_at(t0)))
+    gamma = b0.vander @ p
+    directions = tuple(range(w.n)) if directions is None else tuple(directions)
+    lambdas = tuple(_lambda_for_direction(w, b0, p, gamma, a, include_weight_term) for a in directions)
+    return HormanderData(t0, w, fam, b0, gamma, directions, lambdas)
 
 
 def _weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:
@@ -187,13 +129,11 @@ def _weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:
 def orthogonality_residual(data: HormanderData) -> float:
     """max_i |<u_i, Lambda_a>| / ||Lambda_a||, worst over directions.
 
-    Fields below 1e-7 ||Gamma|| count as zero: the t-differencing leaves
-    O(h^2) ~ 1e-8 ||Gamma|| of junk in directions the weight does not
-    couple, and a relative residual of junk is meaningless.
+    Fields below ``ROUNDOFF_FLOOR * ||Gamma||`` count as zero.
     """
     U = data.basis.vander @ data.basis.transform  # orthonormal frame on nodes
     measure = data.node_measure
-    floor = 1e-7 * _weighted_norm(data.gamma, measure)
+    floor = ROUNDOFF_FLOOR * _weighted_norm(data.gamma, measure)
     worst = 0.0
     for lam in data.lambdas:
         norm = _weighted_norm(lam, measure)
@@ -205,16 +145,20 @@ def orthogonality_residual(data: HormanderData) -> float:
 
 
 def _radial_derivative_matrix(r: np.ndarray) -> np.ndarray:
-    """3-point Lagrange first-derivative matrix on a nonuniform grid."""
-    nr = len(r)
-    D = np.zeros((nr, nr))
-    for i in range(nr):
-        j = min(max(i, 1), nr - 2)
-        x0, x1, x2 = r[j - 1], r[j], r[j + 1]
-        x = r[i]
-        D[i, j - 1] = (2 * x - x1 - x2) / ((x0 - x1) * (x0 - x2))
-        D[i, j] = (2 * x - x0 - x2) / ((x1 - x0) * (x1 - x2))
-        D[i, j + 1] = (2 * x - x0 - x1) / ((x2 - x0) * (x2 - x1))
+    """Barycentric collocation first-derivative matrix on the nodes ``r``.
+
+    ``D[i, j] = (w_j / w_i) / (r_i - r_j)`` with barycentric weights ``w_j =
+    1 / prod_{k != j} (r_j - r_k)`` (taken in logs, so many rings neither
+    overflow nor underflow), and rows summing to zero; exact for polynomials
+    of degree below ``len(r)``.
+    """
+    diff = r[:, None] - r[None, :]
+    np.fill_diagonal(diff, 1.0)
+    logw = -np.log(np.abs(diff)).sum(axis=1)
+    wts = np.prod(np.sign(diff), axis=1) * np.exp(logw - logw.max())
+    D = wts[None, :] / wts[:, None] / diff
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(axis=1))
     return D
 
 
@@ -231,10 +175,9 @@ def _angular_derivative(grid: np.ndarray, axis: int) -> np.ndarray:
 def dbar_coordinate(vals: np.ndarray, quad: QuadratureRule, coord: int) -> np.ndarray:
     """d/d(conj xi_coord) of node values via polar-grid differentiation.
 
-    Radial: 3-point stencils on the Gauss-Legendre rings (one-sided at the
-    edge rings).  Angular: FFT differentiation, exact below the Nyquist
-    mode.  In polar coordinates  d/d(conj xi) = (e^{i theta}/2)(d/dr +
-    (i/r) d/dtheta).
+    Radial: the collocation matrix on the Gauss-Legendre rings.  Angular:
+    FFT differentiation, exact below the Nyquist mode.  In polar
+    coordinates  d/d(conj xi) = (e^{i theta}/2)(d/dr + (i/r) d/dtheta).
     """
     g = quad.grid_view(np.asarray(vals, dtype=complex))
     axis_r, axis_t = 2 * coord, 2 * coord + 1
@@ -253,27 +196,15 @@ def dbar_coordinate(vals: np.ndarray, quad: QuadratureRule, coord: int) -> np.nd
     return out.reshape(-1)
 
 
-def interior_mask(quad: QuadratureRule, edge_rings: int = EDGE_RINGS) -> np.ndarray:
-    """Node mask excluding the outer ``edge_rings`` radial rings per coordinate."""
-    shape = tuple(n for pair in quad.shape for n in pair)
-    mask = np.ones(shape, dtype=bool)
-    for c, (nr, _na) in enumerate(quad.shape):
-        idx = [slice(None)] * len(shape)
-        idx[2 * c] = slice(nr - edge_rings, nr)
-        mask[tuple(idx)] = False
-    return mask.reshape(-1)
-
-
 def dbar_identity_residual(data: HormanderData, w: WeightFamily) -> float:
     """Relative L2 defect of  dbar Lambda_a + Gamma * (mixed Hessian row).
 
-    The norm runs over interior nodes; the scale is ||Gamma|| times the
-    largest mixed-Hessian entry (falling back to ||Gamma|| itself for
-    weights with no base-fiber coupling, where both sides vanish).
+    The norm runs over all nodes; the scale is ||Gamma|| times the largest
+    mixed-Hessian entry (falling back to ||Gamma|| itself for weights with
+    no base-fiber coupling, where both sides vanish).
     """
     quad = data.quad
     measure = data.node_measure
-    mask = interior_mask(quad)
     _tt, tf, _ff = w.hessian_field(data.t0, quad.nodes)
     gnorm = _weighted_norm(data.gamma, measure)
     worst = 0.0
@@ -284,7 +215,7 @@ def dbar_identity_residual(data: HormanderData, w: WeightFamily) -> float:
         for c in range(w.d):
             lhs = dbar_coordinate(lam, quad, c)
             rhs = data.gamma * tf[:, a, c]
-            defect2 += np.sum(np.abs(lhs + rhs)[mask] ** 2 * measure[mask]).real
+            defect2 += np.sum(np.abs(lhs + rhs) ** 2 * measure).real
             coupling = max(coupling, float(np.abs(tf[:, a, c]).max()))
         scale = gnorm * coupling
         if scale < 1e-14 * max(gnorm, 1.0):
@@ -377,16 +308,13 @@ class AssembledReport:
         return self.chain1_margin >= -self.tolerance and self.chain2_margin >= -self.tolerance
 
 
-def assembled_lower_bound(
-    w: WeightFamily,
-    fam: SectionFamily,
-    t0,
-    cfg: CheckConfig,
-    eps0: float = 0.0,
-) -> AssembledReport:
-    t0 = as_complex_tuple(t0)
+def assembled_lower_bound(data: HormanderData, cfg: CheckConfig, eps0: float = 0.0) -> AssembledReport:
+    """The assembled chain at ``data.t0``, from the fields already built
+    (``cfg`` supplies the tolerance and the truncation gate)."""
+    w, fam, t0 = data.w, data.fam, data.t0
+    if cfg.N != data.basis.N or cfg.quad is not data.quad:
+        raise ValueError("cfg must carry the degree and quadrature the fields were built on")
     full, gap = section_truncation(w, fam, t0, cfg)
-    data = build_hormander_data(w, fam, t0, cfg.N, cfg.quad)
     measure = data.node_measure
     schur = schur_trace_field(*w.hessian_field(t0, cfg.quad.nodes))
     rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)

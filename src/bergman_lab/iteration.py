@@ -59,7 +59,6 @@ __all__ = [
     "StepRecord",
     "IterationLedger",
     "mix_weights",
-    "bergman_weight",
     "run_iteration",
     "run_twisted_iteration",
 ]
@@ -179,24 +178,6 @@ def mix_weights(phi_B: WeightFamily, phi_L: WeightFamily, m: int) -> MixedWeight
         ((1.0 - 1.0 / m, phi_B), (1.0 / m, phi_L)),
         label=f"mix(m={m}; {phi_B.label}, {phi_L.label})",
     )
-
-
-def bergman_weight(w: WeightFamily, N: int, quad, patch: BasePatch | None = None,
-                   convergence_tol: float = 1e-6) -> LogKernelField:
-    """The fiberwise Bergman-kernel potential -log K_t(xi, xi) of a weight.
-
-    Plurisubharmonicity of +log K is the positivity statement; the
-    returned field carries the opposite (metric-side) sign, so its
-    base-base curvature block is the negative of the log-kernel one.
-    When a patch is given the field is pre-evaluated on the patch sample
-    points, filling the basis memo and the convergence diagnostics.
-    """
-    fld = LogKernelField(w, N, quad, sign=-1, convergence_tol=convergence_tol)
-    if patch is not None:
-        probe = np.atleast_2d(np.full(w.d, 0.0, dtype=complex))
-        for t in patch.sample():
-            fld._value_raw(tuple(t), probe)
-    return fld
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .exprs import Expr, PolyTable, eval_expr, expand_real_polynomial, parse_expr, to_text
 from .fiber_numerics import FiberDomain
-from .utils import as_complex_tuple, check_hermitian, parallel_map, wirtinger_gradient, wirtinger_hessian
+from .utils import as_complex_tuple, check_hermitian, wirtinger_gradient, wirtinger_hessian
 
 __all__ = [
     "NotAWeightError",
@@ -253,7 +253,7 @@ class QuadraticWeight(WeightFamily):
         t = as_complex_tuple(t)
         pts, single = _as_fiber_array(xi, self.d)
         X = self._joint(t, pts)
-        g = (self.H @ np.conj(X).T)[: self.n]
+        g = self.H[: self.n] @ np.conj(X).T
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
@@ -609,7 +609,8 @@ def certify(
     the grid is positive definite and the assembled Hessian never dips
     below -psh_tol; otherwise 0, with diagnostics.  C = max(0, -min base
     block eigenvalue) always.  A weight that is not real-valued on the grid
-    raises :class:`NotAWeightError`.
+    raises :class:`NotAWeightError`.  The Hessian blocks of the whole grid
+    are stacked into one batched pass, so ``threads`` changes nothing.
     """
     base_pts = grid.base_points()
     fiber_pts = grid.fiber_points()
@@ -618,37 +619,23 @@ def certify(
     if w.n != base_pts.shape[1]:
         raise ValueError("grid base dimension does not match the weight")
 
-    def at_base(t_row) -> tuple[float, float, float, float]:
-        t = tuple(t_row)
+    blocks = []
+    for t in base_pts:
+        t = tuple(t)
         w.value(t, fiber_pts)  # raises NotAWeightError where phi is not real
-        tt, tf, ff = w.hessian_field(t, fiber_pts)
-        assembled = np.concatenate(
-            [
-                np.concatenate([tt, tf], axis=2),
-                np.concatenate([np.conj(np.swapaxes(tf, 1, 2)), ff], axis=2),
-            ],
-            axis=1,
-        )
-        joint_eigs = np.linalg.eigvalsh(assembled)
-        tt_eigs = np.linalg.eigvalsh(tt)
-        ff_eigs = np.linalg.eigvalsh(ff)
-        min_ff = float(ff_eigs[:, 0].min())
-        if min_ff > 0:
-            schur_min = float(schur_trace_field(tt, tf, ff).min())
-        else:
-            schur_min = -math.inf
-        return (
-            float(joint_eigs[:, 0].min()),
-            float(tt_eigs[:, 0].min()),
-            min_ff,
-            schur_min,
-        )
-
-    rows = parallel_map(at_base, list(base_pts), threads=threads)
-    psh_min = min(r[0] for r in rows)
-    tt_min = min(r[1] for r in rows)
-    ff_min = min(r[2] for r in rows)
-    schur_min = min(r[3] for r in rows)
+        blocks.append(w.hessian_field(t, fiber_pts))
+    tt, tf, ff = (np.concatenate(parts) for parts in zip(*blocks))
+    assembled = np.concatenate(
+        [
+            np.concatenate([tt, tf], axis=2),
+            np.concatenate([np.conj(np.swapaxes(tf, 1, 2)), ff], axis=2),
+        ],
+        axis=1,
+    )
+    psh_min = float(np.linalg.eigvalsh(assembled)[:, 0].min())
+    tt_min = float(np.linalg.eigvalsh(tt)[:, 0].min())
+    ff_min = float(np.linalg.eigvalsh(ff)[:, 0].min())
+    schur_min = float(schur_trace_field(tt, tf, ff).min()) if ff_min > 0 else -math.inf
 
     scale = max(1.0, abs(psh_min))
     psh_ok = psh_min >= -psh_tol * scale

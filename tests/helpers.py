@@ -1,12 +1,17 @@
 """Helpers that only the tests use: a node-sum inner product, the gradient
-tilt of a scalar field, the mixed trace constant and a CSV field dump."""
+tilt of a scalar field, the mixed trace constant, a CSV field dump, the
+Hormander fields of one direction, the FD Hessian spectrum and the
+Bergman-kernel potential of a weight."""
 
 import io
 import math
 
 import numpy as np
 
+from bergman_lab.curvature import fd_hessian
 from bergman_lab.fiber_numerics import QuadratureRule
+from bergman_lab.hormander import build_hormander_data
+from bergman_lab.iteration import LogKernelField
 from bergman_lab.utils import as_complex_tuple, wirtinger_gradient
 
 
@@ -88,3 +93,41 @@ def sample_field_csv(fld, t, quad, max_rows: int = 4096) -> str:
         parts.append(f"{vals[i]:.12g}")
         buf.write(",".join(parts) + "\n")
     return buf.getvalue()
+
+
+def gamma_field(w, fam, t0, N: int, quad: QuadratureRule) -> np.ndarray:
+    """Gamma on the quadrature nodes (holomorphic: a kernel combination)."""
+    return build_hormander_data(w, fam, t0, N, quad, directions=()).gamma
+
+
+def lambda_field(w, fam, t0, alpha: int, N: int, quad: QuadratureRule,
+                 include_weight_term: bool = True) -> np.ndarray:
+    """Lambda_alpha on the nodes; include_weight_term=False gives the
+    negative control (plain d/dt without the weight twist)."""
+    data = build_hormander_data(
+        w, fam, t0, N, quad, directions=(alpha,), include_weight_term=include_weight_term
+    )
+    return data.lambdas[0]
+
+
+def psh_spectrum(field_fn, st, threads: int = 1) -> float:
+    """Minimum eigenvalue of the FD complex Hessian of the field."""
+    H = fd_hessian(field_fn, st, threads=threads)
+    return float(np.linalg.eigvalsh(H)[0])
+
+
+def bergman_weight(w, N: int, quad, patch=None, convergence_tol: float = 1e-6) -> LogKernelField:
+    """The fiberwise Bergman-kernel potential -log K_t(xi, xi) of a weight.
+
+    Plurisubharmonicity of +log K is the positivity statement; the
+    returned field carries the opposite (metric-side) sign, so its
+    base-base curvature block is the negative of the log-kernel one.
+    When a patch is given the field is pre-evaluated on the patch sample
+    points, filling the basis memo and the convergence diagnostics.
+    """
+    fld = LogKernelField(w, N, quad, sign=-1, convergence_tol=convergence_tol)
+    if patch is not None:
+        probe = np.atleast_2d(np.full(w.d, 0.0, dtype=complex))
+        for t in patch.sample():
+            fld._value_raw(tuple(t), probe)
+    return fld

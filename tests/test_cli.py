@@ -154,6 +154,13 @@ class TestRunCommand:
         [rec] = run_scenario_checks(sc, sc.checks)
         assert rec.verdict == "fail" and "log B is undefined" in rec.error
 
+    def test_vanishing_section_fails_log_inequality_with_message(self, scn, capsys):
+        text = ("id = zero_log\nweight = separable 1.0\ndegree = 12\nquadrature = 32 64\n"
+                "section = 0.1 ; 0.0\nchecks = log_inequality\n")
+        assert main(["run", "--scenario", scn(text)]) == 2
+        out = capsys.readouterr().out
+        assert "log_inequality: FAIL (section functional vanishes at t0" in out
+
     def test_h_step_override_leaving_patch_exits_two(self, scn, capsys):
         text = "id = edge\nweight = separable 1.0\nt0 = 0.43\nchecks = certify\n"
         assert main(["run", "--scenario", scn(text), "--h-step", "0.05"]) == 2

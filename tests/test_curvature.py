@@ -31,13 +31,12 @@ from bergman_lab.curvature import (
     fd_hessian,
     fd_trace,
     log_section_field,
-    psh_spectrum,
     section_field,
     truncation_gate,
 )
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight
-from helpers import tilt_field
+from helpers import psh_spectrum, tilt_field
 
 ORIGIN_FAM = SectionFamily.constant([[0.0]])
 
@@ -176,7 +175,8 @@ class TestExactHessian:
         rep = check_log_inequality(w, ORIGIN_FAM, (0.1j,), 0.75, CheckConfig(N=20, quad=quad))
         assert rep.passed and rep.h == 0.0
         assert len(built) == 1  # the basis at t0; no stencil point
-        basis_keys = [k for k in quad.memo(w) if k[0] not in ("weight_values", "section_hessian")]
+        derived = ("weight_values", "grad_base", "d_G", "section_hessian")
+        basis_keys = [k for k in quad.memo(w) if k[0] not in derived]
         assert basis_keys == [((0.1j,), 20)]
         assert "richardson_gap" not in rep.diagnostics
 
@@ -218,15 +218,14 @@ class TestUnconvergedMessages:
         assert "raise degree" in msg and "quadrature" in msg
 
     def test_richardson_gap_names_h_step(self, quad):
-        # det_inequality is the check that keeps the stencil and its Richardson
-        # gate; a budget no second difference meets: the h vs h/2 traces
-        # differ by O(h^2)
+        # fd_trace (the cross-check route) keeps the Richardson gate; a budget
+        # no second difference meets: the h vs h/2 traces differ by O(h^2)
         strict = CheckConfig(N=20, quad=quad, tolerance=1e-13)
         w = QuadraticWeight.cross_term(0.5)
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
         dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
         with pytest.raises(UnconvergedBasisError, match="halving h_step 0.01") as exc:
-            check_det_inequality(dig, (0j,), 0.75, 2, strict)
+            fd_trace(dig.neg_log_det, (0j,), strict)
         assert "lower h_step" in str(exc.value)
 
 
@@ -278,6 +277,30 @@ class TestDetInequality:
         rep = check_det_inequality(dig, (0j,), 0.75, 2, cfg)
         assert rep.passed
         assert rep.trace >= 1.5 - 1e-3
+
+    @pytest.mark.parametrize("case", ["cross", "polynomial", "cross n=2"])
+    def test_exact_hessian_matches_fd(self, quad, case):
+        if case == "cross":
+            w, t0 = QuadraticWeight.cross_term(0.5), (0.05 - 0.02j,)
+        elif case == "polynomial":
+            w = PolynomialWeight.from_text(
+                1, 1, "(+ (* 0.8 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
+            )
+            t0 = (0.1 + 0.05j,)
+        else:
+            w, t0 = QuadraticWeight.cross_term(0.5, 2, 1), (0.03 + 0.01j, -0.02j)
+        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,) * w.n, 0.5), quad)
+        exact = dig.neg_log_det_hessian(t0)
+        H, trace, _ = fd_trace(dig.neg_log_det, t0, CheckConfig(N=20, quad=quad, h=1e-3))
+        assert abs(np.trace(exact).real - trace) < 1e-6
+        assert np.abs(exact - H).max() < 1e-6
+        assert np.abs(exact - exact.conj().T).max() == 0.0
+
+    def test_reports_exact_step(self, quad, cfg):
+        w = QuadraticWeight.cross_term(0.5)
+        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,), 0.5), quad)
+        rep = check_det_inequality(dig, (0.1j,), 0.75, 2, cfg)
+        assert rep.h == 0.0 and "richardson_gap" not in rep.diagnostics
 
     def test_rank_mismatch(self, quad, cfg):
         w = QuadraticWeight.separable(1.0)

@@ -18,13 +18,12 @@ from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
     GridMismatchError,
     LogKernelField,
-    bergman_weight,
     mix_weights,
     run_iteration,
     run_twisted_iteration,
 )
 from bergman_lab.weights import QuadraticWeight
-from helpers import mixed_bound, sample_field_csv
+from helpers import bergman_weight, mixed_bound, sample_field_csv
 
 
 @pytest.fixture(scope="module")

@@ -122,6 +122,24 @@ class TestQuadraticValues:
         assert np.allclose(w.value((t,), z), expected, rtol=1e-14, atol=0)
 
 
+class TestQuadraticGradBase:
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 1), (1, 2)])
+    def test_matches_full_product(self, n, d):
+        g = np.random.default_rng(7)
+        A = g.normal(size=(n + d, n + d)) + 1j * g.normal(size=(n + d, n + d))
+        H = 0.5 * (A + A.conj().T)
+        w = QuadraticWeight(n, d, H)
+        t = tuple(g.normal(size=n) + 1j * g.normal(size=n))
+        pts = g.normal(size=(64, d)) + 1j * g.normal(size=(64, d))
+        X = np.hstack([np.broadcast_to(np.asarray(t), (64, n)), pts])
+        full = (H @ np.conj(X).T)[:n]
+        got = w.grad_base(t, pts)
+        assert got.shape == (n, 64)
+        assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
+        single = pts[0] if d > 1 else pts[0, 0]
+        assert np.abs(w.grad_base(t, single) - full[:, 0]).max() <= 1e-15 * np.abs(full).max()
+
+
 class TestSchurTrace:
     def test_identity(self):
         h = ComplexHessian(np.eye(1), np.zeros((1, 1)), np.eye(1))
@@ -221,6 +239,29 @@ class TestCertify:
         a = certify(w, default_grid(), threads=1)
         b = certify(w, default_grid(), threads=4)
         assert a.eps0 == b.eps0 and a.psh_min_eig == b.psh_min_eig
+
+    @pytest.mark.parametrize("weight", ["cross", "polynomial"])
+    def test_batched_minima_match_per_point_spectra(self, weight):
+        if weight == "cross":
+            w = QuadraticWeight.cross_term(0.3, 2, 1)
+            grid = GridSpec(BasePatch((0j, 0j), 0.5), FiberDomain.disk(1.0))
+        else:
+            w = PolynomialWeight.from_text(1, 1, "(+ (* 0.9 (abs2 t1)) (abs2 z1) (* 0.2 (abs2 t1) (abs2 z1)))")
+            grid = default_grid()
+        cert = certify(w, grid)
+        psh, base, fiber, schur = [], [], [], []
+        for t in grid.base_points():
+            tt, tf, ff = w.hessian_field(tuple(t), grid.fiber_points())
+            for k in range(tt.shape[0]):
+                h = ComplexHessian(tt[k], tf[k], ff[k])
+                psh.append(np.linalg.eigvalsh(h.assembled)[0])
+                base.append(np.linalg.eigvalsh(h.tt)[0])
+                fiber.append(np.linalg.eigvalsh(h.ff)[0])
+                schur.append(schur_trace(h))
+        assert cert.psh_min_eig == pytest.approx(min(psh), abs=1e-14)
+        assert cert.diagnostics["min_base_eig"] == pytest.approx(min(base), abs=1e-14)
+        assert cert.diagnostics["min_fiber_eig"] == pytest.approx(min(fiber), abs=1e-14)
+        assert cert.diagnostics["min_schur_trace"] == pytest.approx(min(schur), abs=1e-12)
 
     def test_custom_weight_certification(self):
         w = CustomWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1))")
