@@ -16,9 +16,10 @@ resolutions and tolerances, each with an explicit wall-clock budget:
   a10 iteration bound ledger matches a recursive oracle and is met
   a11 base-Hessian spectrum of log B stays above the tolerance floor
   a12 distortion attenuation closed form and monotonicity
-  a13 exact base Hessians of B, log B and -log det G, and the exact
-      Hormander fields Lambda_a, agree with finite differences (step h,
-      Richardson gate at h/2) within the FD budget
+  a13 exact base Hessians of B, log B and -log det G, the exact
+      Hormander fields Lambda_a and the exact Hessian blocks of the
+      iteration's log-kernel potentials agree with finite differences
+      (step h, Richardson gate at h/2) within the FD budget
 
 Each criterion returns a CriterionResult; `run_criterion` never raises, so
 one broken criterion cannot mask the others in a suite run.
@@ -40,10 +41,10 @@ from .curvature import CheckConfig, check_det_inequality, check_log_inequality, 
 from .fiber_numerics import FiberDomain, build_quadrature
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
-from .iteration import run_iteration
-from .utils import as_complex_tuple
+from .iteration import LogKernelField, mix_weights, run_iteration
+from .utils import as_complex_tuple, wirtinger_hessian
 from .weights import BasePatch, PolynomialWeight, QuadraticWeight, distortion_margin, \
-    schur_trace_field
+    schur_trace_field, twist_weight
 
 SEED = 20260814
 
@@ -380,8 +381,38 @@ def _a13_lambda_gap(w, fam, t0, N, quad, cfg) -> float:
     return worst
 
 
+def _a13_iteration_gap(w, t0, N, quad, cfg) -> float:
+    """Worst gap between the exact Hessian blocks (tt, tf, ff) of the
+    potentials psi_1 and psi_2 of the m = 2 iteration and the Wirtinger
+    stencil of their values at h/2, after a Richardson gate between h and
+    h/2, relative to max(1, |block|), at the iteration's default samples."""
+    t0 = as_complex_tuple(t0)
+    n, d = w.n, w.d
+    xi = np.zeros((2, d), dtype=complex)
+    xi[1, 0] = 0.35 * quad.domain.radii[0]
+    rows = (slice(0, n), slice(0, n), slice(n, None))  # blocks tt, tf, ff
+    cols = (slice(0, n), slice(n, None), slice(n, None))
+    psi = LogKernelField(w, N, quad)
+    worst = 0.0
+    for _k in (1, 2):
+        psi = LogKernelField(mix_weights(psi, w, 2), N, quad)
+        exact = psi.hessian_field(t0, xi)
+
+        def eval_at(off, psi=psi):
+            return psi.value(tuple(c + o for c, o in zip(t0, off[:n])), xi + off[n:])
+
+        fd_h, fd_half = (wirtinger_hessian(eval_at, n + d, h) for h in (cfg.h, cfg.h / 2))
+        for block, r, c in zip(exact, rows, cols):
+            scale = max(1.0, float(np.abs(block).max()))
+            if np.abs(fd_h[:, r, c] - fd_half[:, r, c]).max() > cfg.tolerance * scale:
+                return math.inf
+            worst = max(worst, float(np.abs(block - fd_half[:, r, c]).max()) / scale)
+    return worst
+
+
 def a13():
-    """Exact base Hessians and Hormander fields vs. FD with a Richardson gate."""
+    """Exact base Hessians, Hormander fields and log-kernel jets vs. FD with a
+    Richardson gate."""
     quad = _quad(48, 96)
     poly = PolynomialWeight.from_text(
         1, 1, "(+ (* 0.8 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
@@ -403,28 +434,31 @@ def a13():
         ("polydisc", QuadraticWeight(1, 2, H_pd), SectionFamily.constant([[0.2 + 0.1j, -0.1j]]),
          (0.05 + 0.03j,), 10, polydisc),
     ]
+    iterated = [  # (label, weight, t0): the iteration route, on the disk at degree 16
+        ("cross", _cross(0.5), (0.05 - 0.02j,)),
+        ("twisted cross", twist_weight(_cross(0.5), 0.4), (0.05 - 0.02j,)),
+        ("cross n=2", _cross_n2(0.5), (0.03 + 0.01j, -0.02j)),
+    ]
     start = time.perf_counter()
-    worst, worst_diff, worst_label, routes = math.inf, 0.0, "", 0
+    gaps = {}  # (case label, route) -> |FD - exact|
     for label, w, fam, t0, N, q in cases:
         cfg = _cfg(N, q)
         exact = section_hessian(w, fam, t0, N, q)
         _H, fd_B, _ = fd_trace(section_field(w, fam, N, q), t0, cfg, tol_scale=exact.B)
         _H, fd_log, _ = fd_trace(log_section_field(w, fam, N, q), t0, cfg)
-        diffs = {
-            "B": abs(fd_B - float(np.trace(exact.hessian).real)) / max(1.0, exact.B),
-            "log B": abs(fd_log - float(np.trace(exact.log_hessian).real)),
-        }
+        gaps[label, "B"] = abs(fd_B - float(np.trace(exact.hessian).real)) / max(1.0, exact.B)
+        gaps[label, "log B"] = abs(fd_log - float(np.trace(exact.log_hessian).real))
         if q is quad:  # the disk cases also take the det and Lambda_a routes
             dig = direct_image_gram(w, frame, BasePatch((0j,) * w.n, 0.45), q)
             _H, fd_det, _ = fd_trace(dig.neg_log_det, t0, cfg)
-            diffs["det"] = abs(fd_det - float(np.trace(dig.neg_log_det_hessian(t0)).real))
-            diffs["Lambda"] = _a13_lambda_gap(w, fam, t0, N, q, cfg)
-        routes += len(diffs)
-        route, diff = max(diffs.items(), key=lambda kv: kv[1])
-        if cfg.tolerance - diff < worst:
-            worst, worst_diff, worst_label = cfg.tolerance - diff, diff, f"{label}, {route}"
+            gaps[label, "det"] = abs(fd_det - float(np.trace(dig.neg_log_det_hessian(t0)).real))
+            gaps[label, "Lambda"] = _a13_lambda_gap(w, fam, t0, N, q, cfg)
+    for label, w, t0 in iterated:
+        gaps[label, "log K jets"] = _a13_iteration_gap(w, t0, 16, quad, _cfg(16, quad))
+    (label, route), worst_diff = max(gaps.items(), key=lambda kv: kv[1])
+    worst = _cfg(16, quad).tolerance - worst_diff
     budget_ok = (time.perf_counter() - start) <= 30.0
-    detail = f"worst |FD - exact| {worst_diff:.2e} ({worst_label}) over {routes} routes"
+    detail = f"worst |FD - exact| {worst_diff:.2e} ({label}, {route}) over {len(gaps)} routes"
     return worst >= 0 and budget_ok, worst, detail
 
 

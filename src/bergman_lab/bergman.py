@@ -21,8 +21,9 @@ A basis build evaluates no monomial on the quadrature nodes: the Gram is
 assembled ring by ring from the weight values (see ``fiber_numerics``).
 Kernel columns and the frame on the nodes read the node Vandermonde that
 the quadrature rule builds once per degree and shares across every base
-point; the kernel diagonal on the nodes (log-kernel weights) needs none,
-it is synthesized ring by ring (``fiber_numerics.kernel_diagonal``).
+point; node values of a coefficient matrix such as the inverse Gram (the
+log-kernel weights of the iteration) need none, they are synthesized ring
+by ring (``fiber_numerics.ring_synthesis``).
 
 Base Hessians of the section functional are exact.  With ``u(t) = sum_i
 a_i(t) M(s_i(t))`` (holomorphic in t) and ``P = G^{-1} = C C^H``,
@@ -45,24 +46,29 @@ Ann. of Math. 169, 2009).  It is the exact Hessian of the same discrete
 functional that a finite-difference stencil of :func:`section_value`
 differences, from one basis build, ``n`` Grams ``d_a G`` and ``n(n+1)/2``
 Grams ``d_a dbar_b G``; the weight derivatives come from the weight's own
-``grad_base`` and ``hessian_field``.
+``grad_base`` and Hessian blocks on the nodes.
 
-The same ``d_a G`` gives the Hormander fields (see ``hormander``), and the
-frame Grams of the same measures give the exact Hessian of ``-log det G``.
+The same ``d_a G`` gives the Hormander fields (see ``hormander``), the
+frame Grams of the same measures give the exact Hessian of ``-log det G``,
+and ``d_a G`` with ``d_a dbar_b G`` give the base derivatives of ``P`` behind
+the log-kernel jets of the iteration (see ``iteration``).
 
 Basis builds are memoized on the quadrature rule, keyed by (weight object,
-base point, degree): every check of a scenario reads the basis at ``t0``
-and the iteration revisits its base points, so each point's Gram and
-transform are computed once per rule.  Section Hessians are memoized the
-same way, keyed by (sections, base point, degree), and so is each ``d_a
-G``, keyed by (base point, degree, direction), which the section Hessian
-and the Hormander fields share.  The weight values ``exp(-phi)`` and the
-node values of ``d_a phi`` do not depend on the degree, so they are
-memoized by base point alone and shared with the direct-image Grams of
-the determinant check.  The memo holds only those read-only arrays,
-weakly keyed by the weight, so an entry lives no longer than its weight or
-its rule (one rule per scenario run); a repeated call returns the same
-arrays, hence bitwise the same numbers.
+base point, degree): every check of a scenario reads the basis at ``t0``,
+so each point's Gram and transform are computed once per rule.  Section
+Hessians are memoized the same way, keyed by (sections, base point,
+degree), and so are each ``d_a G`` and ``d_a dbar_b G``, keyed by (base
+point, degree, directions), which the section Hessian, the Hormander
+fields and the log-kernel jets share.
+The weight values ``exp(-phi)``, the node values of ``d_a phi`` and the
+Hessian blocks of phi on the nodes (:func:`node_hessian`) do not depend on
+the degree, so they are memoized by base point alone and shared with the
+direct-image Grams of the determinant check and the Hormander residuals.
+The memo holds only those read-only arrays, weakly keyed by the weight,
+so an entry lives no longer than its weight or its rule (one rule per
+scenario run) unless released earlier (the iteration releases each step's
+weights); a repeated call returns the same arrays, hence bitwise the same
+numbers.
 """
 
 from __future__ import annotations
@@ -101,7 +107,9 @@ __all__ = [
     "section_value_pair",
     "section_hessian",
     "node_base_gradient",
+    "node_hessian",
     "base_gram_derivative",
+    "base_gram_hessian",
     "direct_image_gram",
 ]
 
@@ -337,17 +345,6 @@ class BergmanBasis:
         return abs(full - sub) / max(abs(full), 1e-300)
 
 
-def _memoized(w: WeightFamily, quad: QuadratureRule, key, compute) -> np.ndarray:
-    """``compute()``, made read-only and kept in ``quad.memo(w)`` under ``key``."""
-    memo = quad.memo(w)
-    out = memo.get(key)
-    if out is None:
-        out = compute()
-        out.flags.writeable = False
-        memo[key] = out
-    return out
-
-
 def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     """Read-only ``exp(-phi(t, .))`` on the nodes, memoized per base point.
 
@@ -355,15 +352,34 @@ def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     direct-image Gram at ``t`` shares one evaluation per rule.
     """
     t = as_complex_tuple(t)
-    return _memoized(w, quad, ("weight_values", t), lambda: w.weight_values(t, quad))
+    return quad.memoize(w, ("weight_values", t), lambda: w.weight_values(t, quad))
 
 
 def node_base_gradient(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     """Read-only ``d phi / dt_a`` on the nodes, shape (n, nodes), memoized
     per base point like the weight values."""
     t = as_complex_tuple(t)
-    return _memoized(w, quad, ("grad_base", t),
-                     lambda: np.asarray(w.grad_base(t, quad.nodes)).reshape(w.n, quad.size))
+    return quad.memoize(w, ("grad_base", t),
+                        lambda: np.asarray(w.grad_base(t, quad.nodes)).reshape(w.n, quad.size))
+
+
+def node_hessian(w: WeightFamily, t, quad: QuadratureRule, base_only: bool = False):
+    """Read-only Hessian blocks ``(tt, tf, ff)`` of ``w`` on the nodes,
+    memoized per base point like the gradient.
+
+    ``base_only`` returns the base block ``tt`` alone, shape (nodes, n, n):
+    sliced from the full blocks when those are memoized already, else from
+    the weight's ``base_hessian`` (iterated weights give only that block on
+    the nodes).
+    """
+    t = as_complex_tuple(t)
+    full = quad.memo(w).get(("hessian", t))
+    if full is None and base_only:
+        return quad.memoize(w, ("base_hessian", t), lambda: np.asarray(w.base_hessian(t, quad.nodes)))
+    if full is None:
+        full = quad.memoize(w, ("hessian", t),
+                            lambda: tuple(np.asarray(b) for b in w.hessian_field(t, quad.nodes)))
+    return full[0] if base_only else full
 
 
 def base_gram_derivative(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int) -> np.ndarray:
@@ -376,7 +392,25 @@ def base_gram_derivative(w: WeightFamily, t, N: int, quad: QuadratureRule, a: in
         mu = b.weight_vals * quad.weights
         return ring_gram(b.basis, -node_base_gradient(w, t, quad)[a] * mu, quad)
 
-    return _memoized(w, quad, ("d_G", t, N, a), compute)
+    return quad.memoize(w, ("d_G", t, N, a), compute)
+
+
+def base_gram_hessian(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int, c: int) -> np.ndarray:
+    """``d_a dbar_c G`` at t: the ring Gram of ``(d_a phi dbar_c phi - d_a
+    dbar_c phi) * exp(-phi) * w``, memoized for ``a <= c``; ``a > c`` is the
+    conjugate transpose of ``(c, a)``."""
+    if a > c:
+        return base_gram_hessian(w, t, N, quad, c, a).conj().T
+    t = as_complex_tuple(t)
+
+    def compute():
+        b = bergman_basis(w, t, N, quad)
+        mu = b.weight_vals * quad.weights
+        dphi = node_base_gradient(w, t, quad)
+        tt = node_hessian(w, t, quad, base_only=True)
+        return ring_gram(b.basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
+
+    return quad.memoize(w, ("dd_G", t, N, a, c), compute)
 
 
 def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBasis:
@@ -535,16 +569,13 @@ def section_hessian(
     p = C @ v
     e = np.conj(du) @ np.conj(C)  # rows C^H conj(d_a u)
 
-    mu = b.weight_vals * quad.weights
-    dphi = node_base_gradient(w, t, quad)
-    tt = w.hessian_field(t, quad.nodes)[0]
     dG = [base_gram_derivative(w, t, N, quad, a) for a in range(n)]
     g = np.array([Ch @ (G @ p) for G in dG])
     eh = e - np.array([Ch @ (G.conj().T @ p) for G in dG])
     H = np.empty((n, n), dtype=complex)
     for a in range(n):
         for c in range(a, n):
-            ddG = ring_gram(b.basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
+            ddG = base_gram_hessian(w, t, N, quad, a, c)
             H[a, c] = np.vdot(eh[a], eh[c]) + np.vdot(g[c], g[a]) - np.vdot(p, ddG @ p)
             H[c, a] = np.conj(H[a, c])
     H[np.diag_indices(n)] = H.diagonal().real
@@ -606,7 +637,7 @@ class DirectImageGram:
         G, n = self.gram_at(t), self.w.n
         mu = _node_weight_values(self.w, t, self.quad) * self.quad.weights
         dphi = node_base_gradient(self.w, t, self.quad)
-        tt = self.w.hessian_field(t, self.quad.nodes)[0]
+        tt = node_hessian(self.w, t, self.quad, base_only=True)
         dG = [self._frame_gram(-dphi[a] * mu) for a in range(n)]
         X = [np.linalg.solve(G, D) for D in dG]
         Y = [np.linalg.solve(G, D.conj().T) for D in dG]

@@ -10,13 +10,13 @@ Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
 settle at the requested resolution, so no verdict was reached; the message
 names the knob, ``degree`` and ``quadrature`` for a kernel truncation gap).
-Every check but ``iterate`` reads exact base derivatives, so ``h_step`` is
-only the step of the iteration's log-kernel Hessians and of the acceptance
-suite's finite-difference cross-check (a13).  A scenario that cannot be
-run (a parse error, an out-of-range field, a quadrature above the node
-cap, a stencil that leaves the base patch) exits 2 before any check; a
-weight that turns out not to be real-valued fails each check that
-evaluates it, also exit 2.
+Every check reads exact base derivatives (``iterate`` included), so no
+check reads ``h_step``: it is the step of the finite-difference routes,
+which only the acceptance suite's cross-check (a13) runs.  A scenario that
+cannot be run (a parse error, an out-of-range field, a quadrature above
+the node cap, a stencil of step ``h_step`` that leaves the base patch)
+exits 2 before any check; a weight that turns out not to be real-valued
+fails each check that evaluates it, also exit 2.
 
 Reports are deterministic: the same scenario file, overrides and seed
 produce byte-identical records and hence the same report hash, regardless
@@ -307,7 +307,8 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--h-step", type=float, default=None, help="override the stencil step")
+    p.add_argument("--h-step", type=float, default=None,
+                   help="override h_step (no check differences; the stencil must fit the patch)")
     p.add_argument("--degree", type=int, default=None, help="override the basis degree cap")
 
 

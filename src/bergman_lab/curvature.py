@@ -4,7 +4,8 @@ The section functional ``B_t<a,a>``, its log and the determinant potential
 ``-log det G(t)`` have exact base Hessians (``bergman.section_hessian``
 and ``DirectImageGram.neg_log_det_hessian``: the Gram at ``t0`` plus the
 Grams of the differentiated weight), so the section, log, spectrum and
-determinant checks take no step.  :func:`fd_trace` forms the complex
+determinant checks take no step (nor does the iteration, see
+``iteration``).  :func:`fd_trace` forms the complex
 Hessian of any scalar field by central differences in the real coordinate
 directions, mixed entries by polarization, at step ``h`` and again at
 ``h/2`` as a Richardson gate; it is the independent cross-check of the

@@ -32,15 +32,17 @@ complex measures (``-d_a phi * exp(-phi) * w`` and so on), which is how
 the exact base Hessians of the section functional are assembled (see
 ``bergman``).
 
-The kernel diagonal on the nodes is the adjoint of the ring Gram.  With
-``P = C C^H`` (the inverse Gram),
-``K(x, x) = sum_jk P[j, k] r^(j+k) e^{i (j-k) theta}`` per coordinate, so
-:func:`kernel_diagonal` scatters ``P`` into the ``(s, m)`` table through the
-same gather indices, contracts each ``s`` axis with that coordinate's ring
-powers, places the modes with the same mode table and takes one inverse
-FFT over the angular axes.  That costs about ``rings * (2N+1)^2`` per
-coordinate plus one node-sized FFT, against ``nodes * dim^2`` for the
-frame ``V C`` on the nodes.
+Node values of a coefficient matrix are the adjoint of the ring Gram:
+``sum_jk A[j, k] M_j(x) conj(M_k(x))`` is ``sum_jk A[j, k] r^(j+k) e^{i
+(j-k) theta}`` per coordinate, so :func:`ring_synthesis` scatters ``A``
+into the ``(s, m)`` table through the same gather indices, contracts each
+``s`` axis with that coordinate's ring powers, places the modes with the
+same mode table and takes one inverse FFT over the angular axes, for a
+whole stack of matrices at once.  That costs about ``rings * (2N+1)^2``
+per coordinate and matrix plus one node-sized FFT, against ``nodes *
+dim^2`` for the frame ``V C`` on the nodes.  The kernel diagonal
+(:func:`kernel_diagonal`) is the case ``A = P = C C^H``, the inverse Gram;
+the base derivatives of ``P`` give the log-kernel jets of the iteration.
 
 The node Vandermonde itself is needed only for the remaining node-valued
 fields (kernel columns, orthonormal frames on the nodes); a
@@ -74,6 +76,7 @@ __all__ = [
     "monomial_gradient",
     "ring_gram",
     "gram_matrix",
+    "ring_synthesis",
     "kernel_diagonal",
     "orthonormalize",
 ]
@@ -211,6 +214,28 @@ class QuadratureRule:
         if store is None:
             store = stores.setdefault(owner, {})
         return store
+
+    def memoize(self, owner, key, compute):
+        """``compute()``, kept in ``self.memo(owner)`` under ``key``.
+
+        The result is an array or a tuple of arrays; each is made read-only
+        before it is stored, so every caller shares the same numbers.
+        """
+        store = self.memo(owner)
+        out = store.get(key)
+        if out is None:
+            out = compute()
+            for arr in out if isinstance(out, tuple) else (out,):
+                arr.flags.writeable = False
+            store[key] = out
+        return out
+
+    def release(self, owner) -> None:
+        """Drop this rule's store for ``owner`` while the owner lives on
+        (a chain of iterated weights keeps every link alive)."""
+        stores = self._tables.get("memo")
+        if stores is not None:
+            stores.pop(owner, None)
 
     def node_vandermonde(self, basis: MonomialBasis) -> np.ndarray:
         """Read-only monomial values on the nodes, built once per basis."""
@@ -471,35 +496,49 @@ def gram_matrix(
     return G
 
 
-def kernel_diagonal(
-    basis: MonomialBasis, transform: np.ndarray, quad: QuadratureRule
+def ring_synthesis(
+    basis: MonomialBasis, coeffs: np.ndarray, quad: QuadratureRule
 ) -> np.ndarray:
-    """Kernel diagonal ``K(x, x) = M(x)^T (C C^H) conj(M(x))`` on every node.
+    """``M(x)^T A conj(M(x))`` on every node, for a stack of coefficient matrices.
 
-    The adjoint of :func:`gram_matrix`: ``P = C C^H`` is scattered into
-    the ``(s, m)`` table at ``s = j + k``, ``m = k - j`` through the same
-    gather indices, each radial-power axis ``s`` is contracted with that
-    coordinate's ring powers, and one inverse FFT over the angular axes
+    ``coeffs`` has shape ``(..., dim, dim)`` and the result ``(..., nodes)``
+    (complex; real up to round-off where ``A`` is Hermitian).  The adjoint
+    of :func:`ring_gram`: each ``A`` is scattered into the ``(s, m)`` table
+    at ``s = j + k``, ``m = k - j`` through the same gather indices, each
+    radial-power axis ``s`` is contracted with that coordinate's ring
+    powers, and one inverse FFT over the angular axes of the whole stack
     turns the modes into node values (see the module docstring).  No node
     Vandermonde is evaluated.
     """
+    A = np.asarray(coeffs)
+    lead = A.shape[:-2]
+    A = A.reshape((-1,) + A.shape[-2:])
     modes, powers, gather = quad.ring_tables(basis)
-    T = np.zeros((2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
-    T[gather] = transform @ transform.conj().T  # (j, k) -> (s, m) is one-to-one
+    T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
+    T[(slice(None),) + gather] = A  # (j, k) -> (s, m) is one-to-one
     for c, (idx, P) in enumerate(zip(modes, powers)):
         # replace radial-power axis s of coordinate c by the ring axis
-        T = np.moveaxis(np.tensordot(P, T, axes=([1], [2 * c])), 0, 2 * c)
+        axis = 1 + 2 * c
+        T = np.moveaxis(np.tensordot(P, T, axes=([1], [axis])), 0, axis)
         shape = list(T.shape)
-        shape[2 * c + 1] = quad.shape[c][1]
+        shape[axis + 1] = quad.shape[c][1]
         X = np.zeros(shape, dtype=complex)
         # M_j conj(M_k) carries e^{-i m theta} for m = k - j: the inverse DFT
         # index -m, which is what the mode table holds
-        X[(slice(None),) * (2 * c + 1) + (idx,)] = T
+        X[(slice(None),) * (axis + 1) + (idx,)] = T
         T = X
-    angular = tuple(range(1, T.ndim, 2))
+    angular = tuple(range(2, T.ndim, 2))
     n_angular = math.prod(T.shape[a] for a in angular)
-    K = np.fft.ifftn(T, axes=angular).real * n_angular
-    return K.reshape(quad.size)
+    K = np.fft.ifftn(T, axes=angular) * n_angular
+    return K.reshape(lead + (quad.size,))
+
+
+def kernel_diagonal(
+    basis: MonomialBasis, transform: np.ndarray, quad: QuadratureRule
+) -> np.ndarray:
+    """Kernel diagonal ``K(x, x) = M(x)^T (C C^H) conj(M(x))`` on every node:
+    the Hermitian case of :func:`ring_synthesis`, ``P = C C^H``."""
+    return ring_synthesis(basis, transform @ transform.conj().T, quad).real
 
 
 def orthonormalize(

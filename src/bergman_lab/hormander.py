@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
-    node_base_gradient, section_hessian
+    node_base_gradient, node_hessian, section_hessian
 from .curvature import CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule
 from .utils import as_complex_tuple
@@ -131,7 +131,7 @@ def orthogonality_residual(data: HormanderData) -> float:
 
     Fields below ``ROUNDOFF_FLOOR * ||Gamma||`` count as zero.
     """
-    U = data.basis.vander @ data.basis.transform  # orthonormal frame on nodes
+    V, C = data.basis.vander, data.basis.transform  # the frame is u = V C
     measure = data.node_measure
     floor = ROUNDOFF_FLOOR * _weighted_norm(data.gamma, measure)
     worst = 0.0
@@ -139,7 +139,11 @@ def orthogonality_residual(data: HormanderData) -> float:
         norm = _weighted_norm(lam, measure)
         if norm <= floor:
             continue
-        inner = U.conj().T @ (measure * lam)  # <lam, u_i> conj'd; magnitudes equal
+        # <lam, u_i> = (C^T m)_i with the monomial moments m = V^T conj(measure
+        # lam), summed node by node in a fixed order: a BLAS product splits
+        # this sum by thread count, and at round-off level the last bits would
+        # follow it into the report hash
+        inner = C.T @ np.einsum("xj,x->j", V, np.conj(measure * lam))
         worst = max(worst, float(np.abs(inner).max()) / norm)
     return worst
 
@@ -205,7 +209,7 @@ def dbar_identity_residual(data: HormanderData, w: WeightFamily) -> float:
     """
     quad = data.quad
     measure = data.node_measure
-    _tt, tf, _ff = w.hessian_field(data.t0, quad.nodes)
+    _tt, tf, _ff = node_hessian(w, data.t0, quad)
     gnorm = _weighted_norm(data.gamma, measure)
     worst = 0.0
     for pos, a in enumerate(data.directions):
@@ -252,7 +256,7 @@ def hormander_bound_check(
     """
     quad = data.quad
     measure = data.node_measure
-    _tt, tf, ff = w.hessian_field(data.t0, quad.nodes)
+    _tt, tf, ff = node_hessian(w, data.t0, quad)
     eigs = np.linalg.eigvalsh(ff)
     if float(eigs[:, 0].min()) <= 0.0:
         raise FiberDegenerateError(
@@ -316,7 +320,7 @@ def assembled_lower_bound(data: HormanderData, cfg: CheckConfig, eps0: float = 0
         raise ValueError("cfg must carry the degree and quadrature the fields were built on")
     full, gap = section_truncation(w, fam, t0, cfg)
     measure = data.node_measure
-    schur = schur_trace_field(*w.hessian_field(t0, cfg.quad.nodes))
+    schur = schur_trace_field(*node_hessian(w, t0, cfg.quad))
     rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)
     B0_repro = float(np.sum(np.abs(data.gamma) ** 2 * measure).real)
     lhs = float(np.real(np.trace(section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian)))

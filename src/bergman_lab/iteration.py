@@ -17,18 +17,31 @@ The ledger records b_k next to the measured Schur trace of the joint
 step's potential aborts the run with the ledger so far.
 
 Iterated weights have no closed form, so they are represented as
-evaluator objects: a log-kernel field evaluates the orthonormalized basis
-of its inner weight at each base point it is asked about, and mixed
-weights combine evaluators pointwise.  The bases come from the basis memo
-on the quadrature rule (see ``bergman``), so each distinct base point is
-built once however often the Hessian stencils revisit it, and cost scales
-with the number of distinct base points touched, not with a precomputed
-grid.  Evaluating a log-kernel field on ``quad.nodes`` (which every basis
-build of the next step does) synthesizes the kernel diagonal ring by ring
-(``fiber_numerics.kernel_diagonal``): a contraction with the ring powers
-and one node-sized inverse FFT per base point, with no node Vandermonde
-and no (nodes x dim) product.  Any other point set (the Hessian stencils'
-fiber samples) goes through the orthonormal frame.
+evaluator objects with exact jets.  ``K_t(xi, xi) = M(xi)^T P(t)
+conj(M(xi))`` with ``P = G^{-1}`` the inverse Gram of the inner weight, so
+the base derivatives of psi come from those of P (Berndtsson's variation
+formula for log K_t, Ann. Inst. Fourier 56, 2006):
+
+    d_a P        = -P d_aG P,
+    d_a dbar_b P = P (d_bG)^H P d_aG P + P d_aG P (d_bG)^H P - P d_a dbar_bG P,
+
+where ``d_aG`` and ``d_a dbar_bG`` are the ring Grams of the differentiated
+measures (``bergman.base_gram_derivative`` and ``base_gram_hessian``).  At
+the fiber sample points the monomial values and their holomorphic
+gradients turn P and its derivatives into the blocks (tt, tf, ff) of the
+Hessian of log K.  On the quadrature nodes, which every basis build of the
+next step reads, ``log K``, ``d_a log K`` and the base block tt come from one
+ring synthesis of the stack (P, d_aP, d_a dbar_bP)
+(``fiber_numerics.ring_synthesis``), with no node Vandermonde.  Mixed
+weights combine their parts' values, gradients and Hessian blocks
+linearly, so the Gram derivatives of ``w_{k+1}`` read exact node
+derivatives of psi_k.  Each step therefore builds one basis per base point
+sample and evaluates no finite-difference stencil.
+
+The chain of weights keeps every psi_k alive, so each step drops what the
+quadrature rule stored for its mixed weight and for the previous
+potential once its Gram builds have read them; what a later step needs of
+psi_k is its P-jets, a few (dim x dim) matrices.
 """
 
 from __future__ import annotations
@@ -38,15 +51,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import bergman_basis
+from .bergman import base_gram_derivative, base_gram_hessian, bergman_basis
 from .curvature import CheckConfig, truncation_gate
-from .fiber_numerics import kernel_diagonal
+from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
 from .weights import (
     BasePatch,
     FiberDegenerateError,
     GridSpec,
     WeightFamily,
+    _as_fiber_array,
     certify,
     schur_trace_field,
     twist_weight,
@@ -70,17 +84,30 @@ class GridMismatchError(ValueError):
     """Weights to be mixed live on incompatible bases or fibers."""
 
 
+def _positive(K: np.ndarray) -> np.ndarray:
+    if float(K.min()) <= 0.0:
+        raise ArithmeticError("kernel diagonal vanished on the fiber")
+    return K
+
+
+def _log_hessian(K, dK_x, dK_y, ddK) -> np.ndarray:
+    """``d_x dbar_y log K = ddK / K - d_xK conj(d_yK) / K^2`` from K > 0, shape
+    (S,), its holomorphic derivatives (S, nx) and (S, ny) and ``ddK`` (S, nx, ny)."""
+    K = K[:, None, None]
+    return ddK / K - dK_x[:, :, None] * np.conj(dK_y)[:, None, :] / (K * K)
+
+
 class LogKernelField(WeightFamily):
-    """sign * log K_t(xi, xi) for the kernel of an inner weight.
+    """sign * log K_t(xi, xi) for the kernel of an inner weight, with exact
+    base and fiber derivatives.
 
     Bases come from the basis memo of ``quad``; the first use of each
     base point is gated on kernel truncation convergence at a probe fiber
-    point.
+    point.  The inverse-Gram jets and the node values are stored on ``quad``
+    under this field (see :meth:`gram_jets`).
     """
 
     kind = "bergman-potential"
-    fd_step = 1e-2  # log-kernel values carry ~1e-13 relative noise, so
-    # second differences need a step well above sqrt of that
 
     def __init__(self, inner: WeightFamily, N: int, quad, sign: int = 1,
                  convergence_tol: float = 1e-6, label: str = ""):
@@ -94,6 +121,7 @@ class LogKernelField(WeightFamily):
         self.inner = inner
         self.N = int(N)
         self.quad = quad
+        self.basis = monomial_basis(self.N, inner.d)
         self.sign = int(sign)
         self.convergence_tol = float(convergence_tol)
         self._gated: set = set()
@@ -120,15 +148,91 @@ class LogKernelField(WeightFamily):
             self._gated.add(b.t)
         return b
 
+    def gram_jets(self, t) -> tuple:
+        """``(P, dP, ddP)`` at t: the inverse Gram ``P = C C^H`` of the inner
+        weight, ``dP[a] = d_a P`` and ``ddP[a, b] = d_a dbar_b P`` (see the
+        module docstring), memoized on the rule under this field."""
+        t = as_complex_tuple(t)
+
+        def compute():
+            C = self._basis_at(t).transform
+            P = C @ C.conj().T
+            w, N, quad, n = self.inner, self.N, self.quad, self.n
+            dG = [base_gram_derivative(w, t, N, quad, a) for a in range(n)]
+            PdG = [P @ D for D in dG]
+            PdGh = [P @ D.conj().T for D in dG]
+            dP = np.stack([-X @ P for X in PdG])
+            ddP = np.empty((n, n) + P.shape, dtype=complex)
+            for a in range(n):
+                for b in range(n):
+                    ddG = base_gram_hessian(w, t, N, quad, a, b)
+                    ddP[a, b] = (PdGh[b] @ PdG[a] + PdG[a] @ PdGh[b] - P @ ddG) @ P
+            return P, dP, ddP
+
+        return self.quad.memoize(self, ("gram_jets", t), compute)
+
+    def _node_jets(self, t) -> tuple:
+        """``sign *`` (log K, d_a log K with shape (n, nodes), the base block
+        (nodes, n, n)) on the nodes, from one ring synthesis of the stack
+        (P, dP, ddP); memoized on the rule under this field."""
+        t = as_complex_tuple(t)
+
+        def compute():
+            P, dP, ddP = self.gram_jets(t)
+            n, s = self.n, self.sign
+            stack = np.concatenate([P[None], dP, ddP.reshape((n * n,) + P.shape)])
+            S = ring_synthesis(self.basis, stack, self.quad).T  # (nodes, 1 + n + n^2)
+            K = _positive(S[:, 0].real)
+            dK = S[:, 1 : n + 1]
+            ddK = S[:, n + 1 :].reshape(-1, n, n)
+            return s * np.log(K), s * (dK / K[:, None]).T, s * _log_hessian(K, dK, dK, ddK)
+
+        return self.quad.memoize(self, ("node_jets", t), compute)
+
+    def _point_jets(self, t, pts) -> tuple:
+        """K and its derivatives at S fiber points: ``K`` (S,), ``d_t K`` (S, n),
+        ``d_xi K`` (S, d), ``d_t dbar_t K`` (S, n, n), ``d_t dbar_xi K`` (S, n, d)
+        and ``d_xi dbar_xi K`` (S, d, d)."""
+        P, dP, ddP = self.gram_jets(t)
+        M = vandermonde(self.basis, pts)  # (S, dim)
+        dM = monomial_gradient(self.basis, pts)  # (S, d, dim)
+        Mc, dMc = M.conj(), dM.conj()
+        MdP = M @ dP  # (n, S, dim)
+        dMP = dM @ P  # (S, d, dim)
+        K = _positive(np.sum((M @ P) * Mc, axis=-1).real)
+        Kt = np.sum(MdP * Mc, axis=-1).T
+        Kx = np.sum(dMP * Mc[:, None, :], axis=-1)
+        Ktt = np.moveaxis(np.sum((M @ ddP) * Mc, axis=-1), -1, 0)
+        Ktx = np.einsum("asj,scj->sac", MdP, dMc)
+        Kxx = np.einsum("scj,sej->sce", dMP, dMc)
+        return K, Kt, Kx, Ktt, Ktx, Kxx
+
     def _value_raw(self, t, pts):
-        b = self._basis_at(t)
         if pts is self.quad.nodes:
-            diag = kernel_diagonal(b.basis, b.transform, self.quad)
-        else:
-            diag = np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1)
-        if float(diag.min()) <= 0.0:
-            raise ArithmeticError("kernel diagonal vanished on the fiber")
+            return self._node_jets(t)[0]
+        b = self._basis_at(t)
+        diag = _positive(np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1))
         return self.sign * np.log(diag)
+
+    def grad_base(self, t, xi):
+        if xi is self.quad.nodes:
+            return self._node_jets(t)[1]
+        pts, single = _as_fiber_array(xi, self.d)
+        K, Kt = self._point_jets(t, pts)[:2]
+        g = self.sign * (Kt / K[:, None]).T
+        return g[:, 0] if single else g
+
+    def base_hessian(self, t, xi):
+        if xi is self.quad.nodes:
+            return self._node_jets(t)[2]
+        return self.hessian_field(t, xi)[0]
+
+    def hessian_field(self, t, xi):
+        pts, _ = _as_fiber_array(xi, self.d)
+        K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(t, pts)
+        s = self.sign
+        return (s * _log_hessian(K, Kt, Kt, Ktt), s * _log_hessian(K, Kt, Kx, Ktx),
+                s * _log_hessian(K, Kx, Kx, Kxx))
 
     def describe(self) -> str:
         inner = self.inner.describe()
@@ -137,10 +241,10 @@ class LogKernelField(WeightFamily):
 
 
 class MixedWeight(WeightFamily):
-    """Pointwise affine combination  sum_i coef_i * field_i(t, xi)."""
+    """Pointwise affine combination  sum_i coef_i * field_i(t, xi); its
+    derivatives are the same combination of the parts' derivatives."""
 
     kind = "mixed"
-    fd_step = 1e-2
 
     def __init__(self, parts, label: str = ""):
         parts = tuple((float(c), f) for c, f in parts)
@@ -164,6 +268,16 @@ class MixedWeight(WeightFamily):
         for c, f in self.parts:
             total = total + c * np.asarray(f.value(t, pts))
         return total
+
+    def grad_base(self, t, xi):
+        return sum(c * np.asarray(f.grad_base(t, xi)) for c, f in self.parts)
+
+    def base_hessian(self, t, xi):
+        return sum(c * np.asarray(f.base_hessian(t, xi)) for c, f in self.parts)
+
+    def hessian_field(self, t, xi):
+        blocks = [[c * np.asarray(b) for b in f.hessian_field(t, xi)] for c, f in self.parts]
+        return tuple(sum(terms) for terms in zip(*blocks))
 
     def describe(self) -> str:
         terms = " + ".join(f"{c:g}*[{f.label}]" for c, f in self.parts)
@@ -278,7 +392,8 @@ def run_iteration(
     keep_fields: bool = False,
 ) -> IterationLedger:
     """Run K steps of the recursion; the ledger pairs each certified b_k
-    with the worst measured Schur trace of the step's log-kernel field.
+    with the worst measured Schur trace of the step's log-kernel field,
+    whose Hessian blocks at the samples are exact (no ``cfg.h`` stencil).
 
     A step whose potential fails the plurisubharmonicity check (or whose
     fiber block degenerates) aborts the run, returning the ledger built
@@ -307,13 +422,11 @@ def run_iteration(
     fields: list[LogKernelField] = []
     aborted = False
     failure = ""
-    w = phi_L
-    psi = LogKernelField(w, cfg.N, cfg.quad, sign=1, convergence_tol=cfg.convergence_tol)
-    psi.fd_step = cfg.h
+    psi = LogKernelField(phi_L, cfg.N, cfg.quad, sign=1, convergence_tol=cfg.convergence_tol)
     for k in range(1, K + 1):
-        w = mix_weights(psi, phi_L, m)
+        prev = psi
+        w = mix_weights(prev, phi_L, m)
         psi = LogKernelField(w, cfg.N, cfg.quad, sign=1, convergence_tol=cfg.convergence_tol)
-        psi.fd_step = cfg.h
         if keep_fields:
             fields.append(psi)
         b_k = (1.0 - q**k) * eps0
@@ -324,6 +437,11 @@ def run_iteration(
             steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=twist_slack * q**k))
             aborted, failure = True, f"step {k}: {exc}"
             break
+        finally:
+            # this step's Gram builds were the last readers of the node fields
+            # of w and prev; psi keeps its P-jets for the next step
+            cfg.quad.release(w)
+            cfg.quad.release(prev)
         rec = StepRecord(
             k=k,
             weight_id=weight_id,

@@ -191,6 +191,13 @@ class WeightFamily:
         n = self.n
         return H[..., :n, :n], H[..., :n, n:], H[..., n:, n:]
 
+    def base_hessian(self, t, xi) -> np.ndarray:
+        """The base block tt of :meth:`hessian_field`, shape (M, n, n).
+
+        Weights that can give this block alone more cheaply override it.
+        """
+        return self.hessian_field(t, xi)[0]
+
     fd_step = 1e-4
 
     def weight_values(self, t, quad) -> np.ndarray:

@@ -1,6 +1,9 @@
 """End-to-end command line runs on small scenarios."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -280,3 +283,20 @@ class TestSuiteCommand:
     def test_unknown_criterion_rejected(self, capsys):
         assert main(["suite", "--criteria", "a77"]) == 2
         assert "unknown criteria" in capsys.readouterr().err
+
+
+def test_report_hash_does_not_follow_blas_threads(tmp_path):
+    # the orthogonality residual of this scenario sits at round-off level,
+    # where a BLAS reduction split by thread count moved its last bits
+    root = Path(__file__).resolve().parents[1]
+    scn = root / "scenarios" / "cross_offcentre.scn"
+    lines = []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergman_lab.cli", "run", "--scenario", str(scn)],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines.append([ln for ln in proc.stdout.splitlines() if "report hash" in ln])
+    assert len(lines[0]) == 1 and lines[0] == lines[1]

@@ -28,6 +28,7 @@ from bergman_lab.fiber_numerics import (
     MAX_NODES,
     gram_matrix,
     kernel_diagonal,
+    ring_synthesis,
     monomial_basis,
     monomial_gradient,
     orthonormalize,
@@ -393,6 +394,26 @@ class TestKernelDiagonal:
         assert built == []  # synthesized from the ring tables, no node Vandermonde
         assert K.shape == (quad.size,) and K.dtype == float
         assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
+    def test_stack_synthesis_equals_brute_force_bilinear_form(self, case, monkeypatch):
+        # a stack of arbitrary complex coefficient matrices, one inverse FFT
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        rng = np.random.default_rng(7)
+        A = rng.normal(size=(2, basis.dim, basis.dim)) + 1j * rng.normal(size=(2, basis.dim, basis.dim))
+        V = vandermonde(basis, quad.nodes)
+        ref = np.sum((V @ A) * V.conj(), axis=-1)  # sum_jk V[x, j] A[j, k] conj(V[x, k])
+        built = []
+        monkeypatch.setattr(fiber_numerics, "vandermonde", lambda *a: built.append(a))
+        S = ring_synthesis(basis, A, quad)
+        assert built == []
+        assert S.shape == (2, quad.size)
+        assert np.abs(S - ref).max() <= 1e-13 * np.abs(ref).max()
+        one = ring_synthesis(basis, A[1], quad)
+        assert one.shape == (quad.size,)
+        assert np.abs(one - ref[1]).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("N", [2, 8, 20])
     def test_unweighted_disk_closed_form(self, disk_quad, N):

@@ -279,6 +279,27 @@ class TestOffCentreSections:
         assert rec.verdict == "pass", rec.margins
         assert rec.outputs["dbar_residual"] < 1e-3 * DBAR_TOL
 
+    def test_node_hessian_evaluated_once_per_check(self, monkeypatch):
+        # dbar identity, L2 bound, assembled chain and the exact section
+        # Hessian share one node evaluation of the weight's Hessian blocks
+        calls = []
+        real = PolynomialWeight.hessian_field
+
+        def counted(self, t, xi):
+            calls.append(np.shape(xi)[0])
+            return real(self, t, xi)
+
+        monkeypatch.setattr(PolynomialWeight, "hessian_field", counted)
+        text = (
+            "id = node_hessian_once\nbase_dim = 1\nfiber = disk 1.0\npatch = 0 ; 0.45\n"
+            + DISK_SWEEP_CASES["polynomial"]
+            + "degree = 16\nquadrature = 48 96\nchecks = hormander\n"
+        )
+        sc = parse_scenario(text)
+        (rec,) = run_scenario_checks(sc, ("hormander",))
+        assert rec.verdict == "pass", rec.margins
+        assert calls == [48 * 96]
+
 
 class TestHormanderBound:
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 0.7])

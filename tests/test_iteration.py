@@ -12,7 +12,10 @@ import math
 import numpy as np
 import pytest
 
+import bergman_lab.bergman as bergman_module
 import bergman_lab.fiber_numerics as fiber_numerics
+import bergman_lab.utils as utils_module
+import bergman_lab.weights as weights_module
 from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
@@ -22,6 +25,7 @@ from bergman_lab.iteration import (
     run_iteration,
     run_twisted_iteration,
 )
+from bergman_lab.utils import wirtinger_hessian
 from bergman_lab.weights import QuadraticWeight
 from helpers import bergman_weight, mixed_bound, sample_field_csv
 
@@ -42,15 +46,15 @@ class TestLogKernelField:
         w = QuadraticWeight.separable(0.7, 1, 1)
         fld = bergman_weight(w, 16, quad)
         tt, tf, ff = fld.hessian_field((0.1 + 0.05j,), np.array([0.0j, 0.3 + 0j]))
-        assert np.max(np.abs(tt[:, 0, 0] + 0.7)) < 1e-8
-        assert np.max(np.abs(tf)) < 1e-9
+        assert np.max(np.abs(tt[:, 0, 0] + 0.7)) < 1e-12
+        assert np.max(np.abs(tf)) < 1e-12
         assert np.all(ff[:, 0, 0].real < 0)  # metric side: -log K concave in xi
 
     def test_positive_sign_field(self, quad):
         w = QuadraticWeight.separable(0.7, 1, 1)
         fld = LogKernelField(w, 16, quad, sign=1)
         tt, _tf, ff = fld.hessian_field((0.1,), np.array([0.2 + 0j]))
-        assert tt[0, 0, 0].real == pytest.approx(0.7, abs=1e-8)
+        assert tt[0, 0, 0].real == pytest.approx(0.7, abs=1e-12)
         assert ff[0, 0, 0].real > 0
 
     def test_t_independent_weight(self, quad):
@@ -111,9 +115,54 @@ class TestLogKernelField:
                             lambda b, x: built.append(x.shape[0]) or original(b, x))
         on_nodes = fld.value(t, q.nodes)
         assert q.size not in built  # no node Vandermonde on the synthesis path
-        on_copy = fld.value(t, q.nodes.copy())
+        grad_nodes, tt_nodes = fld.grad_base(t, q.nodes), fld.base_hessian(t, q.nodes)
+        assert q.size not in built  # nor for the derivatives
+        copy = q.nodes.copy()
+        on_copy = fld.value(t, copy)
         assert on_nodes.shape == on_copy.shape == (q.size,)
         assert np.abs(on_nodes - on_copy).max() <= 1e-13 * np.abs(on_copy).max()
+        # the node jets (ring synthesis of P and its base derivatives) agree
+        # with the point jets (monomial values against the same matrices)
+        assert grad_nodes.shape == (1, q.size) and tt_nodes.shape == (q.size, 1, 1)
+        grad_nodes, tt_nodes = grad_nodes[:, ::7], tt_nodes[::7]
+        grad_copy, tt_copy = fld.grad_base(t, copy[::7]), fld.base_hessian(t, copy[::7])
+        assert np.abs(grad_nodes - grad_copy).max() <= 1e-12 * max(1.0, np.abs(grad_copy).max())
+        assert np.abs(tt_nodes - tt_copy).max() <= 1e-12 * max(1.0, np.abs(tt_copy).max())
+
+    @pytest.mark.parametrize(
+        "w, dom, nr, na, N, t",
+        [
+            (QuadraticWeight.cross_term(0.5, 2, 1), FiberDomain.disk(1.0), 48, 96, 16,
+             (0.03 + 0.01j, -0.02j)),
+            (QuadraticWeight(1, 2, np.array([[1.0, -0.5, 0.2j], [-0.5, 1.0, 0.0], [-0.2j, 0.0, 1.0]])),
+             FiberDomain.polydisc(1.0, 1.0), 12, 24, 10, (0.05 + 0.03j,)),
+        ],
+        ids=["base_dim2", "polydisc"],
+    )
+    def test_exact_jets_match_finite_differences(self, w, dom, nr, na, N, t):
+        # psi_1 of the m = 2 iteration: exact blocks against the Wirtinger
+        # stencil of its values, O(h^2) apart (h and h/2 bracket the error)
+        q = build_quadrature(dom, nr, na)
+        tol = 1e-6 if dom.dim == 1 else 1e-2  # degree 10 on the polydisc settles to 1.3e-3
+        psi = LogKernelField(mix_weights(LogKernelField(w, N, q, convergence_tol=tol), w, 2), N, q,
+                             convergence_tol=tol)
+        xi = np.array([[0.0] * w.d, [0.3] + [0.1j] * (w.d - 1)], dtype=complex)
+        exact = psi.hessian_field(t, xi)
+        n = w.n
+
+        def eval_at(off):
+            return psi.value(tuple(c + o for c, o in zip(t, off[:n])), xi + off[n:])
+
+        rows = (slice(0, n), slice(0, n), slice(n, None))  # blocks tt, tf, ff
+        cols = (slice(0, n), slice(n, None), slice(n, None))
+        gaps = []
+        for h in (1e-2, 5e-3):
+            H = wirtinger_hessian(eval_at, n + w.d, h)
+            gaps.append([np.abs(e - H[:, r, c]).max() for e, r, c in zip(exact, rows, cols)])
+        for coarse, fine in zip(*gaps):
+            assert fine <= 1e-4
+            assert fine <= max(0.3 * coarse, 1e-9)  # shrinks like h^2 until round-off
+        assert np.abs(exact[1]).max() > 0.1  # the coupling reaches the mixed block
 
     def test_bad_sign(self, quad):
         with pytest.raises(ValueError, match="sign"):
@@ -237,6 +286,50 @@ class TestRunIteration:
         data = json.loads(blob)
         assert data["m"] == 2 and len(data["steps"]) == 2
         assert "fields" not in data["diagnostics"]
+
+
+class TestIterationCost:
+    @pytest.mark.parametrize("n_t", [1, 2])
+    def test_one_basis_build_per_step_and_no_stencil(self, quad, monkeypatch, n_t):
+        built = []
+        real_gram = bergman_module.gram_matrix
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real_gram(*args, **kwargs)
+
+        def no_stencil(*args, **kwargs):
+            raise AssertionError("the iteration differences nothing")
+
+        monkeypatch.setattr(bergman_module, "gram_matrix", counted)
+        monkeypatch.setattr(weights_module, "wirtinger_hessian", no_stencil)
+        monkeypatch.setattr(utils_module, "wirtinger_hessian", no_stencil)
+        t_samples = [(0.0,), (0.1 - 0.05j,)][:n_t]
+        K = 3
+        led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, K,
+                            CheckConfig(N=16, quad=quad), eps0=0.75, t_samples=t_samples)
+        assert led.satisfies() and len(led.steps) == K
+        assert len(built) == (K + 1) * n_t
+
+    def test_node_fields_released_each_step(self, quad):
+        phi = QuadraticWeight.cross_term(0.5, 1, 1)
+        led = run_iteration(phi, 2, 3, CheckConfig(N=16, quad=quad), eps0=0.75, keep_fields=True)
+        fields = led.diagnostics["fields"]
+        node_sized = lambda owner: [
+            k for k, v in quad.memo(owner).items()
+            if any(np.size(a) >= quad.size for a in (v if isinstance(v, tuple) else (v,)))
+        ]
+        for fld in fields[:-1]:
+            assert len(quad.memo(fld)) == 0 and len(quad.memo(fld.inner)) == 0
+        # the last potential keeps only its inverse-Gram jets
+        assert node_sized(fields[-1]) == [] and len(quad.memo(fields[-1])) == 1
+        assert node_sized(fields[-1].inner) == []
+        # a released link recomputes the numbers of a fresh chain
+        fresh = LogKernelField(mix_weights(LogKernelField(phi, 16, quad), phi, 2), 16, quad)
+        xi = np.array([0.1 + 0.2j, 0.4])
+        for t in ((0.0,), (0.1j,)):
+            assert np.array_equal(fields[0].value(t, xi), fresh.value(t, xi))
+            assert np.array_equal(fields[0].hessian_field(t, xi)[1], fresh.hessian_field(t, xi)[1])
 
 
 class TestFieldDump:
