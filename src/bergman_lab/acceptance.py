@@ -38,7 +38,7 @@ from .bergman import HoloPoly, SectionFamily, bergman_basis, direct_image_gram, 
     extremal_check, node_base_gradient, reproducing_residual, section_hessian
 from .curvature import CheckConfig, check_det_inequality, check_log_inequality, fd_trace, \
     log_section_field, section_field
-from .fiber_numerics import FiberDomain, build_quadrature
+from .fiber_numerics import FiberDomain, build_quadrature, monomial_synthesis
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import LogKernelField, mix_weights, run_iteration
@@ -106,7 +106,7 @@ def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: floa
         t[alpha] += tau
         b = bergman_basis(w, tuple(t), N, quad)
         rhs = np.conj(b.monomials_at(fam.sections_at(tuple(t)))).T @ amps
-        return b.vander @ (b.transform @ (b.transform.conj().T @ rhs))
+        return monomial_synthesis(b.basis, b.transform @ (b.transform.conj().T @ rhs), quad)
 
     dK = (combo(h) - combo(-h) - 1j * (combo(1j * h) - combo(-1j * h))) / (4.0 * h)
     return dK - node_base_gradient(w, t0, quad)[alpha] * combo(0.0)

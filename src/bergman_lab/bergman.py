@@ -17,13 +17,13 @@ order, its leading principal block orthonormalizes the degree-(N-2)
 sub-basis for free, which is how convergence of kernel diagonals in the
 degree is diagnosed without a second Gram build.
 
-A basis build evaluates no monomial on the quadrature nodes: the Gram is
-assembled ring by ring from the weight values (see ``fiber_numerics``).
-Kernel columns and the frame on the nodes read the node Vandermonde that
-the quadrature rule builds once per degree and shares across every base
-point; node values of a coefficient matrix such as the inverse Gram (the
-log-kernel weights of the iteration) need none, they are synthesized ring
-by ring (``fiber_numerics.ring_synthesis``).
+Nothing here evaluates monomials on the quadrature nodes: the Gram is
+assembled ring by ring from the weight values, node values of a
+coefficient vector such as a kernel column are synthesized ring by ring
+(``fiber_numerics.monomial_synthesis``), and so are those of a coefficient
+matrix such as the inverse Gram behind the log-kernel weights of the
+iteration (``fiber_numerics.ring_synthesis``).  Monomial values are taken
+only at small point sets (sections, probes, samples).
 
 Base Hessians of the section functional are exact.  With ``u(t) = sum_i
 a_i(t) M(s_i(t))`` (holomorphic in t) and ``P = G^{-1} = C C^H``,
@@ -85,6 +85,7 @@ from .fiber_numerics import (
     gram_matrix,
     monomial_basis,
     monomial_gradient,
+    monomial_synthesis,
     orthonormalize,
     ring_gram,
     vandermonde,
@@ -181,6 +182,13 @@ class HoloPoly:
         return complex(out) if out.shape == () else out
 
 
+def _outside_error(i: int, point, t, margin_frac: float) -> SectionOutsideDomainError:
+    return SectionOutsideDomainError(
+        f"section {i} evaluates to {point.tolist()} at t={t}, outside the "
+        f"fiber domain (margin {margin_frac})"
+    )
+
+
 @dataclass(frozen=True)
 class SectionFamily:
     """Sections s_i: base -> fiber with scalar amplitudes a_i(t).
@@ -261,15 +269,20 @@ class SectionFamily:
         ok = domain.contains(pts, margin_frac=margin_frac)
         if not ok.all():
             i = int(np.argmin(ok))
-            raise SectionOutsideDomainError(
-                f"section {i} evaluates to {pts[i].tolist()} at t={t}, outside the "
-                f"fiber domain (margin {margin_frac})"
-            )
+            raise _outside_error(i, pts[i], t, margin_frac)
 
     def validate_on_patch(self, domain, patch: BasePatch, margin_frac: float = SECTION_MARGIN):
-        """Check the margin invariant over a deterministic patch sample."""
-        for t in patch.sample(radii=(0.0, 0.5, 1.0), angles=8):
-            self.check_inside(domain, tuple(t), margin_frac)
+        """Check the margin invariant over a deterministic patch sample.
+
+        Every section is evaluated on the whole sample at once; the error
+        names the first failing (sample, section) pair in sample order.
+        """
+        ts = patch.sample(radii=(0.0, 0.5, 1.0), angles=8)
+        pts = np.stack([np.stack([comp(ts) for comp in s], axis=-1) for s in self.sections], axis=1)
+        ok = domain.contains(pts, margin_frac=margin_frac)  # (samples, sections)
+        if not ok.all():
+            k, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+            raise _outside_error(int(i), pts[k, i], tuple(ts[k]), margin_frac)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,14 +306,7 @@ class BergmanBasis:
     def dim(self) -> int:
         return self.basis.dim
 
-    @property
-    def vander(self) -> np.ndarray:
-        """Monomial values on the quadrature nodes, shared by every base point."""
-        return self.quad.node_vandermonde(self.basis)
-
     def monomials_at(self, points) -> np.ndarray:
-        if points is self.quad.nodes:
-            return self.vander
         pts = np.asarray(points, dtype=complex)
         single = pts.ndim == 0 or (pts.ndim == 1 and self.basis.fiber_dim > 1)
         if pts.ndim == 0:
@@ -322,8 +328,8 @@ class BergmanBasis:
         return self.transform @ (self.transform.conj().T @ np.conj(Mw))
 
     def kernel_column(self, w) -> np.ndarray:
-        """K(node, w) over all quadrature nodes."""
-        return self.vander @ self.kernel_coefficients(w)
+        """K(node, w) over all quadrature nodes, synthesized ring by ring."""
+        return monomial_synthesis(self.basis, self.kernel_coefficients(w), self.quad)
 
     def kernel_diag(self, w, degree: int | None = None) -> float:
         """K(w, w), optionally truncated to a smaller degree sub-basis.
@@ -367,14 +373,14 @@ def node_hessian(w: WeightFamily, t, quad: QuadratureRule, base_only: bool = Fal
     """Read-only Hessian blocks ``(tt, tf, ff)`` of ``w`` on the nodes,
     memoized per base point like the gradient.
 
-    ``base_only`` returns the base block ``tt`` alone, shape (nodes, n, n):
-    sliced from the full blocks when those are memoized already, else from
-    the weight's ``base_hessian`` (iterated weights give only that block on
-    the nodes).
+    ``base_only`` returns the base block ``tt`` alone, shape (nodes, n, n),
+    sliced from the full blocks.  Only a weight that overrides
+    ``base_hessian`` (iterated weights give just that block on the nodes)
+    has it computed alone, unless its full blocks are memoized already.
     """
     t = as_complex_tuple(t)
     full = quad.memo(w).get(("hessian", t))
-    if full is None and base_only:
+    if full is None and base_only and type(w).base_hessian is not WeightFamily.base_hessian:
         return quad.memoize(w, ("base_hessian", t), lambda: np.asarray(w.base_hessian(t, quad.nodes)))
     if full is None:
         full = quad.memoize(w, ("hessian", t),

@@ -44,17 +44,30 @@ dim^2`` for the frame ``V C`` on the nodes.  The kernel diagonal
 (:func:`kernel_diagonal`) is the case ``A = P = C C^H``, the inverse Gram;
 the base derivatives of ``P`` give the log-kernel jets of the iteration.
 
-The node Vandermonde itself is needed only for the remaining node-valued
-fields (kernel columns, orthonormal frames on the nodes); a
-:class:`QuadratureRule` builds it at the first request per degree and keeps
-it for the rule's lifetime, as it keeps the radial-power and mode-index
-tables of the ring Gram and, through :meth:`QuadratureRule.memo`, the
-per-weight results that callers (the Bergman basis builds) store on it.
+Linear node fields have the same structure one index lower.  A
+coefficient vector ``c`` has node values ``sum_j c_j M_j(x) = sum_e c_e
+prod_c r_c^(e_c) e^{i e_c theta_c}``: :func:`monomial_synthesis` scales
+each coordinate's coefficient table by the ring powers (an outer product)
+and puts exponent ``e`` at angular mode ``e`` of one inverse FFT.  Its
+adjoint :func:`monomial_analysis` turns a node field ``f`` into the
+moments ``sum_x conj(M_j(x)) f(x)``: a forward FFT over the angular axes,
+modes ``0..N`` kept, each ring axis contracted with ``r^e``.  The pair is
+``V c`` and ``V^H f`` over the node Vandermonde ``V`` without building
+it, so no ``(nodes x dim)`` array exists anywhere; the kernel columns,
+the fields of the L2 step and their orthogonality residual are read
+through it.  :func:`vandermonde` itself serves small point sets
+(sections, probes, samples).
+
+A :class:`QuadratureRule` keeps the radial-power and mode-index tables of
+the ring transforms for its lifetime and, through
+:meth:`QuadratureRule.memo`, the per-weight results that callers (the
+Bergman basis builds) store on it.
 A rule holds at most :data:`MAX_NODES` nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -77,6 +90,8 @@ __all__ = [
     "ring_gram",
     "gram_matrix",
     "ring_synthesis",
+    "monomial_synthesis",
+    "monomial_analysis",
     "kernel_diagonal",
     "orthonormalize",
 ]
@@ -86,6 +101,9 @@ DOMAIN_KINDS = ("disk", "polydisc", "annulus")
 # Node cap of one quadrature rule.  A complex node field then takes at most
 # 16 MB; a 2-D fiber at the 64 x 128 default would need 67M nodes.
 MAX_NODES = 2**20
+
+# Largest Gram factored by one LAPACK Cholesky call (see _cholesky).
+CHOLESKY_BLOCK = 48
 
 
 class GramIndefiniteError(ArithmeticError):
@@ -237,16 +255,6 @@ class QuadratureRule:
         if stores is not None:
             stores.pop(owner, None)
 
-    def node_vandermonde(self, basis: MonomialBasis) -> np.ndarray:
-        """Read-only monomial values on the nodes, built once per basis."""
-        key = ("vandermonde", basis)
-        V = self._tables.get(key)
-        if V is None:
-            V = vandermonde(basis, self.nodes)
-            V.flags.writeable = False
-            self._tables[key] = V
-        return V
-
     def ring_tables(self, basis: MonomialBasis) -> tuple:
         """Index and radial-power tables of the ring Gram, built once per basis.
 
@@ -254,7 +262,10 @@ class QuadratureRule:
         of the angular modes ``-N..N`` (negated, see :func:`ring_gram`)
         and the ring powers ``r^s`` for ``s = 0..2N``; ``gather`` indexes
         the contracted ``(s_1, m_1, s_2, m_2, ...)`` tensor at ``s = j + k``,
-        ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``.
+        ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``.  The
+        powers ``s <= N`` also serve the linear transforms
+        (:func:`monomial_synthesis`, :func:`monomial_analysis`).  All
+        tables are read-only.
         """
         key = ("ring", basis)
         tables = self._tables.get(key)
@@ -268,6 +279,8 @@ class QuadratureRule:
             for c in range(basis.fiber_dim):
                 gather.append(E[:, None, c] + E[None, :, c])
                 gather.append(E[None, :, c] - E[:, None, c] + N)
+            for arr in modes + powers + tuple(gather):
+                arr.flags.writeable = False
             tables = self._tables[key] = (modes, powers, tuple(gather))
         return tables
 
@@ -278,10 +291,15 @@ class QuadratureRule:
             raise ValueError("points is only available for one-dimensional fibers")
         return self.nodes[:, 0]
 
+    @property
+    def grid_shape(self) -> tuple[int, ...]:
+        """``(nr_1, na_1, ..., nr_d, na_d)``, the node order of the rule."""
+        return tuple(n for pair in self.shape for n in pair)
+
     def grid_view(self, values: np.ndarray) -> np.ndarray:
-        """Reshape a node-indexed field to the full polar grid."""
-        axes = tuple(n for pair in self.shape for n in pair)
-        return np.asarray(values).reshape(axes)
+        """Reshape node-indexed fields (the last axis) to the full polar grid."""
+        values = np.asarray(values)
+        return values.reshape(values.shape[:-1] + self.grid_shape)
 
 
 def check_resolution(n_radial: int, n_angular: int, dim: int = 1) -> None:
@@ -317,6 +335,16 @@ def max_exact_degree(n_angular: int) -> int:
     return n_angular // 2 - 1
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on ``[-1, 1]``, computed
+    once per node count."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 128) -> QuadratureRule:
     """Tensor Gauss-Legendre (radius) x trapezoid (angle) rule on ``domain``.
 
@@ -326,7 +354,7 @@ def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 1
     allocation.
     """
     check_resolution(n_radial, n_angular, domain.dim)
-    x, w = leggauss(n_radial)
+    x, w = _gauss_legendre(n_radial)
     coord_nodes, coord_wts, radial = [], [], []
     for ro, ri in zip(domain.radii, domain.inner_radii):
         r = ri + (x + 1.0) * 0.5 * (ro - ri)
@@ -533,6 +561,66 @@ def ring_synthesis(
     return K.reshape(lead + (quad.size,))
 
 
+def monomial_synthesis(
+    basis: MonomialBasis, coeffs: np.ndarray, quad: QuadratureRule
+) -> np.ndarray:
+    """``sum_j c_j M_j(x)`` on every node, for a stack of coefficient vectors.
+
+    ``coeffs`` has shape ``(..., dim)`` and the result ``(..., nodes)``: the
+    product ``V c`` with the node Vandermonde ``V``, which is not built.
+    Each coordinate's exponent axis ``e`` is scaled by the ring powers
+    ``r^e`` (an outer product, which adds the ring axis), exponent ``e``
+    is placed at angular mode ``e``, and one inverse FFT over the angular
+    axes sums the modes (see the module docstring).
+    """
+    c = np.asarray(coeffs)
+    lead = c.shape[:-1]
+    c = c.reshape(-1, basis.dim)
+    N = basis.max_degree
+    _modes, powers, _gather = quad.ring_tables(basis)
+    T = np.zeros((c.shape[0],) + (N + 1,) * basis.fiber_dim, dtype=complex)
+    T[(slice(None),) + tuple(basis.exponent_array.T)] = c
+    for c_axis, P in enumerate(powers):
+        # axes so far (stack, r_1, e_1, ..., e_c, ...): add r_c before e_c
+        axis = 1 + 2 * c_axis
+        T = np.expand_dims(T, axis)
+        shape = [1] * T.ndim
+        shape[axis : axis + 2] = P.shape[0], N + 1
+        T = T * P[:, : N + 1].reshape(shape)
+    X = np.zeros((c.shape[0],) + quad.grid_shape, dtype=complex)
+    X[(slice(None),) + (slice(None), slice(N + 1)) * basis.fiber_dim] = T
+    angular = tuple(range(2, X.ndim, 2))
+    n_angular = math.prod(X.shape[a] for a in angular)
+    return (np.fft.ifftn(X, axes=angular) * n_angular).reshape(lead + (quad.size,))
+
+
+def monomial_analysis(
+    basis: MonomialBasis, values: np.ndarray, quad: QuadratureRule
+) -> np.ndarray:
+    """Moments ``sum_x conj(M_j(x)) f(x)`` of a stack of node fields.
+
+    ``values`` has shape ``(..., nodes)`` and the result ``(..., dim)``:
+    the product ``V^H f``, the adjoint of :func:`monomial_synthesis`.  A
+    forward FFT over the angular axes gives ``sum_theta f e^{-i e theta}``
+    at mode ``e``; modes ``0..N`` are kept and each ring axis is contracted
+    with ``r^e``.  The contraction is one plain ``einsum``, not a BLAS
+    product, so its summation order, and hence every bit of the result,
+    does not follow the BLAS thread count.
+    """
+    f = np.asarray(values)
+    lead = f.shape[:-1]
+    if f.shape[-1:] != (quad.size,):
+        raise ValueError(f"expected {quad.size} node values, got shape {f.shape}")
+    N, d = basis.max_degree, basis.fiber_dim
+    _modes, powers, _gather = quad.ring_tables(basis)
+    F = np.fft.fftn(quad.grid_view(f.reshape(-1, quad.size)), axes=tuple(range(2, 2 + 2 * d, 2)))
+    F = F[(slice(None),) + (slice(None), slice(N + 1)) * d]
+    axes = ("aj", "bk")[:d]  # (ring, exponent) per coordinate
+    spec = "s" + "".join(axes) + "," + ",".join(axes) + "->s" + "jk"[:d]
+    M = np.einsum(spec, F, *(P[:, : N + 1] for P in powers))
+    return M[(slice(None),) + tuple(basis.exponent_array.T)].reshape(lead + (basis.dim,))
+
+
 def kernel_diagonal(
     basis: MonomialBasis, transform: np.ndarray, quad: QuadratureRule
 ) -> np.ndarray:
@@ -554,9 +642,10 @@ def orthonormalize(
     transform orthonormalizes the corresponding leading sub-basis, which
     keeps degree-truncation diagnostics cheap.
 
-    One LAPACK Cholesky factorization; a pivot ``diag(L)**2`` at or below
-    ``pivot_rtol * max(diag)`` aborts with :class:`DegenerateBasisError`
-    naming the offending basis element.
+    One LAPACK Cholesky factorization up to :data:`CHOLESKY_BLOCK` rows,
+    a blocked one above (see :func:`_cholesky`); a pivot ``diag(L)**2`` at
+    or below ``pivot_rtol * max(diag)`` aborts with
+    :class:`DegenerateBasisError` naming the offending basis element.
     """
     G = np.array(gram, dtype=complex)
     dim = G.shape[0]
@@ -568,7 +657,7 @@ def orthonormalize(
     max_diag = float(np.real(np.diag(G)).max())
     threshold = pivot_rtol * max_diag
     try:
-        L = np.linalg.cholesky(G)
+        L = _cholesky(G)
         pivots = np.real(np.diag(L)) ** 2
         low = np.flatnonzero(pivots <= threshold)
         collapsed = (int(low[0]), float(pivots[low[0]])) if low.size else None
@@ -582,6 +671,32 @@ def orthonormalize(
             f"(threshold {pivot_rtol:.1e} * max diagonal {max_diag:.3e})"
         )
     return np.linalg.inv(L).conj().T
+
+
+def _cholesky(G: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of ``G`` whose bits do not follow the BLAS
+    thread count.
+
+    LAPACK's factorization splits its updates by thread above about 64
+    rows, so the last bits of a 2-D basis would follow the thread count
+    into the report hashes.  Up to :data:`CHOLESKY_BLOCK` rows it is one
+    LAPACK call, as before; above, LAPACK only factors and solves against
+    diagonal blocks of at most that size, and the Schur updates between
+    blocks are plain ``einsum`` sums, in a fixed order.
+    """
+    dim = G.shape[0]
+    if dim <= CHOLESKY_BLOCK:
+        return np.linalg.cholesky(G)
+    L = np.zeros_like(G)
+    for s in range(0, dim, CHOLESKY_BLOCK):
+        e = min(s + CHOLESKY_BLOCK, dim)
+        Ls = L[s:, :s]
+        S = G[s:, s:e] - np.einsum("ik,jk->ij", Ls, Ls[: e - s].conj())
+        D = np.linalg.cholesky(S[: e - s])
+        L[s:e, s:e] = D
+        # L[e:, s:e] D^H = S[e - s:], a solve of at most CHOLESKY_BLOCK rows
+        L[e:, s:e] = np.linalg.solve(D, S[e - s :].conj().T).conj().T
+    return L
 
 
 def _collapsed_pivot(G: np.ndarray, threshold: float) -> tuple[int, float]:

@@ -10,8 +10,11 @@ Both are exact and need only the basis at ``t0``: ``K_t(xi, w) = M(xi)^T
 P(t) conj(M(w))`` with ``P = G^-1 = C C^H``, and ``conj(M(s_i(t)))`` is
 antiholomorphic in t, so the monomial coefficients of Gamma are ``p = P r``
 with ``r = sum_i a_i(t0) conj(M(s_i(t0)))`` and those of the t-derivative
-are ``-P d_aG p``, ``d_aG`` being ``bergman.base_gram_derivative``.  Three
-facts are checked numerically:
+are ``-P d_aG p``, ``d_aG`` being ``bergman.base_gram_derivative``.  All
+coefficient vectors go to the nodes in one ring synthesis
+(``fiber_numerics.monomial_synthesis``), and the moments of the
+orthogonality test come back through its adjoint, so no node Vandermonde
+is built.  Three facts are checked numerically:
 
 * Lambda_a is orthogonal to every holomorphic function in the truncated
   space (this characterizes the weight-twisted derivative),
@@ -38,7 +41,7 @@ import numpy as np
 from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
     node_base_gradient, node_hessian, section_hessian
 from .curvature import CheckConfig, section_truncation, truncation_gate
-from .fiber_numerics import QuadratureRule
+from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
 from .utils import as_complex_tuple
 from .weights import FiberDegenerateError, WeightFamily, schur_trace_field
 
@@ -88,16 +91,13 @@ class HormanderData:
         return self.basis.weight_vals * self.quad.weights
 
 
-def _lambda_for_direction(w, b0, p, gamma, alpha, include_weight_term=True):
-    """Lambda_alpha = ``V (-P d_aG p) - d_a phi * Gamma`` from the basis at t0."""
+def _derivative_coefficients(w, b0, p, alpha):
+    """Monomial coefficients ``-P d_aG p`` of ``d/dt_alpha`` of Gamma at t0."""
     if not 0 <= alpha < w.n:
         raise ValueError(f"direction index {alpha} out of range for base_dim {w.n}")
-    C, quad = b0.transform, b0.quad
-    dG = base_gram_derivative(w, b0.t, b0.N, quad, alpha)
-    dK = b0.vander @ -(C @ (C.conj().T @ (dG @ p)))
-    if not include_weight_term:
-        return dK
-    return dK - node_base_gradient(w, b0.t, quad)[alpha] * gamma
+    C = b0.transform
+    dG = base_gram_derivative(w, b0.t, b0.N, b0.quad, alpha)
+    return -(C @ (C.conj().T @ (dG @ p)))
 
 
 def build_hormander_data(
@@ -116,10 +116,13 @@ def build_hormander_data(
     _check_truncation(b0, pts)
     C = b0.transform
     p = C @ (C.conj().T @ (np.conj(b0.monomials_at(pts)).T @ fam.amplitudes_at(t0)))
-    gamma = b0.vander @ p
     directions = tuple(range(w.n)) if directions is None else tuple(directions)
-    lambdas = tuple(_lambda_for_direction(w, b0, p, gamma, a, include_weight_term) for a in directions)
-    return HormanderData(t0, w, fam, b0, gamma, directions, lambdas)
+    coeffs = np.stack([p] + [_derivative_coefficients(w, b0, p, a) for a in directions])
+    gamma, *lambdas = monomial_synthesis(b0.basis, coeffs, quad)  # one transform for all
+    if include_weight_term:
+        dphi = node_base_gradient(w, t0, quad)
+        lambdas = [dK - dphi[a] * gamma for a, dK in zip(directions, lambdas)]
+    return HormanderData(t0, w, fam, b0, gamma, directions, tuple(lambdas))
 
 
 def _weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:
@@ -131,7 +134,7 @@ def orthogonality_residual(data: HormanderData) -> float:
 
     Fields below ``ROUNDOFF_FLOOR * ||Gamma||`` count as zero.
     """
-    V, C = data.basis.vander, data.basis.transform  # the frame is u = V C
+    b = data.basis
     measure = data.node_measure
     floor = ROUNDOFF_FLOOR * _weighted_norm(data.gamma, measure)
     worst = 0.0
@@ -139,11 +142,12 @@ def orthogonality_residual(data: HormanderData) -> float:
         norm = _weighted_norm(lam, measure)
         if norm <= floor:
             continue
-        # <lam, u_i> = (C^T m)_i with the monomial moments m = V^T conj(measure
-        # lam), summed node by node in a fixed order: a BLAS product splits
-        # this sum by thread count, and at round-off level the last bits would
-        # follow it into the report hash
-        inner = C.T @ np.einsum("xj,x->j", V, np.conj(measure * lam))
+        # |<lam, u_i>| = |(C^T conj(m))_i| over the frame u = C^T M, with the
+        # monomial moments m = sum_x conj(M(x)) measure lam, whose analysis
+        # sums without BLAS: at round-off level a thread-split sum would
+        # carry the BLAS thread count into the report hash
+        m = monomial_analysis(b.basis, measure * lam, data.quad)
+        inner = b.transform.T @ np.conj(m)
         worst = max(worst, float(np.abs(inner).max()) / norm)
     return worst
 

@@ -245,6 +245,35 @@ class TestSectionValue:
         with pytest.raises(SectionOutsideDomainError):
             section_value(GAUSS, ident, (1.2 + 0j,), 8, quad)
 
+    @pytest.mark.parametrize("case", ["first_section", "second_section", "base_dim2", "bidisc"])
+    def test_patch_validation_names_the_point_the_loop_named(self, case):
+        # the old per-sample loop is the oracle for the vectorized check
+        if case == "bidisc":
+            domain = FiberDomain.polydisc(1.0, 0.5)
+            base = ("t1",)
+            texts = [("(* 0.3 t1)", "(+ 0.1 (* 0.9 t1))"), ("0.2", "0.1")]
+        elif case == "base_dim2":
+            domain = FiberDomain.disk(1.0)
+            base = ("t1", "t2")
+            texts = [("(+ (* 0.5 t1) (* 3.5 t2 t2))",), ("(* 0.4 t2)",)]
+        else:
+            domain = FiberDomain.disk(1.0)
+            base = ("t1",)
+            texts = [("(* 1.9 t1)",), ("(* 2.1 t1)",)]
+            if case == "first_section":
+                texts.reverse()
+        sections = tuple(tuple(HoloPoly.from_text(c, base) for c in sec) for sec in texts)
+        amps = tuple(HoloPoly.constant(1.0, len(base)) for _ in texts)
+        fam = SectionFamily(len(base), domain.dim, sections, amps)
+        patch = BasePatch((0j,) * len(base), 0.5)
+        with pytest.raises(SectionOutsideDomainError) as looped:
+            for t in patch.sample(radii=(0.0, 0.5, 1.0), angles=8):
+                fam.check_inside(domain, tuple(t))
+        with pytest.raises(SectionOutsideDomainError) as vectorized:
+            fam.validate_on_patch(domain, patch)
+        assert str(vectorized.value) == str(looped.value)
+        fam.validate_on_patch(domain, BasePatch((0j,) * len(base), 0.1))  # inside: no error
+
     def test_margin_guard(self, quad):
         fam = SectionFamily.constant([[0.97]])
         with pytest.raises(SectionOutsideDomainError):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bergman_lab.cli import main, run_scenario_checks
@@ -172,17 +173,34 @@ class TestRunCommand:
 
 
 class TestBundledPolydisc:
-    def test_polydisc_cross_passes_with_unit_log_trace(self, tmp_path):
-        # 262,144 nodes: the exact log Hessian needs one basis build at t0
+    def test_polydisc_cross_passes_with_unit_log_trace(self, tmp_path, monkeypatch):
+        # 262,144 nodes: the exact log Hessian needs one basis build at t0,
+        # and the kernel columns and Hormander fields no node Vandermonde
+        import bergman_lab
+        from bergman_lab import fiber_numerics
+
+        original = fiber_numerics.vandermonde
+        sizes = []
+
+        def spy(basis, nodes):
+            sizes.append(np.shape(nodes)[0])
+            return original(basis, nodes)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("bergman_lab") and getattr(mod, "vandermonde", None) is original:
+                monkeypatch.setattr(mod, "vandermonde", spy)
+        assert bergman_lab.bergman.vandermonde is spy
         path = Path(__file__).resolve().parent.parent / "scenarios" / "polydisc_cross.scn"
         out_dir = tmp_path / "rep"
         assert main(["run", "--scenario", str(path), "--out", str(out_dir)]) == 0
         records = summary_of(out_dir, "polydisc_cross")["records"]
-        assert [r["name"] for r in records] == ["certify", "log_inequality", "psh_spectrum"]
+        assert [r["name"] for r in records] == [
+            "certify", "log_inequality", "psh_spectrum", "bergman_infra", "hormander"]
         assert all(r["verdict"] == "pass" for r in records)
         # the log trace is 1, above the certified 1 - lam^2 = 0.75
         assert records[1]["outputs"]["trace"] == pytest.approx(1.0, abs=1e-9)
         assert records[2]["outputs"]["eigenvalues"] == pytest.approx([1.0], abs=1e-9)
+        assert sizes and max(sizes) < 32  # section and probe points (one per call), never the 262,144 nodes
 
 
 class TestSubcommands:

@@ -11,6 +11,10 @@ Reference values used below, all classical:
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import bergman_lab.fiber_numerics as fiber_numerics
@@ -19,7 +23,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
-from bergman_lab.bergman import bergman_basis
+import bergman_lab.bergman as bergman_module
+from bergman_lab.bergman import bergman_basis, kernel_eval
 from bergman_lab.fiber_numerics import (
     DegenerateBasisError,
     FiberDomain,
@@ -29,7 +34,9 @@ from bergman_lab.fiber_numerics import (
     gram_matrix,
     kernel_diagonal,
     ring_synthesis,
+    monomial_analysis,
     monomial_basis,
+    monomial_synthesis,
     monomial_gradient,
     orthonormalize,
     ring_gram,
@@ -340,37 +347,100 @@ class TestRingGram:
             ring_gram(monomial_basis(2), np.ones(3), disk_quad)
 
 
-class TestNodeVandermonde:
-    def test_built_once_per_quadrature_and_degree(self, monkeypatch):
+class TestNodeTransforms:
+    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
+    def test_synthesis_and_analysis_equal_vandermonde_products(self, case, monkeypatch):
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        V = vandermonde(basis, quad.nodes)
+        rng = np.random.default_rng(5)
+        c = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
+        f = rng.normal(size=(3, quad.size)) + 1j * rng.normal(size=(3, quad.size))
+        built = []
+        monkeypatch.setattr(fiber_numerics, "vandermonde", lambda *a: built.append(a))
+        values = monomial_synthesis(basis, c, quad)
+        moments = monomial_analysis(basis, f, quad)
+        assert built == []  # both directions read the ring tables only
+        ref_values, ref_moments = c @ V.T, f @ V.conj()
+        assert values.shape == (2, quad.size) and moments.shape == (3, basis.dim)
+        assert np.abs(values - ref_values).max() <= 1e-13 * np.abs(ref_values).max()
+        assert np.abs(moments - ref_moments).max() <= 1e-13 * np.abs(ref_moments).max()
+        # a single vector or field keeps its own shape
+        one_value, one_moment = monomial_synthesis(basis, c[1], quad), monomial_analysis(basis, f[2], quad)
+        assert one_value.shape == (quad.size,) and one_moment.shape == (basis.dim,)
+        assert np.abs(one_value - values[1]).max() <= 1e-15 * np.abs(ref_values).max()
+        assert np.abs(one_moment - moments[2]).max() <= 1e-15 * np.abs(ref_moments).max()
+
+    def test_analysis_is_adjoint_of_synthesis(self, disk_quad):
+        basis = monomial_basis(12)
+        rng = np.random.default_rng(3)
+        c = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+        f = rng.normal(size=disk_quad.size) + 1j * rng.normal(size=disk_quad.size)
+        lhs = np.vdot(monomial_synthesis(basis, c, disk_quad), f)
+        rhs = np.vdot(c, monomial_analysis(basis, f, disk_quad))
+        assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+    def test_rejects_wrong_field_shape(self, disk_quad):
+        with pytest.raises(ValueError, match="node values"):
+            monomial_analysis(monomial_basis(2), np.ones(3), disk_quad)
+
+    def test_kernel_columns_build_no_vandermonde(self, monkeypatch):
         built = []
         original = fiber_numerics.vandermonde
 
         def counting(basis, nodes):
-            built.append((basis.max_degree, nodes.shape[0]))
+            built.append((basis.max_degree, np.shape(nodes)[0]))
             return original(basis, nodes)
 
         monkeypatch.setattr(fiber_numerics, "vandermonde", counting)
+        monkeypatch.setattr(bergman_module, "vandermonde", counting)
         quad = build_quadrature(FiberDomain.disk(1.0), 24, 48)
         w = QuadraticWeight.cross_term(0.5, 1, 1)
         bases = [bergman_basis(w, (t,), 10, quad) for t in (0.0, 0.1, 0.2j, -0.15)]
         assert built == []  # basis builds evaluate no monomial on the nodes
         cols = [b.kernel_column(0.3) for b in bases]
-        assert built == [(10, quad.size)]
-        assert all(b.vander is bases[0].vander for b in bases)
-        assert bases[1].monomials_at(quad.nodes) is bases[0].vander
-        # the column really is K(node, w) of each basis, not a stale copy
+        assert all(size == 1 for _deg, size in built)  # only the point w itself
+        # the column really is K(node, w) of each basis
+        V = original(monomial_basis(10), quad.nodes)
         for b, col in zip(bases, cols):
-            assert np.allclose(col, vandermonde(b.basis, quad.nodes) @ b.kernel_coefficients(0.3))
-        bergman_basis(w, (0.05,), 8, quad).kernel_column(0.3)
-        other = build_quadrature(FiberDomain.disk(1.0), 24, 48)
-        bergman_basis(w, (0.05,), 10, other).kernel_column(0.3)
-        assert built == [(10, quad.size), (8, quad.size), (10, other.size)]
+            ref = V @ b.kernel_coefficients(0.3)
+            assert np.abs(col - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert abs(col[0] - kernel_eval(b, quad.nodes[0, 0], 0.3)) <= 1e-12 * abs(col[0])
 
-    def test_shared_copy_is_read_only(self):
-        quad = build_quadrature(FiberDomain.disk(1.0), 8, 16)
-        V = quad.node_vandermonde(monomial_basis(3))
+    def test_ring_tables_are_read_only(self):
+        quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 8, 16)
+        modes, powers, gather = quad.ring_tables(monomial_basis(3, 2))
+        assert quad.ring_tables(monomial_basis(3, 2))[1] is powers  # built once per basis
+        for arr in modes + powers + gather:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 2
+
+
+class TestGaussLegendreMemo:
+    def test_rule_computed_once_and_bitwise_unchanged(self, monkeypatch):
+        from numpy.polynomial.legendre import leggauss
+
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return leggauss(n)
+
+        fiber_numerics._gauss_legendre.cache_clear()
+        monkeypatch.setattr(fiber_numerics, "leggauss", counting)
+        quads = [build_quadrature(dom, 20, 16) for dom in
+                 (FiberDomain.disk(1.0), FiberDomain.disk(0.5), FiberDomain.annulus(0.2, 1.0))]
+        assert calls == [20]
+        x, w = leggauss(20)
+        for q, (ro, ri) in zip(quads, ((1.0, 0.0), (0.5, 0.0), (1.0, 0.2))):
+            r = ri + (x + 1.0) * 0.5 * (ro - ri)
+            assert q.radial_nodes[0].tobytes() == r.tobytes()
+        xm, wm = fiber_numerics._gauss_legendre(20)
+        assert xm.tobytes() == x.tobytes() and wm.tobytes() == w.tobytes()
         with pytest.raises(ValueError):
-            V[0, 0] = 2.0
+            xm[0] = 0.0
+        fiber_numerics._gauss_legendre.cache_clear()
 
 
 def brute_force_diagonal(basis, transform, quad):
@@ -468,6 +538,51 @@ class TestOrthonormalize:
         G = np.array([[1, 0, 0], [0, 1, 1], [0, 1, 1]], dtype=complex)
         with pytest.raises(DegenerateBasisError, match=r"pivot 0\.000e\+00 at exponent \(2,\)"):
             orthonormalize(G, exponents=((0,), (1,), (2,)))
+
+    def test_blocked_factorization_matches_lapack(self):
+        # above CHOLESKY_BLOCK rows the factor is assembled block by block
+        quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 16, 32)
+        basis = monomial_basis(12, 2)
+        assert basis.dim > fiber_numerics.CHOLESKY_BLOCK
+        G = gram_matrix(basis, cross_term_weight(quad.nodes), quad)
+        C = orthonormalize(G)
+        ref = np.linalg.inv(np.linalg.cholesky(G)).conj().T
+        assert np.abs(np.tril(C, -1)).max() <= 1e-12 * np.abs(C).max()
+        assert np.abs(C - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(C.conj().T @ G @ C - np.eye(basis.dim)).max() < 1e-12
+
+    def test_collapse_in_a_later_block_is_named(self):
+        n = 60
+        rng = np.random.default_rng(2)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        A[:, 55] = A[:, :3] @ np.array([1.0, -2.0, 0.5j])  # column 55 depends on 0..2
+        exps = tuple((k,) for k in range(n))
+        with pytest.raises(DegenerateBasisError, match=r"at exponent \(55,\)"):
+            orthonormalize(A.conj().T @ A, exponents=exps)
+
+    def test_transform_bits_do_not_follow_blas_threads(self):
+        # LAPACK's Cholesky splits its updates by thread from about 64 rows
+        # on, and the 2-D bases (dimension 66 here) are that large
+        code = (
+            "import hashlib, numpy as np\n"
+            "from bergman_lab.fiber_numerics import *\n"
+            "q = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)\n"
+            "z = q.nodes\n"
+            "wv = np.exp(-np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2 + z[:, 0].real)\n"
+            "C = orthonormalize(gram_matrix(monomial_basis(10, 2), wv, q))\n"
+            "print(C.shape[0], hashlib.sha256(C.tobytes()).hexdigest())\n"
+        )
+        src = str(Path(fiber_numerics.__file__).resolve().parents[1])
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout.split())
+        assert out[0][0] == "66"
+        assert out[0] == out[1]
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ g_k = pi * int_0^1 r^{2k} e^{-r^2} 2r dr):
   and their ratio g1/g0 ~ 0.41802 independent of lam.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from bergman_lab.bergman import HoloPoly, SectionFamily, base_gram_derivative, s
     section_value
 from bergman_lab.cli import DBAR_TOL, run_scenario_checks
 from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
-from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
+from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, vandermonde
 from bergman_lab.hormander import (
     AssembledReport,
     HormanderBoundReport,
@@ -175,6 +176,25 @@ class TestOrthogonality:
         )
         assert orthogonality_residual(data) > 1e-2
 
+    @pytest.mark.parametrize("fiber", ["disk", "bidisc"])
+    def test_residual_of_a_frame_combination(self, quad, fiber):
+        # Lambda = sum_i a_i u_i over the orthonormal frame u = V C (summed
+        # node by node) has <Lambda, u_i> = a_i, so the residual is
+        # max |a_i| / ||a||; a complex t0 makes C complex
+        if fiber == "disk":
+            w, fam, t0, q = cross_weight(0.5), moving_family(), (0.2 + 0.25j,), quad
+        else:
+            H = np.array([[1, -0.5, 0], [-0.5, 1, 0], [0, 0, 1]], dtype=complex)
+            w, fam, t0 = QuadraticWeight(1, 2, H), SectionFamily.constant([[0.1, 0.05]]), (0.1 + 0.1j,)
+            q = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)
+        data = build_hormander_data(w, fam, t0, 10, q)
+        b = data.basis
+        a = np.zeros(b.dim, dtype=complex)
+        a[[2, 4, 5]] = [0.3 - 0.2j, 1.0j, -0.6]
+        lam = vandermonde(b.basis, q.nodes) @ (b.transform @ a)
+        residual = orthogonality_residual(dataclasses.replace(data, lambdas=(lam,)))
+        assert residual == pytest.approx(1.0 / np.linalg.norm(a), rel=1e-10)
+
 
 class TestGridDerivatives:
     def test_radial_matrix_exact_on_quadratics(self, quad):
@@ -298,6 +318,27 @@ class TestOffCentreSections:
         sc = parse_scenario(text)
         (rec,) = run_scenario_checks(sc, ("hormander",))
         assert rec.verdict == "pass", rec.margins
+        assert calls == [48 * 96]
+
+    def test_node_hessian_shared_with_an_earlier_base_block_read(self, monkeypatch):
+        # log_inequality reads only the base block; hormander then needs all
+        # three blocks, which the first evaluation already produced
+        calls = []
+        real = PolynomialWeight.hessian_field
+
+        def counted(self, t, xi):
+            calls.append(np.shape(xi)[0])
+            return real(self, t, xi)
+
+        monkeypatch.setattr(PolynomialWeight, "hessian_field", counted)
+        text = (
+            "id = node_hessian_shared\nbase_dim = 1\nfiber = disk 1.0\npatch = 0 ; 0.45\n"
+            + DISK_SWEEP_CASES["polynomial"]
+            + "degree = 16\nquadrature = 48 96\nchecks = log_inequality hormander\n"
+        )
+        sc = parse_scenario(text)
+        recs = run_scenario_checks(sc, ("log_inequality", "hormander"))
+        assert [r.verdict for r in recs] == ["pass", "pass"]
         assert calls == [48 * 96]
 
 
