@@ -63,7 +63,10 @@ fields and the log-kernel jets share.
 The weight values ``exp(-phi)``, the node values of ``d_a phi`` and the
 Hessian blocks of phi on the nodes (:func:`node_hessian`) do not depend on
 the degree, so they are memoized by base point alone and shared with the
-direct-image Grams of the determinant check and the Hormander residuals.
+direct-image Grams of the determinant check and the Hormander residuals;
+so is the fiber-block contraction ``(tf ff^{-1} tf^H)_aa`` of those blocks
+(:func:`node_fiber_contraction`), which the L2 bound and the assembled
+chain both read.
 The memo holds only those read-only arrays, weakly keyed by the weight,
 so an entry lives no longer than its weight or its rule (one rule per
 scenario run) unless released earlier (the iteration releases each step's
@@ -91,7 +94,7 @@ from .fiber_numerics import (
     vandermonde,
 )
 from .utils import as_complex_tuple
-from .weights import BasePatch, WeightFamily
+from .weights import BasePatch, WeightFamily, fiber_contraction
 
 __all__ = [
     "HoloPoly",
@@ -109,6 +112,7 @@ __all__ = [
     "section_hessian",
     "node_base_gradient",
     "node_hessian",
+    "node_fiber_contraction",
     "base_gram_derivative",
     "base_gram_hessian",
     "direct_image_gram",
@@ -386,6 +390,20 @@ def node_hessian(w: WeightFamily, t, quad: QuadratureRule, base_only: bool = Fal
         full = quad.memoize(w, ("hessian", t),
                             lambda: tuple(np.asarray(b) for b in w.hessian_field(t, quad.nodes)))
     return full[0] if base_only else full
+
+
+def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
+    """Read-only ``(tf ff^{-1} tf^H)_aa`` on the nodes, shape (nodes, n):
+    :func:`weights.fiber_contraction` of the memoized blocks, memoized per
+    base point like them.  A non-positive fiber block raises
+    :class:`weights.FiberDegenerateError`."""
+    t = as_complex_tuple(t)
+
+    def compute():
+        _tt, tf, ff = node_hessian(w, t, quad)
+        return fiber_contraction(tf, ff, f"on the quadrature nodes at t = {t}")[0]
+
+    return quad.memoize(w, ("fiber_contraction", t), compute)
 
 
 def base_gram_derivative(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int) -> np.ndarray:

@@ -22,7 +22,11 @@ is built.  Three facts are checked numerically:
   evaluated by grid differentiation in polar coordinates,
 * the L2 bound ||Lambda_a||^2 <= int |Gamma|^2 (tf ff^{-1} tf^H)_{aa}
   e^{-phi}, and its assembly into the curvature lower bound for the
-  section functional.
+  section functional, which integrates |Gamma|^2 against the Schur trace
+  tr tt - tr(tf ff^{-1} tf^H).  Both read one fiber-block contraction on
+  the nodes (``bergman.node_fiber_contraction``), evaluated once per
+  (weight, t0) and, for a weight whose blocks are one broadcast matrix,
+  on that one block.
 
 Angular derivatives use FFT differentiation (exact for the trigonometric
 polynomials a truncated kernel produces on each ring); radial derivatives
@@ -39,11 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
-    node_base_gradient, node_hessian, section_hessian
+    node_base_gradient, node_fiber_contraction, node_hessian, section_hessian
 from .curvature import CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
 from .utils import as_complex_tuple
-from .weights import FiberDegenerateError, WeightFamily, schur_trace_field
+from .weights import WeightFamily, schur_from_contraction
 
 __all__ = [
     "HormanderData",
@@ -256,18 +260,13 @@ def hormander_bound_check(
 
     Directions whose rhs vanishes below the numerical floor contribute
     ratio 0 when the lhs vanishes with them (separable weights), and a
-    genuine violation otherwise.
+    genuine violation otherwise.  The contraction is the memoized
+    :func:`bergman.node_fiber_contraction`, which raises
+    :class:`weights.FiberDegenerateError` where a fiber block is not
+    positive definite.
     """
-    quad = data.quad
     measure = data.node_measure
-    _tt, tf, ff = node_hessian(w, data.t0, quad)
-    eigs = np.linalg.eigvalsh(ff)
-    if float(eigs[:, 0].min()) <= 0.0:
-        raise FiberDegenerateError(
-            "fiber Hessian block not positive definite on the nodes"
-        )
-    X = np.linalg.solve(ff, np.conj(np.swapaxes(tf, 1, 2)))  # (M, d, n)
-    contraction = np.real(np.einsum("mad,mda->ma", tf, X))  # (M, n), >= 0
+    contraction = node_fiber_contraction(w, data.t0, data.quad)  # (M, n), >= 0
     gamma2 = np.abs(data.gamma) ** 2 * measure
     floor = 1e-12 * float(np.sum(gamma2).real)
     lhs_list, rhs_list, ratio_list = [], [], []
@@ -318,13 +317,16 @@ class AssembledReport:
 
 def assembled_lower_bound(data: HormanderData, cfg: CheckConfig, eps0: float = 0.0) -> AssembledReport:
     """The assembled chain at ``data.t0``, from the fields already built
-    (``cfg`` supplies the tolerance and the truncation gate)."""
+    (``cfg`` supplies the tolerance and the truncation gate).  The Schur
+    trace on the nodes is ``Re tr tt`` minus the fiber-block contraction
+    that :func:`hormander_bound_check` reads, from the same memo."""
     w, fam, t0 = data.w, data.fam, data.t0
     if cfg.N != data.basis.N or cfg.quad is not data.quad:
         raise ValueError("cfg must carry the degree and quadrature the fields were built on")
     full, gap = section_truncation(w, fam, t0, cfg)
     measure = data.node_measure
-    schur = schur_trace_field(*node_hessian(w, t0, cfg.quad))
+    contraction = node_fiber_contraction(w, t0, cfg.quad)
+    schur = schur_from_contraction(node_hessian(w, t0, cfg.quad, base_only=True), contraction)
     rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)
     B0_repro = float(np.sum(np.abs(data.gamma) ** 2 * measure).real)
     lhs = float(np.real(np.trace(section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian)))

@@ -62,7 +62,9 @@ from .weights import (
     WeightFamily,
     _as_fiber_array,
     certify,
-    schur_trace_field,
+    fiber_contraction,
+    joint_hessian,
+    schur_from_contraction,
     twist_weight,
 )
 
@@ -453,7 +455,7 @@ def run_iteration(
         )
         steps.append(rec)
         scale = max(1.0, abs(measured))
-        if psh_min < -psh_tol * scale or ff_min <= 0.0:
+        if psh_min < -psh_tol * scale:  # a non-positive fiber block raised above
             aborted, failure = True, (
                 f"step {k}: potential failed certification "
                 f"(min joint eigenvalue {psh_min:.3e}, min fiber eigenvalue {ff_min:.3e})"
@@ -483,16 +485,12 @@ def _measure(psi: LogKernelField, t_samples, xi_samples):
     measured = math.inf
     psh_min = math.inf
     ff_min = math.inf
-    n = psi.n
     for t in t_samples:
         tt, tf, ff = psi.hessian_field(t, xi_samples)
-        schur = schur_trace_field(tt, tf, ff)
-        measured = min(measured, float(schur.min()))
-        top = np.concatenate([tt, tf], axis=2)
-        bot = np.concatenate([np.conj(np.swapaxes(tf, 1, 2)), ff], axis=2)
-        joint = np.concatenate([top, bot], axis=1)
-        psh_min = min(psh_min, float(np.linalg.eigvalsh(joint)[:, 0].min()))
-        ff_min = min(ff_min, float(np.linalg.eigvalsh(ff)[:, 0].min()))
+        contraction, t_ff_min = fiber_contraction(tf, ff, f"at the samples over t = {t}")
+        measured = min(measured, float(schur_from_contraction(tt, contraction).min()))
+        psh_min = min(psh_min, float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min()))
+        ff_min = min(ff_min, t_ff_min)
     return measured, psh_min, ff_min
 
 

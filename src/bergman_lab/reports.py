@@ -5,6 +5,8 @@ JSON-lines file (one object per line, safe to concatenate across runs),
 and the run as a whole is summarized in a JSON document whose
 ``report_hash`` covers every numeric output except timings, so reruns
 with the same configuration and seed must reproduce it bit for bit.
+Each record is sanitized once, and the hash computed once per report;
+the summary, the records file and the hash serialize those same objects.
 Margin tables export to CSV for plotting.
 """
 
@@ -16,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import SCHEMA, __version__
@@ -56,9 +59,15 @@ def _sanitize(obj):
     return str(obj)
 
 
+def _dumps(clean) -> str:
+    """:func:`canonical_json` of an object that is already sanitized
+    (sanitizing is idempotent, so the bytes are the same)."""
+    return json.dumps(clean, sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj) -> str:
     """Deterministic serialization: sorted keys, no whitespace."""
-    return json.dumps(_sanitize(obj), sort_keys=True, separators=(",", ":"))
+    return _dumps(_sanitize(obj))
 
 
 def config_hash(config: dict) -> str:
@@ -80,15 +89,21 @@ class CheckRecord:
         if self.verdict not in VERDICTS:
             raise ValueError(f"verdict must be one of {VERDICTS}, got {self.verdict!r}")
 
-    def as_dict(self) -> dict:
-        return {
+    @cached_property
+    def _clean(self) -> dict:
+        """The record sanitized once; the summary, the records file and the
+        report hash all serialize this."""
+        return _sanitize({
             "name": self.name,
             "verdict": self.verdict,
-            "margins": _sanitize(self.margins),
-            "outputs": _sanitize(self.outputs),
+            "margins": self.margins,
+            "outputs": self.outputs,
             "error": self.error,
             "timing_s": self.timing_s,
-        }
+        })
+
+    def as_dict(self) -> dict:
+        return dict(self._clean)
 
     def payload(self) -> dict:
         """Everything that must reproduce across runs (timings excluded)."""
@@ -121,16 +136,17 @@ class RunReport:
     schema: str = SCHEMA
     version: str = __version__
 
-    @property
+    @cached_property
     def report_hash(self) -> str:
-        body = {
+        """Computed on first read; the report and its records are frozen."""
+        body = _sanitize({
             "scenario_id": self.scenario_id,
             "config_hash": self.config_hash,
             "seed": self.seed,
             "schema": self.schema,
-            "records": [r.payload() for r in self.records],
-        }
-        return hashlib.sha256(canonical_json(body).encode()).hexdigest()
+        })
+        body["records"] = [r.payload() for r in self.records]
+        return hashlib.sha256(_dumps(body).encode()).hexdigest()
 
     @property
     def exit_code(self) -> int:
@@ -184,15 +200,14 @@ def write_report(report: RunReport, out_dir, format: str = "json") -> list:
                     f"config hash {prev.get('config_hash')[:12]}…, this run is "
                     f"{report.config_hash[:12]}…"
                 )
+    head = _sanitize({
+        "schema": report.schema,
+        "scenario_id": report.scenario_id,
+        "config_hash": report.config_hash,
+    })
     with lines_path.open("a") as fh:
         for rec in report.records:
-            row = {
-                "schema": report.schema,
-                "scenario_id": report.scenario_id,
-                "config_hash": report.config_hash,
-                **rec.as_dict(),
-            }
-            fh.write(canonical_json(row) + "\n")
+            fh.write(_dumps({**head, **rec.as_dict()}) + "\n")
     paths.append(lines_path)
 
     summary_path = out / f"summary-{report.scenario_id}.json"

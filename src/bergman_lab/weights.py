@@ -17,7 +17,20 @@ supported:
 The pointwise curvature algebra lives here too: the Schur complement of the
 fiber block, its base trace (the quantity whose lower bound certifies the
 trace condition), the equivalent mixed exterior-power ratio, and the
-certificate search over sampling grids.
+certificate search over sampling grids.  The Schur traces, pointwise and
+stacked, read one kernel, :func:`fiber_contraction`, and so do the L2 step
+and the iteration: over stacked blocks it returns the per-direction
+diagonal ``(tf ff^{-1} tf^H)_aa`` and the least fiber-block eigenvalue, from
+one batched ``eigvalsh`` (the positivity test) and one ``solve``.  A block
+counts as positive definite when its least eigenvalue exceeds
+``FIBER_PD_RTOL * max(1, largest)``; the single-point path, the node fields
+of the L2 step and the certification grid apply this one rule.  A stack
+that is one block broadcast along the point axis (stride 0, as a quadratic
+weight's ``hessian_field`` returns) is evaluated on that block alone and
+the result broadcast; :func:`certify` likewise stacks such a base point's
+one block, not its copies.  The Schur base trace is ``Re tr tt`` minus the
+sum of that diagonal, and :func:`joint_hessian` assembles ``[[tt, tf],
+[tf^H, ff]]`` for every plurisubharmonicity test.
 """
 
 from __future__ import annotations
@@ -44,6 +57,9 @@ __all__ = [
     "GridSpec",
     "WeightCertificate",
     "hessian_at",
+    "joint_hessian",
+    "fiber_contraction",
+    "schur_from_contraction",
     "schur_trace",
     "schur_trace_field",
     "ma_ratio",
@@ -53,6 +69,9 @@ __all__ = [
 ]
 
 REALITY_TOL = 1e-12
+# A fiber block is positive definite when its least eigenvalue exceeds this
+# times max(1, its largest eigenvalue).
+FIBER_PD_RTOL = 1e-14
 
 
 class NotAWeightError(ValueError):
@@ -60,7 +79,14 @@ class NotAWeightError(ValueError):
 
 
 class FiberDegenerateError(ArithmeticError):
-    """Fiber block of the Hessian is singular; strict fiberwise psh required."""
+    """Fiber block of the Hessian is singular; strict fiberwise psh required.
+
+    ``min_eig`` is the least fiber-block eigenvalue that was seen.
+    """
+
+    def __init__(self, message: str, min_eig: float = math.nan):
+        super().__init__(message)
+        self.min_eig = min_eig
 
 
 @dataclass(frozen=True)
@@ -102,9 +128,7 @@ class ComplexHessian:
 
     @property
     def assembled(self) -> np.ndarray:
-        top = np.hstack([self.tt, self.tf])
-        bot = np.hstack([self.tf.conj().T, self.ff])
-        return np.vstack([top, bot])
+        return joint_hessian(self.tt, self.tf, self.ff)
 
 
 def _as_fiber_array(xi, d: int) -> tuple[np.ndarray, bool]:
@@ -499,13 +523,63 @@ def hessian_at(w: WeightFamily, t, xi) -> ComplexHessian:
     return ComplexHessian(tt[0], tf[0], ff[0])
 
 
-def _check_fiber_block(ff: np.ndarray):
+def joint_hessian(tt: np.ndarray, tf: np.ndarray, ff: np.ndarray) -> np.ndarray:
+    """The assembled ``[[tt, tf], [tf^H, ff]]`` over stacked blocks,
+    shape (..., n+d, n+d)."""
+    top = np.concatenate([tt, tf], axis=-1)
+    bot = np.concatenate([np.conj(np.swapaxes(tf, -1, -2)), ff], axis=-1)
+    return np.concatenate([top, bot], axis=-2)
+
+
+def _fiber_min_eig(ff: np.ndarray, where: str) -> float:
+    """Least eigenvalue of the stacked fiber blocks, from one batched
+    ``eigvalsh``; raises :class:`FiberDegenerateError` when a block is not
+    positive definite by the ``FIBER_PD_RTOL`` rule."""
     eigs = np.linalg.eigvalsh(ff)
-    if eigs[0] <= 1e-14 * max(1.0, float(eigs[-1])):
+    low = eigs[..., 0]
+    ff_min = float(low.min())
+    if np.any(low <= FIBER_PD_RTOL * np.maximum(1.0, eigs[..., -1])):
         raise FiberDegenerateError(
-            f"fiber block not positive definite (min eigenvalue {eigs[0]:.3e}); "
-            "the construction requires strict plurisubharmonicity along fibers"
+            f"fiber block not positive definite {where} (min eigenvalue {ff_min:.3e}); "
+            "the construction requires strict plurisubharmonicity along fibers",
+            min_eig=ff_min,
         )
+    return ff_min
+
+
+def _one_block(blocks: np.ndarray) -> bool:
+    """Whether a stack of blocks is one block broadcast along the point axis."""
+    return blocks.ndim == 3 and blocks.shape[0] > 1 and blocks.strides[0] == 0
+
+
+def _contract(tf: np.ndarray, ff: np.ndarray, where: str) -> tuple[np.ndarray, float]:
+    ff_min = _fiber_min_eig(ff, where)
+    X = np.linalg.solve(ff, np.conj(np.swapaxes(tf, -1, -2)))  # ff^{-1} tf^H
+    return np.real(np.einsum("...ad,...da->...a", tf, X)), ff_min
+
+
+def fiber_contraction(tf, ff, where: str = "on the grid") -> tuple[np.ndarray, float]:
+    """``(tf ff^{-1} tf^H)_aa`` over stacked blocks, and the least fiber eigenvalue.
+
+    ``tf`` has shape (..., n, d) and ``ff`` (..., d, d); the contraction is
+    real, nonnegative, of shape (..., n).  One batched ``eigvalsh`` tests
+    positivity (``where`` places a failure in the error message) and one
+    ``solve`` forms ``ff^{-1} tf^H``.  When both stacks are one block
+    broadcast along the point axis, that block alone is evaluated and the
+    result broadcast.
+    """
+    tf = np.asarray(tf, dtype=complex)
+    ff = np.asarray(ff, dtype=complex)
+    if _one_block(tf) and _one_block(ff):
+        contraction, ff_min = _contract(tf[:1], ff[:1], where)
+        return np.broadcast_to(contraction, tf.shape[:-1]), ff_min
+    return _contract(tf, ff, where)
+
+
+def schur_from_contraction(tt: np.ndarray, contraction: np.ndarray) -> np.ndarray:
+    """Schur base trace ``Re tr tt - sum_a (tf ff^{-1} tf^H)_aa`` from the
+    diagonal that :func:`fiber_contraction` returns."""
+    return np.real(np.einsum("...ii->...", tt)) - contraction.sum(-1)
 
 
 def schur_trace(h: ComplexHessian) -> float:
@@ -514,24 +588,12 @@ def schur_trace(h: ComplexHessian) -> float:
     sum_a [ tt[a,a] - (tf ff^{-1} tf^H)[a,a] ]; requires ff positive
     definite.
     """
-    _check_fiber_block(h.ff)
-    X = np.linalg.solve(h.ff, h.tf.conj().T)  # ff^{-1} tf^H
-    val = np.trace(h.tt) - np.trace(h.tf @ X)
-    return float(np.real(val))
+    return float(schur_trace_field(h.tt, h.tf, h.ff, where="at the point"))
 
 
-def schur_trace_field(tt: np.ndarray, tf: np.ndarray, ff: np.ndarray) -> np.ndarray:
+def schur_trace_field(tt, tf, ff, where: str = "on the grid") -> np.ndarray:
     """Vectorized Schur-complement base trace over stacked Hessian blocks."""
-    ff = np.asarray(ff, dtype=complex)
-    eigs = np.linalg.eigvalsh(ff)
-    if float(eigs[..., 0].min()) <= 0.0:
-        raise FiberDegenerateError(
-            f"fiber block not positive definite somewhere on the grid "
-            f"(min eigenvalue {float(eigs[..., 0].min()):.3e})"
-        )
-    X = np.linalg.solve(ff, np.conj(np.swapaxes(tf, -1, -2)))
-    corr = np.einsum("...ij,...ji->...", tf, X)
-    return np.real(np.einsum("...ii->...", tt) - corr)
+    return schur_from_contraction(np.asarray(tt), fiber_contraction(tf, ff, where)[0])
 
 
 def _sorted_sign(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -590,7 +652,7 @@ def ma_ratio(h: ComplexHessian, n: int, d: int) -> float:
     """
     if h.n != n or h.d != d:
         raise ValueError("Hessian block shapes disagree with (n, d)")
-    _check_fiber_block(h.ff)
+    _fiber_min_eig(h.ff, "at the point")
     base = np.zeros((n + d, n + d))
     for a in range(n):
         base[a, a] = 1.0
@@ -613,11 +675,14 @@ def certify(
     """Grid search for the trace-condition constant and companions.
 
     eps0 = max(0, (1/n) * min Schur trace) provided every fiber block on
-    the grid is positive definite and the assembled Hessian never dips
+    the grid is positive definite (by the ``FIBER_PD_RTOL`` rule of
+    :func:`fiber_contraction`) and the assembled Hessian never dips
     below -psh_tol; otherwise 0, with diagnostics.  C = max(0, -min base
     block eigenvalue) always.  A weight that is not real-valued on the grid
-    raises :class:`NotAWeightError`.  The Hessian blocks of the whole grid
-    are stacked into one batched pass, so ``threads`` changes nothing.
+    raises :class:`NotAWeightError`.  The distinct Hessian blocks of the
+    whole grid (one per base point where the blocks are one broadcast
+    block) are stacked into one batched pass, so ``threads`` changes
+    nothing.
     """
     base_pts = grid.base_points()
     fiber_pts = grid.fiber_points()
@@ -630,23 +695,22 @@ def certify(
     for t in base_pts:
         t = tuple(t)
         w.value(t, fiber_pts)  # raises NotAWeightError where phi is not real
-        blocks.append(w.hessian_field(t, fiber_pts))
+        tt, tf, ff = w.hessian_field(t, fiber_pts)
+        if _one_block(tt) and _one_block(tf) and _one_block(ff):
+            tt, tf, ff = tt[:1], tf[:1], ff[:1]  # the distinct block, not its copies
+        blocks.append((tt, tf, ff))
     tt, tf, ff = (np.concatenate(parts) for parts in zip(*blocks))
-    assembled = np.concatenate(
-        [
-            np.concatenate([tt, tf], axis=2),
-            np.concatenate([np.conj(np.swapaxes(tf, 1, 2)), ff], axis=2),
-        ],
-        axis=1,
-    )
-    psh_min = float(np.linalg.eigvalsh(assembled)[:, 0].min())
+    psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
     tt_min = float(np.linalg.eigvalsh(tt)[:, 0].min())
-    ff_min = float(np.linalg.eigvalsh(ff)[:, 0].min())
-    schur_min = float(schur_trace_field(tt, tf, ff).min()) if ff_min > 0 else -math.inf
+    try:
+        contraction, ff_min = fiber_contraction(tf, ff, "on the certification grid")
+    except FiberDegenerateError as exc:
+        ff_min, schur_min, fiber_ok = exc.min_eig, -math.inf, False
+    else:
+        schur_min, fiber_ok = float(schur_from_contraction(tt, contraction).min()), True
 
     scale = max(1.0, abs(psh_min))
     psh_ok = psh_min >= -psh_tol * scale
-    fiber_ok = ff_min > 0
     eps0 = max(0.0, schur_min / w.n) if (psh_ok and fiber_ok) else 0.0
     return WeightCertificate(
         eps0=eps0,

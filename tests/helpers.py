@@ -1,7 +1,8 @@
 """Helpers that only the tests use: a node-sum inner product, the gradient
 tilt of a scalar field, the mixed trace constant, a CSV field dump, the
-Hormander fields of one direction, the FD Hessian spectrum and the
-Bergman-kernel potential of a weight."""
+Hormander fields of one direction, the FD Hessian spectrum, the
+Bergman-kernel potential of a weight and a quadratic weight whose Hessian
+blocks are materialized copies."""
 
 import io
 import math
@@ -13,6 +14,7 @@ from bergman_lab.fiber_numerics import QuadratureRule
 from bergman_lab.hormander import build_hormander_data
 from bergman_lab.iteration import LogKernelField
 from bergman_lab.utils import as_complex_tuple, wirtinger_gradient
+from bergman_lab.weights import QuadraticWeight
 
 
 def _values_on_nodes(f, quad: QuadratureRule) -> np.ndarray:
@@ -131,3 +133,15 @@ def bergman_weight(w, N: int, quad, patch=None, convergence_tol: float = 1e-6) -
         for t in patch.sample():
             fld._value_raw(tuple(t), probe)
     return fld
+
+
+class MaterializedQuadratic(QuadraticWeight):
+    """A quadratic weight whose Hessian blocks are contiguous copies rather
+    than the broadcast views of :class:`QuadraticWeight`."""
+
+    def hessian_field(self, t, xi):
+        return tuple(np.ascontiguousarray(b) for b in super().hessian_field(t, xi))
+
+
+def as_materialized(w: QuadraticWeight) -> MaterializedQuadratic:
+    return MaterializedQuadratic(w.n, w.d, w.H, label=w.label)

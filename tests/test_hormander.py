@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from bergman_lab import bergman
+from bergman_lab import bergman, weights
 from bergman_lab.acceptance import fd_lambda_field
 from bergman_lab.bergman import HoloPoly, SectionFamily, base_gram_derivative, section_hessian, \
     section_value
@@ -36,7 +36,7 @@ from bergman_lab.hormander import (
     hormander_bound_check,
     orthogonality_residual,
 )
-from helpers import gamma_field, lambda_field
+from helpers import as_materialized, gamma_field, lambda_field
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import FiberDegenerateError, PolynomialWeight, QuadraticWeight
 
@@ -320,6 +320,27 @@ class TestOffCentreSections:
         assert rec.verdict == "pass", rec.margins
         assert calls == [48 * 96]
 
+    @pytest.mark.parametrize("case,blocks", [("cross", [1]), ("polynomial", [48 * 96])])
+    def test_fiber_contraction_evaluated_once_per_check(self, monkeypatch, case, blocks):
+        # the L2 bound and the assembled chain read one node contraction; a
+        # quadratic weight's broadcast blocks are contracted as one block
+        seen = []
+        real = weights._contract
+
+        def spy(tf, ff, where):
+            seen.append(ff.shape[0])
+            return real(tf, ff, where)
+
+        monkeypatch.setattr(weights, "_contract", spy)
+        text = (
+            f"id = contraction_once_{case}\nbase_dim = 1\nfiber = disk 1.0\npatch = 0 ; 0.45\n"
+            + DISK_SWEEP_CASES[case]
+            + "degree = 16\nquadrature = 48 96\nchecks = hormander\n"
+        )
+        (rec,) = run_scenario_checks(parse_scenario(text), ("hormander",))
+        assert rec.verdict == "pass", rec.margins
+        assert seen == blocks
+
     def test_node_hessian_shared_with_an_earlier_base_block_read(self, monkeypatch):
         # log_inequality reads only the base block; hormander then needs all
         # three blocks, which the first evaluation already produced
@@ -375,6 +396,28 @@ class TestHormanderBound:
         data = build_hormander_data(data_w, ORIGIN_FAM, (0.0,), N, quad)
         with pytest.raises(FiberDegenerateError):
             hormander_bound_check(data, w)
+
+
+    @pytest.mark.parametrize("layout", ["broadcast", "materialized"])
+    def test_tiny_fiber_eigenvalue_raises(self, quad, layout):
+        # the node path applies the same relative positivity floor as the
+        # single-point path: a fiber eigenvalue of 1e-17 is degenerate
+        w = QuadraticWeight(1, 1, np.diag([1.0, 1e-17]), label="nearly degenerate")
+        if layout == "materialized":
+            w = as_materialized(w)
+        data = build_hormander_data(cross_weight(0.5), ORIGIN_FAM, (0.0,), N, quad)
+        with pytest.raises(FiberDegenerateError, match=r"quadrature nodes .*min eigenvalue 1.000e-17"):
+            hormander_bound_check(data, w)
+
+    def test_broadcast_blocks_match_copies_bitwise(self, quad):
+        w = cross_weight(0.5)
+        cfg = CheckConfig(N=N, quad=quad)
+        reports = []
+        for weight in (w, as_materialized(w)):
+            data = build_hormander_data(weight, ORIGIN_FAM, (0.0,), N, quad)
+            reports.append((hormander_bound_check(data, weight),
+                            assembled_lower_bound(data, cfg, eps0=0.75)))
+        assert reports[0] == reports[1]
 
 
 class TestAssembledBound:

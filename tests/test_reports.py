@@ -1,8 +1,10 @@
 """Report records: canonical serialization, hashing, persistence, merging."""
 
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bergman_lab.reports import (
@@ -151,3 +153,44 @@ class TestPersistence:
         assert merged["exit_code"] == 3
         assert merged["scenario_ids"] == ["demo", "demo2"]
         assert len(merged["records"]) == 2
+
+
+def golden_report():
+    recs = (
+        CheckRecord(name="certify", verdict="pass",
+                    margins={"psh_min_eig": 0.75, "b": -math.inf},
+                    outputs={"eps0": np.float64(0.1) + 0.2, "nan": math.nan, "z": 1 - 2j,
+                             "rows": ((1.5, math.inf), [3, None]), "k": np.int64(7), 2: "key"},
+                    timing_s=1.23),
+        CheckRecord(name="hormander", verdict="fail", margins={"ratio": 1e-300},
+                    outputs={"detail": {"y": True, "x": "text"}}, error="boom", timing_s=0.5),
+    )
+    return RunReport(scenario_id="golden", config_hash=config_hash({"a": 1, "b": [1.0, math.nan]}),
+                     records=recs, seed=3)
+
+
+class TestGoldenBytes:
+    """The hash and the bytes written for a fixed report, pinned: records are
+    sanitized once and the hash computed once, with the same output as
+    sanitizing every serialization afresh."""
+
+    def test_report_hash(self):
+        report = golden_report()
+        assert report.report_hash == "efda0eaabfca5c8bad4b47b9b8d617132fc962982df7f9c43e5ce24f4e6a068b"
+        assert report.as_dict()["report_hash"] == report.report_hash
+
+    def test_written_bytes(self, tmp_path):
+        write_report(golden_report(), tmp_path)
+        digest = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("records.jsonl", "summary-golden.json")
+        }
+        assert digest == {
+            "records.jsonl": "4a09a2cf591a09cdbd135aff4d9f653b1e86a91dcc685c753da888ac3b21da6c",
+            "summary-golden.json": "cbee5391741e24b2d11ca0a572eaf4b6196ba5505b352e47b4df63a9dac6d94a",
+        }
+
+    def test_payload_serializes_like_canonical_json(self):
+        for rec in golden_report().records:
+            assert json.dumps(rec.payload(), sort_keys=True, separators=(",", ":")) == \
+                canonical_json(rec.payload())

@@ -16,6 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import as_materialized
+
+from bergman_lab import weights
 from bergman_lab.fiber_numerics import FiberDomain
 from bergman_lab.weights import (
     BasePatch,
@@ -28,6 +31,7 @@ from bergman_lab.weights import (
     QuadraticWeight,
     certify,
     distortion_margin,
+    fiber_contraction,
     hessian_at,
     ma_ratio,
     schur_trace,
@@ -167,6 +171,72 @@ class TestSchurTrace:
         assert np.allclose(vals, [schur_trace(h) for h in hs], atol=1e-12)
 
 
+class TestFiberContraction:
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_broadcast_blocks_match_copies_bitwise(self, n, d, rng):
+        h = random_psd_hessian(rng, n, d)
+        views = [np.broadcast_to(b, (64, *b.shape)) for b in (h.tt, h.tf, h.ff)]
+        copies = [np.ascontiguousarray(v) for v in views]
+        assert views[1].strides[0] == 0 and copies[1].strides[0] != 0
+        c_view, min_view = fiber_contraction(views[1], views[2])
+        c_copy, min_copy = fiber_contraction(copies[1], copies[2])
+        assert c_view.shape == c_copy.shape == (64, n)
+        assert np.array_equal(c_view, c_copy) and min_view == min_copy
+        assert np.array_equal(schur_trace_field(*views), schur_trace_field(*copies))
+
+    def test_broadcast_stack_evaluates_one_block(self, monkeypatch, rng):
+        h = random_psd_hessian(rng, 2, 2)
+        seen = []
+        real = weights._contract
+
+        def spy(tf, ff, where):
+            seen.append(ff.shape[0])
+            return real(tf, ff, where)
+
+        monkeypatch.setattr(weights, "_contract", spy)
+        fiber_contraction(*(np.broadcast_to(b, (500, *b.shape)) for b in (h.tf, h.ff)))
+        fiber_contraction(*(np.repeat(b[None], 500, axis=0) for b in (h.tf, h.ff)))
+        assert seen == [1, 500]
+
+    def test_matches_pointwise_diagonal(self, rng):
+        h = random_psd_hessian(rng, 2, 2)
+        contraction, ff_min = fiber_contraction(h.tf, h.ff)
+        expected = np.real(np.diag(h.tf @ np.linalg.inv(h.ff) @ h.tf.conj().T))
+        assert np.allclose(contraction, expected, atol=1e-12)
+        assert ff_min == pytest.approx(np.linalg.eigvalsh(h.ff)[0], abs=1e-14)
+
+    @pytest.mark.parametrize("layout", ["broadcast", "materialized"])
+    def test_non_positive_fiber_block_raises(self, layout):
+        tf = np.broadcast_to(np.array([[0.3]], dtype=complex), (32, 1, 1))
+        ff = np.broadcast_to(np.array([[-0.5]], dtype=complex), (32, 1, 1))
+        if layout == "materialized":
+            tf, ff = np.ascontiguousarray(tf), np.ascontiguousarray(ff)
+        with pytest.raises(FiberDegenerateError, match="min eigenvalue -5.000e-01") as exc:
+            fiber_contraction(tf, ff)
+        assert exc.value.min_eig == -0.5
+
+    def test_tiny_fiber_eigenvalue_raises_on_every_path(self):
+        # one positivity rule: lambda_min <= 1e-14 max(1, lambda_max) is
+        # degenerate for the point path and the stacked field path alike
+        h = ComplexHessian([[1.0]], [[0.0]], [[1e-17]])
+        with pytest.raises(FiberDegenerateError, match="1.000e-17"):
+            schur_trace(h)
+        with pytest.raises(FiberDegenerateError, match="1.000e-17"):
+            schur_trace_field(h.tt[None], h.tf[None], h.ff[None])
+        with pytest.raises(FiberDegenerateError):
+            ma_ratio(h, 1, 1)
+        cert = certify(QuadraticWeight(1, 1, np.diag([1.0, 1e-17])), default_grid())
+        assert not cert.diagnostics["fiber_pd"] and cert.eps0 == 0.0
+        assert cert.diagnostics["min_fiber_eig"] == pytest.approx(1e-17)
+
+    def test_joint_assembly_matches_blocks(self, rng):
+        h = random_psd_hessian(rng, 2, 1)
+        H = h.assembled
+        assert np.array_equal(H[:2, :2], h.tt) and np.array_equal(H[2:, :2], h.tf.conj().T)
+        stacked = weights.joint_hessian(h.tt[None], h.tf[None], h.ff[None])
+        assert np.array_equal(stacked[0], H)
+
+
 class TestMaRatio:
     def test_identity_case(self):
         h = ComplexHessian(np.eye(1), np.zeros((1, 1)), np.eye(1))
@@ -262,6 +332,15 @@ class TestCertify:
         assert cert.diagnostics["min_base_eig"] == pytest.approx(min(base), abs=1e-14)
         assert cert.diagnostics["min_fiber_eig"] == pytest.approx(min(fiber), abs=1e-14)
         assert cert.diagnostics["min_schur_trace"] == pytest.approx(min(schur), abs=1e-12)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (2, 1), (1, 2)])
+    def test_broadcast_blocks_certify_like_copies(self, n, d):
+        w = QuadraticWeight.cross_term(0.4, n, d)
+        a = certify(w, default_grid(n, d))
+        b = certify(as_materialized(w), default_grid(n, d))
+        assert (a.eps0, a.C, a.psh_min_eig) == (b.eps0, b.C, b.psh_min_eig)
+        assert {k: v for k, v in a.diagnostics.items() if k != "weight"} == \
+            {k: v for k, v in b.diagnostics.items() if k != "weight"}
 
     def test_custom_weight_certification(self):
         w = CustomWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1))")
