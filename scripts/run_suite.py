@@ -23,14 +23,13 @@ def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for per-scenario reports")
     ap.add_argument("--scenarios", default=str(ROOT / "scenarios"), help="scenario directory")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--skip-acceptance", action="store_true")
     args = ap.parse_args(argv)
 
     codes = []
     for path in sorted(Path(args.scenarios).glob("*.scn")):
         print(f"=== {path.name} ===")
-        cmd = ["run", "--scenario", str(path), "--threads", str(args.threads)]
+        cmd = ["run", "--scenario", str(path)]
         if args.out:
             cmd += ["--out", str(Path(args.out) / path.stem)]
         codes.append(cli_main(cmd))
@@ -38,7 +37,7 @@ def run(argv=None) -> int:
 
     if not args.skip_acceptance:
         print("=== acceptance battery ===")
-        cmd = ["suite", "--threads", str(args.threads)]
+        cmd = ["suite"]
         if args.out:
             cmd += ["--out", str(Path(args.out) / "acceptance")]
         codes.append(cli_main(cmd))

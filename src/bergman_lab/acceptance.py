@@ -19,7 +19,7 @@ resolutions and tolerances, each with an explicit wall-clock budget:
   a13 exact base Hessians of B, log B and -log det G, the exact
       Hormander fields Lambda_a and the exact Hessian blocks of the
       iteration's log-kernel potentials agree with finite differences
-      (step h, Richardson gate at h/2) within the FD budget
+      (step 1e-2, Richardson gate at half that) within the FD budget
 
 Each criterion returns a CriterionResult; `run_criterion` never raises, so
 one broken criterion cannot mask the others in a suite run.
@@ -42,11 +42,12 @@ from .fiber_numerics import FiberDomain, build_quadrature, monomial_synthesis
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import LogKernelField, mix_weights, run_iteration
-from .utils import as_complex_tuple, wirtinger_hessian
+from .utils import as_complex_tuple, wirtinger_gradient, wirtinger_hessian
 from .weights import BasePatch, PolynomialWeight, QuadraticWeight, distortion_margin, \
     schur_trace_field, twist_weight
 
 SEED = 20260814
+A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
 
 _QUADS: dict = {}
 
@@ -59,7 +60,7 @@ def _quad(nr: int, na: int):
 
 
 def _cfg(N: int, quad) -> CheckConfig:
-    return CheckConfig(N=N, quad=quad, h=1e-2, tolerance=1e-3)
+    return CheckConfig(N=N, quad=quad, tolerance=1e-3)
 
 
 def _cross(lam: float) -> QuadraticWeight:
@@ -97,7 +98,8 @@ class CriterionResult:
 def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: float) -> np.ndarray:
     """Lambda_alpha on the nodes, the second derivation of the exact field:
     ``sum_i a_i(t0) K_t(., s_i(t))`` rebuilt at ``t0 +- h``, ``t0 +- ih`` along
-    ``alpha`` and differenced, minus ``d_alpha phi`` times Gamma."""
+    ``alpha`` and differenced by ``utils.wirtinger_gradient``, minus
+    ``d_alpha phi`` times Gamma."""
     t0 = as_complex_tuple(t0)
     amps = fam.amplitudes_at(t0)
 
@@ -108,7 +110,7 @@ def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: floa
         rhs = np.conj(b.monomials_at(fam.sections_at(tuple(t)))).T @ amps
         return monomial_synthesis(b.basis, b.transform @ (b.transform.conj().T @ rhs), quad)
 
-    dK = (combo(h) - combo(-h) - 1j * (combo(1j * h) - combo(-1j * h))) / (4.0 * h)
+    [dK] = wirtinger_gradient(lambda off: combo(off[0]), 1, h)
     return dK - node_base_gradient(w, t0, quad)[alpha] * combo(0.0)
 
 
@@ -374,7 +376,8 @@ def _a13_lambda_gap(w, fam, t0, N, quad, cfg) -> float:
     worst = 0.0
     for a, exact in zip(data.directions, data.lambdas):
         scale = max(norm(exact), norm(data.gamma))
-        fd_h, fd_half = (fd_lambda_field(w, fam, t0, a, N, quad, h) for h in (cfg.h, cfg.h / 2))
+        fd_h, fd_half = (fd_lambda_field(w, fam, t0, a, N, quad, h)
+                         for h in (A13_STEP, A13_STEP / 2))
         if norm(fd_h - fd_half) > cfg.tolerance * scale:
             return math.inf
         worst = max(worst, norm(exact - fd_half) / scale)
@@ -401,7 +404,7 @@ def _a13_iteration_gap(w, t0, N, quad, cfg) -> float:
         def eval_at(off, psi=psi):
             return psi.value(tuple(c + o for c, o in zip(t0, off[:n])), xi + off[n:])
 
-        fd_h, fd_half = (wirtinger_hessian(eval_at, n + d, h) for h in (cfg.h, cfg.h / 2))
+        fd_h, fd_half = (wirtinger_hessian(eval_at, n + d, h) for h in (A13_STEP, A13_STEP / 2))
         for block, r, c in zip(exact, rows, cols):
             scale = max(1.0, float(np.abs(block).max()))
             if np.abs(fd_h[:, r, c] - fd_half[:, r, c]).max() > cfg.tolerance * scale:
@@ -444,13 +447,14 @@ def a13():
     for label, w, fam, t0, N, q in cases:
         cfg = _cfg(N, q)
         exact = section_hessian(w, fam, t0, N, q)
-        _H, fd_B, _ = fd_trace(section_field(w, fam, N, q), t0, cfg, tol_scale=exact.B)
-        _H, fd_log, _ = fd_trace(log_section_field(w, fam, N, q), t0, cfg)
+        tol = cfg.tolerance
+        _H, fd_B, _ = fd_trace(section_field(w, fam, N, q), t0, A13_STEP, tol, tol_scale=exact.B)
+        _H, fd_log, _ = fd_trace(log_section_field(w, fam, N, q), t0, A13_STEP, tol)
         gaps[label, "B"] = abs(fd_B - float(np.trace(exact.hessian).real)) / max(1.0, exact.B)
         gaps[label, "log B"] = abs(fd_log - float(np.trace(exact.log_hessian).real))
         if q is quad:  # the disk cases also take the det and Lambda_a routes
             dig = direct_image_gram(w, frame, BasePatch((0j,) * w.n, 0.45), q)
-            _H, fd_det, _ = fd_trace(dig.neg_log_det, t0, cfg)
+            _H, fd_det, _ = fd_trace(dig.neg_log_det, t0, A13_STEP, tol)
             gaps[label, "det"] = abs(fd_det - float(np.trace(dig.neg_log_det_hessian(t0)).real))
             gaps[label, "Lambda"] = _a13_lambda_gap(w, fam, t0, N, q, cfg)
     for label, w, t0 in iterated:

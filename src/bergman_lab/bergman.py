@@ -508,37 +508,25 @@ def extremal_check(b: BergmanBasis, w) -> tuple[float, float]:
     return diag, extremal
 
 
-def _section_vector(b: BergmanBasis, fam: SectionFamily, t) -> np.ndarray:
-    """sum_i a_i(t) u(s_i(t)) in the orthonormal frame."""
-    pts = fam.sections_at(t)
-    amps = fam.amplitudes_at(t)
-    U = b.orthonormal_at(pts)  # (r, dim)
-    return amps @ U
-
-
 def section_value(w: WeightFamily, fam: SectionFamily, t, N: int, quad: QuadratureRule) -> float:
     """The Hermitian section functional B_t<a, a> (a squared dual norm)."""
-    t = as_complex_tuple(t)
-    fam.check_inside(quad.domain, t)
-    b = bergman_basis(w, t, N, quad)
-    vec = _section_vector(b, fam, t)
-    return float(np.sum(np.abs(vec) ** 2))
+    return section_value_pair(w, fam, t, N, quad)[0]
 
 
 def section_value_pair(
     w: WeightFamily, fam: SectionFamily, t, N: int, quad: QuadratureRule
 ) -> tuple[float, float]:
-    """(value at degree N, value at degree N-2) from a single basis build."""
+    """(value at degree N, value at degree N-2) from a single basis build:
+    ``sum_i a_i(t) u(s_i(t))`` in the orthonormal frame and in its leading
+    degree-(N-2) part, from one evaluation of the monomials at the sections."""
     t = as_complex_tuple(t)
     fam.check_inside(quad.domain, t)
     b = bergman_basis(w, t, N, quad)
-    vec = _section_vector(b, fam, t)
-    full = float(np.sum(np.abs(vec) ** 2))
-    k = b.basis.truncated_dim(max(N - 2, 0))
-    pts = fam.sections_at(t)
     amps = fam.amplitudes_at(t)
-    Usub = b.monomials_at(pts)[:, :k] @ b.transform[:k, :k]
-    sub = float(np.sum(np.abs(amps @ Usub) ** 2))
+    M = b.monomials_at(fam.sections_at(t))
+    full = float(np.sum(np.abs(amps @ (M @ b.transform)) ** 2))
+    k = b.basis.truncated_dim(max(N - 2, 0))
+    sub = float(np.sum(np.abs(amps @ (M[:, :k] @ b.transform[:k, :k])) ** 2))
     return full, sub
 
 

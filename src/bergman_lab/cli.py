@@ -10,17 +10,17 @@ Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
 settle at the requested resolution, so no verdict was reached; the message
 names the knob, ``degree`` and ``quadrature`` for a kernel truncation gap).
-Every check reads exact base derivatives (``iterate`` included), so no
-check reads ``h_step``: it is the step of the finite-difference routes,
-which only the acceptance suite's cross-check (a13) runs.  A scenario that
+Every check reads exact base derivatives of its kernel quantities
+(``iterate`` included); only the acceptance suite's cross-check (a13)
+differences them, at its own fixed step.  A scenario that
 cannot be run (a parse error, an out-of-range field, a quadrature above
-the node cap, a stencil of step ``h_step`` that leaves the base patch)
-exits 2 before any check; a weight that turns out not to be real-valued
-fails each check that evaluates it, also exit 2.
+the node cap) exits 2 before any check; a weight that turns out not to be
+real-valued fails each check that evaluates it, and a numerically
+dependent ``det_frame`` fails ``det_inequality``, also exit 2.
 
 Reports are deterministic: the same scenario file, overrides and seed
 produce byte-identical records and hence the same report hash, regardless
-of ``--threads``.
+of the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ import numpy as np
 
 from .bergman import bergman_basis, direct_image_gram, kernel_eval, reproducing_residual, \
     extremal_check, section_hessian
-from .curvature import CheckConfig, UnconvergedBasisError, check_det_inequality, \
-    check_log_inequality, check_section_inequality, section_truncation, truncation_gate
+from .curvature import CONVERGENCE_TOL, CheckConfig, UnconvergedBasisError, \
+    check_det_inequality, check_log_inequality, check_section_inequality, section_truncation, \
+    truncation_gate
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import run_iteration, run_twisted_iteration
@@ -59,18 +60,15 @@ class _Context:
     """Shared per-run state: one quadrature rule (which carries the run's
     basis memo), one lazy certificate."""
 
-    def __init__(self, sc: Scenario, threads: int = 1):
+    def __init__(self, sc: Scenario):
         self.sc = sc
-        self.threads = threads
         self.quad = sc.build_quad()
-        self.cfg = CheckConfig(
-            N=sc.N, quad=self.quad, h=sc.h, tolerance=sc.tolerance, threads=threads
-        )
+        self.cfg = CheckConfig(N=sc.N, quad=self.quad, tolerance=sc.tolerance)
         self._certificate = None
 
     def certificate(self):
         if self._certificate is None:
-            self._certificate = certify(self.sc.weight, self.sc.grid_spec(), threads=self.threads)
+            self._certificate = certify(self.sc.weight, self.sc.grid_spec())
         return self._certificate
 
     def eps0(self) -> float:
@@ -116,7 +114,7 @@ def _check_bergman_infra(ctx: _Context):
     b = bergman_basis(sc.weight, sc.t0, sc.N, ctx.quad)
     probe = _fiber_probe(ctx)
     gap = b.diag_convergence_gap(probe)
-    truncation_gate(gap, ctx.cfg.convergence_tol, sc.N, "at the fiber probe")
+    truncation_gate(gap, CONVERGENCE_TOL, sc.N, "at the fiber probe")
 
     # In-space test function for the reproducing identity (degree <= 2).
     if sc.d == 1:
@@ -180,7 +178,10 @@ def _check_det_inequality(ctx: _Context):
     sc = ctx.sc
     if not sc.det_frame:
         raise ScenarioError("det_inequality requires a det_frame line in the scenario")
-    dig = direct_image_gram(sc.weight, sc.det_frame, sc.patch, ctx.quad)
+    try:
+        dig = direct_image_gram(sc.weight, sc.det_frame, sc.patch, ctx.quad)
+    except ValueError as exc:  # a dependent frame has no determinant to check
+        raise ArithmeticError(f"det_frame: {exc}") from None
     rep = check_det_inequality(dig, sc.t0, ctx.eps0(), len(sc.det_frame), ctx.cfg)
     return _record_from_curvature(rep)
 
@@ -294,8 +295,10 @@ def run_check(name: str, ctx: _Context) -> CheckRecord:
     )
 
 
+# ``threads`` does nothing; perfbench/worker.py still passes it, and it goes
+# with the next change to the benchmark.
 def run_scenario_checks(sc: Scenario, names, threads: int = 1) -> list:
-    ctx = _Context(sc, threads=threads)
+    ctx = _Context(sc)
     return [run_check(name, ctx) for name in names]
 
 
@@ -305,10 +308,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--scenario", required=True, help="path to a scenario file")
     p.add_argument("--out", default=None, help="directory for reports (omit to skip writing)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--h-step", type=float, default=None,
-                   help="override h_step (no check differences; the stencil must fit the patch)")
     p.add_argument("--degree", type=int, default=None, help="override the basis degree cap")
 
 
@@ -318,8 +318,6 @@ def _load_scenario(args) -> Scenario:
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.h_step is not None:
-        overrides["h"] = args.h_step
     if args.degree is not None:
         overrides["N"] = args.degree
     if overrides:
@@ -344,7 +342,7 @@ def _execute(args, names, command: str) -> int:
         return 2
     if names is None:
         names = sc.checks
-    records = run_scenario_checks(sc, names, threads=args.threads)
+    records = run_scenario_checks(sc, names)
     for rec in records:
         print(f"{rec.name}: {rec.verdict.upper()} ({_margin_summary(rec)})")
     report = RunReport(
@@ -467,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. a1,a4,a12")
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("report", help="summarize and merge saved reports")

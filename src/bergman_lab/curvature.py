@@ -5,20 +5,20 @@ The section functional ``B_t<a,a>``, its log and the determinant potential
 and ``DirectImageGram.neg_log_det_hessian``: the Gram at ``t0`` plus the
 Grams of the differentiated weight), so the section, log, spectrum and
 determinant checks take no step (nor does the iteration, see
-``iteration``).  :func:`fd_trace` forms the complex
-Hessian of any scalar field by central differences in the real coordinate
-directions, mixed entries by polarization, at step ``h`` and again at
-``h/2`` as a Richardson gate; it is the independent cross-check of the
-exact Hessians (acceptance criterion a13).  Each check compares the base
-trace of a Hessian against the lower bound supplied by a weight
-certificate and reports the margin with an explicit tolerance budget.
+``iteration``).  :func:`fd_trace` forms the complex Hessian of any scalar
+field with the one Wirtinger stencil (``utils.wirtinger_hessian``) at a
+given step ``h`` and again at ``h/2`` as a Richardson gate; it is the
+independent cross-check of the exact Hessians (acceptance criterion a13).
+Each check compares the base trace of a Hessian against the lower bound
+supplied by a weight certificate and reports the margin with an explicit
+tolerance budget.
 
 Verdicts are two-valued here (pass/fail); a failed convergence diagnostic
 raises :class:`UnconvergedBasisError` before any verdict, and the CLI maps
 that to its own third verdict rather than guessing.  Every kernel
-truncation check of the package goes through :func:`truncation_gate`, so
-all of them name the same knobs (degree and quadrature); the Richardson
-check names ``h_step``.
+truncation check of the package goes through :func:`truncation_gate` at
+the one tolerance :data:`CONVERGENCE_TOL`, so all of them name the same
+knobs (degree and quadrature).
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ import numpy as np
 
 from .bergman import DirectImageGram, SectionFamily, section_hessian, section_value, \
     section_value_pair
-from .utils import as_complex_tuple, parallel_map
-from .weights import BasePatch, WeightFamily
+from .utils import as_complex_tuple, wirtinger_hessian
+from .weights import WeightFamily
 
 __all__ = [
+    "CONVERGENCE_TOL",
     "UnconvergedBasisError",
     "truncation_gate",
     "section_truncation",
@@ -48,6 +49,11 @@ __all__ = [
     "section_field",
     "log_section_field",
 ]
+
+
+# Relative change of a kernel quantity from degree N-2 to N that counts as
+# converged, for every truncation gate of the package.
+CONVERGENCE_TOL = 1e-6
 
 
 class UnconvergedBasisError(ArithmeticError):
@@ -68,20 +74,10 @@ def truncation_gate(gap: float, tol: float, N: int, where: str) -> None:
         )
 
 
-def _directions(n: int) -> list[np.ndarray]:
-    """Differencing directions: coordinate axes, then pair combinations."""
-    basis = np.eye(n, dtype=complex)
-    dirs = [basis[i] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dirs.append(basis[i] + basis[j])
-            dirs.append(basis[i] + 1j * basis[j])
-    return dirs
-
-
 @dataclass(frozen=True)
 class Stencil:
-    """Evaluation offsets for all second Wirtinger derivatives at a point.
+    """A finite-difference stencil: center and step of all second Wirtinger
+    derivatives at a point.
 
     One center plus four points (+-h, +-ih) per direction; with n(n-1)
     extra directions for the mixed polarization identities the total count
@@ -100,64 +96,30 @@ class Stencil:
     def n(self) -> int:
         return len(self.center)
 
-    def offsets(self) -> list[np.ndarray]:
-        out = [np.zeros(self.n, dtype=complex)]
-        for u in _directions(self.n):
-            for mult in (1.0, -1.0, 1j, -1j):
-                out.append(mult * self.h * u)
-        return out
-
-    def points(self) -> list[tuple]:
-        c = np.asarray(self.center)
-        return [tuple(c + off) for off in self.offsets()]
-
     @property
     def count(self) -> int:
         n = self.n
         return 1 + 4 * n + 4 * n * (n - 1)
 
-    def check_inside(self, patch: BasePatch):
-        for p in self.points():
-            if not patch.contains(p):
-                raise ValueError(f"stencil point {p} falls outside the base patch")
 
+def fd_hessian(field_fn, st: Stencil) -> np.ndarray:
+    """Complex Hessian of a real scalar field by the Wirtinger stencil of
+    :func:`utils.wirtinger_hessian` around ``st.center`` at step ``st.h``.
 
-def fd_hessian(field_fn, st: Stencil, threads: int = 1) -> np.ndarray:
-    """Complex Hessian of a real scalar field from its stencil values.
-
-    Diagonals use (f(+h)+f(-h)+f(+ih)+f(-ih)-4f)/(4h^2); mixed entries come
-    from the same directional second difference along e_i+e_j (real part)
-    and e_i+i e_j (imaginary part).  Error O(h^2).  Field evaluations run
-    through a deterministic parallel map, one per stencil point.
+    Each field value is checked finite and real at its stencil point.
     """
-    n, h = st.n, st.h
-    raw = parallel_map(field_fn, st.points(), threads=threads)
-    vals = []
-    for p, v in zip(st.points(), raw):
-        v = complex(v)
+    center = np.asarray(st.center)
+
+    def eval_at(off):
+        p = tuple(center + off)
+        v = complex(field_fn(p))
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise ValueError(f"field value at {p} is not finite")
         if abs(v.imag) > 1e-10 * max(1.0, abs(v.real)):
             raise ValueError(f"field value at {p} is not real: {v}")
-        vals.append(v.real)
-    f0 = vals[0]
-    q = [
-        (vals[1 + 4 * k] + vals[2 + 4 * k] + vals[3 + 4 * k] + vals[4 + 4 * k] - 4 * f0)
-        / (4 * h * h)
-        for k in range(len(_directions(n)))
-    ]
-    H = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        H[i, i] = q[i]
-    k = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            re = (q[k] - q[i] - q[j]) / 2.0
-            im = (q[k + 1] - q[i] - q[j]) / 2.0
-            H[i, j] = re + 1j * im
-            H[j, i] = re - 1j * im
-            k += 2
-    return H
+        return v.real
+
+    return wirtinger_hessian(eval_at, st.n, st.h)
 
 
 @dataclass(frozen=True)
@@ -166,11 +128,7 @@ class CheckConfig:
 
     N: int = 24
     quad: object = None  # QuadratureRule; required by the Bergman-backed checks
-    h: float = 1e-2
     tolerance: float = 1e-3
-    convergence_tol: float = 1e-6
-    richardson: bool = True
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -201,30 +159,23 @@ def _verdict(margin: float, tolerance: float) -> str:
     return "pass" if margin >= -tolerance else "fail"
 
 
-def fd_trace(field_fn, t0, cfg: CheckConfig, *, tol_scale: float = 1.0):
-    """FD Hessian + trace at step h, with a Richardson check at h/2.
+def fd_trace(field_fn, t0, h: float, tolerance: float, *, tol_scale: float = 1.0):
+    """FD Hessian + trace at step h, with a Richardson gate at h/2.
 
     Returns ``(H, trace, diagnostics)``; raises :class:`UnconvergedBasisError`
-    when the two traces differ by more than ``cfg.tolerance * max(1,
-    tol_scale)`` (with ``cfg.richardson``).
+    when the two traces differ by more than ``tolerance * max(1, tol_scale)``.
     """
-    st = Stencil(t0, cfg.h)
-    H = fd_hessian(field_fn, st, threads=cfg.threads)
+    H = fd_hessian(field_fn, Stencil(t0, h))
     trace = float(np.real(np.trace(H)))
-    diag = {"h": cfg.h}
-    if cfg.richardson:
-        H2 = fd_hessian(field_fn, Stencil(t0, cfg.h / 2), threads=cfg.threads)
-        t2 = float(np.real(np.trace(H2)))
-        gap = abs(trace - t2)
-        diag["trace_at_half_step"] = t2
-        diag["richardson_gap"] = gap
-        if gap > cfg.tolerance * max(1.0, tol_scale):
-            raise UnconvergedBasisError(
-                f"finite differencing has not converged: trace changed by {gap:.3e} "
-                f"when halving h_step {cfg.h:g} (budget {cfg.tolerance:.1e}); lower h_step, "
-                f"or raise it if roundoff in the kernel values dominates"
-            )
-    return H, trace, diag
+    t2 = float(np.real(np.trace(fd_hessian(field_fn, Stencil(t0, h / 2)))))
+    gap = abs(trace - t2)
+    if gap > tolerance * max(1.0, tol_scale):
+        raise UnconvergedBasisError(
+            f"finite differencing has not converged: trace changed by {gap:.3e} "
+            f"when halving the step {h:g} (budget {tolerance:.1e}); lower the step, "
+            f"or raise it if roundoff in the kernel values dominates"
+        )
+    return H, trace, {"trace_at_half_step": t2, "half_step_gap": gap}
 
 
 def section_field(w: WeightFamily, fam: SectionFamily, N: int, quad):
@@ -241,7 +192,7 @@ def section_truncation(w, fam, t0, cfg) -> tuple[float, float]:
     """(B(t0), truncation gap), gated by :func:`truncation_gate`."""
     full, sub = section_value_pair(w, fam, t0, cfg.N, cfg.quad)
     gap = abs(full - sub) / max(abs(full), 1e-300)
-    truncation_gate(gap, cfg.convergence_tol, cfg.N, "at t0")
+    truncation_gate(gap, CONVERGENCE_TOL, cfg.N, "at t0")
     return full, gap
 
 

@@ -209,8 +209,6 @@ class QuadratureRule:
     weights: np.ndarray = field(repr=False)
     radial_nodes: tuple[np.ndarray, ...] = field(repr=False)
     # Per-basis tables built on first use; they live and die with the rule.
-    # Threads (``--threads``) racing on a first use may each build a table;
-    # the builds are bitwise identical, so whichever store lands is correct.
     _tables: dict = field(default_factory=dict, init=False, repr=False)
 
     @property

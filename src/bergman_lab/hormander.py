@@ -44,7 +44,7 @@ import numpy as np
 
 from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
     node_base_gradient, node_fiber_contraction, node_hessian, section_hessian
-from .curvature import CheckConfig, section_truncation, truncation_gate
+from .curvature import CONVERGENCE_TOL, CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
 from .utils import as_complex_tuple
 from .weights import WeightFamily, schur_from_contraction
@@ -60,7 +60,6 @@ __all__ = [
     "assembled_lower_bound",
 ]
 
-CONVERGENCE_TOL = 1e-6
 # Fields below this times ||Gamma|| are round-off (an uncoupled direction
 # leaves about 1e-16 ||Gamma||), whose relative residuals mean nothing.
 ROUNDOFF_FLOOR = 1e-12

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import base_gram_derivative, base_gram_hessian, bergman_basis
-from .curvature import CheckConfig, truncation_gate
+from .curvature import CONVERGENCE_TOL, CheckConfig, truncation_gate
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
 from .weights import (
@@ -112,7 +112,7 @@ class LogKernelField(WeightFamily):
     kind = "bergman-potential"
 
     def __init__(self, inner: WeightFamily, N: int, quad, sign: int = 1,
-                 convergence_tol: float = 1e-6, label: str = ""):
+                 convergence_tol: float = CONVERGENCE_TOL, label: str = ""):
         super().__init__(inner.n, inner.d, label or f"logK[{inner.label}]")
         if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
@@ -376,9 +376,9 @@ def _default_samples(w: WeightFamily, quad):
     return t_samples, np.vstack([inner, mid])
 
 
-def _default_eps0(w: WeightFamily, quad, threads: int = 1) -> float:
+def _default_eps0(w: WeightFamily, quad) -> float:
     grid = GridSpec(patch=BasePatch(center=(0.0,) * w.n, radius=0.4), fiber=quad.domain)
-    return certify(w, grid, threads=threads).eps0
+    return certify(w, grid).eps0
 
 
 def run_iteration(
@@ -395,7 +395,7 @@ def run_iteration(
 ) -> IterationLedger:
     """Run K steps of the recursion; the ledger pairs each certified b_k
     with the worst measured Schur trace of the step's log-kernel field,
-    whose Hessian blocks at the samples are exact (no ``cfg.h`` stencil).
+    whose Hessian blocks at the samples are exact (no stencil).
 
     A step whose potential fails the plurisubharmonicity check (or whose
     fiber block degenerates) aborts the run, returning the ledger built
@@ -408,7 +408,7 @@ def run_iteration(
     if cfg.quad is None:
         raise ValueError("cfg.quad must carry a quadrature rule")
     if eps0 is None:
-        eps0 = _default_eps0(phi_L, cfg.quad, threads=cfg.threads)
+        eps0 = _default_eps0(phi_L, cfg.quad)
     eps0 = float(eps0)
     if eps0 <= 0.0:
         raise ValueError(f"iteration needs a strictly positive eps0, got {eps0}")
@@ -424,11 +424,11 @@ def run_iteration(
     fields: list[LogKernelField] = []
     aborted = False
     failure = ""
-    psi = LogKernelField(phi_L, cfg.N, cfg.quad, sign=1, convergence_tol=cfg.convergence_tol)
+    psi = LogKernelField(phi_L, cfg.N, cfg.quad, sign=1)
     for k in range(1, K + 1):
         prev = psi
         w = mix_weights(prev, phi_L, m)
-        psi = LogKernelField(w, cfg.N, cfg.quad, sign=1, convergence_tol=cfg.convergence_tol)
+        psi = LogKernelField(w, cfg.N, cfg.quad, sign=1)
         if keep_fields:
             fields.append(psi)
         b_k = (1.0 - q**k) * eps0

@@ -15,7 +15,6 @@ other than ``section`` appear at most once.
     t0 = 0
     degree = 24
     quadrature = 64 128
-    h_step = 1e-2
     tolerance = 1e-3
     eps0 = 0.75                       # optional override of the certified constant
     iteration = m 2 steps 8
@@ -31,7 +30,7 @@ Weight forms (entries may be complex, written like ``0.5+0.25j``):
 * ``polynomial <prefix expr>`` — real polynomial in t_i, z_a, conj(...)
 * ``custom <prefix expr>`` — arbitrary smooth expression (derivatives by FD)
 
-Defaults: degree 24, quadrature 64 128, h_step 1e-2, tolerance 1e-3,
+Defaults: degree 24, quadrature 64 128, tolerance 1e-3,
 patch = origin with radius 0.45, fiber = unit disk, one unit-amplitude
 section at the fiber origin, t0 = patch center, no checks, seed 0.
 Unknown keys, unknown check names and unreadable numbers are parse errors
@@ -40,10 +39,9 @@ is constructed, so command-line overrides applied with
 ``dataclasses.replace`` meet them too: the quadrature floor of
 :func:`build_quadrature` and its node cap (``(n_radial * n_angular) ** d``
 at most ``2**20``), ``2 <= degree <= n_angular/2 - 1`` (above that
-angular modes alias), ``0 < h_step < 0.1``, finite nonnegative
-``tolerance``, ``eps0`` and ``twist``, ``m >= 2``, ``0 <= steps <= 12``
-for the iteration, and every point of the finite-difference stencil of
-step ``h_step`` around ``t0`` inside the base patch.
+angular modes alias), finite nonnegative ``tolerance``, ``eps0`` and
+``twist``, and ``m >= 2``, ``0 <= steps <= 12`` for the iteration.  The
+parser also requires ``t0`` to lie in the base patch.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import HoloPoly, SectionFamily, SectionOutsideDomainError
-from .curvature import Stencil
 from .fiber_numerics import FiberDomain, build_quadrature, check_resolution, max_exact_degree
 from .iteration import MAX_STEPS
 from .weights import (
@@ -82,7 +79,6 @@ CHECK_REGISTRY = (
 DEFAULTS = {
     "degree": 24,
     "quadrature": (64, 128),
-    "h_step": 1e-2,
     "tolerance": 1e-3,
     "patch_radius": 0.45,
     "seed": 0,
@@ -108,7 +104,6 @@ class Scenario:
     t0: tuple = (0j,)
     N: int = DEFAULTS["degree"]
     quadrature: tuple = DEFAULTS["quadrature"]
-    h: float = DEFAULTS["h_step"]
     tolerance: float = DEFAULTS["tolerance"]
     eps0: float | None = None
     iteration_m: int = 2
@@ -133,17 +128,6 @@ class Scenario:
                 f"quadrature {nr} {na}: angular modes would alias (lower the degree or "
                 f"raise n_angular to at least {2 * (self.N + 1)})",
             )
-        if not 0 < self.h < 0.1:
-            raise _err(0, "h_step", f"step {self.h} outside the sensible range (0, 0.1)")
-        try:
-            Stencil(self.t0, self.h).check_inside(self.patch)
-        except ValueError:
-            raise _err(
-                0, "t0",
-                f"the stencil around t0 = {_coords(self.t0)} with h_step {self.h} leaves "
-                f"the base patch (center {_coords(self.patch.center)}, radius "
-                f"{self.patch.radius}); move t0 inward or lower h_step",
-            ) from None
         for key, value in (("tolerance", self.tolerance), ("eps0", self.eps0),
                            ("twist", self.twist)):
             if value is not None and not (math.isfinite(value) and value >= 0):
@@ -186,7 +170,6 @@ class Scenario:
             "t0": [repr(c) for c in self.t0],
             "degree": self.N,
             "quadrature": list(self.quadrature),
-            "h_step": self.h,
             "tolerance": self.tolerance,
             "eps0": self.eps0,
             "iteration": {"m": self.iteration_m, "steps": self.iteration_steps},
@@ -194,10 +177,6 @@ class Scenario:
             "checks": list(self.checks),
             "seed": self.seed,
         }
-
-
-def _coords(point) -> str:
-    return " ".join(f"{c:g}" for c in point)
 
 
 def _poly_key(p: HoloPoly) -> list:
@@ -317,7 +296,7 @@ def parse_scenario(text: str) -> Scenario:
 
     known = {
         "id", "base_dim", "fiber_dim", "fiber", "patch", "weight", "det_frame",
-        "t0", "degree", "quadrature", "h_step", "tolerance", "eps0",
+        "t0", "degree", "quadrature", "tolerance", "eps0",
         "iteration", "twist", "checks", "seed",
     }
     for key, (lineno, _v) in entries.items():
@@ -396,9 +375,6 @@ def parse_scenario(text: str) -> Scenario:
             raise _err(lineno, "quadrature", "expected two integers: n_radial n_angular")
         quadrature = tuple(_parse_number(int, tok, lineno, "quadrature") for tok in toks)
 
-    lineno, value = take("h_step", str(DEFAULTS["h_step"]))
-    h = _parse_number(float, value, lineno, "h_step")
-
     lineno, value = take("tolerance", str(DEFAULTS["tolerance"]))
     tolerance = _parse_number(float, value, lineno, "tolerance")
 
@@ -453,7 +429,6 @@ def parse_scenario(text: str) -> Scenario:
         t0=t0,
         N=N,
         quadrature=quadrature,
-        h=h,
         tolerance=tolerance,
         eps0=eps0,
         iteration_m=iteration_m,

@@ -1,32 +1,15 @@
-"""Small shared helpers: deterministic parallel maps, Hermitian checks."""
+"""Small shared helpers: Hermitian checks, the Wirtinger finite-difference stencil."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 __all__ = [
-    "parallel_map",
     "check_hermitian",
     "as_complex_tuple",
     "wirtinger_gradient",
     "wirtinger_hessian",
 ]
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, preserving order.
-
-    With ``threads > 1`` the work runs on a thread pool (numpy releases the
-    GIL in the kernels that dominate).  Results are collected in input order,
-    so the reduction is deterministic regardless of thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def check_hermitian(a: np.ndarray, rtol: float = 1e-12, what: str = "matrix") -> np.ndarray:
@@ -87,13 +70,12 @@ def wirtinger_hessian(eval_at, size: int, step: float) -> np.ndarray:
         raise ValueError("field produced non-finite values at the stencil center")
 
     def second(u: np.ndarray):
-        acc = -4.0 * f0
+        v = []
         for off in (step * u, -step * u, 1j * step * u, -1j * step * u):
-            v = np.asarray(eval_at(off), dtype=complex)
-            if not np.all(np.isfinite(v)):
+            v.append(np.asarray(eval_at(off), dtype=complex))
+            if not np.all(np.isfinite(v[-1])):
                 raise ValueError("field produced non-finite values on the stencil")
-            acc = acc + v
-        return acc / (4.0 * step * step)
+        return (v[0] + v[1] + v[2] + v[3] - 4.0 * f0) / (4.0 * step * step)
 
     basis = np.eye(size, dtype=complex)
     diag = [second(basis[i]) for i in range(size)]

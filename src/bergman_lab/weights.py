@@ -670,7 +670,6 @@ def certify(
     w: WeightFamily,
     grid: GridSpec,
     psh_tol: float = 1e-8,
-    threads: int = 1,
 ) -> WeightCertificate:
     """Grid search for the trace-condition constant and companions.
 
@@ -681,8 +680,7 @@ def certify(
     block eigenvalue) always.  A weight that is not real-valued on the grid
     raises :class:`NotAWeightError`.  The distinct Hessian blocks of the
     whole grid (one per base point where the blocks are one broadcast
-    block) are stacked into one batched pass, so ``threads`` changes
-    nothing.
+    block) are stacked into one batched pass.
     """
     base_pts = grid.base_points()
     fiber_pts = grid.fiber_points()

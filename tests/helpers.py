@@ -112,9 +112,9 @@ def lambda_field(w, fam, t0, alpha: int, N: int, quad: QuadratureRule,
     return data.lambdas[0]
 
 
-def psh_spectrum(field_fn, st, threads: int = 1) -> float:
+def psh_spectrum(field_fn, st) -> float:
     """Minimum eigenvalue of the FD complex Hessian of the field."""
-    H = fd_hessian(field_fn, st, threads=threads)
+    H = fd_hessian(field_fn, st)
     return float(np.linalg.eigvalsh(H)[0])
 
 

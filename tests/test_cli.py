@@ -165,11 +165,22 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "log_inequality: FAIL (section functional vanishes at t0" in out
 
-    def test_h_step_override_leaving_patch_exits_two(self, scn, capsys):
-        text = "id = edge\nweight = separable 1.0\nt0 = 0.43\nchecks = certify\n"
-        assert main(["run", "--scenario", scn(text), "--h-step", "0.05"]) == 2
-        err = capsys.readouterr().err
-        assert "scenario error" in err and "leaves the base patch" in err
+    def test_dependent_det_frame_fails_with_message(self, scn, tmp_path, capsys):
+        text = ("id = dep\nweight = separable 1.0\ndegree = 12\nquadrature = 32 64\n"
+                "det_frame = 1 | 1\nchecks = det_inequality\n")
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(text), "--out", str(out_dir)]) == 2
+        out = capsys.readouterr().out
+        assert "det_inequality: FAIL (det_frame: frame numerically dependent" in out
+        [rec] = summary_of(out_dir, "dep")["records"]
+        assert rec["verdict"] == "fail" and rec["error"].startswith("det_frame: ")
+
+    def test_t0_at_the_patch_edge_runs(self, scn, capsys):
+        # no check differences, so nothing asks for room around t0
+        text = ("id = edge\nweight = separable 1.0\npatch = 0 ; 0.45\nt0 = 0.445\n"
+                "degree = 16\nquadrature = 48 96\nchecks = certify log_inequality\n")
+        assert main(["run", "--scenario", scn(text)]) == 0
+        assert "log_inequality: PASS" in capsys.readouterr().out
 
 
 class TestBundledPolydisc:
@@ -230,7 +241,7 @@ class TestDeterminism:
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
         path = scn(SEPARABLE)
         assert main(["run", "--scenario", path, "--out", str(d1)]) == 0
-        assert main(["run", "--scenario", path, "--out", str(d2), "--threads", "2"]) == 0
+        assert main(["run", "--scenario", path, "--out", str(d2)]) == 0
         h1 = summary_of(d1, "sep")["report_hash"]
         h2 = summary_of(d2, "sep")["report_hash"]
         assert h1 == h2

@@ -55,13 +55,9 @@ class TestStencil:
     def test_point_count(self):
         assert Stencil((0j,), 1e-2).count == 5
         assert Stencil((0j, 0j), 1e-2).count == 17
-        assert len(Stencil((0j, 0j), 1e-2).points()) == 17
-
-    def test_inside_patch(self):
-        st = Stencil((0.495 + 0j,), 1e-2)
-        with pytest.raises(ValueError, match="outside"):
-            st.check_inside(BasePatch((0j,), 0.5))
-        Stencil((0.4 + 0j,), 1e-2).check_inside(BasePatch((0j,), 0.5))
+        points = []
+        fd_hessian(lambda t: points.append(t) or 0.0, Stencil((0j, 0j), 1e-2))
+        assert len(points) == 17
 
 
 class TestFdHessian:
@@ -92,12 +88,6 @@ class TestFdHessian:
         ]
         order = math.log2(abs(traces[0] - traces[1]) / abs(traces[1] - traces[2]))
         assert order >= 1.8
-
-    def test_threads_deterministic(self):
-        f = lambda t: math.exp(abs(t[0]) ** 2)
-        a = fd_hessian(f, Stencil((0.2 + 0j,), 1e-2), threads=1)
-        b = fd_hessian(f, Stencil((0.2 + 0j,), 1e-2), threads=4)
-        assert np.array_equal(a, b)
 
 
 # a t-dependent section s(t) = 0.2 + 0.3 t with amplitude 1 + 0.5 t - 0.2i t^2
@@ -144,10 +134,10 @@ class TestExactHessian:
         cfg_ = CheckConfig(N=N, quad=quad)
         for fn, exact in ((section_field(w, MOVING_FAM, N, quad), sh.hessian),
                           (log_section_field(w, MOVING_FAM, N, quad), sh.log_hessian)):
-            _H, _trace, diag = fd_trace(fn, t0, cfg_)
-            half = fd_hessian(fn, Stencil(t0, cfg_.h / 2))
-            assert np.abs(half - exact).max() <= diag["richardson_gap"]
-            assert abs(diag["trace_at_half_step"] - np.trace(exact).real) <= diag["richardson_gap"]
+            _H, _trace, diag = fd_trace(fn, t0, 1e-2, cfg_.tolerance)
+            half = fd_hessian(fn, Stencil(t0, 1e-2 / 2))
+            assert np.abs(half - exact).max() <= diag["half_step_gap"]
+            assert abs(diag["trace_at_half_step"] - np.trace(exact).real) <= diag["half_step_gap"]
 
     def test_n2_mixed_entries_agree_with_fd(self, quad):
         H = np.array([[1.0, 0.2j, -0.5], [-0.2j, 1.3, 0.3], [-0.5, 0.3, 1.0]])
@@ -156,9 +146,9 @@ class TestExactHessian:
         t0 = (0.03 + 0.01j, -0.02j)
         sh = section_hessian(w, fam, t0, 20, quad)
         cfg_ = CheckConfig(N=20, quad=quad)
-        _H, _trace, diag = fd_trace(section_field(w, fam, 20, quad), t0, cfg_)
-        half = fd_hessian(section_field(w, fam, 20, quad), Stencil(t0, cfg_.h / 2))
-        assert np.abs(half - sh.hessian).max() <= diag["richardson_gap"]
+        _H, _trace, diag = fd_trace(section_field(w, fam, 20, quad), t0, 1e-2, cfg_.tolerance)
+        half = fd_hessian(section_field(w, fam, 20, quad), Stencil(t0, 1e-2 / 2))
+        assert np.abs(half - sh.hessian).max() <= diag["half_step_gap"]
         # quadratic weight: the log Hessian is the base block, whatever the section
         assert np.allclose(sh.log_hessian, H[:2, :2], atol=1e-9)
 
@@ -178,7 +168,7 @@ class TestExactHessian:
         derived = ("weight_values", "grad_base", "hessian", "d_G", "dd_G", "section_hessian")
         basis_keys = [k for k in quad.memo(w) if k[0] not in derived]
         assert basis_keys == [((0.1j,), 20)]
-        assert "richardson_gap" not in rep.diagnostics
+        assert "half_step_gap" not in rep.diagnostics
 
 
 class TestSectionInequality:
@@ -220,13 +210,12 @@ class TestUnconvergedMessages:
     def test_richardson_gap_names_h_step(self, quad):
         # fd_trace (the cross-check route) keeps the Richardson gate; a budget
         # no second difference meets: the h vs h/2 traces differ by O(h^2)
-        strict = CheckConfig(N=20, quad=quad, tolerance=1e-13)
         w = QuadraticWeight.cross_term(0.5)
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
         dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
-        with pytest.raises(UnconvergedBasisError, match="halving h_step 0.01") as exc:
-            fd_trace(dig.neg_log_det, (0j,), strict)
-        assert "lower h_step" in str(exc.value)
+        with pytest.raises(UnconvergedBasisError, match="halving the step 0.01") as exc:
+            fd_trace(dig.neg_log_det, (0j,), 1e-2, 1e-13)
+        assert "lower the step" in str(exc.value)
 
 
 class TestLogInequality:
@@ -291,7 +280,7 @@ class TestDetInequality:
             w, t0 = QuadraticWeight.cross_term(0.5, 2, 1), (0.03 + 0.01j, -0.02j)
         dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,) * w.n, 0.5), quad)
         exact = dig.neg_log_det_hessian(t0)
-        H, trace, _ = fd_trace(dig.neg_log_det, t0, CheckConfig(N=20, quad=quad, h=1e-3))
+        H, trace, _ = fd_trace(dig.neg_log_det, t0, 1e-3, 1e-3)
         assert abs(np.trace(exact).real - trace) < 1e-6
         assert np.abs(exact - H).max() < 1e-6
         assert np.abs(exact - exact.conj().T).max() == 0.0
@@ -300,7 +289,7 @@ class TestDetInequality:
         w = QuadraticWeight.cross_term(0.5)
         dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,), 0.5), quad)
         rep = check_det_inequality(dig, (0.1j,), 0.75, 2, cfg)
-        assert rep.h == 0.0 and "richardson_gap" not in rep.diagnostics
+        assert rep.h == 0.0 and "half_step_gap" not in rep.diagnostics
 
     def test_rank_mismatch(self, quad, cfg):
         w = QuadraticWeight.separable(1.0)
@@ -342,7 +331,7 @@ class TestTiltField:
         cfg_ = CheckConfig(N=20, quad=quad)
         rep = check_log_inequality(w, ORIGIN_FAM, (0j,), 0.75, cfg_)
         fn = section_field(w, ORIGIN_FAM, 20, quad)
-        st = Stencil((0j,), cfg_.h)
+        st = Stencil((0j,), 1e-2)
         tilted, _ = tilt_field(fn, st)
         linear_trace = float(np.real(np.trace(fd_hessian(tilted, st))))
         B0 = fn((0j,))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import bergman_lab.bergman as bergman_module
+import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
 import bergman_lab.utils as utils_module
 import bergman_lab.weights as weights_module
@@ -304,6 +305,7 @@ class TestIterationCost:
         monkeypatch.setattr(bergman_module, "gram_matrix", counted)
         monkeypatch.setattr(weights_module, "wirtinger_hessian", no_stencil)
         monkeypatch.setattr(utils_module, "wirtinger_hessian", no_stencil)
+        monkeypatch.setattr(curvature_module, "wirtinger_hessian", no_stencil)
         t_samples = [(0.0,), (0.1 - 0.05j,)][:n_t]
         K = 3
         led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, K,

@@ -24,7 +24,6 @@ det_frame = 1 | z1
 t0 = 0.1
 degree = 18
 quadrature = 40 80
-h_step = 5e-3
 tolerance = 2e-3
 eps0 = 0.75
 iteration = m 3 steps 6
@@ -41,7 +40,6 @@ class TestDefaults:
         assert (sc.n, sc.d) == (1, 1)
         assert sc.N == 24
         assert sc.quadrature == (64, 128)
-        assert sc.h == 1e-2
         assert sc.tolerance == 1e-3
         assert sc.patch.center == (0j,)
         assert sc.patch.radius == 0.45
@@ -65,7 +63,6 @@ class TestDefaults:
         assert sc.t0 == (0.1 + 0j,)
         assert sc.N == 18
         assert sc.quadrature == (40, 80)
-        assert sc.h == 5e-3
         assert sc.tolerance == 2e-3
         assert sc.eps0 == 0.75
         assert (sc.iteration_m, sc.iteration_steps) == (3, 6)
@@ -149,9 +146,6 @@ class TestParseErrors:
     def test_degree_floor(self):
         self.err("weight = separable 1\ndegree = 1\n", "at least 2")
 
-    def test_h_step_range(self):
-        self.err("weight = separable 1\nh_step = 0.5\n", "outside the sensible range")
-
     def test_fiber_dim_contradiction(self):
         self.err(
             "weight = separable 1\nfiber = disk 1.0\nfiber_dim = 2\n", "contradicts"
@@ -194,9 +188,6 @@ class TestParseErrors:
     def test_eps0_must_be_finite_nonnegative(self, value):
         self.err(f"weight = separable 1\neps0 = {value}\n", "field 'eps0'")
 
-    def test_h_step_not_a_number(self):
-        self.err("weight = separable 1\nh_step = small\n", "field 'h_step'")
-
     def test_weight_parameter_not_a_number(self):
         self.err("weight = cross lots\n", "field 'weight'")
 
@@ -227,8 +218,8 @@ class TestResolutionGuard:
 
     def test_override_cannot_bypass_numeric_checks(self):
         sc = parse_scenario(MINIMAL)
-        with pytest.raises(ScenarioError, match="h_step"):
-            dataclasses.replace(sc, h=float("nan"))
+        with pytest.raises(ScenarioError, match="tolerance"):
+            dataclasses.replace(sc, tolerance=float("nan"))
         with pytest.raises(ScenarioError, match="degree"):
             dataclasses.replace(sc, N=1)
 
@@ -259,28 +250,16 @@ class TestNodeCap:
             dataclasses.replace(sc, quadrature=(33, 32))
 
 
-class TestStencilInsidePatch:
-    """Every FD stencil point around t0 must lie in the validated patch."""
+class TestBasePoint:
+    """t0 must lie in the patch; no check differences, so nothing else is asked of it."""
 
-    def test_stencil_leaving_patch_rejected(self):
-        text = "weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.445\nh_step = 0.01\n"
-        with pytest.raises(ScenarioError, match=r"t0.*0\.445.*0\.01.*radius 0\.45"):
-            parse_scenario(text)
+    def test_t0_at_the_patch_edge_parses(self):
+        sc = parse_scenario("weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.445\n")
+        assert sc.t0 == (0.445 + 0j,)
 
-    def test_imaginary_direction_checked(self):
-        with pytest.raises(ScenarioError, match="leaves the base patch"):
-            parse_scenario("weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.445j\n")
-
-    def test_second_coordinate_checked(self):
-        text = "base_dim = 2\nweight = separable 1\npatch = 0 0 ; 0.45\nt0 = 0 0.445\n"
-        with pytest.raises(ScenarioError, match="leaves the base patch"):
-            parse_scenario(text)
-
-    def test_h_step_override_meets_the_check(self):
-        sc = parse_scenario("weight = separable 1\npatch = 0 ; 0.45\nt0 = 0.43\n")
-        assert sc.h == 1e-2
-        with pytest.raises(ScenarioError, match="h_step 0.05"):
-            dataclasses.replace(sc, h=0.05)
+    def test_h_step_is_an_unknown_key(self):
+        with pytest.raises(ScenarioError, match="line 2, field 'h_step': unknown key"):
+            parse_scenario("weight = separable 1\nh_step = 1e-2\n")
 
 
 class TestConfig:

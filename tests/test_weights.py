@@ -304,12 +304,6 @@ class TestCertify:
         assert cert.eps0 == 0.0
         assert not cert.psh_ok
 
-    def test_threads_deterministic(self):
-        w = QuadraticWeight.cross_term(0.3)
-        a = certify(w, default_grid(), threads=1)
-        b = certify(w, default_grid(), threads=4)
-        assert a.eps0 == b.eps0 and a.psh_min_eig == b.psh_min_eig
-
     @pytest.mark.parametrize("weight", ["cross", "polynomial"])
     def test_batched_minima_match_per_point_spectra(self, weight):
         if weight == "cross":
