@@ -133,15 +133,10 @@ class CheckConfig:
 
 @dataclass(frozen=True)
 class CurvatureReport:
-    """Trace inequality outcome for one scalar field at one base point.
-
-    ``h`` is the finite-difference step behind ``hessian``; 0.0 for an
-    exact Hessian.
-    """
+    """Trace inequality outcome for one scalar field at one base point."""
 
     field_name: str
     t0: tuple
-    h: float
     hessian: np.ndarray = field(repr=False)
     trace: float = 0.0
     bound: float = 0.0
@@ -196,13 +191,12 @@ def section_truncation(w, fam, t0, cfg) -> tuple[float, float]:
     return full, gap
 
 
-def _report(field_name, t0, h, H, bound, tolerance, diagnostics) -> CurvatureReport:
+def _report(field_name, t0, H, bound, tolerance, diagnostics) -> CurvatureReport:
     trace = float(np.real(np.trace(H)))
     margin = trace - bound
     return CurvatureReport(
         field_name=field_name,
         t0=t0,
-        h=h,
         hessian=H,
         trace=trace,
         bound=bound,
@@ -222,7 +216,7 @@ def check_section_inequality(
     H = section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian
     diag = {"B0": B0, "convergence_gap": conv_gap, "eps0": eps0}
     tol = cfg.tolerance * max(1.0, B0)
-    return _report("section_value", t0, 0.0, H, w.n * eps0 * B0, tol, diag)
+    return _report("section_value", t0, H, w.n * eps0 * B0, tol, diag)
 
 
 def check_log_inequality(
@@ -235,7 +229,7 @@ def check_log_inequality(
         raise ArithmeticError("section functional vanishes at t0; log check undefined")
     H = section_hessian(w, fam, t0, cfg.N, cfg.quad).log_hessian
     diag = {"B0": B0, "convergence_gap": conv_gap, "eps0": eps0}
-    return _report("log_section_value", t0, 0.0, H, w.n * eps0, cfg.tolerance, diag)
+    return _report("log_section_value", t0, H, w.n * eps0, cfg.tolerance, diag)
 
 
 def check_det_inequality(
@@ -253,5 +247,5 @@ def check_det_inequality(
         raise ValueError(f"rank argument {r} disagrees with the frame size {dig.rank}")
     H = dig.neg_log_det_hessian(t0)
     diag = {"rank": r, "eps0": eps0}
-    return _report("neg_log_det_gram", t0, 0.0, H, dig.w.n * r * eps0, cfg.tolerance, diag)
+    return _report("neg_log_det_gram", t0, H, dig.w.n * r * eps0, cfg.tolerance, diag)
 

@@ -555,7 +555,8 @@ def ring_synthesis(
         T = X
     angular = tuple(range(2, T.ndim, 2))
     n_angular = math.prod(T.shape[a] for a in angular)
-    K = np.fft.ifftn(T, axes=angular) * n_angular
+    K = np.fft.ifftn(T, axes=angular, out=T)  # in place: no stack-sized temporaries
+    K *= n_angular
     return K.reshape(lead + (quad.size,))
 
 

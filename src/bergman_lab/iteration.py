@@ -35,8 +35,10 @@ ring synthesis of the stack (P, d_aP, d_a dbar_bP)
 (``fiber_numerics.ring_synthesis``), with no node Vandermonde.  Mixed
 weights combine their parts' values, gradients and Hessian blocks
 linearly, so the Gram derivatives of ``w_{k+1}`` read exact node
-derivatives of psi_k.  Each step therefore builds one basis per base point
-sample and evaluates no finite-difference stencil.
+derivatives of psi_k; they read their parts' node fields through the
+rule's memo, so those of phi_L are evaluated once per run, not per step.
+Each step therefore builds one basis per base point sample and evaluates
+no finite-difference stencil.
 
 The chain of weights keeps every psi_k alive, so each step drops what the
 quadrature rule stored for its mixed weight and for the previous
@@ -48,10 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .bergman import base_gram_derivative, base_gram_hessian, bergman_basis
+from .bergman import (base_gram_derivative, base_gram_hessian, bergman_basis, node_base_gradient,
+                      node_hessian)
 from .curvature import CONVERGENCE_TOL, CheckConfig, truncation_gate
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
@@ -258,26 +262,35 @@ class MixedWeight(WeightFamily):
                 raise GridMismatchError(
                     f"cannot mix weights of dims ({f.n},{f.d}) and ({n},{d})"
                 )
-        quads = [f.quad for _c, f in parts if hasattr(f, "quad")]
+        quads = [f.quad for _c, f in parts if getattr(f, "quad", None) is not None]
         for q in quads[1:]:
             if q.shape != quads[0].shape or q.domain != quads[0].domain:
                 raise GridMismatchError("mixed weights sampled on different quadrature grids")
         super().__init__(n, d, label or "mixed")
         self.parts = parts
+        self.quad = quads[0] if quads else None
+
+    def _combine(self, name, t, xi, node_field) -> np.ndarray:
+        """``sum_i coef_i * part_i.name(t, xi)``; on the rule's nodes each term
+        is ``node_field(part_i, t, quad)``, read through the rule's memo, so
+        phi_L, a part of every step, is evaluated there once per run."""
+        t = as_complex_tuple(t)  # one base point: per-point input raises ValueError
+        nodes = self.quad is not None and xi is self.quad.nodes
+        return sum(c * np.asarray(node_field(f, t, self.quad) if nodes else getattr(f, name)(t, xi))
+                   for c, f in self.parts)
 
     def _value_raw(self, t, pts):
-        total = np.zeros(pts.shape[0])
-        for c, f in self.parts:
-            total = total + c * np.asarray(f.value(t, pts))
-        return total
+        return self._combine("value", t, pts,
+                             lambda f, t, q: q.memoize(f, ("phi", t), lambda: f.value(t, q.nodes)))
 
     def grad_base(self, t, xi):
-        return sum(c * np.asarray(f.grad_base(t, xi)) for c, f in self.parts)
+        return self._combine("grad_base", t, xi, node_base_gradient)
 
     def base_hessian(self, t, xi):
-        return sum(c * np.asarray(f.base_hessian(t, xi)) for c, f in self.parts)
+        return self._combine("base_hessian", t, xi, partial(node_hessian, base_only=True))
 
     def hessian_field(self, t, xi):
+        t = as_complex_tuple(t)
         blocks = [[c * np.asarray(b) for b in f.hessian_field(t, xi)] for c, f in self.parts]
         return tuple(sum(terms) for terms in zip(*blocks))
 

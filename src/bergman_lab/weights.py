@@ -27,10 +27,12 @@ counts as positive definite when its least eigenvalue exceeds
 of the L2 step and the certification grid apply this one rule.  A stack
 that is one block broadcast along the point axis (stride 0, as a quadratic
 weight's ``hessian_field`` returns) is evaluated on that block alone and
-the result broadcast; :func:`certify` likewise stacks such a base point's
-one block, not its copies.  The Schur base trace is ``Re tr tt`` minus the
-sum of that diagonal, and :func:`joint_hessian` assembles ``[[tt, tf],
-[tf^H, ff]]`` for every plurisubharmonicity test.
+the result broadcast.  ``value`` and ``hessian_field`` take one base point
+or one per fiber point, so :func:`certify` evaluates its whole base x fiber
+grid in one call of each (and such a grid's one block, not its copies).
+The Schur base trace is ``Re tr tt`` minus the sum of that diagonal, and
+:func:`joint_hessian` assembles ``[[tt, tf], [tf^H, ff]]`` for every
+plurisubharmonicity test.
 """
 
 from __future__ import annotations
@@ -149,6 +151,35 @@ def _as_fiber_array(xi, d: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"cannot interpret fiber input of shape {arr.shape} for d={d}")
 
 
+def _as_points(t, xi, n: int, d: int) -> tuple[tuple, np.ndarray, bool]:
+    """Normalize ``(t, xi)``: the fiber input as in :func:`_as_fiber_array`,
+    and ``t`` to n complex scalars (one base point, shape (n,)) or to n
+    arrays of shape (M,) (one base point per fiber point, shape (M, n))."""
+    pts, single = _as_fiber_array(xi, d)
+    arr = np.asarray(t, dtype=complex)
+    if arr.ndim == 2:
+        if arr.shape != (pts.shape[0], n):
+            raise ValueError(f"per-point base input of shape {arr.shape}, expected {(pts.shape[0], n)}")
+        return tuple(arr.T), pts, single
+    t = as_complex_tuple(arr)
+    if len(t) != n:
+        raise ValueError(f"base point has {len(t)} coordinates, expected {n}")
+    return t, pts, single
+
+
+def _checked_real(raw: np.ndarray, starts, label: str) -> np.ndarray:
+    """The real part of raw weight values, whose entries from ``starts[i]`` to
+    the next start share a base point; the first base point whose largest
+    ``|Im|`` exceeds ``REALITY_TOL * max(1, largest |value|)`` raises."""
+    if np.iscomplexobj(raw) and raw.size:
+        scale = np.fmax(1.0, np.maximum.reduceat(np.abs(raw), starts))
+        worst = np.maximum.reduceat(np.abs(raw.imag), starts)
+        bad = np.flatnonzero(worst > REALITY_TOL * scale)
+        if bad.size:
+            raise NotAWeightError(f"weight {label!r} is not real-valued: max |Im| = {worst[bad[0]]:.3e}")
+    return np.asarray(np.real(raw), dtype=float)
+
+
 class WeightFamily:
     """Common evaluator interface; subclasses fix the derivative strategy."""
 
@@ -163,55 +194,48 @@ class WeightFamily:
         self.d = int(fiber_dim)
         self.label = label or self.kind
 
-    # subclasses implement the raw (possibly complex) evaluator
-    def _value_raw(self, t: tuple[complex, ...], xi: np.ndarray) -> np.ndarray:
+    # subclasses implement the raw (possibly complex) evaluator; ``t`` holds n
+    # complex scalars or n arrays of shape (M,), one entry per fiber point
+    def _value_raw(self, t: tuple, xi: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, t, xi) -> np.ndarray:
-        """phi(t, xi) for fixed t, vectorized over fiber points; checked real."""
-        t = as_complex_tuple(t)
-        if len(t) != self.n:
-            raise ValueError(f"base point has {len(t)} coordinates, expected {self.n}")
-        pts, single = _as_fiber_array(xi, self.d)
-        raw = np.asarray(self._value_raw(t, pts))
-        if np.iscomplexobj(raw):
-            scale = max(1.0, float(np.abs(raw).max(initial=0.0)))
-            worst = float(np.abs(raw.imag).max(initial=0.0))
-            if worst > REALITY_TOL * scale:
-                raise NotAWeightError(
-                    f"weight {self.label!r} is not real-valued: max |Im| = {worst:.3e}"
-                )
-            raw = raw.real
-        out = np.asarray(raw, dtype=float)
+        """phi(t, xi) over fiber points, at one base point ``t`` (shape (n,)) or
+        one per fiber point (shape (M, n)); checked real per base point, a
+        run of equal rows of ``t`` (:func:`_checked_real`)."""
+        t, pts, single = _as_points(t, xi, self.n, self.d)
+        moved = np.any([c[1:] != c[:-1] for c in t], axis=0) if np.ndim(t[0]) else []
+        starts = np.flatnonzero(np.r_[True, moved])  # the first entry of each base point
+        out = _checked_real(np.asarray(self._value_raw(t, pts)), starts, self.label)
         return float(out[0]) if single else out
 
-    def grad_base(self, t, xi) -> np.ndarray:
-        """d phi / dt_a for a = 1..n, shape (n,) or (n, M). FD fallback."""
-        t = as_complex_tuple(t)
-        pts, single = _as_fiber_array(xi, self.d)
+    def _displaced(self, t, pts):
+        """``eval_at(offset)``: the raw weight displaced jointly in (t, xi),
+        for the Wirtinger stencils of the finite-difference fallback."""
 
         def eval_at(off):
             ts = tuple(c + o for c, o in zip(t, off[: self.n]))
             return self._value_raw(ts, pts + off[self.n :][None, :])
 
-        grads = wirtinger_gradient(eval_at, self.n + self.d, self.fd_step)[: self.n]
-        out = np.stack([np.asarray(g).reshape(-1) for g in grads])
+        return eval_at
+
+    def grad_base(self, t, xi) -> np.ndarray:
+        """d phi / dt_a for a = 1..n, shape (n,) or (n, M). FD fallback."""
+        pts, single = _as_fiber_array(xi, self.d)
+        eval_at = self._displaced(as_complex_tuple(t), pts)
+        grads = wirtinger_gradient(eval_at, self.n + self.d, self.fd_step)
+        out = np.stack([np.asarray(g).reshape(-1) for g in grads[: self.n]])
         return out[:, 0] if single else out
 
     def hessian_field(self, t, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Blocks (tt, tf, ff) at fixed t over fiber points.
+        """Blocks (tt, tf, ff) over fiber points, at one base point ``t`` or
+        at one base point per fiber point (as in :meth:`value`).
 
         Shapes are (M, n, n), (M, n, d), (M, d, d).  FD fallback; analytic
         kinds override.
         """
-        t = as_complex_tuple(t)
-        pts, _ = _as_fiber_array(xi, self.d)
-
-        def eval_at(off):
-            ts = tuple(c + o for c, o in zip(t, off[: self.n]))
-            return self._value_raw(ts, pts + off[self.n :][None, :])
-
-        H = wirtinger_hessian(eval_at, self.n + self.d, self.fd_step)
+        t, pts, _ = _as_points(t, xi, self.n, self.d)
+        H = wirtinger_hessian(self._displaced(t, pts), self.n + self.d, self.fd_step)
         n = self.n
         return H[..., :n, :n], H[..., :n, n:], H[..., n:, n:]
 
@@ -288,7 +312,7 @@ class QuadraticWeight(WeightFamily):
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
-        pts, _ = _as_fiber_array(xi, self.d)
+        _, pts, _ = _as_points(t, xi, self.n, self.d)
         M, n = pts.shape[0], self.n
         tt = np.broadcast_to(self.H[:n, :n], (M, n, n))
         tf = np.broadcast_to(self.H[:n, n:], (M, n, self.d))
@@ -343,8 +367,7 @@ class PolynomialWeight(WeightFamily):
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
-        t = as_complex_tuple(t)
-        pts, _ = _as_fiber_array(xi, self.d)
+        t, pts, _ = _as_points(t, xi, self.n, self.d)
         coords = self._coords(t, pts)
         m = self.n + self.d
         H = np.zeros((pts.shape[0], m, m), dtype=complex)
@@ -367,9 +390,6 @@ class CustomWeight(WeightFamily):
         super().__init__(base_dim, fiber_dim, label)
         self.expr = expr
         self.fd_step = float(fd_step)
-        self.variables = tuple(f"t{i+1}" for i in range(base_dim)) + tuple(
-            f"z{a+1}" for a in range(fiber_dim)
-        )
 
     @classmethod
     def from_text(cls, base_dim: int, fiber_dim: int, text: str, label: str = "", fd_step: float = 1e-4) -> "CustomWeight":
@@ -398,7 +418,6 @@ class TwistedWeight(WeightFamily):
         super().__init__(base.n, base.d, label=f"{base.label} + {C}|t|^2")
         self.base = base
         self.C = float(C)
-        self.fd_step = base.fd_step
 
     def _value_raw(self, t, pts):
         bump = self.C * sum(abs(c) ** 2 for c in t)
@@ -678,9 +697,10 @@ def certify(
     :func:`fiber_contraction`) and the assembled Hessian never dips
     below -psh_tol; otherwise 0, with diagnostics.  C = max(0, -min base
     block eigenvalue) always.  A weight that is not real-valued on the grid
-    raises :class:`NotAWeightError`.  The distinct Hessian blocks of the
-    whole grid (one per base point where the blocks are one broadcast
-    block) are stacked into one batched pass.
+    raises :class:`NotAWeightError`, tested per base point.  The whole
+    base x fiber grid is one per-point input: one ``value`` and one
+    ``hessian_field`` call, and one batched pass over the blocks (over the
+    one block, where they are one block broadcast).
     """
     base_pts = grid.base_points()
     fiber_pts = grid.fiber_points()
@@ -689,15 +709,12 @@ def certify(
     if w.n != base_pts.shape[1]:
         raise ValueError("grid base dimension does not match the weight")
 
-    blocks = []
-    for t in base_pts:
-        t = tuple(t)
-        w.value(t, fiber_pts)  # raises NotAWeightError where phi is not real
-        tt, tf, ff = w.hessian_field(t, fiber_pts)
-        if _one_block(tt) and _one_block(tf) and _one_block(ff):
-            tt, tf, ff = tt[:1], tf[:1], ff[:1]  # the distinct block, not its copies
-        blocks.append((tt, tf, ff))
-    tt, tf, ff = (np.concatenate(parts) for parts in zip(*blocks))
+    T = np.repeat(base_pts, len(fiber_pts), axis=0)  # base-major joint grid
+    X = np.tile(fiber_pts, (len(base_pts), 1))
+    w.value(T, X)  # raises NotAWeightError where phi is not real
+    tt, tf, ff = w.hessian_field(T, X)
+    if _one_block(tt) and _one_block(tf) and _one_block(ff):
+        tt, tf, ff = tt[:1], tf[:1], ff[:1]  # the distinct block, not its copies
     psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
     tt_min = float(np.linalg.eigvalsh(tt)[:, 0].min())
     try:

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: a node-sum inner product, the gradient
 tilt of a scalar field, the mixed trace constant, a CSV field dump, the
 Hormander fields of one direction, the FD Hessian spectrum, the
-Bergman-kernel potential of a weight and a quadratic weight whose Hessian
-blocks are materialized copies."""
+Bergman-kernel potential of a weight, a quadratic weight whose Hessian
+blocks are materialized copies and a weight evaluated one base point at a
+time."""
 
 import io
 import math
@@ -14,7 +15,7 @@ from bergman_lab.fiber_numerics import QuadratureRule
 from bergman_lab.hormander import build_hormander_data
 from bergman_lab.iteration import LogKernelField
 from bergman_lab.utils import as_complex_tuple, wirtinger_gradient
-from bergman_lab.weights import QuadraticWeight
+from bergman_lab.weights import QuadraticWeight, WeightFamily
 
 
 def _values_on_nodes(f, quad: QuadratureRule) -> np.ndarray:
@@ -145,3 +146,32 @@ class MaterializedQuadratic(QuadraticWeight):
 
 def as_materialized(w: QuadraticWeight) -> MaterializedQuadratic:
     return MaterializedQuadratic(w.n, w.d, w.H, label=w.label)
+
+
+class PerBasePoint(WeightFamily):
+    """A weight evaluated one base point at a time: the reference for the
+    joint grid of ``certify``.
+
+    A per-point input in base-major order (``nf`` fiber points per base
+    point) makes one ``value`` and one ``hessian_field`` call of the wrapped
+    weight per base point, and the blocks are concatenated in that order --
+    the loop ``certify`` ran before it evaluated its grid in one call.
+    """
+
+    def __init__(self, w: WeightFamily, nf: int):
+        super().__init__(w.n, w.d, w.label)
+        self.w, self.nf = w, nf
+
+    def _rows(self, T, X):
+        T, X = np.asarray(T), np.asarray(X)
+        return [(tuple(T[s]), X[s : s + self.nf]) for s in range(0, len(T), self.nf)]
+
+    def value(self, T, X):
+        return np.concatenate([self.w.value(t, x) for t, x in self._rows(T, X)])
+
+    def hessian_field(self, T, X):
+        blocks = [self.w.hessian_field(t, x) for t, x in self._rows(T, X)]
+        return tuple(np.concatenate(b) for b in zip(*blocks))
+
+    def describe(self) -> str:
+        return self.w.describe()

@@ -313,6 +313,20 @@ class TestIterationCost:
         assert led.satisfies() and len(led.steps) == K
         assert len(built) == (K + 1) * n_t
 
+    def test_base_weight_node_fields_once_per_run(self, quad, monkeypatch):
+        phi = QuadraticWeight.cross_term(0.5, 1, 1)
+        calls = []
+        for method in ("value", "grad_base", "hessian_field"):
+            real = getattr(phi, method)
+            monkeypatch.setattr(phi, method, lambda t, xi, real=real, method=method: (
+                calls.append(method) if xi is quad.nodes else None) or real(t, xi))
+        K = 4
+        led = run_iteration(phi, 2, K, CheckConfig(N=16, quad=quad), eps0=0.75)
+        assert len(led.steps) == K
+        # on the nodes: exp(-phi) for the first basis and phi for the mixes,
+        # one gradient and one set of Hessian blocks -- not one per step
+        assert sorted(calls) == ["grad_base", "hessian_field", "value", "value"]
+
     def test_node_fields_released_each_step(self, quad):
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
         led = run_iteration(phi, 2, 3, CheckConfig(N=16, quad=quad), eps0=0.75, keep_fields=True)
@@ -332,6 +346,22 @@ class TestIterationCost:
         for t in ((0.0,), (0.1j,)):
             assert np.array_equal(fields[0].value(t, xi), fresh.value(t, xi))
             assert np.array_equal(fields[0].hessian_field(t, xi)[1], fresh.hessian_field(t, xi)[1])
+
+
+class TestOneBasePointAtATime:
+    """The iterated weights memoize per base point, so they refuse one base
+    point per fiber point."""
+
+    def test_log_kernel_and_mixed_weights_refuse_per_point_base(self, quad):
+        phi = QuadraticWeight.cross_term(0.5, 1, 1)
+        psi = LogKernelField(phi, 12, quad)
+        T, X = np.array([[0.0], [0.1j]]), np.array([[0.2], [0.3j]])
+        for w in (psi, mix_weights(psi, phi, 2)):
+            for evaluate in (w.value, w.hessian_field, w.grad_base, w.base_hessian):
+                with pytest.raises(ValueError):
+                    evaluate(T, X)
+            with pytest.raises(ValueError):
+                w.value(np.zeros((quad.size, 1)), quad.nodes)
 
 
 class TestFieldDump:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import as_materialized
+from helpers import PerBasePoint, as_materialized
 
 from bergman_lab import weights
 from bergman_lab.fiber_numerics import FiberDomain
@@ -100,6 +100,33 @@ def einsum_quadratic(H, t, pts):
     """phi = sum_jk H[j,k] x_j conj(x_k) over the joint coordinates, as one einsum."""
     X = np.hstack([np.broadcast_to(np.asarray(t, dtype=complex), (pts.shape[0], len(t))), pts])
     return np.einsum("jk,mj,mk->m", H, X, np.conj(X))
+
+
+class TestPerPointBase:
+    """``value`` and ``hessian_field`` at one base point per fiber point agree
+    with one call per base point."""
+
+    @pytest.mark.parametrize("w", [
+        QuadraticWeight.cross_term(0.4, 2, 1),
+        PolynomialWeight.from_text(2, 1, "(+ (abs2 t1) (abs2 t2) (abs2 z1) (* 0.3 (re (* t1 t2 (conj z1)))))"),
+        CustomWeight.from_text(2, 1, "(+ (abs2 t1) (abs2 z1) (exp (* 0.1 (abs2 t2))))"),
+        twist_weight(CustomWeight.from_text(2, 1, "(+ (abs2 t1) (abs2 t2) (abs2 z1))"), 2.0),
+    ], ids=["quadratic", "polynomial", "custom", "twisted"])
+    def test_matches_one_base_point_at_a_time(self, w):
+        T = np.array([[0.1, 0.2j], [0.1, 0.2j], [-0.3j, 0.05]])
+        X = np.array([[0.2 + 0.1j], [0.5], [0.3j]])
+        values = [w.value(tuple(t), x[None]) for t, x in zip(T, X)]
+        assert np.array_equal(w.value(T, X), np.concatenate(values))
+        blocks = [w.hessian_field(tuple(t), x[None]) for t, x in zip(T, X)]
+        for got, want in zip(w.hessian_field(T, X), zip(*blocks)):
+            assert np.array_equal(got, np.concatenate(want))
+
+    def test_base_rows_must_match_the_fiber_points(self):
+        w = QuadraticWeight.cross_term(0.4, 2, 1)
+        with pytest.raises(ValueError, match="per-point base input"):
+            w.value(np.zeros((3, 2)), np.zeros((2, 1)))
+        with pytest.raises(ValueError, match="per-point base input"):
+            w.hessian_field(np.zeros((2, 3)), np.zeros((2, 1)))
 
 
 class TestQuadraticValues:
@@ -340,6 +367,59 @@ class TestCertify:
         w = CustomWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1))")
         cert = certify(w, default_grid())
         assert cert.eps0 == pytest.approx(1.0, abs=1e-6)
+
+    JOINT_GRID_WEIGHTS = {
+        "quadratic n=1": (lambda: QuadraticWeight.cross_term(0.5), (1, 1)),
+        "quadratic n=2": (lambda: QuadraticWeight.cross_term(0.3, 2, 1), (2, 1)),
+        "polynomial": (lambda: PolynomialWeight.from_text(
+            1, 1, "(+ (* 0.9 (abs2 t1)) (abs2 z1) (* 0.2 (abs2 t1) (abs2 z1)) (* 0.3 (re (* t1 t1 (conj z1)))))"), (1, 1)),
+        "custom": (lambda: CustomWeight.from_text(
+            2, 1, "(+ (abs2 t1) (abs2 t2) (abs2 z1) (log (+ 1 (abs2 (* t1 z1)))))"), (2, 1)),
+        "twisted polynomial": (lambda: twist_weight(PolynomialWeight.from_text(
+            1, 1, "(+ (* 0.2 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"), 1.5), (1, 1)),
+        "quadratic d=2": (lambda: QuadraticWeight.cross_term(0.3, 1, 2), (1, 2)),
+        "polynomial d=2": (lambda: PolynomialWeight.from_text(
+            1, 2, "(+ (abs2 t1) (abs2 z1) (abs2 z2) (* 0.2 (abs2 t1) (abs2 z1)) (* 0.3 (re (* t1 (conj z2)))))"),
+            (1, 2)),
+    }
+
+    @pytest.mark.parametrize("name", list(JOINT_GRID_WEIGHTS))
+    def test_joint_grid_certifies_like_the_per_base_point_loop(self, name):
+        make, (n, d) = self.JOINT_GRID_WEIGHTS[name]
+        w, grid = make(), default_grid(n, d)
+        reference = certify(PerBasePoint(w, len(grid.fiber_points())), grid)
+        assert certify(w, grid) == reference  # every field bitwise, diagnostics included
+
+    @pytest.mark.parametrize("name", ["quadratic n=2", "polynomial", "custom"])
+    def test_one_value_and_one_hessian_call_per_certify(self, name, monkeypatch):
+        make, (n, d) = self.JOINT_GRID_WEIGHTS[name]
+        w, grid = make(), default_grid(n, d)
+        calls = []
+        for method in ("value", "hessian_field"):
+            real = getattr(w, method)
+            monkeypatch.setattr(w, method, lambda t, xi, real=real, method=method: (
+                calls.append((method, np.shape(t))) or real(t, xi)))
+        certify(w, grid)
+        points = len(grid.base_points()) * len(grid.fiber_points())
+        assert calls == [("value", (points, n)), ("hessian_field", (points, n))]
+
+    def test_reality_is_tested_at_each_base_points_own_scale(self):
+        # Im phi = 1e-11 Im z1 everywhere; at t = 0 (scale 1) that fails,
+        # while at |t| = 0.5 phi is about 2500, so one scale over the whole
+        # grid would let it through
+        w = CustomWeight.from_text(1, 1, "(+ (* 10000 (abs2 t1)) (abs2 z1) (* 1e-11 z1))")
+        grid = default_grid()
+        T = np.repeat(grid.base_points(), len(grid.fiber_points()), axis=0)
+        X = np.tile(grid.fiber_points(), (len(grid.base_points()), 1))
+        raw = w._value_raw(tuple(T.T), X)
+        assert np.abs(raw.imag).max() < weights.REALITY_TOL * np.abs(raw).max()
+        message = (r"weight '\(\+ \(\* 10000 \(abs2 t1\)\) \(abs2 z1\) \(\* 1e-11 z1\)\)' "
+                   r"is not real-valued: max \|Im\| = 8\.500e-12")
+        with pytest.raises(NotAWeightError, match=message):
+            certify(w, grid)
+        with pytest.raises(NotAWeightError, match=message):
+            w.value(T, X)
+        assert w.value(T[-12:], X[-12:]).shape == (12,)  # the last base point alone passes
 
     def test_non_real_weight_not_certified(self):
         # the holomorphic term z1 has zero Hessian, so only a value check sees it
