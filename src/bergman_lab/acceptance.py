@@ -16,9 +16,10 @@ resolutions and tolerances, each with an explicit wall-clock budget:
   a10 iteration bound ledger matches a recursive oracle and is met
   a11 base-Hessian spectrum of log B stays above the tolerance floor
   a12 distortion attenuation closed form and monotonicity
-  a13 exact base Hessians of B, log B and -log det G, the exact
-      Hormander fields Lambda_a and the exact Hessian blocks of the
-      iteration's log-kernel potentials agree with finite differences
+  a13 exact base Hessians of B, log B and -log det G (quadratic,
+      polynomial and custom weights), the exact Hormander fields Lambda_a
+      and the exact Hessian blocks of the iteration's log-kernel potentials
+      agree with finite differences
       (step 1e-2, Richardson gate at half that) within the FD budget
 
 Each criterion returns a CriterionResult; `run_criterion` never raises, so
@@ -43,8 +44,8 @@ from .hormander import assembled_lower_bound, build_hormander_data, dbar_identit
     hormander_bound_check, orthogonality_residual
 from .iteration import LogKernelField, mix_weights, run_iteration
 from .utils import as_complex_tuple, wirtinger_gradient, wirtinger_hessian
-from .weights import BasePatch, PolynomialWeight, QuadraticWeight, distortion_margin, \
-    schur_trace_field, twist_weight
+from .weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight, \
+    distortion_margin, schur_trace_field, twist_weight
 
 SEED = 20260814
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
@@ -420,6 +421,9 @@ def a13():
     poly = PolynomialWeight.from_text(
         1, 1, "(+ (* 0.8 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
     )
+    coupled_log = CustomWeight.from_text(  # not a polynomial, base and fiber coupled
+        1, 1, "(+ (abs2 t1) (abs2 z1) (log (+ 1 (abs2 (* t1 z1)))))"
+    )
     moving = SectionFamily(
         1, 1,
         ((HoloPoly(1, {(0,): 0.2, (1,): 0.3}),),),
@@ -434,6 +438,7 @@ def a13():
         ("cross n=2", _cross_n2(0.5), SectionFamily.constant([[0.1j]], base_dim=2),
          (0.03 + 0.01j, -0.02j), 16, quad),
         ("polynomial", poly, moving, (0.1 + 0.05j,), 16, quad),
+        ("custom", coupled_log, moving, (0.1 + 0.05j,), 16, quad),
         ("polydisc", QuadraticWeight(1, 2, H_pd), SectionFamily.constant([[0.2 + 0.1j, -0.1j]]),
          (0.05 + 0.03j,), 10, polydisc),
     ]

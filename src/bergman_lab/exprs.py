@@ -10,10 +10,13 @@ coordinates ``z1..zd``; the aliases ``t``/``z`` resolve to ``t1``/``z1``
 when unambiguous).  Numbers are anything Python's ``complex()`` accepts
 (``0.5``, ``-2``, ``1j``, ``1+2j``).
 
-Two evaluation paths exist: direct numpy evaluation on arrays, and symbolic
+Expressions are evaluated directly with numpy on arrays, and differentiated
+as trees: :func:`wirtinger` returns the derivative in a variable or its
+conjugate as another expression of the same grammar, which is what the
+exact derivatives of every expression weight run on.  The symbolic
 expansion into a table of monomials in the variables and their conjugates
-(available only when the expression is free of ``exp``/``log``), which is
-what analytic differentiation of polynomial weights runs on.
+(available only when the expression is free of ``exp``/``log``) decides
+whether a weight is a real polynomial and expands holomorphic sections.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "Call",
     "parse_expr",
     "eval_expr",
+    "wirtinger",
     "to_text",
     "expand_real_polynomial",
     "expand_holomorphic_polynomial",
@@ -153,6 +157,50 @@ def eval_expr(expr: Expr, env: dict[str, np.ndarray | complex]):
     raise ExpressionError(f"unknown operator {expr.op!r}")
 
 
+def _sum(terms) -> Expr | None:
+    terms = tuple(e for e in terms if e is not None)
+    return None if not terms else terms[0] if len(terms) == 1 else Call("+", terms)
+
+
+def _product(factors) -> Expr:
+    factors = tuple(e for e in factors if e != Num(1 + 0j))
+    return Num(1 + 0j) if not factors else factors[0] if len(factors) == 1 else Call("*", factors)
+
+
+def wirtinger(expr: Expr, var: str, anti: bool = False) -> Expr | None:
+    """The derivative of ``expr`` in ``var`` (in its conjugate when ``anti``)
+    as an expression tree, or ``None`` where it is identically zero.
+
+    The rules are closed in the grammar: the sum and product rules,
+    ``d conj f = conj(dbar f)``, ``abs2 f = f conj f``, ``re f = (f + conj
+    f)/2``, ``d exp f = exp f df`` and ``d log f = df exp(-log f)``.
+    """
+    if isinstance(expr, Num):
+        return None
+    if isinstance(expr, Var):
+        return Num(1 + 0j) if expr.name == var and not anti else None
+    op, args = expr.op, expr.args
+    if op == "+":
+        return _sum(wirtinger(a, var, anti) for a in args)
+    if op == "*":
+        parts = [(i, wirtinger(a, var, anti)) for i, a in enumerate(args)]
+        return _sum(_product(args[:i] + (da,) + args[i + 1 :]) for i, da in parts if da is not None)
+    if op == "abs2":
+        return wirtinger(Call("*", (args[0], Call("conj", args))), var, anti)
+    if op == "re":
+        return wirtinger(Call("*", (Num(0.5 + 0j), Call("+", (args[0], Call("conj", args))))), var, anti)
+    inner = wirtinger(args[0], var, anti != (op == "conj"))  # conj swaps d and dbar
+    if inner is None:
+        return None
+    if op == "conj":
+        return Num(inner.value.conjugate()) if isinstance(inner, Num) else Call("conj", (inner,))
+    if op == "exp":
+        return _product((expr, inner))
+    if op == "log":
+        return _product((inner, Call("exp", (Call("*", (Num(-1 + 0j), expr)),))))
+    raise ExpressionError(f"unknown operator {op!r}")
+
+
 def to_text(expr: Expr) -> str:
     """Canonical s-expression text (parse(to_text(e)) == e)."""
     if isinstance(expr, Num):
@@ -169,9 +217,9 @@ class PolyTable:
     """Sparse polynomial in variables and their conjugates.
 
     Keys are ``(holo, anti)`` pairs of exponent tuples aligned with the
-    variable order; values are complex coefficients.  Supports pointwise
-    evaluation and Wirtinger differentiation, which is all the analytic
-    weight path needs.
+    variable order; values are complex coefficients.  Supports the ring
+    operations the expansion needs and the reality test of polynomial
+    weights.
     """
 
     def __init__(self, variables: tuple[str, ...], terms: dict | None = None):
@@ -188,10 +236,6 @@ class PolyTable:
             self.terms.pop(key, None)
         else:
             self.terms[key] = cur
-
-    @property
-    def nvars(self) -> int:
-        return len(self.variables)
 
     def __add__(self, other: "PolyTable") -> "PolyTable":
         out = PolyTable(self.variables, self.terms)
@@ -225,40 +269,6 @@ class PolyTable:
             if abs(c - np.conj(self.terms.get((b, a), 0j))) > tol * scale:
                 return False
         return True
-
-    def max_degree(self) -> int:
-        return max((sum(a) + sum(b) for (a, b) in self.terms), default=0)
-
-    def wirtinger(self, index: int, anti: bool = False) -> "PolyTable":
-        """Derivative in variable ``index`` (or its conjugate if ``anti``)."""
-        out = PolyTable(self.variables)
-        for (a, b), c in self.terms.items():
-            exps = b if anti else a
-            k = exps[index]
-            if k == 0:
-                continue
-            dropped = exps[:index] + (k - 1,) + exps[index + 1 :]
-            key = (a, dropped) if anti else (dropped, b)
-            out._add(key, c * k)
-        return out
-
-    def __call__(self, values):
-        """Evaluate at ``values`` (sequence of scalars/arrays per variable)."""
-        vals = [np.asarray(v, dtype=complex) for v in values]
-        if len(vals) != self.nvars:
-            raise ValueError(f"expected {self.nvars} values, got {len(vals)}")
-        out = None
-        for (a, b), c in self.terms.items():
-            term = np.asarray(c, dtype=complex)
-            for v, ka, kb in zip(vals, a, b):
-                if ka:
-                    term = term * v**ka
-                if kb:
-                    term = term * np.conj(v) ** kb
-            out = term if out is None else out + term
-        if out is None:
-            return np.zeros(np.broadcast(*vals).shape, dtype=complex) if vals else 0j
-        return out + np.zeros(np.broadcast(*vals).shape, dtype=complex)
 
 
 def expand_real_polynomial(expr: Expr, variables: tuple[str, ...]) -> PolyTable:

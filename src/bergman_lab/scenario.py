@@ -28,7 +28,7 @@ Weight forms (entries may be complex, written like ``0.5+0.25j``):
 * ``cross <lam>`` — cross-term coupling of t_1 and xi_1
 * ``quadratic <row> ; <row> ; …`` — Hermitian (n+d)x(n+d) matrix, row-major
 * ``polynomial <prefix expr>`` — real polynomial in t_i, z_a, conj(...)
-* ``custom <prefix expr>`` — arbitrary smooth expression (derivatives by FD)
+* ``custom <prefix expr>`` — arbitrary smooth expression (exact tree derivatives)
 
 Defaults: degree 24, quadrature 64 128, tolerance 1e-3,
 patch = origin with radius 0.45, fiber = unit disk, one unit-amplitude

@@ -8,11 +8,11 @@ supported:
 * ``quadratic``  — phi(x) = sum H[j,k] x_j conj(x_k) with a constant
   Hermitian matrix H over the joint coordinates (base first, fiber second);
   all derivatives are exact.
-* ``polynomial`` — a real polynomial in the coordinates and their
-  conjugates, held as a sparse monomial table; derivatives are symbolic.
-* ``custom``     — an arbitrary expression-tree weight; derivatives fall
-  back to central complex finite differences (default step 1e-4, error
-  O(step^2)).
+* ``custom``     — an arbitrary expression-tree weight; its gradient and
+  Hessian are the expression trees :func:`exprs.wirtinger` differentiates
+  once at construction, so every derivative is exact.
+* ``polynomial`` — a custom weight that must be a real polynomial in the
+  coordinates and their conjugates, checked once at construction.
 
 The pointwise curvature algebra lives here too: the Schur complement of the
 fiber block, its base trace (the quantity whose lower bound certifies the
@@ -42,9 +42,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprs import Expr, PolyTable, eval_expr, expand_real_polynomial, parse_expr, to_text
+from .exprs import Expr, eval_expr, expand_real_polynomial, parse_expr, to_text, wirtinger
 from .fiber_numerics import FiberDomain
-from .utils import as_complex_tuple, check_hermitian, wirtinger_gradient, wirtinger_hessian
+from .utils import as_complex_tuple, check_hermitian
 
 __all__ = [
     "NotAWeightError",
@@ -209,35 +209,17 @@ class WeightFamily:
         out = _checked_real(np.asarray(self._value_raw(t, pts)), starts, self.label)
         return float(out[0]) if single else out
 
-    def _displaced(self, t, pts):
-        """``eval_at(offset)``: the raw weight displaced jointly in (t, xi),
-        for the Wirtinger stencils of the finite-difference fallback."""
-
-        def eval_at(off):
-            ts = tuple(c + o for c, o in zip(t, off[: self.n]))
-            return self._value_raw(ts, pts + off[self.n :][None, :])
-
-        return eval_at
-
     def grad_base(self, t, xi) -> np.ndarray:
-        """d phi / dt_a for a = 1..n, shape (n,) or (n, M). FD fallback."""
-        pts, single = _as_fiber_array(xi, self.d)
-        eval_at = self._displaced(as_complex_tuple(t), pts)
-        grads = wirtinger_gradient(eval_at, self.n + self.d, self.fd_step)
-        out = np.stack([np.asarray(g).reshape(-1) for g in grads[: self.n]])
-        return out[:, 0] if single else out
+        """d phi / dt_a for a = 1..n, shape (n,) or (n, M)."""
+        raise NotImplementedError
 
     def hessian_field(self, t, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Blocks (tt, tf, ff) over fiber points, at one base point ``t`` or
         at one base point per fiber point (as in :meth:`value`).
 
-        Shapes are (M, n, n), (M, n, d), (M, d, d).  FD fallback; analytic
-        kinds override.
+        Shapes are (M, n, n), (M, n, d), (M, d, d).
         """
-        t, pts, _ = _as_points(t, xi, self.n, self.d)
-        H = wirtinger_hessian(self._displaced(t, pts), self.n + self.d, self.fd_step)
-        n = self.n
-        return H[..., :n, :n], H[..., :n, n:], H[..., n:, n:]
+        raise NotImplementedError
 
     def base_hessian(self, t, xi) -> np.ndarray:
         """The base block tt of :meth:`hessian_field`, shape (M, n, n).
@@ -245,8 +227,6 @@ class WeightFamily:
         Weights that can give this block alone more cheaply override it.
         """
         return self.hessian_field(t, xi)[0]
-
-    fd_step = 1e-4
 
     def weight_values(self, t, quad) -> np.ndarray:
         """exp(-phi(t, .)) on the quadrature nodes."""
@@ -323,88 +303,73 @@ class QuadraticWeight(WeightFamily):
         return f"quadratic weight, n={self.n}, d={self.d}, H={self.H.tolist()}"
 
 
-class PolynomialWeight(WeightFamily):
-    """Real polynomial in the coordinates and conjugates; symbolic derivatives."""
+def _variables(n: int, d: int) -> tuple[str, ...]:
+    return tuple(f"t{i+1}" for i in range(n)) + tuple(f"z{a+1}" for a in range(d))
 
-    kind = "polynomial"
 
-    def __init__(self, base_dim: int, fiber_dim: int, table: PolyTable, label: str = ""):
+class CustomWeight(WeightFamily):
+    """Expression-tree weight; its gradient and Hessian are trees too, built
+    once by :func:`exprs.wirtinger` and evaluated like the weight."""
+
+    kind = "custom"
+
+    def __init__(self, base_dim: int, fiber_dim: int, expr: Expr, label: str = ""):
         super().__init__(base_dim, fiber_dim, label)
-        if table.nvars != base_dim + fiber_dim:
-            raise ValueError(
-                f"table has {table.nvars} variables, expected {base_dim + fiber_dim}"
-            )
-        if not table.is_real(tol=REALITY_TOL):
-            raise NotAWeightError("polynomial weight is not conjugation-symmetric (not real)")
-        self.table = table
-        self._grad = [table.wirtinger(i) for i in range(table.nvars)]
-        self._hess = [
-            [self._grad[i].wirtinger(j, anti=True) for j in range(table.nvars)]
-            for i in range(table.nvars)
-        ]
+        self.expr = expr
+        names = _variables(base_dim, fiber_dim)
+        grad = [wirtinger(expr, v) for v in names]
+        self._grad = grad[:base_dim]
+        self._hess = [[None if g is None else wirtinger(g, v, anti=True) for v in names] for g in grad]
 
     @classmethod
-    def from_text(cls, base_dim: int, fiber_dim: int, text: str, label: str = "") -> "PolynomialWeight":
-        variables = tuple(f"t{i+1}" for i in range(base_dim)) + tuple(
-            f"z{a+1}" for a in range(fiber_dim)
-        )
-        table = expand_real_polynomial(parse_expr(text, variables), variables)
-        return cls(base_dim, fiber_dim, table, label=label or text)
+    def from_text(cls, base_dim: int, fiber_dim: int, text: str, label: str = "") -> "CustomWeight":
+        expr = parse_expr(text, _variables(base_dim, fiber_dim))
+        return cls(base_dim, fiber_dim, expr, label=label or text)
 
-    def _coords(self, t, pts) -> list:
-        return list(t) + [pts[:, a] for a in range(self.d)]
+    def _evaluator(self, t, pts):
+        """``eval_at(tree)``: a tree on the points as shape (M,), zero where ``None``."""
+        env = dict(zip(_variables(self.n, self.d), list(t) + list(pts.T)))
+        zero = np.zeros(pts.shape[0], dtype=complex)
+        return lambda tree: zero if tree is None else eval_expr(tree, env) + zero
 
     def _value_raw(self, t, pts):
-        return self.table(self._coords(t, pts)) + np.zeros(pts.shape[0], dtype=complex)
+        return self._evaluator(t, pts)(self.expr)
 
     def grad_base(self, t, xi):
-        t = as_complex_tuple(t)
-        pts, single = _as_fiber_array(xi, self.d)
-        coords = self._coords(t, pts)
-        g = np.stack(
-            [np.asarray(self._grad[a](coords)) + np.zeros(pts.shape[0], complex) for a in range(self.n)]
-        )
+        t, pts, single = _as_points(t, xi, self.n, self.d)
+        eval_at = self._evaluator(t, pts)
+        g = np.stack([eval_at(tree) for tree in self._grad])
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
         t, pts, _ = _as_points(t, xi, self.n, self.d)
-        coords = self._coords(t, pts)
-        m = self.n + self.d
-        H = np.zeros((pts.shape[0], m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                H[:, i, j] = self._hess[i][j](coords)
-        n = self.n
+        eval_at = self._evaluator(t, pts)
+        n, m = self.n, len(self._hess)
+        H = np.empty((pts.shape[0], m, m), dtype=complex)
+        for i, row in enumerate(self._hess):
+            for j, tree in enumerate(row):
+                H[:, i, j] = eval_at(tree)
         return H[:, :n, :n], H[:, :n, n:], H[:, n:, n:]
 
     def describe(self) -> str:
-        return f"polynomial weight, n={self.n}, d={self.d}, {len(self.table.terms)} terms"
+        return f"custom weight, n={self.n}, d={self.d}, expr={to_text(self.expr)}"
 
 
-class CustomWeight(WeightFamily):
-    """Expression-tree weight; all derivatives via finite differences."""
+class PolynomialWeight(CustomWeight):
+    """A custom weight checked at construction to be a real polynomial in the
+    coordinates and their conjugates."""
 
-    kind = "custom"
+    kind = "polynomial"
 
-    def __init__(self, base_dim: int, fiber_dim: int, expr: Expr, label: str = "", fd_step: float = 1e-4):
-        super().__init__(base_dim, fiber_dim, label)
-        self.expr = expr
-        self.fd_step = float(fd_step)
-
-    @classmethod
-    def from_text(cls, base_dim: int, fiber_dim: int, text: str, label: str = "", fd_step: float = 1e-4) -> "CustomWeight":
-        variables = tuple(f"t{i+1}" for i in range(base_dim)) + tuple(
-            f"z{a+1}" for a in range(fiber_dim)
-        )
-        return cls(base_dim, fiber_dim, parse_expr(text, variables), label=label or text, fd_step=fd_step)
-
-    def _value_raw(self, t, pts):
-        env = {f"t{i+1}": t[i] for i in range(self.n)}
-        env.update({f"z{a+1}": pts[:, a] for a in range(self.d)})
-        return eval_expr(self.expr, env) + np.zeros(pts.shape[0], dtype=complex)
+    def __init__(self, base_dim: int, fiber_dim: int, expr: Expr, label: str = ""):
+        table = expand_real_polynomial(expr, _variables(base_dim, fiber_dim))  # refuses exp/log
+        if not table.is_real(tol=REALITY_TOL):
+            raise NotAWeightError("polynomial weight is not conjugation-symmetric (not real)")
+        super().__init__(base_dim, fiber_dim, expr, label)
+        self.n_terms = len(table.terms)
 
     def describe(self) -> str:
-        return f"custom weight, n={self.n}, d={self.d}, expr={to_text(self.expr)}"
+        return f"polynomial weight, n={self.n}, d={self.d}, {self.n_terms} terms"
 
 
 class TwistedWeight(WeightFamily):
@@ -501,13 +466,6 @@ class GridSpec:
             axes.append(np.asarray(ring))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def describe(self) -> str:
-        nb, nf = len(self.base_points()), len(self.fiber_points())
-        return (
-            f"patch center {self.patch.center}, radius {self.patch.radius}; "
-            f"{nb} base points x {nf} fiber points"
-        )
 
 
 @dataclass(frozen=True)
@@ -731,7 +689,8 @@ def certify(
         eps0=eps0,
         C=max(0.0, -tt_min),
         psh_min_eig=psh_min,
-        grid_spec=grid.describe(),
+        grid_spec=(f"patch center {grid.patch.center}, radius {grid.patch.radius}; "
+                   f"{len(base_pts)} base points x {len(fiber_pts)} fiber points"),
         diagnostics={
             "min_schur_trace": schur_min,
             "min_fiber_eig": ff_min,

@@ -60,6 +60,13 @@ iteration = m 2 steps 2
 checks = bergman_infra section_inequality log_inequality psh_spectrum hormander iterate
 """
 
+CUSTOM_SEPARABLE = """
+id = custom_sep
+weight = custom (+ (abs2 t1) (abs2 z1))
+eps0 = 1.0
+checks = hormander
+"""
+
 NO_CHECKS = """
 id = idle
 weight = separable 1.0
@@ -220,6 +227,12 @@ class TestSubcommands:
         out = capsys.readouterr().out
         assert "det_inequality: PASS" in out
         assert "hormander: PASS" in out
+
+    def test_custom_separable_weight_passes_hormander(self, scn, capsys):
+        # tf = 0 exactly: the tree derivatives leave no noise for the dbar
+        # identity residual to take as its scale
+        assert main(["run", "--scenario", scn(CUSTOM_SEPARABLE)]) == 0
+        assert "hormander: PASS" in capsys.readouterr().out
 
     def test_curvature_preset_skips_det_without_frame(self, scn, capsys):
         assert main(["curvature", "--scenario", scn(SEPARABLE)]) == 0

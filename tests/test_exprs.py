@@ -1,4 +1,5 @@
-"""Prefix expression grammar: parsing, evaluation, polynomial expansion."""
+"""Prefix expression grammar: parsing, evaluation, differentiation and
+polynomial expansion."""
 
 import numpy as np
 import pytest
@@ -15,9 +16,18 @@ from bergman_lab.exprs import (
     expand_real_polynomial,
     parse_expr,
     to_text,
+    wirtinger,
 )
 
 TZ = ("t1", "z1")
+
+
+def table_value(table, values):
+    """A polynomial table evaluated term by term at one value per variable."""
+    return sum(
+        c * np.prod([v**ka * np.conj(v) ** kb for v, ka, kb in zip(values, a, b)])
+        for (a, b), c in table.terms.items()
+    )
 
 
 class TestParse:
@@ -76,15 +86,7 @@ class TestRealExpansion:
         assert table.is_real()
         t, z = 0.3 + 0.1j, -0.2 + 0.4j
         direct = abs(t) ** 2 + abs(z) ** 2 + 2 * lam * np.real(t * np.conj(z))
-        assert table([t, z]) == pytest.approx(direct, abs=1e-14)
-
-    def test_wirtinger_matches_hand(self):
-        e = parse_expr("(abs2 z1)", TZ)
-        table = expand_real_polynomial(e, TZ)
-        dz = table.wirtinger(1)  # d/dz of z conj(z) = conj(z)
-        assert dz([0j, 2 + 1j]) == pytest.approx(2 - 1j)
-        dzz = dz.wirtinger(1, anti=True)
-        assert dzz([0j, 5j]) == pytest.approx(1.0)
+        assert table_value(table, [t, z]) == pytest.approx(direct, abs=1e-14)
 
     def test_rejects_exp(self):
         e = parse_expr("(exp (abs2 z1))", TZ)
@@ -113,9 +115,48 @@ class TestRealExpansion:
         poly = args[0] if len(args) == 1 else Call("+", tuple(args))
         table = expand_real_polynomial(Call("re", (poly,)), ("z1",))
         assert table.is_real(tol=1e-9)
-        val = table([z])
+        val = table_value(table, [z])
         direct = np.real(sum(c * z**a * np.conj(z) ** b for c, a, b in terms))
         assert abs(val - direct) < 1e-9 * max(1.0, abs(direct))
+
+
+class TestWirtinger:
+    def test_wirtinger_matches_hand(self):
+        e = parse_expr("(abs2 z1)", TZ)
+        dz = wirtinger(e, "z1")  # d/dz of z conj(z) = conj(z)
+        assert eval_expr(dz, {"t1": 0j, "z1": 2 + 1j}) == pytest.approx(2 - 1j)
+        dzz = wirtinger(dz, "z1", anti=True)
+        assert eval_expr(dzz, {"t1": 0j, "z1": 5j}) == pytest.approx(1.0)
+
+    def test_zero_derivatives_are_none(self):
+        assert wirtinger(parse_expr("2.5", TZ), "z1") is None
+        assert wirtinger(parse_expr("(abs2 z1)", TZ), "t1") is None
+        assert wirtinger(parse_expr("(* 3 z1)", TZ), "z1", anti=True) is None  # holomorphic
+        assert wirtinger(parse_expr("(conj z1)", TZ), "z1") is None
+        assert wirtinger(wirtinger(parse_expr("(+ (abs2 t1) (abs2 z1))", TZ), "t1"), "z1", anti=True) is None
+
+    def test_log_hessian_closed_form(self):
+        # d dbar log(1 + |z|^2) = (1 + |z|^2)^-2
+        ddbar = wirtinger(wirtinger(parse_expr("(log (+ 1 (abs2 z1)))", TZ), "z1"), "z1", anti=True)
+        z = np.array([0j, 0.3 - 0.4j, 1.5 + 2j])
+        want = (1 + np.abs(z) ** 2) ** -2
+        assert np.abs(eval_expr(ddbar, {"z1": z}) - want).max() <= 1e-15 * want.max()
+
+    def test_exp_conj_and_re_rules(self):
+        # f = exp(Re(t) |z|^2): d_t f = f |z|^2 / 2, d_z f = f Re(t) conj(z),
+        # d_t dbar_z f = f z (1 + Re(t) |z|^2) / 2
+        f = parse_expr("(exp (* (re t1) (abs2 z1)))", TZ)
+        t, z = 0.7 - 0.2j, np.array([0.1 + 0.2j, -0.5j, 0.8])
+        env = {"t1": t, "z1": z}
+        F = np.exp(t.real * np.abs(z) ** 2)
+        cases = [
+            (wirtinger(f, "t1"), F * np.abs(z) ** 2 / 2),
+            (wirtinger(f, "z1"), F * t.real * np.conj(z)),
+            (wirtinger(f, "z1", anti=True), F * t.real * z),
+            (wirtinger(wirtinger(f, "t1"), "z1", anti=True), F * z * (1 + t.real * np.abs(z) ** 2) / 2),
+        ]
+        for tree, want in cases:
+            assert np.abs(eval_expr(tree, env) - want).max() <= 1e-15 * np.abs(want).max()
 
 
 class TestHolomorphicExpansion:

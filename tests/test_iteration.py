@@ -16,7 +16,6 @@ import bergman_lab.bergman as bergman_module
 import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
 import bergman_lab.utils as utils_module
-import bergman_lab.weights as weights_module
 from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
@@ -303,7 +302,6 @@ class TestIterationCost:
             raise AssertionError("the iteration differences nothing")
 
         monkeypatch.setattr(bergman_module, "gram_matrix", counted)
-        monkeypatch.setattr(weights_module, "wirtinger_hessian", no_stencil)
         monkeypatch.setattr(utils_module, "wirtinger_hessian", no_stencil)
         monkeypatch.setattr(curvature_module, "wirtinger_hessian", no_stencil)
         t_samples = [(0.0,), (0.1 - 0.05j,)][:n_t]

@@ -4,6 +4,8 @@ Closed forms used as oracles:
 
 * phi = exp(|t|^2)|z|^2 has d2/dtdt~ = (1+|t|^2) e^{|t|^2} |z|^2,
   d2/dtdz~ = t~ e^{|t|^2} z, d2/dzdz~ = e^{|t|^2} (hand differentiation).
+* phi = c|t|^2 + |z|^2 + a|t|^2|z|^2 has tt = c + a|z|^2, tf = a t~ z and
+  ff = 1 + a|t|^2.
 * For blocks (tt, tf, ff) with ff = 1 (n = d = 1) the Schur trace is
   tt - |tf|^2.
 * The trace-constant attenuation factor is (1-delta)^(2n-2)/(1+delta)^(2n).
@@ -69,24 +71,41 @@ class TestHessianAt:
         assert h.tf[0, 0] == pytest.approx(0.5)
         assert np.allclose(h.assembled, [[1, 0.5], [0.5, 1]])
 
-    def test_custom_fd_matches_hand_derivatives(self):
+    def test_custom_matches_hand_derivatives(self):
         w = CustomWeight.from_text(1, 1, "(* (exp (abs2 t1)) (abs2 z1))")
         t, z = 0.3 + 0j, 0.5 + 0j
         h = hessian_at(w, t, z)
         e = math.exp(abs(t) ** 2)
-        assert h.tt[0, 0] == pytest.approx((1 + abs(t) ** 2) * e * abs(z) ** 2, abs=1e-6)
-        assert h.tf[0, 0] == pytest.approx(np.conj(t) * e * z, abs=1e-6)
-        assert h.ff[0, 0] == pytest.approx(e, abs=1e-6)
+        assert h.tt[0, 0] == pytest.approx((1 + abs(t) ** 2) * e * abs(z) ** 2, abs=1e-14)
+        assert h.tf[0, 0] == pytest.approx(np.conj(t) * e * z, abs=1e-14)
+        assert h.ff[0, 0] == pytest.approx(e, abs=1e-14)
 
     def test_polynomial_analytic_matches_fd(self):
+        # the polynomial and custom spellings of a cross-term weight, and the
+        # quadratic weight whose constant Hessian it has
         text = CROSS_TEXT.format(two_lam=0.8)
         wp = PolynomialWeight.from_text(1, 1, text)
         wc = CustomWeight.from_text(1, 1, text)
+        wq = QuadraticWeight.cross_term(0.4)
         pts = np.array([0.2 + 0.3j, -0.4j, 0.6])
         tp = wp.hessian_field((0.1 + 0.2j,), pts)
         tc = wc.hessian_field((0.1 + 0.2j,), pts)
-        for a, b in zip(tp, tc):
-            assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-6
+        tq = wq.hessian_field((0.1 + 0.2j,), pts)
+        for a, b, c in zip(tp, tc, tq):
+            assert np.abs(np.asarray(a) - np.asarray(b)).max() < 1e-14
+            assert np.abs(np.asarray(a) - np.asarray(c)).max() < 1e-14
+
+    def test_benchmark_polynomial_closed_form(self):
+        # phi = c|t|^2 + |z|^2 + a|t|^2|z|^2: tt = c + a|z|^2,
+        # tf = a conj(t) z, ff = 1 + a|t|^2, and d phi/dt = (c + a|z|^2) conj(t)
+        c, a = 0.9, 0.35
+        w = PolynomialWeight.from_text(1, 1, f"(+ (* {c} (abs2 t1)) (abs2 z1) (* {a} (abs2 t1) (abs2 z1)))")
+        t, z = 0.3 - 0.2j, np.array([0j, 0.2 + 0.3j, -0.7j, 0.5 - 0.5j])
+        tt, tf, ff = w.hessian_field((t,), z)
+        assert np.abs(tt[:, 0, 0] - (c + a * np.abs(z) ** 2)).max() < 1e-14
+        assert np.abs(tf[:, 0, 0] - a * np.conj(t) * z).max() < 1e-14
+        assert np.abs(ff[:, 0, 0] - (1 + a * abs(t) ** 2)).max() < 1e-14
+        assert np.abs(w.grad_base((t,), z)[0] - (c + a * np.abs(z) ** 2) * np.conj(t)).max() < 1e-14
 
     def test_non_real_weight_rejected(self):
         with pytest.raises(NotAWeightError):
@@ -366,7 +385,7 @@ class TestCertify:
     def test_custom_weight_certification(self):
         w = CustomWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1))")
         cert = certify(w, default_grid())
-        assert cert.eps0 == pytest.approx(1.0, abs=1e-6)
+        assert cert.eps0 == pytest.approx(1.0, abs=1e-14)
 
     JOINT_GRID_WEIGHTS = {
         "quadratic n=1": (lambda: QuadraticWeight.cross_term(0.5), (1, 1)),
@@ -450,7 +469,7 @@ class TestTwist:
         tw = twist_weight(w, 1.0)
         assert tw.value((0.5 + 0j,), 0j) == pytest.approx(0.25)
         h = hessian_at(tw, 0.1 + 0j, 0.2 + 0j)
-        assert h.tt[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert h.tt[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError):
