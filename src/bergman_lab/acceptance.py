@@ -36,7 +36,7 @@ from itertools import product
 import numpy as np
 
 from .bergman import HoloPoly, SectionFamily, bergman_basis, direct_image_gram, \
-    extremal_check, node_base_gradient, reproducing_residual, section_hessian
+    extremal_check, reproducing_residual, section_hessian
 from .curvature import CheckConfig, check_det_inequality, check_log_inequality, fd_trace, \
     log_section_field, section_field
 from .fiber_numerics import FiberDomain, build_quadrature, monomial_synthesis
@@ -112,7 +112,7 @@ def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: floa
         return monomial_synthesis(b.basis, b.transform @ (b.transform.conj().T @ rhs), quad)
 
     [dK] = wirtinger_gradient(lambda off: combo(off[0]), 1, h)
-    return dK - node_base_gradient(w, t0, quad)[alpha] * combo(0.0)
+    return dK - w.node_jets(t0, quad)[1][alpha] * combo(0.0)
 
 
 # --- criteria ----------------------------------------------------------

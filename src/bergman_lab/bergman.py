@@ -17,9 +17,10 @@ order, its leading principal block orthonormalizes the degree-(N-2)
 sub-basis for free, which is how convergence of kernel diagonals in the
 degree is diagnosed without a second Gram build.
 
-Nothing here evaluates monomials on the quadrature nodes: the Gram is
-assembled ring by ring from the weight values, node values of a
-coefficient vector such as a kernel column are synthesized ring by ring
+Nothing here evaluates monomials or polynomials on the quadrature nodes:
+every Gram, of the basis and of a determinant frame alike, is assembled
+ring by ring from the weight values, node values of a coefficient vector
+such as a kernel column are synthesized ring by ring
 (``fiber_numerics.monomial_synthesis``), and so are those of a coefficient
 matrix such as the inverse Gram behind the log-kernel weights of the
 iteration (``fiber_numerics.ring_synthesis``).  Monomial values are taken
@@ -45,13 +46,15 @@ the discrete form of the curvature formula for direct images (Berndtsson,
 Ann. of Math. 169, 2009).  It is the exact Hessian of the same discrete
 functional that a finite-difference stencil of :func:`section_value`
 differences, from one basis build, ``n`` Grams ``d_a G`` and ``n(n+1)/2``
-Grams ``d_a dbar_b G``; the weight derivatives come from the weight's own
-``grad_base`` and Hessian blocks on the nodes.
+Grams ``d_a dbar_b G``; the weight derivatives are the weight's node jets
+(``WeightFamily.node_jets``: phi, ``d_a phi`` and the base block).
 
-The same ``d_a G`` gives the Hormander fields (see ``hormander``), the
-frame Grams of the same measures give the exact Hessian of ``-log det G``,
-and ``d_a G`` with ``d_a dbar_b G`` give the base derivatives of ``P`` behind
-the log-kernel jets of the iteration (see ``iteration``).
+The same ``d_a G`` gives the Hormander fields (see ``hormander``).  A
+determinant frame with monomial coefficients ``A`` has the Gram ``A^H G
+A`` and the base derivatives ``A^H d_aG A`` and ``A^H d_a dbar_bG A``,
+which give the exact Hessian of ``-log det``; and ``d_a G`` with ``d_a
+dbar_b G`` give the base derivatives of ``P`` behind the log-kernel jets of
+the iteration (see ``iteration``).
 
 Basis builds are memoized on the quadrature rule, keyed by (weight object,
 base point, degree): every check of a scenario reads the basis at ``t0``,
@@ -60,13 +63,12 @@ Hessians are memoized the same way, keyed by (sections, base point,
 degree), and so are each ``d_a G`` and ``d_a dbar_b G``, keyed by (base
 point, degree, directions), which the section Hessian, the Hormander
 fields and the log-kernel jets share.
-The weight values ``exp(-phi)``, the node values of ``d_a phi`` and the
-Hessian blocks of phi on the nodes (:func:`node_hessian`) do not depend on
-the degree, so they are memoized by base point alone and shared with the
-direct-image Grams of the determinant check and the Hormander residuals;
-so is the fiber-block contraction ``(tf ff^{-1} tf^H)_aa`` of those blocks
+The node jets, the weight values ``exp(-phi)`` formed from them, the
+Hessian blocks of phi on the nodes (``weights.node_hessian``) and their
+fiber-block contraction ``(tf ff^{-1} tf^H)_aa``
 (:func:`node_fiber_contraction`), which the L2 bound and the assembled
-chain both read.
+chain both read, do not depend on the degree, so they are memoized by base
+point alone.
 The memo holds only those read-only arrays, weakly keyed by the weight,
 so an entry lives no longer than its weight or its rule (one rule per
 scenario run) unless released earlier (the iteration releases each step's
@@ -94,7 +96,7 @@ from .fiber_numerics import (
     vandermonde,
 )
 from .utils import as_complex_tuple
-from .weights import BasePatch, WeightFamily, fiber_contraction
+from .weights import BasePatch, WeightFamily, fiber_contraction, node_hessian
 
 __all__ = [
     "HoloPoly",
@@ -110,8 +112,6 @@ __all__ = [
     "section_value",
     "section_value_pair",
     "section_hessian",
-    "node_base_gradient",
-    "node_hessian",
     "node_fiber_contraction",
     "base_gram_derivative",
     "base_gram_hessian",
@@ -359,44 +359,17 @@ def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     """Read-only ``exp(-phi(t, .))`` on the nodes, memoized per base point.
 
     The values do not depend on the degree, so every basis build and every
-    direct-image Gram at ``t`` shares one evaluation per rule.
+    Gram derivative at ``t`` shares one evaluation per rule.
     """
     t = as_complex_tuple(t)
     return quad.memoize(w, ("weight_values", t), lambda: w.weight_values(t, quad))
 
 
-def node_base_gradient(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
-    """Read-only ``d phi / dt_a`` on the nodes, shape (n, nodes), memoized
-    per base point like the weight values."""
-    t = as_complex_tuple(t)
-    return quad.memoize(w, ("grad_base", t),
-                        lambda: np.asarray(w.grad_base(t, quad.nodes)).reshape(w.n, quad.size))
-
-
-def node_hessian(w: WeightFamily, t, quad: QuadratureRule, base_only: bool = False):
-    """Read-only Hessian blocks ``(tt, tf, ff)`` of ``w`` on the nodes,
-    memoized per base point like the gradient.
-
-    ``base_only`` returns the base block ``tt`` alone, shape (nodes, n, n),
-    sliced from the full blocks.  Only a weight that overrides
-    ``base_hessian`` (iterated weights give just that block on the nodes)
-    has it computed alone, unless its full blocks are memoized already.
-    """
-    t = as_complex_tuple(t)
-    full = quad.memo(w).get(("hessian", t))
-    if full is None and base_only and type(w).base_hessian is not WeightFamily.base_hessian:
-        return quad.memoize(w, ("base_hessian", t), lambda: np.asarray(w.base_hessian(t, quad.nodes)))
-    if full is None:
-        full = quad.memoize(w, ("hessian", t),
-                            lambda: tuple(np.asarray(b) for b in w.hessian_field(t, quad.nodes)))
-    return full[0] if base_only else full
-
-
 def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
     """Read-only ``(tf ff^{-1} tf^H)_aa`` on the nodes, shape (nodes, n):
-    :func:`weights.fiber_contraction` of the memoized blocks, memoized per
-    base point like them.  A non-positive fiber block raises
-    :class:`weights.FiberDegenerateError`."""
+    :func:`weights.fiber_contraction` of the memoized blocks of
+    :func:`weights.node_hessian`, memoized per base point like them.  A
+    non-positive fiber block raises :class:`weights.FiberDegenerateError`."""
     t = as_complex_tuple(t)
 
     def compute():
@@ -407,14 +380,13 @@ def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarr
 
 
 def base_gram_derivative(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int) -> np.ndarray:
-    """Read-only ``d_a G`` at t: the ring Gram of ``-d_a phi * exp(-phi) * w``,
-    memoized per (weight, t, N, a) next to the basis."""
+    """Read-only ``d_a G`` at t over the degree-N monomials: the ring Gram of
+    ``-d_a phi * exp(-phi) * w``, memoized per (weight, t, N, a)."""
     t = as_complex_tuple(t)
 
     def compute():
-        b = bergman_basis(w, t, N, quad)
-        mu = b.weight_vals * quad.weights
-        return ring_gram(b.basis, -node_base_gradient(w, t, quad)[a] * mu, quad)
+        mu = _node_weight_values(w, t, quad) * quad.weights
+        return ring_gram(monomial_basis(N, quad.domain.dim), -w.node_jets(t, quad)[1][a] * mu, quad)
 
     return quad.memoize(w, ("d_G", t, N, a), compute)
 
@@ -428,11 +400,10 @@ def base_gram_hessian(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int, 
     t = as_complex_tuple(t)
 
     def compute():
-        b = bergman_basis(w, t, N, quad)
-        mu = b.weight_vals * quad.weights
-        dphi = node_base_gradient(w, t, quad)
-        tt = node_hessian(w, t, quad, base_only=True)
-        return ring_gram(b.basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
+        mu = _node_weight_values(w, t, quad) * quad.weights
+        _phi, dphi, tt = w.node_jets(t, quad)
+        return ring_gram(monomial_basis(N, quad.domain.dim),
+                         (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
 
     return quad.memoize(w, ("dd_G", t, N, a, c), compute)
 
@@ -607,25 +578,27 @@ class DirectImageGram:
 
     G(t)[j, k] pairs frame element k against the conjugate of element j in
     the weighted fiber inner product at t, the matrix of the varying L2
-    metric in the frame.
+    metric in the frame: ``A^H G A`` with ``G`` the Gram of ``basis``, the
+    monomials up to the frame's degree, and ``A`` the frame's coefficients.
     """
 
     w: WeightFamily
     frame: tuple  # HoloPoly's in the fiber variables
     patch: BasePatch
     quad: QuadratureRule
-    frame_values: np.ndarray = field(default=None, repr=False)  # (nodes, r)
+    basis: MonomialBasis = field(default=None, repr=False)
+    coeffs: np.ndarray = field(default=None, repr=False)  # A, shape (basis.dim, rank)
 
     @property
     def rank(self) -> int:
         return len(self.frame)
 
-    def _frame_gram(self, measure: np.ndarray) -> np.ndarray:
-        F = self.frame_values
-        return F.conj().T @ (measure[:, None] * F)
+    def _in_frame(self, gram: np.ndarray) -> np.ndarray:
+        return self.coeffs.conj().T @ gram @ self.coeffs
 
     def gram_at(self, t) -> np.ndarray:
-        G = self._frame_gram(_node_weight_values(self.w, t, self.quad) * self.quad.weights)
+        mu = _node_weight_values(self.w, t, self.quad) * self.quad.weights
+        G = self._in_frame(ring_gram(self.basis, mu, self.quad))
         return 0.5 * (G + G.conj().T)
 
     def neg_log_det(self, t) -> float:
@@ -637,26 +610,24 @@ class DirectImageGram:
 
     def neg_log_det_hessian(self, t) -> np.ndarray:
         """Exact ``d_a dbar_b (-log det G)`` at t (Hermitian, n x n), Berndtsson's
-        direct-image curvature restricted to the frame values ``F``:
+        direct-image curvature restricted to the frame:
 
             -d_a dbar_b log det G = tr(G^-1 d_aG G^-1 (d_bG)^H) - tr(G^-1 d_a dbar_bG)
 
-        with ``d_a G`` and ``d_a dbar_b G`` the frame Grams of the measures of
-        the module docstring.  Raises ``ArithmeticError`` unless det G > 0.
+        with ``d_a G`` and ``d_a dbar_b G`` those of the module docstring in
+        the frame.  Raises ``ArithmeticError`` unless det G > 0.
         """
         t = as_complex_tuple(t)
-        self.neg_log_det(t)
-        G, n = self.gram_at(t), self.w.n
-        mu = _node_weight_values(self.w, t, self.quad) * self.quad.weights
-        dphi = node_base_gradient(self.w, t, self.quad)
-        tt = node_hessian(self.w, t, self.quad, base_only=True)
-        dG = [self._frame_gram(-dphi[a] * mu) for a in range(n)]
+        G, n, N = self.gram_at(t), self.w.n, self.basis.max_degree
+        if np.linalg.slogdet(G)[0].real <= 0:
+            raise ArithmeticError(f"Gram determinant not positive at t={t}")
+        dG = [self._in_frame(base_gram_derivative(self.w, t, N, self.quad, a)) for a in range(n)]
         X = [np.linalg.solve(G, D) for D in dG]
         Y = [np.linalg.solve(G, D.conj().T) for D in dG]
         H = np.empty((n, n), dtype=complex)
         for a in range(n):
             for b in range(a, n):
-                ddG = self._frame_gram((dphi[a] * np.conj(dphi[b]) - tt[:, a, b]) * mu)
+                ddG = self._in_frame(base_gram_hessian(self.w, t, N, self.quad, a, b))
                 H[a, b] = np.sum(X[a] * Y[b].T) - np.trace(np.linalg.solve(G, ddG))
                 H[b, a] = np.conj(H[a, b])
         H[np.diag_indices(n)] = H.diagonal().real
@@ -670,8 +641,11 @@ def direct_image_gram(
     frame = tuple(frame)
     if not frame:
         raise ValueError("empty frame")
-    F = np.stack([f(quad.nodes) for f in frame], axis=1)
-    dig = DirectImageGram(w=w, frame=frame, patch=patch, quad=quad, frame_values=F)
+    basis = monomial_basis(max(f.degree for f in frame), quad.domain.dim)
+    if any(f.nvars != basis.fiber_dim for f in frame):
+        raise ValueError(f"frame polynomials must be in the {basis.fiber_dim} fiber variables")
+    A = np.array([[f.coeffs.get(e, 0) for f in frame] for e in basis.exponents], dtype=complex)
+    dig = DirectImageGram(w=w, frame=frame, patch=patch, quad=quad, basis=basis, coeffs=A)
     G0 = dig.gram_at(patch.center)
     eigs = np.linalg.eigvalsh(G0)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):

@@ -43,11 +43,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
-    node_base_gradient, node_fiber_contraction, node_hessian, section_hessian
+    node_fiber_contraction, section_hessian
 from .curvature import CONVERGENCE_TOL, CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
 from .utils import as_complex_tuple
-from .weights import WeightFamily, schur_from_contraction
+from .weights import WeightFamily, node_hessian, schur_from_contraction
 
 __all__ = [
     "HormanderData",
@@ -123,7 +123,7 @@ def build_hormander_data(
     coeffs = np.stack([p] + [_derivative_coefficients(w, b0, p, a) for a in directions])
     gamma, *lambdas = monomial_synthesis(b0.basis, coeffs, quad)  # one transform for all
     if include_weight_term:
-        dphi = node_base_gradient(w, t0, quad)
+        dphi = w.node_jets(t0, quad)[1]
         lambdas = [dK - dphi[a] * gamma for a, dK in zip(directions, lambdas)]
     return HormanderData(t0, w, fam, b0, gamma, directions, tuple(lambdas))
 
@@ -325,7 +325,7 @@ def assembled_lower_bound(data: HormanderData, cfg: CheckConfig, eps0: float = 0
     full, gap = section_truncation(w, fam, t0, cfg)
     measure = data.node_measure
     contraction = node_fiber_contraction(w, t0, cfg.quad)
-    schur = schur_from_contraction(node_hessian(w, t0, cfg.quad, base_only=True), contraction)
+    schur = schur_from_contraction(w.node_jets(t0, cfg.quad)[2], contraction)
     rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)
     B0_repro = float(np.sum(np.abs(data.gamma) ** 2 * measure).real)
     lhs = float(np.real(np.trace(section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian)))

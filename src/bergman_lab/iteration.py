@@ -29,16 +29,15 @@ where ``d_aG`` and ``d_a dbar_bG`` are the ring Grams of the differentiated
 measures (``bergman.base_gram_derivative`` and ``base_gram_hessian``).  At
 the fiber sample points the monomial values and their holomorphic
 gradients turn P and its derivatives into the blocks (tt, tf, ff) of the
-Hessian of log K.  On the quadrature nodes, which every basis build of the
-next step reads, ``log K``, ``d_a log K`` and the base block tt come from one
-ring synthesis of the stack (P, d_aP, d_a dbar_bP)
-(``fiber_numerics.ring_synthesis``), with no node Vandermonde.  Mixed
-weights combine their parts' values, gradients and Hessian blocks
-linearly, so the Gram derivatives of ``w_{k+1}`` read exact node
-derivatives of psi_k; they read their parts' node fields through the
-rule's memo, so those of phi_L are evaluated once per run, not per step.
-Each step therefore builds one basis per base point sample and evaluates
-no finite-difference stencil.
+Hessian of log K.  The node jets (``WeightFamily.node_jets``), which every
+basis build and Gram derivative of the next step reads, are ``log K``,
+``d_a log K`` and the base block tt from one ring synthesis of the stack
+(P, d_aP, d_a dbar_bP) (``fiber_numerics.ring_synthesis``), with no node
+Vandermonde.  A mixed weight's jets, like its values, gradients and
+Hessian blocks, are the same linear combination of its parts'; the parts'
+jets are memoized on the rule, so those of phi_L are evaluated once per
+run, not per step.  Each step therefore builds one basis per base point
+sample and evaluates no finite-difference stencil.
 
 The chain of weights keeps every psi_k alive, so each step drops what the
 quadrature rule stored for its mixed weight and for the previous
@@ -50,12 +49,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .bergman import (base_gram_derivative, base_gram_hessian, bergman_basis, node_base_gradient,
-                      node_hessian)
+from .bergman import base_gram_derivative, base_gram_hessian, bergman_basis
 from .curvature import CONVERGENCE_TOL, CheckConfig, truncation_gate
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
@@ -64,7 +61,7 @@ from .weights import (
     FiberDegenerateError,
     GridSpec,
     WeightFamily,
-    _as_fiber_array,
+    _as_points,
     certify,
     fiber_contraction,
     joint_hessian,
@@ -103,13 +100,22 @@ def _log_hessian(K, dK_x, dK_y, ddK) -> np.ndarray:
     return ddK / K - dK_x[:, :, None] * np.conj(dK_y)[:, None, :] / (K * K)
 
 
+def _one_base_point(t: tuple) -> tuple:
+    """Base input normalized by ``weights._as_points``, refused when it is
+    one base point per fiber point: iterated weights memoize per base point."""
+    if np.ndim(t[0]):
+        raise ValueError("iterated weights take one base point at a time; got base "
+                         f"input of shape {(np.size(t[0]), len(t))}")
+    return t
+
+
 class LogKernelField(WeightFamily):
     """sign * log K_t(xi, xi) for the kernel of an inner weight, with exact
     base and fiber derivatives.
 
     Bases come from the basis memo of ``quad``; the first use of each
     base point is gated on kernel truncation convergence at a probe fiber
-    point.  The inverse-Gram jets and the node values are stored on ``quad``
+    point.  The inverse-Gram jets and the node jets are stored on ``quad``
     under this field (see :meth:`gram_jets`).
     """
 
@@ -177,23 +183,15 @@ class LogKernelField(WeightFamily):
 
         return self.quad.memoize(self, ("gram_jets", t), compute)
 
-    def _node_jets(self, t) -> tuple:
-        """``sign *`` (log K, d_a log K with shape (n, nodes), the base block
-        (nodes, n, n)) on the nodes, from one ring synthesis of the stack
-        (P, dP, ddP); memoized on the rule under this field."""
-        t = as_complex_tuple(t)
-
-        def compute():
-            P, dP, ddP = self.gram_jets(t)
-            n, s = self.n, self.sign
-            stack = np.concatenate([P[None], dP, ddP.reshape((n * n,) + P.shape)])
-            S = ring_synthesis(self.basis, stack, self.quad).T  # (nodes, 1 + n + n^2)
-            K = _positive(S[:, 0].real)
-            dK = S[:, 1 : n + 1]
-            ddK = S[:, n + 1 :].reshape(-1, n, n)
-            return s * np.log(K), s * (dK / K[:, None]).T, s * _log_hessian(K, dK, dK, ddK)
-
-        return self.quad.memoize(self, ("node_jets", t), compute)
+    def _node_jets(self, t, quad) -> tuple:
+        P, dP, ddP = self.gram_jets(t)
+        n, s = self.n, self.sign
+        stack = np.concatenate([P[None], dP, ddP.reshape((n * n,) + P.shape)])
+        S = ring_synthesis(self.basis, stack, quad).T  # (nodes, 1 + n + n^2)
+        K = _positive(S[:, 0].real)
+        dK = S[:, 1 : n + 1]
+        ddK = S[:, n + 1 :].reshape(-1, n, n)
+        return s * np.log(K), s * (dK / K[:, None]).T, s * _log_hessian(K, dK, dK, ddK)
 
     def _point_jets(self, t, pts) -> tuple:
         """K and its derivatives at S fiber points: ``K`` (S,), ``d_t K`` (S, n),
@@ -214,28 +212,19 @@ class LogKernelField(WeightFamily):
         return K, Kt, Kx, Ktt, Ktx, Kxx
 
     def _value_raw(self, t, pts):
-        if pts is self.quad.nodes:
-            return self._node_jets(t)[0]
-        b = self._basis_at(t)
+        b = self._basis_at(_one_base_point(t))
         diag = _positive(np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1))
         return self.sign * np.log(diag)
 
     def grad_base(self, t, xi):
-        if xi is self.quad.nodes:
-            return self._node_jets(t)[1]
-        pts, single = _as_fiber_array(xi, self.d)
-        K, Kt = self._point_jets(t, pts)[:2]
+        t, pts, single = _as_points(t, xi, self.n, self.d)
+        K, Kt = self._point_jets(_one_base_point(t), pts)[:2]
         g = self.sign * (Kt / K[:, None]).T
         return g[:, 0] if single else g
 
-    def base_hessian(self, t, xi):
-        if xi is self.quad.nodes:
-            return self._node_jets(t)[2]
-        return self.hessian_field(t, xi)[0]
-
     def hessian_field(self, t, xi):
-        pts, _ = _as_fiber_array(xi, self.d)
-        K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(t, pts)
+        t, pts, _ = _as_points(t, xi, self.n, self.d)
+        K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(_one_base_point(t), pts)
         s = self.sign
         return (s * _log_hessian(K, Kt, Kt, Ktt), s * _log_hessian(K, Kt, Kx, Ktx),
                 s * _log_hessian(K, Kx, Kx, Kxx))
@@ -270,29 +259,26 @@ class MixedWeight(WeightFamily):
         self.parts = parts
         self.quad = quads[0] if quads else None
 
-    def _combine(self, name, t, xi, node_field) -> np.ndarray:
-        """``sum_i coef_i * part_i.name(t, xi)``; on the rule's nodes each term
-        is ``node_field(part_i, t, quad)``, read through the rule's memo, so
-        phi_L, a part of every step, is evaluated there once per run."""
-        t = as_complex_tuple(t)  # one base point: per-point input raises ValueError
-        nodes = self.quad is not None and xi is self.quad.nodes
-        return sum(c * np.asarray(node_field(f, t, self.quad) if nodes else getattr(f, name)(t, xi))
-                   for c, f in self.parts)
+    def _combine(self, evaluate) -> tuple:
+        """``sum_i coef_i * evaluate(part_i)``, term by term over the tuples
+        the parts give."""
+        terms = [[c * np.asarray(x) for x in evaluate(f)] for c, f in self.parts]
+        return tuple(sum(column) for column in zip(*terms))
 
     def _value_raw(self, t, pts):
-        return self._combine("value", t, pts,
-                             lambda f, t, q: q.memoize(f, ("phi", t), lambda: f.value(t, q.nodes)))
+        t = _one_base_point(t)
+        return self._combine(lambda f: (f.value(t, pts),))[0]
 
     def grad_base(self, t, xi):
-        return self._combine("grad_base", t, xi, node_base_gradient)
-
-    def base_hessian(self, t, xi):
-        return self._combine("base_hessian", t, xi, partial(node_hessian, base_only=True))
+        t = _one_base_point(_as_points(t, xi, self.n, self.d)[0])
+        return self._combine(lambda f: (f.grad_base(t, xi),))[0]
 
     def hessian_field(self, t, xi):
-        t = as_complex_tuple(t)
-        blocks = [[c * np.asarray(b) for b in f.hessian_field(t, xi)] for c, f in self.parts]
-        return tuple(sum(terms) for terms in zip(*blocks))
+        t = _one_base_point(_as_points(t, xi, self.n, self.d)[0])
+        return self._combine(lambda f: f.hessian_field(t, xi))
+
+    def _node_jets(self, t, quad) -> tuple:
+        return self._combine(lambda f: f.node_jets(t, quad))
 
     def describe(self) -> str:
         terms = " + ".join(f"{c:g}*[{f.label}]" for c, f in self.parts)

@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exprs import Expr, eval_expr, expand_real_polynomial, parse_expr, to_text, wirtinger
+from .exprs import Call, Expr, Num, Var, eval_expr, expand_real_polynomial, parse_expr, to_text, \
+    wirtinger
 from .fiber_numerics import FiberDomain
 from .utils import as_complex_tuple, check_hermitian
 
@@ -54,11 +55,11 @@ __all__ = [
     "QuadraticWeight",
     "PolynomialWeight",
     "CustomWeight",
-    "TwistedWeight",
     "BasePatch",
     "GridSpec",
     "WeightCertificate",
     "hessian_at",
+    "node_hessian",
     "joint_hessian",
     "fiber_contraction",
     "schur_from_contraction",
@@ -221,16 +222,25 @@ class WeightFamily:
         """
         raise NotImplementedError
 
-    def base_hessian(self, t, xi) -> np.ndarray:
-        """The base block tt of :meth:`hessian_field`, shape (M, n, n).
+    def node_jets(self, t, quad) -> tuple:
+        """``(phi, d_a phi, tt)`` on the nodes of ``quad`` at one base point,
+        shapes (nodes,), (n, nodes) and (nodes, n, n), read-only and
+        memoized per base point on the rule: the one node path of every
+        kind, which every Gram of the measures ``exp(-phi)``, ``-d_a phi
+        exp(-phi)`` and ``(d_a phi dbar_b phi - tt_ab) exp(-phi)`` at ``t``
+        reads."""
+        t = as_complex_tuple(t)
+        return quad.memoize(self, ("node_jets", t), lambda: self._node_jets(t, quad))
 
-        Weights that can give this block alone more cheaply override it.
-        """
-        return self.hessian_field(t, xi)[0]
+    def _node_jets(self, t: tuple, quad) -> tuple:
+        # closed-form kinds: the evaluators on the nodes, and the base block
+        # of the memoized full Hessian, which the L2 step reads too
+        grad = np.asarray(self.grad_base(t, quad.nodes)).reshape(self.n, quad.size)
+        return self.value(t, quad.nodes), grad, node_hessian(self, t, quad)[0]
 
     def weight_values(self, t, quad) -> np.ndarray:
-        """exp(-phi(t, .)) on the quadrature nodes."""
-        return np.exp(-self.value(t, quad.nodes))
+        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_jets`."""
+        return np.exp(-self.node_jets(t, quad)[0])
 
     def describe(self) -> str:
         return f"{self.kind} weight, n={self.n}, d={self.d}"
@@ -319,7 +329,11 @@ class CustomWeight(WeightFamily):
         names = _variables(base_dim, fiber_dim)
         grad = [wirtinger(expr, v) for v in names]
         self._grad = grad[:base_dim]
-        self._hess = [[None if g is None else wirtinger(g, v, anti=True) for v in names] for g in grad]
+        base, fiber = names[:base_dim], names[base_dim:]
+        block = lambda rows, cols: [[None if g is None else wirtinger(g, v, anti=True) for v in cols]
+                                    for g in rows]
+        # the trees of tt, tf and ff; tf^H needs none of its own
+        self._hess = (block(self._grad, base), block(self._grad, fiber), block(grad[base_dim:], fiber))
 
     @classmethod
     def from_text(cls, base_dim: int, fiber_dim: int, text: str, label: str = "") -> "CustomWeight":
@@ -344,12 +358,12 @@ class CustomWeight(WeightFamily):
     def hessian_field(self, t, xi):
         t, pts, _ = _as_points(t, xi, self.n, self.d)
         eval_at = self._evaluator(t, pts)
-        n, m = self.n, len(self._hess)
-        H = np.empty((pts.shape[0], m, m), dtype=complex)
-        for i, row in enumerate(self._hess):
-            for j, tree in enumerate(row):
-                H[:, i, j] = eval_at(tree)
-        return H[:, :n, :n], H[:, :n, n:], H[:, n:, n:]
+        blocks = tuple(np.empty((pts.shape[0], len(b), len(b[0])), dtype=complex) for b in self._hess)
+        for B, trees in zip(blocks, self._hess):
+            for i, row in enumerate(trees):
+                for j, tree in enumerate(row):
+                    B[:, i, j] = eval_at(tree)
+        return blocks
 
     def describe(self) -> str:
         return f"custom weight, n={self.n}, d={self.d}, expr={to_text(self.expr)}"
@@ -370,37 +384,6 @@ class PolynomialWeight(CustomWeight):
 
     def describe(self) -> str:
         return f"polynomial weight, n={self.n}, d={self.d}, {self.n_terms} terms"
-
-
-class TwistedWeight(WeightFamily):
-    """phi + C |t|^2, delegating to the underlying family."""
-
-    kind = "twisted"
-
-    def __init__(self, base: WeightFamily, C: float):
-        if C < 0:
-            raise ValueError("twist constant must be nonnegative")
-        super().__init__(base.n, base.d, label=f"{base.label} + {C}|t|^2")
-        self.base = base
-        self.C = float(C)
-
-    def _value_raw(self, t, pts):
-        bump = self.C * sum(abs(c) ** 2 for c in t)
-        return self.base._value_raw(t, pts) + bump
-
-    def grad_base(self, t, xi):
-        t = as_complex_tuple(t)
-        g = self.base.grad_base(t, xi)
-        shift = self.C * np.conj(np.asarray(t))
-        return g + (shift[:, None] if g.ndim == 2 else shift)
-
-    def hessian_field(self, t, xi):
-        tt, tf, ff = self.base.hessian_field(t, xi)
-        tt = tt + self.C * np.eye(self.n)[None, :, :]
-        return tt, tf, ff
-
-    def describe(self) -> str:
-        return f"{self.base.describe()} twisted by {self.C}|t|^2"
 
 
 @dataclass(frozen=True)
@@ -498,6 +481,14 @@ def hessian_at(w: WeightFamily, t, xi) -> ComplexHessian:
     w.value(t, pts)  # reality check at the point
     tt, tf, ff = w.hessian_field(t, pts)
     return ComplexHessian(tt[0], tf[0], ff[0])
+
+
+def node_hessian(w: WeightFamily, t, quad) -> tuple:
+    """Read-only Hessian blocks ``(tt, tf, ff)`` of ``w`` on the nodes of
+    ``quad``, memoized per base point on the rule."""
+    t = as_complex_tuple(t)
+    return quad.memoize(w, ("hessian", t),
+                        lambda: tuple(np.asarray(b) for b in w.hessian_field(t, quad.nodes)))
 
 
 def joint_hessian(tt: np.ndarray, tf: np.ndarray, ff: np.ndarray) -> np.ndarray:
@@ -703,14 +694,20 @@ def certify(
 
 
 def twist_weight(w: WeightFamily, C: float) -> WeightFamily:
-    """phi + C |t|^2; exact for every kind (quadratic stays quadratic)."""
+    """phi + C |t|^2, of the same kind: a quadratic weight adds C to the base
+    block of H, an expression weight adds ``C (abs2 t_a)`` terms to its tree,
+    so its derivatives stay exact."""
     if C < 0:
         raise ValueError("twist constant must be nonnegative")
+    label = f"{w.label} + {C}|t|^2"
     if isinstance(w, QuadraticWeight):
         H = w.H.copy()
         H[: w.n, : w.n] += C * np.eye(w.n)
-        return QuadraticWeight(w.n, w.d, H, label=f"{w.label} + {C}|t|^2")
-    return TwistedWeight(w, C)
+        return QuadraticWeight(w.n, w.d, H, label=label)
+    if not isinstance(w, CustomWeight):
+        raise TypeError(f"cannot twist a {w.kind} weight; twist the weight it is built from")
+    bumps = tuple(Call("*", (Num(complex(C)), Call("abs2", (Var(f"t{a + 1}"),)))) for a in range(w.n))
+    return type(w)(w.n, w.d, Call("+", (w.expr,) + bumps), label=label)
 
 
 def distortion_margin(n: int, delta: float, eps0: float) -> float:

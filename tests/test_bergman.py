@@ -11,6 +11,7 @@ Oracles frozen here before implementation details are trusted:
   the frame {1, z} has log det G(t) = -2c|t|^2 + log(g_0 g_1).
 """
 
+import dataclasses
 import gc
 import math
 import weakref
@@ -35,7 +36,7 @@ from bergman_lab.bergman import (
     section_value_pair,
 )
 from bergman_lab.cli import run_scenario_checks
-from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
+from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, ring_gram
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, QuadraticWeight
 
@@ -318,6 +319,26 @@ class TestDirectImageGram:
         const = -math.log(g_moment(0) * g_moment(1))
         assert dig.neg_log_det((t,)) == pytest.approx(2 * c * abs(t) ** 2 + const, abs=1e-10)
 
+    def test_frame_gram_is_the_monomial_gram_in_frame_coordinates(self, quad):
+        # no frame values on the nodes: G(t) = A^H G_mono(t) A with A the
+        # frame's monomial coefficients, against the basis Gram at the frame's degree
+        w = QuadraticWeight.cross_term(0.5)
+        frame = [HoloPoly(1, {(0,): 1.0, (2,): 0.5j}), HoloPoly(1, {(1,): 2.0, (2,): -1.0})]
+        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
+        for f in dataclasses.fields(dig):
+            value = getattr(dig, f.name)
+            assert not (isinstance(value, np.ndarray) and value.size >= quad.size), f.name
+        A = np.array([[1.0, 0.0], [0.0, 2.0], [0.5j, -1.0]])
+        assert np.array_equal(dig.coeffs, A)
+        t0 = (0.1 - 0.2j,)
+        G = bergman_basis(w, t0, 2, quad).gram
+        expected = A.conj().T @ G @ A
+        assert np.abs(dig.gram_at(t0) - expected).max() <= 1e-14 * np.abs(expected).max()
+        F = np.stack([f(quad.nodes) for f in frame], axis=1)  # the frame on the nodes
+        mu = w.weight_values(t0, quad) * quad.weights
+        direct = F.conj().T @ (mu[:, None] * F)
+        assert np.abs(dig.gram_at(t0) - direct).max() <= 1e-14 * np.abs(direct).max()
+
     def test_dependent_frame_rejected(self, quad):
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]
         with pytest.raises(ValueError, match="dependent"):
@@ -356,15 +377,15 @@ class TestSectionHessian:
 
 
 class CountingWeight(QuadraticWeight):
-    """Separable weight that counts its node evaluations."""
+    """Separable weight that counts its node-jet evaluations."""
 
     def __init__(self, c: float = 1.0):
         super().__init__(1, 1, np.diag([c, 1.0]), label=f"counting c={c}")
         self.evaluations = 0
 
-    def weight_values(self, t, quad):
+    def _node_jets(self, t, quad):
         self.evaluations += 1
-        return super().weight_values(t, quad)
+        return super()._node_jets(t, quad)
 
 
 class TestBasisMemo:
@@ -423,8 +444,8 @@ class TestBasisMemo:
         assert w.evaluations == 2  # one per base point, whatever reads it
         assert b10.weight_vals is b12.weight_vals
         fresh = QuadraticWeight.separable(0.5).weight_values((0.1,), quad) * quad.weights
-        F = dig.frame_values
-        expected = F.conj().T @ (fresh[:, None] * F)
+        A = dig.coeffs
+        expected = A.conj().T @ ring_gram(dig.basis, fresh, quad) @ A
         assert np.array_equal(G, 0.5 * (expected + expected.conj().T))
 
     def test_cached_arrays_read_only(self, quad):

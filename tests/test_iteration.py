@@ -103,7 +103,7 @@ class TestLogKernelField:
         ids=["disk", "annulus", "polydisc"],
     )
     def test_node_values_match_frame_path(self, dom, nr, na, N, monkeypatch):
-        # quad.nodes itself takes the ring synthesis; an equal copy of the
+        # the node jets come from one ring synthesis; an equal copy of the
         # nodes takes the orthonormal frame, as any other point set does
         q = build_quadrature(dom, nr, na)
         w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
@@ -113,10 +113,8 @@ class TestLogKernelField:
         original = fiber_numerics.vandermonde
         monkeypatch.setattr(fiber_numerics, "vandermonde",
                             lambda b, x: built.append(x.shape[0]) or original(b, x))
-        on_nodes = fld.value(t, q.nodes)
-        assert q.size not in built  # no node Vandermonde on the synthesis path
-        grad_nodes, tt_nodes = fld.grad_base(t, q.nodes), fld.base_hessian(t, q.nodes)
-        assert q.size not in built  # nor for the derivatives
+        on_nodes, grad_nodes, tt_nodes = fld.node_jets(t, q)
+        assert q.size not in built  # no node Vandermonde for the value nor its derivatives
         copy = q.nodes.copy()
         on_copy = fld.value(t, copy)
         assert on_nodes.shape == on_copy.shape == (q.size,)
@@ -125,7 +123,7 @@ class TestLogKernelField:
         # with the point jets (monomial values against the same matrices)
         assert grad_nodes.shape == (1, q.size) and tt_nodes.shape == (q.size, 1, 1)
         grad_nodes, tt_nodes = grad_nodes[:, ::7], tt_nodes[::7]
-        grad_copy, tt_copy = fld.grad_base(t, copy[::7]), fld.base_hessian(t, copy[::7])
+        grad_copy, tt_copy = fld.grad_base(t, copy[::7]), fld.hessian_field(t, copy[::7])[0]
         assert np.abs(grad_nodes - grad_copy).max() <= 1e-12 * max(1.0, np.abs(grad_copy).max())
         assert np.abs(tt_nodes - tt_copy).max() <= 1e-12 * max(1.0, np.abs(tt_copy).max())
 
@@ -311,19 +309,33 @@ class TestIterationCost:
         assert led.satisfies() and len(led.steps) == K
         assert len(built) == (K + 1) * n_t
 
-    def test_base_weight_node_fields_once_per_run(self, quad, monkeypatch):
-        phi = QuadraticWeight.cross_term(0.5, 1, 1)
+    @staticmethod
+    def _node_calls(phi, quad, monkeypatch, methods) -> list:
+        """Names of phi's methods called on the rule's nodes (or on the rule)."""
         calls = []
-        for method in ("value", "grad_base", "hessian_field"):
+        for method in methods:
             real = getattr(phi, method)
             monkeypatch.setattr(phi, method, lambda t, xi, real=real, method=method: (
-                calls.append(method) if xi is quad.nodes else None) or real(t, xi))
+                calls.append(method) if xi is quad.nodes or xi is quad else None) or real(t, xi))
+        return calls
+
+    def test_base_weight_node_fields_once_per_run(self, quad, monkeypatch):
+        phi = QuadraticWeight.cross_term(0.5, 1, 1)
+        calls = self._node_calls(phi, quad, monkeypatch, ("_node_jets", "grad_base", "hessian_field"))
         K = 4
         led = run_iteration(phi, 2, K, CheckConfig(N=16, quad=quad), eps0=0.75)
         assert len(led.steps) == K
-        # on the nodes: exp(-phi) for the first basis and phi for the mixes,
-        # one gradient and one set of Hessian blocks -- not one per step
-        assert sorted(calls) == ["grad_base", "hessian_field", "value", "value"]
+        # on the nodes: one set of jets, for the first basis, which every mix
+        # reads -- one gradient and one set of Hessian blocks, not one per step
+        assert sorted(calls) == ["_node_jets", "grad_base", "hessian_field"]
+
+    def test_base_weight_node_value_once_per_run(self, quad, monkeypatch):
+        # exp(-phi) of the first basis and phi in every mix read one evaluation
+        phi = QuadraticWeight.cross_term(0.5, 1, 1)
+        calls = self._node_calls(phi, quad, monkeypatch, ("value",))
+        led = run_iteration(phi, 2, 4, CheckConfig(N=16, quad=quad), eps0=0.75)
+        assert len(led.steps) == 4
+        assert calls == ["value"]
 
     def test_node_fields_released_each_step(self, quad):
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
@@ -354,12 +366,15 @@ class TestOneBasePointAtATime:
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
         psi = LogKernelField(phi, 12, quad)
         T, X = np.array([[0.0], [0.1j]]), np.array([[0.2], [0.3j]])
+        refused = "iterated weights take one base point at a time; got base input of shape"
         for w in (psi, mix_weights(psi, phi, 2)):
-            for evaluate in (w.value, w.hessian_field, w.grad_base, w.base_hessian):
-                with pytest.raises(ValueError):
+            for evaluate in (w.value, w.hessian_field, w.grad_base):
+                with pytest.raises(ValueError, match=rf"{refused} \(2, 1\)"):
                     evaluate(T, X)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=rf"{refused} \({quad.size}, 1\)"):
                 w.value(np.zeros((quad.size, 1)), quad.nodes)
+            with pytest.raises(ValueError, match="expected a point"):
+                w.node_jets(T, quad)
 
 
 class TestFieldDump:

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from helpers import PerBasePoint, as_materialized
 
 from bergman_lab import weights
+from bergman_lab.exprs import wirtinger
 from bergman_lab.fiber_numerics import FiberDomain
 from bergman_lab.weights import (
     BasePatch,
@@ -106,6 +107,20 @@ class TestHessianAt:
         assert np.abs(tf[:, 0, 0] - a * np.conj(t) * z).max() < 1e-14
         assert np.abs(ff[:, 0, 0] - (1 + a * abs(t) ** 2)).max() < 1e-14
         assert np.abs(w.grad_base((t,), z)[0] - (c + a * np.abs(z) ** 2) * np.conj(t)).max() < 1e-14
+
+    def test_only_the_tt_tf_ff_trees_are_evaluated(self, monkeypatch):
+        # the lower-left block d_z dbar_t phi is tf^H: its trees are never evaluated
+        w = PolynomialWeight.from_text(2, 1, "(+ (abs2 t1) (abs2 t2) (abs2 z1) (* 0.3 (re (* t1 t2 (conj z1)))))")
+        block = lambda rows, cols: [wirtinger(wirtinger(w.expr, r), c, anti=True) for r in rows for c in cols]
+        base, fiber = ("t1", "t2"), ("z1",)
+        expected = [tree for tree in block(base, base) + block(base, fiber) + block(fiber, fiber) if tree]
+        assert all(block(fiber, base))  # the trees that would be wasted exist
+        seen = []
+        real = weights.eval_expr
+        monkeypatch.setattr(weights, "eval_expr", lambda tree, env: seen.append(tree) or real(tree, env))
+        tt, tf, ff = w.hessian_field((0.1, 0.2j), np.array([0.3j, 0.5]))
+        assert seen == expected
+        assert (tt.shape, tf.shape, ff.shape) == ((2, 2, 2), (2, 2, 1), (2, 1, 1))
 
     def test_non_real_weight_rejected(self):
         with pytest.raises(NotAWeightError):
@@ -470,6 +485,20 @@ class TestTwist:
         assert tw.value((0.5 + 0j,), 0j) == pytest.approx(0.25)
         h = hessian_at(tw, 0.1 + 0j, 0.2 + 0j)
         assert h.tt[0, 0] == pytest.approx(1.0, abs=1e-14)
+
+    def test_expression_weights_keep_their_kind(self):
+        # the twist is C (abs2 t_a) in the tree, so wirtinger differentiates it exactly
+        text = "(+ (* 0.2 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
+        for w in (PolynomialWeight.from_text(1, 1, text), CustomWeight.from_text(1, 1, text)):
+            tw = twist_weight(w, 1.5)
+            assert type(tw) is type(w) and tw.label == f"{text} + 1.5|t|^2"
+            t, z = 0.3 - 0.1j, np.array([0.2j, 0.5])
+            assert np.array_equal(tw.hessian_field((t,), z)[0], w.hessian_field((t,), z)[0] + 1.5)
+            assert np.abs(tw.grad_base((t,), z) - w.grad_base((t,), z) - 1.5 * np.conj(t)).max() < 1e-15
+
+    def test_other_kinds_are_not_twisted(self):
+        with pytest.raises(TypeError, match="cannot twist"):
+            twist_weight(weights.WeightFamily(1, 1), 0.5)
 
     def test_negative_twist_rejected(self):
         with pytest.raises(ValueError):
