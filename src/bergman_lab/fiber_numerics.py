@@ -26,11 +26,12 @@ ring followed by a contraction with radial powers::
 This is the same discrete sum as ``V^H diag(w) V`` over the node
 Vandermonde ``V`` (same aliasing, same positivity test), only added in a
 different order.  :func:`ring_gram` assembles it for any complex node
-measure; :func:`gram_matrix` is the positivity-checked Gram of a weight on
-top of it.  The base derivatives of a weighted Gram are ring Grams of
-complex measures (``-d_a phi * exp(-phi) * w`` and so on), which is how
-the exact base Hessians of the section functional are assembled (see
-``bergman``).
+measure, :func:`gram_matrix` the positivity-checked Gram of a weight: the
+first ring axis contracted by one real GEMM, a 2-D Gram's last one only at the
+``dim^2`` entries read (``rings * dim^2`` multiply-adds in an ``einsum``,
+not ``rings * (2N+1)^4``).  The base derivatives of a weighted Gram are
+ring Grams of complex measures (``-d_a phi * exp(-phi) * w`` and so on),
+which give the exact base Hessians of the section functional (``bergman``).
 
 Node values of a coefficient matrix are the adjoint of the ring Gram:
 ``sum_jk A[j, k] M_j(x) conj(M_k(x))`` is ``sum_jk A[j, k] r^(j+k) e^{i
@@ -61,8 +62,7 @@ through it.  :func:`vandermonde` itself serves small point sets
 A :class:`QuadratureRule` keeps the radial-power and mode-index tables of
 the ring transforms for its lifetime and, through
 :meth:`QuadratureRule.memo`, the per-weight results that callers (the
-Bergman basis builds) store on it.
-A rule holds at most :data:`MAX_NODES` nodes.
+Bergman basis builds) store on it; it holds at most :data:`MAX_NODES` nodes.
 """
 
 from __future__ import annotations
@@ -256,14 +256,14 @@ class QuadratureRule:
     def ring_tables(self, basis: MonomialBasis) -> tuple:
         """Index and radial-power tables of the ring Gram, built once per basis.
 
-        Returns ``(modes, powers, gather)``: per coordinate the DFT indices
-        of the angular modes ``-N..N`` (negated, see :func:`ring_gram`)
-        and the ring powers ``r^s`` for ``s = 0..2N``; ``gather`` indexes
-        the contracted ``(s_1, m_1, s_2, m_2, ...)`` tensor at ``s = j + k``,
-        ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``.  The
-        powers ``s <= N`` also serve the linear transforms
-        (:func:`monomial_synthesis`, :func:`monomial_analysis`).  All
-        tables are read-only.
+        Returns ``(modes, powers, gather, read_powers)``: per coordinate the
+        DFT indices of the modes ``-N..N`` (negated, see :func:`ring_gram`)
+        and the ring powers ``r^s``, ``s = 0..2N`` (``s <= N`` also serve
+        :func:`monomial_synthesis` and :func:`monomial_analysis`); ``gather``
+        indexes the contracted ``(s_1, m_1, s_2, m_2, ...)`` tensor at ``s = j
+        + k``, ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``;
+        ``read_powers`` (rings, dim, dim), empty on a 1-D fiber, holds the
+        last ring powers there.  All tables are read-only.
         """
         key = ("ring", basis)
         tables = self._tables.get(key)
@@ -277,9 +277,10 @@ class QuadratureRule:
             for c in range(basis.fiber_dim):
                 gather.append(E[:, None, c] + E[None, :, c])
                 gather.append(E[None, :, c] - E[:, None, c] + N)
-            for arr in modes + powers + tuple(gather):
+            read_powers = powers[-1][:, gather[-2]] if basis.fiber_dim == 2 else np.empty(0)
+            for arr in modes + powers + tuple(gather) + (read_powers,):
                 arr.flags.writeable = False
-            tables = self._tables[key] = (modes, powers, tuple(gather))
+            tables = self._tables[key] = (modes, powers, tuple(gather), read_powers)
         return tables
 
     @property
@@ -480,16 +481,24 @@ def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -
     mu = np.asarray(measure)
     if mu.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} measure values, got shape {mu.shape}")
-    modes, powers, gather = quad.ring_tables(basis)
+    modes, powers, gather, read_powers = quad.ring_tables(basis)
     grid = quad.grid_view(mu)  # axes (r_1, theta_1, r_2, theta_2, ...)
     # sum_theta mu e^{+i m theta} = fft(mu)[-m]: the mode tables hold the
     # negated indices.
     F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
-    for c, (idx, P) in enumerate(zip(modes, powers)):
+    for c, idx in enumerate(modes):
         F = np.take(F, idx, axis=2 * c + 1)
-        # replace ring axis c by the radial power s = j_c + k_c
-        F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
-    return F[gather]
+    Y = _real_product(powers[0].T, F)  # ring axis 1 -> radial power s_1 = j_1 + k_1
+    if basis.fiber_dim == 1:
+        return Y[gather]
+    s1, m1, _s2, m2 = gather  # ring axis 2 only at the (s_1, m_1, m_2) the Gram reads
+    return np.einsum("jkr,rjk->jk", Y[s1, m1, :, m2], read_powers)
+
+
+def _real_product(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``P @ T`` over the first axis of a complex ``T`` as one real GEMM on its (re, im) pairs."""
+    T = np.ascontiguousarray(T)
+    return (P @ T.reshape(len(T), -1).view(float)).view(complex).reshape(P.shape[:1] + T.shape[1:])
 
 
 def gram_matrix(
@@ -539,16 +548,14 @@ def ring_synthesis(
     A = np.asarray(coeffs)
     lead = A.shape[:-2]
     A = A.reshape((-1,) + A.shape[-2:])
-    modes, powers, gather = quad.ring_tables(basis)
+    modes, powers, gather, _read = quad.ring_tables(basis)
     T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
     T[(slice(None),) + gather] = A  # (j, k) -> (s, m) is one-to-one
     for c, (idx, P) in enumerate(zip(modes, powers)):
         # replace radial-power axis s of coordinate c by the ring axis
         axis = 1 + 2 * c
-        T = np.moveaxis(np.tensordot(P, T, axes=([1], [axis])), 0, axis)
-        shape = list(T.shape)
-        shape[axis + 1] = quad.shape[c][1]
-        X = np.zeros(shape, dtype=complex)
+        T = np.moveaxis(_real_product(P, np.moveaxis(T, axis, 0)), 0, axis)
+        X = np.zeros(T.shape[: axis + 1] + (quad.shape[c][1],) + T.shape[axis + 2 :], dtype=complex)
         # M_j conj(M_k) carries e^{-i m theta} for m = k - j: the inverse DFT
         # index -m, which is what the mode table holds
         X[(slice(None),) * (axis + 1) + (idx,)] = T
@@ -576,7 +583,7 @@ def monomial_synthesis(
     lead = c.shape[:-1]
     c = c.reshape(-1, basis.dim)
     N = basis.max_degree
-    _modes, powers, _gather = quad.ring_tables(basis)
+    powers = quad.ring_tables(basis)[1]
     T = np.zeros((c.shape[0],) + (N + 1,) * basis.fiber_dim, dtype=complex)
     T[(slice(None),) + tuple(basis.exponent_array.T)] = c
     for c_axis, P in enumerate(powers):
@@ -611,7 +618,7 @@ def monomial_analysis(
     if f.shape[-1:] != (quad.size,):
         raise ValueError(f"expected {quad.size} node values, got shape {f.shape}")
     N, d = basis.max_degree, basis.fiber_dim
-    _modes, powers, _gather = quad.ring_tables(basis)
+    powers = quad.ring_tables(basis)[1]
     F = np.fft.fftn(quad.grid_view(f.reshape(-1, quad.size)), axes=tuple(range(2, 2 + 2 * d, 2)))
     F = F[(slice(None),) + (slice(None), slice(N + 1)) * d]
     axes = ("aj", "bk")[:d]  # (ring, exponent) per coordinate

@@ -193,6 +193,9 @@ class LogKernelField(WeightFamily):
         ddK = S[:, n + 1 :].reshape(-1, n, n)
         return s * np.log(K), s * (dK / K[:, None]).T, s * _log_hessian(K, dK, dK, ddK)
 
+    def node_phi(self, t, quad) -> np.ndarray:
+        return self.node_jets(t, quad)[0]  # phi comes with its derivatives, no node Vandermonde
+
     def _point_jets(self, t, pts) -> tuple:
         """K and its derivatives at S fiber points: ``K`` (S,), ``d_t K`` (S, n),
         ``d_xi K`` (S, d), ``d_t dbar_t K`` (S, n, n), ``d_t dbar_xi K`` (S, n, d)
@@ -279,6 +282,8 @@ class MixedWeight(WeightFamily):
 
     def _node_jets(self, t, quad) -> tuple:
         return self._combine(lambda f: f.node_jets(t, quad))
+
+    node_phi = LogKernelField.node_phi  # phi from the jets, as for the potentials
 
     def describe(self) -> str:
         terms = " + ".join(f"{c:g}*[{f.label}]" for c, f in self.parts)

@@ -236,11 +236,16 @@ class WeightFamily:
         # closed-form kinds: the evaluators on the nodes, and the base block
         # of the memoized full Hessian, which the L2 step reads too
         grad = np.asarray(self.grad_base(t, quad.nodes)).reshape(self.n, quad.size)
-        return self.value(t, quad.nodes), grad, node_hessian(self, t, quad)[0]
+        return self.node_phi(t, quad), grad, node_hessian(self, t, quad)[0]
+
+    def node_phi(self, t, quad) -> np.ndarray:
+        """phi of :meth:`node_jets` alone, memoized per base point on the rule."""
+        t = as_complex_tuple(t)
+        return quad.memoize(self, ("phi", t), lambda: self.value(t, quad.nodes))
 
     def weight_values(self, t, quad) -> np.ndarray:
-        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_jets`."""
-        return np.exp(-self.node_jets(t, quad)[0])
+        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_phi`."""
+        return np.exp(-self.node_phi(t, quad))
 
     def describe(self) -> str:
         return f"{self.kind} weight, n={self.n}, d={self.d}"
@@ -274,31 +279,29 @@ class QuadraticWeight(WeightFamily):
         H[base_dim, 0] = lam
         return cls(base_dim, fiber_dim, H, label=f"cross-term lam={lam}")
 
-    def _joint(self, t, pts) -> np.ndarray:
-        tcol = np.broadcast_to(np.asarray(t, dtype=complex), (pts.shape[0], self.n))
-        return np.hstack([tcol, pts])
-
     def _value_raw(self, t, pts):
         # sum_j H_jj |x_j|^2 + 2 Re sum_{j<k} H_jk x_j conj(x_k), in real
-        # arithmetic; the base coordinates enter as scalars.
-        xs = [(c.real, c.imag) for c in t] + [(pts[:, a].real, pts[:, a].imag) for a in range(self.d)]
+        # arithmetic, in place, on contiguous fiber columns
+        fiber = [(np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)) for x in pts.T]
+        xs = [(c.real, c.imag) for c in t] + fiber
         out = np.zeros(pts.shape[0])
         for j, (a, b) in enumerate(xs):
             h = self.H[j, j].real
             if h:
-                out = out + h * (a * a + b * b)
+                out += h * (a * a + b * b)
             for k in range(j + 1, len(xs)):
                 h = self.H[j, k]
                 if h:
                     c, d = xs[k]
-                    out = out + 2.0 * (h.real * (a * c + b * d) - h.imag * (b * c - a * d))
+                    out += 2.0 * (h.real * (a * c + b * d) - h.imag * (b * c - a * d))
         return out
 
     def grad_base(self, t, xi):
-        t = as_complex_tuple(t)
         pts, single = _as_fiber_array(xi, self.d)
-        X = self._joint(t, pts)
-        g = self.H[: self.n] @ np.conj(X).T
+        Xc = np.empty((pts.shape[0], self.n + self.d), dtype=complex)  # conj of (t, xi)
+        Xc[:, : self.n] = np.conj(as_complex_tuple(t))
+        np.conj(pts, out=Xc[:, self.n :])
+        g = self.H[: self.n] @ Xc.T
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):

@@ -38,7 +38,7 @@ from bergman_lab.bergman import (
 from bergman_lab.cli import run_scenario_checks
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, ring_gram
 from bergman_lab.scenario import parse_scenario
-from bergman_lab.weights import BasePatch, QuadraticWeight
+from bergman_lab.weights import BasePatch, PolynomialWeight, QuadraticWeight
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -339,6 +339,25 @@ class TestDirectImageGram:
         direct = F.conj().T @ (mu[:, None] * F)
         assert np.abs(dig.gram_at(t0) - direct).max() <= 1e-14 * np.abs(direct).max()
 
+    @pytest.mark.parametrize("w", [
+        QuadraticWeight.cross_term(0.5),
+        PolynomialWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1) (* 0.5 (re (* t1 (conj z1)))))"),
+    ], ids=["quadratic", "polynomial"])
+    def test_center_check_evaluates_only_phi_on_the_nodes(self, quad, w, monkeypatch):
+        # the independence check reads exp(-phi): no node gradient or Hessian
+        calls = []
+        for name in ("grad_base", "hessian_field"):
+            real = getattr(type(w), name)
+            monkeypatch.setattr(type(w), name, lambda self, t, xi, real=real, name=name:
+                                calls.append(name) or real(self, t, xi))
+        frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
+        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
+        assert calls == []
+        assert [k[0] for k in quad.memo(w)] == ["phi", "weight_values"]
+        phi = w.node_jets((0j,), quad)[0]  # the jets read the same phi
+        assert phi is w.node_phi((0j,), quad) and calls == ["grad_base", "hessian_field"]
+        assert np.array_equal(dig.gram_at((0j,)), dig.gram_at(0j))
+
     def test_dependent_frame_rejected(self, quad):
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]
         with pytest.raises(ValueError, match="dependent"):
@@ -377,15 +396,15 @@ class TestSectionHessian:
 
 
 class CountingWeight(QuadraticWeight):
-    """Separable weight that counts its node-jet evaluations."""
+    """Separable weight that counts its evaluations of phi."""
 
     def __init__(self, c: float = 1.0):
         super().__init__(1, 1, np.diag([c, 1.0]), label=f"counting c={c}")
         self.evaluations = 0
 
-    def _node_jets(self, t, quad):
+    def value(self, t, xi):
         self.evaluations += 1
-        return super()._node_jets(t, quad)
+        return super().value(t, xi)
 
 
 class TestBasisMemo:

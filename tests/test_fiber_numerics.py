@@ -297,7 +297,98 @@ def polynomial_weight(nodes):
     return np.exp(-phi)
 
 
+def polydisc_bits_per_blas_threads(body: str) -> list:
+    """``[shape, sha256]`` of the array ``C`` that ``body`` computes from a
+    weight ``wv`` on a 12 x 24 polydisc rule ``q``, in a fresh interpreter
+    with one and with two BLAS threads."""
+    code = (
+        "import hashlib, numpy as np\n"
+        "from bergman_lab.fiber_numerics import *\n"
+        "q = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)\n"
+        "z = q.nodes\n"
+        "wv = np.exp(-np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2 + z[:, 0].real)\n"
+        + body
+        + "print(C.shape[0], hashlib.sha256(C.tobytes()).hexdigest())\n"
+    )
+    src = str(Path(fiber_numerics.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.split())
+    return out
+
+
+def tensordot_ring_gram(basis, measure, quad):
+    """The ring Gram with every ring axis contracted by a complex tensordot
+    over the whole ``(s, m)`` table: the reference formulation."""
+    modes, powers, gather, _read = quad.ring_tables(basis)
+    grid = quad.grid_view(measure)
+    F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
+    for c, (idx, P) in enumerate(zip(modes, powers)):
+        F = np.take(F, idx, axis=2 * c + 1)
+        F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
+    return F[gather]
+
+
+def tensordot_ring_synthesis(basis, coeffs, quad):
+    """:func:`ring_synthesis` with complex tensordots: the reference formulation."""
+    A = coeffs.reshape((-1,) + coeffs.shape[-2:])
+    modes, powers, gather, _read = quad.ring_tables(basis)
+    T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
+    T[(slice(None),) + gather] = A
+    for c, (idx, P) in enumerate(zip(modes, powers)):
+        axis = 1 + 2 * c
+        T = np.moveaxis(np.tensordot(P, T, axes=([1], [axis])), 0, axis)
+        shape = list(T.shape)
+        shape[axis + 1] = quad.shape[c][1]
+        X = np.zeros(shape, dtype=complex)
+        X[(slice(None),) * (axis + 1) + (idx,)] = T
+        T = X
+    angular = tuple(range(2, T.ndim, 2))
+    K = np.fft.ifftn(T, axes=angular) * math.prod(T.shape[a] for a in angular)
+    return K.reshape(coeffs.shape[:-2] + (quad.size,))
+
+
 class TestRingGram:
+    @pytest.mark.parametrize("case", RING_CASES[:2], ids=["disk", "annulus"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_one_dimensional_bits_equal_complex_tensordot(self, case, kind, rng):
+        # the real GEMM on (re, im) pairs adds the same products in the same order
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        measure = cross_term_weight(quad.nodes) * quad.weights
+        A = rng.normal(size=(3, basis.dim, basis.dim)) + 1j * rng.normal(size=(3, basis.dim, basis.dim))
+        if kind == "complex":
+            measure = measure * (rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size))
+        else:
+            A = A + A.conj().transpose(0, 2, 1)  # Hermitian, as the kernel diagonal's P
+        assert np.array_equal(ring_gram(basis, measure, quad), tensordot_ring_gram(basis, measure, quad))
+        assert np.array_equal(ring_synthesis(basis, A, quad), tensordot_ring_synthesis(basis, A, quad))
+        assert np.array_equal(ring_synthesis(basis, A[1], quad), tensordot_ring_synthesis(basis, A[1], quad))
+
+    def test_two_dimensional_read_entries_equal_full_table_to_round_off(self, rng):
+        dom, nr, na, N = RING_CASES[2]
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        phase = rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size)
+        measure = phase * cross_term_weight(quad.nodes) * quad.weights
+        G, R = ring_gram(basis, measure, quad), tensordot_ring_gram(basis, measure, quad)
+        assert np.abs(G - R).max() <= 1e-15 * np.abs(R).max()
+        A = rng.normal(size=(2, basis.dim, basis.dim)) + 1j * rng.normal(size=(2, basis.dim, basis.dim))
+        S, RS = ring_synthesis(basis, A, quad), tensordot_ring_synthesis(basis, A, quad)
+        assert np.abs(S - RS).max() <= 1e-15 * np.abs(RS).max()
+
+    def test_two_dimensional_bits_do_not_follow_blas_threads(self):
+        out = polydisc_bits_per_blas_threads(
+            "C = ring_gram(monomial_basis(10, 2), (1.0 + 0.5j * z[:, 1]) * wv * q.weights, q)\n"
+        )
+        assert out[0][0] == "66"
+        assert out[0] == out[1]
+
     @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
     @pytest.mark.parametrize("weight", [cross_term_weight, polynomial_weight],
                              ids=["cross", "polynomial"])
@@ -410,9 +501,10 @@ class TestNodeTransforms:
 
     def test_ring_tables_are_read_only(self):
         quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 8, 16)
-        modes, powers, gather = quad.ring_tables(monomial_basis(3, 2))
+        modes, powers, gather, read_powers = quad.ring_tables(monomial_basis(3, 2))
         assert quad.ring_tables(monomial_basis(3, 2))[1] is powers  # built once per basis
-        for arr in modes + powers + gather:
+        assert np.array_equal(read_powers, powers[1][:, gather[2]])  # r_2^(j_2 + k_2)
+        for arr in modes + powers + gather + (read_powers,):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 2
 
@@ -563,24 +655,9 @@ class TestOrthonormalize:
     def test_transform_bits_do_not_follow_blas_threads(self):
         # LAPACK's Cholesky splits its updates by thread from about 64 rows
         # on, and the 2-D bases (dimension 66 here) are that large
-        code = (
-            "import hashlib, numpy as np\n"
-            "from bergman_lab.fiber_numerics import *\n"
-            "q = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)\n"
-            "z = q.nodes\n"
-            "wv = np.exp(-np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2 + z[:, 0].real)\n"
+        out = polydisc_bits_per_blas_threads(
             "C = orthonormalize(gram_matrix(monomial_basis(10, 2), wv, q))\n"
-            "print(C.shape[0], hashlib.sha256(C.tobytes()).hexdigest())\n"
         )
-        src = str(Path(fiber_numerics.__file__).resolve().parents[1])
-        out = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       PYTHONPATH=src)
-            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                  text=True, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            out.append(proc.stdout.split())
         assert out[0][0] == "66"
         assert out[0] == out[1]
 

@@ -22,7 +22,7 @@ from helpers import PerBasePoint, as_materialized
 
 from bergman_lab import weights
 from bergman_lab.exprs import wirtinger
-from bergman_lab.fiber_numerics import FiberDomain
+from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.weights import (
     BasePatch,
     ComplexHessian,
@@ -203,6 +203,42 @@ class TestQuadraticGradBase:
         assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
         single = pts[0] if d > 1 else pts[0, 0]
         assert np.abs(w.grad_base(t, single) - full[:, 0]).max() <= 1e-15 * np.abs(full).max()
+
+
+def strided_quadratic_value(H, t, pts):
+    """The quadratic value as the sum of fresh arrays over strided columns:
+    the reference formulation of the in-place one."""
+    xs = [(c.real, c.imag) for c in t] + [(pts[:, a].real, pts[:, a].imag) for a in range(pts.shape[1])]
+    out = np.zeros(pts.shape[0])
+    for j, (a, b) in enumerate(xs):
+        if H[j, j].real:
+            out = out + H[j, j].real * (a * a + b * b)
+        for k in range(j + 1, len(xs)):
+            h = H[j, k]
+            if h:
+                c, d = xs[k]
+                out = out + 2.0 * (h.real * (a * c + b * d) - h.imag * (b * c - a * d))
+    return out
+
+
+class TestQuadraticNodeBits:
+    """``value`` and ``grad_base`` on quadrature nodes give the bits of the
+    stacked-joint-matrix and fresh-array formulations."""
+
+    @pytest.mark.parametrize("n, dom", [(1, FiberDomain.disk(1.0)), (2, FiberDomain.polydisc(1.0, 0.8))],
+                             ids=["1-D", "2-D"])
+    def test_bitwise_equal_to_reference_formulas(self, n, dom):
+        g = np.random.default_rng(11)
+        m = n + dom.dim
+        A = g.normal(size=(m, m)) + 1j * g.normal(size=(m, m))
+        w = QuadraticWeight(n, dom.dim, 0.5 * (A + A.conj().T))
+        pts = build_quadrature(dom, 8, 16).nodes
+        t = tuple(g.normal(size=n) + 1j * g.normal(size=n))
+        assert np.array_equal(w.value(t, pts), strided_quadratic_value(w.H, t, pts))
+        T = g.normal(size=(len(pts), n)) + 1j * g.normal(size=(len(pts), n))  # one base point per node
+        assert np.array_equal(w.value(T, pts), strided_quadratic_value(w.H, tuple(T.T), pts))
+        X = np.hstack([np.broadcast_to(np.asarray(t), (len(pts), n)), pts])
+        assert np.array_equal(w.grad_base(t, pts), w.H[:n] @ np.conj(X).T)
 
 
 class TestSchurTrace:
