@@ -8,7 +8,10 @@ M(x)`` over the monomial column ``M(x)`` and the kernel
 
     K(z, w) = sum_i u_i(z) conj(u_i(w)) = M(z)^T (C C^H) conj(M(w)),
 
-with ``C C^H = G^{-1}``.  Everything downstream (extremal values, section
+with ``C C^H = G^{-1}``.  G is accepted when every Cholesky pivot clears
+a fixed fraction of its own diagonal entry (``fiber_numerics.orthonormalize``),
+a test blind to the scale of the monomials, so a fiber of any radius is
+taken as it is.  Everything downstream (extremal values, section
 functionals, the fields of the L2-estimate step) is linear algebra over
 these objects.
 
@@ -301,7 +304,6 @@ class BergmanBasis:
     N: int
     basis: MonomialBasis
     transform: np.ndarray = field(repr=False)
-    weight_ref: str = ""
     gram: np.ndarray = field(default=None, repr=False)
     quad: QuadratureRule = field(default=None, repr=False)
     weight_vals: np.ndarray = field(default=None, repr=False)
@@ -412,7 +414,8 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
     """Orthonormalized degree-N basis for the weight slice phi(t, .).
 
     Built once per (weight, t, N) and quadrature rule; later calls wrap the
-    memoized arrays (see the module docstring).  Failed builds are not
+    memoized arrays (see the module docstring).  A collapsed Cholesky pivot
+    raises ``fiber_numerics.DegenerateBasisError``; failed builds are not
     memoized, so they raise again.
     """
     t = as_complex_tuple(t)
@@ -432,7 +435,6 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
         N=N,
         basis=basis,
         transform=C,
-        weight_ref=w.label,
         gram=G,
         quad=quad,
         weight_vals=weight_vals,

@@ -241,13 +241,7 @@ def _check_iterate(ctx: _Context):
         ledger = run_iteration(
             sc.weight, sc.iteration_m, sc.iteration_steps, ctx.cfg, eps0=sc.eps0
         )
-    worst = 0.0
-    if ledger.steps:
-        worst = min(
-            r.measured_trace - ledger.base_dim * r.certified_bound - r.delta
-            for r in ledger.steps
-        )
-    margins = {"worst_step": worst}
+    margins = {"worst_step": ledger.worst_step}
     outputs = {
         "m": ledger.m,
         "eps0": ledger.eps0,

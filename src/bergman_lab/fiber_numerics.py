@@ -24,9 +24,9 @@ ring followed by a contraction with radial powers::
     W_ring(m) = sum_theta w(r, theta) e^{i m theta}.
 
 This is the same discrete sum as ``V^H diag(w) V`` over the node
-Vandermonde ``V`` (same aliasing, same positivity test), only added in a
-different order.  :func:`ring_gram` assembles it for any complex node
-measure, :func:`gram_matrix` the positivity-checked Gram of a weight: the
+Vandermonde ``V`` (same aliasing), only added in a different order.
+:func:`ring_gram` assembles it for any complex node measure,
+:func:`gram_matrix` the weighted Gram of a weight: the
 first ring axis contracted by one real GEMM, a 2-D Gram's last one only at the
 ``dim^2`` entries read (``rings * dim^2`` multiply-adds in an ``einsum``,
 not ``rings * (2N+1)^4``).  The base derivatives of a weighted Gram are
@@ -41,9 +41,18 @@ into the ``(s, m)`` table through the same gather indices, contracts each
 same mode table and takes one inverse FFT over the angular axes, for a
 whole stack of matrices at once.  That costs about ``rings * (2N+1)^2``
 per coordinate and matrix plus one node-sized FFT, against ``nodes *
-dim^2`` for the frame ``V C`` on the nodes.  The kernel diagonal
-(:func:`kernel_diagonal`) is the case ``A = P = C C^H``, the inverse Gram;
-the base derivatives of ``P`` give the log-kernel jets of the iteration.
+dim^2`` for the frame ``V C`` on the nodes.  The kernel diagonal is the
+case ``A = P = C C^H``, the inverse Gram; the base derivatives of ``P``
+give the log-kernel jets of the iteration.
+
+Positivity is decided once per basis build, in :func:`orthonormalize`:
+each Cholesky pivot ``diag(L)_j^2`` against its own diagonal entry
+``G_jj``.  That is the pivot test of the equilibrated Gram ``D^{-1/2} G
+D^{-1/2}``, ``D = diag(G)``, and Cholesky's accuracy does not depend on
+that scaling (van der Sluis, Numer. Math. 14, 1969; Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2nd ed., sec. 10.1), so monomial norms
+``~ R^(2k+2)`` spanning many decades on a disk of radius R are accepted
+without rescaling anything.
 
 Linear node fields have the same structure one index lower.  A
 coefficient vector ``c`` has node values ``sum_j c_j M_j(x) = sum_e c_e
@@ -79,7 +88,6 @@ __all__ = [
     "FiberDomain",
     "QuadratureRule",
     "MonomialBasis",
-    "GramIndefiniteError",
     "DegenerateBasisError",
     "build_quadrature",
     "check_resolution",
@@ -92,7 +100,6 @@ __all__ = [
     "ring_synthesis",
     "monomial_synthesis",
     "monomial_analysis",
-    "kernel_diagonal",
     "orthonormalize",
 ]
 
@@ -105,9 +112,10 @@ MAX_NODES = 2**20
 # Largest Gram factored by one LAPACK Cholesky call (see _cholesky).
 CHOLESKY_BLOCK = 48
 
-
-class GramIndefiniteError(ArithmeticError):
-    """Gram matrix failed positivity (quadrature too coarse for the degree)."""
+# A Cholesky pivot ``diag(L)_j^2`` at or below this fraction of its own
+# diagonal entry ``G_jj`` marks basis element j as numerically dependent on
+# the ones before it (see :func:`orthonormalize`).
+PIVOT_RTOL = 1e-13
 
 
 class DegenerateBasisError(ArithmeticError):
@@ -509,10 +517,10 @@ def gram_matrix(
     Entry ``G[j, k]`` pairs monomial ``k`` against the conjugate of monomial
     ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  The node sum is the
     :func:`ring_gram` of the measure ``weight_values * quad.weights``,
-    symmetrized against roundoff.  Raises :class:`GramIndefiniteError`
-    when the assembled matrix fails positivity, which is the signature of a
-    quadrature too coarse for the degree (angular aliasing makes distinct
-    monomials collide on the nodes).
+    symmetrized against roundoff.  Positivity is tested by
+    :func:`orthonormalize`, not here: a quadrature too coarse for the
+    degree (angular aliasing makes distinct monomials collide on the
+    nodes) shows there as a collapsed pivot.
     """
     wv = np.asarray(weight_values, dtype=float)
     if wv.shape != (quad.size,):
@@ -520,15 +528,7 @@ def gram_matrix(
     if not np.all(np.isfinite(wv)) or np.any(wv <= 0):
         raise ValueError("weight values must be finite and positive")
     G = ring_gram(basis, wv * quad.weights, quad)
-    G = 0.5 * (G + G.conj().T)  # symmetrize roundoff
-    eigs = np.linalg.eigvalsh(G)
-    # relative floor: exact rank deficiency lands at +-eps * max_eig
-    if eigs[0] <= 1e-14 * eigs[-1]:
-        raise GramIndefiniteError(
-            f"Gram matrix is not positive definite (min eigenvalue {eigs[0]:.3e}); "
-            f"degree {basis.max_degree} needs a finer quadrature than {quad.shape}"
-        )
-    return G
+    return 0.5 * (G + G.conj().T)  # symmetrize roundoff
 
 
 def ring_synthesis(
@@ -627,18 +627,8 @@ def monomial_analysis(
     return M[(slice(None),) + tuple(basis.exponent_array.T)].reshape(lead + (basis.dim,))
 
 
-def kernel_diagonal(
-    basis: MonomialBasis, transform: np.ndarray, quad: QuadratureRule
-) -> np.ndarray:
-    """Kernel diagonal ``K(x, x) = M(x)^T (C C^H) conj(M(x))`` on every node:
-    the Hermitian case of :func:`ring_synthesis`, ``P = C C^H``."""
-    return ring_synthesis(basis, transform @ transform.conj().T, quad).real
-
-
 def orthonormalize(
-    gram: np.ndarray,
-    pivot_rtol: float = 1e-13,
-    exponents: tuple[tuple[int, ...], ...] | None = None,
+    gram: np.ndarray, exponents: tuple[tuple[int, ...], ...] | None = None
 ) -> np.ndarray:
     """Cholesky-based orthonormalizing transform for a Hermitian Gram matrix.
 
@@ -649,9 +639,12 @@ def orthonormalize(
     keeps degree-truncation diagnostics cheap.
 
     One LAPACK Cholesky factorization up to :data:`CHOLESKY_BLOCK` rows,
-    a blocked one above (see :func:`_cholesky`); a pivot ``diag(L)**2`` at
-    or below ``pivot_rtol * max(diag)`` aborts with
-    :class:`DegenerateBasisError` naming the offending basis element.
+    a blocked one above (see :func:`_cholesky`).  This is the one
+    positivity test of a basis build: a pivot ``diag(L)_j**2`` at or below
+    ``PIVOT_RTOL * G_jj``, its own diagonal entry, aborts with
+    :class:`DegenerateBasisError` naming the offending basis element.  On
+    ``D G D``, ``D`` positive diagonal, pivots and diagonal scale alike, so
+    the test does not see the scale of the monomials (module docstring).
     """
     G = np.array(gram, dtype=complex)
     dim = G.shape[0]
@@ -660,8 +653,7 @@ def orthonormalize(
     scale = max(float(np.abs(G).max()), 1e-300)
     if float(np.abs(G - G.conj().T).max()) > 1e-12 * scale:
         raise ValueError("gram must be Hermitian")
-    max_diag = float(np.real(np.diag(G)).max())
-    threshold = pivot_rtol * max_diag
+    threshold = PIVOT_RTOL * np.real(np.diag(G))
     try:
         L = _cholesky(G)
         pivots = np.real(np.diag(L)) ** 2
@@ -674,7 +666,7 @@ def orthonormalize(
         label = f"exponent {exponents[j]}" if exponents is not None else f"index {j}"
         raise DegenerateBasisError(
             f"degenerate basis: Cholesky pivot {pivot:.3e} at {label} "
-            f"(threshold {pivot_rtol:.1e} * max diagonal {max_diag:.3e})"
+            f"(threshold {PIVOT_RTOL:.1e} * its diagonal entry {np.real(G[j, j]):.3e})"
         )
     return np.linalg.inv(L).conj().T
 
@@ -705,8 +697,9 @@ def _cholesky(G: np.ndarray) -> np.ndarray:
     return L
 
 
-def _collapsed_pivot(G: np.ndarray, threshold: float) -> tuple[int, float]:
-    """Index and value of the first Cholesky pivot at or below ``threshold``.
+def _collapsed_pivot(G: np.ndarray, threshold: np.ndarray) -> tuple[int, float]:
+    """Index and value of the first Cholesky pivot at or below its entry of
+    ``threshold`` (one per index).
 
     Error path only: LAPACK reports that a factorization failed, not where.
     The leading blocks are factored in turn; the pivot of the first block
@@ -721,6 +714,6 @@ def _collapsed_pivot(G: np.ndarray, threshold: float) -> tuple[int, float]:
             x = np.linalg.solve(L, G[:j, j]) if j else np.zeros(0)
             return j, float(np.real(G[j, j]) - np.real(np.vdot(x, x)))
         pivot = float(np.real(L[j, j])) ** 2
-        if pivot <= threshold:
+        if pivot <= threshold[j]:
             return j, pivot
     raise AssertionError("the full Cholesky factorization failed but every leading block passed")

@@ -57,6 +57,7 @@ from .curvature import CONVERGENCE_TOL, CheckConfig, truncation_gate
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
 from .weights import (
+    PSH_TOL,
     BasePatch,
     FiberDegenerateError,
     GridSpec,
@@ -145,11 +146,6 @@ class LogKernelField(WeightFamily):
     def max_convergence_gap(self) -> float:
         """Worst truncation gap seen across all basis builds so far."""
         return self._max_gap
-
-    @property
-    def cached_points(self) -> int:
-        """Distinct base points whose basis passed the truncation gate."""
-        return len(self._gated)
 
     def _basis_at(self, t: tuple):
         b = bergman_basis(self.inner, t, self.N, self.quad)
@@ -339,10 +335,6 @@ class IterationLedger:
         if self.m < 2:
             raise ValueError("m must be >= 2")
 
-    def bound_at(self, k: int) -> float:
-        """Closed form b_k = (1 - (1 - 1/m)^k) eps0."""
-        return (1.0 - (1.0 - 1.0 / self.m) ** k) * self.eps0
-
     @property
     def limit_gap(self) -> float:
         """eps0 - b_K = (1 - 1/m)^K eps0 for the last recorded step."""
@@ -350,12 +342,17 @@ class IterationLedger:
             return self.eps0
         return self.eps0 - self.steps[-1].certified_bound
 
+    @property
+    def worst_step(self) -> float:
+        """min_k (measured_k - n * b_k - delta_k), 0 with no step recorded:
+        the margin by which every measured trace clears its bound and its
+        twist slack."""
+        return min((s.measured_trace - self.base_dim * s.certified_bound - s.delta
+                    for s in self.steps), default=0.0)
+
     def satisfies(self, tolerance: float = 1e-3) -> bool:
-        """Every measured trace clears n * b_k - tolerance and nothing aborted."""
-        return not self.aborted and all(
-            s.measured_trace >= self.base_dim * s.certified_bound - tolerance
-            for s in self.steps
-        )
+        """Nothing aborted and :attr:`worst_step` is at least -tolerance."""
+        return not self.aborted and self.worst_step >= -tolerance
 
     def as_dict(self) -> dict:
         return {
@@ -393,7 +390,6 @@ def run_iteration(
     eps0: float | None = None,
     t_samples=None,
     xi_samples=None,
-    psh_tol: float = 1e-8,
     twist_slack: float = 0.0,
     keep_fields: bool = False,
 ) -> IterationLedger:
@@ -459,7 +455,7 @@ def run_iteration(
         )
         steps.append(rec)
         scale = max(1.0, abs(measured))
-        if psh_min < -psh_tol * scale:  # a non-positive fiber block raised above
+        if psh_min < -PSH_TOL * scale:  # a non-positive fiber block raised above
             aborted, failure = True, (
                 f"step {k}: potential failed certification "
                 f"(min joint eigenvalue {psh_min:.3e}, min fiber eigenvalue {ff_min:.3e})"

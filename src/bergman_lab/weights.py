@@ -75,6 +75,9 @@ REALITY_TOL = 1e-12
 # A fiber block is positive definite when its least eigenvalue exceeds this
 # times max(1, its largest eigenvalue).
 FIBER_PD_RTOL = 1e-14
+# A least joint-Hessian eigenvalue below -PSH_TOL * max(1, scale) fails
+# plurisubharmonicity, in certify and at every iteration step.
+PSH_TOL = 1e-8
 
 
 class NotAWeightError(ValueError):
@@ -472,7 +475,8 @@ class WeightCertificate:
 
     @property
     def psh_ok(self) -> bool:
-        return bool(self.diagnostics.get("psh_ok", self.psh_min_eig >= -1e-8))
+        return bool(self.diagnostics.get(
+            "psh_ok", self.psh_min_eig >= -PSH_TOL * max(1.0, abs(self.psh_min_eig))))
 
 
 def hessian_at(w: WeightFamily, t, xi) -> ComplexHessian:
@@ -637,17 +641,13 @@ def ma_ratio(h: ComplexHessian, n: int, d: int) -> float:
     return float(np.real(n / (d + 1) * num / den))
 
 
-def certify(
-    w: WeightFamily,
-    grid: GridSpec,
-    psh_tol: float = 1e-8,
-) -> WeightCertificate:
+def certify(w: WeightFamily, grid: GridSpec) -> WeightCertificate:
     """Grid search for the trace-condition constant and companions.
 
     eps0 = max(0, (1/n) * min Schur trace) provided every fiber block on
     the grid is positive definite (by the ``FIBER_PD_RTOL`` rule of
     :func:`fiber_contraction`) and the assembled Hessian never dips
-    below -psh_tol; otherwise 0, with diagnostics.  C = max(0, -min base
+    below -PSH_TOL; otherwise 0, with diagnostics.  C = max(0, -min base
     block eigenvalue) always.  A weight that is not real-valued on the grid
     raises :class:`NotAWeightError`, tested per base point.  The whole
     base x fiber grid is one per-point input: one ``value`` and one
@@ -677,7 +677,7 @@ def certify(
         schur_min, fiber_ok = float(schur_from_contraction(tt, contraction).min()), True
 
     scale = max(1.0, abs(psh_min))
-    psh_ok = psh_min >= -psh_tol * scale
+    psh_ok = psh_min >= -PSH_TOL * scale
     eps0 = max(0.0, schur_min / w.n) if (psh_ok and fiber_ok) else 0.0
     return WeightCertificate(
         eps0=eps0,

@@ -67,6 +67,17 @@ eps0 = 1.0
 checks = hormander
 """
 
+TWISTED = """
+id = twisted
+weight = cross 0.5
+twist = 0.5
+eps0 = 1.534
+degree = 16
+quadrature = 48 96
+iteration = m 2 steps 4
+checks = iterate
+"""
+
 NO_CHECKS = """
 id = idle
 weight = separable 1.0
@@ -100,6 +111,11 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert "certify: FAIL" in out
         assert "-1.5" in out  # certified 0.75 minus declared 0.9
+
+    def test_twisted_iterate_verdict_reads_its_margin(self, scn, capsys):
+        # worst_step subtracts the twist slack delta_k, and so does the verdict
+        assert main(["run", "--scenario", scn(TWISTED)]) == 2
+        assert "iterate: FAIL (worst_step = -3.085e-02)" in capsys.readouterr().out
 
     def test_empty_check_list_is_a_passing_noop(self, scn, tmp_path, capsys):
         out_dir = tmp_path / "rep"

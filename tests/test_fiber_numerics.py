@@ -28,11 +28,9 @@ from bergman_lab.bergman import bergman_basis, kernel_eval
 from bergman_lab.fiber_numerics import (
     DegenerateBasisError,
     FiberDomain,
-    GramIndefiniteError,
     build_quadrature,
     MAX_NODES,
     gram_matrix,
-    kernel_diagonal,
     ring_synthesis,
     monomial_analysis,
     monomial_basis,
@@ -264,8 +262,8 @@ class TestGram:
         quad = build_quadrature(FiberDomain.disk(1.0), n_radial=4, n_angular=8)
         basis = monomial_basis(32)
         w = np.ones(quad.size)
-        with pytest.raises(GramIndefiniteError):
-            gram_matrix(basis, w, quad)
+        with pytest.raises(DegenerateBasisError):
+            orthonormalize(gram_matrix(basis, w, quad))
 
 
 def brute_force_gram(basis, weight_values, quad):
@@ -535,6 +533,11 @@ class TestGaussLegendreMemo:
         fiber_numerics._gauss_legendre.cache_clear()
 
 
+def kernel_diagonal(basis, transform, quad):
+    """K(x, x) on every node: the Hermitian case ``P = C C^H`` of ring_synthesis."""
+    return ring_synthesis(basis, transform @ transform.conj().T, quad).real
+
+
 def brute_force_diagonal(basis, transform, quad):
     """sum_i |u_i(node)|^2 over the orthonormal frame u = V C on the nodes."""
     return np.sum(np.abs(vandermonde(basis, quad.nodes) @ transform) ** 2, axis=1)
@@ -622,7 +625,9 @@ class TestOrthonormalize:
             orthonormalize(G, exponents=((0,), (1,)))
 
     def test_small_pivot_named_after_successful_factorization(self):
-        G = np.diag([1.0, 1e-15]).astype(complex)
+        # LAPACK factors it (pivot 1.1e-15 > 0), but the second row is the
+        # first up to 1e-15 of its own diagonal entry
+        G = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]], dtype=complex)
         with pytest.raises(DegenerateBasisError, match=r"exponent \(1,\)"):
             orthonormalize(G, exponents=((0,), (1,)))
 
@@ -665,6 +670,15 @@ class TestOrthonormalize:
         with pytest.raises(ValueError):
             orthonormalize(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
 
+    def test_pivot_test_ignores_diagonal_scaling(self):
+        # a diagonal Gram is orthonormal up to scale, however wide its range
+        C = orthonormalize(np.diag([1.0, 1e-15, 1e20]).astype(complex))
+        assert np.allclose(np.diag(C), [1.0, 10**7.5, 1e-10], rtol=1e-15)
+        # and a dependent pair stays dependent, however it is scaled
+        D = np.diag([1.0, 1e20])
+        with pytest.raises(DegenerateBasisError, match=r"at exponent \(1,\)"):
+            orthonormalize(D @ np.ones((2, 2), dtype=complex) @ D, exponents=((0,), (1,)))
+
     @given(st.integers(2, 5), st.integers(0, 10_000))
     def test_random_spd_contract(self, n, seed):
         rng = np.random.default_rng(seed)
@@ -672,3 +686,34 @@ class TestOrthonormalize:
         G = A @ A.conj().T + 0.1 * np.eye(n)
         C = orthonormalize(G)
         assert np.abs(C.conj().T @ G @ C - np.eye(n)).max() < 1e-9
+
+
+class TestRescaledFibers:
+    """Flat weight on fibers of radius other than 1: the monomial norms
+    ||z^k||^2 = pi R^(2k+2) / (k+1) span many decades, and the truncated
+    kernel at x is the partial sum of |x^k|^2 / ||z^k||^2 per coordinate."""
+
+    @staticmethod
+    def kernel_at(dom, n_radial, n_angular, N, x):
+        quad = build_quadrature(dom, n_radial, n_angular)
+        basis = monomial_basis(N, dom.dim)
+        C = orthonormalize(gram_matrix(basis, np.ones(quad.size), quad), exponents=basis.exponents)
+        return float(np.sum(np.abs(vandermonde(basis, np.atleast_2d(x)) @ C) ** 2))
+
+    @pytest.mark.parametrize("R, N", [(2.0, 24), (2.0, 30), (0.5, 24), (0.5, 30)])
+    def test_disk_kernel_closed_form(self, R, N):
+        x = 0.6 * R * np.exp(0.4j)
+        oracle = sum((k + 1) * abs(x) ** (2 * k) / (math.pi * R ** (2 * k + 2)) for k in range(N + 1))
+        K = self.kernel_at(FiberDomain.disk(R), 48, 96, N, [x])
+        assert K == pytest.approx(oracle, rel=1e-13)
+
+    def test_polydisc_kernel_closed_form(self):
+        R, N = (3.0, 0.4), 14
+        x = [0.6 * R[0] * np.exp(0.4j), 0.6 * R[1] * np.exp(1.3j)]
+        oracle = sum(
+            (a + 1) * (b + 1) * abs(x[0]) ** (2 * a) * abs(x[1]) ** (2 * b)
+            / (math.pi**2 * R[0] ** (2 * a + 2) * R[1] ** (2 * b + 2))
+            for a in range(N + 1) for b in range(N + 1 - a)
+        )
+        K = self.kernel_at(FiberDomain.polydisc(*R), 12, 32, N, x)
+        assert K == pytest.approx(oracle, rel=1e-13)

@@ -20,7 +20,9 @@ from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
     GridMismatchError,
+    IterationLedger,
     LogKernelField,
+    StepRecord,
     mix_weights,
     run_iteration,
     run_twisted_iteration,
@@ -83,15 +85,19 @@ class TestLogKernelField:
         with pytest.raises(UnconvergedBasisError, match="truncation"):
             fld.value((0.0,), np.array([0.1 + 0j]))
 
-    def test_basis_cache_reuse(self, quad):
+    def test_basis_cache_reuse(self, quad, monkeypatch):
+        built = []
+        real_gram = bergman_module.gram_matrix
+        monkeypatch.setattr(bergman_module, "gram_matrix",
+                            lambda *args: built.append(args) or real_gram(*args))
         w = QuadraticWeight.separable(1.0, 1, 1)
         fld = LogKernelField(w, 16, quad)
         xi = np.array([0.1 + 0j])
         fld.value((0.0,), xi)
         fld.value((0.0,), xi)
-        assert fld.cached_points == 1
+        assert len(built) == 1  # one Gram build per distinct base point
         fld.value((0.1,), xi)
-        assert fld.cached_points == 2
+        assert len(built) == 2
 
     @pytest.mark.parametrize(
         "dom, nr, na, N",
@@ -236,7 +242,7 @@ class TestRunIteration:
         led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, 0, cfg, eps0=0.75)
         assert led.steps == ()
         assert led.limit_gap == pytest.approx(0.75)
-        assert led.bound_at(0) == 0.0
+        assert led.worst_step == 0.0 and led.satisfies()
 
     def test_validation(self, cfg):
         w = QuadraticWeight.separable(1.0, 1, 1)
@@ -264,7 +270,19 @@ class TestRunIteration:
         assert [s.delta for s in led.steps] == [
             pytest.approx(0.4 * 0.5**k) for k in (1, 2)
         ]
+        assert led.worst_step == min(
+            s.measured_trace - s.certified_bound - s.delta for s in led.steps
+        )
         assert led.satisfies()
+
+    def test_verdict_subtracts_the_twist_slack(self):
+        # clears n * b_k by 0.01 but not n * b_k + delta_k
+        step = StepRecord(1, "logK(step 1, m=2)", certified_bound=0.5,
+                          measured_trace=0.51, delta=0.05)
+        led = IterationLedger(m=2, eps0=1.0, steps=(step,), target=1.0)
+        assert led.worst_step == pytest.approx(-0.04, abs=1e-15)
+        assert not led.satisfies(tolerance=1e-3)
+        assert led.satisfies(tolerance=0.05)
 
     def test_separable_stays_separable(self, cfg):
         led = run_iteration(
