@@ -55,17 +55,19 @@ Grams ``d_a dbar_b G``; the weight derivatives are the weight's node jets
 The same ``d_a G`` gives the Hormander fields (see ``hormander``).  A
 determinant frame with monomial coefficients ``A`` has the Gram ``A^H G
 A`` and the base derivatives ``A^H d_aG A`` and ``A^H d_a dbar_bG A``,
-which give the exact Hessian of ``-log det``; and ``d_a G`` with ``d_a
-dbar_b G`` give the base derivatives of ``P`` behind the log-kernel jets of
-the iteration (see ``iteration``).
+which give the exact Hessian of ``-log det`` against one Cholesky factor of
+the frame Gram, accepted by the basis Gram's pivot rule; and ``d_a G``
+with ``d_a dbar_b G`` give the base derivatives of ``P`` behind the
+log-kernel jets of the iteration (see ``iteration``).
 
 Basis builds are memoized on the quadrature rule, keyed by (weight object,
 base point, degree): every check of a scenario reads the basis at ``t0``,
 so each point's Gram and transform are computed once per rule.  Section
 Hessians are memoized the same way, keyed by (sections, base point,
-degree), and so are each ``d_a G`` and ``d_a dbar_b G``, keyed by (base
-point, degree, directions), which the section Hessian, the Hormander
-fields and the log-kernel jets share.
+degree), and so are all ``d_a G`` and ``d_a dbar_b G`` together, one entry
+per (base point, degree) (:func:`base_gram_jets`), which the section
+Hessian, the Hormander fields, the determinant Hessian and the log-kernel
+jets share.
 The node jets, the weight values ``exp(-phi)`` formed from them, the
 Hessian blocks of phi on the nodes (``weights.node_hessian``) and their
 fiber-block contraction ``(tf ff^{-1} tf^H)_aa``
@@ -88,8 +90,10 @@ import numpy as np
 
 from .exprs import expand_holomorphic_polynomial, parse_expr
 from .fiber_numerics import (
+    DegenerateBasisError,
     MonomialBasis,
     QuadratureRule,
+    cholesky_factor,
     gram_matrix,
     monomial_basis,
     monomial_gradient,
@@ -116,8 +120,7 @@ __all__ = [
     "section_value_pair",
     "section_hessian",
     "node_fiber_contraction",
-    "base_gram_derivative",
-    "base_gram_hessian",
+    "base_gram_jets",
     "direct_image_gram",
 ]
 
@@ -337,23 +340,18 @@ class BergmanBasis:
         """K(node, w) over all quadrature nodes, synthesized ring by ring."""
         return monomial_synthesis(self.basis, self.kernel_coefficients(w), self.quad)
 
-    def kernel_diag(self, w, degree: int | None = None) -> float:
-        """K(w, w), optionally truncated to a smaller degree sub-basis.
-
-        Triangularity of the transform makes the leading k x k block the
-        orthonormalizer of the leading sub-basis, so truncation is a slice.
-        """
-        u = self.orthonormal_at(w)
-        if degree is not None:
-            k = self.basis.truncated_dim(degree)
-            Msub = self.monomials_at(w)[..., :k]
-            u = Msub @ self.transform[:k, :k]
-        return float(np.sum(np.abs(u) ** 2, axis=-1))
+    def kernel_diag(self, w) -> float:
+        """K(w, w)."""
+        return float(np.sum(np.abs(self.orthonormal_at(w)) ** 2, axis=-1))
 
     def diag_convergence_gap(self, w) -> float:
-        """Relative change of K(w,w) from degree N-2 to N."""
-        full = self.kernel_diag(w)
-        sub = self.kernel_diag(w, degree=max(self.N - 2, 0))
+        """Relative change of K(w,w) from degree N-2 to N, from one frame
+        evaluation: the transform is upper triangular, so the leading
+        ``truncated_dim(N-2)`` entries of ``u = M(w) C`` are the frame of the
+        degree-(N-2) sub-basis."""
+        u2 = np.abs(self.orthonormal_at(w)) ** 2
+        full = float(np.sum(u2, axis=-1))
+        sub = float(np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1))
         return abs(full - sub) / max(abs(full), 1e-300)
 
 
@@ -381,33 +379,31 @@ def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarr
     return quad.memoize(w, ("fiber_contraction", t), compute)
 
 
-def base_gram_derivative(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int) -> np.ndarray:
-    """Read-only ``d_a G`` at t over the degree-N monomials: the ring Gram of
-    ``-d_a phi * exp(-phi) * w``, memoized per (weight, t, N, a)."""
+def base_gram_jets(w: WeightFamily, t, N: int, quad: QuadratureRule) -> tuple:
+    """Read-only ``(dG, ddG)`` at t over the degree-N monomials, shapes (n,
+    dim, dim) and (n, n, dim, dim): ``dG[a] = d_a G`` is the ring Gram of
+    ``-d_a phi * exp(-phi) * w`` and ``ddG[a, c] = d_a dbar_c G`` that of
+    ``(d_a phi dbar_c phi - d_a dbar_c phi) * exp(-phi) * w``, assembled for
+    ``a <= c``, with ``ddG[c, a] = ddG[a, c]^H``.  One memo entry per
+    (weight, t, N), read by the section Hessian, the Hormander fields, the
+    determinant Hessian and the log-kernel jets."""
     t = as_complex_tuple(t)
 
     def compute():
-        mu = _node_weight_values(w, t, quad) * quad.weights
-        return ring_gram(monomial_basis(N, quad.domain.dim), -w.node_jets(t, quad)[1][a] * mu, quad)
-
-    return quad.memoize(w, ("d_G", t, N, a), compute)
-
-
-def base_gram_hessian(w: WeightFamily, t, N: int, quad: QuadratureRule, a: int, c: int) -> np.ndarray:
-    """``d_a dbar_c G`` at t: the ring Gram of ``(d_a phi dbar_c phi - d_a
-    dbar_c phi) * exp(-phi) * w``, memoized for ``a <= c``; ``a > c`` is the
-    conjugate transpose of ``(c, a)``."""
-    if a > c:
-        return base_gram_hessian(w, t, N, quad, c, a).conj().T
-    t = as_complex_tuple(t)
-
-    def compute():
+        basis, n = monomial_basis(N, quad.domain.dim), w.n
         mu = _node_weight_values(w, t, quad) * quad.weights
         _phi, dphi, tt = w.node_jets(t, quad)
-        return ring_gram(monomial_basis(N, quad.domain.dim),
-                         (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
+        dG = np.empty((n, basis.dim, basis.dim), dtype=complex)
+        ddG = np.empty((n,) + dG.shape, dtype=complex)
+        for a in range(n):
+            dG[a] = ring_gram(basis, -dphi[a] * mu, quad)
+            for c in range(a, n):
+                ddG[a, c] = ring_gram(basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
+                if c > a:
+                    ddG[c, a] = ddG[a, c].conj().T
+        return dG, ddG
 
-    return quad.memoize(w, ("dd_G", t, N, a, c), compute)
+    return quad.memoize(w, ("gram_jets", t, N), compute)
 
 
 def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBasis:
@@ -490,17 +486,14 @@ def section_value_pair(
     w: WeightFamily, fam: SectionFamily, t, N: int, quad: QuadratureRule
 ) -> tuple[float, float]:
     """(value at degree N, value at degree N-2) from a single basis build:
-    ``sum_i a_i(t) u(s_i(t))`` in the orthonormal frame and in its leading
-    degree-(N-2) part, from one evaluation of the monomials at the sections."""
+    ``sum_i a_i(t) u(s_i(t))`` in the orthonormal frame, and its leading
+    degree-(N-2) entries (the transform is upper triangular), from one
+    frame evaluation at the sections."""
     t = as_complex_tuple(t)
     fam.check_inside(quad.domain, t)
     b = bergman_basis(w, t, N, quad)
-    amps = fam.amplitudes_at(t)
-    M = b.monomials_at(fam.sections_at(t))
-    full = float(np.sum(np.abs(amps @ (M @ b.transform)) ** 2))
-    k = b.basis.truncated_dim(max(N - 2, 0))
-    sub = float(np.sum(np.abs(amps @ (M[:, :k] @ b.transform[:k, :k])) ** 2))
-    return full, sub
+    v2 = np.abs(fam.amplitudes_at(t) @ b.orthonormal_at(fam.sections_at(t))) ** 2
+    return float(np.sum(v2)), float(np.sum(v2[: b.basis.truncated_dim(max(N - 2, 0))]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,14 +547,13 @@ def section_hessian(
     p = C @ v
     e = np.conj(du) @ np.conj(C)  # rows C^H conj(d_a u)
 
-    dG = [base_gram_derivative(w, t, N, quad, a) for a in range(n)]
+    dG, ddG = base_gram_jets(w, t, N, quad)
     g = np.array([Ch @ (G @ p) for G in dG])
     eh = e - np.array([Ch @ (G.conj().T @ p) for G in dG])
     H = np.empty((n, n), dtype=complex)
     for a in range(n):
         for c in range(a, n):
-            ddG = base_gram_hessian(w, t, N, quad, a, c)
-            H[a, c] = np.vdot(eh[a], eh[c]) + np.vdot(g[c], g[a]) - np.vdot(p, ddG @ p)
+            H[a, c] = np.vdot(eh[a], eh[c]) + np.vdot(g[c], g[a]) - np.vdot(p, ddG[a, c] @ p)
             H[c, a] = np.conj(H[a, c])
     H[np.diag_indices(n)] = H.diagonal().real
     B = float(np.vdot(v, v).real)
@@ -603,12 +595,18 @@ class DirectImageGram:
         G = self._in_frame(ring_gram(self.basis, mu, self.quad))
         return 0.5 * (G + G.conj().T)
 
+    def factor(self, t) -> np.ndarray:
+        """Lower Cholesky factor ``L`` of G(t) under the basis Gram's pivot
+        rule (``fiber_numerics.cholesky_factor``): a pivot at or below
+        ``PIVOT_RTOL`` times its own diagonal entry raises
+        ``DegenerateBasisError`` naming the frame element."""
+        return cholesky_factor(self.gram_at(t), lambda j: f"frame element {j + 1} of {self.rank}",
+                               f"frame numerically dependent at t={as_complex_tuple(t)}")
+
     def neg_log_det(self, t) -> float:
-        """-log det G(t): the local potential of the determinant metric."""
-        sign, logabs = np.linalg.slogdet(self.gram_at(t))
-        if sign.real <= 0:
-            raise ArithmeticError(f"Gram determinant not positive at t={t}")
-        return -float(logabs)
+        """-log det G(t) = -2 sum log diag L: the local potential of the
+        determinant metric."""
+        return -2.0 * float(np.sum(np.log(np.real(np.diag(self.factor(t))))))
 
     def neg_log_det_hessian(self, t) -> np.ndarray:
         """Exact ``d_a dbar_b (-log det G)`` at t (Hermitian, n x n), Berndtsson's
@@ -617,20 +615,20 @@ class DirectImageGram:
             -d_a dbar_b log det G = tr(G^-1 d_aG G^-1 (d_bG)^H) - tr(G^-1 d_a dbar_bG)
 
         with ``d_a G`` and ``d_a dbar_b G`` those of the module docstring in
-        the frame.  Raises ``ArithmeticError`` unless det G > 0.
+        the frame.  With ``G = L L^H`` and ``X_a = L^-1 d_aG L^-H`` the first
+        trace is ``sum X_a * conj(X_b)`` and the second ``tr(L^-1 d_a dbar_bG
+        L^-H)``, all against the one factor of :meth:`factor`.
         """
         t = as_complex_tuple(t)
-        G, n, N = self.gram_at(t), self.w.n, self.basis.max_degree
-        if np.linalg.slogdet(G)[0].real <= 0:
-            raise ArithmeticError(f"Gram determinant not positive at t={t}")
-        dG = [self._in_frame(base_gram_derivative(self.w, t, N, self.quad, a)) for a in range(n)]
-        X = [np.linalg.solve(G, D) for D in dG]
-        Y = [np.linalg.solve(G, D.conj().T) for D in dG]
+        Li = np.linalg.inv(self.factor(t))
+        dG, ddG = base_gram_jets(self.w, t, self.basis.max_degree, self.quad)
+        X = [Li @ self._in_frame(D) @ Li.conj().T for D in dG]
+        n = self.w.n
         H = np.empty((n, n), dtype=complex)
         for a in range(n):
             for b in range(a, n):
-                ddG = self._in_frame(base_gram_hessian(self.w, t, N, self.quad, a, b))
-                H[a, b] = np.sum(X[a] * Y[b].T) - np.trace(np.linalg.solve(G, ddG))
+                Y = Li @ self._in_frame(ddG[a, b]) @ Li.conj().T
+                H[a, b] = np.sum(X[a] * X[b].conj()) - np.trace(Y)
                 H[b, a] = np.conj(H[a, b])
         H[np.diag_indices(n)] = H.diagonal().real
         return H
@@ -639,7 +637,8 @@ class DirectImageGram:
 def direct_image_gram(
     w: WeightFamily, frame, patch: BasePatch, quad: QuadratureRule
 ) -> DirectImageGram:
-    """Build the Gram field, validating frame independence at the center."""
+    """Build the Gram field, validating frame independence at the center
+    (:meth:`DirectImageGram.factor`): a dependent frame raises ``ValueError``."""
     frame = tuple(frame)
     if not frame:
         raise ValueError("empty frame")
@@ -648,10 +647,8 @@ def direct_image_gram(
         raise ValueError(f"frame polynomials must be in the {basis.fiber_dim} fiber variables")
     A = np.array([[f.coeffs.get(e, 0) for f in frame] for e in basis.exponents], dtype=complex)
     dig = DirectImageGram(w=w, frame=frame, patch=patch, quad=quad, basis=basis, coeffs=A)
-    G0 = dig.gram_at(patch.center)
-    eigs = np.linalg.eigvalsh(G0)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1e-300):
-        raise ValueError(
-            f"frame numerically dependent: Gram eigenvalues at the patch center {eigs.tolist()}"
-        )
+    try:
+        dig.factor(patch.center)
+    except DegenerateBasisError as exc:
+        raise ValueError(str(exc)) from None
     return dig

@@ -239,8 +239,9 @@ def check_det_inequality(
 
     The sign convention (minus log det of the Gram of a holomorphic frame)
     is validated against the rank-one section check on separable weights in
-    the test suite; the Hessian raises where det G is not positive.  The
-    frame is fixed, not a truncated kernel, so there is no truncation gate.
+    the test suite; the Hessian raises where the frame Gram fails the pivot
+    test of ``DirectImageGram.factor``.  The frame is fixed, not a
+    truncated kernel, so there is no truncation gate.
     """
     t0 = as_complex_tuple(t0)
     if r != dig.rank:

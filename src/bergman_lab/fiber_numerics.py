@@ -45,7 +45,8 @@ dim^2`` for the frame ``V C`` on the nodes.  The kernel diagonal is the
 case ``A = P = C C^H``, the inverse Gram; the base derivatives of ``P``
 give the log-kernel jets of the iteration.
 
-Positivity is decided once per basis build, in :func:`orthonormalize`:
+Positivity is decided once per factored Gram, in :func:`cholesky_factor`
+(a basis through :func:`orthonormalize`, a determinant frame directly):
 each Cholesky pivot ``diag(L)_j^2`` against its own diagonal entry
 ``G_jj``.  That is the pivot test of the equilibrated Gram ``D^{-1/2} G
 D^{-1/2}``, ``D = diag(G)``, and Cholesky's accuracy does not depend on
@@ -101,6 +102,7 @@ __all__ = [
     "monomial_synthesis",
     "monomial_analysis",
     "orthonormalize",
+    "cholesky_factor",
 ]
 
 DOMAIN_KINDS = ("disk", "polydisc", "annulus")
@@ -422,7 +424,10 @@ class MonomialBasis:
         return math.comb(degree + self.fiber_dim, self.fiber_dim)
 
 
+@functools.lru_cache(maxsize=32)
 def monomial_basis(max_degree: int, fiber_dim: int = 1) -> MonomialBasis:
+    """The degree-``max_degree`` basis, one shared (frozen, read-only)
+    instance per ``(max_degree, fiber_dim)``."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     if not 1 <= fiber_dim <= 2:
@@ -493,7 +498,7 @@ def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -
     grid = quad.grid_view(mu)  # axes (r_1, theta_1, r_2, theta_2, ...)
     # sum_theta mu e^{+i m theta} = fft(mu)[-m]: the mode tables hold the
     # negated indices.
-    F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
+    F = _angular_fft(np.fft.fft, grid, 1)
     for c, idx in enumerate(modes):
         F = np.take(F, idx, axis=2 * c + 1)
     Y = _real_product(powers[0].T, F)  # ring axis 1 -> radial power s_1 = j_1 + k_1
@@ -560,11 +565,20 @@ def ring_synthesis(
         # index -m, which is what the mode table holds
         X[(slice(None),) * (axis + 1) + (idx,)] = T
         T = X
-    angular = tuple(range(2, T.ndim, 2))
-    n_angular = math.prod(T.shape[a] for a in angular)
-    K = np.fft.ifftn(T, axes=angular, out=T)  # in place: no stack-sized temporaries
+    n_angular = math.prod(T.shape[2::2])
+    K = _angular_fft(np.fft.ifft, T, 2, out=T)  # in place: no stack-sized temporaries
     K *= n_angular
     return K.reshape(lead + (quad.size,))
+
+
+def _angular_fft(transform, grid: np.ndarray, first: int, out=None) -> np.ndarray:
+    """``np.fft.fftn`` (or ``ifftn``) of ``grid`` over its angular axes
+    ``first, first + 2, ...``, one ``transform`` per axis in the order
+    ``fftn`` takes them (the last first), so the same numbers without its
+    argument handling."""
+    for axis in range(grid.ndim - 1, first - 1, -2):
+        grid = transform(grid, axis=axis, out=out)
+    return grid
 
 
 def monomial_synthesis(
@@ -595,9 +609,8 @@ def monomial_synthesis(
         T = T * P[:, : N + 1].reshape(shape)
     X = np.zeros((c.shape[0],) + quad.grid_shape, dtype=complex)
     X[(slice(None),) + (slice(None), slice(N + 1)) * basis.fiber_dim] = T
-    angular = tuple(range(2, X.ndim, 2))
-    n_angular = math.prod(X.shape[a] for a in angular)
-    return (np.fft.ifftn(X, axes=angular) * n_angular).reshape(lead + (quad.size,))
+    X = _angular_fft(np.fft.ifft, X, 2, out=X)
+    return (X * math.prod(quad.grid_shape[1::2])).reshape(lead + (quad.size,))
 
 
 def monomial_analysis(
@@ -619,7 +632,7 @@ def monomial_analysis(
         raise ValueError(f"expected {quad.size} node values, got shape {f.shape}")
     N, d = basis.max_degree, basis.fiber_dim
     powers = quad.ring_tables(basis)[1]
-    F = np.fft.fftn(quad.grid_view(f.reshape(-1, quad.size)), axes=tuple(range(2, 2 + 2 * d, 2)))
+    F = _angular_fft(np.fft.fft, quad.grid_view(f.reshape(-1, quad.size)), 2)
     F = F[(slice(None),) + (slice(None), slice(N + 1)) * d]
     axes = ("aj", "bk")[:d]  # (ring, exponent) per coordinate
     spec = "s" + "".join(axes) + "," + ",".join(axes) + "->s" + "jk"[:d]
@@ -636,15 +649,27 @@ def orthonormalize(
     are coefficient vectors of an orthonormal frame.  Because the
     factorization is triangular, the leading principal block of the
     transform orthonormalizes the corresponding leading sub-basis, which
-    keeps degree-truncation diagnostics cheap.
+    keeps degree-truncation diagnostics cheap.  The factor is
+    :func:`cholesky_factor`'s, so a collapsed pivot raises
+    :class:`DegenerateBasisError` naming the offending exponent.
+    """
+    def label(j):
+        return f"exponent {exponents[j]}" if exponents is not None else f"index {j}"
+
+    return np.linalg.inv(cholesky_factor(gram, label, "degenerate basis")).conj().T
+
+
+def cholesky_factor(gram: np.ndarray, label, what: str) -> np.ndarray:
+    """Lower Cholesky factor ``L``, ``G = L L^H``, of a Hermitian Gram matrix.
 
     One LAPACK Cholesky factorization up to :data:`CHOLESKY_BLOCK` rows,
     a blocked one above (see :func:`_cholesky`).  This is the one
-    positivity test of a basis build: a pivot ``diag(L)_j**2`` at or below
-    ``PIVOT_RTOL * G_jj``, its own diagonal entry, aborts with
-    :class:`DegenerateBasisError` naming the offending basis element.  On
-    ``D G D``, ``D`` positive diagonal, pivots and diagonal scale alike, so
-    the test does not see the scale of the monomials (module docstring).
+    positivity test of every Gram, of a basis and of a determinant frame
+    alike: a pivot ``diag(L)_j**2`` at or below ``PIVOT_RTOL * G_jj``, its
+    own diagonal entry, raises :class:`DegenerateBasisError` with the
+    message ``what: ...`` naming ``label(j)``.  On ``D G D``, ``D``
+    positive diagonal, pivots and diagonal scale alike, so the test does
+    not see the scale of the monomials (module docstring).
     """
     G = np.array(gram, dtype=complex)
     dim = G.shape[0]
@@ -663,12 +688,11 @@ def orthonormalize(
         collapsed = _collapsed_pivot(G, threshold)
     if collapsed is not None:
         j, pivot = collapsed
-        label = f"exponent {exponents[j]}" if exponents is not None else f"index {j}"
         raise DegenerateBasisError(
-            f"degenerate basis: Cholesky pivot {pivot:.3e} at {label} "
+            f"{what}: Cholesky pivot {pivot:.3e} at {label(j)} "
             f"(threshold {PIVOT_RTOL:.1e} * its diagonal entry {np.real(G[j, j]):.3e})"
         )
-    return np.linalg.inv(L).conj().T
+    return L
 
 
 def _cholesky(G: np.ndarray) -> np.ndarray:

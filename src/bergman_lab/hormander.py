@@ -10,7 +10,7 @@ Both are exact and need only the basis at ``t0``: ``K_t(xi, w) = M(xi)^T
 P(t) conj(M(w))`` with ``P = G^-1 = C C^H``, and ``conj(M(s_i(t)))`` is
 antiholomorphic in t, so the monomial coefficients of Gamma are ``p = P r``
 with ``r = sum_i a_i(t0) conj(M(s_i(t0)))`` and those of the t-derivative
-are ``-P d_aG p``, ``d_aG`` being ``bergman.base_gram_derivative``.  All
+are ``-P d_aG p``, ``d_aG`` read from ``bergman.base_gram_jets``.  All
 coefficient vectors go to the nodes in one ring synthesis
 (``fiber_numerics.monomial_synthesis``), and the moments of the
 orthogonality test come back through its adjoint, so no node Vandermonde
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanBasis, SectionFamily, base_gram_derivative, bergman_basis, \
+from .bergman import BergmanBasis, SectionFamily, base_gram_jets, bergman_basis, \
     node_fiber_contraction, section_hessian
 from .curvature import CONVERGENCE_TOL, CheckConfig, section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
@@ -99,7 +99,7 @@ def _derivative_coefficients(w, b0, p, alpha):
     if not 0 <= alpha < w.n:
         raise ValueError(f"direction index {alpha} out of range for base_dim {w.n}")
     C = b0.transform
-    dG = base_gram_derivative(w, b0.t, b0.N, b0.quad, alpha)
+    dG = base_gram_jets(w, b0.t, b0.N, b0.quad)[0][alpha]
     return -(C @ (C.conj().T @ (dG @ p)))
 
 

@@ -26,18 +26,20 @@ formula for log K_t, Ann. Inst. Fourier 56, 2006):
     d_a dbar_b P = P (d_bG)^H P d_aG P + P d_aG P (d_bG)^H P - P d_a dbar_bG P,
 
 where ``d_aG`` and ``d_a dbar_bG`` are the ring Grams of the differentiated
-measures (``bergman.base_gram_derivative`` and ``base_gram_hessian``).  At
-the fiber sample points the monomial values and their holomorphic
-gradients turn P and its derivatives into the blocks (tt, tf, ff) of the
-Hessian of log K.  The node jets (``WeightFamily.node_jets``), which every
-basis build and Gram derivative of the next step reads, are ``log K``,
-``d_a log K`` and the base block tt from one ring synthesis of the stack
-(P, d_aP, d_a dbar_bP) (``fiber_numerics.ring_synthesis``), with no node
-Vandermonde.  A mixed weight's jets, like its values, gradients and
-Hessian blocks, are the same linear combination of its parts'; the parts'
-jets are memoized on the rule, so those of phi_L are evaluated once per
-run, not per step.  Each step therefore builds one basis per base point
-sample and evaluates no finite-difference stencil.
+measures, one memo entry per (weight, t, N) (``bergman.base_gram_jets``),
+and the products are batched over the direction axes.  At the fiber sample
+points the monomial values and their holomorphic gradients turn P and its
+derivatives into the blocks (tt, tf, ff) of the Hessian of log K.  The node
+jets (``WeightFamily.node_jets``), which every basis build and Gram
+derivative of the next step reads, are ``log K``, ``d_a log K`` and the
+base block tt from one ring synthesis of the stack (P, d_aP, d_a dbar_bP)
+(``fiber_numerics.ring_synthesis``), with no node Vandermonde.  A mixed
+weight's jets, like its values, gradients and Hessian blocks, are the same
+linear combination of its parts', accumulated in place; the parts' jets are
+memoized on the rule, so those of phi_L are evaluated once per run, not per
+step.  Each step therefore builds one basis per base point sample, gates it
+on one frame evaluation at the probe and evaluates no finite-difference
+stencil.
 
 The chain of weights keeps every psi_k alive, so each step drops what the
 quadrature rule stored for its mixed weight and for the previous
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import base_gram_derivative, base_gram_hessian, bergman_basis
+from .bergman import base_gram_jets, bergman_basis
 from .curvature import CONVERGENCE_TOL, CheckConfig, truncation_gate
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
@@ -111,8 +113,8 @@ def _one_base_point(t: tuple) -> tuple:
 
 
 class LogKernelField(WeightFamily):
-    """sign * log K_t(xi, xi) for the kernel of an inner weight, with exact
-    base and fiber derivatives.
+    """log K_t(xi, xi) for the kernel of an inner weight, with exact base and
+    fiber derivatives.
 
     Bases come from the basis memo of ``quad``; the first use of each
     base point is gated on kernel truncation convergence at a probe fiber
@@ -122,11 +124,9 @@ class LogKernelField(WeightFamily):
 
     kind = "bergman-potential"
 
-    def __init__(self, inner: WeightFamily, N: int, quad, sign: int = 1,
+    def __init__(self, inner: WeightFamily, N: int, quad,
                  convergence_tol: float = CONVERGENCE_TOL, label: str = ""):
         super().__init__(inner.n, inner.d, label or f"logK[{inner.label}]")
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
         if quad.domain.dim != inner.d:
             raise GridMismatchError(
                 f"weight has fiber_dim {inner.d} but quadrature is {quad.domain.dim}-dimensional"
@@ -135,7 +135,6 @@ class LogKernelField(WeightFamily):
         self.N = int(N)
         self.quad = quad
         self.basis = monomial_basis(self.N, inner.d)
-        self.sign = int(sign)
         self.convergence_tol = float(convergence_tol)
         self._gated: set = set()
         self._max_gap = 0.0
@@ -159,35 +158,36 @@ class LogKernelField(WeightFamily):
     def gram_jets(self, t) -> tuple:
         """``(P, dP, ddP)`` at t: the inverse Gram ``P = C C^H`` of the inner
         weight, ``dP[a] = d_a P`` and ``ddP[a, b] = d_a dbar_b P`` (see the
-        module docstring), memoized on the rule under this field."""
+        module docstring), memoized on the rule under this field.  The
+        products are batched over the direction axes."""
         t = as_complex_tuple(t)
 
         def compute():
             C = self._basis_at(t).transform
             P = C @ C.conj().T
-            w, N, quad, n = self.inner, self.N, self.quad, self.n
-            dG = [base_gram_derivative(w, t, N, quad, a) for a in range(n)]
-            PdG = [P @ D for D in dG]
-            PdGh = [P @ D.conj().T for D in dG]
-            dP = np.stack([-X @ P for X in PdG])
-            ddP = np.empty((n, n) + P.shape, dtype=complex)
-            for a in range(n):
-                for b in range(n):
-                    ddG = base_gram_hessian(w, t, N, quad, a, b)
-                    ddP[a, b] = (PdGh[b] @ PdG[a] + PdG[a] @ PdGh[b] - P @ ddG) @ P
+            dG, ddG = base_gram_jets(self.inner, t, self.N, self.quad)
+            PdG = P @ dG  # (n, dim, dim)
+            PdGh = P @ dG.conj().transpose(0, 2, 1)
+            dP = -PdG @ P
+            ddP = (PdGh[None] @ PdG[:, None] + PdG[:, None] @ PdGh[None] - P @ ddG) @ P
             return P, dP, ddP
 
         return self.quad.memoize(self, ("gram_jets", t), compute)
 
     def _node_jets(self, t, quad) -> tuple:
         P, dP, ddP = self.gram_jets(t)
-        n, s = self.n, self.sign
+        n = self.n
         stack = np.concatenate([P[None], dP, ddP.reshape((n * n,) + P.shape)])
-        S = ring_synthesis(self.basis, stack, quad).T  # (nodes, 1 + n + n^2)
-        K = _positive(S[:, 0].real)
-        dK = S[:, 1 : n + 1]
-        ddK = S[:, n + 1 :].reshape(-1, n, n)
-        return s * np.log(K), s * (dK / K[:, None]).T, s * _log_hessian(K, dK, dK, ddK)
+        S = ring_synthesis(self.basis, stack, quad)  # rows K, d_aK, d_a dbar_bK
+        K = _positive(S[0].real)
+        dK = S[1 : n + 1]
+        ddK = S[n + 1 :].reshape(n, n, -1)
+        # d_a dbar_b log K on (n, n, nodes) rows: the quotients of _log_hessian
+        # as products with the real 1/K and 1/K^2, which numpy's complex
+        # division by a real divisor computes bit for bit, at half the cost
+        rK = 1.0 / K
+        tt = ddK * rK - dK[:, None] * np.conj(dK)[None, :] * (1.0 / (K * K))
+        return np.log(K), dK * rK, np.moveaxis(tt, -1, 0)
 
     def node_phi(self, t, quad) -> np.ndarray:
         return self.node_jets(t, quad)[0]  # phi comes with its derivatives, no node Vandermonde
@@ -212,26 +212,22 @@ class LogKernelField(WeightFamily):
 
     def _value_raw(self, t, pts):
         b = self._basis_at(_one_base_point(t))
-        diag = _positive(np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1))
-        return self.sign * np.log(diag)
+        return np.log(_positive(np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1)))
 
     def grad_base(self, t, xi):
         t, pts, single = _as_points(t, xi, self.n, self.d)
         K, Kt = self._point_jets(_one_base_point(t), pts)[:2]
-        g = self.sign * (Kt / K[:, None]).T
+        g = (Kt / K[:, None]).T
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
         t, pts, _ = _as_points(t, xi, self.n, self.d)
         K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(_one_base_point(t), pts)
-        s = self.sign
-        return (s * _log_hessian(K, Kt, Kt, Ktt), s * _log_hessian(K, Kt, Kx, Ktx),
-                s * _log_hessian(K, Kx, Kx, Kxx))
+        return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
+                _log_hessian(K, Kx, Kx, Kxx))
 
     def describe(self) -> str:
-        inner = self.inner.describe()
-        side = "log kernel" if self.sign == 1 else "-log kernel"
-        return f"{side} of [{inner}] at degree {self.N}"
+        return f"log kernel of [{self.inner.describe()}] at degree {self.N}"
 
 
 class MixedWeight(WeightFamily):
@@ -260,9 +256,13 @@ class MixedWeight(WeightFamily):
 
     def _combine(self, evaluate) -> tuple:
         """``sum_i coef_i * evaluate(part_i)``, term by term over the tuples
-        the parts give."""
-        terms = [[c * np.asarray(x) for x in evaluate(f)] for c, f in self.parts]
-        return tuple(sum(column) for column in zip(*terms))
+        the parts give, accumulated in place on the first part's terms."""
+        (c0, f0), *rest = self.parts
+        out = [c0 * np.asarray(x) for x in evaluate(f0)]
+        for c, f in rest:
+            for i, x in enumerate(evaluate(f)):
+                out[i] += c * np.asarray(x)
+        return tuple(out)
 
     def _value_raw(self, t, pts):
         t = _one_base_point(t)
@@ -424,11 +424,11 @@ def run_iteration(
     fields: list[LogKernelField] = []
     aborted = False
     failure = ""
-    psi = LogKernelField(phi_L, cfg.N, cfg.quad, sign=1)
+    psi = LogKernelField(phi_L, cfg.N, cfg.quad)
     for k in range(1, K + 1):
         prev = psi
         w = mix_weights(prev, phi_L, m)
-        psi = LogKernelField(w, cfg.N, cfg.quad, sign=1)
+        psi = LogKernelField(w, cfg.N, cfg.quad)
         if keep_fields:
             fields.append(psi)
         b_k = (1.0 - q**k) * eps0

@@ -23,7 +23,10 @@ def check_hermitian(a: np.ndarray, rtol: float = 1e-12, what: str = "matrix") ->
 
 
 def as_complex_tuple(t) -> tuple[complex, ...]:
-    """Coerce a scalar or sequence into a tuple of python complex numbers."""
+    """Coerce a scalar or sequence into a tuple of python complex numbers
+    (a tuple that is one already is returned as it is)."""
+    if type(t) is tuple and all(type(x) is complex for x in t):
+        return t
     arr = np.atleast_1d(np.asarray(t, dtype=complex))
     if arr.ndim != 1:
         raise ValueError(f"expected a point (1-d sequence), got shape {arr.shape}")

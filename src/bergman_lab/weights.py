@@ -16,23 +16,22 @@ supported:
 
 The pointwise curvature algebra lives here too: the Schur complement of the
 fiber block, its base trace (the quantity whose lower bound certifies the
-trace condition), the equivalent mixed exterior-power ratio, and the
-certificate search over sampling grids.  The Schur traces, pointwise and
-stacked, read one kernel, :func:`fiber_contraction`, and so do the L2 step
-and the iteration: over stacked blocks it returns the per-direction
-diagonal ``(tf ff^{-1} tf^H)_aa`` and the least fiber-block eigenvalue, from
-one batched ``eigvalsh`` (the positivity test) and one ``solve``.  A block
-counts as positive definite when its least eigenvalue exceeds
-``FIBER_PD_RTOL * max(1, largest)``; the single-point path, the node fields
-of the L2 step and the certification grid apply this one rule.  A stack
-that is one block broadcast along the point axis (stride 0, as a quadratic
-weight's ``hessian_field`` returns) is evaluated on that block alone and
-the result broadcast.  ``value`` and ``hessian_field`` take one base point
-or one per fiber point, so :func:`certify` evaluates its whole base x fiber
-grid in one call of each (and such a grid's one block, not its copies).
-The Schur base trace is ``Re tr tt`` minus the sum of that diagonal, and
-:func:`joint_hessian` assembles ``[[tt, tf], [tf^H, ff]]`` for every
-plurisubharmonicity test.
+trace condition) and the certificate search over sampling grids.  The Schur
+traces, pointwise and stacked, read one kernel, :func:`fiber_contraction`,
+and so do the L2 step and the iteration: over stacked blocks it returns the
+per-direction diagonal ``(tf ff^{-1} tf^H)_aa`` and the least fiber-block
+eigenvalue, from one batched ``eigvalsh`` (the positivity test) and one
+``solve``.  A block counts as positive definite when its least eigenvalue
+exceeds ``FIBER_PD_RTOL * max(1, largest)``; the single-point path, the
+node fields of the L2 step and the certification grid apply this one rule.
+A stack that is one block broadcast along the point axis (stride 0, as a
+quadratic weight's ``hessian_field`` returns) is evaluated on that block
+alone and the result broadcast.  ``value`` and ``hessian_field`` take one
+base point or one per fiber point, so :func:`certify` evaluates its whole
+base x fiber grid in one call of each (and such a grid's one block, not its
+copies).  The Schur base trace is ``Re tr tt`` minus the sum of that
+diagonal, and :func:`joint_hessian` assembles ``[[tt, tf], [tf^H, ff]]``
+for every plurisubharmonicity test.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "schur_from_contraction",
     "schur_trace",
     "schur_trace_field",
-    "ma_ratio",
     "certify",
     "twist_weight",
     "distortion_margin",
@@ -569,76 +567,6 @@ def schur_trace(h: ComplexHessian) -> float:
 def schur_trace_field(tt, tf, ff, where: str = "on the grid") -> np.ndarray:
     """Vectorized Schur-complement base trace over stacked Hessian blocks."""
     return schur_from_contraction(np.asarray(tt), fiber_contraction(tf, ff, where)[0])
-
-
-def _sorted_sign(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Sort an index tuple, tracking the permutation sign; 0 on repeats."""
-    items = list(seq)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b:
-            return tuple(items), 0
-    return tuple(items), sign
-
-
-def _wedge(f1: dict, f2: dict) -> dict:
-    """Wedge product of forms stored as {(holo idx, anti idx): coeff}."""
-    out: dict = {}
-    for (I1, J1), c1 in f1.items():
-        for (I2, J2), c2 in f2.items():
-            I, sI = _sorted_sign(I1 + I2)
-            if sI == 0:
-                continue
-            J, sJ = _sorted_sign(J1 + J2)
-            if sJ == 0:
-                continue
-            # moving the |J1| anti factors past the |I2| holo factors
-            koszul = -1 if (len(J1) * len(I2)) % 2 else 1
-            key = (I, J)
-            out[key] = out.get(key, 0j) + c1 * c2 * sI * sJ * koszul
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _one_one(H: np.ndarray) -> dict:
-    m = H.shape[0]
-    return {((i,), (j,)): complex(H[i, j]) for i in range(m) for j in range(m) if H[i, j] != 0}
-
-
-def _wedge_power(f: dict, k: int) -> dict:
-    out: dict = {((), ()): 1.0 + 0j}
-    for _ in range(k):
-        out = _wedge(out, f)
-    return out
-
-
-def ma_ratio(h: ComplexHessian, n: int, d: int) -> float:
-    """Mixed exterior-power ratio of the Hessian form against the flat base form.
-
-    Computes (n/(d+1)) * [w^(d+1) ^ p^(n-1)] / [w^d ^ p^n] on top-degree
-    coefficients, where w is the (1,1)-form with coefficient matrix h and p
-    the flat base form.  Agrees with :func:`schur_trace` identically; kept
-    as an independent cross-check since the two derivations share nothing.
-    """
-    if h.n != n or h.d != d:
-        raise ValueError("Hessian block shapes disagree with (n, d)")
-    _fiber_min_eig(h.ff, "at the point")
-    base = np.zeros((n + d, n + d))
-    for a in range(n):
-        base[a, a] = 1.0
-    w_form = _one_one(h.assembled)
-    p_form = _one_one(base)
-    top = (tuple(range(n + d)), tuple(range(n + d)))
-    num = _wedge(_wedge_power(w_form, d + 1), _wedge_power(p_form, n - 1)).get(top, 0j)
-    den = _wedge(_wedge_power(w_form, d), _wedge_power(p_form, n)).get(top, 0j)
-    if den == 0:
-        raise FiberDegenerateError("denominator form vanished; fiber block degenerate")
-    return float(np.real(n / (d + 1) * num / den))
 
 
 def certify(w: WeightFamily, grid: GridSpec) -> WeightCertificate:

@@ -2,8 +2,9 @@
 tilt of a scalar field, the mixed trace constant, a CSV field dump, the
 Hormander fields of one direction, the FD Hessian spectrum, the
 Bergman-kernel potential of a weight, a quadratic weight whose Hessian
-blocks are materialized copies and a weight evaluated one base point at a
-time."""
+blocks are materialized copies, a weight evaluated one base point at a
+time, and the mixed exterior-power ratio that cross-checks the Schur
+trace."""
 
 import io
 import math
@@ -13,9 +14,10 @@ import numpy as np
 from bergman_lab.curvature import fd_hessian
 from bergman_lab.fiber_numerics import QuadratureRule
 from bergman_lab.hormander import build_hormander_data
-from bergman_lab.iteration import LogKernelField
+from bergman_lab.iteration import LogKernelField, MixedWeight
 from bergman_lab.utils import as_complex_tuple, wirtinger_gradient
-from bergman_lab.weights import QuadraticWeight, WeightFamily
+from bergman_lab.weights import ComplexHessian, FiberDegenerateError, QuadraticWeight, \
+    WeightFamily, _fiber_min_eig
 
 
 def _values_on_nodes(f, quad: QuadratureRule) -> np.ndarray:
@@ -119,21 +121,14 @@ def psh_spectrum(field_fn, st) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
 
-def bergman_weight(w, N: int, quad, patch=None, convergence_tol: float = 1e-6) -> LogKernelField:
+def bergman_weight(w, N: int, quad, convergence_tol: float = 1e-6) -> MixedWeight:
     """The fiberwise Bergman-kernel potential -log K_t(xi, xi) of a weight.
 
     Plurisubharmonicity of +log K is the positivity statement; the
-    returned field carries the opposite (metric-side) sign, so its
-    base-base curvature block is the negative of the log-kernel one.
-    When a patch is given the field is pre-evaluated on the patch sample
-    points, filling the basis memo and the convergence diagnostics.
+    returned field is the log-kernel field negated (the metric side), so
+    its base-base curvature block is the negative of the log-kernel one.
     """
-    fld = LogKernelField(w, N, quad, sign=-1, convergence_tol=convergence_tol)
-    if patch is not None:
-        probe = np.atleast_2d(np.full(w.d, 0.0, dtype=complex))
-        for t in patch.sample():
-            fld._value_raw(tuple(t), probe)
-    return fld
+    return MixedWeight(((-1.0, LogKernelField(w, N, quad, convergence_tol=convergence_tol)),))
 
 
 class MaterializedQuadratic(QuadraticWeight):
@@ -175,3 +170,73 @@ class PerBasePoint(WeightFamily):
 
     def describe(self) -> str:
         return self.w.describe()
+
+
+def _sorted_sign(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """Sort an index tuple, tracking the permutation sign; 0 on repeats."""
+    items = list(seq)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and items[j - 1] > items[j]:
+            items[j - 1], items[j] = items[j], items[j - 1]
+            sign = -sign
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b:
+            return tuple(items), 0
+    return tuple(items), sign
+
+
+def _wedge(f1: dict, f2: dict) -> dict:
+    """Wedge product of forms stored as {(holo idx, anti idx): coeff}."""
+    out: dict = {}
+    for (I1, J1), c1 in f1.items():
+        for (I2, J2), c2 in f2.items():
+            I, sI = _sorted_sign(I1 + I2)
+            if sI == 0:
+                continue
+            J, sJ = _sorted_sign(J1 + J2)
+            if sJ == 0:
+                continue
+            # moving the |J1| anti factors past the |I2| holo factors
+            koszul = -1 if (len(J1) * len(I2)) % 2 else 1
+            key = (I, J)
+            out[key] = out.get(key, 0j) + c1 * c2 * sI * sJ * koszul
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _one_one(H: np.ndarray) -> dict:
+    m = H.shape[0]
+    return {((i,), (j,)): complex(H[i, j]) for i in range(m) for j in range(m) if H[i, j] != 0}
+
+
+def _wedge_power(f: dict, k: int) -> dict:
+    out: dict = {((), ()): 1.0 + 0j}
+    for _ in range(k):
+        out = _wedge(out, f)
+    return out
+
+
+def ma_ratio(h: ComplexHessian, n: int, d: int) -> float:
+    """Mixed exterior-power ratio of the Hessian form against the flat base form.
+
+    Computes (n/(d+1)) * [w^(d+1) ^ p^(n-1)] / [w^d ^ p^n] on top-degree
+    coefficients, where w is the (1,1)-form with coefficient matrix h and p
+    the flat base form.  Agrees with ``weights.schur_trace`` identically: an
+    independent oracle, since the two derivations share nothing.
+    """
+    if h.n != n or h.d != d:
+        raise ValueError("Hessian block shapes disagree with (n, d)")
+    _fiber_min_eig(h.ff, "at the point")
+    base = np.zeros((n + d, n + d))
+    for a in range(n):
+        base[a, a] = 1.0
+    w_form = _one_one(h.assembled)
+    p_form = _one_one(base)
+    top = (tuple(range(n + d)), tuple(range(n + d)))
+    num = _wedge(_wedge_power(w_form, d + 1), _wedge_power(p_form, n - 1)).get(top, 0j)
+    den = _wedge(_wedge_power(w_form, d), _wedge_power(p_form, n)).get(top, 0j)
+    if den == 0:
+        raise FiberDegenerateError("denominator form vanished; fiber block degenerate")
+    return float(np.real(n / (d + 1) * num / den))

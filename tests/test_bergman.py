@@ -26,6 +26,7 @@ from bergman_lab.bergman import (
     HoloPoly,
     SectionFamily,
     SectionOutsideDomainError,
+    base_gram_jets,
     bergman_basis,
     direct_image_gram,
     extremal_check,
@@ -36,7 +37,7 @@ from bergman_lab.bergman import (
     section_value_pair,
 )
 from bergman_lab.cli import run_scenario_checks
-from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, ring_gram
+from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, monomial_basis, ring_gram
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, PolynomialWeight, QuadraticWeight
 
@@ -360,8 +361,25 @@ class TestDirectImageGram:
 
     def test_dependent_frame_rejected(self, quad):
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]
-        with pytest.raises(ValueError, match="dependent"):
+        with pytest.raises(ValueError, match="dependent") as err:
             direct_image_gram(GAUSS, frame, BasePatch((0j,), 0.5), quad)
+        assert "frame element 2 of 2" in str(err.value)
+
+    def test_orthogonal_frame_of_spread_norms_accepted(self):
+        # {1, z^20} on the disk of radius 0.5 is orthogonal for a rotation-invariant
+        # weight, with norms about 0.79 and 1e-14: a pivot against its own diagonal
+        # accepts it, where an eigenvalue test against the largest one refused it
+        q = build_quadrature(FiberDomain.disk(0.5), 48, 96)
+        c = 0.5
+        w = QuadraticWeight.separable(c)
+        frame = [HoloPoly.constant(1.0), HoloPoly(1, {(20,): 1.0})]
+        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.45), q)
+        t = (0.2 - 0.1j,)
+        # ||z^k||^2 = exp(-c|t|^2) pi lowergamma(k + 1, R^2) for phi = c|t|^2 + |z|^2
+        norms = [math.pi * gammainc(k + 1, 0.25) * math.factorial(k) for k in (0, 20)]
+        expect = 2 * c * abs(t[0]) ** 2 - math.log(norms[0] * norms[1])
+        assert dig.neg_log_det(t) == pytest.approx(expect, rel=1e-12)
+        assert dig.neg_log_det_hessian(t)[0, 0] == pytest.approx(2 * c, rel=1e-10)
 
 
 class TestSectionHessian:
@@ -393,6 +411,75 @@ class TestSectionHessian:
         fam = SectionFamily.constant([[0.99]])
         with pytest.raises(SectionOutsideDomainError):
             section_hessian(GAUSS, fam, (0.0,), 12, quad)
+
+
+class TestBaseGramJets:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("dom, nr, na, N", [
+        (FiberDomain.disk(1.0), 48, 96, 12),
+        (FiberDomain.polydisc(1.0, 0.8), 12, 24, 6),
+    ], ids=["disk", "polydisc"])
+    def test_ring_grams_of_fresh_measures(self, n, dom, nr, na, N):
+        q = build_quadrature(dom, nr, na)
+        w = QuadraticWeight.cross_term(0.5, n, dom.dim)
+        t = (0.1 - 0.05j,) + (0.03j,) * (n - 1)
+        jets = base_gram_jets(w, t, N, q)
+        assert base_gram_jets(w, t, N, q) is jets  # one memo entry for dG and ddG
+        assert [k for k in q.memo(w) if k[0] == "gram_jets"] == [("gram_jets", t, N)]
+        dG, ddG = jets
+        dim = monomial_basis(N, dom.dim).dim
+        assert dG.shape == (n, dim, dim) and ddG.shape == (n, n, dim, dim)
+        for arr in jets:
+            assert not arr.flags.writeable and arr.flags.c_contiguous
+        # the measures built afresh from the weight's evaluators
+        basis = monomial_basis(N, dom.dim)
+        mu = np.exp(-w.value(t, q.nodes)) * q.weights
+        dphi = np.asarray(w.grad_base(t, q.nodes)).reshape(n, q.size)
+        tt = w.hessian_field(t, q.nodes)[0]
+        for a in range(n):
+            assert np.array_equal(dG[a], ring_gram(basis, -dphi[a] * mu, q))
+            for c in range(a, n):
+                fresh = ring_gram(basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, q)
+                assert np.array_equal(ddG[a, c], fresh)
+            for c in range(a + 1, n):
+                assert np.array_equal(ddG[c, a], ddG[a, c].conj().T)
+
+
+class TestOneFrameTruncation:
+    """The degree-(N-2) kernel diagonal is the leading part of the one frame
+    evaluation ``M(w) C`` (C is upper triangular), against the two-evaluation
+    formula ``M(w)[:k] C[:k, :k]``."""
+
+    CASES = [
+        (FiberDomain.disk(1.0), 48, 96, 16, [0.5, 0.3 + 0.4j, 0.9]),
+        (FiberDomain.annulus(0.3, 1.0), 32, 64, 12, [0.5, 0.6 + 0.2j]),
+        (FiberDomain.polydisc(1.0, 1.0), 12, 24, 8, [(0.5, 0.5), (0.3 + 0.1j, 0.6)]),
+    ]
+
+    @staticmethod
+    def _two_evaluations(b, amps, M):
+        k = b.basis.truncated_dim(b.N - 2)
+        full = float(np.sum(np.abs(amps @ (M @ b.transform)) ** 2))
+        sub = float(np.sum(np.abs(amps @ (M[:, :k] @ b.transform[:k, :k])) ** 2))
+        return full, sub
+
+    @pytest.mark.parametrize("dom, nr, na, N, probes", CASES, ids=["disk", "annulus", "polydisc"])
+    def test_gap_and_section_pair_match_two_evaluations(self, dom, nr, na, N, probes):
+        q = build_quadrature(dom, nr, na)
+        w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
+        b = bergman_basis(w, (0.1,), N, q)
+        assert np.array_equal(np.triu(b.transform), b.transform)
+        for x in probes:
+            full, sub = self._two_evaluations(b, np.ones(1), b.monomials_at([x]).reshape(1, -1))
+            # the gap is relative to K(x, x), so this bounds the sub-degree
+            # diagonal within 1e-15 of K(x, x)
+            assert abs(b.diag_convergence_gap(x) - abs(full - sub) / full) <= 1e-15
+        fam = SectionFamily.constant([np.atleast_1d(x) for x in probes], amps=[1.0, 0.5j][:len(probes)]
+                                     + [0.25] * (len(probes) - 2))
+        full, sub = self._two_evaluations(b, fam.amplitudes_at((0.1,)), b.monomials_at(fam.sections_at((0.1,))))
+        pair = section_value_pair(w, fam, (0.1,), N, q)
+        assert pair[0] == full
+        assert abs(pair[1] - sub) <= 1e-15 * full
 
 
 class CountingWeight(QuadraticWeight):

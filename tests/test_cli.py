@@ -197,6 +197,20 @@ class TestRunCommand:
         assert "det_inequality: FAIL (det_frame: frame numerically dependent" in out
         [rec] = summary_of(out_dir, "dep")["records"]
         assert rec["verdict"] == "fail" and rec["error"].startswith("det_frame: ")
+        assert "frame element 2 of 2" in rec["error"]
+
+    def test_orthogonal_det_frame_of_spread_norms_passes(self, scn, tmp_path, capsys):
+        # {1, z1^20} is orthogonal on the disk of radius 0.5, with Gram
+        # eigenvalues 2.7e-14 and 0.695: the pivot test against each pivot's
+        # own diagonal entry accepts it, as it accepts the basis Gram
+        z20 = "(* " + " ".join(["z1"] * 20) + ")"
+        text = ("id = spread_frame\nfiber = disk 0.5\nweight = cross 0.5\neps0 = 0.75\n"
+                f"degree = 30\nquadrature = 48 96\ndet_frame = 1 | {z20}\nchecks = det_inequality\n")
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(text), "--out", str(out_dir)]) == 0
+        assert "det_inequality: PASS" in capsys.readouterr().out
+        [rec] = summary_of(out_dir, "spread_frame")["records"]
+        assert rec["verdict"] == "pass" and rec["margins"]["trace_minus_bound"] >= 0
 
     def test_t0_at_the_patch_edge_runs(self, scn, capsys):
         # no check differences, so nothing asks for room around t0

@@ -19,7 +19,7 @@ from scipy.special import gammainc
 
 from bergman_lab import bergman, weights
 from bergman_lab.acceptance import fd_lambda_field
-from bergman_lab.bergman import HoloPoly, SectionFamily, base_gram_derivative, section_hessian, \
+from bergman_lab.bergman import HoloPoly, SectionFamily, base_gram_jets, section_hessian, \
     section_value
 from bergman_lab.cli import DBAR_TOL, run_scenario_checks
 from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
@@ -262,12 +262,11 @@ class TestGramDerivativeMemo:
         assert len(calls) == 2  # d_G and the one mixed second-derivative Gram
         data = build_hormander_data(w, fam, (0.1,), N, quad)
         assert len(calls) == 2  # the Hormander field reads the memoized d_G
-        assert base_gram_derivative(w, (0.1,), N, quad, 0) is base_gram_derivative(
-            w, (0.1,), N, quad, 0
-        )
-        assert not base_gram_derivative(w, (0.1,), N, quad, 0).flags.writeable
+        jets = base_gram_jets(w, (0.1,), N, quad)
+        assert jets is base_gram_jets(w, (0.1,), N, quad)
+        assert not any(arr.flags.writeable for arr in jets)
         build_hormander_data(w, fam, (0.2,), N, quad)
-        assert len(calls) == 3  # another base point is another key
+        assert len(calls) == 4  # another base point is another key: d_G and dd_G again
         assert data.lambdas[0].shape == (quad.size,)
 
 

@@ -15,6 +15,7 @@ import pytest
 import bergman_lab.bergman as bergman_module
 import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
+import bergman_lab.iteration as iteration_module
 import bergman_lab.utils as utils_module
 from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
@@ -54,7 +55,7 @@ class TestLogKernelField:
 
     def test_positive_sign_field(self, quad):
         w = QuadraticWeight.separable(0.7, 1, 1)
-        fld = LogKernelField(w, 16, quad, sign=1)
+        fld = LogKernelField(w, 16, quad)
         tt, _tf, ff = fld.hessian_field((0.1,), np.array([0.2 + 0j]))
         assert tt[0, 0, 0].real == pytest.approx(0.7, abs=1e-12)
         assert ff[0, 0, 0].real > 0
@@ -113,7 +114,7 @@ class TestLogKernelField:
         # nodes takes the orthonormal frame, as any other point set does
         q = build_quadrature(dom, nr, na)
         w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
-        fld = LogKernelField(w, N, q, sign=-1, convergence_tol=1e-2)
+        fld = bergman_weight(w, N, q, convergence_tol=1e-2)
         t = (0.2 - 0.1j,)
         built = []
         original = fiber_numerics.vandermonde
@@ -167,10 +168,6 @@ class TestLogKernelField:
             assert fine <= 1e-4
             assert fine <= max(0.3 * coarse, 1e-9)  # shrinks like h^2 until round-off
         assert np.abs(exact[1]).max() > 0.1  # the coupling reaches the mixed block
-
-    def test_bad_sign(self, quad):
-        with pytest.raises(ValueError, match="sign"):
-            LogKernelField(QuadraticWeight.separable(1.0, 1, 1), 12, quad, sign=2)
 
 
 class TestMixing:
@@ -326,6 +323,32 @@ class TestIterationCost:
                             CheckConfig(N=16, quad=quad), eps0=0.75, t_samples=t_samples)
         assert led.satisfies() and len(led.steps) == K
         assert len(built) == (K + 1) * n_t
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_per_step_budget(self, quad, monkeypatch, n):
+        # each base point of a step costs one basis Gram, n Grams d_aG and
+        # n(n+1)/2 Grams d_a dbar_bG (one memo entry), one ring synthesis (the
+        # previous potential's node jets) and one Vandermonde at the
+        # truncation gate's probe
+        calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "gate probe": []}
+
+        def spy(module, name, log):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: log.append(a) or real(*a))
+
+        spy(fiber_numerics, "ring_gram", calls["basis Gram"])  # gram_matrix's
+        spy(bergman_module, "ring_gram", calls["derivative Gram"])  # base_gram_jets'
+        spy(iteration_module, "ring_synthesis", calls["synthesis"])
+        spy(bergman_module, "vandermonde", calls["gate probe"])  # monomials_at's
+        K = 3
+        led = run_iteration(QuadraticWeight.cross_term(0.5, n, 1), 2, K,
+                            CheckConfig(N=16, quad=quad), eps0=0.75)
+        assert len(led.steps) == K
+        steps = K + 1  # phi_L's potential, then one potential per step
+        counts = {k: len(v) for k, v in calls.items()}
+        assert counts == {"basis Gram": steps, "derivative Gram": steps * (n + n * (n + 1) // 2),
+                          "synthesis": K, "gate probe": steps}
+        assert all(len(pts) == 1 for _basis, pts in calls["gate probe"])
 
     @staticmethod
     def _node_calls(phi, quad, monkeypatch, methods) -> list:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PerBasePoint, as_materialized
+from helpers import PerBasePoint, as_materialized, ma_ratio
 
 from bergman_lab import weights
 from bergman_lab.exprs import wirtinger
@@ -36,7 +36,6 @@ from bergman_lab.weights import (
     distortion_margin,
     fiber_contraction,
     hessian_at,
-    ma_ratio,
     schur_trace,
     schur_trace_field,
     twist_weight,
