@@ -19,8 +19,13 @@ resolutions and tolerances, each with an explicit wall-clock budget:
   a13 exact base Hessians of B, log B and -log det G (quadratic,
       polynomial and custom weights), the exact Hormander fields Lambda_a
       and the exact Hessian blocks of the iteration's log-kernel potentials
-      agree with finite differences
-      (step 1e-2, Richardson gate at half that) within the FD budget
+      agree with the one Wirtinger stencil (``curvature.fd_hessian``) at
+      step 1e-2 and at half that, under one Richardson gate, within the FD
+      budget
+
+a13 is the only caller of the finite-difference stencil: every route goes
+through one Richardson gate, :func:`richardson_gap`, which reads ``inf``
+for a route whose two steps disagree by more than its budget.
 
 Each criterion returns a CriterionResult; `run_criterion` never raises, so
 one broken criterion cannot mask the others in a suite run.
@@ -36,16 +41,16 @@ from itertools import product
 import numpy as np
 
 from .bergman import HoloPoly, SectionFamily, bergman_basis, direct_image_gram, \
-    extremal_check, reproducing_residual, section_hessian
-from .curvature import CheckConfig, check_det_inequality, check_log_inequality, fd_trace, \
-    log_section_field, section_field
+    extremal_check, reproducing_residual, section_hessian, section_value
+from .curvature import CheckConfig, Stencil, check_det_inequality, check_log_inequality, \
+    fd_hessian
 from .fiber_numerics import FiberDomain, build_quadrature, monomial_synthesis
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
-from .iteration import LogKernelField, mix_weights, run_iteration
-from .utils import as_complex_tuple, wirtinger_gradient, wirtinger_hessian
+from .iteration import LogKernelField, _fiber_samples, mix_weights, run_iteration
+from .utils import as_complex_tuple
 from .weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight, \
-    distortion_margin, schur_trace_field, twist_weight
+    distortion_margin, joint_hessian, schur_trace_field, twist_weight
 
 SEED = 20260814
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
@@ -99,8 +104,8 @@ class CriterionResult:
 def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: float) -> np.ndarray:
     """Lambda_alpha on the nodes, the second derivation of the exact field:
     ``sum_i a_i(t0) K_t(., s_i(t))`` rebuilt at ``t0 +- h``, ``t0 +- ih`` along
-    ``alpha`` and differenced by ``utils.wirtinger_gradient``, minus
-    ``d_alpha phi`` times Gamma."""
+    ``alpha``, its Wirtinger derivative ``d/dt = ((f(+h) - f(-h)) - i (f(+ih) -
+    f(-ih))) / (4h)`` (error O(h^2)), minus ``d_alpha phi`` times Gamma."""
     t0 = as_complex_tuple(t0)
     amps = fam.amplitudes_at(t0)
 
@@ -111,8 +116,25 @@ def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: floa
         rhs = np.conj(b.monomials_at(fam.sections_at(tuple(t)))).T @ amps
         return monomial_synthesis(b.basis, b.transform @ (b.transform.conj().T @ rhs), quad)
 
-    [dK] = wirtinger_gradient(lambda off: combo(off[0]), 1, h)
+    fp, fm, fip, fim = (combo(tau) for tau in h * np.array([1, -1, 1j, -1j]))
+    dK = (fp - fm - 1j * (fip - fim)) / (4.0 * h)
     return dK - w.node_jets(t0, quad)[1][alpha] * combo(0.0)
+
+
+def richardson_gap(route, exact, norm, budget: float, at_half: bool) -> float:
+    """The one Richardson gate of a13: ``route(h)`` at ``A13_STEP`` and
+    ``A13_STEP/2``.  Gives ``inf`` when ``norm`` of their difference exceeds
+    ``budget``, else ``norm`` of the value at the compared step (the half
+    step when ``at_half``) minus ``exact``."""
+    fd_h, fd_half = route(A13_STEP), route(A13_STEP / 2)
+    if norm(fd_h - fd_half) > budget:
+        return math.inf
+    return norm((fd_half if at_half else fd_h) - exact)
+
+
+def _trace_route(field_fn, t0):
+    """h -> trace of the stencil Hessian of a scalar field at t0."""
+    return lambda h: float(np.real(np.trace(fd_hessian(field_fn, Stencil(t0, h)))))
 
 
 # --- criteria ----------------------------------------------------------
@@ -312,7 +334,7 @@ def a10():
     worst_oracle = math.inf
     worst_step = math.inf
     for m in (2, 3):
-        ledger = run_iteration(QuadraticWeight.separable(1.0), m, 8, cfg)
+        ledger = run_iteration(QuadraticWeight.separable(1.0), m, 8, cfg, 1.0, (0j,))
         b = 0.0
         for rec in ledger.steps:
             b = b * (1 - 1 / m) + ledger.eps0 / m
@@ -371,46 +393,45 @@ def a12():
 
 def _a13_lambda_gap(w, fam, t0, N, quad, cfg) -> float:
     """Worst relative L2 gap between the exact Lambda_a and its FD
-    derivation at h/2, after a Richardson gate between h and h/2."""
+    derivation at h/2, after the Richardson gate between h and h/2."""
     data = build_hormander_data(w, fam, t0, N, quad)
     norm = lambda vals: math.sqrt(float(np.sum(np.abs(vals) ** 2 * data.node_measure)))
     worst = 0.0
-    for a, exact in zip(data.directions, data.lambdas):
+    for a, exact in enumerate(data.lambdas):
         scale = max(norm(exact), norm(data.gamma))
-        fd_h, fd_half = (fd_lambda_field(w, fam, t0, a, N, quad, h)
-                         for h in (A13_STEP, A13_STEP / 2))
-        if norm(fd_h - fd_half) > cfg.tolerance * scale:
-            return math.inf
-        worst = max(worst, norm(exact - fd_half) / scale)
+        route = lambda h, a=a: fd_lambda_field(w, fam, t0, a, N, quad, h)
+        worst = max(worst, richardson_gap(route, exact, lambda v: norm(v) / scale,
+                                          cfg.tolerance, at_half=True))
     return worst
 
 
 def _a13_iteration_gap(w, t0, N, quad, cfg) -> float:
     """Worst gap between the exact Hessian blocks (tt, tf, ff) of the
-    potentials psi_1 and psi_2 of the m = 2 iteration and the Wirtinger
-    stencil of their values at h/2, after a Richardson gate between h and
-    h/2, relative to max(1, |block|), at the iteration's default samples."""
+    potentials psi_1 and psi_2 of the m = 2 iteration and the stencil of
+    their values over the joint point (t0, 0) at h/2, after the Richardson
+    gate between h and h/2, relative to max(1, |block|), at the iteration's
+    fiber samples."""
     t0 = as_complex_tuple(t0)
     n, d = w.n, w.d
-    xi = np.zeros((2, d), dtype=complex)
-    xi[1, 0] = 0.35 * quad.domain.radii[0]
-    rows = (slice(0, n), slice(0, n), slice(n, None))  # blocks tt, tf, ff
-    cols = (slice(0, n), slice(n, None), slice(n, None))
+    xi = _fiber_samples(w, quad)
+    blocks = ((slice(0, n), slice(0, n)), (slice(0, n), slice(n, None)),  # tt, tf, ff
+              (slice(n, None), slice(n, None)))
     psi = LogKernelField(w, N, quad)
     worst = 0.0
     for _k in (1, 2):
         psi = LogKernelField(mix_weights(psi, w, 2), N, quad)
         exact = psi.hessian_field(t0, xi)
+        scales = [max(1.0, float(np.abs(b).max())) for b in exact]
 
-        def eval_at(off, psi=psi):
-            return psi.value(tuple(c + o for c, o in zip(t0, off[:n])), xi + off[n:])
+        def norm(H, scales=scales):
+            return max(float(np.abs(H[:, r, c]).max()) / s for (r, c), s in zip(blocks, scales))
 
-        fd_h, fd_half = (wirtinger_hessian(eval_at, n + d, h) for h in (A13_STEP, A13_STEP / 2))
-        for block, r, c in zip(exact, rows, cols):
-            scale = max(1.0, float(np.abs(block).max()))
-            if np.abs(fd_h[:, r, c] - fd_half[:, r, c]).max() > cfg.tolerance * scale:
-                return math.inf
-            worst = max(worst, float(np.abs(block - fd_half[:, r, c]).max()) / scale)
+        def field(p, psi=psi):
+            return psi.value(p[:n], xi + np.asarray(p[n:]))
+
+        route = lambda h, field=field: fd_hessian(field, Stencil(t0 + (0j,) * d, h))
+        worst = max(worst, richardson_gap(route, joint_hessian(*exact), norm, cfg.tolerance,
+                                          at_half=True))
     return worst
 
 
@@ -453,14 +474,18 @@ def a13():
         cfg = _cfg(N, q)
         exact = section_hessian(w, fam, t0, N, q)
         tol = cfg.tolerance
-        _H, fd_B, _ = fd_trace(section_field(w, fam, N, q), t0, A13_STEP, tol, tol_scale=exact.B)
-        _H, fd_log, _ = fd_trace(log_section_field(w, fam, N, q), t0, A13_STEP, tol)
-        gaps[label, "B"] = abs(fd_B - float(np.trace(exact.hessian).real)) / max(1.0, exact.B)
-        gaps[label, "log B"] = abs(fd_log - float(np.trace(exact.log_hessian).real))
+        B = lambda t: section_value(w, fam, t, N, q)
+        scale_B = max(1.0, exact.B)
+        gaps[label, "B"] = richardson_gap(_trace_route(B, t0), float(np.trace(exact.hessian).real),
+                                          lambda x: abs(x) / scale_B, tol, at_half=False)
+        gaps[label, "log B"] = richardson_gap(
+            _trace_route(lambda t: math.log(B(t)), t0), float(np.trace(exact.log_hessian).real),
+            abs, tol, at_half=False)
         if q is quad:  # the disk cases also take the det and Lambda_a routes
             dig = direct_image_gram(w, frame, BasePatch((0j,) * w.n, 0.45), q)
-            _H, fd_det, _ = fd_trace(dig.neg_log_det, t0, A13_STEP, tol)
-            gaps[label, "det"] = abs(fd_det - float(np.trace(dig.neg_log_det_hessian(t0)).real))
+            gaps[label, "det"] = richardson_gap(
+                _trace_route(dig.neg_log_det, t0), float(np.trace(dig.neg_log_det_hessian(t0)).real),
+                abs, tol, at_half=False)
             gaps[label, "Lambda"] = _a13_lambda_gap(w, fam, t0, N, q, cfg)
     for label, w, t0 in iterated:
         gaps[label, "log K jets"] = _a13_iteration_gap(w, t0, 16, quad, _cfg(16, quad))

@@ -233,14 +233,11 @@ def _check_hormander(ctx: _Context):
 
 def _check_iterate(ctx: _Context):
     sc = ctx.sc
+    args = (sc.iteration_m, sc.iteration_steps, ctx.cfg, ctx.eps0(), sc.t0)
     if sc.twist > 0:
-        ledger = run_twisted_iteration(
-            sc.weight, sc.twist, sc.iteration_m, sc.iteration_steps, ctx.cfg, eps0=sc.eps0
-        )
+        ledger = run_twisted_iteration(sc.weight, sc.twist, *args)
     else:
-        ledger = run_iteration(
-            sc.weight, sc.iteration_m, sc.iteration_steps, ctx.cfg, eps0=sc.eps0
-        )
+        ledger = run_iteration(sc.weight, *args)
     margins = {"worst_step": ledger.worst_step}
     outputs = {
         "m": ledger.m,

@@ -5,13 +5,13 @@ The section functional ``B_t<a,a>``, its log and the determinant potential
 and ``DirectImageGram.neg_log_det_hessian``: the Gram at ``t0`` plus the
 Grams of the differentiated weight), so the section, log, spectrum and
 determinant checks take no step (nor does the iteration, see
-``iteration``).  :func:`fd_trace` forms the complex Hessian of any scalar
-field with the one Wirtinger stencil (``utils.wirtinger_hessian``) at a
-given step ``h`` and again at ``h/2`` as a Richardson gate; it is the
-independent cross-check of the exact Hessians (acceptance criterion a13).
-Each check compares the base trace of a Hessian against the lower bound
-supplied by a weight certificate and reports the margin with an explicit
-tolerance budget.
+``iteration``).  :func:`fd_hessian` is the one Wirtinger stencil of the
+package: the complex Hessian of a real field, scalar or array-valued, at a
+:class:`Stencil` point.  Only the acceptance suite's independent
+cross-check of the exact Hessians (a13) calls it, at two steps under one
+Richardson gate (``acceptance.richardson_gap``).  Each check compares the
+base trace of a Hessian against the lower bound supplied by a weight
+certificate and reports the margin with an explicit tolerance budget.
 
 Verdicts are two-valued here (pass/fail); a failed convergence diagnostic
 raises :class:`UnconvergedBasisError` before any verdict, and the CLI maps
@@ -23,14 +23,12 @@ knobs (degree and quadrature).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import DirectImageGram, SectionFamily, section_hessian, section_value, \
-    section_value_pair
-from .utils import as_complex_tuple, wirtinger_hessian
+from .bergman import DirectImageGram, SectionFamily, section_hessian, section_value_pair
+from .utils import as_complex_tuple
 from .weights import WeightFamily
 
 __all__ = [
@@ -42,12 +40,9 @@ __all__ = [
     "CheckConfig",
     "CurvatureReport",
     "fd_hessian",
-    "fd_trace",
     "check_section_inequality",
     "check_log_inequality",
     "check_det_inequality",
-    "section_field",
-    "log_section_field",
 ]
 
 
@@ -103,23 +98,48 @@ class Stencil:
 
 
 def fd_hessian(field_fn, st: Stencil) -> np.ndarray:
-    """Complex Hessian of a real scalar field by the Wirtinger stencil of
-    :func:`utils.wirtinger_hessian` around ``st.center`` at step ``st.h``.
+    """Complex Hessian d^2/dt_i dt_j-bar of a real field around ``st.center``
+    at step ``st.h``, by the directional second difference
 
-    Each field value is checked finite and real at its stencil point.
+        Q(u) = (f(+hu) + f(-hu) + f(+ihu) + f(-ihu) - 4 f(0)) / (4 h^2),
+
+    which approximates ``u^T H u-bar``: diagonal entries are ``Q(e_i)`` and
+    mixed ones come from polarization along ``e_i + e_j`` (real part) and
+    ``e_i + i e_j`` (imaginary part); error O(h^2), ``st.count`` field
+    evaluations.  ``field_fn`` takes the point as a tuple and returns a
+    scalar or an array; the result is Hermitian, shaped ``value.shape + (n,
+    n)``.  Every value is checked finite and real at its stencil point.
     """
     center = np.asarray(st.center)
+    h, n = st.h, st.n
 
-    def eval_at(off):
+    def f(off):
         p = tuple(center + off)
-        v = complex(field_fn(p))
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+        v = np.asarray(field_fn(p), dtype=complex)
+        if not np.all(np.isfinite(v)):
             raise ValueError(f"field value at {p} is not finite")
-        if abs(v.imag) > 1e-10 * max(1.0, abs(v.real)):
+        if np.any(np.abs(v.imag) > 1e-10 * np.maximum(1.0, np.abs(v.real))):
             raise ValueError(f"field value at {p} is not real: {v}")
-        return v.real
+        return v.real.astype(complex)
 
-    return wirtinger_hessian(eval_at, st.n, st.h)
+    f0 = f(np.zeros(n, dtype=complex))
+
+    def second(u: np.ndarray):
+        v = [f(off) for off in (h * u, -h * u, 1j * h * u, -1j * h * u)]
+        return (v[0] + v[1] + v[2] + v[3] - 4.0 * f0) / (4.0 * h * h)
+
+    basis = np.eye(n, dtype=complex)
+    diag = [second(basis[i]) for i in range(n)]
+    H = np.zeros(f0.shape + (n, n), dtype=complex)
+    for i in range(n):
+        H[..., i, i] = diag[i]
+    for i in range(n):
+        for j in range(i + 1, n):
+            re = (second(basis[i] + basis[j]) - diag[i] - diag[j]) / 2.0
+            im = (second(basis[i] + 1j * basis[j]) - diag[i] - diag[j]) / 2.0
+            H[..., i, j] = re + 1j * im
+            H[..., j, i] = np.conj(re + 1j * im)
+    return H
 
 
 @dataclass(frozen=True)
@@ -152,35 +172,6 @@ class CurvatureReport:
 
 def _verdict(margin: float, tolerance: float) -> str:
     return "pass" if margin >= -tolerance else "fail"
-
-
-def fd_trace(field_fn, t0, h: float, tolerance: float, *, tol_scale: float = 1.0):
-    """FD Hessian + trace at step h, with a Richardson gate at h/2.
-
-    Returns ``(H, trace, diagnostics)``; raises :class:`UnconvergedBasisError`
-    when the two traces differ by more than ``tolerance * max(1, tol_scale)``.
-    """
-    H = fd_hessian(field_fn, Stencil(t0, h))
-    trace = float(np.real(np.trace(H)))
-    t2 = float(np.real(np.trace(fd_hessian(field_fn, Stencil(t0, h / 2)))))
-    gap = abs(trace - t2)
-    if gap > tolerance * max(1.0, tol_scale):
-        raise UnconvergedBasisError(
-            f"finite differencing has not converged: trace changed by {gap:.3e} "
-            f"when halving the step {h:g} (budget {tolerance:.1e}); lower the step, "
-            f"or raise it if roundoff in the kernel values dominates"
-        )
-    return H, trace, {"trace_at_half_step": t2, "half_step_gap": gap}
-
-
-def section_field(w: WeightFamily, fam: SectionFamily, N: int, quad):
-    """t -> B_t<a,a> as a plain callable."""
-    return lambda t: section_value(w, fam, t, N, quad)
-
-
-def log_section_field(w: WeightFamily, fam: SectionFamily, N: int, quad):
-    """t -> log B_t<a,a>."""
-    return lambda t: math.log(section_value(w, fam, t, N, quad))
 
 
 def section_truncation(w, fam, t0, cfg) -> tuple[float, float]:

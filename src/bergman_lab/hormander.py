@@ -10,8 +10,9 @@ Both are exact and need only the basis at ``t0``: ``K_t(xi, w) = M(xi)^T
 P(t) conj(M(w))`` with ``P = G^-1 = C C^H``, and ``conj(M(s_i(t)))`` is
 antiholomorphic in t, so the monomial coefficients of Gamma are ``p = P r``
 with ``r = sum_i a_i(t0) conj(M(s_i(t0)))`` and those of the t-derivative
-are ``-P d_aG p``, ``d_aG`` read from ``bergman.base_gram_jets``.  All
-coefficient vectors go to the nodes in one ring synthesis
+are ``-P d_aG p``, ``d_aG`` read from ``bergman.base_gram_jets``.  Every
+base direction is built, and the coefficient vectors of Gamma and of all
+n fields Lambda_a go to the nodes in one ring synthesis
 (``fiber_numerics.monomial_synthesis``), and the moments of the
 orthogonality test come back through its adjoint, so no node Vandermonde
 is built.  Three facts are checked numerically:
@@ -81,8 +82,7 @@ class HormanderData:
     fam: SectionFamily
     basis: BergmanBasis
     gamma: np.ndarray = field(repr=False)
-    directions: tuple = ()
-    lambdas: tuple = field(default=(), repr=False)  # one node array per direction
+    lambdas: tuple = field(default=(), repr=False)  # one node array per base direction
 
     @property
     def quad(self) -> QuadratureRule:
@@ -96,8 +96,6 @@ class HormanderData:
 
 def _derivative_coefficients(w, b0, p, alpha):
     """Monomial coefficients ``-P d_aG p`` of ``d/dt_alpha`` of Gamma at t0."""
-    if not 0 <= alpha < w.n:
-        raise ValueError(f"direction index {alpha} out of range for base_dim {w.n}")
     C = b0.transform
     dG = base_gram_jets(w, b0.t, b0.N, b0.quad)[0][alpha]
     return -(C @ (C.conj().T @ (dG @ p)))
@@ -109,9 +107,11 @@ def build_hormander_data(
     t0,
     N: int,
     quad: QuadratureRule,
-    directions=None,
     include_weight_term: bool = True,
 ) -> HormanderData:
+    """Gamma and every Lambda_a at t0 from the basis there; without
+    ``include_weight_term`` the Lambda_a are plain t-derivatives (the
+    negative control of the dbar identity)."""
     t0 = as_complex_tuple(t0)
     fam.check_inside(quad.domain, t0)
     b0 = bergman_basis(w, t0, N, quad)
@@ -119,13 +119,12 @@ def build_hormander_data(
     _check_truncation(b0, pts)
     C = b0.transform
     p = C @ (C.conj().T @ (np.conj(b0.monomials_at(pts)).T @ fam.amplitudes_at(t0)))
-    directions = tuple(range(w.n)) if directions is None else tuple(directions)
-    coeffs = np.stack([p] + [_derivative_coefficients(w, b0, p, a) for a in directions])
+    coeffs = np.stack([p] + [_derivative_coefficients(w, b0, p, a) for a in range(w.n)])
     gamma, *lambdas = monomial_synthesis(b0.basis, coeffs, quad)  # one transform for all
     if include_weight_term:
         dphi = w.node_jets(t0, quad)[1]
-        lambdas = [dK - dphi[a] * gamma for a, dK in zip(directions, lambdas)]
-    return HormanderData(t0, w, fam, b0, gamma, directions, tuple(lambdas))
+        lambdas = [dK - dphi[a] * gamma for a, dK in enumerate(lambdas)]
+    return HormanderData(t0, w, fam, b0, gamma, tuple(lambdas))
 
 
 def _weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:
@@ -219,8 +218,7 @@ def dbar_identity_residual(data: HormanderData, w: WeightFamily) -> float:
     _tt, tf, _ff = node_hessian(w, data.t0, quad)
     gnorm = _weighted_norm(data.gamma, measure)
     worst = 0.0
-    for pos, a in enumerate(data.directions):
-        lam = data.lambdas[pos]
+    for a, lam in enumerate(data.lambdas):
         defect2 = 0.0
         coupling = 0.0
         for c in range(w.d):
@@ -240,7 +238,6 @@ class HormanderBoundReport:
     """Per-direction L2 bound lhs = ||Lambda_a||^2 vs the kernel-weighted rhs."""
 
     t0: tuple
-    directions: tuple
     lhs: tuple
     rhs: tuple
     ratios: tuple
@@ -269,8 +266,8 @@ def hormander_bound_check(
     gamma2 = np.abs(data.gamma) ** 2 * measure
     floor = 1e-12 * float(np.sum(gamma2).real)
     lhs_list, rhs_list, ratio_list = [], [], []
-    for pos, a in enumerate(data.directions):
-        lhs = float(np.sum(np.abs(data.lambdas[pos]) ** 2 * measure).real)
+    for a, lam in enumerate(data.lambdas):
+        lhs = float(np.sum(np.abs(lam) ** 2 * measure).real)
         rhs = float(np.sum(gamma2 * contraction[:, a]).real)
         if rhs <= floor:
             ratio = 0.0 if lhs <= floor else math.inf
@@ -281,7 +278,6 @@ def hormander_bound_check(
         ratio_list.append(ratio)
     return HormanderBoundReport(
         t0=data.t0,
-        directions=data.directions,
         lhs=tuple(lhs_list),
         rhs=tuple(rhs_list),
         ratios=tuple(ratio_list),

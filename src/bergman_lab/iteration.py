@@ -13,8 +13,11 @@ bounds follow the geometric series
     b_k = (1/m) sum_{i<k} (1 - 1/m)^i eps0 = (1 - (1 - 1/m)^k) eps0  ->  eps0.
 
 The ledger records b_k next to the measured Schur trace of the joint
-(t, xi) Hessian of psi_k at sample points; certification failure of any
-step's potential aborts the run with the ledger so far.
+(t, xi) Hessian of psi_k at the scenario's base point t0 and two fiber
+samples (the center and a point at 0.35 of the radius).  The caller states
+eps0 and t0; a non-positive eps0 certifies nothing and raises before any
+step.  Certification failure of any step's potential aborts the run with
+the ledger so far.
 
 Iterated weights have no closed form, so they are represented as
 evaluator objects with exact jets.  ``K_t(xi, xi) = M(xi)^T P(t)
@@ -37,7 +40,7 @@ base block tt from one ring synthesis of the stack (P, d_aP, d_a dbar_bP)
 weight's jets, like its values, gradients and Hessian blocks, are the same
 linear combination of its parts', accumulated in place; the parts' jets are
 memoized on the rule, so those of phi_L are evaluated once per run, not per
-step.  Each step therefore builds one basis per base point sample, gates it
+step.  Each step therefore builds one basis, at t0, gates it
 on one frame evaluation at the probe and evaluates no finite-difference
 stencil.
 
@@ -60,12 +63,9 @@ from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, v
 from .utils import as_complex_tuple
 from .weights import (
     PSH_TOL,
-    BasePatch,
     FiberDegenerateError,
-    GridSpec,
     WeightFamily,
     _as_points,
-    certify,
     fiber_contraction,
     joint_hessian,
     schur_from_contraction,
@@ -124,8 +124,7 @@ class LogKernelField(WeightFamily):
 
     kind = "bergman-potential"
 
-    def __init__(self, inner: WeightFamily, N: int, quad,
-                 convergence_tol: float = CONVERGENCE_TOL, label: str = ""):
+    def __init__(self, inner: WeightFamily, N: int, quad, label: str = ""):
         super().__init__(inner.n, inner.d, label or f"logK[{inner.label}]")
         if quad.domain.dim != inner.d:
             raise GridMismatchError(
@@ -135,7 +134,6 @@ class LogKernelField(WeightFamily):
         self.N = int(N)
         self.quad = quad
         self.basis = monomial_basis(self.N, inner.d)
-        self.convergence_tol = float(convergence_tol)
         self._gated: set = set()
         self._max_gap = 0.0
         probe = [0.5 * r for r in quad.domain.radii]
@@ -151,7 +149,7 @@ class LogKernelField(WeightFamily):
         if b.t not in self._gated:
             gap = b.diag_convergence_gap(self._probe)
             self._max_gap = max(self._max_gap, gap)
-            truncation_gate(gap, self.convergence_tol, self.N, f"at t={b.t}")
+            truncation_gate(gap, CONVERGENCE_TOL, self.N, f"at t={b.t}")
             self._gated.add(b.t)
         return b
 
@@ -363,23 +361,15 @@ class IterationLedger:
             "aborted": self.aborted,
             "failure": self.failure,
             "steps": [s.as_dict() for s in self.steps],
-            "diagnostics": {
-                k: v for k, v in self.diagnostics.items() if k != "fields"
-            },
+            "diagnostics": dict(self.diagnostics),
         }
 
 
-def _default_samples(w: WeightFamily, quad):
-    t_samples = ((0.0 + 0.0j,) * w.n,)
-    inner = np.zeros(w.d, dtype=complex)
-    mid = np.zeros(w.d, dtype=complex)
-    mid[0] = 0.35 * quad.domain.radii[0]
-    return t_samples, np.vstack([inner, mid])
-
-
-def _default_eps0(w: WeightFamily, quad) -> float:
-    grid = GridSpec(patch=BasePatch(center=(0.0,) * w.n, radius=0.4), fiber=quad.domain)
-    return certify(w, grid).eps0
+def _fiber_samples(w: WeightFamily, quad) -> np.ndarray:
+    """The fiber center and a point at 0.35 of the first radius, shape (2, d)."""
+    xi = np.zeros((2, w.d), dtype=complex)
+    xi[1, 0] = 0.35 * quad.domain.radii[0]
+    return xi
 
 
 def run_iteration(
@@ -387,15 +377,15 @@ def run_iteration(
     m: int,
     K: int,
     cfg: CheckConfig,
-    eps0: float | None = None,
-    t_samples=None,
-    xi_samples=None,
+    eps0: float,
+    t0,
     twist_slack: float = 0.0,
-    keep_fields: bool = False,
 ) -> IterationLedger:
     """Run K steps of the recursion; the ledger pairs each certified b_k
-    with the worst measured Schur trace of the step's log-kernel field,
-    whose Hessian blocks at the samples are exact (no stencil).
+    with the worst measured Schur trace of the step's log-kernel field at
+    ``t0`` over the fiber samples, whose Hessian blocks are exact (no
+    stencil).  ``eps0`` must be positive: a non-positive constant certifies
+    nothing, and raises ``ArithmeticError`` (a failed hypothesis).
 
     A step whose potential fails the plurisubharmonicity check (or whose
     fiber block degenerates) aborts the run, returning the ledger built
@@ -407,21 +397,14 @@ def run_iteration(
         raise ValueError(f"step count must lie in 0..{MAX_STEPS}, got {K}")
     if cfg.quad is None:
         raise ValueError("cfg.quad must carry a quadrature rule")
-    if eps0 is None:
-        eps0 = _default_eps0(phi_L, cfg.quad)
     eps0 = float(eps0)
-    if eps0 <= 0.0:
-        raise ValueError(f"iteration needs a strictly positive eps0, got {eps0}")
-    if t_samples is None or xi_samples is None:
-        dt, dxi = _default_samples(phi_L, cfg.quad)
-        t_samples = dt if t_samples is None else t_samples
-        xi_samples = dxi if xi_samples is None else xi_samples
-    t_samples = tuple(as_complex_tuple(t) for t in t_samples)
-    xi_samples = np.atleast_2d(np.asarray(xi_samples, dtype=complex))
+    if not eps0 > 0.0:
+        raise ArithmeticError(f"iteration needs a strictly positive eps0, got {eps0}")
+    t0 = as_complex_tuple(t0)
+    xi_samples = _fiber_samples(phi_L, cfg.quad)
 
     q = 1.0 - 1.0 / m
     steps: list[StepRecord] = []
-    fields: list[LogKernelField] = []
     aborted = False
     failure = ""
     psi = LogKernelField(phi_L, cfg.N, cfg.quad)
@@ -429,12 +412,10 @@ def run_iteration(
         prev = psi
         w = mix_weights(prev, phi_L, m)
         psi = LogKernelField(w, cfg.N, cfg.quad)
-        if keep_fields:
-            fields.append(psi)
         b_k = (1.0 - q**k) * eps0
         weight_id = f"logK(step {k}, m={m})"
         try:
-            measured, psh_min, ff_min = _measure(psi, t_samples, xi_samples)
+            measured, psh_min, ff_min = _measure(psi, t0, xi_samples)
         except FiberDegenerateError as exc:
             steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=twist_slack * q**k))
             aborted, failure = True, f"step {k}: {exc}"
@@ -461,13 +442,6 @@ def run_iteration(
                 f"(min joint eigenvalue {psh_min:.3e}, min fiber eigenvalue {ff_min:.3e})"
             )
             break
-    diagnostics = {
-        "convergence_gap": psi.max_convergence_gap,
-        "t_samples": len(t_samples),
-        "xi_samples": int(xi_samples.shape[0]),
-    }
-    if keep_fields:
-        diagnostics["fields"] = tuple(fields)
     return IterationLedger(
         m=int(m),
         eps0=eps0,
@@ -476,21 +450,17 @@ def run_iteration(
         base_dim=phi_L.n,
         aborted=aborted,
         failure=failure,
-        diagnostics=diagnostics,
+        diagnostics={"convergence_gap": psi.max_convergence_gap},
     )
 
 
-def _measure(psi: LogKernelField, t_samples, xi_samples):
-    """Worst Schur trace / joint eigenvalue / fiber eigenvalue over samples."""
-    measured = math.inf
-    psh_min = math.inf
-    ff_min = math.inf
-    for t in t_samples:
-        tt, tf, ff = psi.hessian_field(t, xi_samples)
-        contraction, t_ff_min = fiber_contraction(tf, ff, f"at the samples over t = {t}")
-        measured = min(measured, float(schur_from_contraction(tt, contraction).min()))
-        psh_min = min(psh_min, float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min()))
-        ff_min = min(ff_min, t_ff_min)
+def _measure(psi: LogKernelField, t0, xi_samples):
+    """Worst Schur trace / joint eigenvalue / fiber eigenvalue over the
+    fiber samples at t0."""
+    tt, tf, ff = psi.hessian_field(t0, xi_samples)
+    contraction, ff_min = fiber_contraction(tf, ff, f"at the samples over t = {t0}")
+    measured = float(schur_from_contraction(tt, contraction).min())
+    psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
     return measured, psh_min, ff_min
 
 
@@ -500,10 +470,11 @@ def run_twisted_iteration(
     m: int,
     K: int,
     cfg: CheckConfig,
-    eps0: float | None = None,
-    **kwargs,
+    eps0: float,
+    t0,
 ) -> IterationLedger:
     """Twist the weight by C |t|^2, iterate, and report the vanishing
-    per-step twist slack delta_k = C (1 - 1/m)^k in the ledger."""
+    per-step twist slack delta_k = C (1 - 1/m)^k in the ledger; ``eps0``
+    and ``t0`` as for :func:`run_iteration`."""
     twisted = twist_weight(phi_L, C)
-    return run_iteration(twisted, m, K, cfg, eps0=eps0, twist_slack=float(C), **kwargs)
+    return run_iteration(twisted, m, K, cfg, eps0, t0, twist_slack=float(C))

@@ -17,13 +17,15 @@ supported:
 The pointwise curvature algebra lives here too: the Schur complement of the
 fiber block, its base trace (the quantity whose lower bound certifies the
 trace condition) and the certificate search over sampling grids.  The Schur
-traces, pointwise and stacked, read one kernel, :func:`fiber_contraction`,
-and so do the L2 step and the iteration: over stacked blocks it returns the
+trace over stacked blocks (:func:`schur_trace_field`; one point is a stack
+of one) reads one kernel, :func:`fiber_contraction`, and so do the L2 step
+and the iteration: over stacked blocks it returns the
 per-direction diagonal ``(tf ff^{-1} tf^H)_aa`` and the least fiber-block
 eigenvalue, from one batched ``eigvalsh`` (the positivity test) and one
 ``solve``.  A block counts as positive definite when its least eigenvalue
-exceeds ``FIBER_PD_RTOL * max(1, largest)``; the single-point path, the
-node fields of the L2 step and the certification grid apply this one rule.
+exceeds ``FIBER_PD_RTOL * max(1, largest)``; the node fields of the L2
+step, the iteration's samples and the certification grid apply this one
+rule.
 A stack that is one block broadcast along the point axis (stride 0, as a
 quadratic weight's ``hessian_field`` returns) is evaluated on that block
 alone and the result broadcast.  ``value`` and ``hessian_field`` take one
@@ -49,7 +51,6 @@ from .utils import as_complex_tuple, check_hermitian
 __all__ = [
     "NotAWeightError",
     "FiberDegenerateError",
-    "ComplexHessian",
     "WeightFamily",
     "QuadraticWeight",
     "PolynomialWeight",
@@ -57,12 +58,10 @@ __all__ = [
     "BasePatch",
     "GridSpec",
     "WeightCertificate",
-    "hessian_at",
     "node_hessian",
     "joint_hessian",
     "fiber_contraction",
     "schur_from_contraction",
-    "schur_trace",
     "schur_trace_field",
     "certify",
     "twist_weight",
@@ -91,48 +90,6 @@ class FiberDegenerateError(ArithmeticError):
     def __init__(self, message: str, min_eig: float = math.nan):
         super().__init__(message)
         self.min_eig = min_eig
-
-
-@dataclass(frozen=True)
-class ComplexHessian:
-    """Block decomposition of a joint complex Hessian.
-
-    ``tt[a, b] = d^2 phi / dt_a dt_b-bar`` (n x n), ``tf[a, k] = d^2 phi /
-    dt_a dxi_k-bar`` (n x d), ``ff[k, m] = d^2 phi / dxi_k dxi_m-bar``
-    (d x d); the assembled (n+d) square matrix is Hermitian.
-    """
-
-    tt: np.ndarray
-    tf: np.ndarray
-    ff: np.ndarray
-
-    def __post_init__(self):
-        tt = np.atleast_2d(np.asarray(self.tt, dtype=complex))
-        ff = np.atleast_2d(np.asarray(self.ff, dtype=complex))
-        tf = np.asarray(self.tf, dtype=complex)
-        if tf.ndim != 2:
-            tf = tf.reshape(tt.shape[0], ff.shape[0])
-        check_hermitian(tt, rtol=1e-10, what="base block")
-        check_hermitian(ff, rtol=1e-10, what="fiber block")
-        if tf.shape != (tt.shape[0], ff.shape[0]):
-            raise ValueError(
-                f"mixed block shape {tf.shape} incompatible with {tt.shape} / {ff.shape}"
-            )
-        object.__setattr__(self, "tt", tt)
-        object.__setattr__(self, "tf", tf)
-        object.__setattr__(self, "ff", ff)
-
-    @property
-    def n(self) -> int:
-        return self.tt.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.ff.shape[0]
-
-    @property
-    def assembled(self) -> np.ndarray:
-        return joint_hessian(self.tt, self.tf, self.ff)
 
 
 def _as_fiber_array(xi, d: int) -> tuple[np.ndarray, bool]:
@@ -477,17 +434,6 @@ class WeightCertificate:
             "psh_ok", self.psh_min_eig >= -PSH_TOL * max(1.0, abs(self.psh_min_eig))))
 
 
-def hessian_at(w: WeightFamily, t, xi) -> ComplexHessian:
-    """Complex Hessian blocks of the weight at a single point."""
-    t = as_complex_tuple(t)
-    pts, single = _as_fiber_array(xi, w.d)
-    if not single and pts.shape[0] != 1:
-        raise ValueError("hessian_at expects a single fiber point")
-    w.value(t, pts)  # reality check at the point
-    tt, tf, ff = w.hessian_field(t, pts)
-    return ComplexHessian(tt[0], tf[0], ff[0])
-
-
 def node_hessian(w: WeightFamily, t, quad) -> tuple:
     """Read-only Hessian blocks ``(tt, tf, ff)`` of ``w`` on the nodes of
     ``quad``, memoized per base point on the rule."""
@@ -553,15 +499,6 @@ def schur_from_contraction(tt: np.ndarray, contraction: np.ndarray) -> np.ndarra
     """Schur base trace ``Re tr tt - sum_a (tf ff^{-1} tf^H)_aa`` from the
     diagonal that :func:`fiber_contraction` returns."""
     return np.real(np.einsum("...ii->...", tt)) - contraction.sum(-1)
-
-
-def schur_trace(h: ComplexHessian) -> float:
-    """Base trace of the Schur complement of the fiber block.
-
-    sum_a [ tt[a,a] - (tf ff^{-1} tf^H)[a,a] ]; requires ff positive
-    definite.
-    """
-    return float(schur_trace_field(h.tt, h.tf, h.ff, where="at the point"))
 
 
 def schur_trace_field(tt, tf, ff, where: str = "on the grid") -> np.ndarray:

@@ -1,23 +1,25 @@
-"""Helpers that only the tests use: a node-sum inner product, the gradient
-tilt of a scalar field, the mixed trace constant, a CSV field dump, the
-Hormander fields of one direction, the FD Hessian spectrum, the
-Bergman-kernel potential of a weight, a quadratic weight whose Hessian
-blocks are materialized copies, a weight evaluated one base point at a
-time, and the mixed exterior-power ratio that cross-checks the Schur
-trace."""
+"""Helpers that only the tests use: a node-sum inner product, the section
+functional and its log as fields of t, the gradient tilt of a scalar field,
+the mixed trace constant, a CSV field dump, the Hormander fields of one
+direction, the FD Hessian spectrum, the Bergman-kernel potential of a
+weight, a quadratic weight whose Hessian blocks are materialized copies, a
+weight evaluated one base point at a time, the Hessian blocks and Schur
+trace at one point, and the mixed exterior-power ratio that cross-checks
+the Schur trace."""
 
 import io
 import math
 
 import numpy as np
 
+from bergman_lab.bergman import section_value
 from bergman_lab.curvature import fd_hessian
 from bergman_lab.fiber_numerics import QuadratureRule
 from bergman_lab.hormander import build_hormander_data
 from bergman_lab.iteration import LogKernelField, MixedWeight
-from bergman_lab.utils import as_complex_tuple, wirtinger_gradient
-from bergman_lab.weights import ComplexHessian, FiberDegenerateError, QuadraticWeight, \
-    WeightFamily, _fiber_min_eig
+from bergman_lab.utils import as_complex_tuple
+from bergman_lab.weights import FiberDegenerateError, QuadraticWeight, WeightFamily, \
+    _fiber_min_eig, joint_hessian, schur_trace_field
 
 
 def _values_on_nodes(f, quad: QuadratureRule) -> np.ndarray:
@@ -49,6 +51,16 @@ def weighted_inner_product(f, g, weight_values, quad: QuadratureRule) -> complex
     return complex(np.sum(fv * np.conj(gv) * wv * quad.weights))
 
 
+def section_field(w, fam, N: int, quad):
+    """t -> B_t<a,a> as a plain callable."""
+    return lambda t: section_value(w, fam, t, N, quad)
+
+
+def log_section_field(w, fam, N: int, quad):
+    """t -> log B_t<a,a>."""
+    return lambda t: math.log(section_value(w, fam, t, N, quad))
+
+
 def tilt_field(field_fn, st):
     """Multiply by the pluriharmonic exponential that flattens the gradient.
 
@@ -56,19 +68,21 @@ def tilt_field(field_fn, st):
     returned field  t -> exp(Re sum_i alpha_i (t_i - t0_i)) * field(t)
     has, at t0, Hessian trace equal to B0 times the trace of the Hessian of
     log field — the reduction that turns the logarithmic inequality into a
-    linear one.  ``st`` is a ``curvature.Stencil``.  Returns (tilted
-    callable, alpha tuple).
+    linear one.  ``st`` is a ``curvature.Stencil``; the gradient is the
+    central difference d/dt = ((f(+h) - f(-h)) - i (f(+ih) - f(-ih))) / (4h)
+    per coordinate.  Returns (tilted callable, alpha tuple).
     """
     t0 = np.asarray(st.center)
     B0 = float(field_fn(tuple(t0)))
     if B0 <= 0:
         raise ValueError(f"field must be positive at the stencil center, got {B0}")
 
-    def eval_at(off):
-        return field_fn(tuple(t0 + off))
+    def grad(e):
+        taus = st.h * np.array([1, -1, 1j, -1j])
+        fp, fm, fip, fim = (field_fn(tuple(t0 + tau * e)) for tau in taus)
+        return (fp - fm - 1j * (fip - fim)) / (4.0 * st.h)
 
-    grad = wirtinger_gradient(eval_at, st.n, st.h)
-    alpha = tuple(complex(-2.0 * g / B0) for g in grad)
+    alpha = tuple(complex(-2.0 * grad(e) / B0) for e in np.eye(st.n))
 
     def tilted(t):
         t = np.asarray(as_complex_tuple(t))
@@ -102,17 +116,15 @@ def sample_field_csv(fld, t, quad, max_rows: int = 4096) -> str:
 
 def gamma_field(w, fam, t0, N: int, quad: QuadratureRule) -> np.ndarray:
     """Gamma on the quadrature nodes (holomorphic: a kernel combination)."""
-    return build_hormander_data(w, fam, t0, N, quad, directions=()).gamma
+    return build_hormander_data(w, fam, t0, N, quad).gamma
 
 
 def lambda_field(w, fam, t0, alpha: int, N: int, quad: QuadratureRule,
                  include_weight_term: bool = True) -> np.ndarray:
     """Lambda_alpha on the nodes; include_weight_term=False gives the
     negative control (plain d/dt without the weight twist)."""
-    data = build_hormander_data(
-        w, fam, t0, N, quad, directions=(alpha,), include_weight_term=include_weight_term
-    )
-    return data.lambdas[0]
+    data = build_hormander_data(w, fam, t0, N, quad, include_weight_term=include_weight_term)
+    return data.lambdas[alpha]
 
 
 def psh_spectrum(field_fn, st) -> float:
@@ -121,14 +133,27 @@ def psh_spectrum(field_fn, st) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
 
-def bergman_weight(w, N: int, quad, convergence_tol: float = 1e-6) -> MixedWeight:
+def bergman_weight(w, N: int, quad) -> MixedWeight:
     """The fiberwise Bergman-kernel potential -log K_t(xi, xi) of a weight.
 
     Plurisubharmonicity of +log K is the positivity statement; the
     returned field is the log-kernel field negated (the metric side), so
     its base-base curvature block is the negative of the log-kernel one.
     """
-    return MixedWeight(((-1.0, LogKernelField(w, N, quad, convergence_tol=convergence_tol)),))
+    return MixedWeight(((-1.0, LogKernelField(w, N, quad)),))
+
+
+def point_blocks(w: WeightFamily, t, xi) -> tuple:
+    """Hessian blocks (tt, tf, ff) of ``w`` at one point (t, xi), each 2-D:
+    the first entry of ``hessian_field`` over one fiber point."""
+    pts = np.atleast_1d(np.asarray(xi, dtype=complex))[None]
+    tt, tf, ff = w.hessian_field(as_complex_tuple(t), pts)
+    return tt[0], tf[0], ff[0]
+
+
+def schur_at(tt, tf, ff) -> float:
+    """Schur base trace of one Hessian, through the stacked path."""
+    return float(schur_trace_field(*(np.asarray(b, dtype=complex)[None] for b in (tt, tf, ff)))[0])
 
 
 class MaterializedQuadratic(QuadraticWeight):
@@ -218,21 +243,22 @@ def _wedge_power(f: dict, k: int) -> dict:
     return out
 
 
-def ma_ratio(h: ComplexHessian, n: int, d: int) -> float:
+def ma_ratio(tt, tf, ff) -> float:
     """Mixed exterior-power ratio of the Hessian form against the flat base form.
 
     Computes (n/(d+1)) * [w^(d+1) ^ p^(n-1)] / [w^d ^ p^n] on top-degree
-    coefficients, where w is the (1,1)-form with coefficient matrix h and p
-    the flat base form.  Agrees with ``weights.schur_trace`` identically: an
+    coefficients, where w is the (1,1)-form with coefficient matrix
+    ``[[tt, tf], [tf^H, ff]]`` (n = len(tt), d = len(ff)) and p the flat base
+    form.  Agrees with ``weights.schur_trace_field`` identically: an
     independent oracle, since the two derivations share nothing.
     """
-    if h.n != n or h.d != d:
-        raise ValueError("Hessian block shapes disagree with (n, d)")
-    _fiber_min_eig(h.ff, "at the point")
+    tt, tf, ff = (np.asarray(b, dtype=complex) for b in (tt, tf, ff))
+    n, d = tt.shape[0], ff.shape[0]
+    _fiber_min_eig(ff, "at the point")
     base = np.zeros((n + d, n + d))
     for a in range(n):
         base[a, a] = 1.0
-    w_form = _one_one(h.assembled)
+    w_form = _one_one(joint_hessian(tt, tf, ff))
     p_form = _one_one(base)
     top = (tuple(range(n + d)), tuple(range(n + d)))
     num = _wedge(_wedge_power(w_form, d + 1), _wedge_power(p_form, n - 1)).get(top, 0j)

@@ -251,6 +251,37 @@ class TestBundledPolydisc:
         assert sizes and max(sizes) < 32  # section and probe points (one per call), never the 262,144 nodes
 
 
+OFFCENTRE = Path(__file__).resolve().parent.parent / "scenarios" / "iterate_offcentre.scn"
+
+
+class TestIterateAtT0:
+    """``iterate`` measures at the scenario's t0 and iterates the scenario's
+    eps0, declared or certified on the scenario's patch."""
+
+    def test_offcentre_patch_is_measured_at_t0(self, capsys):
+        # |t|^4 + |xi|^2 on the patch 0.3 ; 0.1: the Schur trace is about 0.36
+        # at t0 = 0.3 against b_3 = 0.14, and 0 at the origin (worst_step -0.14)
+        assert main(["run", "--scenario", str(OFFCENTRE)]) == 0
+        assert "iterate: PASS (worst_step = 2.200e-01)" in capsys.readouterr().out
+
+    def test_undeclared_eps0_is_certified_on_the_patch(self, scn, tmp_path, capsys):
+        text = "".join(ln for ln in OFFCENTRE.read_text().splitlines(True) if not ln.startswith("eps0"))
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(text), "--out", str(out_dir)]) == 0
+        assert "iterate: PASS (worst_step = 2.200e-01)" in capsys.readouterr().out
+        iterate = summary_of(out_dir, "iterate_offcentre")["records"][-1]
+        assert iterate["outputs"]["eps0"] == pytest.approx(0.16, abs=1e-12)  # 4 |t|^2 at |t| = 0.2
+
+    def test_zero_eps0_is_a_fail_record(self, scn, tmp_path, capsys):
+        text = ("id = zero_eps0\nweight = cross 0.5\neps0 = 0\ndegree = 16\nquadrature = 48 96\n"
+                "iteration = m 2 steps 3\nchecks = certify iterate\n")
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(text), "--out", str(out_dir)]) == 2
+        assert "iterate: FAIL (iteration needs a strictly positive eps0, got 0.0)" in capsys.readouterr().out
+        records = summary_of(out_dir, "zero_eps0")["records"]
+        assert [(r["name"], r["verdict"]) for r in records] == [("certify", "pass"), ("iterate", "fail")]
+
+
 class TestSubcommands:
     def test_cross_checks_all_pass(self, scn, capsys):
         assert main(["run", "--scenario", scn(CROSS)]) == 0

@@ -29,14 +29,11 @@ from bergman_lab.curvature import (
     check_log_inequality,
     check_section_inequality,
     fd_hessian,
-    fd_trace,
-    log_section_field,
-    section_field,
     truncation_gate,
 )
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight
-from helpers import psh_spectrum, tilt_field
+from helpers import log_section_field, psh_spectrum, section_field, tilt_field
 
 ORIGIN_FAM = SectionFamily.constant([[0.0]])
 
@@ -79,6 +76,29 @@ class TestFdHessian:
     def test_rejects_non_real_field(self):
         with pytest.raises(ValueError, match="not real"):
             fd_hessian(lambda t: t[0], Stencil((0.5 + 0.5j,), 1e-3))
+
+    def test_array_field_is_the_stack_of_its_scalar_fields(self):
+        # one stencil for scalar and array-valued fields: entry k of the
+        # array Hessian is, bit for bit, the Hessian of the k-th scalar field
+        fields = [
+            lambda t: abs(t[0]) ** 2 * abs(t[1]) ** 2,
+            lambda t: math.exp((t[0] * np.conj(t[1])).real),
+            lambda t: math.log(1 + abs(t[0] + 2 * t[1]) ** 2),
+        ]
+        st = Stencil((0.2 - 0.1j, 0.05j), 1e-3)
+        H = fd_hessian(lambda t: np.array([f(t) for f in fields]), st)
+        assert H.shape == (3, 2, 2)
+        for k, f in enumerate(fields):
+            assert np.array_equal(H[k], fd_hessian(f, st))
+
+    def test_rejects_non_finite_entry_of_array_field(self):
+        field = lambda t: np.array([abs(t[0]) ** 2, math.inf if t[0].real > 0.5 else 0.0])
+        with pytest.raises(ValueError, match="not finite"):
+            fd_hessian(field, Stencil((0.5 + 0.1j,), 1e-3))
+
+    def test_rejects_non_real_entry_of_array_field(self):
+        with pytest.raises(ValueError, match="not real"):
+            fd_hessian(lambda t: np.array([abs(t[0]) ** 2, t[0]]), Stencil((0.3j,), 1e-3))
 
     def test_convergence_order(self):
         f = lambda t: math.exp(abs(t[0]) ** 2) * (1 + (t[0].real) ** 4)
@@ -134,10 +154,11 @@ class TestExactHessian:
         cfg_ = CheckConfig(N=N, quad=quad)
         for fn, exact in ((section_field(w, MOVING_FAM, N, quad), sh.hessian),
                           (log_section_field(w, MOVING_FAM, N, quad), sh.log_hessian)):
-            _H, _trace, diag = fd_trace(fn, t0, 1e-2, cfg_.tolerance)
-            half = fd_hessian(fn, Stencil(t0, 1e-2 / 2))
-            assert np.abs(half - exact).max() <= diag["half_step_gap"]
-            assert abs(diag["trace_at_half_step"] - np.trace(exact).real) <= diag["half_step_gap"]
+            coarse, half = (fd_hessian(fn, Stencil(t0, h)) for h in (1e-2, 1e-2 / 2))
+            gap = abs(np.trace(coarse).real - np.trace(half).real)
+            assert gap <= cfg_.tolerance  # the Richardson gate of the cross-check
+            assert np.abs(half - exact).max() <= gap
+            assert abs(np.trace(half).real - np.trace(exact).real) <= gap
 
     def test_n2_mixed_entries_agree_with_fd(self, quad):
         H = np.array([[1.0, 0.2j, -0.5], [-0.2j, 1.3, 0.3], [-0.5, 0.3, 1.0]])
@@ -146,9 +167,11 @@ class TestExactHessian:
         t0 = (0.03 + 0.01j, -0.02j)
         sh = section_hessian(w, fam, t0, 20, quad)
         cfg_ = CheckConfig(N=20, quad=quad)
-        _H, _trace, diag = fd_trace(section_field(w, fam, 20, quad), t0, 1e-2, cfg_.tolerance)
-        half = fd_hessian(section_field(w, fam, 20, quad), Stencil(t0, 1e-2 / 2))
-        assert np.abs(half - sh.hessian).max() <= diag["half_step_gap"]
+        fn = section_field(w, fam, 20, quad)
+        coarse, half = (fd_hessian(fn, Stencil(t0, h)) for h in (1e-2, 1e-2 / 2))
+        gap = abs(np.trace(coarse).real - np.trace(half).real)
+        assert gap <= cfg_.tolerance
+        assert np.abs(half - sh.hessian).max() <= gap
         # quadratic weight: the log Hessian is the base block, whatever the section
         assert np.allclose(sh.log_hessian, H[:2, :2], atol=1e-9)
 
@@ -206,16 +229,6 @@ class TestUnconvergedMessages:
         assert "kernel truncation not converged at t0" in msg
         assert "from degree 14 to 16" in msg
         assert "raise degree" in msg and "quadrature" in msg
-
-    def test_richardson_gap_names_h_step(self, quad):
-        # fd_trace (the cross-check route) keeps the Richardson gate; a budget
-        # no second difference meets: the h vs h/2 traces differ by O(h^2)
-        w = QuadraticWeight.cross_term(0.5)
-        frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
-        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
-        with pytest.raises(UnconvergedBasisError, match="halving the step 0.01") as exc:
-            fd_trace(dig.neg_log_det, (0j,), 1e-2, 1e-13)
-        assert "lower the step" in str(exc.value)
 
 
 class TestLogInequality:
@@ -280,8 +293,8 @@ class TestDetInequality:
             w, t0 = QuadraticWeight.cross_term(0.5, 2, 1), (0.03 + 0.01j, -0.02j)
         dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,) * w.n, 0.5), quad)
         exact = dig.neg_log_det_hessian(t0)
-        H, trace, _ = fd_trace(dig.neg_log_det, t0, 1e-3, 1e-3)
-        assert abs(np.trace(exact).real - trace) < 1e-6
+        H = fd_hessian(dig.neg_log_det, Stencil(t0, 1e-3))
+        assert abs(np.trace(exact).real - np.trace(H).real) < 1e-6
         assert np.abs(exact - H).max() < 1e-6
         assert np.abs(exact - exact.conj().T).max() == 0.0
 

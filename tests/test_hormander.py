@@ -111,10 +111,6 @@ class TestLambdaField:
         gam_norm = _weighted_norm(data.gamma, data.node_measure)
         assert lam_norm < 1e-12 * gam_norm
 
-    def test_direction_out_of_range(self, quad):
-        with pytest.raises(ValueError, match="direction"):
-            lambda_field(cross_weight(0.5), ORIGIN_FAM, (0.0,), 1, N, quad)
-
     def test_unconverged_truncation_raises(self, quad):
         w = QuadraticWeight(1, 1, np.zeros((2, 2)), label="flat")
         fam = SectionFamily.constant([[0.9]])
@@ -146,13 +142,6 @@ class TestLambdaField:
         monkeypatch.setattr("bergman_lab.bergman.bergman_basis", spy)
         build_hormander_data(cross_weight(0.5), moving_family(), (0.3,), N, quad)
         assert set(seen) == {(0.3 + 0j,)}
-
-    def test_directions_subset(self, quad):
-        w = cross_weight(0.5, n=2)
-        fam = SectionFamily.constant([[0.0]], base_dim=2)
-        data = build_hormander_data(w, fam, (0.0, 0.0), N, quad, directions=(1,))
-        assert data.directions == (1,)
-        assert len(data.lambdas) == 1
 
 
 class TestOrthogonality:

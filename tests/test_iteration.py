@@ -16,8 +16,7 @@ import bergman_lab.bergman as bergman_module
 import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
 import bergman_lab.iteration as iteration_module
-import bergman_lab.utils as utils_module
-from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
+from bergman_lab.curvature import CheckConfig, Stencil, UnconvergedBasisError, fd_hessian
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
     GridMismatchError,
@@ -28,8 +27,7 @@ from bergman_lab.iteration import (
     run_iteration,
     run_twisted_iteration,
 )
-from bergman_lab.utils import wirtinger_hessian
-from bergman_lab.weights import QuadraticWeight
+from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, twist_weight
 from helpers import bergman_weight, mixed_bound, sample_field_csv
 
 
@@ -114,7 +112,8 @@ class TestLogKernelField:
         # nodes takes the orthonormal frame, as any other point set does
         q = build_quadrature(dom, nr, na)
         w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
-        fld = bergman_weight(w, N, q, convergence_tol=1e-2)
+        monkeypatch.setattr(iteration_module, "CONVERGENCE_TOL", 1e-2)
+        fld = bergman_weight(w, N, q)
         t = (0.2 - 0.1j,)
         built = []
         original = fiber_numerics.vandermonde
@@ -144,25 +143,26 @@ class TestLogKernelField:
         ],
         ids=["base_dim2", "polydisc"],
     )
-    def test_exact_jets_match_finite_differences(self, w, dom, nr, na, N, t):
+    def test_exact_jets_match_finite_differences(self, w, dom, nr, na, N, t, monkeypatch):
         # psi_1 of the m = 2 iteration: exact blocks against the Wirtinger
-        # stencil of its values, O(h^2) apart (h and h/2 bracket the error)
+        # stencil of its values over the joint point (t, 0), O(h^2) apart
+        # (h and h/2 bracket the error)
         q = build_quadrature(dom, nr, na)
-        tol = 1e-6 if dom.dim == 1 else 1e-2  # degree 10 on the polydisc settles to 1.3e-3
-        psi = LogKernelField(mix_weights(LogKernelField(w, N, q, convergence_tol=tol), w, 2), N, q,
-                             convergence_tol=tol)
+        if dom.dim == 2:  # degree 10 on the polydisc settles to 1.3e-3
+            monkeypatch.setattr(iteration_module, "CONVERGENCE_TOL", 1e-2)
+        psi = LogKernelField(mix_weights(LogKernelField(w, N, q), w, 2), N, q)
         xi = np.array([[0.0] * w.d, [0.3] + [0.1j] * (w.d - 1)], dtype=complex)
         exact = psi.hessian_field(t, xi)
         n = w.n
 
-        def eval_at(off):
-            return psi.value(tuple(c + o for c, o in zip(t, off[:n])), xi + off[n:])
+        def field(p):
+            return psi.value(p[:n], xi + np.asarray(p[n:]))
 
         rows = (slice(0, n), slice(0, n), slice(n, None))  # blocks tt, tf, ff
         cols = (slice(0, n), slice(n, None), slice(n, None))
         gaps = []
         for h in (1e-2, 5e-3):
-            H = wirtinger_hessian(eval_at, n + w.d, h)
+            H = fd_hessian(field, Stencil(t + (0j,) * w.d, h))
             gaps.append([np.abs(e - H[:, r, c]).max() for e, r, c in zip(exact, rows, cols)])
         for coarse, fine in zip(*gaps):
             assert fine <= 1e-4
@@ -212,7 +212,7 @@ class TestMixing:
 
 class TestRunIteration:
     def test_separable_ledger(self, cfg):
-        led = run_iteration(QuadraticWeight.separable(1.0, 1, 1), 2, 4, cfg, eps0=1.0)
+        led = run_iteration(QuadraticWeight.separable(1.0, 1, 1), 2, 4, cfg, eps0=1.0, t0=(0j,))
         assert len(led.steps) == 4
         for s in led.steps:
             assert math.isclose(s.certified_bound, 1.0 - 0.5**s.k, rel_tol=1e-15)
@@ -224,11 +224,13 @@ class TestRunIteration:
         assert led.satisfies()
 
     def test_series_arithmetic_m3(self, cfg):
-        led = run_iteration(QuadraticWeight.separable(0.6, 1, 1), 3, 2, cfg, eps0=0.6)
+        led = run_iteration(QuadraticWeight.separable(0.6, 1, 1), 3, 2, cfg, eps0=0.6, t0=(0j,))
         assert led.steps[-1].certified_bound == pytest.approx(1.0 / 3.0, rel=1e-12)
 
-    def test_cross_term_certifies_and_clears(self, cfg):
-        led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, 3, cfg)
+    def test_cross_term_certifies_and_clears(self, cfg, quad):
+        w = QuadraticWeight.cross_term(0.5, 1, 1)
+        eps0 = certify(w, GridSpec(BasePatch((0j,), 0.4), quad.domain)).eps0
+        led = run_iteration(w, 2, 3, cfg, eps0=eps0, t0=(0j,))
         assert led.eps0 == pytest.approx(0.75, abs=1e-9)
         assert led.satisfies()
         for s in led.steps:
@@ -236,7 +238,7 @@ class TestRunIteration:
             assert s.measured_trace < 1.1
 
     def test_zero_steps(self, cfg):
-        led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, 0, cfg, eps0=0.75)
+        led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, 0, cfg, eps0=0.75, t0=(0j,))
         assert led.steps == ()
         assert led.limit_gap == pytest.approx(0.75)
         assert led.worst_step == 0.0 and led.satisfies()
@@ -244,25 +246,27 @@ class TestRunIteration:
     def test_validation(self, cfg):
         w = QuadraticWeight.separable(1.0, 1, 1)
         with pytest.raises(ValueError, match="m must"):
-            run_iteration(w, 1, 2, cfg, eps0=1.0)
+            run_iteration(w, 1, 2, cfg, eps0=1.0, t0=(0j,))
         with pytest.raises(ValueError, match="step count"):
-            run_iteration(w, 2, 13, cfg, eps0=1.0)
-        with pytest.raises(ValueError, match="eps0"):
-            run_iteration(w, 2, 2, cfg, eps0=0.0)
+            run_iteration(w, 2, 13, cfg, eps0=1.0, t0=(0j,))
+        with pytest.raises(ArithmeticError, match="strictly positive eps0, got 0.0"):
+            run_iteration(w, 2, 2, cfg, eps0=0.0, t0=(0j,))
 
     def test_abort_on_failed_certification(self, cfg):
         # concave-in-t weight smuggled in with a claimed positive eps0:
         # the first potential already fails the psh check
         w = QuadraticWeight(1, 1, np.diag([-0.5, 1.0]), label="concave")
-        led = run_iteration(w, 2, 4, cfg, eps0=0.5)
+        led = run_iteration(w, 2, 4, cfg, eps0=0.5, t0=(0j,))
         assert led.aborted
         assert "certification" in led.failure
         assert len(led.steps) == 1
         assert led.steps[0].psh_min < -1e-3
         assert not led.satisfies()
 
-    def test_twisted_slack(self, cfg):
-        led = run_twisted_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 0.4, 2, 2, cfg)
+    def test_twisted_slack(self, cfg, quad):
+        w = QuadraticWeight.cross_term(0.5, 1, 1)
+        eps0 = certify(twist_weight(w, 0.4), GridSpec(BasePatch((0j,), 0.4), quad.domain)).eps0
+        led = run_twisted_iteration(w, 0.4, 2, 2, cfg, eps0=eps0, t0=(0j,))
         assert led.eps0 == pytest.approx(1.15, abs=1e-9)
         assert [s.delta for s in led.steps] == [
             pytest.approx(0.4 * 0.5**k) for k in (1, 2)
@@ -281,24 +285,23 @@ class TestRunIteration:
         assert not led.satisfies(tolerance=1e-3)
         assert led.satisfies(tolerance=0.05)
 
-    def test_separable_stays_separable(self, cfg):
-        led = run_iteration(
-            QuadraticWeight.separable(1.0, 1, 1), 2, 2, cfg, eps0=1.0, keep_fields=True
-        )
-        fld = led.diagnostics["fields"][-1]
+    def test_separable_stays_separable(self, quad):
+        # the second iterate, built as run_iteration builds it
+        w = QuadraticWeight.separable(1.0, 1, 1)
+        fld = LogKernelField(w, 16, quad)
+        for _k in (1, 2):
+            fld = LogKernelField(mix_weights(fld, w, 2), 16, quad)
         xi = np.array([0.2 + 0j, 0.4 + 0.1j])
         diff = fld.value((0.2,), xi) - fld.value((0.0,), xi)
         # t-dependence of every iterate is exactly c|t|^2
         assert np.max(np.abs(diff - 0.04)) < 1e-8
 
     def test_ledger_serializes(self, cfg):
-        led = run_iteration(
-            QuadraticWeight.separable(1.0, 1, 1), 2, 2, cfg, eps0=1.0, keep_fields=True
-        )
+        led = run_iteration(QuadraticWeight.separable(1.0, 1, 1), 2, 2, cfg, eps0=1.0, t0=(0j,))
         blob = json.dumps(led.as_dict())
         data = json.loads(blob)
         assert data["m"] == 2 and len(data["steps"]) == 2
-        assert "fields" not in data["diagnostics"]
+        assert set(data["diagnostics"]) == {"convergence_gap"}
 
 
 class TestIterationCost:
@@ -315,13 +318,12 @@ class TestIterationCost:
             raise AssertionError("the iteration differences nothing")
 
         monkeypatch.setattr(bergman_module, "gram_matrix", counted)
-        monkeypatch.setattr(utils_module, "wirtinger_hessian", no_stencil)
-        monkeypatch.setattr(curvature_module, "wirtinger_hessian", no_stencil)
-        t_samples = [(0.0,), (0.1 - 0.05j,)][:n_t]
+        monkeypatch.setattr(curvature_module, "fd_hessian", no_stencil)
         K = 3
-        led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, K,
-                            CheckConfig(N=16, quad=quad), eps0=0.75, t_samples=t_samples)
-        assert led.satisfies() and len(led.steps) == K
+        for t0 in [(0.0,), (0.1 - 0.05j,)][:n_t]:  # one run per base point
+            led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, K,
+                                CheckConfig(N=16, quad=quad), eps0=0.75, t0=t0)
+            assert led.satisfies() and len(led.steps) == K
         assert len(built) == (K + 1) * n_t
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -342,7 +344,7 @@ class TestIterationCost:
         spy(bergman_module, "vandermonde", calls["gate probe"])  # monomials_at's
         K = 3
         led = run_iteration(QuadraticWeight.cross_term(0.5, n, 1), 2, K,
-                            CheckConfig(N=16, quad=quad), eps0=0.75)
+                            CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,) * n)
         assert len(led.steps) == K
         steps = K + 1  # phi_L's potential, then one potential per step
         counts = {k: len(v) for k, v in calls.items()}
@@ -364,7 +366,7 @@ class TestIterationCost:
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
         calls = self._node_calls(phi, quad, monkeypatch, ("_node_jets", "grad_base", "hessian_field"))
         K = 4
-        led = run_iteration(phi, 2, K, CheckConfig(N=16, quad=quad), eps0=0.75)
+        led = run_iteration(phi, 2, K, CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,))
         assert len(led.steps) == K
         # on the nodes: one set of jets, for the first basis, which every mix
         # reads -- one gradient and one set of Hessian blocks, not one per step
@@ -374,14 +376,22 @@ class TestIterationCost:
         # exp(-phi) of the first basis and phi in every mix read one evaluation
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
         calls = self._node_calls(phi, quad, monkeypatch, ("value",))
-        led = run_iteration(phi, 2, 4, CheckConfig(N=16, quad=quad), eps0=0.75)
+        led = run_iteration(phi, 2, 4, CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,))
         assert len(led.steps) == 4
         assert calls == ["value"]
 
-    def test_node_fields_released_each_step(self, quad):
+    def test_node_fields_released_each_step(self, quad, monkeypatch):
+        built = []  # every potential of the run: phi's, then one per step
+
+        class Recorded(LogKernelField):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(iteration_module, "LogKernelField", Recorded)
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
-        led = run_iteration(phi, 2, 3, CheckConfig(N=16, quad=quad), eps0=0.75, keep_fields=True)
-        fields = led.diagnostics["fields"]
+        run_iteration(phi, 2, 3, CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,))
+        fields = built[1:]
         node_sized = lambda owner: [
             k for k, v in quad.memo(owner).items()
             if any(np.size(a) >= quad.size for a in (v if isinstance(v, tuple) else (v,)))

@@ -18,14 +18,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PerBasePoint, as_materialized, ma_ratio
+from helpers import PerBasePoint, as_materialized, ma_ratio, point_blocks, schur_at
 
 from bergman_lab import weights
 from bergman_lab.exprs import wirtinger
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.weights import (
     BasePatch,
-    ComplexHessian,
     CustomWeight,
     FiberDegenerateError,
     GridSpec,
@@ -35,8 +34,7 @@ from bergman_lab.weights import (
     certify,
     distortion_margin,
     fiber_contraction,
-    hessian_at,
-    schur_trace,
+    joint_hessian,
     schur_trace_field,
     twist_weight,
 )
@@ -54,31 +52,31 @@ def random_psd_hessian(rng, n, d, ridge=0.2):
     H = A @ A.conj().T + ridge * np.eye(m)
     H /= np.abs(H).max()  # normalize scale so absolute tolerances are meaningful
     H += ridge * np.eye(m)
-    return ComplexHessian(H[:n, :n], H[:n, n:], H[n:, n:])
+    return H[:n, :n], H[:n, n:], H[n:, n:]
 
 
 class TestHessianAt:
     def test_separable_blocks(self):
         w = QuadraticWeight.separable(1.0)
-        h = hessian_at(w, 0.2 + 0.1j, 0.3)
-        assert h.tt[0, 0] == pytest.approx(1.0)
-        assert h.tf[0, 0] == pytest.approx(0.0)
-        assert h.ff[0, 0] == pytest.approx(1.0)
+        tt, tf, ff = point_blocks(w, 0.2 + 0.1j, 0.3)
+        assert tt[0, 0] == pytest.approx(1.0)
+        assert tf[0, 0] == pytest.approx(0.0)
+        assert ff[0, 0] == pytest.approx(1.0)
 
     def test_cross_term_blocks(self):
         w = QuadraticWeight.cross_term(0.5)
-        h = hessian_at(w, 0j, 0j)
-        assert h.tf[0, 0] == pytest.approx(0.5)
-        assert np.allclose(h.assembled, [[1, 0.5], [0.5, 1]])
+        tt, tf, ff = point_blocks(w, 0j, 0j)
+        assert tf[0, 0] == pytest.approx(0.5)
+        assert np.allclose(joint_hessian(tt, tf, ff), [[1, 0.5], [0.5, 1]])
 
     def test_custom_matches_hand_derivatives(self):
         w = CustomWeight.from_text(1, 1, "(* (exp (abs2 t1)) (abs2 z1))")
         t, z = 0.3 + 0j, 0.5 + 0j
-        h = hessian_at(w, t, z)
+        tt, tf, ff = point_blocks(w, t, z)
         e = math.exp(abs(t) ** 2)
-        assert h.tt[0, 0] == pytest.approx((1 + abs(t) ** 2) * e * abs(z) ** 2, abs=1e-14)
-        assert h.tf[0, 0] == pytest.approx(np.conj(t) * e * z, abs=1e-14)
-        assert h.ff[0, 0] == pytest.approx(e, abs=1e-14)
+        assert tt[0, 0] == pytest.approx((1 + abs(t) ** 2) * e * abs(z) ** 2, abs=1e-14)
+        assert tf[0, 0] == pytest.approx(np.conj(t) * e * z, abs=1e-14)
+        assert ff[0, 0] == pytest.approx(e, abs=1e-14)
 
     def test_polynomial_analytic_matches_fd(self):
         # the polynomial and custom spellings of a cross-term weight, and the
@@ -242,36 +240,30 @@ class TestQuadraticNodeBits:
 
 class TestSchurTrace:
     def test_identity(self):
-        h = ComplexHessian(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        assert schur_trace(h) == pytest.approx(1.0)
+        assert schur_at(np.eye(1), np.zeros((1, 1)), np.eye(1)) == pytest.approx(1.0)
 
     def test_cross_arithmetic(self):
-        h = ComplexHessian([[2.0]], [[0.8]], [[1.0]])
-        assert schur_trace(h) == pytest.approx(1.36)
+        assert schur_at([[2.0]], [[0.8]], [[1.0]]) == pytest.approx(1.36)
 
     def test_zero_cross_n2(self):
-        h = ComplexHessian(np.eye(2), np.zeros((2, 1)), [[5.0]])
-        assert schur_trace(h) == pytest.approx(2.0)
+        assert schur_at(np.eye(2), np.zeros((2, 1)), [[5.0]]) == pytest.approx(2.0)
 
     def test_degenerate_fiber_block(self):
-        h = ComplexHessian(np.eye(1), np.zeros((1, 1)), [[0.0]])
         with pytest.raises(FiberDegenerateError):
-            schur_trace(h)
+            schur_at(np.eye(1), np.zeros((1, 1)), [[0.0]])
 
     def test_field_matches_pointwise(self, rng):
         hs = [random_psd_hessian(rng, 2, 2) for _ in range(6)]
-        tt = np.stack([h.tt for h in hs])
-        tf = np.stack([h.tf for h in hs])
-        ff = np.stack([h.ff for h in hs])
+        tt, tf, ff = (np.stack(blocks) for blocks in zip(*hs))
         vals = schur_trace_field(tt, tf, ff)
-        assert np.allclose(vals, [schur_trace(h) for h in hs], atol=1e-12)
+        assert np.allclose(vals, [schur_at(*h) for h in hs], atol=1e-12)
 
 
 class TestFiberContraction:
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_broadcast_blocks_match_copies_bitwise(self, n, d, rng):
         h = random_psd_hessian(rng, n, d)
-        views = [np.broadcast_to(b, (64, *b.shape)) for b in (h.tt, h.tf, h.ff)]
+        views = [np.broadcast_to(b, (64, *b.shape)) for b in h]
         copies = [np.ascontiguousarray(v) for v in views]
         assert views[1].strides[0] == 0 and copies[1].strides[0] != 0
         c_view, min_view = fiber_contraction(views[1], views[2])
@@ -290,16 +282,16 @@ class TestFiberContraction:
             return real(tf, ff, where)
 
         monkeypatch.setattr(weights, "_contract", spy)
-        fiber_contraction(*(np.broadcast_to(b, (500, *b.shape)) for b in (h.tf, h.ff)))
-        fiber_contraction(*(np.repeat(b[None], 500, axis=0) for b in (h.tf, h.ff)))
+        fiber_contraction(*(np.broadcast_to(b, (500, *b.shape)) for b in h[1:]))
+        fiber_contraction(*(np.repeat(b[None], 500, axis=0) for b in h[1:]))
         assert seen == [1, 500]
 
     def test_matches_pointwise_diagonal(self, rng):
-        h = random_psd_hessian(rng, 2, 2)
-        contraction, ff_min = fiber_contraction(h.tf, h.ff)
-        expected = np.real(np.diag(h.tf @ np.linalg.inv(h.ff) @ h.tf.conj().T))
+        _tt, tf, ff = random_psd_hessian(rng, 2, 2)
+        contraction, ff_min = fiber_contraction(tf, ff)
+        expected = np.real(np.diag(tf @ np.linalg.inv(ff) @ tf.conj().T))
         assert np.allclose(contraction, expected, atol=1e-12)
-        assert ff_min == pytest.approx(np.linalg.eigvalsh(h.ff)[0], abs=1e-14)
+        assert ff_min == pytest.approx(np.linalg.eigvalsh(ff)[0], abs=1e-14)
 
     @pytest.mark.parametrize("layout", ["broadcast", "materialized"])
     def test_non_positive_fiber_block_raises(self, layout):
@@ -313,40 +305,39 @@ class TestFiberContraction:
 
     def test_tiny_fiber_eigenvalue_raises_on_every_path(self):
         # one positivity rule: lambda_min <= 1e-14 max(1, lambda_max) is
-        # degenerate for the point path and the stacked field path alike
-        h = ComplexHessian([[1.0]], [[0.0]], [[1e-17]])
+        # degenerate for one point and for a stack of points alike
+        h = (np.array([[1.0]]), np.array([[0.0]]), np.array([[1e-17]]))
         with pytest.raises(FiberDegenerateError, match="1.000e-17"):
-            schur_trace(h)
+            schur_at(*h)
         with pytest.raises(FiberDegenerateError, match="1.000e-17"):
-            schur_trace_field(h.tt[None], h.tf[None], h.ff[None])
+            schur_trace_field(*(np.repeat(b[None], 3, axis=0) for b in h))
         with pytest.raises(FiberDegenerateError):
-            ma_ratio(h, 1, 1)
+            ma_ratio(*h)
         cert = certify(QuadraticWeight(1, 1, np.diag([1.0, 1e-17])), default_grid())
         assert not cert.diagnostics["fiber_pd"] and cert.eps0 == 0.0
         assert cert.diagnostics["min_fiber_eig"] == pytest.approx(1e-17)
 
     def test_joint_assembly_matches_blocks(self, rng):
-        h = random_psd_hessian(rng, 2, 1)
-        H = h.assembled
-        assert np.array_equal(H[:2, :2], h.tt) and np.array_equal(H[2:, :2], h.tf.conj().T)
-        stacked = weights.joint_hessian(h.tt[None], h.tf[None], h.ff[None])
+        tt, tf, ff = random_psd_hessian(rng, 2, 1)
+        H = joint_hessian(tt, tf, ff)
+        assert np.array_equal(H[:2, :2], tt) and np.array_equal(H[2:, :2], tf.conj().T)
+        assert np.array_equal(H[:2, 2:], tf) and np.array_equal(H[2:, 2:], ff)
+        stacked = joint_hessian(tt[None], tf[None], ff[None])
         assert np.array_equal(stacked[0], H)
 
 
 class TestMaRatio:
     def test_identity_case(self):
-        h = ComplexHessian(np.eye(1), np.zeros((1, 1)), np.eye(1))
-        assert ma_ratio(h, 1, 1) == pytest.approx(1.0)
+        assert ma_ratio(np.eye(1), np.zeros((1, 1)), np.eye(1)) == pytest.approx(1.0)
 
     def test_cross_case(self):
-        h = ComplexHessian([[2.0]], [[0.8]], [[1.0]])
-        assert ma_ratio(h, 1, 1) == pytest.approx(1.36, abs=1e-12)
+        assert ma_ratio([[2.0]], [[0.8]], [[1.0]]) == pytest.approx(1.36, abs=1e-12)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 1), (2, 2)])
     def test_matches_schur_randomized(self, n, d, rng):
         for _ in range(20):
             h = random_psd_hessian(rng, n, d)
-            assert abs(ma_ratio(h, n, d) - schur_trace(h)) < 1e-10
+            assert abs(ma_ratio(*h) - schur_at(*h)) < 1e-10
 
 
 class TestOptimalQuadraticForm:
@@ -356,20 +347,19 @@ class TestOptimalQuadraticForm:
         # is minimized exactly at lam = tf, where it equals the Schur trace
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(1, 3)), int(rng.integers(1, 3))
-        h = random_psd_hessian(rng, n, d)
-        h = ComplexHessian(h.tt, h.tf, np.eye(d))
-        target = schur_trace(h)
+        tt, tf, _ff = random_psd_hessian(rng, n, d)
+        target = schur_at(tt, tf, np.eye(d))
         lam = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
         q = (
-            float(np.real(np.trace(h.tt)))
-            - 2 * float(np.real(np.sum(h.tf * np.conj(lam))))
+            float(np.real(np.trace(tt)))
+            - 2 * float(np.real(np.sum(tf * np.conj(lam))))
             + float(np.sum(np.abs(lam) ** 2))
         )
         assert q >= target - 1e-12
         q_opt = (
-            float(np.real(np.trace(h.tt)))
-            - 2 * float(np.real(np.sum(h.tf * np.conj(h.tf))))
-            + float(np.sum(np.abs(h.tf) ** 2))
+            float(np.real(np.trace(tt)))
+            - 2 * float(np.real(np.sum(tf * np.conj(tf))))
+            + float(np.sum(np.abs(tf) ** 2))
         )
         assert q_opt == pytest.approx(target, abs=1e-12)
 
@@ -413,11 +403,10 @@ class TestCertify:
         for t in grid.base_points():
             tt, tf, ff = w.hessian_field(tuple(t), grid.fiber_points())
             for k in range(tt.shape[0]):
-                h = ComplexHessian(tt[k], tf[k], ff[k])
-                psh.append(np.linalg.eigvalsh(h.assembled)[0])
-                base.append(np.linalg.eigvalsh(h.tt)[0])
-                fiber.append(np.linalg.eigvalsh(h.ff)[0])
-                schur.append(schur_trace(h))
+                psh.append(np.linalg.eigvalsh(joint_hessian(tt[k], tf[k], ff[k]))[0])
+                base.append(np.linalg.eigvalsh(tt[k])[0])
+                fiber.append(np.linalg.eigvalsh(ff[k])[0])
+                schur.append(schur_at(tt[k], tf[k], ff[k]))
         assert cert.psh_min_eig == pytest.approx(min(psh), abs=1e-14)
         assert cert.diagnostics["min_base_eig"] == pytest.approx(min(base), abs=1e-14)
         assert cert.diagnostics["min_fiber_eig"] == pytest.approx(min(fiber), abs=1e-14)
@@ -501,8 +490,8 @@ class TestTwist:
     def test_cancels_negative_base_block(self):
         w = QuadraticWeight(1, 1, np.diag([-0.5, 1.0]))
         tw = twist_weight(w, 0.5)
-        h = hessian_at(tw, 0j, 0j)
-        assert h.tt[0, 0] == pytest.approx(0.0, abs=1e-14)
+        tt, _tf, _ff = point_blocks(tw, 0j, 0j)
+        assert tt[0, 0] == pytest.approx(0.0, abs=1e-14)
 
     def test_fiber_only_weight(self):
         w = QuadraticWeight(1, 1, np.diag([0.0, 1.0]))
@@ -518,8 +507,8 @@ class TestTwist:
         w = CustomWeight.from_text(1, 1, "(abs2 z1)")
         tw = twist_weight(w, 1.0)
         assert tw.value((0.5 + 0j,), 0j) == pytest.approx(0.25)
-        h = hessian_at(tw, 0.1 + 0j, 0.2 + 0j)
-        assert h.tt[0, 0] == pytest.approx(1.0, abs=1e-14)
+        tt, _tf, _ff = point_blocks(tw, 0.1 + 0j, 0.2 + 0j)
+        assert tt[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_expression_weights_keep_their_kind(self):
         # the twist is C (abs2 t_a) in the tree, so wirtinger differentiates it exactly
