@@ -413,7 +413,7 @@ def _a13_iteration_gap(w, t0, N, quad, cfg) -> float:
     fiber samples."""
     t0 = as_complex_tuple(t0)
     n, d = w.n, w.d
-    xi = _fiber_samples(w, quad)
+    xi = _fiber_samples(quad)
     blocks = ((slice(0, n), slice(0, n)), (slice(0, n), slice(n, None)),  # tt, tf, ff
               (slice(n, None), slice(n, None)))
     psi = LogKernelField(w, N, quad)

@@ -447,17 +447,18 @@ def kernel_eval(b: BergmanBasis, z, w) -> complex:
 def reproducing_residual(b: BergmanBasis, h, w, quad: QuadratureRule) -> float:
     """|h(w) - <h, K(., w)>| for h in the truncated space.
 
-    The inner product is evaluated by quadrature against the stored weight
-    values, so this measures quadrature + orthonormalization error, not
-    algebraic identity.
+    ``h`` takes one argument per fiber coordinate: the rule's grids, whose
+    broadcast it returns on, and the coordinates of ``w``.  The inner
+    product is evaluated by quadrature against the stored weight values, so
+    this measures quadrature + orthonormalization error, not algebraic
+    identity.
     """
     if quad.size != b.quad.size:
         raise ValueError("quadrature rule does not match the one the basis was built on")
-    if callable(h):
-        h_nodes = h(quad.points if quad.domain.dim == 1 else quad.nodes)
-        h_at_w = h(w)
-    else:
-        raise TypeError("h must be callable on fiber points")
+    if not callable(h):
+        raise TypeError("h must be callable on fiber coordinates")
+    h_nodes = np.broadcast_to(h(*quad.grids), quad.grid_shape).reshape(-1)
+    h_at_w = h(*np.atleast_1d(w))
     col = b.kernel_column(w)
     integral = np.sum(h_nodes * np.conj(col) * b.weight_vals * quad.weights)
     return float(abs(h_at_w - integral))

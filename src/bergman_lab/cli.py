@@ -120,7 +120,7 @@ def _check_bergman_infra(ctx: _Context):
     if sc.d == 1:
         h = lambda z: 1.0 + 0.25 * np.asarray(z) ** 2
     else:
-        h = lambda z: 1.0 + 0.25 * np.asarray(z)[..., 0] * np.asarray(z)[..., -1]
+        h = lambda z1, z2: 1.0 + 0.25 * np.asarray(z1) * np.asarray(z2)
     repro = reproducing_residual(b, h, probe, ctx.quad)
 
     diag, extremal = extremal_check(b, probe)
@@ -132,7 +132,7 @@ def _check_bergman_infra(ctx: _Context):
     kwz = kernel_eval(b, second, probe)
     herm = abs(kzw - np.conj(kwz)) / max(abs(kzw), 1e-300)
 
-    scale = max(1.0, abs(complex(h(probe))))
+    scale = max(1.0, abs(complex(h(*np.atleast_1d(probe)))))
     margins = {
         "reproducing": REPRODUCING_TOL * scale - repro,
         "extremal_agreement": EXTREMAL_TOL - ext_gap,

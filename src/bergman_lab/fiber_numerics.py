@@ -69,10 +69,15 @@ the fields of the L2 step and their orthogonality residual are read
 through it.  :func:`vandermonde` itself serves small point sets
 (sections, probes, samples).
 
-A :class:`QuadratureRule` keeps the radial-power and mode-index tables of
-the ring transforms for its lifetime and, through
-:meth:`QuadratureRule.memo`, the per-weight results that callers (the
-Bergman basis builds) store on it; it holds at most :data:`MAX_NODES` nodes.
+A :class:`QuadratureRule` keeps its nodes per coordinate: one ``(n_radial,
+n_angular)`` complex grid each, shaped to broadcast against the others, so
+a node field that is a sum of per-coordinate terms (a weight and its base
+jets, ``weights``) is evaluated term by term on ``n_radial * n_angular``
+points and broadcast once; no ``(nodes, d)`` list of the nodes is built.
+It also keeps the radial-power and mode-index tables of the ring
+transforms for its lifetime and, through :meth:`QuadratureRule.memo`, the
+per-weight results that callers (the Bergman basis builds) store on it; it
+holds at most :data:`MAX_NODES` nodes.
 """
 
 from __future__ import annotations
@@ -204,18 +209,22 @@ class FiberDomain:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Flattened tensor-product polar rule over a :class:`FiberDomain`.
+    """Tensor-product polar rule over a :class:`FiberDomain`, kept per coordinate.
 
-    ``nodes`` has shape ``(M, d)``; ``weights`` already include the polar
-    Jacobian.  ``shape`` records ``(n_radial, n_angular)`` per coordinate and
-    ``radial_nodes`` the per-coordinate radii, so grid-structured finite
-    differences can reshape node-indexed fields to
-    ``(nr_1, na_1, ..., nr_d, na_d)``.
+    ``grids`` holds one read-only complex ``(n_radial, n_angular)`` node
+    grid per coordinate, shaped to broadcast against the others: ``(nr,
+    na)`` on a 1-D fiber, ``(nr, na, 1, 1)`` and ``(1, 1, nr, na)`` on a
+    2-D one.  A node field is a field on their broadcast, raveled in the
+    node order ``(r_1, theta_1, ..., r_d, theta_d)``.  ``weights``, one per
+    node, are the outer product of the per-coordinate weights and already
+    include the polar Jacobian.  ``shape`` records ``(n_radial,
+    n_angular)`` per coordinate and ``radial_nodes`` the per-coordinate
+    radii; :meth:`grid_view` reshapes node fields to the full polar grid.
     """
 
     domain: FiberDomain
     shape: tuple[tuple[int, int], ...]
-    nodes: np.ndarray = field(repr=False)
+    grids: tuple[np.ndarray, ...] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     radial_nodes: tuple[np.ndarray, ...] = field(repr=False)
     # Per-basis tables built on first use; they live and die with the rule.
@@ -223,7 +232,7 @@ class QuadratureRule:
 
     @property
     def size(self) -> int:
-        return self.nodes.shape[0]
+        return self.weights.shape[0]
 
     def memo(self, owner) -> dict:
         """This rule's store of results computed for ``owner`` (a weight).
@@ -294,13 +303,6 @@ class QuadratureRule:
         return tables
 
     @property
-    def points(self) -> np.ndarray:
-        """Nodes as a 1-d complex array (single-coordinate fibers only)."""
-        if self.domain.dim != 1:
-            raise ValueError("points is only available for one-dimensional fibers")
-        return self.nodes[:, 0]
-
-    @property
     def grid_shape(self) -> tuple[int, ...]:
         """``(nr_1, na_1, ..., nr_d, na_d)``, the node order of the rule."""
         return tuple(n for pair in self.shape for n in pair)
@@ -364,27 +366,24 @@ def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 1
     """
     check_resolution(n_radial, n_angular, domain.dim)
     x, w = _gauss_legendre(n_radial)
-    coord_nodes, coord_wts, radial = [], [], []
-    for ro, ri in zip(domain.radii, domain.inner_radii):
+    d = domain.dim
+    theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    wt = 2.0 * np.pi / n_angular
+    grids, coord_wts, radial = [], [], []
+    for c, (ro, ri) in enumerate(zip(domain.radii, domain.inner_radii)):
         r = ri + (x + 1.0) * 0.5 * (ro - ri)
         wr = w * 0.5 * (ro - ri) * r  # polar Jacobian
-        theta = 2.0 * np.pi * np.arange(n_angular) / n_angular
-        wt = 2.0 * np.pi / n_angular
         z = r[:, None] * np.exp(1j * theta)[None, :]
-        coord_nodes.append(z.ravel())
-        coord_wts.append((wr[:, None] * np.full(n_angular, wt)[None, :]).ravel())
+        z = z.reshape((1, 1) * c + z.shape + (1, 1) * (d - 1 - c))  # broadcasts against the others
+        z.flags.writeable = False
+        grids.append(z)
+        coord_wts.append(wr[:, None] * np.full(n_angular, wt)[None, :])
         radial.append(r)
-    if domain.dim == 1:
-        nodes = coord_nodes[0][:, None]
-        weights = coord_wts[0]
-    else:
-        a, b = coord_nodes
-        nodes = np.stack([np.repeat(a, b.size), np.tile(b, a.size)], axis=1)
-        weights = np.repeat(coord_wts[0], b.size) * np.tile(coord_wts[1], a.size)
+    weights = functools.reduce(np.multiply.outer, coord_wts).ravel()  # node order
     rule = QuadratureRule(
         domain=domain,
-        shape=tuple((n_radial, n_angular) for _ in range(domain.dim)),
-        nodes=nodes,
+        shape=tuple((n_radial, n_angular) for _ in range(d)),
+        grids=tuple(grids),
         weights=weights,
         radial_nodes=tuple(radial),
     )
@@ -522,16 +521,18 @@ def gram_matrix(
     Entry ``G[j, k]`` pairs monomial ``k`` against the conjugate of monomial
     ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  The node sum is the
     :func:`ring_gram` of the measure ``weight_values * quad.weights``,
-    symmetrized against roundoff.  Positivity is tested by
-    :func:`orthonormalize`, not here: a quadrature too coarse for the
-    degree (angular aliasing makes distinct monomials collide on the
-    nodes) shows there as a collapsed pivot.
+    symmetrized against roundoff.  Weight values must be finite and
+    nonnegative: an ``exp(-phi)`` that underflows to 0 is accepted.
+    Positivity is tested by :func:`orthonormalize`, not here: a quadrature
+    too coarse for the degree (angular aliasing makes distinct monomials
+    collide on the nodes), or zeros on too many nodes, shows there as a
+    collapsed pivot.
     """
     wv = np.asarray(weight_values, dtype=float)
     if wv.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} weight values, got shape {wv.shape}")
-    if not np.all(np.isfinite(wv)) or np.any(wv <= 0):
-        raise ValueError("weight values must be finite and positive")
+    if not np.all(np.isfinite(wv)) or np.any(wv < 0):
+        raise ValueError("weight values must be finite and nonnegative")
     G = ring_gram(basis, wv * quad.weights, quad)
     return 0.5 * (G + G.conj().T)  # symmetrize roundoff
 
@@ -575,9 +576,10 @@ def _angular_fft(transform, grid: np.ndarray, first: int, out=None) -> np.ndarra
     """``np.fft.fftn`` (or ``ifftn``) of ``grid`` over its angular axes
     ``first, first + 2, ...``, one ``transform`` per axis in the order
     ``fftn`` takes them (the last first), so the same numbers without its
-    argument handling."""
+    argument handling.  The first pass writes to ``out`` (a new array when
+    none is given) and every later pass runs in place on it."""
     for axis in range(grid.ndim - 1, first - 1, -2):
-        grid = transform(grid, axis=axis, out=out)
+        grid = out = transform(grid, axis=axis, out=out)
     return grid
 
 

@@ -14,7 +14,8 @@ bounds follow the geometric series
 
 The ledger records b_k next to the measured Schur trace of the joint
 (t, xi) Hessian of psi_k at the scenario's base point t0 and two fiber
-samples (the center and a point at 0.35 of the radius).  The caller states
+samples inside the fiber (the center, or an annulus's middle ring, and a
+point 0.35 of the way out across the first coordinate).  The caller states
 eps0 and t0; a non-positive eps0 certifies nothing and raises before any
 step.  Certification failure of any step's potential aborts the run with
 the ledger so far.
@@ -110,6 +111,12 @@ def _one_base_point(t: tuple) -> tuple:
         raise ValueError("iterated weights take one base point at a time; got base "
                          f"input of shape {(np.size(t[0]), len(t))}")
     return t
+
+
+def _point_list(xs: tuple) -> np.ndarray:
+    """Per-coordinate fiber input (``weights._as_points``) as an ``(M, d)``
+    list of points, which the monomial frames are evaluated at."""
+    return np.stack(np.broadcast_arrays(*xs), axis=-1).reshape(-1, len(xs))
 
 
 class LogKernelField(WeightFamily):
@@ -208,19 +215,19 @@ class LogKernelField(WeightFamily):
         Kxx = np.einsum("scj,sej->sce", dMP, dMc)
         return K, Kt, Kx, Ktt, Ktx, Kxx
 
-    def _value_raw(self, t, pts):
+    def _value_raw(self, t, xs):
         b = self._basis_at(_one_base_point(t))
-        return np.log(_positive(np.sum(np.abs(b.orthonormal_at(pts)) ** 2, axis=-1)))
+        return np.log(_positive(np.sum(np.abs(b.orthonormal_at(_point_list(xs))) ** 2, axis=-1)))
 
     def grad_base(self, t, xi):
-        t, pts, single = _as_points(t, xi, self.n, self.d)
-        K, Kt = self._point_jets(_one_base_point(t), pts)[:2]
+        t, xs, _shape, single = _as_points(t, xi, self.n, self.d)
+        K, Kt = self._point_jets(_one_base_point(t), _point_list(xs))[:2]
         g = (Kt / K[:, None]).T
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
-        t, pts, _ = _as_points(t, xi, self.n, self.d)
-        K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(_one_base_point(t), pts)
+        t, xs, _shape, _ = _as_points(t, xi, self.n, self.d)
+        K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(_one_base_point(t), _point_list(xs))
         return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
                 _log_hessian(K, Kx, Kx, Kxx))
 
@@ -262,9 +269,11 @@ class MixedWeight(WeightFamily):
                 out[i] += c * np.asarray(x)
         return tuple(out)
 
-    def _value_raw(self, t, pts):
+    def value(self, t, xi):
+        t, _xs, _shape, single = _as_points(t, xi, self.n, self.d)
         t = _one_base_point(t)
-        return self._combine(lambda f: (f.value(t, pts),))[0]
+        out = self._combine(lambda f: (f.value(t, xi),))[0]
+        return float(out) if single else out
 
     def grad_base(self, t, xi):
         t = _one_base_point(_as_points(t, xi, self.n, self.d)[0])
@@ -365,10 +374,15 @@ class IterationLedger:
         }
 
 
-def _fiber_samples(w: WeightFamily, quad) -> np.ndarray:
-    """The fiber center and a point at 0.35 of the first radius, shape (2, d)."""
-    xi = np.zeros((2, w.d), dtype=complex)
-    xi[1, 0] = 0.35 * quad.domain.radii[0]
+def _fiber_samples(quad) -> np.ndarray:
+    """Two points of the fiber, shape (2, d): its center, or the middle ring
+    of each annulus coordinate, which does not contain the center; and the
+    point 0.35 of the way out from the inner to the outer radius along the
+    first coordinate.  On a disk or polydisc they are 0 and 0.35 r."""
+    dom = quad.domain
+    inner, outer = np.asarray(dom.inner_radii), np.asarray(dom.radii)
+    xi = np.tile(np.where(inner > 0, 0.5 * (inner + outer), 0.0).astype(complex), (2, 1))
+    xi[1, 0] = inner[0] + 0.35 * (outer[0] - inner[0])
     return xi
 
 
@@ -401,7 +415,7 @@ def run_iteration(
     if not eps0 > 0.0:
         raise ArithmeticError(f"iteration needs a strictly positive eps0, got {eps0}")
     t0 = as_complex_tuple(t0)
-    xi_samples = _fiber_samples(phi_L, cfg.quad)
+    xi_samples = _fiber_samples(cfg.quad)
 
     q = 1.0 - 1.0 / m
     steps: list[StepRecord] = []

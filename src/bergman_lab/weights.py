@@ -34,6 +34,12 @@ base x fiber grid in one call of each (and such a grid's one block, not its
 copies).  The Schur base trace is ``Re tr tt`` minus the sum of that
 diagonal, and :func:`joint_hessian` assembles ``[[tt, tf], [tf^H, ff]]``
 for every plurisubharmonicity test.
+
+Evaluators take fiber input per coordinate (:func:`_as_points`): a point
+set's columns, or a :class:`QuadratureRule`'s broadcasting grids, which the
+node fields (:meth:`node_phi`, :meth:`WeightFamily.node_jets`,
+:func:`node_hessian`) pass; a term in one fiber coordinate is then evaluated
+on that coordinate's grid alone, and results are raveled into node order.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import numpy as np
 
 from .exprs import Call, Expr, Num, Var, eval_expr, expand_real_polynomial, parse_expr, to_text, \
     wirtinger
-from .fiber_numerics import FiberDomain
+from .fiber_numerics import FiberDomain, QuadratureRule
 from .utils import as_complex_tuple, check_hermitian
 
 __all__ = [
@@ -110,20 +116,38 @@ def _as_fiber_array(xi, d: int) -> tuple[np.ndarray, bool]:
     raise ValueError(f"cannot interpret fiber input of shape {arr.shape} for d={d}")
 
 
-def _as_points(t, xi, n: int, d: int) -> tuple[tuple, np.ndarray, bool]:
-    """Normalize ``(t, xi)``: the fiber input as in :func:`_as_fiber_array`,
-    and ``t`` to n complex scalars (one base point, shape (n,)) or to n
-    arrays of shape (M,) (one base point per fiber point, shape (M, n))."""
-    pts, single = _as_fiber_array(xi, d)
+def _as_points(t, xi, n: int, d: int) -> tuple[tuple, tuple, tuple, bool]:
+    """Normalize ``(t, xi)`` to per-coordinate form ``(t, xs, shape, single)``.
+
+    ``xs`` are a :class:`QuadratureRule`'s grids (``shape`` its grid shape)
+    or the contiguous columns, of shape ``(M,)``, of fiber points as in
+    :func:`_as_fiber_array`; :func:`_on_points` ravels a field on ``shape``
+    into point order.  ``t`` becomes n complex scalars (one base point) or,
+    for points, n arrays of shape (M,) (one base point per fiber point).
+    """
+    if isinstance(xi, QuadratureRule):
+        if xi.domain.dim != d:
+            raise ValueError(f"quadrature rule on a {xi.domain.dim}-coordinate fiber, expected {d}")
+        xs, shape, single = xi.grids, xi.grid_shape, False
+    else:
+        pts, single = _as_fiber_array(xi, d)
+        xs, shape = tuple(np.ascontiguousarray(pts.T)), pts.shape[:1]
     arr = np.asarray(t, dtype=complex)
     if arr.ndim == 2:
-        if arr.shape != (pts.shape[0], n):
-            raise ValueError(f"per-point base input of shape {arr.shape}, expected {(pts.shape[0], n)}")
-        return tuple(arr.T), pts, single
+        expected = (math.prod(shape), n)
+        if arr.shape != expected or len(shape) != 1:
+            raise ValueError(f"per-point base input of shape {arr.shape}, expected {expected}")
+        return tuple(arr.T), xs, shape, single
     t = as_complex_tuple(arr)
     if len(t) != n:
         raise ValueError(f"base point has {len(t)} coordinates, expected {n}")
-    return t, pts, single
+    return t, xs, shape, single
+
+
+def _on_points(values, shape: tuple) -> np.ndarray:
+    """A field broadcast to the points' ``shape`` and raveled into point order."""
+    values = np.asarray(values)
+    return (values if values.shape == shape else np.broadcast_to(values, shape)).reshape(-1)
 
 
 def _checked_real(raw: np.ndarray, starts, label: str) -> np.ndarray:
@@ -153,19 +177,21 @@ class WeightFamily:
         self.d = int(fiber_dim)
         self.label = label or self.kind
 
-    # subclasses implement the raw (possibly complex) evaluator; ``t`` holds n
-    # complex scalars or n arrays of shape (M,), one entry per fiber point
-    def _value_raw(self, t: tuple, xi: np.ndarray) -> np.ndarray:
+    # subclasses implement the raw (possibly complex) evaluator on the
+    # per-coordinate input of _as_points: ``t`` holds n complex scalars or n
+    # arrays of shape (M,), ``xs`` d arrays; the result broadcasts to their shape
+    def _value_raw(self, t: tuple, xs: tuple) -> np.ndarray:
         raise NotImplementedError
 
     def value(self, t, xi) -> np.ndarray:
-        """phi(t, xi) over fiber points, at one base point ``t`` (shape (n,)) or
-        one per fiber point (shape (M, n)); checked real per base point, a
-        run of equal rows of ``t`` (:func:`_checked_real`)."""
-        t, pts, single = _as_points(t, xi, self.n, self.d)
+        """phi(t, xi) over fiber points or the nodes of a rule (``xi``, see
+        :func:`_as_points`), at one base point ``t`` (shape (n,)) or one
+        per fiber point (shape (M, n)); checked real per base point, a run
+        of equal rows of ``t`` (:func:`_checked_real`)."""
+        t, xs, shape, single = _as_points(t, xi, self.n, self.d)
         moved = np.any([c[1:] != c[:-1] for c in t], axis=0) if np.ndim(t[0]) else []
         starts = np.flatnonzero(np.r_[True, moved])  # the first entry of each base point
-        out = _checked_real(np.asarray(self._value_raw(t, pts)), starts, self.label)
+        out = _checked_real(_on_points(self._value_raw(t, xs), shape), starts, self.label)
         return float(out[0]) if single else out
 
     def grad_base(self, t, xi) -> np.ndarray:
@@ -173,8 +199,8 @@ class WeightFamily:
         raise NotImplementedError
 
     def hessian_field(self, t, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Blocks (tt, tf, ff) over fiber points, at one base point ``t`` or
-        at one base point per fiber point (as in :meth:`value`).
+        """Blocks (tt, tf, ff) over fiber points or nodes, at one base point
+        ``t`` or at one base point per fiber point (as in :meth:`value`).
 
         Shapes are (M, n, n), (M, n, d), (M, d, d).
         """
@@ -191,15 +217,14 @@ class WeightFamily:
         return quad.memoize(self, ("node_jets", t), lambda: self._node_jets(t, quad))
 
     def _node_jets(self, t: tuple, quad) -> tuple:
-        # closed-form kinds: the evaluators on the nodes, and the base block
-        # of the memoized full Hessian, which the L2 step reads too
-        grad = np.asarray(self.grad_base(t, quad.nodes)).reshape(self.n, quad.size)
-        return self.node_phi(t, quad), grad, node_hessian(self, t, quad)[0]
+        # closed-form kinds: the evaluators on the rule's grids, and the base
+        # block of the memoized full Hessian, which the L2 step reads too
+        return self.node_phi(t, quad), self.grad_base(t, quad), node_hessian(self, t, quad)[0]
 
     def node_phi(self, t, quad) -> np.ndarray:
         """phi of :meth:`node_jets` alone, memoized per base point on the rule."""
         t = as_complex_tuple(t)
-        return quad.memoize(self, ("phi", t), lambda: self.value(t, quad.nodes))
+        return quad.memoize(self, ("phi", t), lambda: self.value(t, quad))
 
     def weight_values(self, t, quad) -> np.ndarray:
         """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_phi`."""
@@ -237,34 +262,42 @@ class QuadraticWeight(WeightFamily):
         H[base_dim, 0] = lam
         return cls(base_dim, fiber_dim, H, label=f"cross-term lam={lam}")
 
-    def _value_raw(self, t, pts):
+    def _value_raw(self, t, xs):
         # sum_j H_jj |x_j|^2 + 2 Re sum_{j<k} H_jk x_j conj(x_k), in real
-        # arithmetic, in place, on contiguous fiber columns
-        fiber = [(np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)) for x in pts.T]
-        xs = [(c.real, c.imag) for c in t] + fiber
-        out = np.zeros(pts.shape[0])
-        for j, (a, b) in enumerate(xs):
+        # arithmetic, summed term by term in this order: a term broadcasts
+        # only over the coordinates it reads, so on a rule's grids the terms
+        # of one fiber coordinate cost n_radial * n_angular each
+        parts = [(c.real, c.imag) for c in t]
+        parts += [(np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)) for x in xs]
+        out = 0.0
+        for j, (a, b) in enumerate(parts):
             h = self.H[j, j].real
             if h:
-                out += h * (a * a + b * b)
-            for k in range(j + 1, len(xs)):
+                out = out + h * (a * a + b * b)
+            for k in range(j + 1, len(parts)):
                 h = self.H[j, k]
                 if h:
-                    c, d = xs[k]
-                    out += 2.0 * (h.real * (a * c + b * d) - h.imag * (b * c - a * d))
+                    c, d = parts[k]
+                    out = out + 2.0 * (h.real * (a * c + b * d) - h.imag * (b * c - a * d))
         return out
 
     def grad_base(self, t, xi):
-        pts, single = _as_fiber_array(xi, self.d)
-        Xc = np.empty((pts.shape[0], self.n + self.d), dtype=complex)  # conj of (t, xi)
-        Xc[:, : self.n] = np.conj(as_complex_tuple(t))
-        np.conj(pts, out=Xc[:, self.n :])
-        g = self.H[: self.n] @ Xc.T
+        # d_a phi = sum_k H[a, k] conj(x_k), summed term by term as in _value_raw
+        t, xs, shape, single = _as_points(t, xi, self.n, self.d)
+        conj = [np.conj(x) for x in t + xs]
+        g = np.empty((self.n,) + shape, dtype=complex)
+        for a in range(self.n):
+            acc = 0j
+            for h, x in zip(self.H[a], conj):
+                if h:
+                    acc = acc + h * x
+            g[a] = acc
+        g = g.reshape(self.n, -1)
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
-        _, pts, _ = _as_points(t, xi, self.n, self.d)
-        M, n = pts.shape[0], self.n
+        _, _, shape, _ = _as_points(t, xi, self.n, self.d)
+        M, n = math.prod(shape), self.n
         tt = np.broadcast_to(self.H[:n, :n], (M, n, n))
         tf = np.broadcast_to(self.H[:n, n:], (M, n, self.d))
         ff = np.broadcast_to(self.H[n:, n:], (M, self.d, self.d))
@@ -301,25 +334,32 @@ class CustomWeight(WeightFamily):
         expr = parse_expr(text, _variables(base_dim, fiber_dim))
         return cls(base_dim, fiber_dim, expr, label=label or text)
 
-    def _evaluator(self, t, pts):
-        """``eval_at(tree)``: a tree on the points as shape (M,), zero where ``None``."""
-        env = dict(zip(_variables(self.n, self.d), list(t) + list(pts.T)))
-        zero = np.zeros(pts.shape[0], dtype=complex)
-        return lambda tree: zero if tree is None else eval_expr(tree, env) + zero
+    def _evaluator(self, t, xs, shape):
+        """``eval_at(tree)``: a tree on the points, raveled to shape (M,), zero
+        where ``None``; the variables ``z1``, ``z2`` are bound to the
+        per-coordinate input, so a subtree of one coordinate is evaluated on
+        that coordinate's grid alone."""
+        env = self._env(t, xs)
+        zero = np.zeros(shape, dtype=complex)
+        return lambda tree: (zero if tree is None else eval_expr(tree, env) + zero).reshape(-1)
 
-    def _value_raw(self, t, pts):
-        return self._evaluator(t, pts)(self.expr)
+    def _env(self, t, xs) -> dict:
+        return dict(zip(_variables(self.n, self.d), t + xs))
+
+    def _value_raw(self, t, xs):
+        return eval_expr(self.expr, self._env(t, xs)) + 0j  # complex, like the other trees
 
     def grad_base(self, t, xi):
-        t, pts, single = _as_points(t, xi, self.n, self.d)
-        eval_at = self._evaluator(t, pts)
+        t, xs, shape, single = _as_points(t, xi, self.n, self.d)
+        eval_at = self._evaluator(t, xs, shape)
         g = np.stack([eval_at(tree) for tree in self._grad])
         return g[:, 0] if single else g
 
     def hessian_field(self, t, xi):
-        t, pts, _ = _as_points(t, xi, self.n, self.d)
-        eval_at = self._evaluator(t, pts)
-        blocks = tuple(np.empty((pts.shape[0], len(b), len(b[0])), dtype=complex) for b in self._hess)
+        t, xs, shape, _ = _as_points(t, xi, self.n, self.d)
+        eval_at = self._evaluator(t, xs, shape)
+        blocks = tuple(np.empty((math.prod(shape), len(b), len(b[0])), dtype=complex)
+                       for b in self._hess)
         for B, trees in zip(blocks, self._hess):
             for i, row in enumerate(trees):
                 for j, tree in enumerate(row):
@@ -436,10 +476,10 @@ class WeightCertificate:
 
 def node_hessian(w: WeightFamily, t, quad) -> tuple:
     """Read-only Hessian blocks ``(tt, tf, ff)`` of ``w`` on the nodes of
-    ``quad``, memoized per base point on the rule."""
+    ``quad`` (evaluated on its grids), memoized per base point on the rule."""
     t = as_complex_tuple(t)
     return quad.memoize(w, ("hessian", t),
-                        lambda: tuple(np.asarray(b) for b in w.hessian_field(t, quad.nodes)))
+                        lambda: tuple(np.asarray(b) for b in w.hessian_field(t, quad)))
 
 
 def joint_hessian(tt: np.ndarray, tf: np.ndarray, ff: np.ndarray) -> np.ndarray:

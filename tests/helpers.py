@@ -4,8 +4,8 @@ the mixed trace constant, a CSV field dump, the Hormander fields of one
 direction, the FD Hessian spectrum, the Bergman-kernel potential of a
 weight, a quadratic weight whose Hessian blocks are materialized copies, a
 weight evaluated one base point at a time, the Hessian blocks and Schur
-trace at one point, and the mixed exterior-power ratio that cross-checks
-the Schur trace."""
+trace at one point, the mixed exterior-power ratio that cross-checks
+the Schur trace, and a rule's nodes as an ``(M, d)`` point list."""
 
 import io
 import math
@@ -22,10 +22,21 @@ from bergman_lab.weights import FiberDegenerateError, QuadraticWeight, WeightFam
     _fiber_min_eig, joint_hessian, schur_trace_field
 
 
+def node_list(quad: QuadratureRule) -> np.ndarray:
+    """The nodes of ``quad`` as an ``(M, d)`` point list in node order, built
+    from the per-coordinate grids by ``np.repeat`` / ``np.tile`` (the
+    reference construction of the node order)."""
+    flat = [g.reshape(-1) for g in quad.grids]
+    if len(flat) == 1:
+        return flat[0][:, None]
+    a, b = flat
+    return np.stack([np.repeat(a, b.size), np.tile(b, a.size)], axis=1)
+
+
 def _values_on_nodes(f, quad: QuadratureRule) -> np.ndarray:
     if callable(f):
-        arg = quad.points if quad.domain.dim == 1 else quad.nodes
-        f = f(arg)
+        nodes = node_list(quad)
+        f = f(nodes[:, 0] if quad.domain.dim == 1 else nodes)
     vals = np.asarray(f, dtype=complex)
     if vals.shape == ():
         vals = np.full(quad.size, complex(vals))
@@ -46,8 +57,8 @@ def weighted_inner_product(f, g, weight_values, quad: QuadratureRule) -> complex
     wv = np.asarray(weight_values, dtype=float)
     if wv.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} weight values, got shape {wv.shape}")
-    if not np.all(np.isfinite(wv)) or np.any(wv <= 0):
-        raise ValueError("weight values must be finite and positive")
+    if not np.all(np.isfinite(wv)) or np.any(wv < 0):
+        raise ValueError("weight values must be finite and nonnegative")
     return complex(np.sum(fv * np.conj(gv) * wv * quad.weights))
 
 
@@ -100,15 +111,16 @@ def mixed_bound(eps_B: float, eps_L: float, m: int) -> float:
 def sample_field_csv(fld, t, quad, max_rows: int = 4096) -> str:
     """CSV dump of a weight field over the quadrature nodes at fixed t."""
     t = as_complex_tuple(t)
-    vals = fld.value(t, quad.nodes)
+    nodes = node_list(quad)
+    vals = fld.value(t, quad)
     buf = io.StringIO()
-    cols = [f"xi{c + 1} {p}" for c in range(quad.nodes.shape[1]) for p in ("re", "im")]
+    cols = [f"xi{c + 1} {p}" for c in range(nodes.shape[1]) for p in ("re", "im")]
     buf.write(",".join(cols + ["value"]) + "\n")
     stride = max(1, quad.size // max_rows)
     for i in range(0, quad.size, stride):
         parts = []
-        for c in range(quad.nodes.shape[1]):
-            parts += [f"{quad.nodes[i, c].real:.12g}", f"{quad.nodes[i, c].imag:.12g}"]
+        for c in range(nodes.shape[1]):
+            parts += [f"{nodes[i, c].real:.12g}", f"{nodes[i, c].imag:.12g}"]
         parts.append(f"{vals[i]:.12g}")
         buf.write(",".join(parts) + "\n")
     return buf.getvalue()

@@ -22,6 +22,7 @@ import pytest
 from scipy.special import gammainc
 
 from bergman_lab import bergman as bergman_module
+from bergman_lab import scenario as scenario_module
 from bergman_lab.bergman import (
     HoloPoly,
     SectionFamily,
@@ -40,6 +41,7 @@ from bergman_lab.cli import run_scenario_checks
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, monomial_basis, ring_gram
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, PolynomialWeight, QuadraticWeight
+from helpers import node_list
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -335,7 +337,7 @@ class TestDirectImageGram:
         G = bergman_basis(w, t0, 2, quad).gram
         expected = A.conj().T @ G @ A
         assert np.abs(dig.gram_at(t0) - expected).max() <= 1e-14 * np.abs(expected).max()
-        F = np.stack([f(quad.nodes) for f in frame], axis=1)  # the frame on the nodes
+        F = np.stack([f(node_list(quad)) for f in frame], axis=1)  # the frame on the nodes
         mu = w.weight_values(t0, quad) * quad.weights
         direct = F.conj().T @ (mu[:, None] * F)
         assert np.abs(dig.gram_at(t0) - direct).max() <= 1e-14 * np.abs(direct).max()
@@ -433,9 +435,9 @@ class TestBaseGramJets:
             assert not arr.flags.writeable and arr.flags.c_contiguous
         # the measures built afresh from the weight's evaluators
         basis = monomial_basis(N, dom.dim)
-        mu = np.exp(-w.value(t, q.nodes)) * q.weights
-        dphi = np.asarray(w.grad_base(t, q.nodes)).reshape(n, q.size)
-        tt = w.hessian_field(t, q.nodes)[0]
+        mu = np.exp(-w.value(t, node_list(q))) * q.weights
+        dphi = np.asarray(w.grad_base(t, node_list(q))).reshape(n, q.size)
+        tt = w.hessian_field(t, node_list(q))[0]
         for a in range(n):
             assert np.array_equal(dG[a], ring_gram(basis, -dphi[a] * mu, q))
             for c in range(a, n):
@@ -591,3 +593,38 @@ class TestBasisMemo:
         fresh = [run_scenario_checks(sc, (name,))[0] for name in sc.checks]  # one run each
         assert [r.payload() for r in shared] == [r.payload() for r in fresh]
         assert [r.verdict for r in shared] == ["pass"] * len(sc.checks)
+
+
+def _reachable_arrays(obj, seen=None):
+    """Every array reachable from ``obj`` through attributes, mappings (weak
+    ones too) and sequences."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (dict, weakref.WeakKeyDictionary)):
+        for key, value in list(obj.items()):
+            yield from _reachable_arrays(key, seen)
+            yield from _reachable_arrays(value, seen)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _reachable_arrays(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _reachable_arrays(vars(obj), seen)
+
+
+class TestNoNodeList:
+    def test_polydisc_run_leaves_no_node_list_on_its_rule(self, monkeypatch):
+        rules = []
+        real = scenario_module.build_quadrature
+        monkeypatch.setattr(scenario_module, "build_quadrature",
+                            lambda *args: rules.append(real(*args)) or rules[-1])
+        sc = parse_scenario((SCENARIOS / "polydisc_cross.scn").read_text())
+        records = run_scenario_checks(sc, sc.checks)
+        assert [r.verdict for r in records] == ["pass"] * len(sc.checks)
+        (quad,) = rules
+        shapes = {a.shape for a in _reachable_arrays(quad)}
+        assert (quad.size, 1) in shapes  # the walk reached the memoized node jets
+        assert (quad.size, 2) not in shapes

@@ -78,6 +78,16 @@ iteration = m 2 steps 4
 checks = iterate
 """
 
+UNDERFLOW = """
+id = underflow
+weight = {weight}
+fiber = disk 1.0
+section = 0.2+0.1j ; 1.0
+degree = 8
+quadrature = 16 32
+checks = certify bergman_infra section_inequality log_inequality psh_spectrum hormander
+"""
+
 NO_CHECKS = """
 id = idle
 weight = separable 1.0
@@ -125,6 +135,18 @@ class TestRunCommand:
     def test_unconverged_degree_exits_three(self, scn, capsys):
         assert main(["bergman", "--scenario", scn(CROSS), "--degree", "6"]) == 3
         assert "UNCONVERGED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("weight", ["quadratic 1 0 ; 0 800", "custom (+ (abs2 t1) (* 800 (abs2 z1)))"],
+                             ids=["quadratic", "custom"])
+    def test_underflowing_weight_gives_records_and_exit_three(self, scn, tmp_path, capsys, weight):
+        # exp(-800|xi|^2) is an exact 0 beyond |xi| ~ 0.965: the Gram takes
+        # the zeros, and the kernel there needs far more than degree 8
+        out = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(UNDERFLOW.format(weight=weight)), "--out", str(out)]) == 3
+        assert "certify: PASS" in capsys.readouterr().out
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["pass"] + ["unconverged"] * 5
+        assert all("kernel truncation not converged" in r["error"] for r in records[1:])
 
     def test_every_truncation_gate_names_the_knob(self):
         # degree 4 cannot resolve a section at 0.8: each check meets its gate

@@ -21,6 +21,7 @@ import bergman_lab.fiber_numerics as fiber_numerics
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammainc
 
 import bergman_lab.bergman as bergman_module
@@ -41,7 +42,7 @@ from bergman_lab.fiber_numerics import (
     vandermonde,
 )
 from bergman_lab.weights import QuadraticWeight
-from helpers import weighted_inner_product
+from helpers import node_list, weighted_inner_product
 
 
 def gaussian_moment(k: int) -> float:
@@ -85,18 +86,18 @@ class TestQuadrature:
         assert disk_quad.weights.sum() == pytest.approx(math.pi, rel=1e-14)
 
     def test_disk_second_moment(self, disk_quad):
-        val = np.sum(np.abs(disk_quad.points) ** 2 * disk_quad.weights)
+        val = np.sum(np.abs(node_list(disk_quad)[:, 0]) ** 2 * disk_quad.weights)
         assert val == pytest.approx(math.pi / 2, rel=1e-13)
 
     def test_gaussian_moments(self, disk_quad):
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         for k in range(6):
-            val = np.sum(np.abs(disk_quad.points) ** (2 * k) * w * disk_quad.weights)
+            val = np.sum(np.abs(node_list(disk_quad)[:, 0]) ** (2 * k) * w * disk_quad.weights)
             assert val == pytest.approx(gaussian_moment(k), rel=1e-12)
 
     def test_angular_exactness(self, disk_quad):
         # z^a conj(z)^b integrates to zero unless a == b
-        z = disk_quad.points
+        z = node_list(disk_quad)[:, 0]
         for a, b in [(1, 0), (3, 1), (0, 2), (5, 2)]:
             val = np.sum(z**a * np.conj(z) ** b * disk_quad.weights)
             assert abs(val) < 1e-13
@@ -105,19 +106,20 @@ class TestQuadrature:
         quad = build_quadrature(FiberDomain.annulus(0.5, 1.0), n_radial=32, n_angular=64)
         assert quad.weights.sum() == pytest.approx(math.pi * 0.75, rel=1e-13)
         # integral of |z|^2: 2*pi*(R^4 - r^4)/4
-        val = np.sum(np.abs(quad.points) ** 2 * quad.weights)
+        val = np.sum(np.abs(node_list(quad)[:, 0]) ** 2 * quad.weights)
         assert val == pytest.approx(math.pi * (1 - 0.5**4) / 2, rel=1e-12)
 
     def test_polydisc_volume(self):
         quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), n_radial=12, n_angular=24)
         assert quad.weights.sum() == pytest.approx(math.pi**2, rel=1e-12)
-        assert quad.nodes.shape == (quad.size, 2)
-        with pytest.raises(ValueError):
-            quad.points  # 1-d accessor is disk-only
+        # one grid per coordinate, broadcasting to the node grid; no node list
+        assert [g.shape for g in quad.grids] == [(12, 24, 1, 1), (1, 1, 12, 24)]
+        assert not hasattr(quad, "nodes") and not hasattr(quad, "points")
 
     def test_polydisc_mixed_moment(self):
         quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), n_radial=12, n_angular=24)
-        val = np.sum(np.abs(quad.nodes[:, 0]) ** 2 * np.abs(quad.nodes[:, 1]) ** 4 * quad.weights)
+        z = node_list(quad)
+        val = np.sum(np.abs(z[:, 0]) ** 2 * np.abs(z[:, 1]) ** 4 * quad.weights)
         assert val == pytest.approx((math.pi / 2) * (math.pi / 3), rel=1e-12)
 
     def test_resolution_floor(self):
@@ -135,6 +137,31 @@ class TestQuadrature:
         assert quad.size == MAX_NODES
         # the d = 1 rule at the same per-coordinate resolution is far below the cap
         assert build_quadrature(FiberDomain.disk(1.0), 33, 32).size == 33 * 32
+
+    @pytest.mark.parametrize("dom", [FiberDomain.disk(1.0), FiberDomain.annulus(0.3, 1.0),
+                                     FiberDomain.polydisc(1.0, 0.6)], ids=["disk", "annulus", "polydisc"])
+    def test_weights_and_grids_equal_the_repeat_tile_node_list(self, dom):
+        # the reference construction: np.repeat / np.tile of the flat
+        # per-coordinate nodes and weights
+        nr, na = 8, 16
+        quad = build_quadrature(dom, nr, na)
+        x, w = leggauss(nr)
+        theta = 2.0 * np.pi * np.arange(na) / na
+        nodes, wts = [], []
+        for ro, ri in zip(dom.radii, dom.inner_radii):
+            r = ri + (x + 1.0) * 0.5 * (ro - ri)
+            nodes.append((r[:, None] * np.exp(1j * theta)[None, :]).ravel())
+            wts.append((w * 0.5 * (ro - ri) * r)[:, None] * np.full(na, 2.0 * np.pi / na)[None, :])
+        if dom.dim == 1:
+            ref_nodes, ref_weights = nodes[0][:, None], wts[0].ravel()
+        else:
+            (a, b), (wa, wb) = nodes, (wts[0].ravel(), wts[1].ravel())
+            ref_nodes = np.stack([np.repeat(a, b.size), np.tile(b, a.size)], axis=1)
+            ref_weights = np.repeat(wa, wb.size) * np.tile(wb, wa.size)
+        assert np.array_equal(quad.weights, ref_weights)
+        on_grids = np.stack(np.broadcast_arrays(*quad.grids), axis=-1).reshape(-1, dom.dim)
+        assert np.array_equal(on_grids, ref_nodes)
+        assert all(not g.flags.writeable for g in quad.grids)
 
     def test_grid_view_roundtrip(self, disk_quad):
         vals = np.arange(disk_quad.size, dtype=float)
@@ -221,12 +248,12 @@ class TestVandermondeTables:
 
 class TestInnerProduct:
     def test_matches_oracle(self, disk_quad):
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         val = weighted_inner_product(lambda z: z, lambda z: z, w, disk_quad)
         assert val == pytest.approx(gaussian_moment(1), rel=1e-12)
 
     def test_conjugate_symmetry(self, disk_quad):
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         a = weighted_inner_product(lambda z: z, lambda z: z**2 + 1, w, disk_quad)
         b = weighted_inner_product(lambda z: z**2 + 1, lambda z: z, w, disk_quad)
         assert a == pytest.approx(np.conj(b), abs=1e-14)
@@ -241,7 +268,7 @@ class TestInnerProduct:
 class TestGram:
     def test_diagonal_matches_moments(self, disk_quad):
         basis = monomial_basis(4)
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         G = gram_matrix(basis, w, disk_quad)
         for k in range(5):
             assert G[k, k] == pytest.approx(gaussian_moment(k), rel=1e-12)
@@ -250,12 +277,26 @@ class TestGram:
 
     def test_quadratic_form_is_norm(self, disk_quad, rng):
         basis = monomial_basis(3)
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         G = gram_matrix(basis, w, disk_quad)
         v = rng.normal(size=4) + 1j * rng.normal(size=4)
-        V = vandermonde(basis, disk_quad.points)
+        V = vandermonde(basis, node_list(disk_quad)[:, 0])
         direct = np.sum(np.abs(V @ v) ** 2 * w * disk_quad.weights)
         assert np.real(v.conj() @ G @ v) == pytest.approx(direct, rel=1e-12)
+
+    def test_underflowed_zeros_accepted_negative_and_nonfinite_refused(self, disk_quad):
+        # exp(-800|z|^2) is an exact 0 on the outer rings: a weight value,
+        # not an error; the Gram equals the node sum over the other nodes
+        basis = monomial_basis(4)
+        w = np.exp(-800.0 * np.abs(node_list(disk_quad)[:, 0]) ** 2)
+        assert (w == 0).any() and (w > 0).any()
+        G = gram_matrix(basis, w, disk_quad)
+        assert np.abs(G - brute_force_gram(basis, w, disk_quad)).max() <= 1e-13 * np.abs(G).max()
+        for bad in (-1e-300, np.nan, np.inf):
+            w_bad = w.copy()
+            w_bad[0] = bad
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                gram_matrix(basis, w_bad, disk_quad)
 
     def test_rank_deficiency_detected(self):
         # more basis elements (33) than quadrature nodes (4 * 8 = 32)
@@ -268,7 +309,7 @@ class TestGram:
 
 def brute_force_gram(basis, weight_values, quad):
     """V^H diag(w) V over the node Vandermonde: the node sum taken directly."""
-    V = vandermonde(basis, quad.nodes)
+    V = vandermonde(basis, node_list(quad))
     return V.conj().T @ ((weight_values * quad.weights)[:, None] * V)
 
 
@@ -303,7 +344,7 @@ def polydisc_bits_per_blas_threads(body: str) -> list:
         "import hashlib, numpy as np\n"
         "from bergman_lab.fiber_numerics import *\n"
         "q = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)\n"
-        "z = q.nodes\n"
+        "z = np.stack(np.broadcast_arrays(*q.grids), axis=-1).reshape(-1, 2)\n"
         "wv = np.exp(-np.abs(z[:, 0]) ** 2 - np.abs(z[:, 1]) ** 2 + z[:, 0].real)\n"
         + body
         + "print(C.shape[0], hashlib.sha256(C.tobytes()).hexdigest())\n"
@@ -358,7 +399,7 @@ class TestRingGram:
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
-        measure = cross_term_weight(quad.nodes) * quad.weights
+        measure = cross_term_weight(node_list(quad)) * quad.weights
         A = rng.normal(size=(3, basis.dim, basis.dim)) + 1j * rng.normal(size=(3, basis.dim, basis.dim))
         if kind == "complex":
             measure = measure * (rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size))
@@ -373,7 +414,7 @@ class TestRingGram:
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
         phase = rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size)
-        measure = phase * cross_term_weight(quad.nodes) * quad.weights
+        measure = phase * cross_term_weight(node_list(quad)) * quad.weights
         G, R = ring_gram(basis, measure, quad), tensordot_ring_gram(basis, measure, quad)
         assert np.abs(G - R).max() <= 1e-15 * np.abs(R).max()
         A = rng.normal(size=(2, basis.dim, basis.dim)) + 1j * rng.normal(size=(2, basis.dim, basis.dim))
@@ -394,7 +435,7 @@ class TestRingGram:
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
-        wv = weight(quad.nodes)
+        wv = weight(node_list(quad))
         G = gram_matrix(basis, wv, quad)
         B = brute_force_gram(basis, wv, quad)
         assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
@@ -405,7 +446,7 @@ class TestRingGram:
         # modes -6..6 wrap around 8 angles: both routes alias identically
         quad = build_quadrature(FiberDomain.disk(1.0), n_radial=8, n_angular=8)
         basis = monomial_basis(6)
-        wv = polynomial_weight(quad.nodes)
+        wv = polynomial_weight(node_list(quad))
         G = gram_matrix(basis, wv, quad)
         B = brute_force_gram(basis, wv, quad)
         assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
@@ -418,16 +459,16 @@ class TestRingGram:
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
         phase = rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size)
-        measure = phase * cross_term_weight(quad.nodes) * quad.weights
+        measure = phase * cross_term_weight(node_list(quad)) * quad.weights
         G = ring_gram(basis, measure, quad)
-        V = vandermonde(basis, quad.nodes)
+        V = vandermonde(basis, node_list(quad))
         B = V.conj().T @ (measure[:, None] * V)
         assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
         assert np.abs(B - B.conj().T).max() > 1e-3 * np.abs(B).max()  # not Hermitian
 
     def test_gram_matrix_is_ring_gram_of_weighted_measure(self, disk_quad):
         basis = monomial_basis(8)
-        wv = cross_term_weight(disk_quad.nodes)
+        wv = cross_term_weight(node_list(disk_quad))
         G = ring_gram(basis, wv * disk_quad.weights, disk_quad)
         assert np.array_equal(gram_matrix(basis, wv, disk_quad), 0.5 * (G + G.conj().T))
 
@@ -442,7 +483,7 @@ class TestNodeTransforms:
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
-        V = vandermonde(basis, quad.nodes)
+        V = vandermonde(basis, node_list(quad))
         rng = np.random.default_rng(5)
         c = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
         f = rng.normal(size=(3, quad.size)) + 1j * rng.normal(size=(3, quad.size))
@@ -491,11 +532,11 @@ class TestNodeTransforms:
         cols = [b.kernel_column(0.3) for b in bases]
         assert all(size == 1 for _deg, size in built)  # only the point w itself
         # the column really is K(node, w) of each basis
-        V = original(monomial_basis(10), quad.nodes)
+        V = original(monomial_basis(10), node_list(quad))
         for b, col in zip(bases, cols):
             ref = V @ b.kernel_coefficients(0.3)
             assert np.abs(col - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert abs(col[0] - kernel_eval(b, quad.nodes[0, 0], 0.3)) <= 1e-12 * abs(col[0])
+            assert abs(col[0] - kernel_eval(b, node_list(quad)[0, 0], 0.3)) <= 1e-12 * abs(col[0])
 
     def test_ring_tables_are_read_only(self):
         quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 8, 16)
@@ -540,7 +581,7 @@ def kernel_diagonal(basis, transform, quad):
 
 def brute_force_diagonal(basis, transform, quad):
     """sum_i |u_i(node)|^2 over the orthonormal frame u = V C on the nodes."""
-    return np.sum(np.abs(vandermonde(basis, quad.nodes) @ transform) ** 2, axis=1)
+    return np.sum(np.abs(vandermonde(basis, node_list(quad)) @ transform) ** 2, axis=1)
 
 
 class TestKernelDiagonal:
@@ -551,7 +592,7 @@ class TestKernelDiagonal:
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
-        C = orthonormalize(gram_matrix(basis, weight(quad.nodes), quad))
+        C = orthonormalize(gram_matrix(basis, weight(node_list(quad)), quad))
         ref = brute_force_diagonal(basis, C, quad)
         built = []
         monkeypatch.setattr(fiber_numerics, "vandermonde", lambda *a: built.append(a))
@@ -568,7 +609,7 @@ class TestKernelDiagonal:
         basis = monomial_basis(N, dom.dim)
         rng = np.random.default_rng(7)
         A = rng.normal(size=(2, basis.dim, basis.dim)) + 1j * rng.normal(size=(2, basis.dim, basis.dim))
-        V = vandermonde(basis, quad.nodes)
+        V = vandermonde(basis, node_list(quad))
         ref = np.sum((V @ A) * V.conj(), axis=-1)  # sum_jk V[x, j] A[j, k] conj(V[x, k])
         built = []
         monkeypatch.setattr(fiber_numerics, "vandermonde", lambda *a: built.append(a))
@@ -586,7 +627,7 @@ class TestKernelDiagonal:
         # partial sum of (k + 1) |z|^(2k) / pi
         basis = monomial_basis(N)
         C = orthonormalize(gram_matrix(basis, np.ones(disk_quad.size), disk_quad))
-        r2 = np.abs(disk_quad.points) ** 2
+        r2 = np.abs(node_list(disk_quad)[:, 0]) ** 2
         oracle = sum((k + 1) * r2**k for k in range(N + 1)) / math.pi
         K = kernel_diagonal(basis, C, disk_quad)
         assert np.abs(K - oracle).max() <= 1e-12 * oracle.max()
@@ -595,7 +636,7 @@ class TestKernelDiagonal:
 class TestOrthonormalize:
     def test_contract(self, disk_quad):
         basis = monomial_basis(6)
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         G = gram_matrix(basis, w, disk_quad)
         C = orthonormalize(G)
         assert np.abs(C.conj().T @ G @ C - np.eye(basis.dim)).max() < 1e-10
@@ -612,7 +653,7 @@ class TestOrthonormalize:
     def test_triangular_nesting(self, disk_quad):
         # leading block orthonormalizes the leading sub-basis
         basis = monomial_basis(6)
-        w = np.exp(-np.abs(disk_quad.points) ** 2)
+        w = np.exp(-np.abs(node_list(disk_quad)[:, 0]) ** 2)
         G = gram_matrix(basis, w, disk_quad)
         C = orthonormalize(G)
         k = basis.truncated_dim(4)
@@ -641,7 +682,7 @@ class TestOrthonormalize:
         quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 16, 32)
         basis = monomial_basis(12, 2)
         assert basis.dim > fiber_numerics.CHOLESKY_BLOCK
-        G = gram_matrix(basis, cross_term_weight(quad.nodes), quad)
+        G = gram_matrix(basis, cross_term_weight(node_list(quad)), quad)
         C = orthonormalize(G)
         ref = np.linalg.inv(np.linalg.cholesky(G)).conj().T
         assert np.abs(np.tril(C, -1)).max() <= 1e-12 * np.abs(C).max()

@@ -16,6 +16,7 @@ import bergman_lab.bergman as bergman_module
 import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
 import bergman_lab.iteration as iteration_module
+from bergman_lab.cli import run_scenario_checks
 from bergman_lab.curvature import CheckConfig, Stencil, UnconvergedBasisError, fd_hessian
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.iteration import (
@@ -23,12 +24,15 @@ from bergman_lab.iteration import (
     IterationLedger,
     LogKernelField,
     StepRecord,
+    _fiber_samples,
     mix_weights,
     run_iteration,
     run_twisted_iteration,
 )
-from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, twist_weight
-from helpers import bergman_weight, mixed_bound, sample_field_csv
+from bergman_lab.scenario import parse_scenario
+from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, schur_trace_field, \
+    twist_weight
+from helpers import bergman_weight, mixed_bound, node_list, sample_field_csv
 
 
 @pytest.fixture(scope="module")
@@ -121,7 +125,7 @@ class TestLogKernelField:
                             lambda b, x: built.append(x.shape[0]) or original(b, x))
         on_nodes, grad_nodes, tt_nodes = fld.node_jets(t, q)
         assert q.size not in built  # no node Vandermonde for the value nor its derivatives
-        copy = q.nodes.copy()
+        copy = node_list(q)
         on_copy = fld.value(t, copy)
         assert on_nodes.shape == on_copy.shape == (q.size,)
         assert np.abs(on_nodes - on_copy).max() <= 1e-13 * np.abs(on_copy).max()
@@ -304,6 +308,44 @@ class TestRunIteration:
         assert set(data["diagnostics"]) == {"convergence_gap"}
 
 
+ANNULUS_ITERATE = """
+id = annulus_iterate
+fiber = annulus 0.3 1.0
+weight = cross 0.5
+section = 0.6 ; 1.0
+eps0 = 0.75
+iteration = m 2 steps 2
+checks = iterate
+"""
+
+
+class TestFiberSamples:
+    @pytest.mark.parametrize("dom", [FiberDomain.disk(1.0), FiberDomain.disk(2.0),
+                                     FiberDomain.polydisc(1.0, 0.6), FiberDomain.annulus(0.3, 1.0),
+                                     FiberDomain.annulus(0.5, 1.0)])
+    def test_samples_lie_in_the_fiber(self, dom):
+        xi = _fiber_samples(build_quadrature(dom, 8, 16))
+        assert xi.shape == (2, dom.dim)
+        assert dom.contains(xi, margin_frac=0.1).all()
+
+    @pytest.mark.parametrize("dom", [FiberDomain.disk(2.0), FiberDomain.polydisc(1.0, 0.6)])
+    def test_disk_and_polydisc_samples_are_the_center_and_0_35_r(self, dom):
+        xi = _fiber_samples(build_quadrature(dom, 8, 16))
+        expected = np.zeros((2, dom.dim), dtype=complex)
+        expected[1, 0] = 0.35 * dom.radii[0]
+        assert np.array_equal(xi, expected)
+
+    def test_annulus_iterate_measures_inside_the_fiber(self):
+        # the center xi = 0 is not in the annulus; step 1 is measured at its
+        # middle ring 0.65 and at 0.3 + 0.35 * 0.7 = 0.545
+        sc = parse_scenario(ANNULUS_ITERATE)
+        (rec,) = run_scenario_checks(sc, sc.checks)
+        quad = sc.build_quad()
+        psi = LogKernelField(mix_weights(LogKernelField(sc.weight, sc.N, quad), sc.weight, 2), sc.N, quad)
+        blocks = psi.hessian_field(sc.t0, np.array([[0.65 + 0j], [0.545 + 0j]]))
+        assert rec.outputs["measured"][0] == float(schur_trace_field(*blocks).min())
+
+
 class TestIterationCost:
     @pytest.mark.parametrize("n_t", [1, 2])
     def test_one_basis_build_per_step_and_no_stencil(self, quad, monkeypatch, n_t):
@@ -354,12 +396,12 @@ class TestIterationCost:
 
     @staticmethod
     def _node_calls(phi, quad, monkeypatch, methods) -> list:
-        """Names of phi's methods called on the rule's nodes (or on the rule)."""
+        """Names of phi's methods called on the rule's nodes (given the rule)."""
         calls = []
         for method in methods:
             real = getattr(phi, method)
             monkeypatch.setattr(phi, method, lambda t, xi, real=real, method=method: (
-                calls.append(method) if xi is quad.nodes or xi is quad else None) or real(t, xi))
+                calls.append(method) if xi is quad else None) or real(t, xi))
         return calls
 
     def test_base_weight_node_fields_once_per_run(self, quad, monkeypatch):
@@ -423,7 +465,7 @@ class TestOneBasePointAtATime:
                 with pytest.raises(ValueError, match=rf"{refused} \(2, 1\)"):
                     evaluate(T, X)
             with pytest.raises(ValueError, match=rf"{refused} \({quad.size}, 1\)"):
-                w.value(np.zeros((quad.size, 1)), quad.nodes)
+                w.value(np.zeros((quad.size, 1)), node_list(quad))
             with pytest.raises(ValueError, match="expected a point"):
                 w.node_jets(T, quad)
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PerBasePoint, as_materialized, ma_ratio, point_blocks, schur_at
+from helpers import PerBasePoint, as_materialized, ma_ratio, node_list, point_blocks, schur_at
 
 from bergman_lab import weights
 from bergman_lab.exprs import wirtinger
@@ -218,9 +218,24 @@ def strided_quadratic_value(H, t, pts):
     return out
 
 
+def strided_quadratic_gradient(H, n, t, pts):
+    """``d_a phi = sum_k H[a, k] conj(x_k)`` as the sum of fresh arrays over
+    strided columns, term by term: the reference formulation of the
+    per-coordinate one."""
+    xs = list(t) + [pts[:, a] for a in range(pts.shape[1])]
+    g = np.empty((n, pts.shape[0]), dtype=complex)
+    for a in range(n):
+        acc = 0j
+        for h, x in zip(H[a], xs):
+            if h:
+                acc = acc + h * np.conj(x)
+        g[a] = acc
+    return g
+
+
 class TestQuadraticNodeBits:
     """``value`` and ``grad_base`` on quadrature nodes give the bits of the
-    stacked-joint-matrix and fresh-array formulations."""
+    fresh-array formulations over strided columns."""
 
     @pytest.mark.parametrize("n, dom", [(1, FiberDomain.disk(1.0)), (2, FiberDomain.polydisc(1.0, 0.8))],
                              ids=["1-D", "2-D"])
@@ -229,13 +244,62 @@ class TestQuadraticNodeBits:
         m = n + dom.dim
         A = g.normal(size=(m, m)) + 1j * g.normal(size=(m, m))
         w = QuadraticWeight(n, dom.dim, 0.5 * (A + A.conj().T))
-        pts = build_quadrature(dom, 8, 16).nodes
+        pts = node_list(build_quadrature(dom, 8, 16))
         t = tuple(g.normal(size=n) + 1j * g.normal(size=n))
         assert np.array_equal(w.value(t, pts), strided_quadratic_value(w.H, t, pts))
         T = g.normal(size=(len(pts), n)) + 1j * g.normal(size=(len(pts), n))  # one base point per node
         assert np.array_equal(w.value(T, pts), strided_quadratic_value(w.H, tuple(T.T), pts))
-        X = np.hstack([np.broadcast_to(np.asarray(t), (len(pts), n)), pts])
-        assert np.array_equal(w.grad_base(t, pts), w.H[:n] @ np.conj(X).T)
+        assert np.array_equal(w.grad_base(t, pts), strided_quadratic_gradient(w.H, n, t, pts))
+
+
+NODE_RULES = {
+    "disk": build_quadrature(FiberDomain.disk(1.0), 8, 16),
+    "polydisc": build_quadrature(FiberDomain.polydisc(1.0, 0.6), 6, 12),  # unequal radii
+    "annulus": build_quadrature(FiberDomain.annulus(0.3, 1.0), 8, 16),
+}
+
+
+def _node_weight(kind: str, n: int, d: int):
+    """A weight of each kind whose every term is present, on n base and d
+    fiber coordinates."""
+    if kind == "quadratic":
+        A = np.random.default_rng(5).normal(size=(n + d, n + d, 2)) @ (1.0, 1j)
+        return QuadraticWeight(n, d, 0.5 * (A + A.conj().T))
+    z2 = "(abs2 z2) (* 0.2 (abs2 z1) (abs2 z2)) (re (* 0.3 z1 (conj z2))) " if d == 2 else ""
+    if kind == "polynomial":
+        return PolynomialWeight.from_text(
+            n, d, f"(+ (abs2 t1) (abs2 z1) {z2}(* 0.3 (abs2 t1) (abs2 z1)) (re (* 0.4 t1 (conj z1))))")
+    return CustomWeight.from_text(
+        n, d, f"(+ (abs2 t1) (abs2 z1) {z2}(log (+ 1 (abs2 z1))) (* (exp (re t1)) (abs2 z1)))")
+
+
+class TestGridNodeFields:
+    """On a rule's per-coordinate grids every node field has the bits of the
+    same evaluator on the rule's nodes as an (M, d) point list."""
+
+    @pytest.mark.parametrize("rule", sorted(NODE_RULES))
+    @pytest.mark.parametrize("kind, n, twist", [("quadratic", 1, 0.0), ("quadratic", 2, 0.0),
+                                                ("custom", 1, 0.0), ("polynomial", 1, 0.0),
+                                                ("quadratic", 2, 0.5), ("custom", 1, 0.5)])
+    def test_grids_and_point_list_agree_bitwise(self, rule, kind, n, twist):
+        quad = NODE_RULES[rule]
+        w = _node_weight(kind, n, quad.domain.dim)
+        w = twist_weight(w, twist) if twist else w
+        t = (0.2 - 0.1j, 0.05 + 0.15j)[:n]
+        pts = node_list(quad)
+        assert np.array_equal(w.value(t, quad), w.value(t, pts))
+        assert np.array_equal(w.grad_base(t, quad), w.grad_base(t, pts))
+        for on_grid, on_list in zip(w.hessian_field(t, quad), w.hessian_field(t, pts)):
+            assert on_grid.shape == on_list.shape == (quad.size,) + on_list.shape[1:]
+            assert np.array_equal(on_grid, on_list)  # tt, tf, ff
+        phi, dphi, tt = w.node_jets(t, quad)
+        assert np.array_equal(phi, w.value(t, pts)) and np.array_equal(dphi, w.grad_base(t, pts))
+        assert np.array_equal(tt, w.hessian_field(t, pts)[0])
+
+    def test_rule_of_another_fiber_dimension_is_refused(self):
+        w = QuadraticWeight.separable(1.0, 1, 2)
+        with pytest.raises(ValueError, match="1-coordinate fiber, expected 2"):
+            w.value((0.0,), NODE_RULES["disk"])
 
 
 class TestSchurTrace:
