@@ -41,8 +41,8 @@ def scan_one(lam: float, N: int, quad) -> dict:
     cert = certify(w, grid)
     rep = check_log_inequality(w, fam, (0.0,), cert.eps0, cfg)
     data = build_hormander_data(w, fam, (0.0,), N, quad)
-    bound = hormander_bound_check(data, w)
-    asm = assembled_lower_bound(data, cfg, eps0=cert.eps0)
+    bound = hormander_bound_check(data)
+    asm = assembled_lower_bound(data, cfg.tolerance, cert.eps0)
     return {
         "lam": lam,
         "eps0_exact": 1 - lam**2,

@@ -49,8 +49,8 @@ from .hormander import assembled_lower_bound, build_hormander_data, dbar_identit
     hormander_bound_check, orthogonality_residual
 from .iteration import LogKernelField, _fiber_samples, mix_weights, run_iteration
 from .utils import as_complex_tuple
-from .weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight, \
-    distortion_margin, joint_hessian, schur_trace_field, twist_weight
+from .weights import CustomWeight, PolynomialWeight, QuadraticWeight, distortion_margin, \
+    joint_hessian, schur_trace_field, twist_weight
 
 SEED = 20260814
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
@@ -63,10 +63,6 @@ def _quad(nr: int, na: int):
     if key not in _QUADS:
         _QUADS[key] = build_quadrature(FiberDomain.disk(1.0), nr, na)
     return _QUADS[key]
-
-
-def _cfg(N: int, quad) -> CheckConfig:
-    return CheckConfig(N=N, quad=quad, tolerance=1e-3)
 
 
 def _cross(lam: float) -> QuadraticWeight:
@@ -142,7 +138,7 @@ def _trace_route(field_fn, t0):
 def a1():
     """Separable weights: the log trace equals the base curvature c."""
     quad = _quad(64, 128)
-    cfg = _cfg(24, quad)
+    cfg = CheckConfig(24, quad)
     fam = _origin_sections()
     worst = math.inf
     budget_ok = True
@@ -158,7 +154,7 @@ def a1():
 def a2():
     """Cross-term weights meet the certified trace bound."""
     quad = _quad(64, 128)
-    cfg = _cfg(24, quad)
+    cfg = CheckConfig(24, quad)
     worst = math.inf
     budget_ok = True
     for lam in (0.3, 0.5, 0.7):
@@ -180,19 +176,18 @@ def a2():
 def a3():
     """Determinant metric of the frame {1, z} meets the rank-scaled bound."""
     quad = _quad(64, 128)
-    cfg = _cfg(24, quad)
-    patch = BasePatch(center=(0j,), radius=0.45)
+    cfg = CheckConfig(24, quad)
     frame = (HoloPoly.constant(1.0, 1), HoloPoly(1, {(1,): 1.0}))
     start = time.perf_counter()
 
     c = 1.0
-    dig = direct_image_gram(QuadraticWeight.separable(c), frame, patch, quad)
-    rep = check_det_inequality(dig, (0.0,), c, 2, cfg)
+    dig = direct_image_gram(QuadraticWeight.separable(c), frame, quad)
+    rep = check_det_inequality(dig, (0.0,), c, cfg)
     sep_gap = abs(rep.trace - 2 * c)
 
     lam = 0.5
-    dig2 = direct_image_gram(_cross(lam), frame, patch, quad)
-    rep2 = check_det_inequality(dig2, (0.0,), 1 - lam**2, 2, cfg)
+    dig2 = direct_image_gram(_cross(lam), frame, quad)
+    rep2 = check_det_inequality(dig2, (0.0,), 1 - lam**2, cfg)
 
     budget_ok = (time.perf_counter() - start) <= 30.0
     worst = min(1e-3 - sep_gap, rep2.margin + 1e-3)
@@ -266,7 +261,7 @@ def a6():
     for lam in (0.3, 0.5, 0.7):
         data = build_hormander_data(_cross(lam), fam, (0.0,), 16, quad)
         worst_orth = max(worst_orth, orthogonality_residual(data))
-        worst_ratio = max(worst_ratio, hormander_bound_check(data, _cross(lam)).max_ratio)
+        worst_ratio = max(worst_ratio, hormander_bound_check(data).max_ratio)
     budget_ok = (time.perf_counter() - start) <= 60.0
     margin = min(1e-6 - worst_orth, (1 + 1e-4) - worst_ratio)
     detail = f"orthogonality <= {worst_orth:.2e}, ratio <= {worst_ratio:.6f}"
@@ -279,9 +274,9 @@ def a7():
     fam = _origin_sections()
     w = _cross(0.5)
     start = time.perf_counter()
-    proper = dbar_identity_residual(build_hormander_data(w, fam, (0.0,), 16, quad), w)
+    proper = dbar_identity_residual(build_hormander_data(w, fam, (0.0,), 16, quad))
     control = dbar_identity_residual(
-        build_hormander_data(w, fam, (0.0,), 16, quad, include_weight_term=False), w
+        build_hormander_data(w, fam, (0.0,), 16, quad, include_weight_term=False)
     )
     budget_ok = (time.perf_counter() - start) <= 30.0
     margin = min(1e-4 - proper, control - 1e-2)
@@ -292,13 +287,12 @@ def a7():
 def a8():
     """Assembled chain: trace >= weighted integral >= n eps0 B, all couplings."""
     quad = _quad(48, 96)
-    cfg = _cfg(16, quad)
     fam = _origin_sections()
     start = time.perf_counter()
     worst = math.inf
     for lam in (0.3, 0.5, 0.7):
         data = build_hormander_data(_cross(lam), fam, (0.0,), 16, quad)
-        rep = assembled_lower_bound(data, cfg, eps0=1 - lam**2)
+        rep = assembled_lower_bound(data, 1e-3, 1 - lam**2)
         worst = min(worst, rep.chain1_margin + rep.tolerance, rep.chain2_margin + rep.tolerance)
     budget_ok = (time.perf_counter() - start) <= 60.0
     detail = f"worst chain margin {worst:+.2e} over couplings"
@@ -312,7 +306,7 @@ def a9():
     b = bergman_basis(_cross(0.5), (0.0,), 24, quad)
     probe = 0.35 * np.exp(0.4j)
     h = lambda z: 1.0 + 0.25 * np.asarray(z) ** 2
-    repro = reproducing_residual(b, h, complex(probe), quad)
+    repro = reproducing_residual(b, h, complex(probe))
     diag, extremal = extremal_check(b, complex(probe))
     ext_gap = abs(diag - extremal) / max(abs(diag), 1e-300)
 
@@ -329,7 +323,7 @@ def a9():
 def a10():
     """Iteration ledger: closed-form bounds vs. a recursive oracle, bound met."""
     quad = _quad(48, 96)
-    cfg = _cfg(16, quad)
+    cfg = CheckConfig(16, quad)
     start = time.perf_counter()
     worst_oracle = math.inf
     worst_step = math.inf
@@ -471,7 +465,7 @@ def a13():
     start = time.perf_counter()
     gaps = {}  # (case label, route) -> |FD - exact|
     for label, w, fam, t0, N, q in cases:
-        cfg = _cfg(N, q)
+        cfg = CheckConfig(N, q)
         exact = section_hessian(w, fam, t0, N, q)
         tol = cfg.tolerance
         B = lambda t: section_value(w, fam, t, N, q)
@@ -482,15 +476,15 @@ def a13():
             _trace_route(lambda t: math.log(B(t)), t0), float(np.trace(exact.log_hessian).real),
             abs, tol, at_half=False)
         if q is quad:  # the disk cases also take the det and Lambda_a routes
-            dig = direct_image_gram(w, frame, BasePatch((0j,) * w.n, 0.45), q)
+            dig = direct_image_gram(w, frame, q)
             gaps[label, "det"] = richardson_gap(
                 _trace_route(dig.neg_log_det, t0), float(np.trace(dig.neg_log_det_hessian(t0)).real),
                 abs, tol, at_half=False)
             gaps[label, "Lambda"] = _a13_lambda_gap(w, fam, t0, N, q, cfg)
     for label, w, t0 in iterated:
-        gaps[label, "log K jets"] = _a13_iteration_gap(w, t0, 16, quad, _cfg(16, quad))
+        gaps[label, "log K jets"] = _a13_iteration_gap(w, t0, 16, quad, CheckConfig(16, quad))
     (label, route), worst_diff = max(gaps.items(), key=lambda kv: kv[1])
-    worst = _cfg(16, quad).tolerance - worst_diff
+    worst = CheckConfig(16, quad).tolerance - worst_diff
     budget_ok = (time.perf_counter() - start) <= 30.0
     detail = f"worst |FD - exact| {worst_diff:.2e} ({label}, {route}) over {len(gaps)} routes"
     return worst >= 0 and budget_ok, worst, detail

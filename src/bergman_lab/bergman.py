@@ -56,7 +56,8 @@ The same ``d_a G`` gives the Hormander fields (see ``hormander``).  A
 determinant frame with monomial coefficients ``A`` has the Gram ``A^H G
 A`` and the base derivatives ``A^H d_aG A`` and ``A^H d_a dbar_bG A``,
 which give the exact Hessian of ``-log det`` against one Cholesky factor of
-the frame Gram, accepted by the basis Gram's pivot rule; and ``d_a G``
+the frame Gram at the point asked for, under the basis Gram's pivot rule
+(building the frame evaluates nothing); and ``d_a G``
 with ``d_a dbar_b G`` give the base derivatives of ``P`` behind the
 log-kernel jets of the iteration (see ``iteration``).
 
@@ -90,7 +91,6 @@ import numpy as np
 
 from .exprs import expand_holomorphic_polynomial, parse_expr
 from .fiber_numerics import (
-    DegenerateBasisError,
     MonomialBasis,
     QuadratureRule,
     cholesky_factor,
@@ -103,7 +103,7 @@ from .fiber_numerics import (
     vandermonde,
 )
 from .utils import as_complex_tuple
-from .weights import BasePatch, WeightFamily, fiber_contraction, node_hessian
+from .weights import BasePatch, WeightFamily, _as_fiber_array, fiber_contraction, node_hessian
 
 __all__ = [
     "HoloPoly",
@@ -192,10 +192,10 @@ class HoloPoly:
         return complex(out) if out.shape == () else out
 
 
-def _outside_error(i: int, point, t, margin_frac: float) -> SectionOutsideDomainError:
+def _outside_error(i: int, point, t) -> SectionOutsideDomainError:
     return SectionOutsideDomainError(
         f"section {i} evaluates to {point.tolist()} at t={t}, outside the "
-        f"fiber domain (margin {margin_frac})"
+        f"fiber domain (margin {SECTION_MARGIN})"
     )
 
 
@@ -274,14 +274,15 @@ class SectionFamily:
         dsecs = [[[comp.derivative(k)(t) for k in range(n)] for comp in s] for s in self.sections]
         return np.array(damps, dtype=complex), np.array(dsecs, dtype=complex)
 
-    def check_inside(self, domain, t, margin_frac: float = SECTION_MARGIN):
+    def check_inside(self, domain, t):
+        """Every section at ``t`` lies in ``domain`` by :data:`SECTION_MARGIN`."""
         pts = self.sections_at(t)
-        ok = domain.contains(pts, margin_frac=margin_frac)
+        ok = domain.contains(pts, margin_frac=SECTION_MARGIN)
         if not ok.all():
             i = int(np.argmin(ok))
-            raise _outside_error(i, pts[i], t, margin_frac)
+            raise _outside_error(i, pts[i], t)
 
-    def validate_on_patch(self, domain, patch: BasePatch, margin_frac: float = SECTION_MARGIN):
+    def validate_on_patch(self, domain, patch: BasePatch):
         """Check the margin invariant over a deterministic patch sample.
 
         Every section is evaluated on the whole sample at once; the error
@@ -289,10 +290,10 @@ class SectionFamily:
         """
         ts = patch.sample(radii=(0.0, 0.5, 1.0), angles=8)
         pts = np.stack([np.stack([comp(ts) for comp in s], axis=-1) for s in self.sections], axis=1)
-        ok = domain.contains(pts, margin_frac=margin_frac)  # (samples, sections)
+        ok = domain.contains(pts, margin_frac=SECTION_MARGIN)  # (samples, sections)
         if not ok.all():
             k, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
-            raise _outside_error(int(i), pts[k, i], tuple(ts[k]), margin_frac)
+            raise _outside_error(int(i), pts[k, i], tuple(ts[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,14 +317,8 @@ class BergmanBasis:
         return self.basis.dim
 
     def monomials_at(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=complex)
-        single = pts.ndim == 0 or (pts.ndim == 1 and self.basis.fiber_dim > 1)
-        if pts.ndim == 0:
-            pts = pts.reshape(1, 1)
-        elif pts.ndim == 1 and self.basis.fiber_dim == 1:
-            pts = pts.reshape(-1, 1)
-        elif pts.ndim == 1:
-            pts = pts.reshape(1, -1)
+        """Monomial values, (dim,) at one fiber point, else (M, dim)."""
+        pts, single = _as_fiber_array(points, self.basis.fiber_dim)
         V = vandermonde(self.basis, pts)
         return V[0] if single else V
 
@@ -421,7 +416,7 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
         basis = monomial_basis(N, quad.domain.dim)
         weight_vals = _node_weight_values(w, t, quad)
         G = gram_matrix(basis, weight_vals, quad)
-        C = orthonormalize(G, exponents=basis.exponents)
+        C = orthonormalize(G, basis.exponents)
         for arr in (G, C):
             arr.flags.writeable = False
         parts = memo[(t, N)] = (basis, C, G, weight_vals)
@@ -444,17 +439,16 @@ def kernel_eval(b: BergmanBasis, z, w) -> complex:
     return complex(np.sum(uz * np.conj(uw), axis=-1))
 
 
-def reproducing_residual(b: BergmanBasis, h, w, quad: QuadratureRule) -> float:
+def reproducing_residual(b: BergmanBasis, h, w) -> float:
     """|h(w) - <h, K(., w)>| for h in the truncated space.
 
-    ``h`` takes one argument per fiber coordinate: the rule's grids, whose
-    broadcast it returns on, and the coordinates of ``w``.  The inner
-    product is evaluated by quadrature against the stored weight values, so
-    this measures quadrature + orthonormalization error, not algebraic
-    identity.
+    ``h`` takes one argument per fiber coordinate: the grids of the rule the
+    basis was built on, whose broadcast it returns on, and the coordinates
+    of ``w``.  The inner product is evaluated by quadrature against the
+    stored weight values, so this measures quadrature + orthonormalization
+    error, not algebraic identity.
     """
-    if quad.size != b.quad.size:
-        raise ValueError("quadrature rule does not match the one the basis was built on")
+    quad = b.quad
     if not callable(h):
         raise TypeError("h must be callable on fiber coordinates")
     h_nodes = np.broadcast_to(h(*quad.grids), quad.grid_shape).reshape(-1)
@@ -573,13 +567,13 @@ class DirectImageGram:
 
     G(t)[j, k] pairs frame element k against the conjugate of element j in
     the weighted fiber inner product at t, the matrix of the varying L2
-    metric in the frame: ``A^H G A`` with ``G`` the Gram of ``basis``, the
-    monomials up to the frame's degree, and ``A`` the frame's coefficients.
+    metric in the frame: ``A^H G A`` with ``G`` the :func:`gram_matrix` of
+    ``basis``, the monomials up to the frame's degree, and ``A`` the frame's
+    coefficients.  A dependent frame shows where G(t) is factored.
     """
 
     w: WeightFamily
     frame: tuple  # HoloPoly's in the fiber variables
-    patch: BasePatch
     quad: QuadratureRule
     basis: MonomialBasis = field(default=None, repr=False)
     coeffs: np.ndarray = field(default=None, repr=False)  # A, shape (basis.dim, rank)
@@ -592,8 +586,8 @@ class DirectImageGram:
         return self.coeffs.conj().T @ gram @ self.coeffs
 
     def gram_at(self, t) -> np.ndarray:
-        mu = _node_weight_values(self.w, t, self.quad) * self.quad.weights
-        G = self._in_frame(ring_gram(self.basis, mu, self.quad))
+        wv = _node_weight_values(self.w, t, self.quad)
+        G = self._in_frame(gram_matrix(self.basis, wv, self.quad))
         return 0.5 * (G + G.conj().T)
 
     def factor(self, t) -> np.ndarray:
@@ -635,11 +629,9 @@ class DirectImageGram:
         return H
 
 
-def direct_image_gram(
-    w: WeightFamily, frame, patch: BasePatch, quad: QuadratureRule
-) -> DirectImageGram:
-    """Build the Gram field, validating frame independence at the center
-    (:meth:`DirectImageGram.factor`): a dependent frame raises ``ValueError``."""
+def direct_image_gram(w: WeightFamily, frame, quad: QuadratureRule) -> DirectImageGram:
+    """The Gram field of ``frame``.  Nothing is evaluated here: a dependent
+    frame raises where it is factored (:meth:`DirectImageGram.factor`)."""
     frame = tuple(frame)
     if not frame:
         raise ValueError("empty frame")
@@ -647,9 +639,4 @@ def direct_image_gram(
     if any(f.nvars != basis.fiber_dim for f in frame):
         raise ValueError(f"frame polynomials must be in the {basis.fiber_dim} fiber variables")
     A = np.array([[f.coeffs.get(e, 0) for f in frame] for e in basis.exponents], dtype=complex)
-    dig = DirectImageGram(w=w, frame=frame, patch=patch, quad=quad, basis=basis, coeffs=A)
-    try:
-        dig.factor(patch.center)
-    except DegenerateBasisError as exc:
-        raise ValueError(str(exc)) from None
-    return dig
+    return DirectImageGram(w=w, frame=frame, quad=quad, basis=basis, coeffs=A)

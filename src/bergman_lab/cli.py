@@ -35,12 +35,11 @@ import numpy as np
 
 from .bergman import bergman_basis, direct_image_gram, kernel_eval, reproducing_residual, \
     extremal_check, section_hessian
-from .curvature import CONVERGENCE_TOL, CheckConfig, UnconvergedBasisError, \
-    check_det_inequality, check_log_inequality, check_section_inequality, section_truncation, \
-    truncation_gate
+from .curvature import CheckConfig, UnconvergedBasisError, check_det_inequality, \
+    check_log_inequality, check_section_inequality, section_truncation, truncation_gate
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
-from .iteration import run_iteration, run_twisted_iteration
+from .iteration import run_iteration
 from .reports import CheckRecord, RunReport, config_hash, load_summary, merge_reports, write_report
 from .scenario import CHECK_REGISTRY, Scenario, ScenarioError, parse_scenario
 from .weights import FiberDegenerateError, NotAWeightError, certify
@@ -114,14 +113,14 @@ def _check_bergman_infra(ctx: _Context):
     b = bergman_basis(sc.weight, sc.t0, sc.N, ctx.quad)
     probe = _fiber_probe(ctx)
     gap = b.diag_convergence_gap(probe)
-    truncation_gate(gap, CONVERGENCE_TOL, sc.N, "at the fiber probe")
+    truncation_gate(gap, sc.N, "at the fiber probe")
 
     # In-space test function for the reproducing identity (degree <= 2).
     if sc.d == 1:
         h = lambda z: 1.0 + 0.25 * np.asarray(z) ** 2
     else:
         h = lambda z1, z2: 1.0 + 0.25 * np.asarray(z1) * np.asarray(z2)
-    repro = reproducing_residual(b, h, probe, ctx.quad)
+    repro = reproducing_residual(b, h, probe)
 
     diag, extremal = extremal_check(b, probe)
     ext_gap = abs(diag - extremal) / max(abs(diag), 1e-300)
@@ -178,18 +177,15 @@ def _check_det_inequality(ctx: _Context):
     sc = ctx.sc
     if not sc.det_frame:
         raise ScenarioError("det_inequality requires a det_frame line in the scenario")
-    try:
-        dig = direct_image_gram(sc.weight, sc.det_frame, sc.patch, ctx.quad)
-    except ValueError as exc:  # a dependent frame has no determinant to check
-        raise ArithmeticError(f"det_frame: {exc}") from None
-    rep = check_det_inequality(dig, sc.t0, ctx.eps0(), len(sc.det_frame), ctx.cfg)
+    dig = direct_image_gram(sc.weight, sc.det_frame, ctx.quad)
+    rep = check_det_inequality(dig, sc.t0, ctx.eps0(), ctx.cfg)
     return _record_from_curvature(rep)
 
 
 def _check_psh_spectrum(ctx: _Context):
     """Eigenvalue floor of the exact base Hessian of the log section functional."""
     sc = ctx.sc
-    _full, conv = section_truncation(sc.weight, sc.sections, sc.t0, ctx.cfg)
+    _full, conv = section_truncation(sc.weight, sc.sections, sc.t0, sc.N, ctx.quad)
     H = section_hessian(sc.weight, sc.sections, sc.t0, sc.N, ctx.quad).log_hessian
     eigs = np.linalg.eigvalsh(H)
     scale = max(1.0, float(np.max(np.abs(H))))
@@ -207,9 +203,9 @@ def _check_hormander(ctx: _Context):
     sc = ctx.sc
     data = build_hormander_data(sc.weight, sc.sections, sc.t0, sc.N, ctx.quad)
     orth = orthogonality_residual(data)
-    dbar = dbar_identity_residual(data, sc.weight)
-    bound = hormander_bound_check(data, sc.weight, tolerance=RATIO_TOL)
-    asm = assembled_lower_bound(data, ctx.cfg, eps0=ctx.eps0())
+    dbar = dbar_identity_residual(data)
+    bound = hormander_bound_check(data)
+    asm = assembled_lower_bound(data, sc.tolerance, ctx.eps0())
     margins = {
         "orthogonality": ORTHOGONALITY_TOL - orth,
         "dbar_identity": DBAR_TOL - dbar,
@@ -233,11 +229,8 @@ def _check_hormander(ctx: _Context):
 
 def _check_iterate(ctx: _Context):
     sc = ctx.sc
-    args = (sc.iteration_m, sc.iteration_steps, ctx.cfg, ctx.eps0(), sc.t0)
-    if sc.twist > 0:
-        ledger = run_twisted_iteration(sc.weight, sc.twist, *args)
-    else:
-        ledger = run_iteration(sc.weight, *args)
+    ledger = run_iteration(sc.weight, sc.iteration_m, sc.iteration_steps, ctx.cfg, ctx.eps0(),
+                           sc.t0, twist=sc.twist)
     margins = {"worst_step": ledger.worst_step}
     outputs = {
         "m": ledger.m,

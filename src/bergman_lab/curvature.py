@@ -11,7 +11,9 @@ package: the complex Hessian of a real field, scalar or array-valued, at a
 cross-check of the exact Hessians (a13) calls it, at two steps under one
 Richardson gate (``acceptance.richardson_gap``).  Each check compares the
 base trace of a Hessian against the lower bound supplied by a weight
-certificate and reports the margin with an explicit tolerance budget.
+certificate and reports the margin with an explicit tolerance budget.  The
+determinant check reads the rank from the frame and factors its Gram at
+``t0`` alone.
 
 Verdicts are two-valued here (pass/fail); a failed convergence diagnostic
 raises :class:`UnconvergedBasisError` before any verdict, and the CLI maps
@@ -55,17 +57,16 @@ class UnconvergedBasisError(ArithmeticError):
     """Convergence diagnostics failed; no verdict was produced."""
 
 
-def truncation_gate(gap: float, tol: float, N: int, where: str) -> None:
+def truncation_gate(gap: float, N: int, where: str) -> None:
     """The one kernel-truncation gate: the relative change ``gap`` of a
-    kernel quantity from degree N-2 to N must stay within ``tol``.
-
-    ``where`` names the point the gap was measured at.
+    kernel quantity from degree N-2 to N must stay within
+    :data:`CONVERGENCE_TOL`.  ``where`` names the point it was measured at.
     """
-    if gap > tol:
+    if gap > CONVERGENCE_TOL:
         raise UnconvergedBasisError(
             f"kernel truncation not converged {where}: relative change {gap:.3e} from "
-            f"degree {N - 2} to {N} (tolerance {tol:.1e}); raise degree, and quadrature "
-            f"with it (degree is capped at n_angular/2 - 1)"
+            f"degree {N - 2} to {N} (tolerance {CONVERGENCE_TOL:.1e}); raise degree, and "
+            f"quadrature with it (degree is capped at n_angular/2 - 1)"
         )
 
 
@@ -146,8 +147,8 @@ def fd_hessian(field_fn, st: Stencil) -> np.ndarray:
 class CheckConfig:
     """Shared numerical knobs for the curvature checks."""
 
-    N: int = 24
-    quad: object = None  # QuadratureRule; required by the Bergman-backed checks
+    N: int
+    quad: object  # QuadratureRule
     tolerance: float = 1e-3
 
 
@@ -174,11 +175,11 @@ def _verdict(margin: float, tolerance: float) -> str:
     return "pass" if margin >= -tolerance else "fail"
 
 
-def section_truncation(w, fam, t0, cfg) -> tuple[float, float]:
+def section_truncation(w, fam, t0, N: int, quad) -> tuple[float, float]:
     """(B(t0), truncation gap), gated by :func:`truncation_gate`."""
-    full, sub = section_value_pair(w, fam, t0, cfg.N, cfg.quad)
+    full, sub = section_value_pair(w, fam, t0, N, quad)
     gap = abs(full - sub) / max(abs(full), 1e-300)
-    truncation_gate(gap, CONVERGENCE_TOL, cfg.N, "at t0")
+    truncation_gate(gap, N, "at t0")
     return full, gap
 
 
@@ -203,7 +204,7 @@ def check_section_inequality(
 ) -> CurvatureReport:
     """Trace of the exact Hessian of B_t<a,a> against n * eps0 * B(t0)."""
     t0 = as_complex_tuple(t0)
-    B0, conv_gap = section_truncation(w, fam, t0, cfg)
+    B0, conv_gap = section_truncation(w, fam, t0, cfg.N, cfg.quad)
     H = section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian
     diag = {"B0": B0, "convergence_gap": conv_gap, "eps0": eps0}
     tol = cfg.tolerance * max(1.0, B0)
@@ -215,7 +216,7 @@ def check_log_inequality(
 ) -> CurvatureReport:
     """Trace of the exact Hessian of log B_t<a,a> against n * eps0."""
     t0 = as_complex_tuple(t0)
-    B0, conv_gap = section_truncation(w, fam, t0, cfg)
+    B0, conv_gap = section_truncation(w, fam, t0, cfg.N, cfg.quad)
     if B0 <= 0:
         raise ArithmeticError("section functional vanishes at t0; log check undefined")
     H = section_hessian(w, fam, t0, cfg.N, cfg.quad).log_hessian
@@ -223,21 +224,20 @@ def check_log_inequality(
     return _report("log_section_value", t0, H, w.n * eps0, cfg.tolerance, diag)
 
 
-def check_det_inequality(
-    dig: DirectImageGram, t0, eps0: float, r: int, cfg: CheckConfig
-) -> CurvatureReport:
-    """Trace of the exact Hessian of -log det G(t) against n * r * eps0.
+def check_det_inequality(dig: DirectImageGram, t0, eps0: float, cfg: CheckConfig
+                         ) -> CurvatureReport:
+    """Trace of the exact Hessian of -log det G(t) against n * r * eps0, r
+    the frame's rank.
 
     The sign convention (minus log det of the Gram of a holomorphic frame)
     is validated against the rank-one section check on separable weights in
-    the test suite; the Hessian raises where the frame Gram fails the pivot
-    test of ``DirectImageGram.factor``.  The frame is fixed, not a
-    truncated kernel, so there is no truncation gate.
+    the test suite.  The frame Gram is factored at ``t0`` only, and a frame
+    that fails the pivot test of ``DirectImageGram.factor`` there raises
+    ``fiber_numerics.DegenerateBasisError`` naming the frame element.  The
+    frame is fixed, not a truncated kernel, so there is no truncation gate.
     """
     t0 = as_complex_tuple(t0)
-    if r != dig.rank:
-        raise ValueError(f"rank argument {r} disagrees with the frame size {dig.rank}")
     H = dig.neg_log_det_hessian(t0)
-    diag = {"rank": r, "eps0": eps0}
-    return _report("neg_log_det_gram", t0, H, dig.w.n * r * eps0, cfg.tolerance, diag)
+    diag = {"rank": dig.rank, "eps0": eps0}
+    return _report("neg_log_det_gram", t0, H, dig.w.n * dig.rank * eps0, cfg.tolerance, diag)
 

@@ -8,7 +8,7 @@ Expressions are s-expressions over complex scalars:
 Variables are declared by the caller (base coordinates ``t1..tn``, fiber
 coordinates ``z1..zd``; the aliases ``t``/``z`` resolve to ``t1``/``z1``
 when unambiguous).  Numbers are anything Python's ``complex()`` accepts
-(``0.5``, ``-2``, ``1j``, ``1+2j``).
+(``0.5``, ``-2``, ``1j``, ``1+2j``) and is finite.
 
 Expressions are evaluated directly with numpy on arrays, and differentiated
 as trees: :func:`wirtinger` returns the derivative in a variable or its
@@ -21,6 +21,7 @@ whether a weight is a real polynomial and expands holomorphic sections.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,14 @@ def parse_expr(text: str, variables: tuple[str, ...]) -> Expr:
         if name in variables:
             return Var(name)
         try:
-            return Num(complex(tok))
+            value = complex(tok)
         except ValueError:
             raise ExpressionError(
                 f"unknown symbol {tok!r}; variables here are {', '.join(variables)}"
             ) from None
+        if not cmath.isfinite(value):
+            raise ExpressionError(f"number {tok!r} is not finite")
+        return Num(value)
 
     def parse_one() -> Expr:
         nonlocal pos

@@ -160,8 +160,8 @@ class FiberDomain:
             raise ValueError("disk domain has exactly one coordinate; use polydisc for d=2")
         if len(inner) != d:
             raise ValueError("inner radii must match the number of coordinates")
-        if any(r <= 0 for r in radii):
-            raise ValueError("outer radii must be positive")
+        if not all(0 < r < math.inf for r in radii):
+            raise ValueError(f"outer radii must be finite and positive, got {radii}")
         if self.kind == "annulus" and any(not 0 < ri < ro for ri, ro in zip(inner, radii)):
             raise ValueError("annulus needs 0 < inner radius < outer radius")
 
@@ -642,9 +642,7 @@ def monomial_analysis(
     return M[(slice(None),) + tuple(basis.exponent_array.T)].reshape(lead + (basis.dim,))
 
 
-def orthonormalize(
-    gram: np.ndarray, exponents: tuple[tuple[int, ...], ...] | None = None
-) -> np.ndarray:
+def orthonormalize(gram: np.ndarray, exponents: tuple[tuple[int, ...], ...]) -> np.ndarray:
     """Cholesky-based orthonormalizing transform for a Hermitian Gram matrix.
 
     Returns ``transform`` with ``transform^H G transform = I``; its columns
@@ -655,9 +653,7 @@ def orthonormalize(
     :func:`cholesky_factor`'s, so a collapsed pivot raises
     :class:`DegenerateBasisError` naming the offending exponent.
     """
-    def label(j):
-        return f"exponent {exponents[j]}" if exponents is not None else f"index {j}"
-
+    label = lambda j: f"exponent {exponents[j]}"
     return np.linalg.inv(cholesky_factor(gram, label, "degenerate basis")).conj().T
 
 

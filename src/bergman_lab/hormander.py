@@ -15,7 +15,8 @@ base direction is built, and the coefficient vectors of Gamma and of all
 n fields Lambda_a go to the nodes in one ring synthesis
 (``fiber_numerics.monomial_synthesis``), and the moments of the
 orthogonality test come back through its adjoint, so no node Vandermonde
-is built.  Three facts are checked numerically:
+is built.  Three facts are checked numerically, each on the weight, base
+point, degree and rule the :class:`HormanderData` was built on:
 
 * Lambda_a is orthogonal to every holomorphic function in the truncated
   space (this characterizes the weight-twisted derivative),
@@ -45,7 +46,7 @@ import numpy as np
 
 from .bergman import BergmanBasis, SectionFamily, base_gram_jets, bergman_basis, \
     node_fiber_contraction, section_hessian
-from .curvature import CONVERGENCE_TOL, CheckConfig, section_truncation, truncation_gate
+from .curvature import section_truncation, truncation_gate
 from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
 from .utils import as_complex_tuple
 from .weights import WeightFamily, node_hessian, schur_from_contraction
@@ -69,8 +70,7 @@ ROUNDOFF_FLOOR = 1e-12
 def _check_truncation(b: BergmanBasis, points):
     for p in np.atleast_2d(np.asarray(points, dtype=complex)):
         probe = p[0] if b.basis.fiber_dim == 1 else tuple(p)
-        truncation_gate(b.diag_convergence_gap(probe), CONVERGENCE_TOL, b.N,
-                        f"at fiber point {p.tolist()}")
+        truncation_gate(b.diag_convergence_gap(probe), b.N, f"at fiber point {p.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +206,14 @@ def dbar_coordinate(vals: np.ndarray, quad: QuadratureRule, coord: int) -> np.nd
     return out.reshape(-1)
 
 
-def dbar_identity_residual(data: HormanderData, w: WeightFamily) -> float:
+def dbar_identity_residual(data: HormanderData) -> float:
     """Relative L2 defect of  dbar Lambda_a + Gamma * (mixed Hessian row).
 
     The norm runs over all nodes; the scale is ||Gamma|| times the largest
     mixed-Hessian entry (falling back to ||Gamma|| itself for weights with
     no base-fiber coupling, where both sides vanish).
     """
-    quad = data.quad
+    w, quad = data.w, data.quad
     measure = data.node_measure
     _tt, tf, _ff = node_hessian(w, data.t0, quad)
     gnorm = _weighted_norm(data.gamma, measure)
@@ -242,16 +242,9 @@ class HormanderBoundReport:
     rhs: tuple
     ratios: tuple
     max_ratio: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_ratio <= 1.0 + self.tolerance
 
 
-def hormander_bound_check(
-    data: HormanderData, w: WeightFamily, tolerance: float = 1e-4
-) -> HormanderBoundReport:
+def hormander_bound_check(data: HormanderData) -> HormanderBoundReport:
     """||Lambda_a||^2 <= int |Gamma|^2 (tf ff^{-1} tf^H)_aa e^{-phi} per direction.
 
     Directions whose rhs vanishes below the numerical floor contribute
@@ -262,7 +255,7 @@ def hormander_bound_check(
     positive definite.
     """
     measure = data.node_measure
-    contraction = node_fiber_contraction(w, data.t0, data.quad)  # (M, n), >= 0
+    contraction = node_fiber_contraction(data.w, data.t0, data.quad)  # (M, n), >= 0
     gamma2 = np.abs(data.gamma) ** 2 * measure
     floor = 1e-12 * float(np.sum(gamma2).real)
     lhs_list, rhs_list, ratio_list = [], [], []
@@ -282,7 +275,6 @@ def hormander_bound_check(
         rhs=tuple(rhs_list),
         ratios=tuple(ratio_list),
         max_ratio=max(ratio_list) if ratio_list else 0.0,
-        tolerance=tolerance,
     )
 
 
@@ -310,22 +302,21 @@ class AssembledReport:
         return self.chain1_margin >= -self.tolerance and self.chain2_margin >= -self.tolerance
 
 
-def assembled_lower_bound(data: HormanderData, cfg: CheckConfig, eps0: float = 0.0) -> AssembledReport:
-    """The assembled chain at ``data.t0``, from the fields already built
-    (``cfg`` supplies the tolerance and the truncation gate).  The Schur
-    trace on the nodes is ``Re tr tt`` minus the fiber-block contraction
-    that :func:`hormander_bound_check` reads, from the same memo."""
-    w, fam, t0 = data.w, data.fam, data.t0
-    if cfg.N != data.basis.N or cfg.quad is not data.quad:
-        raise ValueError("cfg must carry the degree and quadrature the fields were built on")
-    full, gap = section_truncation(w, fam, t0, cfg)
+def assembled_lower_bound(data: HormanderData, tolerance: float, eps0: float) -> AssembledReport:
+    """The assembled chain at ``data.t0``, at the degree and on the rule the
+    fields were built on, with the truncation gate of the section checks
+    and ``tolerance`` scaled by ``max(1, B(t0))``.  The Schur trace on the
+    nodes is ``Re tr tt`` minus the fiber-block contraction that
+    :func:`hormander_bound_check` reads, from the same memo."""
+    w, fam, t0, N, quad = data.w, data.fam, data.t0, data.basis.N, data.quad
+    full, gap = section_truncation(w, fam, t0, N, quad)
     measure = data.node_measure
-    contraction = node_fiber_contraction(w, t0, cfg.quad)
-    schur = schur_from_contraction(w.node_jets(t0, cfg.quad)[2], contraction)
+    contraction = node_fiber_contraction(w, t0, quad)
+    schur = schur_from_contraction(w.node_jets(t0, quad)[2], contraction)
     rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)
     B0_repro = float(np.sum(np.abs(data.gamma) ** 2 * measure).real)
-    lhs = float(np.real(np.trace(section_hessian(w, fam, t0, cfg.N, cfg.quad).hessian)))
-    tol = cfg.tolerance * max(1.0, full)
+    lhs = float(np.real(np.trace(section_hessian(w, fam, t0, N, quad).hessian)))
+    tol = tolerance * max(1.0, full)
     return AssembledReport(
         t0=t0,
         lhs_trace=lhs,

@@ -16,9 +16,10 @@ The ledger records b_k next to the measured Schur trace of the joint
 (t, xi) Hessian of psi_k at the scenario's base point t0 and two fiber
 samples inside the fiber (the center, or an annulus's middle ring, and a
 point 0.35 of the way out across the first coordinate).  The caller states
-eps0 and t0; a non-positive eps0 certifies nothing and raises before any
-step.  Certification failure of any step's potential aborts the run with
-the ledger so far.
+eps0, t0 and an optional twist C, which ``run_iteration`` applies to phi_L
+itself; a non-positive eps0 certifies nothing and raises before any step.
+Certification failure of any step's potential aborts the run with the
+ledger so far.
 
 Iterated weights have no closed form, so they are represented as
 evaluator objects with exact jets.  ``K_t(xi, xi) = M(xi)^T P(t)
@@ -59,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import base_gram_jets, bergman_basis
-from .curvature import CONVERGENCE_TOL, CheckConfig, truncation_gate
+from .curvature import CheckConfig, truncation_gate
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
 from .weights import (
@@ -81,7 +82,6 @@ __all__ = [
     "IterationLedger",
     "mix_weights",
     "run_iteration",
-    "run_twisted_iteration",
 ]
 
 MAX_STEPS = 12
@@ -156,7 +156,7 @@ class LogKernelField(WeightFamily):
         if b.t not in self._gated:
             gap = b.diag_convergence_gap(self._probe)
             self._max_gap = max(self._max_gap, gap)
-            truncation_gate(gap, CONVERGENCE_TOL, self.N, f"at t={b.t}")
+            truncation_gate(gap, self.N, f"at t={b.t}")
             self._gated.add(b.t)
         return b
 
@@ -332,7 +332,6 @@ class IterationLedger:
     m: int
     eps0: float
     steps: tuple
-    target: float
     base_dim: int = 1
     aborted: bool = False
     failure: str = ""
@@ -365,7 +364,6 @@ class IterationLedger:
         return {
             "m": self.m,
             "eps0": self.eps0,
-            "target": self.target,
             "base_dim": self.base_dim,
             "aborted": self.aborted,
             "failure": self.failure,
@@ -393,13 +391,16 @@ def run_iteration(
     cfg: CheckConfig,
     eps0: float,
     t0,
-    twist_slack: float = 0.0,
+    twist: float = 0.0,
 ) -> IterationLedger:
     """Run K steps of the recursion; the ledger pairs each certified b_k
     with the worst measured Schur trace of the step's log-kernel field at
     ``t0`` over the fiber samples, whose Hessian blocks are exact (no
     stencil).  ``eps0`` must be positive: a non-positive constant certifies
-    nothing, and raises ``ArithmeticError`` (a failed hypothesis).
+    nothing, and raises ``ArithmeticError`` (a failed hypothesis).  A
+    positive ``twist`` C iterates ``phi_L + C |t|^2`` instead
+    (``weights.twist_weight``) and records the vanishing twist slack
+    ``delta_k = C (1 - 1/m)^k`` of each step.
 
     A step whose potential fails the plurisubharmonicity check (or whose
     fiber block degenerates) aborts the run, returning the ledger built
@@ -409,13 +410,13 @@ def run_iteration(
         raise ValueError(f"m must be an integer >= 2, got {m}")
     if not isinstance(K, (int, np.integer)) or not 0 <= K <= MAX_STEPS:
         raise ValueError(f"step count must lie in 0..{MAX_STEPS}, got {K}")
-    if cfg.quad is None:
-        raise ValueError("cfg.quad must carry a quadrature rule")
     eps0 = float(eps0)
     if not eps0 > 0.0:
         raise ArithmeticError(f"iteration needs a strictly positive eps0, got {eps0}")
     t0 = as_complex_tuple(t0)
     xi_samples = _fiber_samples(cfg.quad)
+    if twist > 0:
+        phi_L = twist_weight(phi_L, twist)
 
     q = 1.0 - 1.0 / m
     steps: list[StepRecord] = []
@@ -431,7 +432,7 @@ def run_iteration(
         try:
             measured, psh_min, ff_min = _measure(psi, t0, xi_samples)
         except FiberDegenerateError as exc:
-            steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=twist_slack * q**k))
+            steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=twist * q**k))
             aborted, failure = True, f"step {k}: {exc}"
             break
         finally:
@@ -446,7 +447,7 @@ def run_iteration(
             measured_trace=measured,
             psh_min=psh_min,
             ff_min=ff_min,
-            delta=twist_slack * q**k,
+            delta=twist * q**k,
         )
         steps.append(rec)
         scale = max(1.0, abs(measured))
@@ -460,7 +461,6 @@ def run_iteration(
         m=int(m),
         eps0=eps0,
         steps=tuple(steps),
-        target=eps0,
         base_dim=phi_L.n,
         aborted=aborted,
         failure=failure,
@@ -476,19 +476,3 @@ def _measure(psi: LogKernelField, t0, xi_samples):
     measured = float(schur_from_contraction(tt, contraction).min())
     psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
     return measured, psh_min, ff_min
-
-
-def run_twisted_iteration(
-    phi_L: WeightFamily,
-    C: float,
-    m: int,
-    K: int,
-    cfg: CheckConfig,
-    eps0: float,
-    t0,
-) -> IterationLedger:
-    """Twist the weight by C |t|^2, iterate, and report the vanishing
-    per-step twist slack delta_k = C (1 - 1/m)^k in the ledger; ``eps0``
-    and ``t0`` as for :func:`run_iteration`."""
-    twisted = twist_weight(phi_L, C)
-    return run_iteration(twisted, m, K, cfg, eps0, t0, twist_slack=float(C))

@@ -33,19 +33,21 @@ Weight forms (entries may be complex, written like ``0.5+0.25j``):
 Defaults: degree 24, quadrature 64 128, tolerance 1e-3,
 patch = origin with radius 0.45, fiber = unit disk, one unit-amplitude
 section at the fiber origin, t0 = patch center, no checks, seed 0.
-Unknown keys, unknown check names and unreadable numbers are parse errors
-naming the line.  The numeric ranges are checked when a :class:`Scenario`
-is constructed, so command-line overrides applied with
+Unknown keys, unknown check names and unreadable or non-finite numbers
+are parse errors naming the line.  The numeric ranges are checked when a
+:class:`Scenario` is constructed, so command-line overrides applied with
 ``dataclasses.replace`` meet them too: the quadrature floor of
 :func:`build_quadrature` and its node cap (``(n_radial * n_angular) ** d``
 at most ``2**20``), ``2 <= degree <= n_angular/2 - 1`` (above that
 angular modes alias), finite nonnegative ``tolerance``, ``eps0`` and
 ``twist``, and ``m >= 2``, ``0 <= steps <= 12`` for the iteration.  The
-parser also requires ``t0`` to lie in the base patch.
+parser also requires ``t0`` to lie in the base patch, and every section to
+stay inside the fiber's margin at ``t0`` and over a sample of the patch.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -190,12 +192,16 @@ def _err(lineno: int, key: str, msg: str) -> ScenarioError:
 
 
 def _parse_number(kind, tok: str, lineno: int, key: str):
-    """``kind(tok)`` for kind int, float or complex, or a ScenarioError naming the line."""
+    """``kind(tok)`` for kind int, float or complex, or a ScenarioError naming
+    the line, also for a number that is not finite."""
     try:
-        return kind(tok)
+        value = kind(tok)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise _err(lineno, key, f"cannot read {tok!r} as {what}") from None
+    if not cmath.isfinite(value):
+        raise _err(lineno, key, f"{tok!r} is not a finite number")
+    return value
 
 
 def _parse_fiber(value: str, lineno: int) -> FiberDomain:
@@ -414,6 +420,7 @@ def parse_scenario(text: str) -> Scenario:
 
     try:
         sections.validate_on_patch(fiber, patch)
+        sections.check_inside(fiber, t0)
     except SectionOutsideDomainError as exc:
         raise ScenarioError(f"field 'section': {exc}") from None
 

@@ -396,8 +396,8 @@ class BasePatch:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_complex_tuple(self.center))
-        if self.radius <= 0:
-            raise ValueError("patch radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError(f"patch radius must be finite and positive, got {self.radius}")
 
     @property
     def dim(self) -> int:

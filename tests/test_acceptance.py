@@ -12,7 +12,7 @@ import pytest
 from bergman_lab import acceptance
 from bergman_lab.bergman import HoloPoly, direct_image_gram
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
-from bergman_lab.weights import BasePatch, QuadraticWeight
+from bergman_lab.weights import QuadraticWeight
 
 
 @pytest.mark.parametrize("name", acceptance.criterion_names())
@@ -32,7 +32,7 @@ def test_richardson_gate_is_inf_over_budget():
     # FD budget gives the gap at the compared step
     quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
-    dig = direct_image_gram(QuadraticWeight.cross_term(0.5), frame, BasePatch((0j,), 0.5), quad)
+    dig = direct_image_gram(QuadraticWeight.cross_term(0.5), frame, quad)
     exact = float(np.trace(dig.neg_log_det_hessian((0j,))).real)
     route = acceptance._trace_route(dig.neg_log_det, (0j,))
     fd_h, fd_half = route(acceptance.A13_STEP), route(acceptance.A13_STEP / 2)

@@ -38,7 +38,8 @@ from bergman_lab.bergman import (
     section_value_pair,
 )
 from bergman_lab.cli import run_scenario_checks
-from bergman_lab.fiber_numerics import FiberDomain, build_quadrature, monomial_basis, ring_gram
+from bergman_lab.fiber_numerics import DegenerateBasisError, FiberDomain, build_quadrature, \
+    monomial_basis, ring_gram
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, PolynomialWeight, QuadraticWeight
 from helpers import node_list
@@ -174,15 +175,15 @@ class TestReproducing:
     def test_orthonormal_element(self, quad):
         b = bergman_basis(GAUSS, (0j,), 24, quad)
         u0 = 1 / math.sqrt(g_moment(0))
-        assert reproducing_residual(b, lambda z: u0 * np.ones_like(z), 0.4 + 0.2j, quad) < 1e-8
+        assert reproducing_residual(b, lambda z: u0 * np.ones_like(z), 0.4 + 0.2j) < 1e-8
 
     def test_polynomial_in_space(self, quad):
         b = bergman_basis(GAUSS, (0j,), 24, quad)
-        assert reproducing_residual(b, lambda z: 3 * z**2 + 1, 0.3 + 0j, quad) < 1e-8
+        assert reproducing_residual(b, lambda z: 3 * z**2 + 1, 0.3 + 0j) < 1e-8
 
     def test_out_of_space_documents_truncation(self, quad):
         b = bergman_basis(GAUSS, (0j,), 6, quad)
-        res = reproducing_residual(b, lambda z: z**8, 0.9 + 0j, quad)
+        res = reproducing_residual(b, lambda z: z**8, 0.9 + 0j)
         assert res > 1e-3  # projection is not the identity outside the space
 
 
@@ -301,14 +302,14 @@ class TestDirectImageGram:
     def test_rank1_separable(self, quad):
         c = 0.7
         w = QuadraticWeight.separable(c)
-        dig = direct_image_gram(w, [HoloPoly.constant(1.0)], BasePatch((0j,), 0.5), quad)
+        dig = direct_image_gram(w, [HoloPoly.constant(1.0)], quad)
         t = 0.3 + 0.2j
         expect = math.exp(-c * abs(t) ** 2) * g_moment(0)
         assert dig.gram_at((t,))[0, 0] == pytest.approx(expect, rel=1e-12)
 
     def test_radial_weight_diagonal(self, quad):
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
-        dig = direct_image_gram(GAUSS, frame, BasePatch((0j,), 0.5), quad)
+        dig = direct_image_gram(GAUSS, frame, quad)
         G = dig.gram_at((0j,))
         assert abs(G[0, 1]) < 1e-13
         assert G[1, 1] == pytest.approx(g_moment(1), rel=1e-12)
@@ -317,7 +318,7 @@ class TestDirectImageGram:
         c = 1.0
         w = QuadraticWeight.separable(c)
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
-        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
+        dig = direct_image_gram(w, frame, quad)
         t = 0.25 - 0.4j
         const = -math.log(g_moment(0) * g_moment(1))
         assert dig.neg_log_det((t,)) == pytest.approx(2 * c * abs(t) ** 2 + const, abs=1e-10)
@@ -327,7 +328,7 @@ class TestDirectImageGram:
         # frame's monomial coefficients, against the basis Gram at the frame's degree
         w = QuadraticWeight.cross_term(0.5)
         frame = [HoloPoly(1, {(0,): 1.0, (2,): 0.5j}), HoloPoly(1, {(1,): 2.0, (2,): -1.0})]
-        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
+        dig = direct_image_gram(w, frame, quad)
         for f in dataclasses.fields(dig):
             value = getattr(dig, f.name)
             assert not (isinstance(value, np.ndarray) and value.size >= quad.size), f.name
@@ -346,7 +347,7 @@ class TestDirectImageGram:
         QuadraticWeight.cross_term(0.5),
         PolynomialWeight.from_text(1, 1, "(+ (abs2 t1) (abs2 z1) (* 0.5 (re (* t1 (conj z1)))))"),
     ], ids=["quadratic", "polynomial"])
-    def test_center_check_evaluates_only_phi_on_the_nodes(self, quad, w, monkeypatch):
+    def test_factor_reads_only_phi_at_t0(self, quad, w, monkeypatch):
         # the independence check reads exp(-phi): no node gradient or Hessian
         calls = []
         for name in ("grad_base", "hessian_field"):
@@ -354,17 +355,34 @@ class TestDirectImageGram:
             monkeypatch.setattr(type(w), name, lambda self, t, xi, real=real, name=name:
                                 calls.append(name) or real(self, t, xi))
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
-        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)
+        dig = direct_image_gram(w, frame, quad)
+        assert list(quad.memo(w)) == []  # building the field evaluates nothing
+        t0 = (0.1 - 0.05j,)
+        dig.factor(t0)
         assert calls == []
         assert [k[0] for k in quad.memo(w)] == ["phi", "weight_values"]
-        phi = w.node_jets((0j,), quad)[0]  # the jets read the same phi
-        assert phi is w.node_phi((0j,), quad) and calls == ["grad_base", "hessian_field"]
-        assert np.array_equal(dig.gram_at((0j,)), dig.gram_at(0j))
+        phi = w.node_jets(t0, quad)[0]  # the jets read the same phi
+        assert phi is w.node_phi(t0, quad) and calls == ["grad_base", "hessian_field"]
+        assert np.array_equal(dig.gram_at(t0), dig.gram_at(t0[0]))
+
+    def test_det_check_reads_no_weight_at_patch_center(self, monkeypatch):
+        # the frame Gram is factored at t0 alone, never at the patch center
+        seen = []
+        real = QuadraticWeight.weight_values
+        monkeypatch.setattr(QuadraticWeight, "weight_values",
+                            lambda self, t, quad: seen.append(tuple(t)) or real(self, t, quad))
+        sc = parse_scenario("weight = cross 0.5\npatch = 0 ; 0.45\nt0 = 0.2-0.1j\neps0 = 0.75\n"
+                            "degree = 12\nquadrature = 32 64\ndet_frame = 1 | z1\n"
+                            "checks = det_inequality\n")
+        [rec] = run_scenario_checks(sc, sc.checks)
+        assert rec.verdict == "pass", rec.error
+        assert seen == [(0.2 - 0.1j,)]
 
     def test_dependent_frame_rejected(self, quad):
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]
-        with pytest.raises(ValueError, match="dependent") as err:
-            direct_image_gram(GAUSS, frame, BasePatch((0j,), 0.5), quad)
+        dig = direct_image_gram(GAUSS, frame, quad)
+        with pytest.raises(DegenerateBasisError, match="dependent") as err:
+            dig.factor((0j,))
         assert "frame element 2 of 2" in str(err.value)
 
     def test_orthogonal_frame_of_spread_norms_accepted(self):
@@ -375,7 +393,7 @@ class TestDirectImageGram:
         c = 0.5
         w = QuadraticWeight.separable(c)
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(20,): 1.0})]
-        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.45), q)
+        dig = direct_image_gram(w, frame, q)
         t = (0.2 - 0.1j,)
         # ||z^k||^2 = exp(-c|t|^2) pi lowergamma(k + 1, R^2) for phi = c|t|^2 + |z|^2
         norms = [math.pi * gammainc(k + 1, 0.25) * math.factorial(k) for k in (0, 20)]
@@ -544,7 +562,7 @@ class TestBasisMemo:
     def test_weight_values_shared_across_degrees_and_gram_fields(self, quad):
         w = CountingWeight(0.5)
         frame = [HoloPoly.constant(1.0), HoloPoly(1, {(1,): 1.0})]
-        dig = direct_image_gram(w, frame, BasePatch((0j,), 0.5), quad)  # evaluates t = 0
+        dig = direct_image_gram(w, frame, quad)
         b12 = bergman_basis(w, (0.1,), 12, quad)
         b10 = bergman_basis(w, (0.1,), 10, quad)
         G = dig.gram_at((0.1,))

@@ -186,6 +186,37 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "degree" in err and "quadrature" in err
 
+    @pytest.mark.parametrize("fields, key", [
+        ("weight = cross nan\nchecks = log_inequality", "weight"),
+        ("weight = separable inf\nchecks = log_inequality", "weight"),
+        ("weight = custom (+ (abs2 t1) (* nan (abs2 z1)))\nchecks = log_inequality", "weight"),
+        ("weight = custom (+ (abs2 t1) (* 1e400 (abs2 z1)))\nchecks = log_inequality", "weight"),
+        ("weight = quadratic 1 nan ; nan 1\nchecks = certify", "weight"),
+        ("weight = separable 1.0\npatch = 0 ; inf\nchecks = certify", "patch"),
+        ("weight = separable 1.0\npatch = 0 ; nan\nchecks = certify", "patch"),
+        ("weight = separable 1.0\nfiber = disk inf\nchecks = certify", "fiber"),
+        ("weight = separable 1.0\nt0 = nanj\nchecks = certify", "t0"),
+    ], ids=["cross-nan", "separable-inf", "custom-nan", "custom-1e400", "quadratic-nan",
+            "patch-inf", "patch-nan", "fiber-inf", "t0-nan"])
+    def test_non_finite_number_exits_two_naming_the_field(self, scn, capsys, fields, key):
+        # a non-finite radius makes a NaN grid that certifies vacuously, and a
+        # non-finite weight number fails only inside the Gram assembly
+        assert main(["run", "--scenario", scn(f"id = nonfinite\n{fields}\n")]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # refused before any check
+        assert err.startswith("scenario error: line ") and f"field {key!r}" in err
+
+    def test_section_leaving_the_fiber_only_at_t0_exits_two(self, scn, capsys):
+        # the patch sample misses t0, where this section sits at |s| = 1.2
+        text = ("id = off_fiber\nweight = cross 0.5\n"
+                "section = (+ 0.6 (* 14.6319j t1 t1 t1 t1)) ; 1.0\nt0 = 0.415745-0.172208j\n"
+                "degree = 16\nquadrature = 48 96\neps0 = 0.75\n"
+                "checks = certify section_inequality\n")
+        assert main(["run", "--scenario", scn(text)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "scenario error: field 'section'" in err and "outside the fiber domain" in err
+
 
     def test_non_real_weight_fails_with_message(self, scn, tmp_path, capsys):
         out_dir = tmp_path / "rep"
@@ -216,9 +247,9 @@ class TestRunCommand:
         out_dir = tmp_path / "rep"
         assert main(["run", "--scenario", scn(text), "--out", str(out_dir)]) == 2
         out = capsys.readouterr().out
-        assert "det_inequality: FAIL (det_frame: frame numerically dependent" in out
+        assert "det_inequality: FAIL (frame numerically dependent at t=(0j,)" in out
         [rec] = summary_of(out_dir, "dep")["records"]
-        assert rec["verdict"] == "fail" and rec["error"].startswith("det_frame: ")
+        assert rec["verdict"] == "fail" and rec["error"].startswith("frame numerically dependent")
         assert "frame element 2 of 2" in rec["error"]
 
     def test_orthogonal_det_frame_of_spread_norms_passes(self, scn, tmp_path, capsys):

@@ -31,8 +31,8 @@ from bergman_lab.curvature import (
     fd_hessian,
     truncation_gate,
 )
-from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
-from bergman_lab.weights import BasePatch, CustomWeight, PolynomialWeight, QuadraticWeight
+from bergman_lab.fiber_numerics import DegenerateBasisError, FiberDomain, build_quadrature
+from bergman_lab.weights import CustomWeight, PolynomialWeight, QuadraticWeight
 from helpers import log_section_field, psh_spectrum, section_field, tilt_field
 
 ORIGIN_FAM = SectionFamily.constant([[0.0]])
@@ -222,9 +222,9 @@ class TestSectionInequality:
 
 class TestUnconvergedMessages:
     def test_truncation_gate_names_degree_and_quadrature(self):
-        truncation_gate(1e-7, 1e-6, 16, "at t0")  # within tolerance: no verdict change
+        truncation_gate(1e-7, 16, "at t0")  # within tolerance: no verdict change
         with pytest.raises(UnconvergedBasisError) as exc:
-            truncation_gate(2e-3, 1e-6, 16, "at t0")
+            truncation_gate(2e-3, 16, "at t0")
         msg = str(exc.value)
         assert "kernel truncation not converged at t0" in msg
         assert "from degree 14 to 16" in msg
@@ -260,23 +260,23 @@ class TestDetInequality:
         # log B(t) up to a constant, so the traces must agree
         c = 0.8
         w = QuadraticWeight.separable(c)
-        dig = direct_image_gram(w, [HoloPoly.constant(1.0)], BasePatch((0j,), 0.5), quad)
-        rep = check_det_inequality(dig, (0j,), c, 1, cfg)
+        dig = direct_image_gram(w, [HoloPoly.constant(1.0)], quad)
+        rep = check_det_inequality(dig, (0j,), c, cfg)
         assert rep.passed
         assert rep.trace == pytest.approx(c, abs=1e-3)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     def test_rank2_separable_equality(self, quad, cfg, c):
         w = QuadraticWeight.separable(c)
-        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,), 0.5), quad)
-        rep = check_det_inequality(dig, (0j,), c, 2, cfg)
+        dig = direct_image_gram(w, list(self.FRAME), quad)
+        rep = check_det_inequality(dig, (0j,), c, cfg)
         assert rep.passed
         assert rep.trace == pytest.approx(2 * c, abs=1e-3)
 
     def test_cross_term_bound(self, quad, cfg):
         w = QuadraticWeight.cross_term(0.5)
-        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,), 0.5), quad)
-        rep = check_det_inequality(dig, (0j,), 0.75, 2, cfg)
+        dig = direct_image_gram(w, list(self.FRAME), quad)
+        rep = check_det_inequality(dig, (0j,), 0.75, cfg)
         assert rep.passed
         assert rep.trace >= 1.5 - 1e-3
 
@@ -291,7 +291,7 @@ class TestDetInequality:
             t0 = (0.1 + 0.05j,)
         else:
             w, t0 = QuadraticWeight.cross_term(0.5, 2, 1), (0.03 + 0.01j, -0.02j)
-        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,) * w.n, 0.5), quad)
+        dig = direct_image_gram(w, list(self.FRAME), quad)
         exact = dig.neg_log_det_hessian(t0)
         H = fd_hessian(dig.neg_log_det, Stencil(t0, 1e-3))
         assert abs(np.trace(exact).real - np.trace(H).real) < 1e-6
@@ -300,15 +300,16 @@ class TestDetInequality:
 
     def test_reports_exact_step(self, quad, cfg):
         w = QuadraticWeight.cross_term(0.5)
-        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,), 0.5), quad)
-        rep = check_det_inequality(dig, (0.1j,), 0.75, 2, cfg)
+        dig = direct_image_gram(w, list(self.FRAME), quad)
+        rep = check_det_inequality(dig, (0.1j,), 0.75, cfg)
         assert "half_step_gap" not in rep.diagnostics
 
-    def test_rank_mismatch(self, quad, cfg):
-        w = QuadraticWeight.separable(1.0)
-        dig = direct_image_gram(w, list(self.FRAME), BasePatch((0j,), 0.5), quad)
-        with pytest.raises(ValueError, match="rank"):
-            check_det_inequality(dig, (0j,), 1.0, 3, cfg)
+    def test_dependent_frame_fails_at_t0(self, quad, cfg):
+        w = QuadraticWeight.cross_term(0.5)
+        dig = direct_image_gram(w, [HoloPoly.constant(1.0), HoloPoly.constant(-2.0)], quad)
+        with pytest.raises(DegenerateBasisError, match=r"dependent at t=\(0\.1j,\)") as exc:
+            check_det_inequality(dig, (0.1j,), 0.75, cfg)
+        assert "frame element 2 of 2" in str(exc.value)
 
 
 class TestTiltField:

@@ -22,7 +22,7 @@ from bergman_lab.acceptance import fd_lambda_field
 from bergman_lab.bergman import HoloPoly, SectionFamily, base_gram_jets, section_hessian, \
     section_value
 from bergman_lab.cli import DBAR_TOL, run_scenario_checks
-from bergman_lab.curvature import CheckConfig, UnconvergedBasisError
+from bergman_lab.curvature import UnconvergedBasisError
 from bergman_lab.fiber_numerics import FiberDomain, QuadratureRule, build_quadrature, vandermonde
 from bergman_lab.hormander import (
     AssembledReport,
@@ -220,24 +220,24 @@ class TestGridDerivatives:
 class TestDbarIdentity:
     def test_cross_term_identity(self, cross_data):
         w, data = cross_data
-        assert dbar_identity_residual(data, w) < 1e-4
+        assert dbar_identity_residual(data) < 1e-4
 
     def test_negative_control_fails(self, quad):
         w = cross_weight(0.5)
         data = build_hormander_data(
             w, ORIGIN_FAM, (0.0,), N, quad, include_weight_term=False
         )
-        assert dbar_identity_residual(data, w) > 1e-2
+        assert dbar_identity_residual(data) > 1e-2
 
     def test_moving_sections(self, quad):
         w = cross_weight(0.5)
         data = build_hormander_data(w, moving_family(), (0.3,), N, quad)
-        assert dbar_identity_residual(data, w) < 1e-4
+        assert dbar_identity_residual(data) < 1e-4
 
     def test_separable_both_sides_vanish(self, quad):
         w = QuadraticWeight.separable(1.0, 1, 1)
         data = build_hormander_data(w, ORIGIN_FAM, (0.35,), N, quad)
-        assert dbar_identity_residual(data, w) < 1e-6
+        assert dbar_identity_residual(data) < 1e-6
 
 
 class TestGramDerivativeMemo:
@@ -356,13 +356,12 @@ class TestHormanderBound:
     def test_ratio_within_contract(self, quad, lam):
         w = cross_weight(lam)
         data = build_hormander_data(w, ORIGIN_FAM, (0.0,), N, quad)
-        rep = hormander_bound_check(data, w)
+        rep = hormander_bound_check(data)
         assert rep.max_ratio <= 1.0 + 1e-4
-        assert rep.passed
 
     def test_closed_form_sides(self, cross_data):
         w, data = cross_data
-        rep = hormander_bound_check(data, w)
+        rep = hormander_bound_check(data)
         g0, g1 = gauss_moment(0), gauss_moment(1)
         assert rep.lhs[0] == pytest.approx(0.25 * g1 / g0**2, rel=1e-6)
         assert rep.rhs[0] == pytest.approx(0.25 / g0, rel=1e-8)
@@ -373,17 +372,16 @@ class TestHormanderBound:
         w = cross_weight(0.5, n=2)
         fam = SectionFamily.constant([[0.0]], base_dim=2)
         data = build_hormander_data(w, fam, (0.0, 0.0), N, quad)
-        rep = hormander_bound_check(data, w)
+        rep = hormander_bound_check(data)
         g0, g1 = gauss_moment(0), gauss_moment(1)
         assert rep.ratios[0] == pytest.approx(g1 / g0, rel=1e-6)
         assert rep.ratios[1] == 0.0
 
     def test_fiber_degenerate_raises(self, quad):
         w = QuadraticWeight(1, 1, np.diag([1.0, 0.0]), label="degenerate")
-        data_w = cross_weight(0.5)
-        data = build_hormander_data(data_w, ORIGIN_FAM, (0.0,), N, quad)
+        data = build_hormander_data(w, ORIGIN_FAM, (0.0,), N, quad)
         with pytest.raises(FiberDegenerateError):
-            hormander_bound_check(data, w)
+            hormander_bound_check(data)
 
 
     @pytest.mark.parametrize("layout", ["broadcast", "materialized"])
@@ -393,26 +391,23 @@ class TestHormanderBound:
         w = QuadraticWeight(1, 1, np.diag([1.0, 1e-17]), label="nearly degenerate")
         if layout == "materialized":
             w = as_materialized(w)
-        data = build_hormander_data(cross_weight(0.5), ORIGIN_FAM, (0.0,), N, quad)
+        data = build_hormander_data(w, ORIGIN_FAM, (0.0,), N, quad)
         with pytest.raises(FiberDegenerateError, match=r"quadrature nodes .*min eigenvalue 1.000e-17"):
-            hormander_bound_check(data, w)
+            hormander_bound_check(data)
 
     def test_broadcast_blocks_match_copies_bitwise(self, quad):
         w = cross_weight(0.5)
-        cfg = CheckConfig(N=N, quad=quad)
         reports = []
         for weight in (w, as_materialized(w)):
             data = build_hormander_data(weight, ORIGIN_FAM, (0.0,), N, quad)
-            reports.append((hormander_bound_check(data, weight),
-                            assembled_lower_bound(data, cfg, eps0=0.75)))
+            reports.append((hormander_bound_check(data), assembled_lower_bound(data, 1e-3, 0.75)))
         assert reports[0] == reports[1]
 
 
 class TestAssembledBound:
     def assembled(self, quad, w, fam=ORIGIN_FAM, degree=N, eps0=0.0):
-        cfg = CheckConfig(N=degree, quad=quad)
         data = build_hormander_data(w, fam, (0.0,), degree, quad)
-        return assembled_lower_bound(data, cfg, eps0=eps0)
+        return assembled_lower_bound(data, 1e-3, eps0)
 
     def test_separable(self, quad):
         w = QuadraticWeight.separable(1.0, 1, 1)
@@ -445,8 +440,3 @@ class TestAssembledBound:
         w = cross_weight(0.3)
         rep = self.assembled(quad, w)
         assert rep.diagnostics["reproduction_gap"] < 1e-10
-
-    def test_config_must_match_the_fields(self, quad):
-        data = build_hormander_data(cross_weight(0.3), ORIGIN_FAM, (0.0,), N, quad)
-        with pytest.raises(ValueError, match="degree and quadrature"):
-            assembled_lower_bound(data, CheckConfig(N=N - 2, quad=quad))

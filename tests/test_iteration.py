@@ -27,7 +27,6 @@ from bergman_lab.iteration import (
     _fiber_samples,
     mix_weights,
     run_iteration,
-    run_twisted_iteration,
 )
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, schur_trace_field, \
@@ -116,7 +115,7 @@ class TestLogKernelField:
         # nodes takes the orthonormal frame, as any other point set does
         q = build_quadrature(dom, nr, na)
         w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
-        monkeypatch.setattr(iteration_module, "CONVERGENCE_TOL", 1e-2)
+        monkeypatch.setattr(curvature_module, "CONVERGENCE_TOL", 1e-2)
         fld = bergman_weight(w, N, q)
         t = (0.2 - 0.1j,)
         built = []
@@ -153,7 +152,7 @@ class TestLogKernelField:
         # (h and h/2 bracket the error)
         q = build_quadrature(dom, nr, na)
         if dom.dim == 2:  # degree 10 on the polydisc settles to 1.3e-3
-            monkeypatch.setattr(iteration_module, "CONVERGENCE_TOL", 1e-2)
+            monkeypatch.setattr(curvature_module, "CONVERGENCE_TOL", 1e-2)
         psi = LogKernelField(mix_weights(LogKernelField(w, N, q), w, 2), N, q)
         xi = np.array([[0.0] * w.d, [0.3] + [0.1j] * (w.d - 1)], dtype=complex)
         exact = psi.hessian_field(t, xi)
@@ -270,7 +269,7 @@ class TestRunIteration:
     def test_twisted_slack(self, cfg, quad):
         w = QuadraticWeight.cross_term(0.5, 1, 1)
         eps0 = certify(twist_weight(w, 0.4), GridSpec(BasePatch((0j,), 0.4), quad.domain)).eps0
-        led = run_twisted_iteration(w, 0.4, 2, 2, cfg, eps0=eps0, t0=(0j,))
+        led = run_iteration(w, 2, 2, cfg, eps0=eps0, t0=(0j,), twist=0.4)
         assert led.eps0 == pytest.approx(1.15, abs=1e-9)
         assert [s.delta for s in led.steps] == [
             pytest.approx(0.4 * 0.5**k) for k in (1, 2)
@@ -284,7 +283,7 @@ class TestRunIteration:
         # clears n * b_k by 0.01 but not n * b_k + delta_k
         step = StepRecord(1, "logK(step 1, m=2)", certified_bound=0.5,
                           measured_trace=0.51, delta=0.05)
-        led = IterationLedger(m=2, eps0=1.0, steps=(step,), target=1.0)
+        led = IterationLedger(m=2, eps0=1.0, steps=(step,))
         assert led.worst_step == pytest.approx(-0.04, abs=1e-15)
         assert not led.satisfies(tolerance=1e-3)
         assert led.satisfies(tolerance=0.05)
