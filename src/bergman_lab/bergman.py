@@ -293,7 +293,7 @@ class SectionFamily:
         ok = domain.contains(pts, margin_frac=SECTION_MARGIN)  # (samples, sections)
         if not ok.all():
             k, i = np.unravel_index(int(np.argmin(ok)), ok.shape)
-            raise _outside_error(int(i), pts[k, i], tuple(ts[k]))
+            raise _outside_error(int(i), pts[k, i], as_complex_tuple(ts[k]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,10 +392,12 @@ def base_gram_jets(w: WeightFamily, t, N: int, quad: QuadratureRule) -> tuple:
         ddG = np.empty((n,) + dG.shape, dtype=complex)
         for a in range(n):
             dG[a] = ring_gram(basis, -dphi[a] * mu, quad)
-            for c in range(a, n):
+            # a real measure on the diagonal: its Gram takes the half spectrum
+            diag = dphi[a].real ** 2 + dphi[a].imag ** 2 - tt[:, a, a].real
+            ddG[a, a] = ring_gram(basis, diag * mu, quad)
+            for c in range(a + 1, n):
                 ddG[a, c] = ring_gram(basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
-                if c > a:
-                    ddG[c, a] = ddG[a, c].conj().T
+                ddG[c, a] = ddG[a, c].conj().T
         return dG, ddG
 
     return quad.memoize(w, ("gram_jets", t, N), compute)

@@ -25,13 +25,23 @@ ring followed by a contraction with radial powers::
 
 This is the same discrete sum as ``V^H diag(w) V`` over the node
 Vandermonde ``V`` (same aliasing), only added in a different order.
-:func:`ring_gram` assembles it for any complex node measure,
+:func:`ring_gram` assembles it for any real or complex node measure,
 :func:`gram_matrix` the weighted Gram of a weight: the
 first ring axis contracted by one real GEMM, a 2-D Gram's last one only at the
-``dim^2`` entries read (``rings * dim^2`` multiply-adds in an ``einsum``,
-not ``rings * (2N+1)^4``).  The base derivatives of a weighted Gram are
-ring Grams of complex measures (``-d_a phi * exp(-phi) * w`` and so on),
-which give the exact base Hessians of the section functional (``bergman``).
+entries read (``rings * dim^2`` multiply-adds in an ``einsum``,
+not ``rings * (2N+1)^4``), each entry read straight off the contracted
+spectrum at its DFT index (modulo ``n_angular``, which is where aliasing
+lives), with no copy of the kept modes.  A real measure has ``W(-m) =
+conj(W(m))``, so its Gram is Hermitian and half of it is redundant: one
+real FFT of the first angular axis gives the half spectrum ``m_1 >= 0``,
+the GEMM contracts that half alone, and the entries with ``k_1 - j_1 < 0``
+are filled in as conjugates (the real-input FFT saving; Sorensen, Jones,
+Heideman and Burrus, IEEE Trans. ASSP 35, 1987).  Such a Gram is exactly
+Hermitian, with an exactly real diagonal, and is not symmetrized
+afterwards.  The base derivatives of a weighted Gram are ring Grams of the
+measures ``-d_a phi * exp(-phi) * w`` (complex) and ``(d_a phi dbar_b phi
+- d_a dbar_b phi) * exp(-phi) * w`` (real for ``a = b``), which give the
+exact base Hessians of the section functional (``bergman``).
 
 Node values of a coefficient matrix are the adjoint of the ring Gram:
 ``sum_jk A[j, k] M_j(x) conj(M_k(x))`` is ``sum_jk A[j, k] r^(j+k) e^{i
@@ -86,6 +96,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -207,6 +218,19 @@ class FiberDomain:
         return ok
 
 
+class RingTables(NamedTuple):
+    """Tables of the ring transforms over one basis (see
+    :meth:`QuadratureRule.ring_tables`)."""
+
+    modes: tuple  # per coordinate, the DFT index of angular mode m = -N..N, negated
+    powers: tuple  # per coordinate, the ring powers r^s, s = 0..2N, shape (rings, 2N + 1)
+    gather: tuple  # (s_c, m_c + N) per coordinate over basis.pairs: ring_synthesis's scatter
+    kept: int  # leading DFT indices of the first angular axis that ring_gram contracts
+    index: tuple  # (s_1, q_1[, q_2]), q the DFT index, of each value ring_gram reads
+    read_powers: np.ndarray  # r_2^(s_2) for those values, leading ring axis; empty in 1-D
+    dest: tuple | None  # (rows, cols) each value is written to; None: every entry, row-major
+
+
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Tensor-product polar rule over a :class:`FiberDomain`, kept per coordinate.
@@ -272,34 +296,48 @@ class QuadratureRule:
         if stores is not None:
             stores.pop(owner, None)
 
-    def ring_tables(self, basis: MonomialBasis) -> tuple:
-        """Index and radial-power tables of the ring Gram, built once per basis.
+    def ring_tables(self, basis: MonomialBasis, real: bool = False) -> RingTables:
+        """Index and radial-power tables of the ring transforms over ``basis``
+        on this rule, built on first use, one set per front end of
+        :func:`ring_gram`; all read-only.
 
-        Returns ``(modes, powers, gather, read_powers)``: per coordinate the
-        DFT indices of the modes ``-N..N`` (negated, see :func:`ring_gram`)
-        and the ring powers ``r^s``, ``s = 0..2N`` (``s <= N`` also serve
-        :func:`monomial_synthesis` and :func:`monomial_analysis`); ``gather``
-        indexes the contracted ``(s_1, m_1, s_2, m_2, ...)`` tensor at ``s = j
-        + k``, ``m = k - j`` (shifted by N) for every basis pair ``(j, k)``;
-        ``read_powers`` (rings, dim, dim), empty on a 1-D fiber, holds the
-        last ring powers there.  All tables are read-only.
+        The complex front end reads every Gram entry ``(j, k)`` at the DFT
+        index of ``-m``, ``m = k - j``, modulo ``n_angular`` (which is where
+        aliasing lives).  The real one reads only ``basis.half_pairs`` from
+        the half spectrum ``0..n_angular // 2`` of its first angular axis:
+        at ``m``, whose conjugate is ``G[j, k]``, so the value is written to
+        ``(k, j)``; or, where ``m_1`` aliases past the half spectrum, at
+        ``-m``, which is ``G[j, k]`` itself.  ``modes``, ``powers`` and
+        ``gather`` are shared by both.
         """
-        key = ("ring", basis)
+        key = ("ring", basis, real)
         tables = self._tables.get(key)
-        if tables is None:
-            N = basis.max_degree
+        if tables is not None:
+            return tables
+        N, d = basis.max_degree, basis.fiber_dim
+        na = [n for _nr, n in self.shape]
+        if real:
+            modes, powers, gather = self.ring_tables(basis)[:3]
+            j, k, *sm = basis.half_pairs
+            direct = sm[1] % na[0] > na[0] // 2
+            q = tuple(np.where(direct, -m, m) % n for m, n in zip(sm[1::2], na))
+            dest = (np.where(direct, j, k), np.where(direct, k, j))
+            kept = min(N, na[0] // 2) + 1
+        else:
             span = np.arange(-N, N + 1)
-            modes = tuple(-span % na for _nr, na in self.shape)
+            modes = tuple(-span % n for n in na)
             powers = tuple(r[:, None] ** np.arange(2 * N + 1)[None, :] for r in self.radial_nodes)
-            E = basis.exponent_array
-            gather = []
-            for c in range(basis.fiber_dim):
-                gather.append(E[:, None, c] + E[None, :, c])
-                gather.append(E[None, :, c] - E[:, None, c] + N)
-            read_powers = powers[-1][:, gather[-2]] if basis.fiber_dim == 2 else np.empty(0)
-            for arr in modes + powers + tuple(gather) + (read_powers,):
+            _j, _k, *sm = basis.pairs
+            gather = tuple(x + N if c % 2 else x for c, x in enumerate(sm))  # (s_c, m_c + N)
+            q = tuple(idx[g] for idx, g in zip(modes, gather[1::2]))
+            dest, kept = (), na[0]
+            for arr in modes + powers + gather:
                 arr.flags.writeable = False
-            tables = self._tables[key] = (modes, powers, tuple(gather), read_powers)
+        read_powers = powers[-1][:, sm[-2]] if d == 2 else np.empty(0)
+        for arr in q + (read_powers,) + dest:
+            arr.flags.writeable = False
+        tables = RingTables(modes, powers, gather, kept, (sm[0],) + q, read_powers, dest or None)
+        self._tables[key] = tables
         return tables
 
     @property
@@ -399,18 +437,33 @@ class MonomialBasis:
 
     ``exponent_array`` holds the exponents as a read-only ``(dim,
     fiber_dim)`` integer array, built once per basis: its columns index
-    the per-coordinate power tables of :func:`vandermonde`.
+    the per-coordinate power tables of :func:`vandermonde`.  ``pairs``
+    holds ``(j, k, s_1, m_1, ..., s_d, m_d)`` over every pair of basis
+    elements, row-major: ``s_c = j_c + k_c`` and ``m_c = k_c - j_c``; and
+    ``half_pairs`` the same over the pairs a Hermitian Gram needs, ``m_1 >
+    0``, or ``m_1 = 0`` and ``j <= k`` (see :meth:`QuadratureRule.ring_tables`).
     """
 
     fiber_dim: int
     max_degree: int
     exponents: tuple[tuple[int, ...], ...]
     exponent_array: np.ndarray = field(init=False, repr=False, compare=False)
+    pairs: tuple = field(init=False, repr=False, compare=False)
+    half_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         E = np.array(self.exponents, dtype=int).reshape(len(self.exponents), self.fiber_dim)
-        E.flags.writeable = False
+        j, k = np.indices((len(E), len(E))).reshape(2, -1)
+        pairs = (j, k)
+        for c in range(self.fiber_dim):
+            pairs += (E[j, c] + E[k, c], E[k, c] - E[j, c])
+        m1 = pairs[3]
+        half = tuple(x[(m1 > 0) | (m1 == 0) & (j <= k)] for x in pairs)
+        for arr in (E,) + pairs + half:
+            arr.flags.writeable = False
         object.__setattr__(self, "exponent_array", E)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "half_pairs", half)
 
     @property
     def dim(self) -> int:
@@ -484,33 +537,49 @@ def monomial_gradient(basis: MonomialBasis, points: np.ndarray) -> np.ndarray:
 def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -> np.ndarray:
     """``sum_x conj(M_j(x)) M_k(x) measure(x)`` over the nodes, ring by ring.
 
-    ``measure`` is any (real or complex) node field, quadrature weights
+    ``measure`` is any real or complex node field, quadrature weights
     included.  The node sum is taken as an angular DFT of the measure on
     every ring, contracted with the ring powers ``r^(j+k)`` per coordinate
-    (see the module docstring).  No symmetrization and no positivity test:
-    the result is Hermitian only for a real measure.
+    (see the module docstring).  A complex measure takes the full spectrum
+    of every angular axis.  A real one takes one real FFT of its first
+    angular axis, the half spectrum ``0..n_angular // 2``, and the Gram
+    entries with ``k_1 - j_1 >= 0`` (half of them); the others are their
+    conjugates, so its Gram is Hermitian, with a real diagonal, by
+    construction.  Both front ends share one radial GEMM and one gather
+    through :meth:`QuadratureRule.ring_tables`.  No positivity test.
     """
     mu = np.asarray(measure)
     if mu.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} measure values, got shape {mu.shape}")
-    modes, powers, gather, read_powers = quad.ring_tables(basis)
+    real = not np.iscomplexobj(mu)
+    tables = quad.ring_tables(basis, real)
     grid = quad.grid_view(mu)  # axes (r_1, theta_1, r_2, theta_2, ...)
-    # sum_theta mu e^{+i m theta} = fft(mu)[-m]: the mode tables hold the
-    # negated indices.
-    F = _angular_fft(np.fft.fft, grid, 1)
-    for c, idx in enumerate(modes):
-        F = np.take(F, idx, axis=2 * c + 1)
-    Y = _real_product(powers[0].T, F)  # ring axis 1 -> radial power s_1 = j_1 + k_1
+    if real:
+        F = np.fft.rfft(grid, axis=1)
+        F = _angular_fft(np.fft.fft, F, 3, out=F)  # 2-D: the other angular axis, in place
+    else:
+        F = _angular_fft(np.fft.fft, grid, 1)
+    Y = _real_product(tables.powers[0].T, F[:, : tables.kept])  # ring axis 1 -> s_1 = j_1 + k_1
+    del F  # the gather below takes its memory, not fresh pages
     if basis.fiber_dim == 1:
-        return Y[gather]
-    s1, m1, _s2, m2 = gather  # ring axis 2 only at the (s_1, m_1, m_2) the Gram reads
-    return np.einsum("jkr,rjk->jk", Y[s1, m1, :, m2], read_powers)
+        G = Y[tables.index]
+    else:
+        s1, q1, q2 = tables.index  # ring axis 2 only at the (s_1, q_1, q_2) the Gram reads
+        G = np.einsum("...r,r...->...", Y[s1, q1, :, q2], tables.read_powers)
+    if tables.dest is None:
+        return G.reshape(basis.dim, basis.dim)
+    out = np.empty((basis.dim, basis.dim), dtype=complex)
+    out[tables.dest] = G
+    out[tables.dest[::-1]] = G.conj()
+    return out
 
 
 def _real_product(P: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """``P @ T`` over the first axis of a complex ``T`` as one real GEMM on its (re, im) pairs."""
-    T = np.ascontiguousarray(T)
-    return (P @ T.reshape(len(T), -1).view(float)).view(complex).reshape(P.shape[:1] + T.shape[1:])
+    """``P @ T`` over the first axis of a complex ``T`` as one real GEMM on
+    its (re, im) pairs; ``T`` is copied only where its trailing axes do not
+    flatten to one contiguous row per entry of the first axis."""
+    T2 = T.reshape(len(T), -1)
+    return (P @ T2.view(float)).view(complex).reshape(P.shape[:1] + T.shape[1:])
 
 
 def gram_matrix(
@@ -520,8 +589,8 @@ def gram_matrix(
 
     Entry ``G[j, k]`` pairs monomial ``k`` against the conjugate of monomial
     ``j``, so ``v^H G v = ||sum_j v_j m_j||^2``.  The node sum is the
-    :func:`ring_gram` of the measure ``weight_values * quad.weights``,
-    symmetrized against roundoff.  Weight values must be finite and
+    :func:`ring_gram` of the real measure ``weight_values * quad.weights``,
+    Hermitian by construction.  Weight values must be finite and
     nonnegative: an ``exp(-phi)`` that underflows to 0 is accepted.
     Positivity is tested by :func:`orthonormalize`, not here: a quadrature
     too coarse for the degree (angular aliasing makes distinct monomials
@@ -533,8 +602,7 @@ def gram_matrix(
         raise ValueError(f"expected {quad.size} weight values, got shape {wv.shape}")
     if not np.all(np.isfinite(wv)) or np.any(wv < 0):
         raise ValueError("weight values must be finite and nonnegative")
-    G = ring_gram(basis, wv * quad.weights, quad)
-    return 0.5 * (G + G.conj().T)  # symmetrize roundoff
+    return ring_gram(basis, wv * quad.weights, quad)
 
 
 def ring_synthesis(
@@ -554,9 +622,9 @@ def ring_synthesis(
     A = np.asarray(coeffs)
     lead = A.shape[:-2]
     A = A.reshape((-1,) + A.shape[-2:])
-    modes, powers, gather, _read = quad.ring_tables(basis)
+    modes, powers, gather = quad.ring_tables(basis)[:3]
     T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
-    T[(slice(None),) + gather] = A  # (j, k) -> (s, m) is one-to-one
+    T[(slice(None),) + gather] = A.reshape(len(A), -1)  # (j, k) -> (s, m) is one-to-one
     for c, (idx, P) in enumerate(zip(modes, powers)):
         # replace radial-power axis s of coordinate c by the ring axis
         axis = 1 + 2 * c
@@ -599,7 +667,7 @@ def monomial_synthesis(
     lead = c.shape[:-1]
     c = c.reshape(-1, basis.dim)
     N = basis.max_degree
-    powers = quad.ring_tables(basis)[1]
+    powers = quad.ring_tables(basis).powers
     T = np.zeros((c.shape[0],) + (N + 1,) * basis.fiber_dim, dtype=complex)
     T[(slice(None),) + tuple(basis.exponent_array.T)] = c
     for c_axis, P in enumerate(powers):
@@ -633,7 +701,7 @@ def monomial_analysis(
     if f.shape[-1:] != (quad.size,):
         raise ValueError(f"expected {quad.size} node values, got shape {f.shape}")
     N, d = basis.max_degree, basis.fiber_dim
-    powers = quad.ring_tables(basis)[1]
+    powers = quad.ring_tables(basis).powers
     F = _angular_fft(np.fft.fft, quad.grid_view(f.reshape(-1, quad.size)), 2)
     F = F[(slice(None),) + (slice(None), slice(N + 1)) * d]
     axes = ("aj", "bk")[:d]  # (ring, exponent) per coordinate

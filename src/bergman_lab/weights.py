@@ -227,8 +227,20 @@ class WeightFamily:
         return quad.memoize(self, ("phi", t), lambda: self.value(t, quad))
 
     def weight_values(self, t, quad) -> np.ndarray:
-        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_phi`."""
-        return np.exp(-self.node_phi(t, quad))
+        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_phi`.
+
+        An ``exp(-phi)`` that underflows to 0 is a weight value; one that
+        overflows is not, and raises ``ArithmeticError`` naming ``t``.
+        """
+        with np.errstate(over="ignore"):
+            wv = np.exp(-self.node_phi(t, quad))
+        top = wv.max()
+        if not top < math.inf:  # NaN fails too
+            raise ArithmeticError(
+                f"weight exp(-phi) is not finite on the quadrature nodes at t = "
+                f"{as_complex_tuple(t)}: its largest value is {top}"
+            )
+        return wv
 
     def describe(self) -> str:
         return f"{self.kind} weight, n={self.n}, d={self.d}"

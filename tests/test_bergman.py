@@ -273,7 +273,7 @@ class TestSectionValue:
         patch = BasePatch((0j,) * len(base), 0.5)
         with pytest.raises(SectionOutsideDomainError) as looped:
             for t in patch.sample(radii=(0.0, 0.5, 1.0), angles=8):
-                fam.check_inside(domain, tuple(t))
+                fam.check_inside(domain, tuple(complex(x) for x in t))  # python numbers
         with pytest.raises(SectionOutsideDomainError) as vectorized:
             fam.validate_on_patch(domain, patch)
         assert str(vectorized.value) == str(looped.value)
@@ -458,7 +458,11 @@ class TestBaseGramJets:
         tt = w.hessian_field(t, node_list(q))[0]
         for a in range(n):
             assert np.array_equal(dG[a], ring_gram(basis, -dphi[a] * mu, q))
-            for c in range(a, n):
+            # the diagonal measure |d_a phi|^2 - Re d_a dbar_a phi is real
+            diag = (dphi[a].real ** 2 + dphi[a].imag ** 2 - tt[:, a, a].real) * mu
+            assert np.array_equal(ddG[a, a], ring_gram(basis, diag, q))
+            assert np.array_equal(ddG[a, a], ddG[a, a].conj().T)
+            for c in range(a + 1, n):
                 fresh = ring_gram(basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, q)
                 assert np.array_equal(ddG[a, c], fresh)
             for c in range(a + 1, n):

@@ -148,6 +148,18 @@ class TestRunCommand:
         assert [r["verdict"] for r in records] == ["pass"] + ["unconverged"] * 5
         assert all("kernel truncation not converged" in r["error"] for r in records[1:])
 
+    def test_overflowing_weight_gives_a_fail_record_and_exit_two(self, scn, tmp_path, capsys):
+        # exp(800|xi|^2 - |t|^2) overflows to inf on the outer rings: no
+        # Gram can be formed, and the record names the base point
+        text = "id = overflow\nweight = custom (+ (abs2 t1) (* -800 (abs2 z1)))\nchecks = log_inequality\n"
+        out = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(text), "--out", str(out)]) == 2
+        assert "log_inequality: FAIL" in capsys.readouterr().out
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["fail"]
+        assert "exp(-phi) is not finite" in records[0]["error"]
+        assert "at t = (0j,)" in records[0]["error"]
+
     def test_every_truncation_gate_names_the_knob(self):
         # degree 4 cannot resolve a section at 0.8: each check meets its gate
         sc = parse_scenario(COARSE)
@@ -163,6 +175,13 @@ class TestRunCommand:
         assert main(["run", "--scenario", scn(text)]) == 2
         err = capsys.readouterr().err
         assert "scenario error" in err and "67,108,864 nodes" in err
+
+    def test_section_outside_the_fiber_names_the_base_point_as_python_numbers(self, scn, capsys):
+        # the patch sample's numpy scalars print as np.complex128(0j) under numpy 2
+        text = "id = far\nweight = separable 1.0\nfiber = annulus 0.5 1e300\nchecks = certify\n"
+        assert main(["run", "--scenario", scn(text)]) == 2
+        err = capsys.readouterr().err
+        assert "evaluates to [0j] at t=(0j,), outside the fiber domain" in err
 
     def test_scenario_error_exits_two(self, scn, capsys):
         code = main(["run", "--scenario", scn("id = broken\n")])

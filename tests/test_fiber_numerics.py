@@ -321,6 +321,16 @@ RING_CASES = [
 ]
 
 
+# RING_CASES with an odd angular count, and aliased rules: modes -6..6
+# wrap around 8 and 9 angles
+RING_GRAM_CASES = RING_CASES + [
+    (FiberDomain.disk(1.0), 10, 11, 4),
+    (FiberDomain.disk(1.0), 8, 8, 6),
+    (FiberDomain.polydisc(1.0, 0.7), 6, 9, 6),
+]
+RING_GRAM_IDS = ["disk", "annulus", "bidisc", "odd", "aliased", "bidisc-odd-aliased"]
+
+
 def cross_term_weight(nodes, t=0.3 + 0.2j, lam=0.5):
     """exp(-phi) of |z|^2 + 2 Re(lam conj(t) z_1): not radial for t != 0."""
     phi = np.sum(np.abs(nodes) ** 2, axis=1) + 2 * np.real(lam * np.conj(t) * nodes[:, 0])
@@ -363,21 +373,39 @@ def polydisc_bits_per_blas_threads(body: str) -> list:
 def tensordot_ring_gram(basis, measure, quad):
     """The ring Gram with every ring axis contracted by a complex tensordot
     over the whole ``(s, m)`` table: the reference formulation."""
-    modes, powers, gather, _read = quad.ring_tables(basis)
+    modes, powers, gather = quad.ring_tables(basis)[:3]
     grid = quad.grid_view(measure)
     F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
     for c, (idx, P) in enumerate(zip(modes, powers)):
         F = np.take(F, idx, axis=2 * c + 1)
         F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
-    return F[gather]
+    return F[gather].reshape(basis.dim, basis.dim)
+
+
+def half_spectrum_ring_gram(basis, measure, quad):
+    """The ring Gram of a real measure on a 1-D fiber from the half spectrum
+    of one real FFT, contracted by a complex tensordot: entry ``(j, k)``,
+    ``m = k - j >= 0``, is the conjugate of the contracted ``(j + k, m)``
+    entry, or the ``(j + k, -m)`` entry where ``m`` aliases past the half
+    spectrum, and ``(k, j)`` is its conjugate: the reference formulation."""
+    ((_nr, na),) = quad.shape
+    R = np.fft.rfft(quad.grid_view(measure), axis=1)
+    Y = np.tensordot(quad.ring_tables(basis).powers[0], R, axes=([0], [0]))
+    G = np.empty((basis.dim, basis.dim), dtype=complex)
+    for j in range(basis.dim):
+        for k in range(j, basis.dim):
+            m = k - j
+            G[j, k] = np.conj(Y[j + k, m % na]) if m % na <= na // 2 else Y[j + k, -m % na]
+            G[k, j] = np.conj(G[j, k])
+    return G
 
 
 def tensordot_ring_synthesis(basis, coeffs, quad):
     """:func:`ring_synthesis` with complex tensordots: the reference formulation."""
     A = coeffs.reshape((-1,) + coeffs.shape[-2:])
-    modes, powers, gather, _read = quad.ring_tables(basis)
+    modes, powers, gather = quad.ring_tables(basis)[:3]
     T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
-    T[(slice(None),) + gather] = A
+    T[(slice(None),) + gather] = A.reshape(len(A), -1)  # gather runs over the pairs row-major
     for c, (idx, P) in enumerate(zip(modes, powers)):
         axis = 1 + 2 * c
         T = np.moveaxis(np.tensordot(P, T, axes=([1], [axis])), 0, axis)
@@ -395,7 +423,8 @@ class TestRingGram:
     @pytest.mark.parametrize("case", RING_CASES[:2], ids=["disk", "annulus"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_one_dimensional_bits_equal_complex_tensordot(self, case, kind, rng):
-        # the real GEMM on (re, im) pairs adds the same products in the same order
+        # the real GEMM on (re, im) pairs adds the same products in the same
+        # order; a real measure's reference is the half-spectrum one
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
@@ -403,9 +432,11 @@ class TestRingGram:
         A = rng.normal(size=(3, basis.dim, basis.dim)) + 1j * rng.normal(size=(3, basis.dim, basis.dim))
         if kind == "complex":
             measure = measure * (rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size))
+            reference = tensordot_ring_gram(basis, measure, quad)
         else:
             A = A + A.conj().transpose(0, 2, 1)  # Hermitian, as the kernel diagonal's P
-        assert np.array_equal(ring_gram(basis, measure, quad), tensordot_ring_gram(basis, measure, quad))
+            reference = half_spectrum_ring_gram(basis, measure, quad)
+        assert np.array_equal(ring_gram(basis, measure, quad), reference)
         assert np.array_equal(ring_synthesis(basis, A, quad), tensordot_ring_synthesis(basis, A, quad))
         assert np.array_equal(ring_synthesis(basis, A[1], quad), tensordot_ring_synthesis(basis, A[1], quad))
 
@@ -422,8 +453,10 @@ class TestRingGram:
         assert np.abs(S - RS).max() <= 1e-15 * np.abs(RS).max()
 
     def test_two_dimensional_bits_do_not_follow_blas_threads(self):
+        # a complex measure and a real one, side by side
         out = polydisc_bits_per_blas_threads(
-            "C = ring_gram(monomial_basis(10, 2), (1.0 + 0.5j * z[:, 1]) * wv * q.weights, q)\n"
+            "b, mu = monomial_basis(10, 2), wv * q.weights\n"
+            "C = np.hstack([ring_gram(b, (1.0 + 0.5j * z[:, 1]) * mu, q), ring_gram(b, mu, q)])\n"
         )
         assert out[0][0] == "66"
         assert out[0] == out[1]
@@ -466,11 +499,29 @@ class TestRingGram:
         assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
         assert np.abs(B - B.conj().T).max() > 1e-3 * np.abs(B).max()  # not Hermitian
 
+    @pytest.mark.parametrize("case", RING_GRAM_CASES, ids=RING_GRAM_IDS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_both_front_ends_equal_brute_force(self, case, kind, rng):
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        measure = polynomial_weight(node_list(quad)) * quad.weights
+        if kind == "complex":
+            measure = measure * (rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size))
+        G = ring_gram(basis, measure, quad)
+        V = vandermonde(basis, node_list(quad))
+        B = V.conj().T @ (measure[:, None] * V)
+        assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
+        if kind == "real":
+            # Hermitian by construction: every bit, and a real diagonal
+            assert np.array_equal(G, G.conj().T)
+            assert np.all(np.diag(G).imag == 0)
+
     def test_gram_matrix_is_ring_gram_of_weighted_measure(self, disk_quad):
         basis = monomial_basis(8)
         wv = cross_term_weight(node_list(disk_quad))
         G = ring_gram(basis, wv * disk_quad.weights, disk_quad)
-        assert np.array_equal(gram_matrix(basis, wv, disk_quad), 0.5 * (G + G.conj().T))
+        assert np.array_equal(gram_matrix(basis, wv, disk_quad), G)
 
     def test_rejects_wrong_measure_shape(self, disk_quad):
         with pytest.raises(ValueError, match="measure values"):
@@ -540,12 +591,26 @@ class TestNodeTransforms:
 
     def test_ring_tables_are_read_only(self):
         quad = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 8, 16)
-        modes, powers, gather, read_powers = quad.ring_tables(monomial_basis(3, 2))
-        assert quad.ring_tables(monomial_basis(3, 2))[1] is powers  # built once per basis
-        assert np.array_equal(read_powers, powers[1][:, gather[2]])  # r_2^(j_2 + k_2)
-        for arr in modes + powers + gather + (read_powers,):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 2
+        basis = monomial_basis(3, 2)
+        E = basis.exponent_array
+        for real in (False, True):
+            tables = quad.ring_tables(basis, real)
+            assert quad.ring_tables(basis, real) is tables  # built once per basis and front end
+            assert quad.ring_tables(basis).powers is tables.powers  # one set of shared tables
+            rows, cols = tables.dest or np.indices((basis.dim, basis.dim)).reshape(2, -1)
+            s1, q1, _q2 = tables.index
+            assert np.array_equal(s1, E[rows, 0] + E[cols, 0])  # s_1 = j_1 + k_1
+            assert np.array_equal(tables.read_powers, tables.powers[1][:, E[rows, 1] + E[cols, 1]])
+            assert q1.max() < tables.kept == (4 if real else 16)  # real: the half spectrum 0..N
+            if real:  # each entry written once, as itself or as its conjugate's transpose
+                hits = np.zeros((basis.dim, basis.dim), dtype=int)
+                np.add.at(hits, (rows, cols), 1)
+                np.add.at(hits, (cols, rows), 1)
+                assert np.array_equal(hits, 1 + np.eye(basis.dim, dtype=int))
+            arrays = tables.modes + tables.powers + tables.gather + tables.index + (tables.read_powers,)
+            for arr in arrays + (tables.dest or ()) + basis.pairs + basis.half_pairs:
+                with pytest.raises(ValueError):
+                    arr[(0,) * arr.ndim] = 2
 
 
 class TestGaussLegendreMemo:
