@@ -30,8 +30,7 @@ Vandermonde ``V`` (same aliasing), only added in a different order.
 first ring axis contracted by one real GEMM, a 2-D Gram's last one only at the
 entries read (``rings * dim^2`` multiply-adds in an ``einsum``,
 not ``rings * (2N+1)^4``), each entry read straight off the contracted
-spectrum at its DFT index (modulo ``n_angular``, which is where aliasing
-lives), with no copy of the kept modes.  A real measure has ``W(-m) =
+spectrum, with no copy of the kept modes.  A real measure has ``W(-m) =
 conj(W(m))``, so its Gram is Hermitian and half of it is redundant: one
 real FFT of the first angular axis gives the half spectrum ``m_1 >= 0``,
 the GEMM contracts that half alone, and the entries with ``k_1 - j_1 < 0``
@@ -46,14 +45,25 @@ exact base Hessians of the section functional (``bergman``).
 Node values of a coefficient matrix are the adjoint of the ring Gram:
 ``sum_jk A[j, k] M_j(x) conj(M_k(x))`` is ``sum_jk A[j, k] r^(j+k) e^{i
 (j-k) theta}`` per coordinate, so :func:`ring_synthesis` scatters ``A``
-into the ``(s, m)`` table through the same gather indices, contracts each
-``s`` axis with that coordinate's ring powers, places the modes with the
-same mode table and takes one inverse FFT over the angular axes, for a
-whole stack of matrices at once.  That costs about ``rings * (2N+1)^2``
-per coordinate and matrix plus one node-sized FFT, against ``nodes *
-dim^2`` for the frame ``V C`` on the nodes.  The kernel diagonal is the
-case ``A = P = C C^H``, the inverse Gram; the base derivatives of ``P``
-give the log-kernel jets of the iteration.
+into the ``(s, e)`` table, ``e = j - k``, contracts each ``s`` axis with
+that coordinate's ring powers, places the modes and takes one inverse FFT
+over the angular axes, for a whole stack of matrices at once.  That costs
+about ``rings * (2N+1)^2`` per coordinate and matrix plus one node-sized
+FFT, against ``nodes * dim^2`` for the frame ``V C`` on the nodes.  The
+kernel diagonal is the case ``A = P = C C^H``, the inverse Gram; the base
+derivatives of ``P`` give the log-kernel jets of the iteration.
+
+Every transform places angular modes by one rule, :func:`_fold`: mode ``e``
+of a coordinate sits at DFT index ``e mod n``, ``n = n_angular``, and modes
+that alias add.  The modes span that coordinate's exponent range ``lo..hi``
+in the basis: ``e = j - k`` of a pair over ``lo - hi..hi - lo``, a
+monomial's exponent over ``lo..hi``.  Mode ``e = a + p`` of a span starting
+at ``a`` has the fold position ``(a + p) % n + n * (p // n)``, in rows of
+``n`` laid end to end.  The synthesis directions write each mode there and
+sum the rows where there is more than one; the reading directions (the
+Gram's index tables and :func:`monomial_analysis`) gather at the position
+modulo ``n``.  So each transform is the same discrete sum as its node
+Vandermonde product at every degree, aliased or not.
 
 Positivity is decided once per factored Gram, in :func:`cholesky_factor`
 (a basis through :func:`orthonormalize`, a determinant frame directly):
@@ -69,10 +79,10 @@ Linear node fields have the same structure one index lower.  A
 coefficient vector ``c`` has node values ``sum_j c_j M_j(x) = sum_e c_e
 prod_c r_c^(e_c) e^{i e_c theta_c}``: :func:`monomial_synthesis` scales
 each coordinate's coefficient table by the ring powers (an outer product)
-and puts exponent ``e`` at angular mode ``e`` of one inverse FFT.  Its
-adjoint :func:`monomial_analysis` turns a node field ``f`` into the
-moments ``sum_x conj(M_j(x)) f(x)``: a forward FFT over the angular axes,
-modes ``0..N`` kept, each ring axis contracted with ``r^e``.  The pair is
+and places the modes ``e`` for one inverse FFT.  Its adjoint
+:func:`monomial_analysis` turns a node field ``f`` into the moments
+``sum_x conj(M_j(x)) f(x)``: a forward FFT over the angular axes, the modes
+gathered, each ring axis contracted with ``r^e``.  The pair is
 ``V c`` and ``V^H f`` over the node Vandermonde ``V`` without building
 it, so no ``(nodes x dim)`` array exists anywhere; the kernel columns,
 the fields of the L2 step and their orthogonality residual are read
@@ -84,7 +94,7 @@ n_angular)`` complex grid each, shaped to broadcast against the others, so
 a node field that is a sum of per-coordinate terms (a weight and its base
 jets, ``weights``) is evaluated term by term on ``n_radial * n_angular``
 points and broadcast once; no ``(nodes, d)`` list of the nodes is built.
-It also keeps the radial-power and mode-index tables of the ring
+It also keeps the radial-power, fold and index tables of the ring
 transforms for its lifetime and, through :meth:`QuadratureRule.memo`, the
 per-weight results that callers (the Bergman basis builds) store on it; it
 holds at most :data:`MAX_NODES` nodes.
@@ -219,12 +229,11 @@ class FiberDomain:
 
 
 class RingTables(NamedTuple):
-    """Tables of the ring transforms over one basis (see
-    :meth:`QuadratureRule.ring_tables`)."""
+    """Tables of the ring transforms over one basis (:meth:`QuadratureRule.ring_tables`)."""
 
-    modes: tuple  # per coordinate, the DFT index of angular mode m = -N..N, negated
-    powers: tuple  # per coordinate, the ring powers r^s, s = 0..2N, shape (rings, 2N + 1)
-    gather: tuple  # (s_c, m_c + N) per coordinate over basis.pairs: ring_synthesis's scatter
+    fold: tuple  # per coordinate, _fold of the pair modes e_c = j_c - k_c, lo_c - hi_c..hi_c - lo_c
+    powers: tuple  # per coordinate, the ring powers r^s over the pair sums s_c = 2 lo_c..2 hi_c
+    monomials: tuple  # per coordinate, (e_c - lo_c over the basis, r^e and _fold of e = lo_c..hi_c)
     kept: int  # leading DFT indices of the first angular axis that ring_gram contracts
     index: tuple  # (s_1, q_1[, q_2]), q the DFT index, of each value ring_gram reads
     read_powers: np.ndarray  # r_2^(s_2) for those values, leading ring axis; empty in 1-D
@@ -298,45 +307,40 @@ class QuadratureRule:
 
     def ring_tables(self, basis: MonomialBasis, real: bool = False) -> RingTables:
         """Index and radial-power tables of the ring transforms over ``basis``
-        on this rule, built on first use, one set per front end of
-        :func:`ring_gram`; all read-only.
-
-        The complex front end reads every Gram entry ``(j, k)`` at the DFT
-        index of ``-m``, ``m = k - j``, modulo ``n_angular`` (which is where
-        aliasing lives).  The real one reads only ``basis.half_pairs`` from
-        the half spectrum ``0..n_angular // 2`` of its first angular axis:
-        at ``m``, whose conjugate is ``G[j, k]``, so the value is written to
-        ``(k, j)``; or, where ``m_1`` aliases past the half spectrum, at
-        ``-m``, which is ``G[j, k]`` itself.  ``modes``, ``powers`` and
-        ``gather`` are shared by both.
+        on this rule over each coordinate's exponent range ``lo..hi`` (module
+        docstring), built on first use, one set per front end of
+        :func:`ring_gram`; all read-only.  The complex front end reads every
+        Gram entry ``(j, k)`` at the DFT index of ``e``.  The real one reads
+        only ``basis.half_pairs`` from the half spectrum ``0..n_angular // 2``
+        of its first angular axis: at ``-e``, whose conjugate is ``G[j, k]``,
+        so the value is written to ``(k, j)``; or, where ``-e_1`` aliases past
+        the half spectrum, at ``e``, which is ``G[j, k]`` itself.
         """
         key = ("ring", basis, real)
         tables = self._tables.get(key)
         if tables is not None:
             return tables
-        N, d = basis.max_degree, basis.fiber_dim
-        na = [n for _nr, n in self.shape]
+        E, ranges, na = basis.exponent_array, basis.exponent_range, [n for _nr, n in self.shape]
+        w = [b - a for a, b in ranges]
+        j, k, *se = basis.half_pairs if real else basis.pairs  # mode -e sits at 2w - (e + w)
         if real:
-            modes, powers, gather = self.ring_tables(basis)[:3]
-            j, k, *sm = basis.half_pairs
-            direct = sm[1] % na[0] > na[0] // 2
-            q = tuple(np.where(direct, -m, m) % n for m, n in zip(sm[1::2], na))
-            dest = (np.where(direct, j, k), np.where(direct, k, j))
-            kept = min(N, na[0] // 2) + 1
+            fold, powers, monomials = self.ring_tables(basis)[:3]
+            dft = [f % n for f, n in zip(fold, na)]
+            direct = dft[0][2 * w[0] - se[1]] > na[0] // 2
+            q = tuple(d[np.where(direct, e, 2 * v - e)] for d, v, e in zip(dft, w, se[1::2]))
+            dest, kept = (np.where(direct, j, k), np.where(direct, k, j)), min(w[0], na[0] // 2) + 1
         else:
-            span = np.arange(-N, N + 1)
-            modes = tuple(-span % n for n in na)
-            powers = tuple(r[:, None] ** np.arange(2 * N + 1)[None, :] for r in self.radial_nodes)
-            _j, _k, *sm = basis.pairs
-            gather = tuple(x + N if c % 2 else x for c, x in enumerate(sm))  # (s_c, m_c + N)
-            q = tuple(idx[g] for idx, g in zip(modes, gather[1::2]))
-            dest, kept = (), na[0]
-            for arr in modes + powers + gather:
-                arr.flags.writeable = False
-        read_powers = powers[-1][:, sm[-2]] if d == 2 else np.empty(0)
-        for arr in q + (read_powers,) + dest:
+            fold = tuple(_fold(-v, v, n) for v, n in zip(w, na))
+            powers = tuple(r[:, None] ** np.arange(2 * a, 2 * b + 1)[None, :]
+                           for r, (a, b) in zip(self.radial_nodes, ranges))
+            monomials = tuple((E[:, c] - a, P[:, -a : b - 2 * a + 1], _fold(a, b, n))
+                              for c, (P, (a, b), n) in enumerate(zip(powers, ranges, na)))
+            q = tuple((f % n)[e] for f, e, n in zip(fold, se[1::2], na))
+            dest, kept = None, na[0]
+        read_powers = powers[-1][:, se[-2]] if basis.fiber_dim == 2 else np.empty(0)
+        for arr in fold + powers + sum(monomials, ()) + q + (read_powers,) + (dest or ()):
             arr.flags.writeable = False
-        tables = RingTables(modes, powers, gather, kept, (sm[0],) + q, read_powers, dest or None)
+        tables = RingTables(fold, powers, monomials, kept, (se[0],) + q, read_powers, dest)
         self._tables[key] = tables
         return tables
 
@@ -437,31 +441,36 @@ class MonomialBasis:
 
     ``exponent_array`` holds the exponents as a read-only ``(dim,
     fiber_dim)`` integer array, built once per basis: its columns index
-    the per-coordinate power tables of :func:`vandermonde`.  ``pairs``
-    holds ``(j, k, s_1, m_1, ..., s_d, m_d)`` over every pair of basis
-    elements, row-major: ``s_c = j_c + k_c`` and ``m_c = k_c - j_c``; and
-    ``half_pairs`` the same over the pairs a Hermitian Gram needs, ``m_1 >
-    0``, or ``m_1 = 0`` and ``j <= k`` (see :meth:`QuadratureRule.ring_tables`).
+    the per-coordinate power tables of :func:`vandermonde`, and
+    ``exponent_range`` each column's ``(lo, hi)``.  ``pairs`` holds ``(j, k,
+    s_1, e_1, ..., s_d, e_d)`` over every pair of basis elements, row-major,
+    at their places in the ring tables: ``s_c = j_c + k_c - 2 lo_c`` and
+    ``e_c = j_c - k_c + hi_c - lo_c``; and ``half_pairs`` the same over the
+    pairs a Hermitian Gram needs, ``j_1 < k_1``, or ``j_1 = k_1`` and ``j <=
+    k`` (see :meth:`QuadratureRule.ring_tables`).
     """
 
     fiber_dim: int
     max_degree: int
     exponents: tuple[tuple[int, ...], ...]
     exponent_array: np.ndarray = field(init=False, repr=False, compare=False)
+    exponent_range: tuple = field(init=False, repr=False, compare=False)
     pairs: tuple = field(init=False, repr=False, compare=False)
     half_pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         E = np.array(self.exponents, dtype=int).reshape(len(self.exponents), self.fiber_dim)
+        ranges = tuple(zip(E.min(axis=0).tolist(), E.max(axis=0).tolist()))
         j, k = np.indices((len(E), len(E))).reshape(2, -1)
         pairs = (j, k)
-        for c in range(self.fiber_dim):
-            pairs += (E[j, c] + E[k, c], E[k, c] - E[j, c])
-        m1 = pairs[3]
-        half = tuple(x[(m1 > 0) | (m1 == 0) & (j <= k)] for x in pairs)
+        for c, (lo, hi) in enumerate(ranges):
+            pairs += (E[j, c] + E[k, c] - 2 * lo, E[j, c] - E[k, c] + hi - lo)
+        e1 = E[j, 0] - E[k, 0]
+        half = tuple(x[(e1 < 0) | (e1 == 0) & (j <= k)] for x in pairs)
         for arr in (E,) + pairs + half:
             arr.flags.writeable = False
         object.__setattr__(self, "exponent_array", E)
+        object.__setattr__(self, "exponent_range", ranges)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "half_pairs", half)
 
@@ -538,15 +547,10 @@ def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -
     """``sum_x conj(M_j(x)) M_k(x) measure(x)`` over the nodes, ring by ring.
 
     ``measure`` is any real or complex node field, quadrature weights
-    included.  The node sum is taken as an angular DFT of the measure on
-    every ring, contracted with the ring powers ``r^(j+k)`` per coordinate
-    (see the module docstring).  A complex measure takes the full spectrum
-    of every angular axis.  A real one takes one real FFT of its first
-    angular axis, the half spectrum ``0..n_angular // 2``, and the Gram
-    entries with ``k_1 - j_1 >= 0`` (half of them); the others are their
-    conjugates, so its Gram is Hermitian, with a real diagonal, by
-    construction.  Both front ends share one radial GEMM and one gather
-    through :meth:`QuadratureRule.ring_tables`.  No positivity test.
+    included (see the module docstring).  A real measure's Gram is
+    Hermitian, with a real diagonal, by construction.  Both front ends share
+    one radial GEMM and one gather through
+    :meth:`QuadratureRule.ring_tables`.  No positivity test.
     """
     mu = np.asarray(measure)
     if mu.shape != (quad.size,):
@@ -611,33 +615,39 @@ def ring_synthesis(
     """``M(x)^T A conj(M(x))`` on every node, for a stack of coefficient matrices.
 
     ``coeffs`` has shape ``(..., dim, dim)`` and the result ``(..., nodes)``
-    (complex; real up to round-off where ``A`` is Hermitian).  The adjoint
-    of :func:`ring_gram`: each ``A`` is scattered into the ``(s, m)`` table
-    at ``s = j + k``, ``m = k - j`` through the same gather indices, each
-    radial-power axis ``s`` is contracted with that coordinate's ring
-    powers, and one inverse FFT over the angular axes of the whole stack
-    turns the modes into node values (see the module docstring).  No node
-    Vandermonde is evaluated.
+    (complex; real up to round-off where ``A`` is Hermitian): the adjoint of
+    :func:`ring_gram`, with one inverse FFT for the whole stack and no node
+    Vandermonde (see the module docstring).
     """
     A = np.asarray(coeffs)
     lead = A.shape[:-2]
     A = A.reshape((-1,) + A.shape[-2:])
-    modes, powers, gather = quad.ring_tables(basis)[:3]
-    T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
-    T[(slice(None),) + gather] = A.reshape(len(A), -1)  # (j, k) -> (s, m) is one-to-one
-    for c, (idx, P) in enumerate(zip(modes, powers)):
+    fold, powers = quad.ring_tables(basis)[:2]
+    T = np.zeros((len(A),) + sum(((P.shape[1], f.size) for P, f in zip(powers, fold)), ()), complex)
+    T[(slice(None),) + basis.pairs[2:]] = A.reshape(len(A), -1)  # (j, k) -> (s, e) is one-to-one
+    for c, (f, P) in enumerate(zip(fold, powers)):
         # replace radial-power axis s of coordinate c by the ring axis
         axis = 1 + 2 * c
         T = np.moveaxis(_real_product(P, np.moveaxis(T, axis, 0)), 0, axis)
-        X = np.zeros(T.shape[: axis + 1] + (quad.shape[c][1],) + T.shape[axis + 2 :], dtype=complex)
-        # M_j conj(M_k) carries e^{-i m theta} for m = k - j: the inverse DFT
-        # index -m, which is what the mode table holds
-        X[(slice(None),) * (axis + 1) + (idx,)] = T
-        T = X
-    n_angular = math.prod(T.shape[2::2])
+        T = _place_modes(T, f, quad.shape[c][1], axis + 1)
     K = _angular_fft(np.fft.ifft, T, 2, out=T)  # in place: no stack-sized temporaries
-    K *= n_angular
+    K *= math.prod(quad.grid_shape[1::2])
     return K.reshape(lead + (quad.size,))
+
+
+def _fold(lo: int, hi: int, n: int) -> np.ndarray:
+    """Fold positions of the angular modes ``lo..hi`` on ``n`` angles (module docstring)."""
+    p = np.arange(hi - lo + 1)
+    return (lo + p) % n + n * (p // n)
+
+
+def _place_modes(T: np.ndarray, fold: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """``T`` with its mode axis ``axis`` replaced by ``n`` angles, each mode
+    written at its ``fold`` position and the rows summed: aliases add."""
+    rows = int(fold[-1]) // n + 1
+    X = np.zeros(T.shape[:axis] + (rows * n,) + T.shape[axis + 1 :], dtype=complex)
+    X[(slice(None),) * axis + (fold,)] = T
+    return X.reshape(T.shape[:axis] + (rows, n) + T.shape[axis + 1 :]).sum(axis) if rows > 1 else X
 
 
 def _angular_fft(transform, grid: np.ndarray, first: int, out=None) -> np.ndarray:
@@ -657,29 +667,20 @@ def monomial_synthesis(
     """``sum_j c_j M_j(x)`` on every node, for a stack of coefficient vectors.
 
     ``coeffs`` has shape ``(..., dim)`` and the result ``(..., nodes)``: the
-    product ``V c`` with the node Vandermonde ``V``, which is not built.
-    Each coordinate's exponent axis ``e`` is scaled by the ring powers
-    ``r^e`` (an outer product, which adds the ring axis), exponent ``e``
-    is placed at angular mode ``e``, and one inverse FFT over the angular
-    axes sums the modes (see the module docstring).
+    product ``V c`` with the node Vandermonde ``V``, which is not built (see
+    the module docstring).
     """
     c = np.asarray(coeffs)
     lead = c.shape[:-1]
     c = c.reshape(-1, basis.dim)
-    N = basis.max_degree
-    powers = quad.ring_tables(basis).powers
-    T = np.zeros((c.shape[0],) + (N + 1,) * basis.fiber_dim, dtype=complex)
-    T[(slice(None),) + tuple(basis.exponent_array.T)] = c
-    for c_axis, P in enumerate(powers):
-        # axes so far (stack, r_1, e_1, ..., e_c, ...): add r_c before e_c
-        axis = 1 + 2 * c_axis
-        T = np.expand_dims(T, axis)
-        shape = [1] * T.ndim
-        shape[axis : axis + 2] = P.shape[0], N + 1
-        T = T * P[:, : N + 1].reshape(shape)
-    X = np.zeros((c.shape[0],) + quad.grid_shape, dtype=complex)
-    X[(slice(None),) + (slice(None), slice(N + 1)) * basis.fiber_dim] = T
-    X = _angular_fft(np.fft.ifft, X, 2, out=X)
+    exps, powers, folds = zip(*quad.ring_tables(basis).monomials)
+    T = np.zeros((c.shape[0],) + tuple(len(f) for f in folds), dtype=complex)
+    T[(slice(None),) + exps] = c
+    for c_axis, (P, f) in enumerate(zip(powers, folds)):
+        axis = 1 + 2 * c_axis  # axes (stack, r_1, theta_1, ..., e_c, ...): add r_c before e_c
+        T = np.expand_dims(T, axis) * P.reshape(P.shape + (1,) * (T.ndim - axis - 1))
+        T = _place_modes(T, f, quad.shape[c_axis][1], axis + 1)
+    X = _angular_fft(np.fft.ifft, T, 2, out=T)
     return (X * math.prod(quad.grid_shape[1::2])).reshape(lead + (quad.size,))
 
 
@@ -689,25 +690,23 @@ def monomial_analysis(
     """Moments ``sum_x conj(M_j(x)) f(x)`` of a stack of node fields.
 
     ``values`` has shape ``(..., nodes)`` and the result ``(..., dim)``:
-    the product ``V^H f``, the adjoint of :func:`monomial_synthesis`.  A
-    forward FFT over the angular axes gives ``sum_theta f e^{-i e theta}``
-    at mode ``e``; modes ``0..N`` are kept and each ring axis is contracted
-    with ``r^e``.  The contraction is one plain ``einsum``, not a BLAS
-    product, so its summation order, and hence every bit of the result,
-    does not follow the BLAS thread count.
+    the product ``V^H f``, the adjoint of :func:`monomial_synthesis`.  The
+    ring axes are contracted by one plain ``einsum``, not a BLAS product, so
+    its summation order, and hence every bit of the result, does not follow
+    the BLAS thread count.
     """
     f = np.asarray(values)
     lead = f.shape[:-1]
     if f.shape[-1:] != (quad.size,):
         raise ValueError(f"expected {quad.size} node values, got shape {f.shape}")
-    N, d = basis.max_degree, basis.fiber_dim
-    powers = quad.ring_tables(basis).powers
+    exps, powers, folds = zip(*quad.ring_tables(basis).monomials)
     F = _angular_fft(np.fft.fft, quad.grid_view(f.reshape(-1, quad.size)), 2)
-    F = F[(slice(None),) + (slice(None), slice(N + 1)) * d]
-    axes = ("aj", "bk")[:d]  # (ring, exponent) per coordinate
-    spec = "s" + "".join(axes) + "," + ",".join(axes) + "->s" + "jk"[:d]
-    M = np.einsum(spec, F, *(P[:, : N + 1] for P in powers))
-    return M[(slice(None),) + tuple(basis.exponent_array.T)].reshape(lead + (basis.dim,))
+    for c, fold in enumerate(folds):
+        F = np.take(F, fold % quad.shape[c][1], axis=2 + 2 * c)
+    axes = ("aj", "bk")[: basis.fiber_dim]  # (ring, exponent) per coordinate
+    spec = "s" + "".join(axes) + "," + ",".join(axes) + "->s" + "jk"[: basis.fiber_dim]
+    M = np.einsum(spec, F, *powers)
+    return M[(slice(None),) + exps].reshape(lead + (basis.dim,))
 
 
 def orthonormalize(gram: np.ndarray, exponents: tuple[tuple[int, ...], ...]) -> np.ndarray:

@@ -313,17 +313,6 @@ class StepRecord:
     ff_min: float = math.nan
     delta: float = 0.0  # twist slack C (1-1/m)^k for twisted runs
 
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "weight_id": self.weight_id,
-            "certified_bound": self.certified_bound,
-            "measured_trace": self.measured_trace,
-            "psh_min": self.psh_min,
-            "ff_min": self.ff_min,
-            "delta": self.delta,
-        }
-
 
 @dataclass(frozen=True)
 class IterationLedger:
@@ -359,17 +348,6 @@ class IterationLedger:
     def satisfies(self, tolerance: float = 1e-3) -> bool:
         """Nothing aborted and :attr:`worst_step` is at least -tolerance."""
         return not self.aborted and self.worst_step >= -tolerance
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "eps0": self.eps0,
-            "base_dim": self.base_dim,
-            "aborted": self.aborted,
-            "failure": self.failure,
-            "steps": [s.as_dict() for s in self.steps],
-            "diagnostics": dict(self.diagnostics),
-        }
 
 
 def _fiber_samples(quad) -> np.ndarray:

@@ -321,14 +321,25 @@ RING_CASES = [
 ]
 
 
-# RING_CASES with an odd angular count, and aliased rules: modes -6..6
-# wrap around 8 and 9 angles
+# RING_CASES with an odd angular count, and aliased rules: pair modes -6..6
+# wrap around 8 and 9 angles; on the last, pair modes -9..9 wrap around 8
+# angles twice and so do the monomials' own modes 0..9 (N >= n_angular)
 RING_GRAM_CASES = RING_CASES + [
     (FiberDomain.disk(1.0), 10, 11, 4),
     (FiberDomain.disk(1.0), 8, 8, 6),
     (FiberDomain.polydisc(1.0, 0.7), 6, 9, 6),
+    (FiberDomain.disk(1.0), 16, 8, 9),
 ]
-RING_GRAM_IDS = ["disk", "annulus", "bidisc", "odd", "aliased", "bidisc-odd-aliased"]
+RING_GRAM_IDS = ["disk", "annulus", "bidisc", "odd", "aliased", "bidisc-odd-aliased", "wrapped"]
+# the same cases, the polydisc under the name the node-transform tests give it
+TRANSFORM_IDS = ["disk", "annulus", "polydisc"] + RING_GRAM_IDS[3:]
+
+
+def coefficients(rng, kind, shape):
+    """A standard normal real array, or a complex one with real and
+    imaginary parts standard normal."""
+    x = rng.normal(size=shape)
+    return x if kind == "real" else x + 1j * rng.normal(size=shape)
 
 
 def cross_term_weight(nodes, t=0.3 + 0.2j, lam=0.5):
@@ -370,49 +381,68 @@ def polydisc_bits_per_blas_threads(body: str) -> list:
     return out
 
 
+def pair_table_index(basis):
+    """``(s_1, e_1 + N, ..., s_d, e_d + N)``, ``s = j + k`` and ``e = j - k``
+    per coordinate, over every pair ``(j, k)`` row-major, from
+    ``basis.exponents``."""
+    E = np.array(basis.exponents).reshape(basis.dim, basis.fiber_dim)
+    j, k = np.indices((basis.dim, basis.dim)).reshape(2, -1)
+    return sum(((E[j, c] + E[k, c], E[j, c] - E[k, c] + basis.max_degree)
+                for c in range(basis.fiber_dim)), ())
+
+
+def ring_powers(quad, N):
+    """Per coordinate, ``r^s`` on the rings, ``s = 0..2N``."""
+    return [r[:, None] ** np.arange(2 * N + 1)[None, :] for r in quad.radial_nodes]
+
+
 def tensordot_ring_gram(basis, measure, quad):
     """The ring Gram with every ring axis contracted by a complex tensordot
-    over the whole ``(s, m)`` table: the reference formulation."""
-    modes, powers, gather = quad.ring_tables(basis)[:3]
+    over the whole ``(s, e)`` table, mode ``e = -N..N`` read at DFT index
+    ``e mod n_angular``: the reference formulation."""
+    N = basis.max_degree
     grid = quad.grid_view(measure)
     F = np.fft.fftn(grid, axes=tuple(range(1, grid.ndim, 2)))
-    for c, (idx, P) in enumerate(zip(modes, powers)):
-        F = np.take(F, idx, axis=2 * c + 1)
+    for c, (P, (_nr, na)) in enumerate(zip(ring_powers(quad, N), quad.shape)):
+        F = np.take(F, np.arange(-N, N + 1) % na, axis=2 * c + 1)
         F = np.moveaxis(np.tensordot(P, F, axes=([0], [2 * c])), 0, 2 * c)
-    return F[gather].reshape(basis.dim, basis.dim)
+    return F[pair_table_index(basis)].reshape(basis.dim, basis.dim)
 
 
 def half_spectrum_ring_gram(basis, measure, quad):
     """The ring Gram of a real measure on a 1-D fiber from the half spectrum
     of one real FFT, contracted by a complex tensordot: entry ``(j, k)``,
-    ``m = k - j >= 0``, is the conjugate of the contracted ``(j + k, m)``
-    entry, or the ``(j + k, -m)`` entry where ``m`` aliases past the half
-    spectrum, and ``(k, j)`` is its conjugate: the reference formulation."""
+    ``m = e_k - e_j >= 0`` for the exponents ``e``, is the conjugate of the
+    contracted ``(e_j + e_k, m)`` entry, or the ``(e_j + e_k, -m)`` entry
+    where ``m`` aliases past the half spectrum, and ``(k, j)`` is its
+    conjugate: the reference formulation."""
     ((_nr, na),) = quad.shape
     R = np.fft.rfft(quad.grid_view(measure), axis=1)
-    Y = np.tensordot(quad.ring_tables(basis).powers[0], R, axes=([0], [0]))
+    Y = np.tensordot(ring_powers(quad, basis.max_degree)[0], R, axes=([0], [0]))
     G = np.empty((basis.dim, basis.dim), dtype=complex)
-    for j in range(basis.dim):
-        for k in range(j, basis.dim):
-            m = k - j
-            G[j, k] = np.conj(Y[j + k, m % na]) if m % na <= na // 2 else Y[j + k, -m % na]
+    for j, (ej,) in enumerate(basis.exponents):
+        for k, (ek,) in enumerate(basis.exponents[j:], start=j):
+            m = ek - ej
+            G[j, k] = np.conj(Y[ej + ek, m % na]) if m % na <= na // 2 else Y[ej + ek, -m % na]
             G[k, j] = np.conj(G[j, k])
     return G
 
 
 def tensordot_ring_synthesis(basis, coeffs, quad):
-    """:func:`ring_synthesis` with complex tensordots: the reference formulation."""
+    """:func:`ring_synthesis` with complex tensordots, mode ``e = j - k`` of
+    the ``(s, e)`` table written at DFT index ``e mod n_angular``: the
+    reference formulation where no two modes alias (``2N < n_angular``)."""
+    N = basis.max_degree
     A = coeffs.reshape((-1,) + coeffs.shape[-2:])
-    modes, powers, gather = quad.ring_tables(basis)[:3]
-    T = np.zeros((A.shape[0],) + (2 * basis.max_degree + 1,) * (2 * basis.fiber_dim), dtype=complex)
-    T[(slice(None),) + gather] = A.reshape(len(A), -1)  # gather runs over the pairs row-major
-    for c, (idx, P) in enumerate(zip(modes, powers)):
+    T = np.zeros((A.shape[0],) + (2 * N + 1,) * (2 * basis.fiber_dim), dtype=complex)
+    T[(slice(None),) + pair_table_index(basis)] = A.reshape(len(A), -1)
+    for c, (P, (_nr, na)) in enumerate(zip(ring_powers(quad, N), quad.shape)):
         axis = 1 + 2 * c
         T = np.moveaxis(np.tensordot(P, T, axes=([1], [axis])), 0, axis)
         shape = list(T.shape)
-        shape[axis + 1] = quad.shape[c][1]
+        shape[axis + 1] = na
         X = np.zeros(shape, dtype=complex)
-        X[(slice(None),) * (axis + 1) + (idx,)] = T
+        X[(slice(None),) * (axis + 1) + (np.arange(-N, N + 1) % na,)] = T
         T = X
     angular = tuple(range(2, T.ndim, 2))
     K = np.fft.ifftn(T, axes=angular) * math.prod(T.shape[a] for a in angular)
@@ -529,15 +559,18 @@ class TestRingGram:
 
 
 class TestNodeTransforms:
-    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
-    def test_synthesis_and_analysis_equal_vandermonde_products(self, case, monkeypatch):
+    @pytest.mark.parametrize("case", RING_GRAM_CASES, ids=TRANSFORM_IDS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_synthesis_and_analysis_equal_vandermonde_products(self, case, kind, monkeypatch):
+        # aliased modes add, on every rule, even where a monomial's own
+        # modes wrap around the angles (N >= n_angular)
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
         V = vandermonde(basis, node_list(quad))
         rng = np.random.default_rng(5)
-        c = rng.normal(size=(2, basis.dim)) + 1j * rng.normal(size=(2, basis.dim))
-        f = rng.normal(size=(3, quad.size)) + 1j * rng.normal(size=(3, quad.size))
+        c = coefficients(rng, kind, (2, basis.dim))
+        f = coefficients(rng, kind, (3, quad.size))
         built = []
         monkeypatch.setattr(fiber_numerics, "vandermonde", lambda *a: built.append(a))
         values = monomial_synthesis(basis, c, quad)
@@ -596,7 +629,8 @@ class TestNodeTransforms:
         for real in (False, True):
             tables = quad.ring_tables(basis, real)
             assert quad.ring_tables(basis, real) is tables  # built once per basis and front end
-            assert quad.ring_tables(basis).powers is tables.powers  # one set of shared tables
+            shared = quad.ring_tables(basis)[:3]
+            assert all(a is b for a, b in zip(shared, tables[:3]))  # one set of shared tables
             rows, cols = tables.dest or np.indices((basis.dim, basis.dim)).reshape(2, -1)
             s1, q1, _q2 = tables.index
             assert np.array_equal(s1, E[rows, 0] + E[cols, 0])  # s_1 = j_1 + k_1
@@ -607,8 +641,12 @@ class TestNodeTransforms:
                 np.add.at(hits, (rows, cols), 1)
                 np.add.at(hits, (cols, rows), 1)
                 assert np.array_equal(hits, 1 + np.eye(basis.dim, dtype=int))
-            arrays = tables.modes + tables.powers + tables.gather + tables.index + (tables.read_powers,)
-            for arr in arrays + (tables.dest or ()) + basis.pairs + basis.half_pairs:
+            # one fold per coordinate and span: pair modes -3..3, exponents 0..3
+            assert [f.tolist() for f in tables.fold] == [[13, 14, 15, 0, 1, 2, 3]] * 2
+            assert [m[2].tolist() for m in tables.monomials] == [[0, 1, 2, 3]] * 2
+            arrays = tables.fold + tables.powers + sum(tables.monomials, ())
+            arrays += tables.index + (tables.read_powers,) + (tables.dest or ())
+            for arr in arrays + basis.pairs + basis.half_pairs:
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 2
 
@@ -650,7 +688,7 @@ def brute_force_diagonal(basis, transform, quad):
 
 
 class TestKernelDiagonal:
-    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
+    @pytest.mark.parametrize("case", RING_GRAM_CASES, ids=TRANSFORM_IDS)
     @pytest.mark.parametrize("weight", [cross_term_weight, polynomial_weight],
                              ids=["cross", "polynomial"])
     def test_equals_brute_force_frame_sum(self, case, weight, monkeypatch):
@@ -666,14 +704,16 @@ class TestKernelDiagonal:
         assert K.shape == (quad.size,) and K.dtype == float
         assert np.abs(K - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
-    def test_stack_synthesis_equals_brute_force_bilinear_form(self, case, monkeypatch):
-        # a stack of arbitrary complex coefficient matrices, one inverse FFT
+    @pytest.mark.parametrize("case", RING_GRAM_CASES, ids=TRANSFORM_IDS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_stack_synthesis_equals_brute_force_bilinear_form(self, case, kind, monkeypatch):
+        # a stack of arbitrary coefficient matrices, one inverse FFT; the
+        # modes of pairs that alias add
         dom, nr, na, N = case
         quad = build_quadrature(dom, nr, na)
         basis = monomial_basis(N, dom.dim)
         rng = np.random.default_rng(7)
-        A = rng.normal(size=(2, basis.dim, basis.dim)) + 1j * rng.normal(size=(2, basis.dim, basis.dim))
+        A = coefficients(rng, kind, (2, basis.dim, basis.dim))
         V = vandermonde(basis, node_list(quad))
         ref = np.sum((V @ A) * V.conj(), axis=-1)  # sum_jk V[x, j] A[j, k] conj(V[x, k])
         built = []
