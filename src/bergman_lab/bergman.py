@@ -339,15 +339,15 @@ class BergmanBasis:
         """K(w, w)."""
         return float(np.sum(np.abs(self.orthonormal_at(w)) ** 2, axis=-1))
 
-    def diag_convergence_gap(self, w) -> float:
-        """Relative change of K(w,w) from degree N-2 to N, from one frame
-        evaluation: the transform is upper triangular, so the leading
+    def diag_convergence_gap(self, w) -> np.ndarray:
+        """Relative change of K(w,w) from degree N-2 to N at each fiber point
+        of ``w`` (0-d at one point), from one frame evaluation: the transform is upper triangular, so the leading
         ``truncated_dim(N-2)`` entries of ``u = M(w) C`` are the frame of the
         degree-(N-2) sub-basis."""
         u2 = np.abs(self.orthonormal_at(w)) ** 2
-        full = float(np.sum(u2, axis=-1))
-        sub = float(np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1))
-        return abs(full - sub) / max(abs(full), 1e-300)
+        full = np.sum(u2, axis=-1)
+        sub = np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1)
+        return np.abs(full - sub) / np.maximum(np.abs(full), 1e-300)
 
 
 def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:

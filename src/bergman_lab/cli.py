@@ -1,10 +1,10 @@
 """Command line front end.
 
-Every command below ``suite`` reads one scenario file, runs a set of named
-checks against it, prints one verdict line per check, and (optionally)
-persists a report.  The check set is either fixed by the subcommand
-(``certify-weight`` runs ``certify``, ``hormander`` runs ``hormander``, and
-so on) or, for ``run``, taken verbatim from the scenario's ``checks`` line.
+``run`` reads one scenario file, runs the checks its ``checks`` line names
+in that order, prints one verdict line per check, and (optionally)
+persists a report; that line is the only way to choose checks, so a
+report's config hash always names the checks it holds.  ``suite`` runs the
+acceptance battery and ``report`` merges saved reports.
 
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
@@ -36,7 +36,7 @@ import numpy as np
 from .bergman import bergman_basis, direct_image_gram, kernel_eval, reproducing_residual, \
     extremal_check, section_hessian
 from .curvature import CheckConfig, UnconvergedBasisError, check_det_inequality, \
-    check_log_inequality, check_section_inequality, section_truncation, truncation_gate
+    check_log_inequality, check_section_inequality, section_truncation, truncation_gate_at
 from .hormander import assembled_lower_bound, build_hormander_data, dbar_identity_residual, \
     hormander_bound_check, orthogonality_residual
 from .iteration import run_iteration
@@ -112,8 +112,7 @@ def _check_bergman_infra(ctx: _Context):
     sc = ctx.sc
     b = bergman_basis(sc.weight, sc.t0, sc.N, ctx.quad)
     probe = _fiber_probe(ctx)
-    gap = b.diag_convergence_gap(probe)
-    truncation_gate(gap, sc.N, "at the fiber probe")
+    gap = truncation_gate_at(b, np.atleast_2d(probe))
 
     # In-space test function for the reproducing identity (degree <= 2).
     if sc.d == 1:
@@ -286,28 +285,7 @@ def run_scenario_checks(sc: Scenario, names, threads: int = 1) -> list:
     return [run_check(name, ctx) for name in names]
 
 
-# --- argument plumbing -------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--scenario", required=True, help="path to a scenario file")
-    p.add_argument("--out", default=None, help="directory for reports (omit to skip writing)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p.add_argument("--degree", type=int, default=None, help="override the basis degree cap")
-
-
-def _load_scenario(args) -> Scenario:
-    text = Path(args.scenario).read_text()
-    sc = parse_scenario(text)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.degree is not None:
-        overrides["N"] = args.degree
-    if overrides:
-        sc = dataclasses.replace(sc, **overrides)
-    return sc
-
+# --- commands ----------------------------------------------------------
 
 def _margin_summary(rec: CheckRecord) -> str:
     if rec.error:
@@ -318,15 +296,15 @@ def _margin_summary(rec: CheckRecord) -> str:
     return f"{worst} = {rec.margins[worst]:.3e}"
 
 
-def _execute(args, names, command: str) -> int:
+def _cmd_run(args) -> int:
     try:
-        sc = _load_scenario(args)
+        sc = parse_scenario(Path(args.scenario).read_text())
+        overrides = {"seed": args.seed, "N": args.degree}
+        sc = dataclasses.replace(sc, **{k: v for k, v in overrides.items() if v is not None})
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 2
-    if names is None:
-        names = sc.checks
-    records = run_scenario_checks(sc, names)
+    records = run_scenario_checks(sc, sc.checks)
     for rec in records:
         print(f"{rec.name}: {rec.verdict.upper()} ({_margin_summary(rec)})")
     report = RunReport(
@@ -335,7 +313,7 @@ def _execute(args, names, command: str) -> int:
         records=tuple(records),
         seed=sc.seed,
     )
-    print(f"{command}: scenario {sc.id}, report hash {report.report_hash[:12]}")
+    print(f"run: scenario {sc.id}, report hash {report.report_hash[:12]}")
     if args.out:
         try:
             paths = write_report(report, args.out, format=args.format)
@@ -345,25 +323,6 @@ def _execute(args, names, command: str) -> int:
         for p in paths:
             print(f"wrote {p}")
     return report.exit_code
-
-
-def _cmd_factory(names, command):
-    def run(args):
-        return _execute(args, names, command)
-
-    return run
-
-
-def _cmd_curvature(args):
-    try:
-        sc = _load_scenario(args)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return 2
-    names = ["section_inequality", "log_inequality", "psh_spectrum"]
-    if sc.det_frame:
-        names.insert(2, "det_inequality")
-    return _execute(args, tuple(names), "curvature")
 
 
 def _cmd_suite(args) -> int:
@@ -429,21 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    presets = {
-        "certify-weight": (("certify",), "certify the weight's curvature hypotheses on a grid"),
-        "bergman": (("bergman_infra",), "reproducing/extremal/symmetry checks for the kernel"),
-        "hormander": (("hormander",), "field orthogonality, the dbar identity and the L2 bound"),
-        "iterate": (("iterate",), "run the fixed-point iteration and check its bound ledger"),
-        "run": (None, "run the checks declared in the scenario file, in order"),
-    }
-    for cmd, (names, help_text) in presets.items():
-        p = sub.add_parser(cmd, help=help_text)
-        _add_common(p)
-        p.set_defaults(func=_cmd_factory(names, cmd))
-
-    p = sub.add_parser("curvature", help="trace inequalities for section/log/determinant fields")
-    _add_common(p)
-    p.set_defaults(func=_cmd_curvature)
+    p = sub.add_parser("run", help="run the checks the scenario's checks line names, in order")
+    p.add_argument("--scenario", required=True, help="path to a scenario file")
+    p.add_argument("--out", default=None, help="directory for reports (omit to skip writing)")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p.add_argument("--degree", type=int, default=None, help="override the basis degree cap")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("suite", help="run the acceptance criteria battery")
     p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. a1,a4,a12")

@@ -37,6 +37,7 @@ __all__ = [
     "CONVERGENCE_TOL",
     "UnconvergedBasisError",
     "truncation_gate",
+    "truncation_gate_at",
     "section_truncation",
     "Stencil",
     "CheckConfig",
@@ -68,6 +69,17 @@ def truncation_gate(gap: float, N: int, where: str) -> None:
             f"degree {N - 2} to {N} (tolerance {CONVERGENCE_TOL:.1e}); raise degree, and "
             f"quadrature with it (degree is capped at n_angular/2 - 1)"
         )
+
+
+def truncation_gate_at(b, points) -> float:
+    """:func:`truncation_gate` of the basis ``b`` at the worst of the fiber
+    ``points`` (M, d), from one frame evaluation
+    (``BergmanBasis.diag_convergence_gap``); the message names that point
+    and ``b.t``.  Returns the worst gap."""
+    gaps = b.diag_convergence_gap(points)
+    k = int(np.argmax(gaps))
+    truncation_gate(gaps[k], b.N, f"at fiber point {points[k].tolist()} over t={b.t}")
+    return float(gaps[k])
 
 
 @dataclass(frozen=True)

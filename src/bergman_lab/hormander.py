@@ -46,7 +46,7 @@ import numpy as np
 
 from .bergman import BergmanBasis, SectionFamily, base_gram_jets, bergman_basis, \
     node_fiber_contraction, section_hessian
-from .curvature import section_truncation, truncation_gate
+from .curvature import section_truncation, truncation_gate_at
 from .fiber_numerics import QuadratureRule, monomial_analysis, monomial_synthesis
 from .utils import as_complex_tuple
 from .weights import WeightFamily, node_hessian, schur_from_contraction
@@ -65,12 +65,6 @@ __all__ = [
 # Fields below this times ||Gamma|| are round-off (an uncoupled direction
 # leaves about 1e-16 ||Gamma||), whose relative residuals mean nothing.
 ROUNDOFF_FLOOR = 1e-12
-
-
-def _check_truncation(b: BergmanBasis, points):
-    for p in np.atleast_2d(np.asarray(points, dtype=complex)):
-        probe = p[0] if b.basis.fiber_dim == 1 else tuple(p)
-        truncation_gate(b.diag_convergence_gap(probe), b.N, f"at fiber point {p.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +110,7 @@ def build_hormander_data(
     fam.check_inside(quad.domain, t0)
     b0 = bergman_basis(w, t0, N, quad)
     pts = fam.sections_at(t0)
-    _check_truncation(b0, pts)
+    truncation_gate_at(b0, pts)
     C = b0.transform
     p = C @ (C.conj().T @ (np.conj(b0.monomials_at(pts)).T @ fam.amplitudes_at(t0)))
     coeffs = np.stack([p] + [_derivative_coefficients(w, b0, p, a) for a in range(w.n)])

@@ -39,12 +39,12 @@ jets (``WeightFamily.node_jets``), which every basis build and Gram
 derivative of the next step reads, are ``log K``, ``d_a log K`` and the
 base block tt from one ring synthesis of the stack (P, d_aP, d_a dbar_bP)
 (``fiber_numerics.ring_synthesis``), with no node Vandermonde.  A mixed
-weight's jets, like its values, gradients and Hessian blocks, are the same
-linear combination of its parts', accumulated in place; the parts' jets are
-memoized on the rule, so those of phi_L are evaluated once per run, not per
-step.  Each step therefore builds one basis, at t0, gates it
-on one frame evaluation at the probe and evaluates no finite-difference
-stencil.
+weight is read through its jets alone, the same linear combination of its
+parts', accumulated in place; the parts' jets are memoized on the rule, so
+those of phi_L are evaluated once per run, not per step.  Each step
+therefore builds one basis, at t0, gates it on one frame evaluation at the
+fiber samples it is measured at and the middle ring, and evaluates no
+finite-difference stencil.
 
 The chain of weights keeps every psi_k alive, so each step drops what the
 quadrature rule stored for its mixed weight and for the previous
@@ -60,7 +60,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import base_gram_jets, bergman_basis
-from .curvature import CheckConfig, truncation_gate
+from .curvature import CheckConfig, truncation_gate_at
 from .fiber_numerics import monomial_basis, monomial_gradient, ring_synthesis, vandermonde
 from .utils import as_complex_tuple
 from .weights import (
@@ -124,9 +124,12 @@ class LogKernelField(WeightFamily):
     fiber derivatives.
 
     Bases come from the basis memo of ``quad``; the first use of each
-    base point is gated on kernel truncation convergence at a probe fiber
-    point.  The inverse-Gram jets and the node jets are stored on ``quad``
-    under this field (see :meth:`gram_jets`).
+    base point is gated on kernel truncation convergence at the fiber
+    samples the iteration measures at and at the middle ring of each
+    coordinate (0.5 r on a disk), since each step's log K is read on every
+    node and becomes the next step's weight.  The inverse-Gram jets and the
+    node jets are stored on ``quad`` under this field (see
+    :meth:`gram_jets`).
     """
 
     kind = "bergman-potential"
@@ -143,8 +146,9 @@ class LogKernelField(WeightFamily):
         self.basis = monomial_basis(self.N, inner.d)
         self._gated: set = set()
         self._max_gap = 0.0
-        probe = [0.5 * r for r in quad.domain.radii]
-        self._probe = probe[0] if inner.d == 1 else tuple(probe)
+        dom = quad.domain
+        probe = [ri + 0.5 * (ro - ri) for ri, ro in zip(dom.inner_radii, dom.radii)]
+        self._gate_points = np.vstack([_fiber_samples(quad), np.array([probe], dtype=complex)])
 
     @property
     def max_convergence_gap(self) -> float:
@@ -154,9 +158,7 @@ class LogKernelField(WeightFamily):
     def _basis_at(self, t: tuple):
         b = bergman_basis(self.inner, t, self.N, self.quad)
         if b.t not in self._gated:
-            gap = b.diag_convergence_gap(self._probe)
-            self._max_gap = max(self._max_gap, gap)
-            truncation_gate(gap, self.N, f"at t={b.t}")
+            self._max_gap = max(self._max_gap, truncation_gate_at(b, self._gate_points))
             self._gated.add(b.t)
         return b
 
@@ -219,25 +221,16 @@ class LogKernelField(WeightFamily):
         b = self._basis_at(_one_base_point(t))
         return np.log(_positive(np.sum(np.abs(b.orthonormal_at(_point_list(xs))) ** 2, axis=-1)))
 
-    def grad_base(self, t, xi):
-        t, xs, _shape, single = _as_points(t, xi, self.n, self.d)
-        K, Kt = self._point_jets(_one_base_point(t), _point_list(xs))[:2]
-        g = (Kt / K[:, None]).T
-        return g[:, 0] if single else g
-
     def hessian_field(self, t, xi):
         t, xs, _shape, _ = _as_points(t, xi, self.n, self.d)
         K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(_one_base_point(t), _point_list(xs))
         return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
                 _log_hessian(K, Kx, Kx, Kxx))
 
-    def describe(self) -> str:
-        return f"log kernel of [{self.inner.describe()}] at degree {self.N}"
-
 
 class MixedWeight(WeightFamily):
-    """Pointwise affine combination  sum_i coef_i * field_i(t, xi); its
-    derivatives are the same combination of the parts' derivatives."""
+    """Pointwise affine combination  sum_i coef_i * field_i(t, xi), read
+    through its node jets: the same combination of the parts' jets."""
 
     kind = "mixed"
 
@@ -259,38 +252,17 @@ class MixedWeight(WeightFamily):
         self.parts = parts
         self.quad = quads[0] if quads else None
 
-    def _combine(self, evaluate) -> tuple:
-        """``sum_i coef_i * evaluate(part_i)``, term by term over the tuples
-        the parts give, accumulated in place on the first part's terms."""
+    def _node_jets(self, t, quad) -> tuple:
+        """``sum_i coef_i * node_jets(part_i)``, term by term, accumulated in
+        place on the first part's terms."""
         (c0, f0), *rest = self.parts
-        out = [c0 * np.asarray(x) for x in evaluate(f0)]
+        out = [c0 * np.asarray(x) for x in f0.node_jets(t, quad)]
         for c, f in rest:
-            for i, x in enumerate(evaluate(f)):
+            for i, x in enumerate(f.node_jets(t, quad)):
                 out[i] += c * np.asarray(x)
         return tuple(out)
 
-    def value(self, t, xi):
-        t, _xs, _shape, single = _as_points(t, xi, self.n, self.d)
-        t = _one_base_point(t)
-        out = self._combine(lambda f: (f.value(t, xi),))[0]
-        return float(out) if single else out
-
-    def grad_base(self, t, xi):
-        t = _one_base_point(_as_points(t, xi, self.n, self.d)[0])
-        return self._combine(lambda f: (f.grad_base(t, xi),))[0]
-
-    def hessian_field(self, t, xi):
-        t = _one_base_point(_as_points(t, xi, self.n, self.d)[0])
-        return self._combine(lambda f: f.hessian_field(t, xi))
-
-    def _node_jets(self, t, quad) -> tuple:
-        return self._combine(lambda f: f.node_jets(t, quad))
-
     node_phi = LogKernelField.node_phi  # phi from the jets, as for the potentials
-
-    def describe(self) -> str:
-        terms = " + ".join(f"{c:g}*[{f.label}]" for c, f in self.parts)
-        return f"mixed weight {terms}"
 
 
 def mix_weights(phi_B: WeightFamily, phi_L: WeightFamily, m: int) -> MixedWeight:
@@ -356,9 +328,9 @@ def _fiber_samples(quad) -> np.ndarray:
     point 0.35 of the way out from the inner to the outer radius along the
     first coordinate.  On a disk or polydisc they are 0 and 0.35 r."""
     dom = quad.domain
-    inner, outer = np.asarray(dom.inner_radii), np.asarray(dom.radii)
-    xi = np.tile(np.where(inner > 0, 0.5 * (inner + outer), 0.0).astype(complex), (2, 1))
-    xi[1, 0] = inner[0] + 0.35 * (outer[0] - inner[0])
+    mid = [0.5 * (ri + ro) if ri > 0 else 0.0 for ri, ro in zip(dom.inner_radii, dom.radii)]
+    xi = np.array([mid, mid], dtype=complex)
+    xi[1, 0] = dom.inner_radii[0] + 0.35 * (dom.radii[0] - dom.inner_radii[0])
     return xi
 
 

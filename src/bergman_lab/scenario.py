@@ -30,9 +30,10 @@ Weight forms (entries may be complex, written like ``0.5+0.25j``):
 * ``polynomial <prefix expr>`` — real polynomial in t_i, z_a, conj(...)
 * ``custom <prefix expr>`` — arbitrary smooth expression (exact tree derivatives)
 
-Defaults: degree 24, quadrature 64 128, tolerance 1e-3,
-patch = origin with radius 0.45, fiber = unit disk, one unit-amplitude
-section at the fiber origin, t0 = patch center, no checks, seed 0.
+Defaults: degree 24, quadrature 64 128, tolerance 1e-3, iteration m 2
+steps 4, patch = origin with radius 0.45, fiber = unit disk, one
+unit-amplitude section at the fiber origin, t0 = patch center, no checks,
+seed 0.
 Unknown keys, unknown check names and unreadable or non-finite numbers
 are parse errors naming the line.  The numeric ranges are checked when a
 :class:`Scenario` is constructed, so command-line overrides applied with
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,42 +79,39 @@ CHECK_REGISTRY = (
     "iterate",
 )
 
-DEFAULTS = {
-    "degree": 24,
-    "quadrature": (64, 128),
-    "tolerance": 1e-3,
-    "patch_radius": 0.45,
-    "seed": 0,
-}
-
-
 class ScenarioError(ValueError):
     """Parse or semantic error in a scenario file, with line context."""
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully resolved experiment description (defaults filled in)."""
+    """A fully resolved experiment description, built by :func:`parse_scenario`
+    with every default filled in."""
 
     id: str
-    n: int
-    d: int
     patch: BasePatch
     fiber: FiberDomain
     weight: WeightFamily
     sections: SectionFamily
-    det_frame: tuple = ()
-    t0: tuple = (0j,)
-    N: int = DEFAULTS["degree"]
-    quadrature: tuple = DEFAULTS["quadrature"]
-    tolerance: float = DEFAULTS["tolerance"]
-    eps0: float | None = None
-    iteration_m: int = 2
-    iteration_steps: int = 4
-    twist: float = 0.0
-    checks: tuple = ()
-    seed: int = DEFAULTS["seed"]
-    source: str = field(default="", repr=False)
+    det_frame: tuple
+    t0: tuple
+    N: int
+    quadrature: tuple
+    tolerance: float
+    eps0: float | None
+    iteration_m: int
+    iteration_steps: int
+    twist: float
+    checks: tuple
+    seed: int
+
+    @property
+    def n(self) -> int:
+        return self.weight.n
+
+    @property
+    def d(self) -> int:
+        return self.fiber.dim
 
     def __post_init__(self):
         nr, na = self.quadrature
@@ -327,7 +325,7 @@ def parse_scenario(text: str) -> Scenario:
 
     lineno, value = take("patch", None)
     if value is None:
-        patch = BasePatch(center=(0j,) * n, radius=DEFAULTS["patch_radius"])
+        patch = BasePatch(center=(0j,) * n, radius=0.45)
     else:
         coords_text, sep, radius_text = value.partition(";")
         toks = coords_text.split()
@@ -369,33 +367,28 @@ def parse_scenario(text: str) -> Scenario:
     if not patch.contains(t0):
         raise _err(lineno, "t0", f"base point {value!r} lies outside the patch")
 
-    lineno, value = take("degree", str(DEFAULTS["degree"]))
+    lineno, value = take("degree", "24")
     N = _parse_number(int, value, lineno, "degree")
 
-    lineno, value = take("quadrature", None)
-    if value is None:
-        quadrature = DEFAULTS["quadrature"]
-    else:
-        toks = value.split()
-        if len(toks) != 2:
-            raise _err(lineno, "quadrature", "expected two integers: n_radial n_angular")
-        quadrature = tuple(_parse_number(int, tok, lineno, "quadrature") for tok in toks)
+    lineno, value = take("quadrature", "64 128")
+    toks = value.split()
+    if len(toks) != 2:
+        raise _err(lineno, "quadrature", "expected two integers: n_radial n_angular")
+    quadrature = tuple(_parse_number(int, tok, lineno, "quadrature") for tok in toks)
 
-    lineno, value = take("tolerance", str(DEFAULTS["tolerance"]))
+    lineno, value = take("tolerance", "1e-3")
     tolerance = _parse_number(float, value, lineno, "tolerance")
 
     lineno, value = take("eps0", None)
     eps0 = None if value is None else _parse_number(float, value, lineno, "eps0")
 
-    lineno, value = take("iteration", None)
-    iteration_m, iteration_steps = 2, 4
-    if value is not None:
-        toks = value.split()
-        pairs = dict(zip(toks[::2], toks[1::2]))
-        if set(pairs) - {"m", "steps"} or len(toks) % 2:
-            raise _err(lineno, "iteration", f"expected 'm <int> steps <int>', got {value!r}")
-        iteration_m = _parse_number(int, pairs.get("m", "2"), lineno, "iteration")
-        iteration_steps = _parse_number(int, pairs.get("steps", "4"), lineno, "iteration")
+    lineno, value = take("iteration", "")
+    toks = value.split()
+    pairs = {"m": "2", "steps": "4", **dict(zip(toks[::2], toks[1::2]))}
+    if set(pairs) - {"m", "steps"} or len(toks) % 2:
+        raise _err(lineno, "iteration", f"expected 'm <int> steps <int>', got {value!r}")
+    iteration_m = _parse_number(int, pairs["m"], lineno, "iteration")
+    iteration_steps = _parse_number(int, pairs["steps"], lineno, "iteration")
 
     lineno, value = take("twist", "0.0")
     twist = _parse_number(float, value, lineno, "twist")
@@ -409,7 +402,7 @@ def parse_scenario(text: str) -> Scenario:
                 f"unknown check {name!r}; registered: {', '.join(CHECK_REGISTRY)}",
             )
 
-    lineno, value = take("seed", str(DEFAULTS["seed"]))
+    lineno, value = take("seed", "0")
     seed = _parse_number(int, value, lineno, "seed")
 
     lineno, value = take("id", "scenario")
@@ -426,8 +419,6 @@ def parse_scenario(text: str) -> Scenario:
 
     return Scenario(
         id=sid,
-        n=n,
-        d=d,
         patch=patch,
         fiber=fiber,
         weight=weight,
@@ -443,5 +434,4 @@ def parse_scenario(text: str) -> Scenario:
         twist=twist,
         checks=checks,
         seed=seed,
-        source=text,
     )

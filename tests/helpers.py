@@ -1,11 +1,12 @@
 """Helpers that only the tests use: a node-sum inner product, the section
 functional and its log as fields of t, the gradient tilt of a scalar field,
 the mixed trace constant, a CSV field dump, the Hormander fields of one
-direction, the FD Hessian spectrum, the Bergman-kernel potential of a
-weight, a quadratic weight whose Hessian blocks are materialized copies, a
-weight evaluated one base point at a time, the Hessian blocks and Schur
-trace at one point, the mixed exterior-power ratio that cross-checks
-the Schur trace, and a rule's nodes as an ``(M, d)`` point list."""
+direction, the FD Hessian spectrum, the base gradient of a log-kernel
+field from its inverse-Gram jets, a quadratic weight whose Hessian blocks
+are materialized copies, a weight evaluated one base point at a time, the
+Hessian blocks and Schur trace at one point, the mixed exterior-power ratio
+that cross-checks the Schur trace, and a rule's nodes as an ``(M, d)``
+point list."""
 
 import io
 import math
@@ -14,9 +15,9 @@ import numpy as np
 
 from bergman_lab.bergman import section_value
 from bergman_lab.curvature import fd_hessian
-from bergman_lab.fiber_numerics import QuadratureRule
+from bergman_lab.fiber_numerics import QuadratureRule, vandermonde
 from bergman_lab.hormander import build_hormander_data
-from bergman_lab.iteration import LogKernelField, MixedWeight
+from bergman_lab.iteration import LogKernelField
 from bergman_lab.utils import as_complex_tuple
 from bergman_lab.weights import FiberDegenerateError, QuadraticWeight, WeightFamily, \
     _fiber_min_eig, joint_hessian, schur_trace_field
@@ -145,14 +146,15 @@ def psh_spectrum(field_fn, st) -> float:
     return float(np.linalg.eigvalsh(H)[0])
 
 
-def bergman_weight(w, N: int, quad) -> MixedWeight:
-    """The fiberwise Bergman-kernel potential -log K_t(xi, xi) of a weight.
-
-    Plurisubharmonicity of +log K is the positivity statement; the
-    returned field is the log-kernel field negated (the metric side), so
-    its base-base curvature block is the negative of the log-kernel one.
-    """
-    return MixedWeight(((-1.0, LogKernelField(w, N, quad)),))
+def log_kernel_grad_base(fld: LogKernelField, t, pts) -> np.ndarray:
+    """``d_a log K_t(xi, xi) = d_aK / K`` at the fiber points ``pts`` (M, d),
+    shape (n, M): ``K = M(xi)^T P conj(M(xi))`` and ``d_aK`` the same form
+    of ``d_aP``, from the field's inverse-Gram jets and the monomial values."""
+    P, dP, _ddP = fld.gram_jets(t)
+    M = vandermonde(fld.basis, np.asarray(pts, dtype=complex))
+    K = np.sum((M @ P) * M.conj(), axis=-1).real
+    Kt = np.sum((M @ dP) * M.conj(), axis=-1)  # (n, M)
+    return Kt / K
 
 
 def point_blocks(w: WeightFamily, t, xi) -> tuple:

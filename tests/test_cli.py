@@ -1,7 +1,9 @@
 """End-to-end command line runs on small scenarios."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bergman_lab.cli import main, run_scenario_checks
+from bergman_lab.cli import build_parser, main, run_scenario_checks
 from bergman_lab.scenario import parse_scenario
 
 SEPARABLE = """
@@ -93,6 +95,34 @@ id = idle
 weight = separable 1.0
 """
 
+# degree 16 settles at the disk's fiber samples but not at an annulus's
+# middle ring 0.8 (gap 4.6e-3) nor at 0.74 (6.4e-4), where iterate measures
+ANNULUS_ITERATE = """
+id = annulus_gate
+fiber = annulus 0.6 1.0
+weight = cross 0.5
+section = 0.8 ; 1.0
+degree = 16
+quadrature = 48 96
+eps0 = 0.75
+checks = iterate
+"""
+
+FLAT_ITERATE = """
+id = flat_gate
+weight = quadratic 1 0 ; 0 0
+degree = 12
+quadrature = 48 96
+eps0 = 0.75
+checks = iterate
+"""
+
+
+def with_checks(text, checks):
+    """The scenario ``text`` with its ``checks`` line replaced by ``checks``."""
+    kept = [line for line in text.splitlines() if not line.startswith("checks")]
+    return "\n".join(kept + [f"checks = {checks}", ""])
+
 
 @pytest.fixture
 def scn(tmp_path):
@@ -117,7 +147,7 @@ class TestRunCommand:
         assert "iterate: PASS" in out
 
     def test_overstated_constant_fails_with_negative_margin(self, scn, capsys):
-        assert main(["certify-weight", "--scenario", scn(OVERSTATED)]) == 2
+        assert main(["run", "--scenario", scn(OVERSTATED)]) == 2
         out = capsys.readouterr().out
         assert "certify: FAIL" in out
         assert "-1.5" in out  # certified 0.75 minus declared 0.9
@@ -133,8 +163,19 @@ class TestRunCommand:
         assert summary_of(out_dir, "idle")["records"] == []
 
     def test_unconverged_degree_exits_three(self, scn, capsys):
-        assert main(["bergman", "--scenario", scn(CROSS), "--degree", "6"]) == 3
-        assert "UNCONVERGED" in capsys.readouterr().out
+        assert main(["run", "--scenario", scn(with_checks(CROSS, "bergman_infra")), "--degree", "6"]) == 3
+        assert "bergman_infra: UNCONVERGED" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, worst", [(ANNULUS_ITERATE, "(0.8+0j)"), (FLAT_ITERATE, "(0.5+0j)")],
+                             ids=["annulus", "flat_disk"])
+    def test_iterate_is_gated_where_it_measures(self, scn, capsys, text, worst):
+        # iterate reads the kernel at its samples (0.8 and 0.74 on the
+        # annulus, whose hole holds 0.5), and log K on every node: on the
+        # flat disk at degree 12 the gap is 1e-9 at the samples 0 and 0.35
+        # but 2.0e-6 at the middle ring 0.5
+        assert main(["run", "--scenario", scn(text)]) == 3
+        out = capsys.readouterr().out
+        assert f"iterate: UNCONVERGED (kernel truncation not converged at fiber point [{worst}]" in out
 
     @pytest.mark.parametrize("weight", ["quadratic 1 0 ; 0 800", "custom (+ (abs2 t1) (* 800 (abs2 z1)))"],
                              ids=["quadratic", "custom"])
@@ -367,19 +408,34 @@ class TestSubcommands:
         assert main(["run", "--scenario", scn(CUSTOM_SEPARABLE)]) == 0
         assert "hormander: PASS" in capsys.readouterr().out
 
-    def test_curvature_preset_skips_det_without_frame(self, scn, capsys):
-        assert main(["curvature", "--scenario", scn(SEPARABLE)]) == 0
+    def test_hormander_alone(self, scn, capsys):
+        assert main(["run", "--scenario", scn(with_checks(CROSS, "hormander"))]) == 0
         out = capsys.readouterr().out
-        assert "section_inequality: PASS" in out
-        assert "det_inequality" not in out
+        assert "hormander: PASS" in out and "certify" not in out
 
-    def test_curvature_preset_includes_det_with_frame(self, scn, capsys):
-        assert main(["curvature", "--scenario", scn(CROSS)]) == 0
-        assert "det_inequality: PASS" in capsys.readouterr().out
 
-    def test_hormander_command(self, scn, capsys):
-        assert main(["hormander", "--scenario", scn(CROSS)]) == 0
-        assert "hormander: PASS" in capsys.readouterr().out
+def subcommands() -> set:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(action.choices)
+
+
+class TestCommandSet:
+    def test_run_suite_and_report_are_the_only_commands(self):
+        assert subcommands() == {"run", "suite", "report"}
+
+    def test_run_records_are_the_checks_line_in_order(self, scn, tmp_path):
+        out = tmp_path / "rep"
+        text = with_checks(CROSS, "hormander certify det_inequality")
+        assert main(["run", "--scenario", scn(text), "--out", str(out)]) == 0
+        checks = parse_scenario(text).config()["checks"]
+        assert checks == ["hormander", "certify", "det_inequality"]
+        assert [r["name"] for r in summary_of(out, "cross")["records"]] == checks
+
+    def test_readme_names_only_existing_commands(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+        named = set(re.findall(r"\bbergman-lab ([a-z][\w-]*)", "".join(blocks)))
+        assert named and named <= subcommands(), named - subcommands()
 
 
 class TestDeterminism:

@@ -117,6 +117,18 @@ class TestLambdaField:
         with pytest.raises(UnconvergedBasisError, match="truncation"):
             lambda_field(w, fam, (0.0,), 0, 6, quad)
 
+    def test_truncation_gate_names_the_worst_section_point(self, quad):
+        # one frame evaluation over every section point gives each point's gap
+        w = QuadraticWeight(1, 1, np.zeros((2, 2)), label="flat")
+        fam = SectionFamily.constant([[0.1], [0.9], [0.5]])
+        pts = fam.sections_at((0.0,))
+        b = bergman.bergman_basis(w, (0j,), 6, quad)
+        one_by_one = [b.diag_convergence_gap(p[0]) for p in pts]
+        assert np.allclose(b.diag_convergence_gap(pts), one_by_one, rtol=1e-12, atol=0)
+        assert int(np.argmax(one_by_one)) == 1
+        with pytest.raises(UnconvergedBasisError, match=r"at fiber point \[\(0\.9\+0j\)\] over t=\(0j,\)"):
+            build_hormander_data(w, fam, (0.0,), 6, quad)
+
     @pytest.mark.parametrize("case", ["cross", "polynomial"])
     def test_matches_finite_differences(self, quad, case):
         # second derivation: central complex differences of the kernel

@@ -30,7 +30,7 @@ from bergman_lab.iteration import (
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, schur_trace_field, \
     twist_weight
-from helpers import bergman_weight, mixed_bound, node_list, sample_field_csv
+from helpers import log_kernel_grad_base, mixed_bound, node_list, sample_field_csv
 
 
 @pytest.fixture(scope="module")
@@ -47,8 +47,8 @@ class TestLogKernelField:
     def test_separable_base_curvature_sign(self, quad):
         # the -log kernel field of c|t|^2 + |xi|^2 has tt block exactly -c
         w = QuadraticWeight.separable(0.7, 1, 1)
-        fld = bergman_weight(w, 16, quad)
-        tt, tf, ff = fld.hessian_field((0.1 + 0.05j,), np.array([0.0j, 0.3 + 0j]))
+        fld = LogKernelField(w, 16, quad)
+        tt, tf, ff = (-b for b in fld.hessian_field((0.1 + 0.05j,), np.array([0.0j, 0.3 + 0j])))
         assert np.max(np.abs(tt[:, 0, 0] + 0.7)) < 1e-12
         assert np.max(np.abs(tf)) < 1e-12
         assert np.all(ff[:, 0, 0].real < 0)  # metric side: -log K concave in xi
@@ -62,7 +62,7 @@ class TestLogKernelField:
 
     def test_t_independent_weight(self, quad):
         w = QuadraticWeight(1, 1, np.diag([0.0, 1.0]), label="gauss")
-        fld = bergman_weight(w, 16, quad)
+        fld = LogKernelField(w, 16, quad)
         xi = np.array([0.2 + 0.1j])
         assert abs(fld.value((0.0,), xi) - fld.value((0.3 + 0.2j,), xi))[0] < 1e-12
 
@@ -70,8 +70,8 @@ class TestLogKernelField:
         w = QuadraticWeight.separable(0.7, 1, 1)
         quad_fine = build_quadrature(FiberDomain.disk(1.0), 64, 128)
         pts = np.array([0.0 + 0j, 0.3 + 0.2j, 0.55 + 0j])
-        a = bergman_weight(w, 16, quad).value((0.1,), pts)
-        b = bergman_weight(w, 16, quad_fine).value((0.1,), pts)
+        a = LogKernelField(w, 16, quad).value((0.1,), pts)
+        b = LogKernelField(w, 16, quad_fine).value((0.1,), pts)
         assert np.max(np.abs(a - b)) < 1e-8
 
     def test_dimension_mismatch(self):
@@ -82,7 +82,7 @@ class TestLogKernelField:
 
     def test_unconverged_truncation(self, quad):
         w = QuadraticWeight(1, 1, np.zeros((2, 2)), label="flat")
-        fld = bergman_weight(w, 6, quad)
+        fld = LogKernelField(w, 6, quad)
         with pytest.raises(UnconvergedBasisError, match="truncation"):
             fld.value((0.0,), np.array([0.1 + 0j]))
 
@@ -115,7 +115,7 @@ class TestLogKernelField:
         q = build_quadrature(dom, nr, na)
         w = QuadraticWeight.cross_term(0.5, 1, dom.dim)
         monkeypatch.setattr(curvature_module, "CONVERGENCE_TOL", 1e-2)
-        fld = bergman_weight(w, N, q)
+        fld = LogKernelField(w, N, q)
         t = (0.2 - 0.1j,)
         built = []
         original = fiber_numerics.vandermonde
@@ -131,7 +131,8 @@ class TestLogKernelField:
         # with the point jets (monomial values against the same matrices)
         assert grad_nodes.shape == (1, q.size) and tt_nodes.shape == (q.size, 1, 1)
         grad_nodes, tt_nodes = grad_nodes[:, ::7], tt_nodes[::7]
-        grad_copy, tt_copy = fld.grad_base(t, copy[::7]), fld.hessian_field(t, copy[::7])[0]
+        grad_copy = log_kernel_grad_base(fld, t, copy[::7])
+        tt_copy = fld.hessian_field(t, copy[::7])[0]
         assert np.abs(grad_nodes - grad_copy).max() <= 1e-12 * max(1.0, np.abs(grad_copy).max())
         assert np.abs(tt_nodes - tt_copy).max() <= 1e-12 * max(1.0, np.abs(tt_copy).max())
 
@@ -176,16 +177,18 @@ class TestMixing:
     def test_fixed_point(self, quad):
         w = QuadraticWeight.separable(1.0, 1, 1)
         mixed = mix_weights(w, w, 2)
-        pts = np.array([0.1 + 0j, 0.4 - 0.2j])
-        assert np.max(np.abs(mixed.value((0.2,), pts) - w.value((0.2,), pts))) == 0.0
+        for got, part in zip(mixed.node_jets((0.2,), quad), w.node_jets((0.2,), quad)):
+            assert np.max(np.abs(got - part)) == 0.0
 
     def test_affine_combination(self, quad):
         a = QuadraticWeight.separable(1.0, 1, 1)
         b = QuadraticWeight.separable(3.0, 1, 1)
         mixed = mix_weights(a, b, 4)  # 3/4 a + 1/4 b
-        pts = np.array([0.3 + 0.1j])
-        ref = 0.75 * a.value((0.2,), pts) + 0.25 * b.value((0.2,), pts)
-        assert np.max(np.abs(mixed.value((0.2,), pts) - ref)) < 1e-14
+        t = (0.2 + 0.1j,)
+        ref = 0.75 * a.node_phi(t, quad) + 0.25 * b.node_phi(t, quad)
+        assert np.max(np.abs(mixed.node_phi(t, quad) - ref)) < 1e-14
+        for got, ja, jb in zip(mixed.node_jets(t, quad), a.node_jets(t, quad), b.node_jets(t, quad)):
+            assert np.max(np.abs(got - (0.75 * ja + 0.25 * jb))) < 1e-14
 
     def test_bound_arithmetic(self):
         assert mixed_bound(0.0, 1.0, 2) == pytest.approx(0.5)
@@ -369,7 +372,8 @@ class TestIterationCost:
         # each base point of a step costs one basis Gram, n Grams d_aG and
         # n(n+1)/2 Grams d_a dbar_bG (one memo entry), one ring synthesis (the
         # previous potential's node jets) and one Vandermonde at the
-        # truncation gate's probe
+        # truncation gate, over the two fiber samples the step is measured at
+        # and the middle ring
         calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "gate probe": []}
 
         def spy(module, name, log):
@@ -388,7 +392,7 @@ class TestIterationCost:
         counts = {k: len(v) for k, v in calls.items()}
         assert counts == {"basis Gram": steps, "derivative Gram": steps * (n + n * (n + 1) // 2),
                           "synthesis": K, "gate probe": steps}
-        assert all(len(pts) == 1 for _basis, pts in calls["gate probe"])
+        assert all(len(pts) == 3 for _basis, pts in calls["gate probe"])
 
     @staticmethod
     def _node_calls(phi, quad, monkeypatch, methods) -> list:
@@ -456,12 +460,12 @@ class TestOneBasePointAtATime:
         psi = LogKernelField(phi, 12, quad)
         T, X = np.array([[0.0], [0.1j]]), np.array([[0.2], [0.3j]])
         refused = "iterated weights take one base point at a time; got base input of shape"
-        for w in (psi, mix_weights(psi, phi, 2)):
-            for evaluate in (w.value, w.hessian_field, w.grad_base):
-                with pytest.raises(ValueError, match=rf"{refused} \(2, 1\)"):
-                    evaluate(T, X)
-            with pytest.raises(ValueError, match=rf"{refused} \({quad.size}, 1\)"):
-                w.value(np.zeros((quad.size, 1)), node_list(quad))
+        for evaluate in (psi.value, psi.hessian_field):
+            with pytest.raises(ValueError, match=rf"{refused} \(2, 1\)"):
+                evaluate(T, X)
+        with pytest.raises(ValueError, match=rf"{refused} \({quad.size}, 1\)"):
+            psi.value(np.zeros((quad.size, 1)), node_list(quad))
+        for w in (psi, mix_weights(psi, phi, 2)):  # a mixed weight is read only through its jets
             with pytest.raises(ValueError, match="expected a point"):
                 w.node_jets(T, quad)
 
