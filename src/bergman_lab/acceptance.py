@@ -33,6 +33,7 @@ one broken criterion cannot mask the others in a suite run.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -55,14 +56,10 @@ from .weights import CustomWeight, PolynomialWeight, QuadraticWeight, distortion
 SEED = 20260814
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
 
-_QUADS: dict = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _quad(nr: int, na: int):
-    key = (nr, na)
-    if key not in _QUADS:
-        _QUADS[key] = build_quadrature(FiberDomain.disk(1.0), nr, na)
-    return _QUADS[key]
+    return build_quadrature(FiberDomain.disk(1.0), nr, na)
 
 
 def _cross(lam: float) -> QuadraticWeight:
@@ -99,7 +96,7 @@ class CriterionResult:
 
 def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: float) -> np.ndarray:
     """Lambda_alpha on the nodes, the second derivation of the exact field:
-    ``sum_i a_i(t0) K_t(., s_i(t))`` rebuilt at ``t0 +- h``, ``t0 +- ih`` along
+    ``sum_i conj(a_i(t0)) K_t(., s_i(t))`` rebuilt at ``t0 +- h``, ``t0 +- ih`` along
     ``alpha``, its Wirtinger derivative ``d/dt = ((f(+h) - f(-h)) - i (f(+ih) -
     f(-ih))) / (4h)`` (error O(h^2)), minus ``d_alpha phi`` times Gamma."""
     t0 = as_complex_tuple(t0)
@@ -109,7 +106,7 @@ def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: floa
         t = list(t0)
         t[alpha] += tau
         b = bergman_basis(w, tuple(t), N, quad)
-        rhs = np.conj(b.monomials_at(fam.sections_at(tuple(t)))).T @ amps
+        rhs = np.conj(amps @ b.monomials_at(fam.sections_at(tuple(t))))
         return monomial_synthesis(b.basis, b.transform @ (b.transform.conj().T @ rhs), quad)
 
     fp, fm, fip, fim = (combo(tau) for tau in h * np.array([1, -1, 1j, -1j]))

@@ -61,31 +61,25 @@ the frame Gram at the point asked for, under the basis Gram's pivot rule
 with ``d_a dbar_b G`` give the base derivatives of ``P`` behind the
 log-kernel jets of the iteration (see ``iteration``).
 
-Basis builds are memoized on the quadrature rule, keyed by (weight object,
-base point, degree): every check of a scenario reads the basis at ``t0``,
-so each point's Gram and transform are computed once per rule.  Section
-Hessians are memoized the same way, keyed by (sections, base point,
-degree), and so are all ``d_a G`` and ``d_a dbar_b G`` together, one entry
-per (base point, degree) (:func:`base_gram_jets`), which the section
+Every result here goes through the one memo of the rule,
+``QuadratureRule.memoize``, owned by the weight: the basis ``("basis", t,
+N)``, whose value ``(basis, C, G, weight values)`` each
+:func:`bergman_basis` call wraps; all ``d_a G`` and ``d_a dbar_b G``,
+``("gram_jets", t, N)`` (:func:`base_gram_jets`), which the section
 Hessian, the Hormander fields, the determinant Hessian and the log-kernel
-jets share.
-The node jets, the weight values ``exp(-phi)`` formed from them, the
-Hessian blocks of phi on the nodes (``weights.node_hessian``) and their
-fiber-block contraction ``(tf ff^{-1} tf^H)_aa``
-(:func:`node_fiber_contraction`), which the L2 bound and the assembled
-chain both read, do not depend on the degree, so they are memoized by base
-point alone.
-The memo holds only those read-only arrays, weakly keyed by the weight,
-so an entry lives no longer than its weight or its rule (one rule per
-scenario run) unless released earlier (the iteration releases each step's
-weights); a repeated call returns the same arrays, hence bitwise the same
-numbers.
+jets share; the section Hessian ``("section_hessian", sections, t, N)``;
+and the contraction ``("fiber_contraction", t)``
+(:func:`node_fiber_contraction`) that the L2 bound and the assembled chain
+read.  They read the weight's own memoized node fields (``weights``), so
+every check of a scenario reads each of them once per rule, and a repeated
+call returns the same read-only arrays, hence bitwise the same numbers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -288,7 +282,7 @@ class SectionFamily:
         Every section is evaluated on the whole sample at once; the error
         names the first failing (sample, section) pair in sample order.
         """
-        ts = patch.sample(radii=(0.0, 0.5, 1.0), angles=8)
+        ts = patch.sample(angles=8)
         pts = np.stack([np.stack([comp(ts) for comp in s], axis=-1) for s in self.sections], axis=1)
         ok = domain.contains(pts, margin_frac=SECTION_MARGIN)  # (samples, sections)
         if not ok.all():
@@ -343,21 +337,13 @@ class BergmanBasis:
         """Relative change of K(w,w) from degree N-2 to N at each fiber point
         of ``w`` (0-d at one point), from one frame evaluation: the transform is upper triangular, so the leading
         ``truncated_dim(N-2)`` entries of ``u = M(w) C`` are the frame of the
-        degree-(N-2) sub-basis."""
-        u2 = np.abs(self.orthonormal_at(w)) ** 2
-        full = np.sum(u2, axis=-1)
-        sub = np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1)
-        return np.abs(full - sub) / np.maximum(np.abs(full), 1e-300)
-
-
-def _node_weight_values(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
-    """Read-only ``exp(-phi(t, .))`` on the nodes, memoized per base point.
-
-    The values do not depend on the degree, so every basis build and every
-    Gram derivative at ``t`` shares one evaluation per rule.
-    """
-    t = as_complex_tuple(t)
-    return quad.memoize(w, ("weight_values", t), lambda: w.weight_values(t, quad))
+        degree-(N-2) sub-basis.  A kernel beyond the double range gives a
+        gap that is not finite, quietly (``curvature.truncation_gate``)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u2 = np.abs(self.orthonormal_at(w)) ** 2
+            full = np.sum(u2, axis=-1)
+            sub = np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1)
+            return np.abs(full - sub) / np.maximum(np.abs(full), 1e-300)
 
 
 def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:
@@ -386,7 +372,7 @@ def base_gram_jets(w: WeightFamily, t, N: int, quad: QuadratureRule) -> tuple:
 
     def compute():
         basis, n = monomial_basis(N, quad.domain.dim), w.n
-        mu = _node_weight_values(w, t, quad) * quad.weights
+        mu = w.weight_values(t, quad) * quad.weights
         _phi, dphi, tt = w.node_jets(t, quad)
         dG = np.empty((n, basis.dim, basis.dim), dtype=complex)
         ddG = np.empty((n,) + dG.shape, dtype=complex)
@@ -412,17 +398,14 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
     memoized, so they raise again.
     """
     t = as_complex_tuple(t)
-    memo = quad.memo(w)
-    parts = memo.get((t, N))
-    if parts is None:
+
+    def compute():
         basis = monomial_basis(N, quad.domain.dim)
-        weight_vals = _node_weight_values(w, t, quad)
+        weight_vals = w.weight_values(t, quad)
         G = gram_matrix(basis, weight_vals, quad)
-        C = orthonormalize(G, basis.exponents)
-        for arr in (G, C):
-            arr.flags.writeable = False
-        parts = memo[(t, N)] = (basis, C, G, weight_vals)
-    basis, C, G, weight_vals = parts
+        return basis, orthonormalize(G, basis.exponents), G, weight_vals
+
+    basis, C, G, weight_vals = quad.memoize(w, ("basis", t, N), compute)
     return BergmanBasis(
         t=t,
         N=N,
@@ -485,16 +468,17 @@ def section_value_pair(
     """(value at degree N, value at degree N-2) from a single basis build:
     ``sum_i a_i(t) u(s_i(t))`` in the orthonormal frame, and its leading
     degree-(N-2) entries (the transform is upper triangular), from one
-    frame evaluation at the sections."""
+    frame evaluation at the sections; quiet where the kernel is beyond the
+    double range, as :meth:`BergmanBasis.diag_convergence_gap` is."""
     t = as_complex_tuple(t)
     fam.check_inside(quad.domain, t)
     b = bergman_basis(w, t, N, quad)
-    v2 = np.abs(fam.amplitudes_at(t) @ b.orthonormal_at(fam.sections_at(t))) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        v2 = np.abs(fam.amplitudes_at(t) @ b.orthonormal_at(fam.sections_at(t))) ** 2
     return float(np.sum(v2)), float(np.sum(v2[: b.basis.truncated_dim(max(N - 2, 0))]))
 
 
-@dataclass(frozen=True, eq=False)
-class SectionHessian:
+class SectionHessian(NamedTuple):
     """``B_t<a, a>`` at one base point with its exact base derivatives.
 
     ``grad[a] = d B / dt_a`` and ``hessian[a, b] = d^2 B / dt_a dt_b-bar``
@@ -503,8 +487,8 @@ class SectionHessian:
 
     t: tuple
     B: float
-    grad: np.ndarray = field(repr=False)
-    hessian: np.ndarray = field(repr=False)
+    grad: np.ndarray
+    hessian: np.ndarray
 
     @property
     def log_hessian(self) -> np.ndarray:
@@ -525,42 +509,37 @@ def section_hessian(
     ``t``, ``N``) on the quadrature rule.
     """
     t = as_complex_tuple(t)
-    memo = quad.memo(w)
-    key = ("section_hessian", fam.key, t, N)
-    out = memo.get(key)
-    if out is not None:
-        return out
-    fam.check_inside(quad.domain, t)
-    b = bergman_basis(w, t, N, quad)
-    C, n = b.transform, w.n
-    pts, amps = fam.sections_at(t), fam.amplitudes_at(t)
-    damps, dsecs = fam.derivatives_at(t)
-    M = b.monomials_at(pts)  # (r, dim)
-    dM = monomial_gradient(b.basis, pts)  # (r, d, dim)
-    u = amps @ M
-    du = damps.T @ M + np.einsum("i,ick,icj->kj", amps, dsecs, dM)  # (n, dim)
-    Ch = C.conj().T
-    v = Ch @ np.conj(u)
-    p = C @ v
-    e = np.conj(du) @ np.conj(C)  # rows C^H conj(d_a u)
 
-    dG, ddG = base_gram_jets(w, t, N, quad)
-    g = np.array([Ch @ (G @ p) for G in dG])
-    eh = e - np.array([Ch @ (G.conj().T @ p) for G in dG])
-    H = np.empty((n, n), dtype=complex)
-    for a in range(n):
-        for c in range(a, n):
-            H[a, c] = np.vdot(eh[a], eh[c]) + np.vdot(g[c], g[a]) - np.vdot(p, ddG[a, c] @ p)
-            H[c, a] = np.conj(H[a, c])
-    H[np.diag_indices(n)] = H.diagonal().real
-    B = float(np.vdot(v, v).real)
-    if not (math.isfinite(B) and np.all(np.isfinite(H))):
-        raise ArithmeticError(f"section functional or its Hessian is not finite at t={t}")
-    grad = eh.conj() @ v
-    for arr in (grad, H):
-        arr.flags.writeable = False
-    out = memo[key] = SectionHessian(t=t, B=B, grad=grad, hessian=H)
-    return out
+    def compute():
+        fam.check_inside(quad.domain, t)
+        b = bergman_basis(w, t, N, quad)
+        C, n = b.transform, w.n
+        pts, amps = fam.sections_at(t), fam.amplitudes_at(t)
+        damps, dsecs = fam.derivatives_at(t)
+        M = b.monomials_at(pts)  # (r, dim)
+        dM = monomial_gradient(b.basis, pts)  # (r, d, dim)
+        u = amps @ M
+        du = damps.T @ M + np.einsum("i,ick,icj->kj", amps, dsecs, dM)  # (n, dim)
+        Ch = C.conj().T
+        v = Ch @ np.conj(u)
+        p = C @ v
+        e = np.conj(du) @ np.conj(C)  # rows C^H conj(d_a u)
+
+        dG, ddG = base_gram_jets(w, t, N, quad)
+        g = np.array([Ch @ (G @ p) for G in dG])
+        eh = e - np.array([Ch @ (G.conj().T @ p) for G in dG])
+        H = np.empty((n, n), dtype=complex)
+        for a in range(n):
+            for c in range(a, n):
+                H[a, c] = np.vdot(eh[a], eh[c]) + np.vdot(g[c], g[a]) - np.vdot(p, ddG[a, c] @ p)
+                H[c, a] = np.conj(H[a, c])
+        H[np.diag_indices(n)] = H.diagonal().real
+        B = float(np.vdot(v, v).real)
+        if not (math.isfinite(B) and np.all(np.isfinite(H))):
+            raise ArithmeticError(f"section functional or its Hessian is not finite at t={t}")
+        return SectionHessian(t=t, B=B, grad=eh.conj() @ v, hessian=H)
+
+    return quad.memoize(w, ("section_hessian", fam.key, t, N), compute)
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,7 +567,7 @@ class DirectImageGram:
         return self.coeffs.conj().T @ gram @ self.coeffs
 
     def gram_at(self, t) -> np.ndarray:
-        wv = _node_weight_values(self.w, t, self.quad)
+        wv = self.w.weight_values(t, self.quad)
         G = self._in_frame(gram_matrix(self.basis, wv, self.quad))
         return 0.5 * (G + G.conj().T)
 

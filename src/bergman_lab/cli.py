@@ -29,6 +29,7 @@ import argparse
 import dataclasses
 import sys
 import time
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,24 +58,22 @@ PSH_SPECTRUM_TOL = 1e-6
 
 class _Context:
     """Shared per-run state: one quadrature rule (which carries the run's
-    basis memo), one lazy certificate."""
+    memo), one lazy certificate."""
 
     def __init__(self, sc: Scenario):
         self.sc = sc
         self.quad = sc.build_quad()
         self.cfg = CheckConfig(N=sc.N, quad=self.quad, tolerance=sc.tolerance)
-        self._certificate = None
 
+    @cached_property
     def certificate(self):
-        if self._certificate is None:
-            self._certificate = certify(self.sc.weight, self.sc.grid_spec())
-        return self._certificate
+        return certify(self.sc.weight, self.sc.grid_spec())
 
     def eps0(self) -> float:
         """Declared trace constant when the scenario states one, else certified."""
         if self.sc.eps0 is not None:
             return self.sc.eps0
-        return self.certificate().eps0
+        return self.certificate.eps0
 
 
 def _fiber_probe(ctx: _Context):
@@ -91,7 +90,7 @@ def _fiber_probe(ctx: _Context):
 
 def _check_certify(ctx: _Context):
     sc = ctx.sc
-    cert = ctx.certificate()
+    cert = ctx.certificate
     outputs = {
         "eps0_certified": cert.eps0,
         "C": cert.C,
@@ -296,6 +295,19 @@ def _margin_summary(rec: CheckRecord) -> str:
     return f"{worst} = {rec.margins[worst]:.3e}"
 
 
+def _write(report: RunReport, args) -> bool:
+    """Write ``report`` under ``--out``, if given; False, with the message on
+    stderr, when ``write_report`` refuses the directory."""
+    try:
+        paths = write_report(report, args.out, format=args.format) if args.out else []
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return False
+    for p in paths:
+        print(f"wrote {p}")
+    return True
+
+
 def _cmd_run(args) -> int:
     try:
         sc = parse_scenario(Path(args.scenario).read_text())
@@ -314,15 +326,7 @@ def _cmd_run(args) -> int:
         seed=sc.seed,
     )
     print(f"run: scenario {sc.id}, report hash {report.report_hash[:12]}")
-    if args.out:
-        try:
-            paths = write_report(report, args.out, format=args.format)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        for p in paths:
-            print(f"wrote {p}")
-    return report.exit_code
+    return report.exit_code if _write(report, args) else 2
 
 
 def _cmd_suite(args) -> int:
@@ -354,9 +358,8 @@ def _cmd_suite(args) -> int:
         config_hash=config_hash({"suite": "acceptance", "criteria": list(names)}),
         records=tuple(records),
     )
-    if args.out:
-        for p in write_report(report, args.out, format=args.format):
-            print(f"wrote {p}")
+    if not _write(report, args):
+        return 2
     failed = [r.name for r in records if r.verdict != "pass"]
     print(f"suite: {len(records) - len(failed)}/{len(records)} criteria passed")
     return 0 if not failed else 2

@@ -62,13 +62,19 @@ def truncation_gate(gap: float, N: int, where: str) -> None:
     """The one kernel-truncation gate: the relative change ``gap`` of a
     kernel quantity from degree N-2 to N must stay within
     :data:`CONVERGENCE_TOL`.  ``where`` names the point it was measured at.
+    A gap that is not finite is a kernel beyond the double range (an
+    ``exp(-phi)`` subnormal on every node), which no degree resolves.
     """
-    if gap > CONVERGENCE_TOL:
+    if gap <= CONVERGENCE_TOL:
+        return
+    if np.isfinite(gap):
         raise UnconvergedBasisError(
             f"kernel truncation not converged {where}: relative change {gap:.3e} from "
             f"degree {N - 2} to {N} (tolerance {CONVERGENCE_TOL:.1e}); raise degree, and "
-            f"quadrature with it (degree is capped at n_angular/2 - 1)"
-        )
+            f"quadrature with it (degree is capped at n_angular/2 - 1)")
+    raise UnconvergedBasisError(f"kernel not finite in double precision {where} at degree {N}: "
+                                f"exp(-phi) is too small on the nodes; subtract a constant from "
+                                f"the weight")
 
 
 def truncation_gate_at(b, points) -> float:

@@ -94,10 +94,11 @@ n_angular)`` complex grid each, shaped to broadcast against the others, so
 a node field that is a sum of per-coordinate terms (a weight and its base
 jets, ``weights``) is evaluated term by term on ``n_radial * n_angular``
 points and broadcast once; no ``(nodes, d)`` list of the nodes is built.
-It also keeps the radial-power, fold and index tables of the ring
-transforms for its lifetime and, through :meth:`QuadratureRule.memo`, the
-per-weight results that callers (the Bergman basis builds) store on it; it
-holds at most :data:`MAX_NODES` nodes.
+A rule holds at most :data:`MAX_NODES` nodes, and :meth:`QuadratureRule.memoize`
+is the one store of results computed on it: read-only, one per ``(owner,
+key)``, owners held weakly.  A :class:`MonomialBasis` owns its ring tables,
+``("ring", real)``; a weight what ``weights``, ``bergman`` and ``iteration``
+compute for it, keyed by base point (and degree).
 """
 
 from __future__ import annotations
@@ -228,6 +229,17 @@ class FiberDomain:
         return ok
 
 
+def _freeze(value):
+    """``value``, with every array in it made read-only, also inside nested
+    tuples: the one place arrays are frozen."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, tuple):
+        for item in value:
+            _freeze(item)
+    return value
+
+
 class RingTables(NamedTuple):
     """Tables of the ring transforms over one basis (:meth:`QuadratureRule.ring_tables`)."""
 
@@ -260,66 +272,60 @@ class QuadratureRule:
     grids: tuple[np.ndarray, ...] = field(repr=False)
     weights: np.ndarray = field(repr=False)
     radial_nodes: tuple[np.ndarray, ...] = field(repr=False)
-    # Per-basis tables built on first use; they live and die with the rule.
-    _tables: dict = field(default_factory=dict, init=False, repr=False)
+    # The one store of results computed on this rule, weakly keyed by owner.
+    _memo: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False)
 
     @property
     def size(self) -> int:
         return self.weights.shape[0]
 
     def memo(self, owner) -> dict:
-        """This rule's store of results computed for ``owner`` (a weight).
+        """This rule's store of results computed for ``owner``: a weight, or a
+        :class:`MonomialBasis` for its ring tables.
 
         Stores are held weakly by owner, so an entry is freed as soon as its
         owner or the rule goes.  Stored values must not refer to the owner
         (that would keep it alive) or to the rule (a cycle that only the
         cyclic garbage collector frees).
         """
-        stores = self._tables.get("memo")
-        if stores is None:
-            stores = self._tables.setdefault("memo", weakref.WeakKeyDictionary())
-        store = stores.get(owner)
+        store = self._memo.get(owner)
         if store is None:
-            store = stores.setdefault(owner, {})
+            store = self._memo[owner] = {}
         return store
 
     def memoize(self, owner, key, compute):
-        """``compute()``, kept in ``self.memo(owner)`` under ``key``.
-
-        The result is an array or a tuple of arrays; each is made read-only
-        before it is stored, so every caller shares the same numbers.
+        """``compute()``, kept in ``self.memo(owner)`` under ``key``: the one
+        store of per-rule results.  Every array of the result, also inside
+        nested tuples, is made read-only (:func:`_freeze`) before it is
+        stored, so every caller shares the same numbers.  A ``compute`` that
+        raises stores nothing, so it raises again.
         """
         store = self.memo(owner)
         out = store.get(key)
         if out is None:
-            out = compute()
-            for arr in out if isinstance(out, tuple) else (out,):
-                arr.flags.writeable = False
-            store[key] = out
+            out = store[key] = _freeze(compute())
         return out
 
     def release(self, owner) -> None:
         """Drop this rule's store for ``owner`` while the owner lives on
         (a chain of iterated weights keeps every link alive)."""
-        stores = self._tables.get("memo")
-        if stores is not None:
-            stores.pop(owner, None)
+        self._memo.pop(owner, None)
 
     def ring_tables(self, basis: MonomialBasis, real: bool = False) -> RingTables:
         """Index and radial-power tables of the ring transforms over ``basis``
         on this rule over each coordinate's exponent range ``lo..hi`` (module
-        docstring), built on first use, one set per front end of
-        :func:`ring_gram`; all read-only.  The complex front end reads every
+        docstring), memoized under ``basis``, one set per front end of
+        :func:`ring_gram`.  The complex front end reads every
         Gram entry ``(j, k)`` at the DFT index of ``e``.  The real one reads
         only ``basis.half_pairs`` from the half spectrum ``0..n_angular // 2``
         of its first angular axis: at ``-e``, whose conjugate is ``G[j, k]``,
         so the value is written to ``(k, j)``; or, where ``-e_1`` aliases past
         the half spectrum, at ``e``, which is ``G[j, k]`` itself.
         """
-        key = ("ring", basis, real)
-        tables = self._tables.get(key)
-        if tables is not None:
-            return tables
+        return self.memoize(basis, ("ring", real), lambda: self._ring_tables(basis, real))
+
+    def _ring_tables(self, basis: MonomialBasis, real: bool) -> RingTables:
         E, ranges, na = basis.exponent_array, basis.exponent_range, [n for _nr, n in self.shape]
         w = [b - a for a, b in ranges]
         j, k, *se = basis.half_pairs if real else basis.pairs  # mode -e sits at 2w - (e + w)
@@ -338,11 +344,7 @@ class QuadratureRule:
             q = tuple((f % n)[e] for f, e, n in zip(fold, se[1::2], na))
             dest, kept = None, na[0]
         read_powers = powers[-1][:, se[-2]] if basis.fiber_dim == 2 else np.empty(0)
-        for arr in fold + powers + sum(monomials, ()) + q + (read_powers,) + (dest or ()):
-            arr.flags.writeable = False
-        tables = RingTables(fold, powers, monomials, kept, (se[0],) + q, read_powers, dest)
-        self._tables[key] = tables
-        return tables
+        return RingTables(fold, powers, monomials, kept, (se[0],) + q, read_powers, dest)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -392,10 +394,7 @@ def max_exact_degree(n_angular: int) -> int:
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Gauss-Legendre nodes and weights on ``[-1, 1]``, computed
     once per node count."""
-    x, w = leggauss(n)
-    x.flags.writeable = False
-    w.flags.writeable = False
-    return x, w
+    return _freeze(leggauss(n))
 
 
 def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 128) -> QuadratureRule:
@@ -417,8 +416,7 @@ def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 1
         wr = w * 0.5 * (ro - ri) * r  # polar Jacobian
         z = r[:, None] * np.exp(1j * theta)[None, :]
         z = z.reshape((1, 1) * c + z.shape + (1, 1) * (d - 1 - c))  # broadcasts against the others
-        z.flags.writeable = False
-        grids.append(z)
+        grids.append(_freeze(z))
         coord_wts.append(wr[:, None] * np.full(n_angular, wt)[None, :])
         radial.append(r)
     weights = functools.reduce(np.multiply.outer, coord_wts).ravel()  # node order
@@ -467,8 +465,7 @@ class MonomialBasis:
             pairs += (E[j, c] + E[k, c] - 2 * lo, E[j, c] - E[k, c] + hi - lo)
         e1 = E[j, 0] - E[k, 0]
         half = tuple(x[(e1 < 0) | (e1 == 0) & (j <= k)] for x in pairs)
-        for arr in (E,) + pairs + half:
-            arr.flags.writeable = False
+        _freeze((E,) + pairs + half)
         object.__setattr__(self, "exponent_array", E)
         object.__setattr__(self, "exponent_range", ranges)
         object.__setattr__(self, "pairs", pairs)

@@ -3,20 +3,23 @@
 For a family of sections s_i with amplitudes a_i and kernel K_t at base
 point t, define on the fiber
 
-    Gamma(xi)    = sum_i a_i(t0) K_{t0}(xi, s_i(t0)),
-    Lambda_a(xi) = sum_i a_i(t0) [ d/dt_a - (d phi/dt_a) ] K_t(xi, s_i(t))   at t = t0.
+    Gamma(xi)    = sum_i conj(a_i(t0)) K_{t0}(xi, s_i(t0)),
+    Lambda_a(xi) = sum_i conj(a_i(t0)) [ d/dt_a - (d phi/dt_a) ] K_t(xi, s_i(t))   at t = t0.
 
-Both are exact and need only the basis at ``t0``: ``K_t(xi, w) = M(xi)^T
-P(t) conj(M(w))`` with ``P = G^-1 = C C^H``, and ``conj(M(s_i(t)))`` is
-antiholomorphic in t, so the monomial coefficients of Gamma are ``p = P r``
-with ``r = sum_i a_i(t0) conj(M(s_i(t0)))`` and those of the t-derivative
-are ``-P d_aG p``, ``d_aG`` read from ``bergman.base_gram_jets``.  Every
-base direction is built, and the coefficient vectors of Gamma and of all
-n fields Lambda_a go to the nodes in one ring synthesis
-(``fiber_numerics.monomial_synthesis``), and the moments of the
-orthogonality test come back through its adjoint, so no node Vandermonde
-is built.  Three facts are checked numerically, each on the weight, base
-point, degree and rule the :class:`HormanderData` was built on:
+Gamma is the Riesz representer of ``f -> sum_i a_i f(s_i)``, so
+``||Gamma||^2`` is the section functional B.  Both are exact and need only
+the basis at ``t0``: ``K_t(xi, w) = M(xi)^T P(t) conj(M(w))`` with ``P =
+G^-1 = C C^H``, and ``conj(a_i(t) M(s_i(t)))`` is antiholomorphic in t (so
+freezing the amplitudes is exact): Gamma has the monomial coefficients ``p
+= P conj(u)``, ``u = sum_i a_i(t0) M(s_i(t0))`` as in
+``bergman.section_hessian``, and its t-derivative ``-P d_aG p``, ``d_aG``
+read from ``bergman.base_gram_jets``.  Every base direction is built, and
+the coefficient vectors of Gamma and of all n fields Lambda_a go to the
+nodes in one ring synthesis (``fiber_numerics.monomial_synthesis``), and
+the moments of the orthogonality test come back through its adjoint, so no
+node Vandermonde is built.  Three facts are checked numerically, each on
+the weight, base point, degree and rule the :class:`HormanderData` was
+built on:
 
 * Lambda_a is orthogonal to every holomorphic function in the truncated
   space (this characterizes the weight-twisted derivative),
@@ -112,7 +115,7 @@ def build_hormander_data(
     pts = fam.sections_at(t0)
     truncation_gate_at(b0, pts)
     C = b0.transform
-    p = C @ (C.conj().T @ (np.conj(b0.monomials_at(pts)).T @ fam.amplitudes_at(t0)))
+    p = C @ (C.conj().T @ np.conj(fam.amplitudes_at(t0) @ b0.monomials_at(pts)))
     coeffs = np.stack([p] + [_derivative_coefficients(w, b0, p, a) for a in range(w.n)])
     gamma, *lambdas = monomial_synthesis(b0.basis, coeffs, quad)  # one transform for all
     if include_weight_term:

@@ -123,13 +123,12 @@ class LogKernelField(WeightFamily):
     """log K_t(xi, xi) for the kernel of an inner weight, with exact base and
     fiber derivatives.
 
-    Bases come from the basis memo of ``quad``; the first use of each
-    base point is gated on kernel truncation convergence at the fiber
-    samples the iteration measures at and at the middle ring of each
-    coordinate (0.5 r on a disk), since each step's log K is read on every
-    node and becomes the next step's weight.  The inverse-Gram jets and the
-    node jets are stored on ``quad`` under this field (see
-    :meth:`gram_jets`).
+    Each basis read from the memo of ``quad`` is gated on kernel truncation
+    convergence at the fiber samples the iteration measures at and at the
+    middle ring of each coordinate (0.5 r on a disk), since each step's log
+    K is read on every node and becomes the next step's weight.  This field
+    owns its memo entries ``("gram_jets", t)`` (:meth:`gram_jets`) and
+    ``("node_jets", t)``, so a run reads, and gates, each basis once.
     """
 
     kind = "bergman-potential"
@@ -144,7 +143,6 @@ class LogKernelField(WeightFamily):
         self.N = int(N)
         self.quad = quad
         self.basis = monomial_basis(self.N, inner.d)
-        self._gated: set = set()
         self._max_gap = 0.0
         dom = quad.domain
         probe = [ri + 0.5 * (ro - ri) for ri, ro in zip(dom.inner_radii, dom.radii)]
@@ -157,9 +155,7 @@ class LogKernelField(WeightFamily):
 
     def _basis_at(self, t: tuple):
         b = bergman_basis(self.inner, t, self.N, self.quad)
-        if b.t not in self._gated:
-            self._max_gap = max(self._max_gap, truncation_gate_at(b, self._gate_points))
-            self._gated.add(b.t)
+        self._max_gap = max(self._max_gap, truncation_gate_at(b, self._gate_points))
         return b
 
     def gram_jets(self, t) -> tuple:

@@ -133,8 +133,6 @@ class RunReport:
     config_hash: str
     records: tuple
     seed: int = 0
-    schema: str = SCHEMA
-    version: str = __version__
 
     @cached_property
     def report_hash(self) -> str:
@@ -143,7 +141,7 @@ class RunReport:
             "scenario_id": self.scenario_id,
             "config_hash": self.config_hash,
             "seed": self.seed,
-            "schema": self.schema,
+            "schema": SCHEMA,
         })
         body["records"] = [r.payload() for r in self.records]
         return hashlib.sha256(_dumps(body).encode()).hexdigest()
@@ -154,8 +152,8 @@ class RunReport:
 
     def as_dict(self) -> dict:
         return {
-            "schema": self.schema,
-            "version": self.version,
+            "schema": SCHEMA,
+            "version": __version__,
             "scenario_id": self.scenario_id,
             "config_hash": self.config_hash,
             "report_hash": self.report_hash,
@@ -201,7 +199,7 @@ def write_report(report: RunReport, out_dir, format: str = "json") -> list:
                     f"{report.config_hash[:12]}…"
                 )
     head = _sanitize({
-        "schema": report.schema,
+        "schema": SCHEMA,
         "scenario_id": report.scenario_id,
         "config_hash": report.config_hash,
     })

@@ -227,20 +227,24 @@ class WeightFamily:
         return quad.memoize(self, ("phi", t), lambda: self.value(t, quad))
 
     def weight_values(self, t, quad) -> np.ndarray:
-        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_phi`.
+        """exp(-phi(t, .)) on the quadrature nodes, from :meth:`node_phi`,
+        memoized per base point on the rule like it.
 
         An ``exp(-phi)`` that underflows to 0 is a weight value; one that
         overflows is not, and raises ``ArithmeticError`` naming ``t``.
         """
-        with np.errstate(over="ignore"):
-            wv = np.exp(-self.node_phi(t, quad))
-        top = wv.max()
-        if not top < math.inf:  # NaN fails too
-            raise ArithmeticError(
-                f"weight exp(-phi) is not finite on the quadrature nodes at t = "
-                f"{as_complex_tuple(t)}: its largest value is {top}"
-            )
-        return wv
+        t = as_complex_tuple(t)
+
+        def compute():
+            with np.errstate(over="ignore"):
+                wv = np.exp(-self.node_phi(t, quad))
+            top = wv.max()
+            if not top < math.inf:  # NaN fails too
+                raise ArithmeticError(f"weight exp(-phi) is not finite on the quadrature "
+                                      f"nodes at t = {t}: its largest value is {top}")
+            return wv
+
+        return quad.memoize(self, ("weight_values", t), compute)
 
     def describe(self) -> str:
         return f"{self.kind} weight, n={self.n}, d={self.d}"
@@ -422,15 +426,11 @@ class BasePatch:
         lim = self.radius * (1.0 - margin_frac)
         return all(abs(c - c0) <= lim for c, c0 in zip(t, self.center))
 
-    def sample(self, radii=(0.0, 0.5, 1.0), angles: int = 4) -> np.ndarray:
-        """Deterministic polar sample per coordinate, cartesian across them."""
-        ring = [0j] if 0.0 in radii else []
-        ring += [
-            r * self.radius * np.exp(2j * np.pi * k / angles)
-            for r in radii
-            if r > 0.0
-            for k in range(angles)
-        ]
+    def sample(self, angles: int = 4) -> np.ndarray:
+        """Deterministic polar sample per coordinate, cartesian across them:
+        the center and ``angles`` points at 0.5 and at 1 times the radius."""
+        ring = [0j] + [r * self.radius * np.exp(2j * np.pi * k / angles)
+                       for r in (0.5, 1.0) for k in range(angles)]
         axes = [np.asarray(ring) + c for c in self.center]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
@@ -438,27 +438,21 @@ class BasePatch:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling grid for certification: base patch x fiber domain."""
+    """Sampling grid for certification: base patch x fiber domain.  The
+    base points are the patch's :meth:`BasePatch.sample`; the fiber points
+    sit at 4 angles on the rings 0.25, 0.55 and 0.85 of the way out."""
 
     patch: BasePatch
     fiber: FiberDomain
-    base_radii: tuple[float, ...] = (0.0, 0.5, 1.0)
-    base_angles: int = 4
-    fiber_radii: tuple[float, ...] = (0.25, 0.55, 0.85)
-    fiber_angles: int = 4
 
     def base_points(self) -> np.ndarray:
-        return self.patch.sample(self.base_radii, self.base_angles)
+        return self.patch.sample()
 
     def fiber_points(self) -> np.ndarray:
         axes = []
         for ro, ri in zip(self.fiber.radii, self.fiber.inner_radii):
-            radii = [ri + f * (ro - ri) for f in self.fiber_radii]
-            ring = [
-                r * np.exp(2j * np.pi * k / self.fiber_angles)
-                for r in radii
-                for k in range(self.fiber_angles)
-            ]
+            radii = [ri + f * (ro - ri) for f in (0.25, 0.55, 0.85)]
+            ring = [r * np.exp(2j * np.pi * k / 4) for r in radii for k in range(4)]
             axes.append(np.asarray(ring))
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)

@@ -381,7 +381,7 @@ class TestSectionValue:
         fam = SectionFamily(len(base), domain.dim, sections, amps)
         patch = BasePatch((0j,) * len(base), 0.5)
         with pytest.raises(SectionOutsideDomainError) as looped:
-            for t in patch.sample(radii=(0.0, 0.5, 1.0), angles=8):
+            for t in patch.sample(angles=8):
                 fam.check_inside(domain, tuple(complex(x) for x in t))  # python numbers
         with pytest.raises(SectionOutsideDomainError) as vectorized:
             fam.validate_on_patch(domain, patch)
@@ -475,17 +475,20 @@ class TestDirectImageGram:
         assert np.array_equal(dig.gram_at(t0), dig.gram_at(t0[0]))
 
     def test_det_check_reads_no_weight_at_patch_center(self, monkeypatch):
-        # the frame Gram is factored at t0 alone, never at the patch center
-        seen = []
-        real = QuadraticWeight.weight_values
-        monkeypatch.setattr(QuadraticWeight, "weight_values",
-                            lambda self, t, quad: seen.append(tuple(t)) or real(self, t, quad))
+        # the frame Gram is factored at t0 alone, never at the patch center:
+        # the weight values are computed once, at t0 (a memo entry per computation)
+        rules = []
+        real = scenario_module.build_quadrature
+        monkeypatch.setattr(scenario_module, "build_quadrature",
+                            lambda *args: rules.append(real(*args)) or rules[-1])
         sc = parse_scenario("weight = cross 0.5\npatch = 0 ; 0.45\nt0 = 0.2-0.1j\neps0 = 0.75\n"
                             "degree = 12\nquadrature = 32 64\ndet_frame = 1 | z1\n"
                             "checks = det_inequality\n")
         [rec] = run_scenario_checks(sc, sc.checks)
         assert rec.verdict == "pass", rec.error
-        assert seen == [(0.2 - 0.1j,)]
+        (quad,) = rules
+        assert [k for k in quad.memo(sc.weight) if k[0] == "weight_values"] == [
+            ("weight_values", (0.2 - 0.1j,))]
 
     def test_dependent_frame_rejected(self, quad):
         frame = [HoloPoly.constant(1.0), HoloPoly.constant(2.0)]

@@ -189,6 +189,24 @@ class TestRunCommand:
         assert [r["verdict"] for r in records] == ["pass"] + ["unconverged"] * 5
         assert all("kernel truncation not converged" in r["error"] for r in records[1:])
 
+    def test_kernel_beyond_double_range_is_unconverged_and_quiet(self, tmp_path):
+        # exp(-720 - |t|^2 - |xi|^2) is subnormal on every node, so K(z, z) ~
+        # e^720 / pi overflows: no degree resolves it, and the gates name the
+        # range limit instead of reading a NaN gap as converged
+        root = Path(__file__).resolve().parents[1]
+        path = tmp_path / "subnormal.scn"
+        path.write_text("id = subnormal\nweight = custom (+ 720 (abs2 t1) (abs2 z1))\ndegree = 8\n"
+                        "quadrature = 24 48\nchecks = bergman_infra log_inequality hormander\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergman_lab.cli", "run", "--scenario", str(path), "--out", "rep"],
+            cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(root / "src")),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (3, "")
+        records = [json.loads(line) for line in (tmp_path / "rep" / "records.jsonl").read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["unconverged"] * 3
+        assert all("kernel not finite in double precision" in r["error"] for r in records)
+
     def test_overflowing_weight_gives_a_fail_record_and_exit_two(self, scn, tmp_path, capsys):
         # exp(800|xi|^2 - |t|^2) overflows to inf on the outer rings: no
         # Gram can be formed, and the record names the base point
@@ -408,6 +426,19 @@ class TestSubcommands:
         assert main(["run", "--scenario", scn(CUSTOM_SEPARABLE)]) == 0
         assert "hormander: PASS" in capsys.readouterr().out
 
+    def test_complex_amplitudes_pass_hormander(self, tmp_path, capsys):
+        # amplitudes (1, -i): the Hormander field represents sum a_i f(s_i),
+        # so its norm is B(t0), and the cross weight's constant Schur trace
+        # 1 - lam^2 leaves chain 2 at round-off
+        path = Path(__file__).resolve().parent.parent / "scenarios" / "complex_amplitudes.scn"
+        out_dir = tmp_path / "rep"
+        assert main(["run", "--scenario", str(path), "--out", str(out_dir)]) == 0
+        assert "hormander: PASS" in capsys.readouterr().out
+        hormander = summary_of(out_dir, "complex_amplitudes")["records"][-1]
+        B0, tol = hormander["outputs"]["B0"], 1e-3 * max(1.0, hormander["outputs"]["B0"])
+        assert hormander["outputs"]["rhs_integral"] == pytest.approx(0.75 * B0, rel=1e-12)
+        assert hormander["margins"]["integral_minus_floor"] == pytest.approx(tol, abs=1e-12 * B0)
+
     def test_hormander_alone(self, scn, capsys):
         assert main(["run", "--scenario", scn(with_checks(CROSS, "hormander"))]) == 0
         out = capsys.readouterr().out
@@ -510,6 +541,14 @@ class TestSuiteCommand:
         assert "A4: PASS" in out
         assert "A12: PASS" in out
         assert "3/3 criteria passed" in out
+
+    def test_directory_of_other_criteria_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "rep"
+        assert main(["suite", "--criteria", "a12", "--out", str(out)]) == 0
+        before = (out / "records.jsonl").read_text()
+        assert main(["suite", "--criteria", "a4", "--out", str(out)]) == 2
+        assert "refusing to append" in capsys.readouterr().err
+        assert (out / "records.jsonl").read_text() == before
 
     def test_unknown_criterion_rejected(self, capsys):
         assert main(["suite", "--criteria", "a77"]) == 2

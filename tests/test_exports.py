@@ -1,9 +1,12 @@
-"""Every exported name is used by the program itself.
+"""Every exported name is used by the program itself, and per-rule results
+have one store.
 
 A name in a ``bergman_lab`` module's ``__all__`` must be read (as a name or
 an attribute, found by walking the syntax trees) somewhere in ``src/`` or
 ``scripts/`` outside its own definition.  A helper that only the tests call
-belongs in ``tests/helpers.py``, not in the package.
+belongs in ``tests/helpers.py``, not in the package.  Results computed on a
+quadrature rule are stored through ``QuadratureRule.memoize`` alone, and
+arrays are frozen in ``fiber_numerics._freeze`` alone.
 """
 
 import ast
@@ -55,3 +58,39 @@ def test_exported_name_is_used_by_the_program(module, name):
     users = [path.relative_to(ROOT).as_posix() for path, reads in READS.items()
              if name in (_reads(TREES[path], name) if path == home else reads)]
     assert users, f"{module}.{name} is exported but nothing in src/ or scripts/ reads it"
+
+
+def _sites(tree, match) -> list:
+    """(enclosing function, line) of each node of ``tree`` that ``match`` accepts."""
+    out, stack = [], [(tree, None)]
+    while stack:
+        node, func = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if match(node):
+            out.append((func, node.lineno))
+        stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def _calls(attr):
+    return lambda node: (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                         and node.func.attr == attr)
+
+
+def _sets_writeable(node) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Attribute) and t.attr == "writeable" for t in node.targets)
+
+
+SOURCES = {path.name: tree for path, tree in TREES.items() if path.parent.name == "bergman_lab"}
+
+
+@pytest.mark.parametrize("match, home", [
+    (_calls("memo"), ("fiber_numerics.py", "memoize")),
+    (_sets_writeable, ("fiber_numerics.py", "_freeze")),
+    (_calls("setflags"), None),
+], ids=["memo", "writeable", "setflags"])
+def test_one_store_and_one_freeze(match, home):
+    sites = [(name, func, line) for name, tree in SOURCES.items() for func, line in _sites(tree, match)]
+    assert [(name, func) for name, func, _line in sites] == ([home] if home else []), sites

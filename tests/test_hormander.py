@@ -11,10 +11,13 @@ g_k = pi * int_0^1 r^{2k} e^{-r^2} 2r dr):
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from bergman_lab import bergman, weights
@@ -72,7 +75,48 @@ def cross_data(quad):
     return w, build_hormander_data(w, ORIGIN_FAM, (0.0,), N, quad)
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_rule(d: int) -> QuadratureRule:
+    if d == 1:
+        return build_quadrature(FiberDomain.disk(1.0), 24, 48)
+    return build_quadrature(FiberDomain.polydisc(1.0, 0.8), 10, 20)
+
+
+@st.composite
+def complex_families(draw):
+    """A cross weight on a disk (degree 16) or a bidisc (degree 8), a base
+    point and 1-3 constant sections within 0.25 of each radius, whose
+    amplitudes have modulus 0.2-1 and any phase."""
+    d = draw(st.sampled_from([1, 2]))
+    quad, unit = oracle_rule(d), st.floats(0.0, 1.0)
+    rank = draw(st.integers(1, 3))
+    pts = [[0.25 * ro * draw(unit) * np.exp(2j * math.pi * draw(unit)) for ro in quad.domain.radii]
+           for _ in range(rank)]
+    amps = [draw(st.floats(0.2, 1.0)) * np.exp(2j * math.pi * draw(unit)) for _ in range(rank)]
+    t0 = (0.3 * draw(unit) * np.exp(2j * math.pi * draw(unit)),)
+    lam = draw(st.floats(0.0, 0.8))
+    return QuadraticWeight.cross_term(lam, 1, d), SectionFamily.constant(pts, amps), t0, 16 // d, quad
+
+
 class TestGammaField:
+    @given(complex_families())
+    def test_norm_is_the_section_functional_for_complex_amplitudes(self, case):
+        # Gamma = sum conj(a_i) K(., s_i) represents f -> sum a_i f(s_i), so
+        # ||Gamma||^2 = B on the nodes; and the cross weight's Schur trace is
+        # the constant 1 - lam^2, so chain 2 of the assembled bound is 0.
+        # Round-off is measured against (sum |a_i| K(s_i, s_i)^(1/2))^2 >= B,
+        # since sections may nearly cancel.
+        w, fam, t0, degree, quad = case
+        data = build_hormander_data(w, fam, t0, degree, quad)
+        B = section_value(w, fam, t0, degree, quad)
+        norm2 = float(np.sum(np.abs(data.gamma) ** 2 * data.node_measure).real)
+        K = np.sum(np.abs(data.basis.orthonormal_at(fam.sections_at(t0))) ** 2, axis=-1)
+        scale = float(np.abs(fam.amplitudes_at(t0)) @ np.sqrt(K)) ** 2
+        assert abs(norm2 - B) <= 1e-12 * scale
+        lam = w.H[0, 1].real
+        rep = assembled_lower_bound(data, 1e-3, 1.0 - lam**2)
+        assert abs(rep.chain2_margin) <= 1e-12 * scale
+
     def test_flat_disk_constant(self, quad):
         w = QuadraticWeight(1, 1, np.zeros((2, 2)), label="flat")
         gam = gamma_field(w, ORIGIN_FAM, (0.0,), 12, quad)
