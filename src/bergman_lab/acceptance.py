@@ -33,7 +33,6 @@ one broken criterion cannot mask the others in a suite run.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -55,11 +54,6 @@ from .weights import CustomWeight, PolynomialWeight, QuadraticWeight, distortion
 
 SEED = 20260814
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
-
-
-@functools.lru_cache(maxsize=None)
-def _quad(nr: int, na: int):
-    return build_quadrature(FiberDomain.disk(1.0), nr, na)
 
 
 def _cross(lam: float) -> QuadraticWeight:
@@ -134,7 +128,7 @@ def _trace_route(field_fn, t0):
 
 def a1():
     """Separable weights: the log trace equals the base curvature c."""
-    quad = _quad(64, 128)
+    quad = build_quadrature(FiberDomain.disk(1.0), 64, 128)
     cfg = CheckConfig(24, quad)
     fam = _origin_sections()
     worst = math.inf
@@ -150,7 +144,7 @@ def a1():
 
 def a2():
     """Cross-term weights meet the certified trace bound."""
-    quad = _quad(64, 128)
+    quad = build_quadrature(FiberDomain.disk(1.0), 64, 128)
     cfg = CheckConfig(24, quad)
     worst = math.inf
     budget_ok = True
@@ -172,7 +166,7 @@ def a2():
 
 def a3():
     """Determinant metric of the frame {1, z} meets the rank-scaled bound."""
-    quad = _quad(64, 128)
+    quad = build_quadrature(FiberDomain.disk(1.0), 64, 128)
     cfg = CheckConfig(24, quad)
     frame = (HoloPoly.constant(1.0, 1), HoloPoly(1, {(1,): 1.0}))
     start = time.perf_counter()
@@ -250,7 +244,7 @@ def a5():
 
 def a6():
     """Field orthogonality and the L2 contraction bound, all couplings."""
-    quad = _quad(48, 96)
+    quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     fam = _origin_sections()
     start = time.perf_counter()
     worst_orth = -math.inf
@@ -267,7 +261,7 @@ def a6():
 
 def a7():
     """dbar transport identity holds; dropping the transport term breaks it."""
-    quad = _quad(48, 96)
+    quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     fam = _origin_sections()
     w = _cross(0.5)
     start = time.perf_counter()
@@ -283,7 +277,7 @@ def a7():
 
 def a8():
     """Assembled chain: trace >= weighted integral >= n eps0 B, all couplings."""
-    quad = _quad(48, 96)
+    quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     fam = _origin_sections()
     start = time.perf_counter()
     worst = math.inf
@@ -299,7 +293,7 @@ def a8():
 def a9():
     """Kernel infrastructure: reproducing identity, flat diagonal, extremal."""
     start = time.perf_counter()
-    quad = _quad(64, 128)
+    quad = build_quadrature(FiberDomain.disk(1.0), 64, 128)
     b = bergman_basis(_cross(0.5), (0.0,), 24, quad)
     probe = 0.35 * np.exp(0.4j)
     h = lambda z: 1.0 + 0.25 * np.asarray(z) ** 2
@@ -308,7 +302,7 @@ def a9():
     ext_gap = abs(diag - extremal) / max(abs(diag), 1e-300)
 
     flat = QuadraticWeight(1, 1, np.zeros((2, 2)))
-    b0 = bergman_basis(flat, (0.0,), 12, _quad(48, 96))
+    b0 = bergman_basis(flat, (0.0,), 12, build_quadrature(FiberDomain.disk(1.0), 48, 96))
     diag_gap = abs(b0.kernel_diag(0j) - 1 / math.pi)
 
     budget_ok = (time.perf_counter() - start) <= 5.0
@@ -319,7 +313,7 @@ def a9():
 
 def a10():
     """Iteration ledger: closed-form bounds vs. a recursive oracle, bound met."""
-    quad = _quad(48, 96)
+    quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     cfg = CheckConfig(16, quad)
     start = time.perf_counter()
     worst_oracle = math.inf
@@ -347,7 +341,7 @@ def a10():
 
 def a11():
     """Base-Hessian spectrum of log B stays above -1e-6 * scale."""
-    quad = _quad(48, 96)
+    quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     start = time.perf_counter()
     cases = [
         (QuadraticWeight.separable(1.0), _origin_sections(), (0.0,)),
@@ -429,7 +423,7 @@ def _a13_iteration_gap(w, t0, N, quad, cfg) -> float:
 def a13():
     """Exact base Hessians, Hormander fields and log-kernel jets vs. FD with a
     Richardson gate."""
-    quad = _quad(48, 96)
+    quad = build_quadrature(FiberDomain.disk(1.0), 48, 96)
     poly = PolynomialWeight.from_text(
         1, 1, "(+ (* 0.8 (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))"
     )

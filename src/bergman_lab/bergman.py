@@ -320,9 +320,14 @@ class BergmanBasis:
         """Values of the orthonormal frame, shape (..., dim)."""
         return self.monomials_at(points) @ self.transform
 
+    def _point(self, w) -> np.ndarray:
+        """One fiber point ``w``, also a shape-(1,) row of :meth:`SectionFamily.sections_at`,
+        as :meth:`monomials_at` reads one point: a scalar, or a ``(2,)`` vector."""
+        return np.reshape(np.asarray(w, dtype=complex), (2,) if self.basis.fiber_dim == 2 else ())
+
     def kernel_coefficients(self, w) -> np.ndarray:
         """Monomial coefficient vector of the holomorphic function K(., w)."""
-        Mw = self.monomials_at(w)
+        Mw = self.monomials_at(self._point(w))
         return self.transform @ (self.transform.conj().T @ np.conj(Mw))
 
     def kernel_column(self, w) -> np.ndarray:
@@ -330,8 +335,8 @@ class BergmanBasis:
         return monomial_synthesis(self.basis, self.kernel_coefficients(w), self.quad)
 
     def kernel_diag(self, w) -> float:
-        """K(w, w)."""
-        return float(np.sum(np.abs(self.orthonormal_at(w)) ** 2, axis=-1))
+        """K(w, w) at one fiber point ``w``."""
+        return float(np.sum(np.abs(self.orthonormal_at(self._point(w))) ** 2))
 
     def diag_convergence_gap(self, w) -> np.ndarray:
         """Relative change of K(w,w) from degree N-2 to N at each fiber point
@@ -418,10 +423,10 @@ def bergman_basis(w: WeightFamily, t, N: int, quad: QuadratureRule) -> BergmanBa
 
 
 def kernel_eval(b: BergmanBasis, z, w) -> complex:
-    """K(z, w) = sum_i u_i(z) conj(u_i(w))."""
-    uz = b.orthonormal_at(z)
-    uw = b.orthonormal_at(w)
-    return complex(np.sum(uz * np.conj(uw), axis=-1))
+    """K(z, w) = sum_i u_i(z) conj(u_i(w)), at one fiber point each."""
+    uz = b.orthonormal_at(b._point(z))
+    uw = b.orthonormal_at(b._point(w))
+    return complex(np.sum(uz * np.conj(uw)))
 
 
 def reproducing_residual(b: BergmanBasis, h, w) -> float:
@@ -451,7 +456,7 @@ def extremal_check(b: BergmanBasis, w) -> tuple[float, float]:
     route from the transform-based diagonal.
     """
     diag = b.kernel_diag(w)
-    Mw = b.monomials_at(w)
+    Mw = b.monomials_at(b._point(w))
     y = np.linalg.solve(b.gram, np.conj(Mw))
     extremal = float(np.real(Mw @ y))
     return diag, extremal

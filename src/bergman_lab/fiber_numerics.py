@@ -98,13 +98,18 @@ A rule holds at most :data:`MAX_NODES` nodes, and :meth:`QuadratureRule.memoize`
 is the one store of results computed on it: read-only, one per ``(owner,
 key)``, owners held weakly.  A :class:`MonomialBasis` owns its ring tables,
 ``("ring", real)``; a weight what ``weights``, ``bergman`` and ``iteration``
-compute for it, keyed by base point (and degree).
+compute for it, keyed by base point (and degree).  :func:`build_quadrature`
+returns one shared, read-only rule per ``(domain, n_radial, n_angular)`` for
+the process, as :func:`monomial_basis` one basis per degree, so ring tables
+are built once per process, not per scenario.  It keeps the last 8 rules; one
+at the node cap takes 8 MB for its weights alone.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -285,9 +290,10 @@ class QuadratureRule:
         :class:`MonomialBasis` for its ring tables.
 
         Stores are held weakly by owner, so an entry is freed as soon as its
-        owner or the rule goes.  Stored values must not refer to the owner
-        (that would keep it alive) or to the rule (a cycle that only the
-        cyclic garbage collector frees).
+        owner goes, or the rule, which :func:`build_quadrature` keeps past
+        any one scenario.  Stored values must not refer to the owner (that
+        would keep it alive) or to the rule (a cycle that only the cyclic
+        garbage collector frees).
         """
         store = self._memo.get(owner)
         if store is None:
@@ -398,13 +404,20 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 128) -> QuadratureRule:
-    """Tensor Gauss-Legendre (radius) x trapezoid (angle) rule on ``domain``.
+    """Tensor Gauss-Legendre (radius) x trapezoid (angle) rule on ``domain``,
+    one shared, read-only rule per resolution however it is spelled (module
+    docstring); ``build_quadrature.cache_clear()`` drops the kept rules.
 
     Node count grows as ``(n_radial * n_angular) ** d``; d = 2 fibers should
     use a much coarser per-coordinate resolution than the d = 1 default.
     Above :data:`MAX_NODES` nodes a ``ValueError`` is raised before any
     allocation.
     """
+    return _quadrature(domain, operator.index(n_radial), operator.index(n_angular))
+
+
+@functools.lru_cache(maxsize=8)  # at most 64 MB of weights at the node cap
+def _quadrature(domain: FiberDomain, n_radial: int, n_angular: int) -> QuadratureRule:
     check_resolution(n_radial, n_angular, domain.dim)
     x, w = _gauss_legendre(n_radial)
     d = domain.dim
@@ -420,17 +433,19 @@ def build_quadrature(domain: FiberDomain, n_radial: int = 64, n_angular: int = 1
         coord_wts.append(wr[:, None] * np.full(n_angular, wt)[None, :])
         radial.append(r)
     weights = functools.reduce(np.multiply.outer, coord_wts).ravel()  # node order
-    rule = QuadratureRule(
-        domain=domain,
-        shape=tuple((n_radial, n_angular) for _ in range(d)),
-        grids=tuple(grids),
-        weights=weights,
-        radial_nodes=tuple(radial),
-    )
     vol = domain.volume
     if abs(weights.sum() - vol) > 1e-12 * vol:
         raise AssertionError("quadrature weights do not sum to the domain volume")
-    return rule
+    return QuadratureRule(
+        domain=domain,
+        shape=tuple((n_radial, n_angular) for _ in range(d)),
+        grids=tuple(grids),
+        weights=_freeze(weights),
+        radial_nodes=_freeze(tuple(radial)),
+    )
+
+
+build_quadrature.cache_clear = _quadrature.cache_clear
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,13 @@ trace over stacked blocks (:func:`schur_trace_field`; one point is a stack
 of one) reads one kernel, :func:`fiber_contraction`, and so do the L2 step
 and the iteration: over stacked blocks it returns the
 per-direction diagonal ``(tf ff^{-1} tf^H)_aa`` and the least fiber-block
-eigenvalue, from one batched ``eigvalsh`` (the positivity test) and one
-``solve``.  A block counts as positive definite when its least eigenvalue
+eigenvalue, in closed form over the point axis (``fiber_dim`` is at most 2).
+A 1 x 1 block ``ff`` is its own eigenvalue and gives ``|tf_a|^2 / ff``.  A
+2 x 2 block ``[[a, b], [conj(b), c]]`` has ``lambda_max = m + hypot((a - c)/2,
+|b|)``, ``m = (a + c)/2``, and ``lambda_min = det / lambda_max``, ``det = ac
+- |b|^2`` (``m - hypot(...)`` where ``m <= 0``, which does not cancel), and
+gives ``(c |v_0|^2 + a |v_1|^2 - 2 Re(v_0 b conj(v_1))) / det``, ``v =
+tf[a]``.  A block counts as positive definite when its least eigenvalue
 exceeds ``FIBER_PD_RTOL * max(1, largest)``; the node fields of the L2
 step, the iteration's samples and the certification grid apply this one
 rule.
@@ -496,42 +501,46 @@ def joint_hessian(tt: np.ndarray, tf: np.ndarray, ff: np.ndarray) -> np.ndarray:
     return np.concatenate([top, bot], axis=-2)
 
 
-def _fiber_min_eig(ff: np.ndarray, where: str) -> float:
-    """Least eigenvalue of the stacked fiber blocks, from one batched
-    ``eigvalsh``; raises :class:`FiberDegenerateError` when a block is not
-    positive definite by the ``FIBER_PD_RTOL`` rule."""
-    eigs = np.linalg.eigvalsh(ff)
-    low = eigs[..., 0]
-    ff_min = float(low.min())
-    if np.any(low <= FIBER_PD_RTOL * np.maximum(1.0, eigs[..., -1])):
-        raise FiberDegenerateError(
-            f"fiber block not positive definite {where} (min eigenvalue {ff_min:.3e}); "
-            "the construction requires strict plurisubharmonicity along fibers",
-            min_eig=ff_min,
-        )
-    return ff_min
-
-
 def _one_block(blocks: np.ndarray) -> bool:
     """Whether a stack of blocks is one block broadcast along the point axis."""
     return blocks.ndim == 3 and blocks.shape[0] > 1 and blocks.strides[0] == 0
 
 
 def _contract(tf: np.ndarray, ff: np.ndarray, where: str) -> tuple[np.ndarray, float]:
-    ff_min = _fiber_min_eig(ff, where)
-    X = np.linalg.solve(ff, np.conj(np.swapaxes(tf, -1, -2)))  # ff^{-1} tf^H
-    return np.real(np.einsum("...ad,...da->...a", tf, X)), ff_min
+    """:func:`fiber_contraction` in closed form over the point axis (module
+    docstring); raises :class:`FiberDegenerateError` when a block is not
+    positive definite by the ``FIBER_PD_RTOL`` rule."""
+    a, v = ff[..., 0, 0].real, np.moveaxis(tf, -1, 0)  # v[c]: column c of tf, shape (..., n)
+    sq = v.real ** 2 + v.imag ** 2
+    if ff.shape[-1] == 1:
+        low = high = det = a
+        num = sq[0]
+    else:
+        b, c = ff[..., 0, 1], ff[..., 1, 1].real
+        m, h = 0.5 * (a + c), np.hypot(0.5 * (a - c), np.abs(b))
+        high, det = m + h, a * c - (b.real ** 2 + b.imag ** 2)
+        low = np.divide(det, high, out=np.asarray(m - h), where=m > 0)  # m - h cancels where m > 0
+        cross = v[0] * b[..., None] * np.conj(v[1])
+        num = c[..., None] * sq[0] + a[..., None] * sq[1] - 2.0 * cross.real
+    ff_min = float(low.min())
+    if np.any(low <= FIBER_PD_RTOL * np.maximum(1.0, high)):
+        raise FiberDegenerateError(
+            f"fiber block not positive definite {where} (min eigenvalue {ff_min:.3e}); "
+            "the construction requires strict plurisubharmonicity along fibers",
+            min_eig=ff_min,
+        )
+    return num / det[..., None], ff_min
 
 
 def fiber_contraction(tf, ff, where: str = "on the grid") -> tuple[np.ndarray, float]:
     """``(tf ff^{-1} tf^H)_aa`` over stacked blocks, and the least fiber eigenvalue.
 
     ``tf`` has shape (..., n, d) and ``ff`` (..., d, d); the contraction is
-    real, nonnegative, of shape (..., n).  One batched ``eigvalsh`` tests
-    positivity (``where`` places a failure in the error message) and one
-    ``solve`` forms ``ff^{-1} tf^H``.  When both stacks are one block
-    broadcast along the point axis, that block alone is evaluated and the
-    result broadcast.
+    real, nonnegative, of shape (..., n).  Both, and the positivity test
+    (``where`` places a failure in the error message), are closed forms of
+    the 1 x 1 or 2 x 2 blocks, vectorized over the points.  When both stacks
+    are one block broadcast along the point axis, that block alone is
+    evaluated and the result broadcast.
     """
     tf = np.asarray(tf, dtype=complex)
     ff = np.asarray(ff, dtype=complex)

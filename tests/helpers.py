@@ -20,7 +20,7 @@ from bergman_lab.hormander import build_hormander_data
 from bergman_lab.iteration import LogKernelField
 from bergman_lab.utils import as_complex_tuple
 from bergman_lab.weights import FiberDegenerateError, QuadraticWeight, WeightFamily, \
-    _fiber_min_eig, joint_hessian, schur_trace_field
+    fiber_contraction, joint_hessian, schur_trace_field
 
 
 def node_list(quad: QuadratureRule) -> np.ndarray:
@@ -268,7 +268,7 @@ def ma_ratio(tt, tf, ff) -> float:
     """
     tt, tf, ff = (np.asarray(b, dtype=complex) for b in (tt, tf, ff))
     n, d = tt.shape[0], ff.shape[0]
-    _fiber_min_eig(ff, "at the point")
+    fiber_contraction(tf, ff, "at the point")  # raises on a degenerate fiber block
     base = np.zeros((n + d, n + d))
     for a in range(n):
         base[a, a] = 1.0

@@ -32,7 +32,6 @@ from scipy import fft, integrate
 from scipy.special import gammainc
 
 from bergman_lab import bergman as bergman_module
-from bergman_lab import scenario as scenario_module
 from bergman_lab.bergman import (
     HoloPoly,
     SectionFamily,
@@ -48,8 +47,8 @@ from bergman_lab.bergman import (
     section_value_pair,
 )
 from bergman_lab.cli import run_scenario_checks
-from bergman_lab.fiber_numerics import DegenerateBasisError, FiberDomain, build_quadrature, \
-    monomial_basis, ring_gram
+from bergman_lab.fiber_numerics import DegenerateBasisError, FiberDomain, MonomialBasis, \
+    build_quadrature, monomial_basis, ring_gram
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, PolynomialWeight, QuadraticWeight
 from helpers import node_list
@@ -179,6 +178,19 @@ class TestKernel:
     def test_convergence_gap_small_inside(self, quad):
         b = bergman_basis(GAUSS, (0j,), 24, quad)
         assert b.diag_convergence_gap(0.3 + 0.1j) < 1e-6
+
+    def test_one_point_as_a_section_row(self):
+        # on a 1-D fiber a row of sections_at has shape (1,): one point in, a scalar out
+        sc = parse_scenario((SCENARIOS / "separable_c1.scn").read_text())
+        b = bergman_basis(sc.weight, sc.t0, sc.N, sc.build_quad())
+        row = sc.sections.sections_at(sc.t0)[0]
+        z = complex(row[0])
+        assert row.shape == (1,)
+        assert b.kernel_diag(row) == b.kernel_diag(z) == pytest.approx(0.50356, rel=1e-5)
+        assert kernel_eval(b, row, 0.1) == kernel_eval(b, z, 0.1)
+        assert kernel_eval(b, 0.1, row) == kernel_eval(b, 0.1, z)
+        assert extremal_check(b, row) == extremal_check(b, z)
+        assert np.array_equal(b.kernel_column(row), b.kernel_column(z))
 
 
 # Relative tolerance of each radial norm of the oracle.
@@ -474,19 +486,15 @@ class TestDirectImageGram:
         assert phi is w.node_phi(t0, quad) and calls == ["grad_base", "hessian_field"]
         assert np.array_equal(dig.gram_at(t0), dig.gram_at(t0[0]))
 
-    def test_det_check_reads_no_weight_at_patch_center(self, monkeypatch):
+    def test_det_check_reads_no_weight_at_patch_center(self):
         # the frame Gram is factored at t0 alone, never at the patch center:
         # the weight values are computed once, at t0 (a memo entry per computation)
-        rules = []
-        real = scenario_module.build_quadrature
-        monkeypatch.setattr(scenario_module, "build_quadrature",
-                            lambda *args: rules.append(real(*args)) or rules[-1])
         sc = parse_scenario("weight = cross 0.5\npatch = 0 ; 0.45\nt0 = 0.2-0.1j\neps0 = 0.75\n"
                             "degree = 12\nquadrature = 32 64\ndet_frame = 1 | z1\n"
                             "checks = det_inequality\n")
+        quad = sc.build_quad()  # the one rule of this resolution, which the run reads
         [rec] = run_scenario_checks(sc, sc.checks)
         assert rec.verdict == "pass", rec.error
-        (quad,) = rules
         assert [k for k in quad.memo(sc.weight) if k[0] == "weight_values"] == [
             ("weight_values", (0.2 - 0.1j,))]
 
@@ -670,7 +678,7 @@ class TestBasisMemo:
         bergman_basis(twin, (0.1,), 12, quad)
         bergman_basis(w, (0.1 + 1e-12j,), 12, quad)
         bergman_basis(w, (0.1,), 10, quad)
-        other = build_quadrature(FiberDomain.disk(1.0), n_radial=48, n_angular=96)
+        other = build_quadrature(FiberDomain.disk(1.0), n_radial=40, n_angular=96)
         bergman_basis(w, (0.1,), 12, other)
         # another N builds a new basis on the weight values already stored for t
         assert (w.evaluations, twin.evaluations, len(grams)) == (3, 1, 5)
@@ -710,6 +718,8 @@ class TestBasisMemo:
             gc.enable()
 
     def test_entry_dies_with_rule_without_gc(self):
+        # the rule is shared per resolution: an entry outlives the caller's
+        # rule while build_quadrature keeps it, and dies once it lets go too
         w = CountingWeight()
         gc.disable()
         try:
@@ -717,9 +727,31 @@ class TestBasisMemo:
             b = bergman_basis(w, (0.0,), 8, q)
             ref = weakref.ref(b.transform)
             del b, q
+            assert ref() is not None
+            build_quadrature.cache_clear()
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_scenarios_back_to_back_on_one_rule(self):
+        texts = [(SCENARIOS / f"{name}.scn").read_text() for name in ("separable_c1", "cross_term_l05")]
+        fresh = []
+        for text in texts:
+            build_quadrature.cache_clear()  # a rule of its own
+            sc = parse_scenario(text)
+            fresh.append([r.payload() for r in run_scenario_checks(sc, sc.checks)])
+        build_quadrature.cache_clear()
+        first, second = (parse_scenario(text) for text in texts)
+        quad = first.build_quad()
+        assert second.build_quad() is quad
+        shared = [[r.payload() for r in run_scenario_checks(sc, sc.checks)] for sc in (first, second)]
+        assert shared == fresh
+        owners = [weakref.ref(k) for k in quad._memo.keys() if not isinstance(k, MonomialBasis)]
+        assert owners  # the weights of both scenarios hold entries
+        del first, second
+        gc.collect()
+        assert all(ref() is None for ref in owners)
+        assert all(isinstance(k, MonomialBasis) for k in quad._memo.keys())  # ring tables stay
 
     def test_shared_context_matches_fresh_contexts(self):
         sc = parse_scenario((SCENARIOS / "separable_c1.scn").read_text())
@@ -750,15 +782,11 @@ def _reachable_arrays(obj, seen=None):
 
 
 class TestNoNodeList:
-    def test_polydisc_run_leaves_no_node_list_on_its_rule(self, monkeypatch):
-        rules = []
-        real = scenario_module.build_quadrature
-        monkeypatch.setattr(scenario_module, "build_quadrature",
-                            lambda *args: rules.append(real(*args)) or rules[-1])
+    def test_polydisc_run_leaves_no_node_list_on_its_rule(self):
         sc = parse_scenario((SCENARIOS / "polydisc_cross.scn").read_text())
+        quad = sc.build_quad()  # the one rule of this resolution, which the run reads
         records = run_scenario_checks(sc, sc.checks)
         assert [r.verdict for r in records] == ["pass"] * len(sc.checks)
-        (quad,) = rules
         shapes = {a.shape for a in _reachable_arrays(quad)}
         assert (quad.size, 1) in shapes  # the walk reached the memoized node jets
         assert (quad.size, 2) not in shapes

@@ -122,6 +122,19 @@ class TestQuadrature:
         val = np.sum(np.abs(z[:, 0]) ** 2 * np.abs(z[:, 1]) ** 4 * quad.weights)
         assert val == pytest.approx((math.pi / 2) * (math.pi / 3), rel=1e-12)
 
+    def test_one_rule_per_resolution(self):
+        dom = FiberDomain.annulus(0.4, 1.0)
+        rule = build_quadrature(dom, 20, 40)
+        assert build_quadrature(FiberDomain.annulus(0.4, 1.0), n_radial=20, n_angular=40) is rule
+        assert build_quadrature(dom, np.int64(20), n_angular=40) is rule
+        assert build_quadrature(FiberDomain.disk(1.0)) is build_quadrature(FiberDomain.disk(1.0), 64, 128)
+        assert build_quadrature(dom, 20, 48) is not rule
+        assert build_quadrature(FiberDomain.annulus(0.5, 1.0), 20, 40) is not rule
+        for arr in (rule.weights, *rule.grids, *rule.radial_nodes):
+            assert not arr.flags.writeable
+        with pytest.raises(TypeError):
+            build_quadrature(dom, 20.0, 40)
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             build_quadrature(FiberDomain.disk(1.0), n_radial=3)
