@@ -26,15 +26,19 @@ ring followed by a contraction with radial powers::
 This is the same discrete sum as ``V^H diag(w) V`` over the node
 Vandermonde ``V`` (same aliasing), only added in a different order.
 :func:`ring_gram` assembles it for any real or complex node measure,
-:func:`gram_matrix` the weighted Gram of a weight: the
-first ring axis contracted by one real GEMM, a 2-D Gram's last one only at the
-entries read (``rings * dim^2`` multiply-adds in an ``einsum``,
-not ``rings * (2N+1)^4``), each entry read straight off the contracted
-spectrum, with no copy of the kept modes.  A real measure has ``W(-m) =
-conj(W(m))``, so its Gram is Hermitian and half of it is redundant: one
+:func:`gram_matrix` the weighted Gram of a weight.  A 1-D Gram is one
+angular FFT, one real GEMM over the rings and one gather.  A 2-D Gram
+transforms only what it reads (FFT pruning; Markel, IEEE Trans. Audio
+Electroacoust. 19, 1971): an FFT over ``theta_1``, one contiguous block per
+DFT column ``q_1``; one real GEMM per column over the first rings, only at
+the distinct ``(s_1, q_1)`` rows the entries read (121 of ``(2N+1) *
+n_angular = 504`` at degree 10 on 24 angles); the ``theta_2`` FFT in place
+on those rows; and the last rings contracted at the entries alone
+(``rings * dim^2`` multiply-adds in an ``einsum``).  A real measure has
+``W(-m) = conj(W(m))``, so its Gram is Hermitian and half of it is redundant: one
 real FFT of the first angular axis gives the half spectrum ``m_1 >= 0``,
-the GEMM contracts that half alone, and the entries with ``k_1 - j_1 < 0``
-are filled in as conjugates (the real-input FFT saving; Sorensen, Jones,
+only that half is contracted, and the entries with ``k_1 - j_1 < 0`` are
+filled in as conjugates (the real-input FFT saving; Sorensen, Jones,
 Heideman and Burrus, IEEE Trans. ASSP 35, 1987).  Such a Gram is exactly
 Hermitian, with an exactly real diagonal, and is not symmetrized
 afterwards.  The base derivatives of a weighted Gram are ring Grams of the
@@ -251,8 +255,9 @@ class RingTables(NamedTuple):
     fold: tuple  # per coordinate, _fold of the pair modes e_c = j_c - k_c, lo_c - hi_c..hi_c - lo_c
     powers: tuple  # per coordinate, the ring powers r^s over the pair sums s_c = 2 lo_c..2 hi_c
     monomials: tuple  # per coordinate, (e_c - lo_c over the basis, r^e and _fold of e = lo_c..hi_c)
-    kept: int  # leading DFT indices of the first angular axis that ring_gram contracts
-    index: tuple  # (s_1, q_1[, q_2]), q the DFT index, of each value ring_gram reads
+    kept: int  # 1-D: leading DFT indices of the angular axis that ring_gram contracts
+    index: tuple  # 1-D: (s_1, q_1), q the DFT index, of each value ring_gram reads; 2-D: (row, q_2)
+    columns: tuple  # 2-D: per DFT column q_1 read, (q_1, its rows' slice, r_1^(s_1) of those rows)
     read_powers: np.ndarray  # r_2^(s_2) for those values, leading ring axis; empty in 1-D
     dest: tuple | None  # (rows, cols) each value is written to; None: every entry, row-major
 
@@ -327,7 +332,8 @@ class QuadratureRule:
         only ``basis.half_pairs`` from the half spectrum ``0..n_angular // 2``
         of its first angular axis: at ``-e``, whose conjugate is ``G[j, k]``,
         so the value is written to ``(k, j)``; or, where ``-e_1`` aliases past
-        the half spectrum, at ``e``, which is ``G[j, k]`` itself.
+        the half spectrum, at ``e``, which is ``G[j, k]`` itself.  In 2-D the
+        distinct ``(s_1, q_1)`` rows read are grouped by column (``columns``).
         """
         return self.memoize(basis, ("ring", real), lambda: self._ring_tables(basis, real))
 
@@ -349,8 +355,15 @@ class QuadratureRule:
                               for c, (P, (a, b), n) in enumerate(zip(powers, ranges, na)))
             q = tuple((f % n)[e] for f, e, n in zip(fold, se[1::2], na))
             dest, kept = None, na[0]
-        read_powers = powers[-1][:, se[-2]] if basis.fiber_dim == 2 else np.empty(0)
-        return RingTables(fold, powers, monomials, kept, (se[0],) + q, read_powers, dest)
+        index, columns, read_powers = (se[0],) + q, (), np.empty(0)
+        if basis.fiber_dim == 2:  # the distinct (q_1, s_1) rows read, grouped by column q_1
+            S = powers[0].shape[1]
+            rows, row = np.unique(q[0] * S + se[0], return_inverse=True)
+            cols, start = np.unique(rows // S, return_index=True)
+            bounds = zip(cols.tolist(), start.tolist(), start[1:].tolist() + [len(rows)])
+            columns = tuple((c, slice(a, b), powers[0].T[rows[a:b] % S]) for c, a, b in bounds)
+            index, read_powers = (row, q[1]), powers[1][:, se[2]]
+        return RingTables(fold, powers, monomials, kept, index, columns, read_powers, dest)
 
     @property
     def grid_shape(self) -> tuple[int, ...]:
@@ -560,28 +573,31 @@ def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -
 
     ``measure`` is any real or complex node field, quadrature weights
     included (see the module docstring).  A real measure's Gram is
-    Hermitian, with a real diagonal, by construction.  Both front ends share
-    one radial GEMM and one gather through
-    :meth:`QuadratureRule.ring_tables`.  No positivity test.
+    Hermitian, with a real diagonal, by construction.  Both front ends read
+    their rows and entries through :meth:`QuadratureRule.ring_tables`: one
+    radial GEMM and one gather in 1-D, a GEMM per DFT column ``q_1`` in 2-D
+    (module docstring).  No positivity test.
     """
     mu = np.asarray(measure)
     if mu.shape != (quad.size,):
         raise ValueError(f"expected {quad.size} measure values, got shape {mu.shape}")
     real = not np.iscomplexobj(mu)
     tables = quad.ring_tables(basis, real)
-    grid = quad.grid_view(mu)  # axes (r_1, theta_1, r_2, theta_2, ...)
-    if real:
-        F = np.fft.rfft(grid, axis=1)
-        F = _angular_fft(np.fft.fft, F, 3, out=F)  # 2-D: the other angular axis, in place
-    else:
-        F = _angular_fft(np.fft.fft, grid, 1)
-    Y = _real_product(tables.powers[0].T, F[:, : tables.kept])  # ring axis 1 -> s_1 = j_1 + k_1
-    del F  # the gather below takes its memory, not fresh pages
+    grid = quad.grid_view(mu)  # axes (r_1, theta_1[, r_2, theta_2])
+    fft = np.fft.rfft if real else np.fft.fft
     if basis.fiber_dim == 1:
-        G = Y[tables.index]
+        G = _real_product(tables.powers[0].T, fft(grid, axis=1)[:, : tables.kept])[tables.index]
     else:
-        s1, q1, q2 = tables.index  # ring axis 2 only at the (s_1, q_1, q_2) the Gram reads
-        G = np.einsum("...r,r...->...", Y[s1, q1, :, q2], tables.read_powers)
+        (nr, na), (nr2, na2) = quad.shape
+        F = np.empty((na // 2 + 1 if real else na, nr, nr2, na2), dtype=complex)
+        fft(grid, axis=1, out=F.transpose(1, 0, 2, 3))  # column q_1 is one contiguous block
+        Y = np.empty((tables.columns[-1][1].stop, nr2, na2), dtype=complex)  # every row read
+        for q1, rows, P in tables.columns:  # ring axis 1 -> s_1, only at the rows read
+            _real_product(P, F[q1], out=Y[rows])
+        del F  # the gather below takes its memory, not fresh pages
+        Y = np.fft.fft(Y, axis=2, out=Y)
+        row, q2 = tables.index  # ring axis 2 only at the (row, q_2) the Gram reads
+        G = np.einsum("...r,r...->...", Y[row, :, q2], tables.read_powers)
     if tables.dest is None:
         return G.reshape(basis.dim, basis.dim)
     out = np.empty((basis.dim, basis.dim), dtype=complex)
@@ -590,12 +606,16 @@ def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -
     return out
 
 
-def _real_product(P: np.ndarray, T: np.ndarray) -> np.ndarray:
+def _real_product(P: np.ndarray, T: np.ndarray, out=None) -> np.ndarray:
     """``P @ T`` over the first axis of a complex ``T`` as one real GEMM on
-    its (re, im) pairs; ``T`` is copied only where its trailing axes do not
-    flatten to one contiguous row per entry of the first axis."""
-    T2 = T.reshape(len(T), -1)
-    return (P @ T2.view(float)).view(complex).reshape(P.shape[:1] + T.shape[1:])
+    its (re, im) pairs, written to the contiguous ``out`` where one is given;
+    ``T`` is copied only where its trailing axes do not flatten to one
+    contiguous row per entry of the first axis."""
+    T2 = T.reshape(len(T), -1).view(float)
+    if out is None:
+        return (P @ T2).view(complex).reshape(P.shape[:1] + T.shape[1:])
+    np.matmul(P, T2, out=out.reshape(len(P), -1).view(float))
+    return out
 
 
 def gram_matrix(
@@ -642,7 +662,7 @@ def ring_synthesis(
         axis = 1 + 2 * c
         T = np.moveaxis(_real_product(P, np.moveaxis(T, axis, 0)), 0, axis)
         T = _place_modes(T, f, quad.shape[c][1], axis + 1)
-    K = _angular_fft(np.fft.ifft, T, 2, out=T)  # in place: no stack-sized temporaries
+    K = _angular_fft(np.fft.ifft, T, out=T)  # in place: no stack-sized temporaries
     K *= math.prod(quad.grid_shape[1::2])
     return K.reshape(lead + (quad.size,))
 
@@ -662,13 +682,13 @@ def _place_modes(T: np.ndarray, fold: np.ndarray, n: int, axis: int) -> np.ndarr
     return X.reshape(T.shape[:axis] + (rows, n) + T.shape[axis + 1 :]).sum(axis) if rows > 1 else X
 
 
-def _angular_fft(transform, grid: np.ndarray, first: int, out=None) -> np.ndarray:
-    """``np.fft.fftn`` (or ``ifftn``) of ``grid`` over its angular axes
-    ``first, first + 2, ...``, one ``transform`` per axis in the order
+def _angular_fft(transform, grid: np.ndarray, out=None) -> np.ndarray:
+    """``np.fft.fftn`` (or ``ifftn``) of a stack ``grid`` over its angular
+    axes ``2, 4, ...``, one ``transform`` per axis in the order
     ``fftn`` takes them (the last first), so the same numbers without its
     argument handling.  The first pass writes to ``out`` (a new array when
     none is given) and every later pass runs in place on it."""
-    for axis in range(grid.ndim - 1, first - 1, -2):
+    for axis in range(grid.ndim - 1, 1, -2):
         grid = out = transform(grid, axis=axis, out=out)
     return grid
 
@@ -692,7 +712,7 @@ def monomial_synthesis(
         axis = 1 + 2 * c_axis  # axes (stack, r_1, theta_1, ..., e_c, ...): add r_c before e_c
         T = np.expand_dims(T, axis) * P.reshape(P.shape + (1,) * (T.ndim - axis - 1))
         T = _place_modes(T, f, quad.shape[c_axis][1], axis + 1)
-    X = _angular_fft(np.fft.ifft, T, 2, out=T)
+    X = _angular_fft(np.fft.ifft, T, out=T)
     return (X * math.prod(quad.grid_shape[1::2])).reshape(lead + (quad.size,))
 
 
@@ -712,7 +732,7 @@ def monomial_analysis(
     if f.shape[-1:] != (quad.size,):
         raise ValueError(f"expected {quad.size} node values, got shape {f.shape}")
     exps, powers, folds = zip(*quad.ring_tables(basis).monomials)
-    F = _angular_fft(np.fft.fft, quad.grid_view(f.reshape(-1, quad.size)), 2)
+    F = _angular_fft(np.fft.fft, quad.grid_view(f.reshape(-1, quad.size)))
     for c, fold in enumerate(folds):
         F = np.take(F, fold % quad.shape[c][1], axis=2 + 2 * c)
     axes = ("aj", "bk")[: basis.fiber_dim]  # (ring, exponent) per coordinate

@@ -189,9 +189,10 @@ def write_report(report: RunReport, out_dir, format: str = "json") -> list:
 
     lines_path = out / "records.jsonl"
     if lines_path.exists():
-        head = lines_path.read_text().splitlines()
-        if head:
-            prev = json.loads(head[0])
+        with lines_path.open("rb") as fh:
+            first = fh.readline()  # the first record alone: an append costs the same at any length
+        if first:
+            prev = json.loads(first)
             if prev.get("config_hash") not in ("", report.config_hash):
                 raise ValueError(
                     f"refusing to append to {lines_path}: existing records carry "

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -335,15 +336,18 @@ RING_CASES = [
 
 
 # RING_CASES with an odd angular count, and aliased rules: pair modes -6..6
-# wrap around 8 and 9 angles; on the last, pair modes -9..9 wrap around 8
-# angles twice and so do the monomials' own modes 0..9 (N >= n_angular)
+# wrap around 8 and 9 angles; on the last two, pair modes -9..9 wrap around 8
+# angles twice and so do the monomials' own modes 0..9 (N >= n_angular), so
+# on the bidisc several e_1 share one DFT column of the 2-D Gram's rows
 RING_GRAM_CASES = RING_CASES + [
     (FiberDomain.disk(1.0), 10, 11, 4),
     (FiberDomain.disk(1.0), 8, 8, 6),
     (FiberDomain.polydisc(1.0, 0.7), 6, 9, 6),
     (FiberDomain.disk(1.0), 16, 8, 9),
+    (FiberDomain.polydisc(1.0, 0.7), 6, 8, 9),
 ]
-RING_GRAM_IDS = ["disk", "annulus", "bidisc", "odd", "aliased", "bidisc-odd-aliased", "wrapped"]
+RING_GRAM_IDS = ["disk", "annulus", "bidisc", "odd", "aliased", "bidisc-odd-aliased", "wrapped",
+                 "bidisc-wrapped"]
 # the same cases, the polydisc under the name the node-transform tests give it
 TRANSFORM_IDS = ["disk", "annulus", "polydisc"] + RING_GRAM_IDS[3:]
 
@@ -504,6 +508,24 @@ class TestRingGram:
         assert out[0][0] == "66"
         assert out[0] == out[1]
 
+    def test_two_dimensional_peak_is_one_spectrum_and_the_rows_read(self):
+        # the theta_1 spectrum and the (N + 1)^2 rows the Gram reads, not a
+        # contracted (2N + 1) x n_angular row table
+        dom, nr, na, N = RING_CASES[2]
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        z = node_list(quad)
+        mu = cross_term_weight(z) * quad.weights
+        for measure, columns in ((mu, na // 2 + 1), ((1.0 + 0.5j * z[:, 1]) * mu, na)):
+            ring_gram(basis, measure, quad)  # its tables are built outside the measurement
+            tracemalloc.start()
+            try:
+                ring_gram(basis, measure, quad)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * (columns * nr + (N + 1) ** 2) * nr * na * 16
+
     @pytest.mark.parametrize("case", RING_CASES, ids=["disk", "annulus", "polydisc"])
     @pytest.mark.parametrize("weight", [cross_term_weight, polynomial_weight],
                              ids=["cross", "polynomial"])
@@ -645,10 +667,18 @@ class TestNodeTransforms:
             shared = quad.ring_tables(basis)[:3]
             assert all(a is b for a, b in zip(shared, tables[:3]))  # one set of shared tables
             rows, cols = tables.dest or np.indices((basis.dim, basis.dim)).reshape(2, -1)
-            s1, q1, _q2 = tables.index
-            assert np.array_equal(s1, E[rows, 0] + E[cols, 0])  # s_1 = j_1 + k_1
+            row, _q2 = tables.index
+            # rows grouped by DFT column q_1, one per distinct s_1 read there
+            kept, slices, P1 = zip(*tables.columns)
+            assert list(kept) == ([0, 1, 2, 3] if real else [0, 1, 2, 3, 13, 14, 15])  # real: 0..N
+            assert [sl.start for sl in slices] == [0] + [sl.stop for sl in slices[:-1]]
+            q1 = np.repeat(kept, [sl.stop - sl.start for sl in slices])
+            P1 = np.concatenate(P1)
+            assert len(set(zip(q1, map(bytes, P1)))) == len(P1) == row.max() + 1  # distinct rows
+            assert np.array_equal(P1[row], tables.powers[0].T[E[rows, 0] + E[cols, 0]])  # s_1 = j_1 + k_1
+            if not real:
+                assert np.array_equal(q1[row], tables.fold[0][basis.pairs[3]] % 16)
             assert np.array_equal(tables.read_powers, tables.powers[1][:, E[rows, 1] + E[cols, 1]])
-            assert q1.max() < tables.kept == (4 if real else 16)  # real: the half spectrum 0..N
             if real:  # each entry written once, as itself or as its conjugate's transpose
                 hits = np.zeros((basis.dim, basis.dim), dtype=int)
                 np.add.at(hits, (rows, cols), 1)
@@ -659,6 +689,7 @@ class TestNodeTransforms:
             assert [m[2].tolist() for m in tables.monomials] == [[0, 1, 2, 3]] * 2
             arrays = tables.fold + tables.powers + sum(tables.monomials, ())
             arrays += tables.index + (tables.read_powers,) + (tables.dest or ())
+            arrays += tuple(P for _c, _sl, P in tables.columns)
             for arr in arrays + basis.pairs + basis.half_pairs:
                 with pytest.raises(ValueError):
                     arr[(0,) * arr.ndim] = 2

@@ -126,6 +126,21 @@ class TestPersistence:
         with pytest.raises(ValueError, match="config hash"):
             write_report(foreign, tmp_path)
 
+    def test_append_reads_only_the_first_record(self, tmp_path):
+        # later bytes that are not even UTF-8 are never read, so they cannot
+        # stop the append; the first record still decides the refusal
+        write_report(make_report(), tmp_path)
+        with (tmp_path / "records.jsonl").open("ab") as fh:
+            fh.write(b"\xff\xfe not a record\n")
+        write_report(make_report([make_record(name="hormander")]), tmp_path)
+        lines = (tmp_path / "records.jsonl").read_bytes().splitlines()
+        assert len(lines) == 3 and json.loads(lines[-1])["name"] == "hormander"
+        foreign = RunReport(
+            scenario_id="demo", config_hash=config_hash({"a": 2}), records=(make_record(),)
+        )
+        with pytest.raises(ValueError, match="refusing to append .* config hash"):
+            write_report(foreign, tmp_path)
+
     def test_csv_format_adds_margin_file(self, tmp_path):
         write_report(make_report(), tmp_path, format="csv")
         assert (tmp_path / "margins-demo.csv").exists()
