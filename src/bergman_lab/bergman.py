@@ -370,26 +370,37 @@ def base_gram_jets(w: WeightFamily, t, N: int, quad: QuadratureRule) -> tuple:
     dim, dim) and (n, n, dim, dim): ``dG[a] = d_a G`` is the ring Gram of
     ``-d_a phi * exp(-phi) * w`` and ``ddG[a, c] = d_a dbar_c G`` that of
     ``(d_a phi dbar_c phi - d_a dbar_c phi) * exp(-phi) * w``, assembled for
-    ``a <= c``, with ``ddG[c, a] = ddG[a, c]^H``.  One memo entry per
+    ``a <= c``, with ``ddG[c, a] = ddG[a, c]^H``.  Each measure is formed in
+    one node-sized buffer, which its Gram consumes, the real (``a = c``) ones
+    first; ``exp(-phi) * w`` is freed as the last is formed.  One memo entry per
     (weight, t, N), read by the section Hessian, the Hormander fields, the
     determinant Hessian and the log-kernel jets."""
     t = as_complex_tuple(t)
 
     def compute():
         basis, n = monomial_basis(N, quad.domain.dim), w.n
-        mu = w.weight_values(t, quad) * quad.weights
+        mu = [w.weight_values(t, quad) * quad.weights]  # the last measure pops it
         _phi, dphi, tt = w.node_jets(t, quad)
-        dG = np.empty((n, basis.dim, basis.dim), dtype=complex)
-        ddG = np.empty((n,) + dG.shape, dtype=complex)
-        for a in range(n):
-            dG[a] = ring_gram(basis, -dphi[a] * mu, quad)
-            # a real measure on the diagonal: its Gram takes the half spectrum
-            diag = dphi[a].real ** 2 + dphi[a].imag ** 2 - tt[:, a, a].real
-            ddG[a, a] = ring_gram(basis, diag * mu, quad)
-            for c in range(a + 1, n):
-                ddG[a, c] = ring_gram(basis, (dphi[a] * np.conj(dphi[c]) - tt[:, a, c]) * mu, quad)
-                ddG[c, a] = ddG[a, c].conj().T
-        return dG, ddG
+
+        def measure(a, c):  # in one buffer, which its ring Gram consumes
+            if c is None:
+                m = np.negative(dphi[a])
+            elif c == a:  # real: its Gram takes the half spectrum
+                m = np.square(dphi[a].real)
+                m += np.square(dphi[a].imag)
+                m -= tt[:, a, a].real
+            else:
+                m = np.conj(dphi[c])
+                np.multiply(dphi[a], m, out=m)
+                m -= tt[:, a, c]
+            m *= mu.pop() if (a, c) == keys[-1] else mu[0]
+            return [m]  # handed over: no other reference outlives this call
+
+        keys = [(a, a) for a in range(n)] + [(a, c) for a in range(n) for c in range(a + 1, n)]
+        keys += [(a, None) for a in range(n)]  # the real measures first
+        G = {k: ring_gram(basis, measure(*k), quad, _consume=True) for k in keys}
+        ddG = [[G[a, c] if a <= c else G[c, a].conj().T for c in range(n)] for a in range(n)]
+        return np.array([G[a, None] for a in range(n)]), np.array(ddG)
 
     return quad.memoize(w, ("gram_jets", t, N), compute)
 

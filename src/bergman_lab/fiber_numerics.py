@@ -29,9 +29,9 @@ Vandermonde ``V`` (same aliasing), only added in a different order.
 :func:`gram_matrix` the weighted Gram of a weight.  A 1-D Gram is one
 angular FFT, one real GEMM over the rings and one gather.  A 2-D Gram
 transforms only what it reads (FFT pruning; Markel, IEEE Trans. Audio
-Electroacoust. 19, 1971): an FFT over ``theta_1``, one contiguous block per
-DFT column ``q_1``; one real GEMM per column over the first rings, only at
-the distinct ``(s_1, q_1)`` rows the entries read (121 of ``(2N+1) *
+Electroacoust. 19, 1971): an FFT over ``theta_1`` (in place on a complex
+buffer handed over); per DFT column ``q_1``, ``r_1`` strided rows, one real
+GEMM over ``r_1`` at the distinct ``(s_1, q_1)`` rows read (121 of ``(2N+1) *
 n_angular = 504`` at degree 10 on 24 angles); the ``theta_2`` FFT in place
 on those rows; and the last rings contracted at the entries alone
 (``rings * dim^2`` multiply-adds in an ``einsum``).  A real measure has
@@ -568,7 +568,7 @@ def monomial_gradient(basis: MonomialBasis, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -> np.ndarray:
+def ring_gram(basis: MonomialBasis, measure, quad: QuadratureRule, *, _consume=False) -> np.ndarray:
     """``sum_x conj(M_j(x)) M_k(x) measure(x)`` over the nodes, ring by ring.
 
     ``measure`` is any real or complex node field, quadrature weights
@@ -576,24 +576,27 @@ def ring_gram(basis: MonomialBasis, measure: np.ndarray, quad: QuadratureRule) -
     Hermitian, with a real diagonal, by construction.  Both front ends read
     their rows and entries through :meth:`QuadratureRule.ring_tables`: one
     radial GEMM and one gather in 1-D, a GEMM per DFT column ``q_1`` in 2-D
-    (module docstring).  No positivity test.
+    (module docstring).  No positivity test, and ``measure`` is not written
+    to (the private ``_consume=True`` hands a buffer over in a one-item list).
     """
-    mu = np.asarray(measure)
-    if mu.shape != (quad.size,):
-        raise ValueError(f"expected {quad.size} measure values, got shape {mu.shape}")
-    real = not np.iscomplexobj(mu)
+    grid = np.asarray(measure.pop() if _consume else measure)
+    if grid.shape != (quad.size,):
+        raise ValueError(f"expected {quad.size} measure values, got shape {grid.shape}")
+    real = not np.iscomplexobj(grid)
     tables = quad.ring_tables(basis, real)
-    grid = quad.grid_view(mu)  # axes (r_1, theta_1[, r_2, theta_2])
+    grid = quad.grid_view(grid)  # axes (r_1, theta_1[, r_2, theta_2])
     fft = np.fft.rfft if real else np.fft.fft
     if basis.fiber_dim == 1:
         G = _real_product(tables.powers[0].T, fft(grid, axis=1)[:, : tables.kept])[tables.index]
     else:
-        (nr, na), (nr2, na2) = quad.shape
-        F = np.empty((na // 2 + 1 if real else na, nr, nr2, na2), dtype=complex)
-        fft(grid, axis=1, out=F.transpose(1, 0, 2, 3))  # column q_1 is one contiguous block
+        nr2, na2 = quad.shape[1]
+        # DFT column q_1 is r_1 strided rows, each one contiguous (r_2, theta_2)
+        # block; a consumed complex measure becomes its own spectrum
+        F = fft(grid, axis=1, out=grid if _consume and not real else None)
+        del grid  # a consumed measure lives on only as F (complex) or not at all (real)
         Y = np.empty((tables.columns[-1][1].stop, nr2, na2), dtype=complex)  # every row read
         for q1, rows, P in tables.columns:  # ring axis 1 -> s_1, only at the rows read
-            _real_product(P, F[q1], out=Y[rows])
+            _real_product(P, F[:, q1], out=Y[rows])
         del F  # the gather below takes its memory, not fresh pages
         Y = np.fft.fft(Y, axis=2, out=Y)
         row, q2 = tables.index  # ring axis 2 only at the (row, q_2) the Gram reads

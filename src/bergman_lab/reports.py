@@ -191,14 +191,15 @@ def write_report(report: RunReport, out_dir, format: str = "json") -> list:
     if lines_path.exists():
         with lines_path.open("rb") as fh:
             first = fh.readline()  # the first record alone: an append costs the same at any length
-        if first:
-            prev = json.loads(first)
-            if prev.get("config_hash") not in ("", report.config_hash):
-                raise ValueError(
-                    f"refusing to append to {lines_path}: existing records carry "
-                    f"config hash {prev.get('config_hash')[:12]}…, this run is "
-                    f"{report.config_hash[:12]}…"
-                )
+        try:
+            prev = json.loads(first)["config_hash"] if first else ""
+        except (ValueError, KeyError, TypeError):  # not JSON, or not a record of ours
+            prev = None
+        if prev not in ("", report.config_hash):
+            raise ValueError(
+                f"refusing to append to {lines_path}: existing records carry "
+                f"config hash {str(prev)[:12]}…, this run is {report.config_hash[:12]}…"
+            )
     head = _sanitize({
         "schema": SCHEMA,
         "scenario_id": report.scenario_id,

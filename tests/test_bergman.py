@@ -21,6 +21,7 @@ Oracles frozen here before implementation details are trusted:
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -587,6 +588,26 @@ class TestBaseGramJets:
                 assert np.array_equal(ddG[a, c], fresh)
             for c in range(a + 1, n):
                 assert np.array_equal(ddG[c, a], ddG[a, c].conj().T)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_two_dimensional_peak_holds_one_measure_at_a_time(self, n):
+        # each measure is formed in one buffer that its ring Gram consumes, so
+        # a fresh build holds one complex node field, exp(-phi) * w and the
+        # Gram's rows at a time, besides the Grams it returns; the weight's
+        # node fields and the ring tables are memoized before the measurement
+        q = build_quadrature(FiberDomain.polydisc(1.0, 0.8), 12, 24)
+        w = QuadraticWeight.cross_term(0.5, n, 2)
+        t = (0.1 - 0.05j,) + (0.03j,) * (n - 1)
+        basis = monomial_basis(10, 2)
+        w.weight_values(t, q), w.node_jets(t, q), q.ring_tables(basis, True), q.ring_tables(basis)
+        tracemalloc.start()
+        try:
+            base_gram_jets(w, t, 10, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grams = (n + n * n) * basis.dim ** 2 * 16
+        assert peak <= 2.5 * q.size * 16 + grams
 
 
 class TestOneFrameTruncation:

@@ -508,6 +508,15 @@ class TestPersistenceFlow:
         assert "refusing to append" in capsys.readouterr().err
         assert (out / "records.jsonl").read_text() == before  # untouched
 
+    @pytest.mark.parametrize("first", ["{}", "[1]"])
+    def test_foreign_records_file_is_refused_with_exit_2(self, scn, tmp_path, capsys, first):
+        out = tmp_path / "rep"
+        out.mkdir()
+        (out / "records.jsonl").write_text(first + "\n")
+        assert main(["run", "--scenario", scn(SEPARABLE), "--out", str(out)]) == 2
+        assert "refusing to append to" in capsys.readouterr().err
+        assert (out / "records.jsonl").read_text() == first + "\n"
+
     def test_report_command_summarizes(self, scn, tmp_path, capsys):
         out = tmp_path / "rep"
         main(["run", "--scenario", scn(SEPARABLE), "--out", str(out)])

@@ -573,7 +573,9 @@ class TestRingGram:
         measure = polynomial_weight(node_list(quad)) * quad.weights
         if kind == "complex":
             measure = measure * (rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size))
+        before = measure.copy()
         G = ring_gram(basis, measure, quad)
+        assert measure.flags.writeable and np.array_equal(measure, before)  # never written to
         V = vandermonde(basis, node_list(quad))
         B = V.conj().T @ (measure[:, None] * V)
         assert np.abs(G - B).max() <= 1e-13 * np.abs(B).max()
@@ -581,6 +583,28 @@ class TestRingGram:
             # Hermitian by construction: every bit, and a real diagonal
             assert np.array_equal(G, G.conj().T)
             assert np.all(np.diag(G).imag == 0)
+
+    @pytest.mark.parametrize("case", RING_GRAM_CASES, ids=RING_GRAM_IDS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_consuming_route_equals_the_public_one(self, case, kind, rng):
+        # the private hand-off: the buffer is taken out of its one-item list,
+        # and a complex 2-D measure becomes its own theta_1 spectrum
+        dom, nr, na, N = case
+        quad = build_quadrature(dom, nr, na)
+        basis = monomial_basis(N, dom.dim)
+        measure = polynomial_weight(node_list(quad)) * quad.weights
+        if kind == "complex":
+            measure = measure * (rng.normal(size=quad.size) + 1j * rng.normal(size=quad.size))
+        public = ring_gram(basis, measure, quad)
+        buffer = measure.copy()
+        holder = [buffer]
+        assert np.array_equal(ring_gram(basis, holder, quad, _consume=True), public)
+        assert holder == []
+        if kind == "complex" and dom.dim == 2:
+            spectrum = np.fft.fft(quad.grid_view(measure), axis=1)
+            assert np.array_equal(quad.grid_view(buffer), spectrum)
+        else:
+            assert np.array_equal(buffer, measure)
 
     def test_gram_matrix_is_ring_gram_of_weighted_measure(self, disk_quad):
         basis = monomial_basis(8)

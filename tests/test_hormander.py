@@ -300,7 +300,7 @@ class TestGramDerivativeMemo:
     def test_built_once_per_key(self, quad, monkeypatch):
         calls = []
         real = bergman.ring_gram
-        monkeypatch.setattr(bergman, "ring_gram", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(bergman, "ring_gram", lambda *a, **k: calls.append(1) or real(*a, **k))
         w = cross_weight(0.5)
         fam = SectionFamily.constant([[0.2]])
         section_hessian(w, fam, (0.1,), N, quad)

@@ -378,7 +378,7 @@ class TestIterationCost:
 
         def spy(module, name, log):
             real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a: log.append(a) or real(*a))
+            monkeypatch.setattr(module, name, lambda *a, **k: log.append(a) or real(*a, **k))
 
         spy(fiber_numerics, "ring_gram", calls["basis Gram"])  # gram_matrix's
         spy(bergman_module, "ring_gram", calls["derivative Gram"])  # base_gram_jets'

@@ -141,6 +141,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="refusing to append .* config hash"):
             write_report(foreign, tmp_path)
 
+    @pytest.mark.parametrize("first", [b"{}\n", b"[1]\n"], ids=["no-config-hash", "not-an-object"])
+    def test_append_refuses_a_foreign_first_line(self, tmp_path, first):
+        # a records file this program did not write is refused by name, not
+        # met with a TypeError or AttributeError from reading its first line
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(first)
+        with pytest.raises(ValueError, match="refusing to append to .*records.jsonl"):
+            write_report(make_report(), tmp_path)
+        assert path.read_bytes() == first  # untouched
+
     def test_csv_format_adds_margin_file(self, tmp_path):
         write_report(make_report(), tmp_path, format="csv")
         assert (tmp_path / "margins-demo.csv").exists()
