@@ -338,14 +338,17 @@ class BergmanBasis:
         """K(w, w) at one fiber point ``w``."""
         return float(np.sum(np.abs(self.orthonormal_at(self._point(w))) ** 2))
 
-    def diag_convergence_gap(self, w) -> np.ndarray:
+    def diag_convergence_gap(self, w, rows=None) -> np.ndarray:
         """Relative change of K(w,w) from degree N-2 to N at each fiber point
         of ``w`` (0-d at one point), from one frame evaluation: the transform is upper triangular, so the leading
         ``truncated_dim(N-2)`` entries of ``u = M(w) C`` are the frame of the
-        degree-(N-2) sub-basis.  A kernel beyond the double range gives a
-        gap that is not finite, quietly (``curvature.truncation_gate``)."""
+        degree-(N-2) sub-basis.  ``rows``, when given, are the monomial
+        values ``M(w)`` (M, dim), evaluated already.  A kernel beyond the
+        double range gives a gap that is not finite, quietly
+        (``curvature.truncation_gate``)."""
+        M = self.monomials_at(w) if rows is None else rows
         with np.errstate(over="ignore", invalid="ignore"):
-            u2 = np.abs(self.orthonormal_at(w)) ** 2
+            u2 = np.abs(M @ self.transform) ** 2
             full = np.sum(u2, axis=-1)
             sub = np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1)
             return np.abs(full - sub) / np.maximum(np.abs(full), 1e-300)

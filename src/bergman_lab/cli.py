@@ -371,8 +371,8 @@ def _cmd_report(args) -> int:
     if not paths:
         print(f"no summaries under {out}", file=sys.stderr)
         return 2
-    summaries = [load_summary(p) for p in paths]
     try:
+        summaries = [load_summary(p) for p in paths]
         merged = merge_reports(summaries)
     except ValueError as exc:
         print(f"refusing to merge: {exc}", file=sys.stderr)

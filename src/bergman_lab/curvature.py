@@ -77,12 +77,13 @@ def truncation_gate(gap: float, N: int, where: str) -> None:
                                 f"the weight")
 
 
-def truncation_gate_at(b, points) -> float:
+def truncation_gate_at(b, points, rows=None) -> float:
     """:func:`truncation_gate` of the basis ``b`` at the worst of the fiber
     ``points`` (M, d), from one frame evaluation
-    (``BergmanBasis.diag_convergence_gap``); the message names that point
-    and ``b.t``.  Returns the worst gap."""
-    gaps = b.diag_convergence_gap(points)
+    (``BergmanBasis.diag_convergence_gap``, from their monomial ``rows``
+    where given); the message names that point and ``b.t``.  Returns the
+    worst gap."""
+    gaps = b.diag_convergence_gap(points, rows)
     k = int(np.argmax(gaps))
     truncation_gate(gaps[k], b.N, f"at fiber point {points[k].tolist()} over t={b.t}")
     return float(gaps[k])

@@ -101,8 +101,9 @@ points and broadcast once; no ``(nodes, d)`` list of the nodes is built.
 A rule holds at most :data:`MAX_NODES` nodes, and :meth:`QuadratureRule.memoize`
 is the one store of results computed on it: read-only, one per ``(owner,
 key)``, owners held weakly.  A :class:`MonomialBasis` owns its ring tables,
-``("ring", real)``; a weight what ``weights``, ``bergman`` and ``iteration``
-compute for it, keyed by base point (and degree).  :func:`build_quadrature`
+``("ring", real)``, and the iteration's sample frames; a weight what
+``weights``, ``bergman`` and ``iteration`` compute for it, keyed by base
+point (and degree); the rule its radial derivative matrices.  :func:`build_quadrature`
 returns one shared, read-only rule per ``(domain, n_radial, n_angular)`` for
 the process, as :func:`monomial_basis` one basis per degree, so ring tables
 are built once per process, not per scenario.  It keeps the last 8 rules; one
@@ -291,8 +292,10 @@ class QuadratureRule:
         return self.weights.shape[0]
 
     def memo(self, owner) -> dict:
-        """This rule's store of results computed for ``owner``: a weight, or a
-        :class:`MonomialBasis` for its ring tables.
+        """This rule's store of results computed for ``owner``: a weight; a
+        :class:`MonomialBasis` for its ring tables and the iteration's sample
+        frames (``iteration``); or the rule itself, for its radial
+        derivative matrices (``hormander``).
 
         Stores are held weakly by owner, so an entry is freed as soon as its
         owner goes, or the rule, which :func:`build_quadrature` keeps past
@@ -678,11 +681,20 @@ def _fold(lo: int, hi: int, n: int) -> np.ndarray:
 
 def _place_modes(T: np.ndarray, fold: np.ndarray, n: int, axis: int) -> np.ndarray:
     """``T`` with its mode axis ``axis`` replaced by ``n`` angles, each mode
-    written at its ``fold`` position and the rows summed: aliases add."""
+    written at its ``fold`` position and the rows summed: aliases add.  One
+    row (no mode aliases) is a run of positions that wraps at most once, so
+    it is written by two slice copies."""
     rows = int(fold[-1]) // n + 1
     X = np.zeros(T.shape[:axis] + (rows * n,) + T.shape[axis + 1 :], dtype=complex)
-    X[(slice(None),) * axis + (fold,)] = T
-    return X.reshape(T.shape[:axis] + (rows, n) + T.shape[axis + 1 :]).sum(axis) if rows > 1 else X
+    at = (slice(None),) * axis
+    if rows == 1:
+        a = int(fold[0])
+        split = min(len(fold), n - a)  # modes before the wrap to index 0
+        X[at + (slice(a, a + split),)] = T[at + (slice(None, split),)]
+        X[at + (slice(None, len(fold) - split),)] = T[at + (slice(split, None),)]
+        return X
+    X[at + (fold,)] = T
+    return X.reshape(T.shape[:axis] + (rows, n) + T.shape[axis + 1 :]).sum(axis)
 
 
 def _angular_fft(transform, grid: np.ndarray, out=None) -> np.ndarray:

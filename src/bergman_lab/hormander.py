@@ -182,7 +182,8 @@ def _angular_derivative(grid: np.ndarray, axis: int) -> np.ndarray:
 def dbar_coordinate(vals: np.ndarray, quad: QuadratureRule, coord: int) -> np.ndarray:
     """d/d(conj xi_coord) of node values via polar-grid differentiation.
 
-    Radial: the collocation matrix on the Gauss-Legendre rings.  Angular:
+    Radial: the collocation matrix on the Gauss-Legendre rings, built once
+    per rule and coordinate (``QuadratureRule.memoize``).  Angular:
     FFT differentiation, exact below the Nyquist mode.  In polar
     coordinates  d/d(conj xi) = (e^{i theta}/2)(d/dr + (i/r) d/dtheta).
     """
@@ -190,7 +191,7 @@ def dbar_coordinate(vals: np.ndarray, quad: QuadratureRule, coord: int) -> np.nd
     axis_r, axis_t = 2 * coord, 2 * coord + 1
     nr, na = quad.shape[coord]
     r = quad.radial_nodes[coord]
-    D = _radial_derivative_matrix(r)
+    D = quad.memoize(quad, ("radial_derivative", coord), lambda: _radial_derivative_matrix(r))
     dr = np.moveaxis(np.tensordot(D, np.moveaxis(g, axis_r, 0), axes=(1, 0)), 0, axis_r)
     dt = _angular_derivative(g, axis_t)
     rshape = [1] * g.ndim

@@ -42,9 +42,12 @@ base block tt from one ring synthesis of the stack (P, d_aP, d_a dbar_bP)
 weight is read through its jets alone, the same linear combination of its
 parts', accumulated in place; the parts' jets are memoized on the rule, so
 those of phi_L are evaluated once per run, not per step.  Each step
-therefore builds one basis, at t0, gates it on one frame evaluation at the
-fiber samples it is measured at and the middle ring, and evaluates no
-finite-difference stencil.
+therefore builds one basis, at t0, gates it at the fiber samples it is
+measured at and the middle ring, and evaluates no finite-difference
+stencil.  The monomial values at those three points and the samples'
+gradients are the same at every step, so they are evaluated once per basis
+and rule and kept there (``_sample_frames``); a step's gate and
+measurement are then a few (3 x dim) products.
 
 The chain of weights keeps every psi_k alive, so each step drops what the
 quadrature rule stored for its mixed weight and for the previous
@@ -126,9 +129,12 @@ class LogKernelField(WeightFamily):
     Each basis read from the memo of ``quad`` is gated on kernel truncation
     convergence at the fiber samples the iteration measures at and at the
     middle ring of each coordinate (0.5 r on a disk), since each step's log
-    K is read on every node and becomes the next step's weight.  This field
-    owns its memo entries ``("gram_jets", t)`` (:meth:`gram_jets`) and
-    ``("node_jets", t)``, so a run reads, and gates, each basis once.
+    K is read on every node and becomes the next step's weight.  The gate
+    and the measurement read the monomial frames at those points that the
+    degree-N basis keeps on the rule (``_sample_frames``), so no field
+    evaluates them again.  This field owns its memo entries ``("gram_jets",
+    t)`` (:meth:`gram_jets`) and ``("node_jets", t)``, so a run reads, and
+    gates, each basis once.
     """
 
     kind = "bergman-potential"
@@ -144,9 +150,7 @@ class LogKernelField(WeightFamily):
         self.quad = quad
         self.basis = monomial_basis(self.N, inner.d)
         self._max_gap = 0.0
-        dom = quad.domain
-        probe = [ri + 0.5 * (ro - ri) for ri, ro in zip(dom.inner_radii, dom.radii)]
-        self._gate_points = np.vstack([_fiber_samples(quad), np.array([probe], dtype=complex)])
+        self._frames = _sample_frames(self.basis, quad)
 
     @property
     def max_convergence_gap(self) -> float:
@@ -155,7 +159,8 @@ class LogKernelField(WeightFamily):
 
     def _basis_at(self, t: tuple):
         b = bergman_basis(self.inner, t, self.N, self.quad)
-        self._max_gap = max(self._max_gap, truncation_gate_at(b, self._gate_points))
+        points, rows, _grads = self._frames
+        self._max_gap = max(self._max_gap, truncation_gate_at(b, points, rows))
         return b
 
     def gram_jets(self, t) -> tuple:
@@ -195,13 +200,13 @@ class LogKernelField(WeightFamily):
     def node_phi(self, t, quad) -> np.ndarray:
         return self.node_jets(t, quad)[0]  # phi comes with its derivatives, no node Vandermonde
 
-    def _point_jets(self, t, pts) -> tuple:
-        """K and its derivatives at S fiber points: ``K`` (S,), ``d_t K`` (S, n),
-        ``d_xi K`` (S, d), ``d_t dbar_t K`` (S, n, n), ``d_t dbar_xi K`` (S, n, d)
-        and ``d_xi dbar_xi K`` (S, d, d)."""
+    def _point_jets(self, t, M, dM) -> tuple:
+        """The (tt, tf, ff) blocks of the Hessian of log K at S fiber points,
+        from their monomial values ``M`` (S, dim) and holomorphic gradients
+        ``dM`` (S, d, dim), through K (S,) and its derivatives ``d_t K`` (S,
+        n), ``d_xi K`` (S, d), ``d_t dbar_t K`` (S, n, n), ``d_t dbar_xi K``
+        (S, n, d) and ``d_xi dbar_xi K`` (S, d, d)."""
         P, dP, ddP = self.gram_jets(t)
-        M = vandermonde(self.basis, pts)  # (S, dim)
-        dM = monomial_gradient(self.basis, pts)  # (S, d, dim)
         Mc, dMc = M.conj(), dM.conj()
         MdP = M @ dP  # (n, S, dim)
         dMP = dM @ P  # (S, d, dim)
@@ -211,7 +216,8 @@ class LogKernelField(WeightFamily):
         Ktt = np.moveaxis(np.sum((M @ ddP) * Mc, axis=-1), -1, 0)
         Ktx = np.einsum("asj,scj->sac", MdP, dMc)
         Kxx = np.einsum("scj,sej->sce", dMP, dMc)
-        return K, Kt, Kx, Ktt, Ktx, Kxx
+        return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
+                _log_hessian(K, Kx, Kx, Kxx))
 
     def _value_raw(self, t, xs):
         b = self._basis_at(_one_base_point(t))
@@ -219,9 +225,9 @@ class LogKernelField(WeightFamily):
 
     def hessian_field(self, t, xi):
         t, xs, _shape, _ = _as_points(t, xi, self.n, self.d)
-        K, Kt, Kx, Ktt, Ktx, Kxx = self._point_jets(_one_base_point(t), _point_list(xs))
-        return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
-                _log_hessian(K, Kx, Kx, Kxx))
+        pts = _point_list(xs)
+        return self._point_jets(_one_base_point(t), vandermonde(self.basis, pts),
+                                monomial_gradient(self.basis, pts))
 
 
 class MixedWeight(WeightFamily):
@@ -330,6 +336,23 @@ def _fiber_samples(quad) -> np.ndarray:
     return xi
 
 
+def _sample_frames(basis, quad) -> tuple:
+    """``(points, M, dM)``, memoized on ``quad`` under ``basis``: the gate
+    points, the two fiber samples (:func:`_fiber_samples`) and the middle
+    ring of each coordinate (0.5 r on a disk), shape (3, d); their monomial
+    values ``M`` (3, dim); and the samples' holomorphic gradients ``dM`` (2,
+    d, dim).  Every step of a run reads them, so they are evaluated once."""
+
+    def compute():
+        dom = quad.domain
+        probe = [ri + 0.5 * (ro - ri) for ri, ro in zip(dom.inner_radii, dom.radii)]
+        samples = _fiber_samples(quad)
+        points = np.vstack([samples, np.array([probe], dtype=complex)])
+        return points, vandermonde(basis, points), monomial_gradient(basis, samples)
+
+    return quad.memoize(basis, "sample_frames", compute)
+
+
 def run_iteration(
     phi_L: WeightFamily,
     m: int,
@@ -360,7 +383,6 @@ def run_iteration(
     if not eps0 > 0.0:
         raise ArithmeticError(f"iteration needs a strictly positive eps0, got {eps0}")
     t0 = as_complex_tuple(t0)
-    xi_samples = _fiber_samples(cfg.quad)
     if twist > 0:
         phi_L = twist_weight(phi_L, twist)
 
@@ -376,7 +398,7 @@ def run_iteration(
         b_k = (1.0 - q**k) * eps0
         weight_id = f"logK(step {k}, m={m})"
         try:
-            measured, psh_min, ff_min = _measure(psi, t0, xi_samples)
+            measured, psh_min, ff_min = _measure(psi, t0)
         except FiberDegenerateError as exc:
             steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=twist * q**k))
             aborted, failure = True, f"step {k}: {exc}"
@@ -414,10 +436,11 @@ def run_iteration(
     )
 
 
-def _measure(psi: LogKernelField, t0, xi_samples):
+def _measure(psi: LogKernelField, t0):
     """Worst Schur trace / joint eigenvalue / fiber eigenvalue over the
-    fiber samples at t0."""
-    tt, tf, ff = psi.hessian_field(t0, xi_samples)
+    fiber samples at t0, from their frames kept on the rule (:func:`_sample_frames`)."""
+    _points, M, dM = psi._frames
+    tt, tf, ff = psi._point_jets(t0, M[: len(dM)], dM)
     contraction, ff_min = fiber_contraction(tf, ff, f"at the samples over t = {t0}")
     measured = float(schur_from_contraction(tt, contraction).min())
     psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())

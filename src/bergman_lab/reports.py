@@ -222,9 +222,19 @@ def write_report(report: RunReport, out_dir, format: str = "json") -> list:
 
 
 def load_summary(path) -> dict:
-    data = json.loads(Path(path).read_text())
+    """The summary at ``path``; ``ValueError`` unless it is a JSON object of
+    this schema (bytes that are not JSON included)."""
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON summary ({exc})") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: holds a JSON {type(data).__name__}, not a summary object")
     if data.get("schema") != SCHEMA:
         raise ValueError(f"{path}: schema {data.get('schema')!r} is not {SCHEMA!r}")
+    missing = [k for k in ("scenario_id", "config_hash", "report_hash", "records") if k not in data]
+    if missing:
+        raise ValueError(f"{path}: summary lacks {', '.join(missing)}")
     return data
 
 

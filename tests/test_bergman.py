@@ -767,12 +767,13 @@ class TestBasisMemo:
         assert second.build_quad() is quad
         shared = [[r.payload() for r in run_scenario_checks(sc, sc.checks)] for sc in (first, second)]
         assert shared == fresh
-        owners = [weakref.ref(k) for k in quad._memo.keys() if not isinstance(k, MonomialBasis)]
+        kept = lambda k: isinstance(k, MonomialBasis) or k is quad  # ring tables, radial matrices
+        owners = [weakref.ref(k) for k in quad._memo.keys() if not kept(k)]
         assert owners  # the weights of both scenarios hold entries
         del first, second
         gc.collect()
         assert all(ref() is None for ref in owners)
-        assert all(isinstance(k, MonomialBasis) for k in quad._memo.keys())  # ring tables stay
+        assert all(kept(k) for k in quad._memo.keys())  # the per-rule tables stay
 
     def test_shared_context_matches_fresh_contexts(self):
         sc = parse_scenario((SCENARIOS / "separable_c1.scn").read_text())

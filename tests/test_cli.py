@@ -538,6 +538,14 @@ class TestPersistenceFlow:
         assert main(["report", "--out", str(mix)]) == 2
         assert "refusing to merge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [b'{"schema": "other"}', b"[1]", b"\xff\x00 not json"],
+                             ids=["other-schema", "not-an-object", "not-json"])
+    def test_report_command_refuses_a_foreign_summary(self, tmp_path, capsys, content):
+        (tmp_path / "summary-x.json").write_bytes(content)
+        assert main(["report", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "refusing to merge" in err and "summary-x.json" in err
+
     def test_report_command_empty_dir(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "no summaries" in capsys.readouterr().err

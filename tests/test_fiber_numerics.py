@@ -719,6 +719,33 @@ class TestNodeTransforms:
                     arr[(0,) * arr.ndim] = 2
 
 
+def scatter_add_modes(T, lo, n, axis):
+    """Reference mode placement: mode ``lo + p`` added at angle ``(lo + p) mod n``, one at a time."""
+    X = np.zeros(T.shape[:axis] + (n,) + T.shape[axis + 1 :], dtype=complex)
+    at = (slice(None),) * axis
+    for p in range(T.shape[axis]):
+        X[at + ((lo + p) % n,)] += T[at + (p,)]
+    return X
+
+
+class TestPlaceModes:
+    # (lo, hi, n): one row from 0, one row wrapping below 0 (pair modes -N..N),
+    # one row wrapping past n, and aliasing folds of two and three rows
+    FOLDS = [(0, 5, 8), (-3, 3, 8), (5, 12, 8), (-5, 5, 8), (0, 20, 8)]
+
+    @pytest.mark.parametrize("lo, hi, n", FOLDS, ids=["lo0", "lo-neg", "wrap", "alias2", "alias3"])
+    @pytest.mark.parametrize("shape, axis", [((2, 3, None), 2), ((2, 3, None, 4, 5), 2),
+                                             ((2, 3, 4, 5, None), 4)], ids=["1d", "2d-axis2", "2d-axis4"])
+    def test_equals_a_scatter_add(self, lo, hi, n, shape, axis):
+        rng = np.random.default_rng(11)
+        shape = tuple(hi - lo + 1 if s is None else s for s in shape)
+        T = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        fold = fiber_numerics._fold(lo, hi, n)
+        assert (int(fold[-1]) // n + 1 > 1) == (hi - lo >= n)  # the slice path is the one-row case
+        out = fiber_numerics._place_modes(T, fold, n, axis)
+        assert np.array_equal(out, scatter_add_modes(T, lo, n, axis))
+
+
 class TestGaussLegendreMemo:
     def test_rule_computed_once_and_bitwise_unchanged(self, monkeypatch):
         from numpy.polynomial.legendre import leggauss

@@ -24,12 +24,14 @@ from bergman_lab.iteration import (
     LogKernelField,
     StepRecord,
     _fiber_samples,
+    _measure,
+    _sample_frames,
     mix_weights,
     run_iteration,
 )
 from bergman_lab.scenario import parse_scenario
-from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, schur_trace_field, \
-    twist_weight
+from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, fiber_contraction, \
+    joint_hessian, schur_from_contraction, schur_trace_field, twist_weight
 from helpers import log_kernel_grad_base, mixed_bound, node_list, sample_field_csv
 
 
@@ -344,6 +346,37 @@ class TestFiberSamples:
         blocks = psi.hessian_field(sc.t0, np.array([[0.65 + 0j], [0.545 + 0j]]))
         assert rec.outputs["measured"][0] == float(schur_trace_field(*blocks).min())
 
+    @pytest.mark.parametrize("n, d, twist", [(1, 1, 0.0), (2, 1, 0.0), (1, 1, 0.3), (1, 2, 0.0)],
+                             ids=["n1", "n2", "n1-twist", "n1-polydisc"])
+    def test_measure_from_the_kept_frames_equals_the_hessian_field_route(self, quad, monkeypatch,
+                                                                         n, d, twist):
+        # the frames kept once per basis and rule give every bit that fresh
+        # frames at the fiber samples give, through the public Hessian route
+        q, N = (quad, 16) if d == 1 else (build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24), 10)
+        if d == 2:  # the bidisc's middle ring needs a degree near 20 to pass the gate, not tested here
+            monkeypatch.setattr(iteration_module, "truncation_gate_at", lambda *a: 0.0)
+        phi = QuadraticWeight.cross_term(0.5, n, d)
+        phi = twist_weight(phi, twist) if twist else phi
+        psi = LogKernelField(mix_weights(LogKernelField(phi, N, q), phi, 2), N, q)
+        t0 = (0.1 - 0.05j,) * n
+        tt, tf, ff = blocks = psi.hessian_field(t0, _fiber_samples(q))
+        _points, M, dM = psi._frames
+        assert all(np.array_equal(a, b) for a, b in zip(psi._point_jets(t0, M[:2], dM), blocks))
+        contraction, ff_min = fiber_contraction(tf, ff, "at the samples")
+        expected = (float(schur_from_contraction(tt, contraction).min()),
+                    float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min()), ff_min)
+        assert _measure(psi, t0) == expected
+
+    def test_frames_are_kept_once_per_basis_and_rule(self, quad):
+        basis = fiber_numerics.monomial_basis(16)
+        points, M, dM = frames = _sample_frames(basis, quad)
+        assert _sample_frames(basis, quad) is frames
+        assert np.array_equal(points[:2], _fiber_samples(quad))
+        assert np.array_equal(points[2], [0.5])  # the middle ring of the unit disk
+        assert np.array_equal(M, fiber_numerics.vandermonde(basis, points))
+        assert np.array_equal(dM, fiber_numerics.monomial_gradient(basis, points[:2]))
+        assert not any(a.flags.writeable for a in frames)
+
 
 class TestIterationCost:
     @pytest.mark.parametrize("n_t", [1, 2])
@@ -368,31 +401,40 @@ class TestIterationCost:
         assert len(built) == (K + 1) * n_t
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_per_step_budget(self, quad, monkeypatch, n):
+    def test_per_step_budget(self, monkeypatch, n):
         # each base point of a step costs one basis Gram, n Grams d_aG and
-        # n(n+1)/2 Grams d_a dbar_bG (one memo entry), one ring synthesis (the
-        # previous potential's node jets) and one Vandermonde at the
-        # truncation gate, over the two fiber samples the step is measured at
-        # and the middle ring
-        calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "gate probe": []}
-
+        # n(n+1)/2 Grams d_a dbar_bG (one memo entry) and one ring synthesis
+        # (the previous potential's node jets); the monomial frames at the
+        # two fiber samples the steps are measured at and at the gate's middle
+        # ring are evaluated once per basis and rule, however many steps run
         def spy(module, name, log):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, **k: log.append(a) or real(*a, **k))
 
-        spy(fiber_numerics, "ring_gram", calls["basis Gram"])  # gram_matrix's
-        spy(bergman_module, "ring_gram", calls["derivative Gram"])  # base_gram_jets'
-        spy(iteration_module, "ring_synthesis", calls["synthesis"])
-        spy(bergman_module, "vandermonde", calls["gate probe"])  # monomials_at's
-        K = 3
-        led = run_iteration(QuadraticWeight.cross_term(0.5, n, 1), 2, K,
-                            CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,) * n)
-        assert len(led.steps) == K
-        steps = K + 1  # phi_L's potential, then one potential per step
-        counts = {k: len(v) for k, v in calls.items()}
-        assert counts == {"basis Gram": steps, "derivative Gram": steps * (n + n * (n + 1) // 2),
-                          "synthesis": K, "gate probe": steps}
-        assert all(len(pts) == 3 for _basis, pts in calls["gate probe"])
+        def counts(K):
+            calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "frame rows": [],
+                     "frame gradients": [], "monomials_at": []}
+            spy(fiber_numerics, "ring_gram", calls["basis Gram"])  # gram_matrix's
+            spy(bergman_module, "ring_gram", calls["derivative Gram"])  # base_gram_jets'
+            spy(iteration_module, "ring_synthesis", calls["synthesis"])
+            spy(iteration_module, "vandermonde", calls["frame rows"])
+            spy(iteration_module, "monomial_gradient", calls["frame gradients"])
+            spy(bergman_module, "vandermonde", calls["monomials_at"])
+            # a rule of its own, so no earlier run has kept frames on it
+            quad = fiber_numerics._quadrature.__wrapped__(FiberDomain.disk(1.0), 48, 96)
+            led = run_iteration(QuadraticWeight.cross_term(0.5, n, 1), 2, K,
+                                CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,) * n)
+            assert len(led.steps) == K
+            monkeypatch.undo()
+            assert [len(pts) for _basis, pts in calls["frame rows"]] == [3]
+            assert [len(pts) for _basis, pts in calls["frame gradients"]] == [2]
+            return {k: len(v) for k, v in calls.items()}
+
+        for K in (3, 6):
+            steps = K + 1  # phi_L's potential, then one potential per step
+            assert counts(K) == {"basis Gram": steps, "synthesis": K,
+                                 "derivative Gram": steps * (n + n * (n + 1) // 2),
+                                 "frame rows": 1, "frame gradients": 1, "monomials_at": 0}
 
     @staticmethod
     def _node_calls(phi, quad, monkeypatch, methods) -> list:

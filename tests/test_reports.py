@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from bergman_lab import SCHEMA
 from bergman_lab.reports import (
     CheckRecord,
     RunReport,
@@ -110,6 +111,18 @@ class TestPersistence:
         summary = load_summary(tmp_path / f"summary-{report.scenario_id}.json")
         assert summary["report_hash"] == report.report_hash
         assert [p.name for p in paths] == ["records.jsonl", "summary-demo.json"]
+
+    @pytest.mark.parametrize("content, match", [
+        (b'{"schema": "other"}', "schema 'other'"),
+        (b"[1]", "not a summary object"),
+        (b"\xff\x00 not json", "not a JSON summary"),
+        (json.dumps({"schema": SCHEMA}).encode(), "lacks scenario_id, config_hash"),
+    ], ids=["other-schema", "not-an-object", "not-json", "no-fields"])
+    def test_load_refuses_a_foreign_summary(self, tmp_path, content, match):
+        path = tmp_path / "summary-x.json"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=match):
+            load_summary(path)
 
     def test_records_append_across_runs(self, tmp_path):
         write_report(make_report(), tmp_path)
