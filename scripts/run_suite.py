@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Run every bundled scenario plus the acceptance battery.
+"""Run every bundled scenario.
 
 Usage:
-    python3 scripts/run_suite.py [--out reports/] [--skip-acceptance]
+    python3 scripts/run_suite.py [--out reports/] [--scenarios DIR]
 
 Each scenario gets its own subdirectory under --out so the per-scenario
 records files never mix configurations.  The process exit code is the
-worst one seen (2 dominates 3 dominates 0).
+worst one seen (2 dominates 3 dominates 0).  The acceptance criteria
+a1..a13 are pytest cases (``tests/test_acceptance.py``).
 """
 
 import argparse
@@ -23,7 +24,6 @@ def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default=None, help="directory for per-scenario reports")
     ap.add_argument("--scenarios", default=str(ROOT / "scenarios"), help="scenario directory")
-    ap.add_argument("--skip-acceptance", action="store_true")
     args = ap.parse_args(argv)
 
     codes = []
@@ -34,13 +34,6 @@ def run(argv=None) -> int:
             cmd += ["--out", str(Path(args.out) / path.stem)]
         codes.append(cli_main(cmd))
         print()
-
-    if not args.skip_acceptance:
-        print("=== acceptance battery ===")
-        cmd = ["suite"]
-        if args.out:
-            cmd += ["--out", str(Path(args.out) / "acceptance")]
-        codes.append(cli_main(cmd))
 
     worst = worst_exit_code(codes)
     print(f"\nsuite finished: {len(codes)} run(s), worst exit code {worst}")

@@ -3,16 +3,15 @@
 ``run`` reads one scenario file, runs the checks its ``checks`` line names
 in that order, prints one verdict line per check, and (optionally)
 persists a report; that line is the only way to choose checks, so a
-report's config hash always names the checks it holds.  ``suite`` runs the
-acceptance battery and ``report`` merges saved reports.
+report's config hash always names the checks it holds.  ``report`` merges
+saved reports.
 
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
 settle at the requested resolution, so no verdict was reached; the message
 names the knob, ``degree`` and ``quadrature`` for a kernel truncation gap).
 Every check reads exact base derivatives of its kernel quantities
-(``iterate`` included); only the acceptance suite's cross-check (a13)
-differences them, at its own fixed step.  A scenario that
+(``iterate`` included) and takes no finite-difference step.  A scenario that
 cannot be run (a parse error, an out-of-range field, a quadrature above
 the node cap) exits 2 before any check; a weight that turns out not to be
 real-valued fails each check that evaluates it, and a numerically
@@ -329,42 +328,6 @@ def _cmd_run(args) -> int:
     return report.exit_code if _write(report, args) else 2
 
 
-def _cmd_suite(args) -> int:
-    from . import acceptance
-
-    names = acceptance.criterion_names()
-    if args.criteria:
-        wanted = [c.strip().lower() for c in args.criteria.split(",") if c.strip()]
-        unknown = [c for c in wanted if c not in names]
-        if unknown:
-            print(f"unknown criteria: {', '.join(unknown)}", file=sys.stderr)
-            return 2
-        names = wanted
-    records = []
-    for name in names:
-        res = acceptance.run_criterion(name)
-        print(res.line())
-        records.append(
-            CheckRecord(
-                name=name,
-                verdict="pass" if res.passed else "fail",
-                margins={"worst": res.margin},
-                outputs={"detail": res.detail},
-                timing_s=res.elapsed_s,
-            )
-        )
-    report = RunReport(
-        scenario_id="acceptance-suite",
-        config_hash=config_hash({"suite": "acceptance", "criteria": list(names)}),
-        records=tuple(records),
-    )
-    if not _write(report, args):
-        return 2
-    failed = [r.name for r in records if r.verdict != "pass"]
-    print(f"suite: {len(records) - len(failed)}/{len(records)} criteria passed")
-    return 0 if not failed else 2
-
-
 def _cmd_report(args) -> int:
     out = Path(args.out)
     paths = sorted(out.glob("summary-*.json"))
@@ -398,12 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p.add_argument("--degree", type=int, default=None, help="override the basis degree cap")
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("suite", help="run the acceptance criteria battery")
-    p.add_argument("--criteria", default=None, help="comma-separated subset, e.g. a1,a4,a12")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.set_defaults(func=_cmd_suite)
 
     p = sub.add_parser("report", help="summarize and merge saved reports")
     p.add_argument("--out", required=True, help="directory holding summary-*.json files")

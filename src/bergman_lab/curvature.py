@@ -7,9 +7,9 @@ Grams of the differentiated weight), so the section, log, spectrum and
 determinant checks take no step (nor does the iteration, see
 ``iteration``).  :func:`fd_hessian` is the one Wirtinger stencil of the
 package: the complex Hessian of a real field, scalar or array-valued, at a
-:class:`Stencil` point.  Only the acceptance suite's independent
-cross-check of the exact Hessians (a13) calls it, at two steps under one
-Richardson gate (``acceptance.richardson_gap``).  Each check compares the
+:class:`Stencil` point.  No check calls it: the tests' independent
+cross-check of the exact Hessians does, at two steps under one Richardson
+gate, and the benchmark's tracer wraps it by name.  Each check compares the
 base trace of a Hessian against the lower bound supplied by a weight
 certificate and reports the margin with an explicit tolerance budget.  The
 determinant check reads the rank from the frame and factors its Gram at

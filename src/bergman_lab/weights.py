@@ -17,9 +17,8 @@ supported:
 The pointwise curvature algebra lives here too: the Schur complement of the
 fiber block, its base trace (the quantity whose lower bound certifies the
 trace condition) and the certificate search over sampling grids.  The Schur
-trace over stacked blocks (:func:`schur_trace_field`; one point is a stack
-of one) reads one kernel, :func:`fiber_contraction`, and so do the L2 step
-and the iteration: over stacked blocks it returns the
+traces of :func:`certify`, the L2 step and the iteration read one kernel,
+:func:`fiber_contraction`: over stacked blocks it returns the
 per-direction diagonal ``(tf ff^{-1} tf^H)_aa`` and the least fiber-block
 eigenvalue, in closed form over the point axis (``fiber_dim`` is at most 2).
 A 1 x 1 block ``ff`` is its own eigenvalue and gives ``|tf_a|^2 / ff``.  A
@@ -73,10 +72,8 @@ __all__ = [
     "joint_hessian",
     "fiber_contraction",
     "schur_from_contraction",
-    "schur_trace_field",
     "certify",
     "twist_weight",
-    "distortion_margin",
 ]
 
 REALITY_TOL = 1e-12
@@ -556,11 +553,6 @@ def schur_from_contraction(tt: np.ndarray, contraction: np.ndarray) -> np.ndarra
     return np.real(np.einsum("...ii->...", tt)) - contraction.sum(-1)
 
 
-def schur_trace_field(tt, tf, ff, where: str = "on the grid") -> np.ndarray:
-    """Vectorized Schur-complement base trace over stacked Hessian blocks."""
-    return schur_from_contraction(np.asarray(tt), fiber_contraction(tf, ff, where)[0])
-
-
 def certify(w: WeightFamily, grid: GridSpec) -> WeightCertificate:
     """Grid search for the trace-condition constant and companions.
 
@@ -631,17 +623,3 @@ def twist_weight(w: WeightFamily, C: float) -> WeightFamily:
         raise TypeError(f"cannot twist a {w.kind} weight; twist the weight it is built from")
     bumps = tuple(Call("*", (Num(complex(C)), Call("abs2", (Var(f"t{a + 1}"),)))) for a in range(w.n))
     return type(w)(w.n, w.d, Call("+", (w.expr,) + bumps), label=label)
-
-
-def distortion_margin(n: int, delta: float, eps0: float) -> float:
-    """Trace-constant attenuation under a metric of bounded distortion.
-
-    For a base metric within relative distance delta of the flat one on a
-    small ball, a verified constant eps0 propagates as
-    eps0 * (1 - delta)^(2n-2) / (1 + delta)^(2n).
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    return eps0 * (1.0 - delta) ** (2 * n - 2) / (1.0 + delta) ** (2 * n)

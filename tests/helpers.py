@@ -1,26 +1,30 @@
 """Helpers that only the tests use: a node-sum inner product, the section
 functional and its log as fields of t, the gradient tilt of a scalar field,
 the mixed trace constant, a CSV field dump, the Hormander fields of one
-direction, the FD Hessian spectrum, the base gradient of a log-kernel
-field from its inverse-Gram jets, a quadratic weight whose Hessian blocks
-are materialized copies, a weight evaluated one base point at a time, the
-Hessian blocks and Schur trace at one point, the mixed exterior-power ratio
-that cross-checks the Schur trace, and a rule's nodes as an ``(M, d)``
-point list."""
+direction and their finite-difference derivation, the Richardson gate of the
+acceptance cross-check, the FD Hessian spectrum, the base gradient of a
+log-kernel field from its inverse-Gram jets, a quadratic weight whose
+Hessian blocks are materialized copies, a weight evaluated one base point at
+a time, the Schur trace over stacked blocks and at one point, the
+distortion attenuation of a trace constant, the mixed exterior-power ratio
+that cross-checks the Schur trace, and a rule's nodes as an ``(M, d)`` point
+list."""
 
 import io
 import math
 
 import numpy as np
 
-from bergman_lab.bergman import section_value
-from bergman_lab.curvature import fd_hessian
-from bergman_lab.fiber_numerics import QuadratureRule, vandermonde
+from bergman_lab.bergman import SectionFamily, bergman_basis, section_value
+from bergman_lab.curvature import Stencil, fd_hessian
+from bergman_lab.fiber_numerics import QuadratureRule, monomial_synthesis, vandermonde
 from bergman_lab.hormander import build_hormander_data
 from bergman_lab.iteration import LogKernelField
 from bergman_lab.utils import as_complex_tuple
 from bergman_lab.weights import FiberDegenerateError, QuadraticWeight, WeightFamily, \
-    fiber_contraction, joint_hessian, schur_trace_field
+    fiber_contraction, joint_hessian, schur_from_contraction
+
+A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
 
 
 def node_list(quad: QuadratureRule) -> np.ndarray:
@@ -140,6 +144,42 @@ def lambda_field(w, fam, t0, alpha: int, N: int, quad: QuadratureRule,
     return data.lambdas[alpha]
 
 
+def fd_lambda_field(w, fam: SectionFamily, t0, alpha: int, N: int, quad, h: float) -> np.ndarray:
+    """Lambda_alpha on the nodes, the second derivation of the exact field:
+    ``sum_i conj(a_i(t0)) K_t(., s_i(t))`` rebuilt at ``t0 +- h``, ``t0 +- ih`` along
+    ``alpha``, its Wirtinger derivative ``d/dt = ((f(+h) - f(-h)) - i (f(+ih) -
+    f(-ih))) / (4h)`` (error O(h^2)), minus ``d_alpha phi`` times Gamma."""
+    t0 = as_complex_tuple(t0)
+    amps = fam.amplitudes_at(t0)
+
+    def combo(tau: complex) -> np.ndarray:
+        t = list(t0)
+        t[alpha] += tau
+        b = bergman_basis(w, tuple(t), N, quad)
+        rhs = np.conj(amps @ b.monomials_at(fam.sections_at(tuple(t))))
+        return monomial_synthesis(b.basis, b.transform @ (b.transform.conj().T @ rhs), quad)
+
+    fp, fm, fip, fim = (combo(tau) for tau in h * np.array([1, -1, 1j, -1j]))
+    dK = (fp - fm - 1j * (fip - fim)) / (4.0 * h)
+    return dK - w.node_jets(t0, quad)[1][alpha] * combo(0.0)
+
+
+def richardson_gap(route, exact, norm, budget: float, at_half: bool) -> float:
+    """The one Richardson gate of a13: ``route(h)`` at ``A13_STEP`` and
+    ``A13_STEP/2``.  Gives ``inf`` when ``norm`` of their difference exceeds
+    ``budget``, else ``norm`` of the value at the compared step (the half
+    step when ``at_half``) minus ``exact``."""
+    fd_h, fd_half = route(A13_STEP), route(A13_STEP / 2)
+    if norm(fd_h - fd_half) > budget:
+        return math.inf
+    return norm((fd_half if at_half else fd_h) - exact)
+
+
+def trace_route(field_fn, t0):
+    """h -> trace of the stencil Hessian of a scalar field at t0."""
+    return lambda h: float(np.real(np.trace(fd_hessian(field_fn, Stencil(t0, h)))))
+
+
 def psh_spectrum(field_fn, st) -> float:
     """Minimum eigenvalue of the FD complex Hessian of the field."""
     H = fd_hessian(field_fn, st)
@@ -165,9 +205,28 @@ def point_blocks(w: WeightFamily, t, xi) -> tuple:
     return tt[0], tf[0], ff[0]
 
 
+def schur_trace_field(tt, tf, ff, where: str = "on the grid") -> np.ndarray:
+    """Vectorized Schur-complement base trace over stacked Hessian blocks."""
+    return schur_from_contraction(np.asarray(tt), fiber_contraction(tf, ff, where)[0])
+
+
 def schur_at(tt, tf, ff) -> float:
     """Schur base trace of one Hessian, through the stacked path."""
     return float(schur_trace_field(*(np.asarray(b, dtype=complex)[None] for b in (tt, tf, ff)))[0])
+
+
+def distortion_margin(n: int, delta: float, eps0: float) -> float:
+    """Trace-constant attenuation under a metric of bounded distortion.
+
+    For a base metric within relative distance delta of the flat one on a
+    small ball, a verified constant eps0 propagates as
+    eps0 * (1 - delta)^(2n-2) / (1 + delta)^(2n).
+    """
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not 0.0 <= delta < 1.0:
+        raise ValueError(f"delta must lie in [0, 1), got {delta}")
+    return eps0 * (1.0 - delta) ** (2 * n - 2) / (1.0 + delta) ** (2 * n)
 
 
 class MaterializedQuadratic(QuadraticWeight):
@@ -263,7 +322,7 @@ def ma_ratio(tt, tf, ff) -> float:
     Computes (n/(d+1)) * [w^(d+1) ^ p^(n-1)] / [w^d ^ p^n] on top-degree
     coefficients, where w is the (1,1)-form with coefficient matrix
     ``[[tt, tf], [tf^H, ff]]`` (n = len(tt), d = len(ff)) and p the flat base
-    form.  Agrees with ``weights.schur_trace_field`` identically: an
+    form.  Agrees with :func:`schur_trace_field` identically: an
     independent oracle, since the two derivations share nothing.
     """
     tt, tf, ff = (np.asarray(b, dtype=complex) for b in (tt, tf, ff))

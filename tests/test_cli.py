@@ -451,8 +451,15 @@ def subcommands() -> set:
 
 
 class TestCommandSet:
-    def test_run_suite_and_report_are_the_only_commands(self):
-        assert subcommands() == {"run", "suite", "report"}
+    def test_run_and_report_are_the_only_commands(self):
+        assert subcommands() == {"run", "report"}
+
+    def test_suite_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["suite"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "suite" in err
 
     def test_run_records_are_the_checks_line_in_order(self, scn, tmp_path):
         out = tmp_path / "rep"
@@ -549,27 +556,6 @@ class TestPersistenceFlow:
     def test_report_command_empty_dir(self, tmp_path, capsys):
         assert main(["report", "--out", str(tmp_path)]) == 2
         assert "no summaries" in capsys.readouterr().err
-
-
-class TestSuiteCommand:
-    def test_subset_runs_and_prints_lines(self, capsys):
-        assert main(["suite", "--criteria", "a4,a5,a12"]) == 0
-        out = capsys.readouterr().out
-        assert "A4: PASS" in out
-        assert "A12: PASS" in out
-        assert "3/3 criteria passed" in out
-
-    def test_directory_of_other_criteria_is_refused(self, tmp_path, capsys):
-        out = tmp_path / "rep"
-        assert main(["suite", "--criteria", "a12", "--out", str(out)]) == 0
-        before = (out / "records.jsonl").read_text()
-        assert main(["suite", "--criteria", "a4", "--out", str(out)]) == 2
-        assert "refusing to append" in capsys.readouterr().err
-        assert (out / "records.jsonl").read_text() == before
-
-    def test_unknown_criterion_rejected(self, capsys):
-        assert main(["suite", "--criteria", "a77"]) == 2
-        assert "unknown criteria" in capsys.readouterr().err
 
 
 def test_report_hash_does_not_follow_blas_threads(tmp_path):

@@ -3,8 +3,11 @@ have one store.
 
 A name in a ``bergman_lab`` module's ``__all__`` must be read (as a name or
 an attribute, found by walking the syntax trees) somewhere in ``src/`` or
-``scripts/`` outside its own definition.  A helper that only the tests call
-belongs in ``tests/helpers.py``, not in the package.  Results computed on a
+``scripts/`` outside its own definition, or be a ``(module, function)``
+pair of ``perfbench/tracer.py``'s ``FUNCTIONS``, which the benchmark's
+tracer rebinds by name (read from its syntax tree; perfbench is not
+imported).  A helper that only the tests call belongs in
+``tests/helpers.py``, not in the package.  Results computed on a
 quadrature rule are stored through ``QuadratureRule.memoize`` alone, and
 arrays are frozen in ``fiber_numerics._freeze`` alone.
 """
@@ -44,12 +47,23 @@ def _reads(tree, skip_definition_of=None) -> set:
     return out
 
 
+def _traced(tree) -> set:
+    """The ``(module, function)`` pairs of the tracer's ``FUNCTIONS``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets):
+            return {(home, func) for home, func, _span in ast.literal_eval(node.value)}
+    return set()
+
+
 EXPORTS = [(path.stem, name) for path, tree in TREES.items() for name in _exported(tree)]
 READS = {path: _reads(tree) for path, tree in TREES.items()}
+TRACER = ROOT / "perfbench" / "tracer.py"
+TRACED = _traced(ast.parse(TRACER.read_text()))
 
 
 def test_exports_are_found():
     assert len(EXPORTS) > 50 and ("curvature", "fd_hessian") in EXPORTS
+    assert len(TRACED) > 15 and {("curvature", "fd_hessian"), ("bergman", "section_value")} <= TRACED
 
 
 @pytest.mark.parametrize("module, name", EXPORTS, ids=[f"{m}.{n}" for m, n in EXPORTS])
@@ -57,6 +71,8 @@ def test_exported_name_is_used_by_the_program(module, name):
     home = ROOT / "src" / "bergman_lab" / f"{module}.py"
     users = [path.relative_to(ROOT).as_posix() for path, reads in READS.items()
              if name in (_reads(TREES[path], name) if path == home else reads)]
+    if (module, name) in TRACED:
+        users.append(TRACER.relative_to(ROOT).as_posix())
     assert users, f"{module}.{name} is exported but nothing in src/ or scripts/ reads it"
 
 

@@ -22,7 +22,6 @@ from scipy.special import gammainc
 
 from bergman_lab import bergman, weights
 import bergman_lab.hormander as hormander_module
-from bergman_lab.acceptance import fd_lambda_field
 from bergman_lab.bergman import HoloPoly, SectionFamily, base_gram_jets, section_hessian, \
     section_value
 from bergman_lab.cli import DBAR_TOL, run_scenario_checks
@@ -40,7 +39,7 @@ from bergman_lab.hormander import (
     hormander_bound_check,
     orthogonality_residual,
 )
-from helpers import as_materialized, gamma_field, lambda_field, node_list
+from helpers import as_materialized, fd_lambda_field, gamma_field, lambda_field, node_list
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import FiberDegenerateError, PolynomialWeight, QuadraticWeight
 

@@ -31,8 +31,9 @@ from bergman_lab.iteration import (
 )
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, fiber_contraction, \
-    joint_hessian, schur_from_contraction, schur_trace_field, twist_weight
-from helpers import log_kernel_grad_base, mixed_bound, node_list, sample_field_csv
+    joint_hessian, schur_from_contraction, twist_weight
+from helpers import log_kernel_grad_base, mixed_bound, node_list, sample_field_csv, \
+    schur_trace_field
 
 
 @pytest.fixture(scope="module")

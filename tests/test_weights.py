@@ -21,7 +21,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import PerBasePoint, as_materialized, ma_ratio, node_list, point_blocks, schur_at
+from helpers import PerBasePoint, as_materialized, distortion_margin, ma_ratio, node_list, \
+    point_blocks, schur_at, schur_trace_field
 
 from bergman_lab import weights
 from bergman_lab.exprs import wirtinger
@@ -35,10 +36,8 @@ from bergman_lab.weights import (
     PolynomialWeight,
     QuadraticWeight,
     certify,
-    distortion_margin,
     fiber_contraction,
     joint_hessian,
-    schur_trace_field,
     twist_weight,
 )
 
