@@ -6,13 +6,15 @@ an attribute, found by walking the syntax trees) somewhere in ``src/`` or
 ``scripts/`` outside its own definition, or be a ``(module, function)``
 pair of ``perfbench/tracer.py``'s ``FUNCTIONS``, which the benchmark's
 tracer rebinds by name (read from its syntax tree; perfbench is not
-imported).  A helper that only the tests call belongs in
-``tests/helpers.py``, not in the package.  Results computed on a
-quadrature rule are stored through ``QuadratureRule.memoize`` alone, and
-arrays are frozen in ``fiber_numerics._freeze`` alone.
+imported).  Each such pair must name a function of the package.  A helper
+that only the tests call belongs in ``tests/helpers.py``, not in the
+package.  Results computed on a quadrature rule are stored through
+``QuadratureRule.memoize`` alone, and arrays are frozen in
+``fiber_numerics._freeze`` alone.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,14 @@ def test_exported_name_is_used_by_the_program(module, name):
     if (module, name) in TRACED:
         users.append(TRACER.relative_to(ROOT).as_posix())
     assert users, f"{module}.{name} is exported but nothing in src/ or scripts/ reads it"
+
+
+@pytest.mark.parametrize("module, name", sorted(TRACED), ids=[f"{m}.{n}" for m, n in sorted(TRACED)])
+def test_traced_function_is_in_the_package(module, name):
+    # the tracer looks each pair up with getattr and stops with AttributeError
+    # on a missing one, which would fail the traced benchmark run
+    assert callable(getattr(importlib.import_module(f"bergman_lab.{module}"), name, None)), \
+        f"perfbench/tracer.py wraps {module}.{name}, which bergman_lab does not define"
 
 
 def _sites(tree, match) -> list:
