@@ -66,13 +66,17 @@ Every result here goes through the one memo of the rule,
 N)``, whose value ``(basis, C, G, weight values)`` each
 :func:`bergman_basis` call wraps; all ``d_a G`` and ``d_a dbar_b G``,
 ``("gram_jets", t, N)`` (:func:`base_gram_jets`), which the section
-Hessian, the Hormander fields, the determinant Hessian and the log-kernel
-jets share; the section Hessian ``("section_hessian", sections, t, N)``;
-and the contraction ``("fiber_contraction", t)``
-(:func:`node_fiber_contraction`) that the L2 bound and the assembled chain
-read.  They read the weight's own memoized node fields (``weights``), so
-every check of a scenario reads each of them once per rule, and a repeated
-call returns the same read-only arrays, hence bitwise the same numbers.
+Hessian, the Hormander fields, the determinant Hessian and the first
+log-kernel jets of the iteration share; the section Hessian
+``("section_hessian", sections, t, N)``; and the contraction
+``("fiber_contraction", t)`` (:func:`node_fiber_contraction`) that the L2
+bound and the assembled chain read.  They read the weight's own memoized
+node fields (``weights``), so every check of a scenario reads each of them
+once per rule, and a repeated call returns the same read-only arrays, hence
+bitwise the same numbers.  The basis Gram and its factorization
+(``fiber_numerics.gram_matrix``, ``orthonormalize``) and the Gram jets
+(:func:`gram_jet_arrays`) are array functions under the memo, which the
+iteration's steps call on node jets of their own, storing nothing.
 """
 
 from __future__ import annotations
@@ -114,6 +118,7 @@ __all__ = [
     "section_value_pair",
     "section_hessian",
     "node_fiber_contraction",
+    "gram_jet_arrays",
     "base_gram_jets",
     "direct_image_gram",
 ]
@@ -368,42 +373,58 @@ def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarr
     return quad.memoize(w, ("fiber_contraction", t), compute)
 
 
+def gram_jet_arrays(basis: MonomialBasis, mu: list, dphi, tt, quad: QuadratureRule) -> tuple:
+    """``(dG, ddG)`` over ``basis``, shapes (n, dim, dim) and (n, n, dim, dim):
+    ``dG[a] = d_a G`` is the ring Gram of ``-d_a phi * mu`` and ``ddG[a, c] =
+    d_a dbar_c G`` that of ``(d_a phi dbar_c phi - tt_ac) * mu``, assembled
+    for ``a <= c``, with ``ddG[c, a] = ddG[a, c]^H``, from the node jets
+    ``dphi`` (n, nodes) and ``tt`` (nodes, n, n) and ``mu = exp(-phi) * w``,
+    handed over as the one item of the list ``mu``.  Each measure is formed
+    in one node-sized buffer, which its Gram consumes, the real (``a = c``)
+    ones first; ``mu`` is freed as the last is formed."""
+    n, dim = len(dphi), basis.dim
+
+    def measure(a, c):  # in one buffer, which its ring Gram consumes
+        if c is None:
+            m = np.negative(dphi[a])
+        elif c == a:  # real: its Gram takes the half spectrum
+            m = np.square(dphi[a].real)
+            m += np.square(dphi[a].imag)
+            m -= tt[:, a, a].real
+        else:
+            m = np.conj(dphi[c])
+            np.multiply(dphi[a], m, out=m)
+            m -= tt[:, a, c]
+        m *= mu.pop() if (a, c) == keys[-1] else mu[0]
+        return [m]  # handed over: no other reference outlives this call
+
+    keys = [(a, a) for a in range(n)] + [(a, c) for a in range(n) for c in range(a + 1, n)]
+    keys += [(a, None) for a in range(n)]  # the real measures first
+    dG = np.empty((n, dim, dim), dtype=complex)
+    ddG = np.empty((n, n, dim, dim), dtype=complex)
+    for a, c in keys:
+        G = ring_gram(basis, measure(a, c), quad, _consume=True)
+        if c is None:
+            dG[a] = G
+        else:
+            ddG[a, c] = G
+            if c != a:
+                ddG[c, a] = G.conj().T
+    return dG, ddG
+
+
 def base_gram_jets(w: WeightFamily, t, N: int, quad: QuadratureRule) -> tuple:
-    """Read-only ``(dG, ddG)`` at t over the degree-N monomials, shapes (n,
-    dim, dim) and (n, n, dim, dim): ``dG[a] = d_a G`` is the ring Gram of
-    ``-d_a phi * exp(-phi) * w`` and ``ddG[a, c] = d_a dbar_c G`` that of
-    ``(d_a phi dbar_c phi - d_a dbar_c phi) * exp(-phi) * w``, assembled for
-    ``a <= c``, with ``ddG[c, a] = ddG[a, c]^H``.  Each measure is formed in
-    one node-sized buffer, which its Gram consumes, the real (``a = c``) ones
-    first; ``exp(-phi) * w`` is freed as the last is formed.  One memo entry per
-    (weight, t, N), read by the section Hessian, the Hormander fields, the
-    determinant Hessian and the log-kernel jets."""
+    """Read-only ``(dG, ddG)`` of :func:`gram_jet_arrays` at t over the
+    degree-N monomials, from the weight's node jets and ``exp(-phi) * w``:
+    one memo entry per (weight, t, N), read by the section Hessian, the
+    Hormander fields, the determinant Hessian and the first potential of
+    the iteration."""
     t = as_complex_tuple(t)
 
     def compute():
-        basis, n = monomial_basis(N, quad.domain.dim), w.n
         mu = [w.weight_values(t, quad) * quad.weights]  # the last measure pops it
         _phi, dphi, tt = w.node_jets(t, quad)
-
-        def measure(a, c):  # in one buffer, which its ring Gram consumes
-            if c is None:
-                m = np.negative(dphi[a])
-            elif c == a:  # real: its Gram takes the half spectrum
-                m = np.square(dphi[a].real)
-                m += np.square(dphi[a].imag)
-                m -= tt[:, a, a].real
-            else:
-                m = np.conj(dphi[c])
-                np.multiply(dphi[a], m, out=m)
-                m -= tt[:, a, c]
-            m *= mu.pop() if (a, c) == keys[-1] else mu[0]
-            return [m]  # handed over: no other reference outlives this call
-
-        keys = [(a, a) for a in range(n)] + [(a, c) for a in range(n) for c in range(a + 1, n)]
-        keys += [(a, None) for a in range(n)]  # the real measures first
-        G = {k: ring_gram(basis, measure(*k), quad, _consume=True) for k in keys}
-        ddG = [[G[a, c] if a <= c else G[c, a].conj().T for c in range(n)] for a in range(n)]
-        return np.array([G[a, None] for a in range(n)]), np.array(ddG)
+        return gram_jet_arrays(monomial_basis(N, quad.domain.dim), mu, dphi, tt, quad)
 
     return quad.memoize(w, ("gram_jets", t, N), compute)
 

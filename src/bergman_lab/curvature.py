@@ -82,10 +82,11 @@ def truncation_gate_at(b, points, rows=None) -> float:
     ``points`` (M, d), from one frame evaluation
     (``BergmanBasis.diag_convergence_gap``, from their monomial ``rows``
     where given); the message names that point and ``b.t``.  Returns the
-    worst gap."""
+    worst gap; the message is formatted only when the gate fails."""
     gaps = b.diag_convergence_gap(points, rows)
     k = int(np.argmax(gaps))
-    truncation_gate(gaps[k], b.N, f"at fiber point {points[k].tolist()} over t={b.t}")
+    if not gaps[k] <= CONVERGENCE_TOL:  # NaN fails too
+        truncation_gate(gaps[k], b.N, f"at fiber point {points[k].tolist()} over t={b.t}")
     return float(gaps[k])
 
 

@@ -102,8 +102,8 @@ A rule holds at most :data:`MAX_NODES` nodes, and :meth:`QuadratureRule.memoize`
 is the one store of results computed on it: read-only, one per ``(owner,
 key)``, owners held weakly.  A :class:`MonomialBasis` owns its ring tables,
 ``("ring", real)``, and the iteration's sample frames; a weight what
-``weights``, ``bergman`` and ``iteration`` compute for it, keyed by base
-point (and degree); the rule its radial derivative matrices.  :func:`build_quadrature`
+``weights`` and ``bergman`` compute for it, keyed by base point (and
+degree); the rule its radial derivative matrices.  :func:`build_quadrature`
 returns one shared, read-only rule per ``(domain, n_radial, n_angular)`` for
 the process, as :func:`monomial_basis` one basis per degree, so ring tables
 are built once per process, not per scenario.  It keeps the last 8 rules; one
@@ -292,10 +292,13 @@ class QuadratureRule:
         return self.weights.shape[0]
 
     def memo(self, owner) -> dict:
-        """This rule's store of results computed for ``owner``: a weight; a
-        :class:`MonomialBasis` for its ring tables and the iteration's sample
-        frames (``iteration``); or the rule itself, for its radial
-        derivative matrices (``hormander``).
+        """This rule's store of results computed for ``owner``: a weight, for
+        its node fields (``weights``) and its bases, Gram derivatives, section
+        Hessians and node contractions (``bergman``); a :class:`MonomialBasis`,
+        for its ring tables and the iteration's sample frames (``iteration``);
+        or the rule itself, for its radial derivative matrices
+        (``hormander``).  The iteration's steps store nothing: their
+        potentials and mixed weights are arrays, not owners.
 
         Stores are held weakly by owner, so an entry is freed as soon as its
         owner goes, or the rule, which :func:`build_quadrature` keeps past
@@ -320,11 +323,6 @@ class QuadratureRule:
         if out is None:
             out = store[key] = _freeze(compute())
         return out
-
-    def release(self, owner) -> None:
-        """Drop this rule's store for ``owner`` while the owner lives on
-        (a chain of iterated weights keeps every link alive)."""
-        self._memo.pop(owner, None)
 
     def ring_tables(self, basis: MonomialBasis, real: bool = False) -> RingTables:
         """Index and radial-power tables of the ring transforms over ``basis``

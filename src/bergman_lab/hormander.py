@@ -80,15 +80,11 @@ class HormanderData:
     basis: BergmanBasis
     gamma: np.ndarray = field(repr=False)
     lambdas: tuple = field(default=(), repr=False)  # one node array per base direction
+    node_measure: np.ndarray = field(default=None, repr=False)  # e^{-phi} times quadrature weights
 
     @property
     def quad(self) -> QuadratureRule:
         return self.basis.quad
-
-    @property
-    def node_measure(self) -> np.ndarray:
-        """e^{-phi} times quadrature weights."""
-        return self.basis.weight_vals * self.quad.weights
 
 
 def _derivative_coefficients(w, b0, p, alpha):
@@ -121,7 +117,7 @@ def build_hormander_data(
     if include_weight_term:
         dphi = w.node_jets(t0, quad)[1]
         lambdas = [dK - dphi[a] * gamma for a, dK in enumerate(lambdas)]
-    return HormanderData(t0, w, fam, b0, gamma, tuple(lambdas))
+    return HormanderData(t0, w, fam, b0, gamma, tuple(lambdas), b0.weight_vals * quad.weights)
 
 
 def _weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:

@@ -68,6 +68,7 @@ __all__ = [
     "BasePatch",
     "GridSpec",
     "WeightCertificate",
+    "exp_weight",
     "node_hessian",
     "joint_hessian",
     "fiber_contraction",
@@ -233,23 +234,26 @@ class WeightFamily:
         memoized per base point on the rule like it.
 
         An ``exp(-phi)`` that underflows to 0 is a weight value; one that
-        overflows is not, and raises ``ArithmeticError`` naming ``t``.
+        overflows is not (:func:`exp_weight`).
         """
         t = as_complex_tuple(t)
-
-        def compute():
-            with np.errstate(over="ignore"):
-                wv = np.exp(-self.node_phi(t, quad))
-            top = wv.max()
-            if not top < math.inf:  # NaN fails too
-                raise ArithmeticError(f"weight exp(-phi) is not finite on the quadrature "
-                                      f"nodes at t = {t}: its largest value is {top}")
-            return wv
-
-        return quad.memoize(self, ("weight_values", t), compute)
+        return quad.memoize(self, ("weight_values", t), lambda: exp_weight(self.node_phi(t, quad), t))
 
     def describe(self) -> str:
         return f"{self.kind} weight, n={self.n}, d={self.d}"
+
+
+def exp_weight(phi: np.ndarray, t: tuple) -> np.ndarray:
+    """``exp(-phi)`` of node values ``phi`` at the base point ``t``.  A value
+    that underflows to 0 is a weight value; one that overflows, or a NaN,
+    is not, and raises ``ArithmeticError`` naming ``t``."""
+    with np.errstate(over="ignore"):
+        wv = np.exp(-phi)
+    top = wv.max()
+    if not top < math.inf:  # NaN fails too
+        raise ArithmeticError(f"weight exp(-phi) is not finite on the quadrature "
+                              f"nodes at t = {t}: its largest value is {top}")
+    return wv
 
 
 class QuadraticWeight(WeightFamily):

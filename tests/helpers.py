@@ -2,7 +2,9 @@
 functional and its log as fields of t, the gradient tilt of a scalar field,
 the mixed trace constant, a CSV field dump, the Hormander fields of one
 direction and their finite-difference derivation, the Richardson gate of the
-acceptance cross-check, the FD Hessian spectrum, the base gradient of a
+acceptance cross-check, the FD Hessian spectrum, the iterated weights as
+evaluators at any point (log-kernel fields and their mixes) with the
+iteration's ledger built through them, the base gradient of a
 log-kernel field from its inverse-Gram jets, a quadratic weight whose
 Hessian blocks are materialized copies, a weight evaluated one base point at
 a time, the Schur trace over stacked blocks and at one point, the
@@ -15,14 +17,16 @@ import math
 
 import numpy as np
 
-from bergman_lab.bergman import SectionFamily, bergman_basis, section_value
-from bergman_lab.curvature import Stencil, fd_hessian
-from bergman_lab.fiber_numerics import QuadratureRule, monomial_synthesis, vandermonde
+from bergman_lab.bergman import SectionFamily, base_gram_jets, bergman_basis, section_value
+from bergman_lab.curvature import Stencil, fd_hessian, truncation_gate_at
+from bergman_lab.fiber_numerics import QuadratureRule, monomial_basis, monomial_gradient, \
+    monomial_synthesis, vandermonde
 from bergman_lab.hormander import build_hormander_data
-from bergman_lab.iteration import LogKernelField
+from bergman_lab.iteration import IterationLedger, StepRecord, _measure, \
+    _positive, _sample_frames, inverse_gram_jets, potential_node_jets, potential_point_jets
 from bergman_lab.utils import as_complex_tuple
-from bergman_lab.weights import FiberDegenerateError, QuadraticWeight, WeightFamily, \
-    fiber_contraction, joint_hessian, schur_from_contraction
+from bergman_lab.weights import PSH_TOL, FiberDegenerateError, QuadraticWeight, WeightFamily, \
+    _as_points, fiber_contraction, joint_hessian, schur_from_contraction, twist_weight
 
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
 
@@ -184,6 +188,177 @@ def psh_spectrum(field_fn, st) -> float:
     """Minimum eigenvalue of the FD complex Hessian of the field."""
     H = fd_hessian(field_fn, st)
     return float(np.linalg.eigvalsh(H)[0])
+
+
+class GridMismatchError(ValueError):
+    """Weights to be mixed live on incompatible bases or fibers."""
+
+
+def _one_base_point(t: tuple) -> tuple:
+    """Base input normalized by ``weights._as_points``, refused when it is
+    one base point per fiber point: iterated weights memoize per base point."""
+    if np.ndim(t[0]):
+        raise ValueError("iterated weights take one base point at a time; got base "
+                         f"input of shape {(np.size(t[0]), len(t))}")
+    return t
+
+
+def _point_list(xs: tuple) -> np.ndarray:
+    """Per-coordinate fiber input (``weights._as_points``) as an ``(M, d)``
+    list of points, which the monomial frames are evaluated at."""
+    return np.stack(np.broadcast_arrays(*xs), axis=-1).reshape(-1, len(xs))
+
+
+class LogKernelField(WeightFamily):
+    """log K_t(xi, xi) for the kernel of an inner weight, with exact base and
+    fiber derivatives at any base point: the iteration's potential as a
+    weight object, memoized on the rule, built on the same functions as
+    ``iteration.run_iteration`` (``inverse_gram_jets``,
+    ``potential_node_jets``, ``potential_point_jets``).
+
+    Each basis read from the memo of ``quad`` is gated on kernel truncation
+    convergence at the fiber samples the iteration measures at and at the
+    middle ring of each coordinate, from the frames kept on the rule
+    (``iteration._sample_frames``).  The field owns its memo entries
+    ``("gram_jets", t)`` (:meth:`gram_jets`) and ``("node_jets", t)``.
+    """
+
+    kind = "bergman-potential"
+
+    def __init__(self, inner: WeightFamily, N: int, quad, label: str = ""):
+        super().__init__(inner.n, inner.d, label or f"logK[{inner.label}]")
+        if quad.domain.dim != inner.d:
+            raise GridMismatchError(
+                f"weight has fiber_dim {inner.d} but quadrature is {quad.domain.dim}-dimensional"
+            )
+        self.inner = inner
+        self.N = int(N)
+        self.quad = quad
+        self.basis = monomial_basis(self.N, inner.d)
+        self._max_gap = 0.0
+        self._frames = _sample_frames(self.basis, quad)
+
+    @property
+    def max_convergence_gap(self) -> float:
+        """Worst truncation gap seen across all basis builds so far."""
+        return self._max_gap
+
+    def _basis_at(self, t: tuple):
+        b = bergman_basis(self.inner, t, self.N, self.quad)
+        points, rows, _grads = self._frames
+        self._max_gap = max(self._max_gap, truncation_gate_at(b, points, rows))
+        return b
+
+    def gram_jets(self, t) -> tuple:
+        """``(P, dP, ddP)`` at t (``iteration.inverse_gram_jets``) of the
+        inner weight's basis and Gram jets, memoized on the rule."""
+        t = as_complex_tuple(t)
+        return self.quad.memoize(self, ("gram_jets", t), lambda: inverse_gram_jets(
+            self._basis_at(t).transform, *base_gram_jets(self.inner, t, self.N, self.quad)))
+
+    def _node_jets(self, t, quad) -> tuple:
+        return potential_node_jets(self.basis, self.gram_jets(t), quad)
+
+    def node_phi(self, t, quad) -> np.ndarray:
+        return self.node_jets(t, quad)[0]  # phi comes with its derivatives, no node Vandermonde
+
+    def _point_jets(self, t, M, dM) -> tuple:
+        return potential_point_jets(self.gram_jets(t), M, dM)
+
+    def _value_raw(self, t, xs):
+        b = self._basis_at(_one_base_point(t))
+        return np.log(_positive(np.sum(np.abs(b.orthonormal_at(_point_list(xs))) ** 2, axis=-1)))
+
+    def hessian_field(self, t, xi):
+        t, xs, _shape, _ = _as_points(t, xi, self.n, self.d)
+        pts = _point_list(xs)
+        return self._point_jets(_one_base_point(t), vandermonde(self.basis, pts),
+                                monomial_gradient(self.basis, pts))
+
+
+class MixedWeight(WeightFamily):
+    """Pointwise affine combination  sum_i coef_i * field_i(t, xi), read
+    through its node jets: the same combination of the parts' jets."""
+
+    kind = "mixed"
+
+    def __init__(self, parts, label: str = ""):
+        parts = tuple((float(c), f) for c, f in parts)
+        if not parts:
+            raise ValueError("mixed weight needs at least one part")
+        n, d = parts[0][1].n, parts[0][1].d
+        for _c, f in parts[1:]:
+            if (f.n, f.d) != (n, d):
+                raise GridMismatchError(
+                    f"cannot mix weights of dims ({f.n},{f.d}) and ({n},{d})"
+                )
+        quads = [f.quad for _c, f in parts if getattr(f, "quad", None) is not None]
+        for q in quads[1:]:
+            if q.shape != quads[0].shape or q.domain != quads[0].domain:
+                raise GridMismatchError("mixed weights sampled on different quadrature grids")
+        super().__init__(n, d, label or "mixed")
+        self.parts = parts
+        self.quad = quads[0] if quads else None
+
+    def _node_jets(self, t, quad) -> tuple:
+        """``sum_i coef_i * node_jets(part_i)``, term by term, accumulated in
+        place on the first part's terms."""
+        (c0, f0), *rest = self.parts
+        out = [c0 * np.asarray(x) for x in f0.node_jets(t, quad)]
+        for c, f in rest:
+            for i, x in enumerate(f.node_jets(t, quad)):
+                out[i] += c * np.asarray(x)
+        return tuple(out)
+
+    node_phi = LogKernelField.node_phi  # phi from the jets, as for the potentials
+
+
+def mix_weights(phi_B: WeightFamily, phi_L: WeightFamily, m: int) -> MixedWeight:
+    """(1 - 1/m) phi_B + (1/m) phi_L, the one-step weight mix."""
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"mixing order m must be an integer >= 2, got {m}")
+    return MixedWeight(
+        ((1.0 - 1.0 / m, phi_B), (1.0 / m, phi_L)),
+        label=f"mix(m={m}; {phi_B.label}, {phi_L.label})",
+    )
+
+
+def oracle_iteration(phi_L: WeightFamily, m: int, K: int, cfg, eps0: float, t0,
+                     twist: float = 0.0) -> IterationLedger:
+    """The ledger of ``iteration.run_iteration``, built through the chain of
+    weight objects: psi_0 = ``LogKernelField(phi_L)``, then per step the
+    mixed weight of the previous potential and phi_L and its log-kernel
+    field, each memoized on the rule, measured at the fiber samples from
+    the field's own jets.  ``convergence_gap`` is the worst gate gap over
+    every field of the chain.  Its arguments are taken as valid."""
+    eps0, t0 = float(eps0), as_complex_tuple(t0)
+    if twist > 0:
+        phi_L = twist_weight(phi_L, twist)
+    q = 1.0 - 1.0 / m
+    steps, aborted, failure = [], False, ""
+    fields = [LogKernelField(phi_L, cfg.N, cfg.quad)]
+    for k in range(1, K + 1):
+        psi = LogKernelField(mix_weights(fields[-1], phi_L, m), cfg.N, cfg.quad)
+        fields.append(psi)
+        b_k, weight_id, delta = (1.0 - q**k) * eps0, f"logK(step {k}, m={m})", twist * q**k
+        _points, M, dM = psi._frames
+        jets = psi.gram_jets(t0)
+        try:
+            measured, psh_min, ff_min = _measure(jets, M[: len(dM)], dM, t0)
+        except FiberDegenerateError as exc:
+            steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=delta))
+            aborted, failure = True, f"step {k}: {exc}"
+            break
+        steps.append(StepRecord(k, weight_id, b_k, measured, psh_min, ff_min, delta))
+        if psh_min < -PSH_TOL * max(1.0, abs(measured)):
+            aborted, failure = True, (
+                f"step {k}: potential failed certification "
+                f"(min joint eigenvalue {psh_min:.3e}, min fiber eigenvalue {ff_min:.3e})"
+            )
+            break
+    return IterationLedger(m=int(m), eps0=eps0, steps=tuple(steps), base_dim=phi_L.n,
+                           aborted=aborted, failure=failure,
+                           diagnostics={"convergence_gap": max(f.max_convergence_gap for f in fields)})
 
 
 def log_kernel_grad_base(fld: LogKernelField, t, pts) -> np.ndarray:

@@ -33,8 +33,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from helpers import A13_STEP, distortion_margin, fd_lambda_field, richardson_gap, \
-    schur_trace_field, trace_route
+from helpers import A13_STEP, LogKernelField, distortion_margin, fd_lambda_field, mix_weights, \
+    richardson_gap, schur_trace_field, trace_route
 
 from bergman_lab.bergman import HoloPoly, SectionFamily, bergman_basis, direct_image_gram, \
     extremal_check, reproducing_residual, section_hessian, section_value
@@ -43,7 +43,7 @@ from bergman_lab.curvature import CheckConfig, Stencil, check_det_inequality, ch
 from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
 from bergman_lab.hormander import assembled_lower_bound, build_hormander_data, \
     dbar_identity_residual, hormander_bound_check, orthogonality_residual
-from bergman_lab.iteration import LogKernelField, _fiber_samples, mix_weights, run_iteration
+from bergman_lab.iteration import _fiber_samples, run_iteration
 from bergman_lab.utils import as_complex_tuple
 from bergman_lab.weights import CustomWeight, PolynomialWeight, QuadraticWeight, joint_hessian, \
     twist_weight

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from bergman_lab import bergman as bergman_module
-from bergman_lab.bergman import HoloPoly, SectionFamily, direct_image_gram, section_hessian
+from bergman_lab.bergman import HoloPoly, SectionFamily, bergman_basis, direct_image_gram, \
+    section_hessian
 from bergman_lab.curvature import (
     CheckConfig,
     Stencil,
@@ -30,6 +31,7 @@ from bergman_lab.curvature import (
     check_section_inequality,
     fd_hessian,
     truncation_gate,
+    truncation_gate_at,
 )
 from bergman_lab.fiber_numerics import DegenerateBasisError, FiberDomain, build_quadrature
 from bergman_lab.weights import CustomWeight, PolynomialWeight, QuadraticWeight
@@ -227,6 +229,29 @@ class TestUnconvergedMessages:
         assert "kernel truncation not converged at t0" in msg
         assert "from degree 14 to 16" in msg
         assert "raise degree" in msg and "quadrature" in msg
+
+    def test_failing_gate_at_points_names_the_worst_point_and_t(self, quad):
+        b = bergman_basis(QuadraticWeight(1, 1, np.zeros((2, 2)), label="flat"), (0.25j,), 6, quad)
+        pts = np.array([[0.1 + 0j], [0.9 + 0j], [0.5 + 0j]])
+        gaps = b.diag_convergence_gap(pts)
+        assert gaps.argmax() == 1 and gaps[1] > 1e-6
+        with pytest.raises(UnconvergedBasisError) as exc:
+            truncation_gate_at(b, pts)
+        assert "kernel truncation not converged at fiber point [(0.9+0j)] over t=(0.25j,)" \
+            in str(exc.value)
+
+    def test_passing_gate_formats_no_message(self, quad):
+        class Unprintable(np.ndarray):
+            def tolist(self):
+                raise AssertionError("a passing gate formats its message")
+
+        b = bergman_basis(QuadraticWeight.separable(1.0), (0.1,), 16, quad)
+        pts = np.array([[0j], [0.3 + 0j]]).view(Unprintable)
+        gap = truncation_gate_at(b, pts, b.monomials_at(np.asarray(pts)))
+        assert 0.0 <= gap <= 1e-6
+        with pytest.raises(AssertionError, match="formats its message"):
+            truncation_gate_at(bergman_basis(QuadraticWeight(1, 1, np.zeros((2, 2))), (0j,), 6, quad),
+                               pts, None)
 
 
 class TestLogInequality:

@@ -1,5 +1,9 @@
 """Weight mixing, Bergman potentials, and the recursion ledger.
 
+The log-kernel fields and mixed weights (``tests/helpers.py``) evaluate the
+iterated potentials at any point; ``run_iteration`` steps the same jets as
+arrays at t0, and its ledger is checked against the one built through them.
+
 Separable weights are the transparent oracle: phi = c|t|^2 + |xi|^2 has
 kernel e^{c|t|^2} K_0(xi, xi), so the log-kernel field carries base
 curvature exactly c at every step, the mixed weights stay separable, and
@@ -15,25 +19,23 @@ import bergman_lab.bergman as bergman_module
 import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
 import bergman_lab.iteration as iteration_module
+import helpers
 from bergman_lab.cli import run_scenario_checks
 from bergman_lab.curvature import CheckConfig, Stencil, UnconvergedBasisError, fd_hessian
-from bergman_lab.fiber_numerics import FiberDomain, build_quadrature
+from bergman_lab.fiber_numerics import FiberDomain, QuadratureRule, build_quadrature
 from bergman_lab.iteration import (
-    GridMismatchError,
     IterationLedger,
-    LogKernelField,
     StepRecord,
     _fiber_samples,
     _measure,
     _sample_frames,
-    mix_weights,
     run_iteration,
 )
 from bergman_lab.scenario import parse_scenario
-from bergman_lab.weights import BasePatch, GridSpec, QuadraticWeight, certify, fiber_contraction, \
-    joint_hessian, schur_from_contraction, twist_weight
-from helpers import log_kernel_grad_base, mixed_bound, node_list, sample_field_csv, \
-    schur_trace_field
+from bergman_lab.weights import BasePatch, CustomWeight, GridSpec, QuadraticWeight, certify, \
+    fiber_contraction, joint_hessian, schur_from_contraction, twist_weight
+from helpers import GridMismatchError, LogKernelField, log_kernel_grad_base, mix_weights, \
+    mixed_bound, node_list, oracle_iteration, sample_field_csv, schur_trace_field
 
 
 @pytest.fixture(scope="module")
@@ -355,7 +357,7 @@ class TestFiberSamples:
         # frames at the fiber samples give, through the public Hessian route
         q, N = (quad, 16) if d == 1 else (build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24), 10)
         if d == 2:  # the bidisc's middle ring needs a degree near 20 to pass the gate, not tested here
-            monkeypatch.setattr(iteration_module, "truncation_gate_at", lambda *a: 0.0)
+            monkeypatch.setattr(helpers, "truncation_gate_at", lambda *a: 0.0)
         phi = QuadraticWeight.cross_term(0.5, n, d)
         phi = twist_weight(phi, twist) if twist else phi
         psi = LogKernelField(mix_weights(LogKernelField(phi, N, q), phi, 2), N, q)
@@ -366,7 +368,7 @@ class TestFiberSamples:
         contraction, ff_min = fiber_contraction(tf, ff, "at the samples")
         expected = (float(schur_from_contraction(tt, contraction).min()),
                     float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min()), ff_min)
-        assert _measure(psi, t0) == expected
+        assert _measure(psi.gram_jets(t0), M[:2], dM, t0) == expected
 
     def test_frames_are_kept_once_per_basis_and_rule(self, quad):
         basis = fiber_numerics.monomial_basis(16)
@@ -377,6 +379,60 @@ class TestFiberSamples:
         assert np.array_equal(M, fiber_numerics.vandermonde(basis, points))
         assert np.array_equal(dM, fiber_numerics.monomial_gradient(basis, points[:2]))
         assert not any(a.flags.writeable for a in frames)
+
+
+class TestLoopMatchesOracle:
+    """``run_iteration`` steps arrays; its ledger equals, with ``==``, the
+    ledger built through the chain of weight objects (``helpers.oracle_iteration``)."""
+
+    @pytest.mark.parametrize("n, m, K, twist", [(1, 2, 3, 0.0), (2, 3, 2, 0.0), (1, 2, 3, 0.4)],
+                             ids=["n1", "n2", "twist"])
+    def test_cross_term_on_the_disk(self, cfg, n, m, K, twist):
+        args = (QuadraticWeight.cross_term(0.5, n, 1), m, K, cfg, 0.75, (0.05 - 0.02j,) * n)
+        led = run_iteration(*args, twist=twist)
+        assert led == oracle_iteration(*args, twist=twist)
+        assert len(led.steps) == K and led.satisfies() and led.diagnostics["convergence_gap"] > 0
+
+    def test_custom_weight_off_centre(self, cfg):
+        phi = CustomWeight.from_text(1, 1, "(+ (* (abs2 t1) (abs2 t1)) (abs2 z1))")
+        args = (phi, 2, 3, cfg, 0.16, (0.3,))
+        led = run_iteration(*args)
+        assert led == oracle_iteration(*args) and len(led.steps) == 3
+
+    def test_annulus_fiber(self):
+        sc = parse_scenario(ANNULUS_ITERATE)
+        args = (sc.weight, 2, 2, CheckConfig(sc.N, sc.build_quad()), 0.75, sc.t0)
+        led = run_iteration(*args)
+        assert led == oracle_iteration(*args) and len(led.steps) == 2
+
+    def test_aborted_on_failed_certification(self, cfg):
+        args = (QuadraticWeight(1, 1, np.diag([-0.5, 1.0]), label="concave"), 2, 4, cfg, 0.5, (0j,))
+        led = run_iteration(*args)
+        assert led == oracle_iteration(*args)
+        assert led.aborted and "certification" in led.failure and len(led.steps) == 1
+
+    def test_aborted_on_a_degenerate_fiber_block(self, quad):
+        # at degree 0 the kernel is constant in xi, so the fiber block vanishes
+        args = (QuadraticWeight.separable(1.0), 2, 3, CheckConfig(N=0, quad=quad), 1.0, (0j,))
+        led = run_iteration(*args)
+        assert led == oracle_iteration(*args)
+        assert led.aborted and "fiber block not positive definite" in led.failure
+        assert len(led.steps) == 1 and math.isnan(led.steps[0].measured_trace)
+
+    def test_both_refuse_an_unconverged_bidisc_basis_alike(self):
+        # degree 10 does not settle the kernel at the bidisc's middle ring
+        q = build_quadrature(FiberDomain.polydisc(1.0, 1.0), 12, 24)
+        args = (QuadraticWeight.cross_term(0.5, 1, 2), 2, 2, CheckConfig(N=10, quad=q), 0.75, (0j,))
+        with pytest.raises(UnconvergedBasisError) as loop:
+            run_iteration(*args)
+        with pytest.raises(UnconvergedBasisError) as oracle:
+            oracle_iteration(*args)
+        assert str(loop.value) == str(oracle.value)
+        assert "at fiber point [(0.5+0j), (0.5+0j)] over t=(0j,)" in str(loop.value)
+
+    def test_a_weight_on_another_fiber_is_refused(self, cfg):
+        with pytest.raises(ValueError, match="fiber_dim 2 but quadrature is 1-dimensional"):
+            run_iteration(QuadraticWeight.cross_term(0.5, 1, 2), 2, 0, cfg, 0.75, (0j,))
 
 
 class TestIterationCost:
@@ -392,7 +448,8 @@ class TestIterationCost:
         def no_stencil(*args, **kwargs):
             raise AssertionError("the iteration differences nothing")
 
-        monkeypatch.setattr(bergman_module, "gram_matrix", counted)
+        monkeypatch.setattr(bergman_module, "gram_matrix", counted)  # psi_0's basis
+        monkeypatch.setattr(iteration_module, "gram_matrix", counted)  # the steps'
         monkeypatch.setattr(curvature_module, "fd_hessian", no_stencil)
         K = 3
         for t0 in [(0.0,), (0.1 - 0.05j,)][:n_t]:  # one run per base point
@@ -403,39 +460,53 @@ class TestIterationCost:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_per_step_budget(self, monkeypatch, n):
-        # each base point of a step costs one basis Gram, n Grams d_aG and
-        # n(n+1)/2 Grams d_a dbar_bG (one memo entry) and one ring synthesis
-        # (the previous potential's node jets); the monomial frames at the
-        # two fiber samples the steps are measured at and at the gate's middle
-        # ring are evaluated once per basis and rule, however many steps run
+        # each step costs one ring synthesis (the previous potential's node
+        # jets), one basis Gram and its Cholesky factorization, n Grams d_aG
+        # and n(n+1)/2 Grams d_a dbar_bG, and psi_0 phi_L's basis and Gram
+        # jets; the monomial frames at the two fiber samples and the gate's
+        # middle ring are evaluated once per basis and rule, and the steps
+        # store nothing on the rule
         def spy(module, name, log):
             real = getattr(module, name)
             monkeypatch.setattr(module, name, lambda *a, **k: log.append(a) or real(*a, **k))
 
         def counts(K):
-            calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "frame rows": [],
-                     "frame gradients": [], "monomials_at": []}
+            calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "Cholesky": [],
+                     "frame rows": [], "frame gradients": [], "monomials_at": []}
             spy(fiber_numerics, "ring_gram", calls["basis Gram"])  # gram_matrix's
-            spy(bergman_module, "ring_gram", calls["derivative Gram"])  # base_gram_jets'
+            spy(bergman_module, "orthonormalize", calls["Cholesky"])  # psi_0's
+            spy(iteration_module, "orthonormalize", calls["Cholesky"])  # the steps'
+            spy(bergman_module, "ring_gram", calls["derivative Gram"])  # gram_jet_arrays'
             spy(iteration_module, "ring_synthesis", calls["synthesis"])
             spy(iteration_module, "vandermonde", calls["frame rows"])
             spy(iteration_module, "monomial_gradient", calls["frame gradients"])
             spy(bergman_module, "vandermonde", calls["monomials_at"])
-            # a rule of its own, so no earlier run has kept frames on it
+            # a rule of its own, so no earlier run has kept anything on it
             quad = fiber_numerics._quadrature.__wrapped__(FiberDomain.disk(1.0), 48, 96)
-            led = run_iteration(QuadraticWeight.cross_term(0.5, n, 1), 2, K,
-                                CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,) * n)
+            phi = QuadraticWeight.cross_term(0.5, n, 1)
+            led = run_iteration(phi, 2, K, CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,) * n)
             assert len(led.steps) == K
             monkeypatch.undo()
             assert [len(pts) for _basis, pts in calls["frame rows"]] == [3]
             assert [len(pts) for _basis, pts in calls["frame gradients"]] == [2]
-            return {k: len(v) for k, v in calls.items()}
+            stores = {type(owner).__name__: sorted(map(str, quad.memo(owner)))
+                      for owner in list(quad._memo.keys())}
+            assert set(stores) == {"QuadraticWeight", "MonomialBasis"}  # phi_L and the basis
+            return {k: len(v) for k, v in calls.items()}, stores
 
         for K in (3, 6):
             steps = K + 1  # phi_L's potential, then one potential per step
-            assert counts(K) == {"basis Gram": steps, "synthesis": K,
-                                 "derivative Gram": steps * (n + n * (n + 1) // 2),
-                                 "frame rows": 1, "frame gradients": 1, "monomials_at": 0}
+            budget, stores = counts(K)
+            assert budget == {"basis Gram": steps, "synthesis": K, "Cholesky": steps,
+                              "derivative Gram": steps * (n + n * (n + 1) // 2),
+                              "frame rows": 1, "frame gradients": 1, "monomials_at": 0}
+            if K == 3:
+                first = stores
+        assert stores == first  # the rule's memo does not grow with K
+
+    def test_no_release_is_left(self):
+        # the steps write no memo entry, so nothing is dropped from the rule
+        assert not hasattr(QuadratureRule, "release")
 
     @staticmethod
     def _node_calls(phi, quad, monkeypatch, methods) -> list:
@@ -465,33 +536,17 @@ class TestIterationCost:
         assert len(led.steps) == 4
         assert calls == ["value"]
 
-    def test_node_fields_released_each_step(self, quad, monkeypatch):
-        built = []  # every potential of the run: phi's, then one per step
-
-        class Recorded(LogKernelField):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-
-        monkeypatch.setattr(iteration_module, "LogKernelField", Recorded)
+    def test_oracle_chain_recomputes_a_fresh_chain(self, quad):
+        # the oracle's links are memoized per base point on the rule: a link
+        # read at a second base point gives the numbers of a fresh chain
         phi = QuadraticWeight.cross_term(0.5, 1, 1)
-        run_iteration(phi, 2, 3, CheckConfig(N=16, quad=quad), eps0=0.75, t0=(0j,))
-        fields = built[1:]
-        node_sized = lambda owner: [
-            k for k, v in quad.memo(owner).items()
-            if any(np.size(a) >= quad.size for a in (v if isinstance(v, tuple) else (v,)))
-        ]
-        for fld in fields[:-1]:
-            assert len(quad.memo(fld)) == 0 and len(quad.memo(fld.inner)) == 0
-        # the last potential keeps only its inverse-Gram jets
-        assert node_sized(fields[-1]) == [] and len(quad.memo(fields[-1])) == 1
-        assert node_sized(fields[-1].inner) == []
-        # a released link recomputes the numbers of a fresh chain
+        chain = LogKernelField(mix_weights(LogKernelField(phi, 16, quad), phi, 2), 16, quad)
+        chain.node_jets((0j,), quad)
         fresh = LogKernelField(mix_weights(LogKernelField(phi, 16, quad), phi, 2), 16, quad)
         xi = np.array([0.1 + 0.2j, 0.4])
         for t in ((0.0,), (0.1j,)):
-            assert np.array_equal(fields[0].value(t, xi), fresh.value(t, xi))
-            assert np.array_equal(fields[0].hessian_field(t, xi)[1], fresh.hessian_field(t, xi)[1])
+            assert np.array_equal(chain.value(t, xi), fresh.value(t, xi))
+            assert np.array_equal(chain.hessian_field(t, xi)[1], fresh.hessian_field(t, xi)[1])
 
 
 class TestOneBasePointAtATime:
