@@ -73,10 +73,11 @@ log-kernel jets of the iteration share; the section Hessian
 bound and the assembled chain read.  They read the weight's own memoized
 node fields (``weights``), so every check of a scenario reads each of them
 once per rule, and a repeated call returns the same read-only arrays, hence
-bitwise the same numbers.  The basis Gram and its factorization
-(``fiber_numerics.gram_matrix``, ``orthonormalize``) and the Gram jets
-(:func:`gram_jet_arrays`) are array functions under the memo, which the
-iteration's steps call on node jets of their own, storing nothing.
+bitwise the same numbers.  The ring Gram under ``fiber_numerics.gram_matrix``
+and its factorization (``ring_gram``, ``orthonormalize``), the Gram jets
+(:func:`gram_jet_arrays`) and the truncation gaps (:func:`truncation_gaps`)
+are array functions under the memo, which the iteration's steps call on a
+measure and node jets of their own, storing nothing.
 """
 
 from __future__ import annotations
@@ -117,6 +118,7 @@ __all__ = [
     "section_value",
     "section_value_pair",
     "section_hessian",
+    "truncation_gaps",
     "node_fiber_contraction",
     "gram_jet_arrays",
     "base_gram_jets",
@@ -344,19 +346,26 @@ class BergmanBasis:
         return float(np.sum(np.abs(self.orthonormal_at(self._point(w))) ** 2))
 
     def diag_convergence_gap(self, w, rows=None) -> np.ndarray:
-        """Relative change of K(w,w) from degree N-2 to N at each fiber point
-        of ``w`` (0-d at one point), from one frame evaluation: the transform is upper triangular, so the leading
-        ``truncated_dim(N-2)`` entries of ``u = M(w) C`` are the frame of the
-        degree-(N-2) sub-basis.  ``rows``, when given, are the monomial
-        values ``M(w)`` (M, dim), evaluated already.  A kernel beyond the
-        double range gives a gap that is not finite, quietly
-        (``curvature.truncation_gate``)."""
+        """:func:`truncation_gaps` at each fiber point of ``w`` (0-d at one
+        point); ``rows``, when given, are the monomial values ``M(w)`` (M,
+        dim), evaluated already."""
         M = self.monomials_at(w) if rows is None else rows
-        with np.errstate(over="ignore", invalid="ignore"):
-            u2 = np.abs(M @ self.transform) ** 2
-            full = np.sum(u2, axis=-1)
-            sub = np.sum(u2[..., : self.basis.truncated_dim(max(self.N - 2, 0))], axis=-1)
-            return np.abs(full - sub) / np.maximum(np.abs(full), 1e-300)
+        return truncation_gaps(M, self.transform, self.basis, self.N)
+
+
+def truncation_gaps(M: np.ndarray, C: np.ndarray, basis: MonomialBasis, N: int) -> np.ndarray:
+    """Relative change of K(w,w) from degree N-2 to N at the fiber points
+    whose monomial values are ``M`` (..., dim), for the degree-N basis with
+    transform ``C``, from one frame evaluation: the transform is upper
+    triangular, so the leading ``truncated_dim(N-2)`` entries of ``u = M C``
+    are the frame of the degree-(N-2) sub-basis.  A kernel beyond the
+    double range gives a gap that is not finite, quietly
+    (``curvature.truncation_gate``)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u2 = np.abs(M @ C) ** 2
+        full = np.sum(u2, axis=-1)
+        sub = np.sum(u2[..., : basis.truncated_dim(max(N - 2, 0))], axis=-1)
+        return np.abs(full - sub) / np.maximum(np.abs(full), 1e-300)
 
 
 def node_fiber_contraction(w: WeightFamily, t, quad: QuadratureRule) -> np.ndarray:

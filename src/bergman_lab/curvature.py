@@ -38,6 +38,7 @@ __all__ = [
     "UnconvergedBasisError",
     "truncation_gate",
     "truncation_gate_at",
+    "worst_truncation_gap",
     "section_truncation",
     "Stencil",
     "CheckConfig",
@@ -78,15 +79,21 @@ def truncation_gate(gap: float, N: int, where: str) -> None:
 
 
 def truncation_gate_at(b, points, rows=None) -> float:
-    """:func:`truncation_gate` of the basis ``b`` at the worst of the fiber
+    """:func:`worst_truncation_gap` of the basis ``b`` at the fiber
     ``points`` (M, d), from one frame evaluation
     (``BergmanBasis.diag_convergence_gap``, from their monomial ``rows``
-    where given); the message names that point and ``b.t``.  Returns the
-    worst gap; the message is formatted only when the gate fails."""
-    gaps = b.diag_convergence_gap(points, rows)
+    where given)."""
+    return worst_truncation_gap(b.diag_convergence_gap(points, rows), points, b.N, b.t)
+
+
+def worst_truncation_gap(gaps: np.ndarray, points, N: int, t) -> float:
+    """:func:`truncation_gate` at the worst of the ``gaps`` of a degree-N
+    basis at the fiber ``points`` over ``t``; the message names that point
+    and ``t``.  Returns the worst gap; the message is formatted only when
+    the gate fails."""
     k = int(np.argmax(gaps))
     if not gaps[k] <= CONVERGENCE_TOL:  # NaN fails too
-        truncation_gate(gaps[k], b.N, f"at fiber point {points[k].tolist()} over t={b.t}")
+        truncation_gate(gaps[k], N, f"at fiber point {points[k].tolist()} over t={t}")
     return float(gaps[k])
 
 

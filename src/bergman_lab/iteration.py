@@ -41,16 +41,21 @@ check of the scenario at t0 has often built already.  Each step then
    block, from one ring synthesis of that stack
    (:func:`potential_node_jets`, ``fiber_numerics.ring_synthesis``), with
    no node Vandermonde;
-2. mixes them with phi_L's memoized node jets, ``(1 - 1/m) psi + (1/m)
-   phi_L`` term by term, so phi_L is evaluated on the nodes once per run;
-3. takes ``exp(-phi)`` (``weights.exp_weight``), the basis Gram and its
-   Cholesky transform (``fiber_numerics.gram_matrix``, ``orthonormalize``),
-   gates the basis at the two fiber samples it is measured at and the
-   middle ring, and builds the Gram jets (``bergman.gram_jet_arrays``) and
-   the next P-jets;
-4. turns the P-jets into the blocks (tt, tf, ff) of the Hessian of log K
-   at the fiber samples (:func:`potential_point_jets`) from their monomial
-   values and holomorphic gradients.
+2. mixes them in place with phi_L's memoized node jets, ``(1 - 1/m) psi +
+   (1/m) phi_L`` term by term; phi_L's jets are evaluated on the nodes and
+   scaled by 1/m once per run;
+3. turns phi's buffer into the measure ``mu = exp(-phi) w`` in place
+   (``weights.exp_weight``, which refuses a non-finite value, then the
+   quadrature weights), which both the basis Gram (``ring_gram``) and the
+   Gram jets (``bergman.gram_jet_arrays``) read; factors the basis Gram
+   (``orthonormalize``), gates the basis from the monomial rows of the two
+   fiber samples it is measured at and of the middle ring
+   (``bergman.truncation_gaps``), and builds the next P-jets;
+4. reads K and all its first and second (t, xi) derivatives at the fiber
+   samples from one product of their monomial rows and gradients with the
+   stack of P-jets, and assembles from them the joint Hessian of log K
+   there (:func:`potential_point_jets`), whose blocks (tt, tf, ff) are
+   views of it.
 
 A step evaluates no finite-difference stencil and stores nothing on the
 quadrature rule: the monomial values at the three gate points and the
@@ -69,9 +74,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bergman import BergmanBasis, base_gram_jets, bergman_basis, gram_jet_arrays
-from .curvature import CheckConfig, truncation_gate_at
-from .fiber_numerics import gram_matrix, monomial_basis, monomial_gradient, orthonormalize, \
+from .bergman import base_gram_jets, bergman_basis, gram_jet_arrays, truncation_gaps
+from .curvature import CheckConfig, truncation_gate_at, worst_truncation_gap
+from .fiber_numerics import monomial_basis, monomial_gradient, orthonormalize, ring_gram, \
     ring_synthesis, vandermonde
 from .utils import as_complex_tuple
 from .weights import (
@@ -80,7 +85,6 @@ from .weights import (
     WeightFamily,
     exp_weight,
     fiber_contraction,
-    joint_hessian,
     schur_from_contraction,
     twist_weight,
 )
@@ -101,13 +105,6 @@ def _positive(K: np.ndarray) -> np.ndarray:
     if float(K.min()) <= 0.0:
         raise ArithmeticError("kernel diagonal vanished on the fiber")
     return K
-
-
-def _log_hessian(K, dK_x, dK_y, ddK) -> np.ndarray:
-    """``d_x dbar_y log K = ddK / K - d_xK conj(d_yK) / K^2`` from K > 0, shape
-    (S,), its holomorphic derivatives (S, nx) and (S, ny) and ``ddK`` (S, nx, ny)."""
-    K = K[:, None, None]
-    return ddK / K - dK_x[:, :, None] * np.conj(dK_y)[:, None, :] / (K * K)
 
 
 def inverse_gram_jets(C: np.ndarray, dG: np.ndarray, ddG: np.ndarray) -> tuple:
@@ -136,9 +133,10 @@ def potential_node_jets(basis, jets: tuple, quad) -> tuple:
     K = _positive(S[0].real)
     dK = S[1 : n + 1]
     ddK = S[n + 1 :].reshape(n, n, -1)
-    # d_a dbar_b log K on (n, n, nodes) rows: the quotients of _log_hessian
-    # as products with the real 1/K and 1/K^2, which numpy's complex
-    # division by a real divisor computes bit for bit, at half the cost
+    # d_a dbar_b log K = d_a dbar_b K / K - d_aK conj(d_bK) / K^2 on (n, n,
+    # nodes) rows, the quotients as products with the real 1/K and 1/K^2,
+    # which numpy's complex division by a real divisor computes bit for
+    # bit, at half the cost
     rK = 1.0 / K
     tt = dK[:, None] * np.conj(dK)[None, :]
     tt *= 1.0 / (K * K)
@@ -146,25 +144,36 @@ def potential_node_jets(basis, jets: tuple, quad) -> tuple:
     return np.log(K), dK * rK, tt.transpose(2, 0, 1)
 
 
-def potential_point_jets(jets: tuple, M: np.ndarray, dM: np.ndarray) -> tuple:
-    """The (tt, tf, ff) blocks of the Hessian of log K at S fiber points,
-    from the kernel's inverse-Gram jets and the points' monomial values
-    ``M`` (S, dim) and holomorphic gradients ``dM`` (S, d, dim), through K
-    (S,) and its derivatives ``d_t K`` (S, n), ``d_xi K`` (S, d), ``d_t
-    dbar_t K`` (S, n, n), ``d_t dbar_xi K`` (S, n, d) and ``d_xi dbar_xi K``
-    (S, d, d)."""
+def potential_point_jets(jets: tuple, M: np.ndarray, dM: np.ndarray) -> np.ndarray:
+    """The joint (t, xi) Hessian of log K at S fiber points, shape (S, n+d,
+    n+d), from the kernel's inverse-Gram jets and the points' monomial
+    values ``M`` (S, dim) and holomorphic gradients ``dM`` (S, d, dim).
+
+    With ``F`` the frame (S, 1+d, dim) of each point's row and gradient,
+    one product ``F X F^H`` over the stack ``X = (P, d_aP, d_a dbar_bP)``
+    reads K, its first derivatives and every second derivative ``d dbar
+    K`` at once: ``F P F^H = [[K, dbar_xi K], [d_xi K, d_xi dbar_xi K]]``,
+    ``F d_aP F^H = [[d_a K, d_a dbar_xi K], ...]`` and ``F d_a dbar_bP
+    F^H = [[d_a dbar_b K, ...], ...]``.  The log-Hessian ``d dbar K / K - dK
+    conj(dK) / K^2`` is then assembled once, its lower-left block the
+    conjugate transpose of its upper-right one, as
+    ``weights.joint_hessian`` assembles it."""
     P, dP, ddP = jets
-    Mc, dMc = M.conj(), dM.conj()
-    MdP = M @ dP  # (n, S, dim)
-    dMP = dM @ P  # (S, d, dim)
-    K = _positive(np.sum((M @ P) * Mc, axis=-1).real)
-    Kt = np.sum(MdP * Mc, axis=-1).T
-    Kx = np.sum(dMP * Mc[:, None, :], axis=-1)
-    Ktt = np.sum((M @ ddP) * Mc, axis=-1).transpose(2, 0, 1)
-    Ktx = np.einsum("asj,scj->sac", MdP, dMc)
-    Kxx = np.einsum("scj,sej->sce", dMP, dMc)
-    return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
-            _log_hessian(K, Kx, Kx, Kxx))
+    n, (S, d) = len(dP), dM.shape[:2]
+    F = np.concatenate([M[:, None], dM], axis=1)
+    X = np.concatenate([P[None], dP, ddP.reshape((n * n,) + P.shape)])
+    Y = (F.reshape(-1, P.shape[0]) @ X).reshape(len(X), S, 1 + d, -1) @ F.conj().transpose(0, 2, 1)
+    K = _positive(Y[0, :, 0, 0].real)
+    grad = np.concatenate([Y[1 : n + 1, :, 0, 0].T, Y[0, :, 1:, 0]], axis=1)  # d_t K, d_xi K
+    H = np.zeros((S, n + d, n + d), dtype=complex)  # its lower-left block is set last
+    H[:, :n, :n] = Y[n + 1 :, :, 0, 0].T.reshape(S, n, n)
+    H[:, :n, n:] = Y[1 : n + 1, :, 0, 1:].transpose(1, 0, 2)
+    H[:, n:, n:] = Y[0, :, 1:, 1:]
+    K = K[:, None, None]
+    H /= K
+    H -= grad[:, :, None] * np.conj(grad)[:, None, :] / (K * K)
+    H[:, n:, :n] = np.conj(H[:, :n, n:]).transpose(0, 2, 1)
+    return H
 
 
 @dataclass(frozen=True)
@@ -259,7 +268,8 @@ def run_iteration(
     and raises ``ArithmeticError`` (a failed hypothesis).  A
     positive ``twist`` C iterates ``phi_L + C |t|^2`` instead
     (``weights.twist_weight``) and records the vanishing twist slack
-    ``delta_k = C (1 - 1/m)^k`` of each step.
+    ``delta_k = C (1 - 1/m)^k`` of each step; a negative or non-finite
+    one raises ``ValueError`` before any step.
 
     A step whose potential fails the plurisubharmonicity check (or whose
     fiber block degenerates) aborts the run, returning the ledger built
@@ -275,6 +285,9 @@ def run_iteration(
     eps0 = float(eps0)
     if not eps0 > 0.0:
         raise ArithmeticError(f"iteration needs a strictly positive eps0, got {eps0}")
+    twist = float(twist)
+    if not 0.0 <= twist < math.inf:  # NaN fails too
+        raise ValueError(f"twist constant must be nonnegative and finite, got {twist}")
     t0 = as_complex_tuple(t0)
     if twist > 0:
         phi_L = twist_weight(phi_L, twist)
@@ -288,65 +301,50 @@ def run_iteration(
 
     q, c = 1.0 - 1.0 / m, 1.0 / m
     steps: list[StepRecord] = []
-    aborted = False
-    failure = ""
+    aborted, failure = False, ""
     gap = 0.0  # the worst truncation gap of the run
     if K:  # psi_0, from phi_L's memoized basis and Gram jets
         b = bergman_basis(phi_L, t0, N, quad)
         gap = truncation_gate_at(b, points, rows)
         jets = inverse_gram_jets(b.transform, *base_gram_jets(phi_L, t0, N, quad))
+        c_phi_L = [c * x for x in phi_L.node_jets(t0, quad)]
     for k in range(1, K + 1):
         # the node jets of w_k = q psi_{k-1} + c phi_L, term by term
         phi, dphi, tt = mixed = potential_node_jets(basis, jets, quad)
-        for acc, x in zip(mixed, phi_L.node_jets(t0, quad)):
+        for acc, x in zip(mixed, c_phi_L):
             acc *= q
-            acc += c * x
-        wv = exp_weight(phi, t0)
-        C = orthonormalize(gram_matrix(basis, wv, quad), basis.exponents)
-        gap = max(gap, truncation_gate_at(BergmanBasis(t0, N, basis, C), points, rows))
-        jets = inverse_gram_jets(C, *gram_jet_arrays(basis, [wv * quad.weights], dphi, tt, quad))
-        b_k = (1.0 - q**k) * eps0
-        weight_id = f"logK(step {k}, m={m})"
+            acc += x
+        mu = exp_weight(phi, t0, out=phi)  # phi's buffer becomes the measure exp(-phi) w
+        mu *= quad.weights
+        C = orthonormalize(ring_gram(basis, mu, quad), basis.exponents)
+        gap = max(gap, worst_truncation_gap(truncation_gaps(rows, C, basis, N), points, N, t0))
+        jets = inverse_gram_jets(C, *gram_jet_arrays(basis, [mu], dphi, tt, quad))
+        b_k, weight_id, delta = (1.0 - q**k) * eps0, f"logK(step {k}, m={m})", twist * q**k
         try:
             measured, psh_min, ff_min = _measure(jets, rows[: len(grads)], grads, t0)
         except FiberDegenerateError as exc:
-            steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=twist * q**k))
+            steps.append(StepRecord(k, weight_id, b_k, math.nan, delta=delta))
             aborted, failure = True, f"step {k}: {exc}"
             break
-        rec = StepRecord(
-            k=k,
-            weight_id=weight_id,
-            certified_bound=b_k,
-            measured_trace=measured,
-            psh_min=psh_min,
-            ff_min=ff_min,
-            delta=twist * q**k,
-        )
-        steps.append(rec)
-        scale = max(1.0, abs(measured))
-        if psh_min < -PSH_TOL * scale:  # a non-positive fiber block raised above
+        steps.append(StepRecord(k, weight_id, b_k, measured, psh_min, ff_min, delta))
+        if psh_min < -PSH_TOL * max(1.0, abs(measured)):  # a non-positive fiber block raised above
             aborted, failure = True, (
                 f"step {k}: potential failed certification "
                 f"(min joint eigenvalue {psh_min:.3e}, min fiber eigenvalue {ff_min:.3e})"
             )
             break
-    return IterationLedger(
-        m=int(m),
-        eps0=eps0,
-        steps=tuple(steps),
-        base_dim=phi_L.n,
-        aborted=aborted,
-        failure=failure,
-        diagnostics={"convergence_gap": gap},
-    )
+    return IterationLedger(m=int(m), eps0=eps0, steps=tuple(steps), base_dim=phi_L.n,
+                           aborted=aborted, failure=failure, diagnostics={"convergence_gap": gap})
 
 
 def _measure(jets: tuple, M: np.ndarray, dM: np.ndarray, t0):
     """Worst Schur trace / joint eigenvalue / fiber eigenvalue over the
     fiber samples at t0, from the potential's inverse-Gram jets there and
-    the samples' frames (:func:`_sample_frames`)."""
-    tt, tf, ff = potential_point_jets(jets, M, dM)
-    contraction, ff_min = fiber_contraction(tf, ff, f"at the samples over t = {t0}")
-    measured = float(schur_from_contraction(tt, contraction).min())
-    psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
+    the samples' frames (:func:`_sample_frames`): one joint Hessian
+    (:func:`potential_point_jets`), whose blocks are views of it."""
+    H = potential_point_jets(jets, M, dM)
+    n = len(jets[1])
+    contraction, ff_min = fiber_contraction(H[:, :n, n:], H[:, n:, n:], f"at the samples over t = {t0}")
+    measured = float(schur_from_contraction(H[:, :n, :n], contraction).min())
+    psh_min = float(np.linalg.eigvalsh(H)[:, 0].min())
     return measured, psh_min, ff_min

@@ -243,12 +243,13 @@ class WeightFamily:
         return f"{self.kind} weight, n={self.n}, d={self.d}"
 
 
-def exp_weight(phi: np.ndarray, t: tuple) -> np.ndarray:
-    """``exp(-phi)`` of node values ``phi`` at the base point ``t``.  A value
-    that underflows to 0 is a weight value; one that overflows, or a NaN,
-    is not, and raises ``ArithmeticError`` naming ``t``."""
+def exp_weight(phi: np.ndarray, t: tuple, out=None) -> np.ndarray:
+    """``exp(-phi)`` of node values ``phi`` at the base point ``t``, written
+    to ``out`` where given (``phi`` itself, in place).  A value that
+    underflows to 0 is a weight value; one that overflows, or a NaN, is
+    not, and raises ``ArithmeticError`` naming ``t``."""
     with np.errstate(over="ignore"):
-        wv = np.exp(-phi)
+        wv = np.exp(np.negative(phi, out=out), out=out)
     top = wv.max()
     if not top < math.inf:  # NaN fails too
         raise ArithmeticError(f"weight exp(-phi) is not finite on the quadrature "

@@ -4,13 +4,14 @@ the mixed trace constant, a CSV field dump, the Hormander fields of one
 direction and their finite-difference derivation, the Richardson gate of the
 acceptance cross-check, the FD Hessian spectrum, the iterated weights as
 evaluators at any point (log-kernel fields and their mixes) with the
-iteration's ledger built through them, the base gradient of a
-log-kernel field from its inverse-Gram jets, a quadratic weight whose
-Hessian blocks are materialized copies, a weight evaluated one base point at
-a time, the Schur trace over stacked blocks and at one point, the
-distortion attenuation of a trace constant, the mixed exterior-power ratio
-that cross-checks the Schur trace, and a rule's nodes as an ``(M, d)`` point
-list."""
+iteration's ledger built through them, the block-by-block Hessian of
+log K at fiber points that the iteration's frame product is checked
+against, the base gradient of a log-kernel field from its inverse-Gram
+jets, a quadratic weight whose Hessian blocks are materialized copies, a
+weight evaluated one base point at a time, the Schur trace over stacked
+blocks and at one point, the distortion attenuation of a trace constant,
+the mixed exterior-power ratio that cross-checks the Schur trace, and a
+rule's nodes as an ``(M, d)`` point list."""
 
 import io
 import math
@@ -263,7 +264,8 @@ class LogKernelField(WeightFamily):
         return self.node_jets(t, quad)[0]  # phi comes with its derivatives, no node Vandermonde
 
     def _point_jets(self, t, M, dM) -> tuple:
-        return potential_point_jets(self.gram_jets(t), M, dM)
+        H, n = potential_point_jets(self.gram_jets(t), M, dM), self.n
+        return H[:, :n, :n], H[:, :n, n:], H[:, n:, n:]
 
     def _value_raw(self, t, xs):
         b = self._basis_at(_one_base_point(t))
@@ -359,6 +361,35 @@ def oracle_iteration(phi_L: WeightFamily, m: int, K: int, cfg, eps0: float, t0,
     return IterationLedger(m=int(m), eps0=eps0, steps=tuple(steps), base_dim=phi_L.n,
                            aborted=aborted, failure=failure,
                            diagnostics={"convergence_gap": max(f.max_convergence_gap for f in fields)})
+
+
+def _log_hessian(K, dK_x, dK_y, ddK) -> np.ndarray:
+    """``d_x dbar_y log K = ddK / K - d_xK conj(d_yK) / K^2`` from K > 0, shape
+    (S,), its holomorphic derivatives (S, nx) and (S, ny) and ``ddK`` (S, nx, ny)."""
+    K = K[:, None, None]
+    return ddK / K - dK_x[:, :, None] * np.conj(dK_y)[:, None, :] / (K * K)
+
+
+def oracle_point_jets(jets: tuple, M: np.ndarray, dM: np.ndarray) -> tuple:
+    """The (tt, tf, ff) blocks of the Hessian of log K at S fiber points,
+    block by block: the reference for ``iteration.potential_point_jets``,
+    from the kernel's inverse-Gram jets and the points' monomial values
+    ``M`` (S, dim) and holomorphic gradients ``dM`` (S, d, dim), through K
+    (S,) and its derivatives ``d_t K`` (S, n), ``d_xi K`` (S, d), ``d_t
+    dbar_t K`` (S, n, n), ``d_t dbar_xi K`` (S, n, d) and ``d_xi dbar_xi K``
+    (S, d, d), each its own product."""
+    P, dP, ddP = jets
+    Mc, dMc = M.conj(), dM.conj()
+    MdP = M @ dP  # (n, S, dim)
+    dMP = dM @ P  # (S, d, dim)
+    K = _positive(np.sum((M @ P) * Mc, axis=-1).real)
+    Kt = np.sum(MdP * Mc, axis=-1).T
+    Kx = np.sum(dMP * Mc[:, None, :], axis=-1)
+    Ktt = np.sum((M @ ddP) * Mc, axis=-1).transpose(2, 0, 1)
+    Ktx = np.einsum("asj,scj->sac", MdP, dMc)
+    Kxx = np.einsum("scj,sej->sce", dMP, dMc)
+    return (_log_hessian(K, Kt, Kt, Ktt), _log_hessian(K, Kt, Kx, Ktx),
+            _log_hessian(K, Kx, Kx, Kxx))
 
 
 def log_kernel_grad_base(fld: LogKernelField, t, pts) -> np.ndarray:

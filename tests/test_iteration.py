@@ -14,12 +14,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bergman_lab.bergman as bergman_module
 import bergman_lab.curvature as curvature_module
 import bergman_lab.fiber_numerics as fiber_numerics
 import bergman_lab.iteration as iteration_module
 import helpers
+from bergman_lab.bergman import base_gram_jets, bergman_basis
 from bergman_lab.cli import run_scenario_checks
 from bergman_lab.curvature import CheckConfig, Stencil, UnconvergedBasisError, fd_hessian
 from bergman_lab.fiber_numerics import FiberDomain, QuadratureRule, build_quadrature
@@ -29,13 +32,15 @@ from bergman_lab.iteration import (
     _fiber_samples,
     _measure,
     _sample_frames,
+    inverse_gram_jets,
+    potential_point_jets,
     run_iteration,
 )
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, CustomWeight, GridSpec, QuadraticWeight, certify, \
     fiber_contraction, joint_hessian, schur_from_contraction, twist_weight
 from helpers import GridMismatchError, LogKernelField, log_kernel_grad_base, mix_weights, \
-    mixed_bound, node_list, oracle_iteration, sample_field_csv, schur_trace_field
+    mixed_bound, node_list, oracle_iteration, oracle_point_jets, sample_field_csv, schur_trace_field
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +267,18 @@ class TestRunIteration:
         with pytest.raises(ArithmeticError, match="strictly positive eps0, got 0.0"):
             run_iteration(w, 2, 2, cfg, eps0=0.0, t0=(0j,))
 
+    @pytest.mark.parametrize("twist", [-0.3, math.nan, math.inf])
+    def test_negative_or_non_finite_twist_is_refused_before_any_step(self, cfg, monkeypatch, twist):
+        # a negative twist would be credited as slack delta_k = twist (1-1/m)^k
+        # while the weight stays untwisted
+        def no_step(*args):
+            raise AssertionError("no basis is built for a refused twist")
+
+        monkeypatch.setattr(iteration_module, "bergman_basis", no_step)
+        with pytest.raises(ValueError, match=f"twist constant must be nonnegative and finite, got {twist}"):
+            run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, 2, cfg, eps0=0.75, t0=(0j,),
+                          twist=twist)
+
     def test_abort_on_failed_certification(self, cfg):
         # concave-in-t weight smuggled in with a claimed positive eps0:
         # the first potential already fails the psh check
@@ -381,6 +398,47 @@ class TestFiberSamples:
         assert not any(a.flags.writeable for a in frames)
 
 
+# the rule and degree of each fiber dimension: the 48 x 96 disk at degree 16
+# and the 12 x 24 bidisc at degree 10
+POINT_JET_RULES = {1: (FiberDomain.disk(1.0), 48, 96, 16), 2: (FiberDomain.polydisc(1.0, 1.0), 12, 24, 10)}
+
+
+@st.composite
+def point_jet_cases(draw):
+    """A cross weight (lam in [0.1, 0.7], twisted or not) over n, d in {1, 2},
+    a base point in the patch of radius 0.45 and a fiber point at most 0.6
+    out, next to the iteration's two fiber samples."""
+    n, d = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    unit = st.floats(0.0, 1.0)
+    phi = QuadraticWeight.cross_term(draw(st.floats(0.1, 0.7)), n, d)
+    twist = draw(st.one_of(st.just(0.0), st.floats(0.1, 0.5)))
+    phi = twist_weight(phi, twist) if twist else phi
+    t0 = tuple(0.45 * math.sqrt(draw(unit)) * np.exp(2j * math.pi * draw(unit)) for _ in range(n))
+    xi = [0.6 * math.sqrt(draw(unit)) * np.exp(2j * math.pi * draw(unit)) for _ in range(d)]
+    return phi, t0, xi
+
+
+class TestFramePointJets:
+    """``potential_point_jets`` reads every derivative of K at the points
+    from one frame product; the oracle takes each block through its own
+    products (``helpers.oracle_point_jets``)."""
+
+    @given(point_jet_cases())
+    def test_frame_product_matches_the_per_block_oracle(self, case):
+        phi, t0, xi = case
+        dom, nr, na, N = POINT_JET_RULES[phi.d]
+        q = build_quadrature(dom, nr, na)
+        b = bergman_basis(phi, t0, N, q)
+        jets = inverse_gram_jets(b.transform, *base_gram_jets(phi, t0, N, q))
+        pts = np.vstack([_fiber_samples(q), [xi]])
+        M, dM = fiber_numerics.vandermonde(b.basis, pts), fiber_numerics.monomial_gradient(b.basis, pts)
+        H, n = potential_point_jets(jets, M, dM), phi.n
+        assert H.shape == (3, n + phi.d, n + phi.d)
+        assert np.array_equal(H[:, n:, :n], np.conj(H[:, :n, n:]).transpose(0, 2, 1))
+        for new, old in zip((H[:, :n, :n], H[:, :n, n:], H[:, n:, n:]), oracle_point_jets(jets, M, dM)):
+            assert np.abs(new - old).max() <= 300 * np.finfo(float).eps * np.abs(old).max()
+
+
 class TestLoopMatchesOracle:
     """``run_iteration`` steps arrays; its ledger equals, with ``==``, the
     ledger built through the chain of weight objects (``helpers.oracle_iteration``)."""
@@ -436,51 +494,63 @@ class TestLoopMatchesOracle:
 
 
 class TestIterationCost:
+    @staticmethod
+    def _spy(monkeypatch, module, name, log):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: log.append(a) or real(*a, **k))
+
     @pytest.mark.parametrize("n_t", [1, 2])
     def test_one_basis_build_per_step_and_no_stencil(self, quad, monkeypatch, n_t):
-        built = []
-        real_gram = bergman_module.gram_matrix
-
-        def counted(*args, **kwargs):
-            built.append(args)
-            return real_gram(*args, **kwargs)
+        # psi_0 is phi_L's memoized basis (one gram_matrix); each step forms
+        # its measure from one exp_weight, in place, and factors its basis
+        # Gram with no gram_matrix re-scan of the weight values
+        calls = {"gram_matrix": [], "exp_weight": [], "Cholesky": []}
 
         def no_stencil(*args, **kwargs):
             raise AssertionError("the iteration differences nothing")
 
-        monkeypatch.setattr(bergman_module, "gram_matrix", counted)  # psi_0's basis
-        monkeypatch.setattr(iteration_module, "gram_matrix", counted)  # the steps'
+        self._spy(monkeypatch, bergman_module, "gram_matrix", calls["gram_matrix"])  # psi_0's
+        self._spy(monkeypatch, iteration_module, "exp_weight", calls["exp_weight"])  # the steps'
+        self._spy(monkeypatch, bergman_module, "orthonormalize", calls["Cholesky"])
+        self._spy(monkeypatch, iteration_module, "orthonormalize", calls["Cholesky"])
         monkeypatch.setattr(curvature_module, "fd_hessian", no_stencil)
         K = 3
         for t0 in [(0.0,), (0.1 - 0.05j,)][:n_t]:  # one run per base point
             led = run_iteration(QuadraticWeight.cross_term(0.5, 1, 1), 2, K,
                                 CheckConfig(N=16, quad=quad), eps0=0.75, t0=t0)
             assert led.satisfies() and len(led.steps) == K
-        assert len(built) == (K + 1) * n_t
+        assert len(calls["Cholesky"]) == (K + 1) * n_t  # one basis build per potential
+        assert len(calls["gram_matrix"]) == n_t and len(calls["exp_weight"]) == K * n_t
+        assert not hasattr(iteration_module, "gram_matrix")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_per_step_budget(self, monkeypatch, n):
         # each step costs one ring synthesis (the previous potential's node
-        # jets), one basis Gram and its Cholesky factorization, n Grams d_aG
-        # and n(n+1)/2 Grams d_a dbar_bG, and psi_0 phi_L's basis and Gram
+        # jets), one exp_weight, one basis Gram of the measure it forms and
+        # its Cholesky factorization, n Grams d_aG and n(n+1)/2 Grams
+        # d_a dbar_bG, and psi_0 phi_L's basis (one gram_matrix) and Gram
         # jets; the monomial frames at the two fiber samples and the gate's
         # middle ring are evaluated once per basis and rule, and the steps
         # store nothing on the rule
-        def spy(module, name, log):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name, lambda *a, **k: log.append(a) or real(*a, **k))
-
         def counts(K):
             calls = {"basis Gram": [], "derivative Gram": [], "synthesis": [], "Cholesky": [],
-                     "frame rows": [], "frame gradients": [], "monomials_at": []}
-            spy(fiber_numerics, "ring_gram", calls["basis Gram"])  # gram_matrix's
-            spy(bergman_module, "orthonormalize", calls["Cholesky"])  # psi_0's
-            spy(iteration_module, "orthonormalize", calls["Cholesky"])  # the steps'
-            spy(bergman_module, "ring_gram", calls["derivative Gram"])  # gram_jet_arrays'
-            spy(iteration_module, "ring_synthesis", calls["synthesis"])
-            spy(iteration_module, "vandermonde", calls["frame rows"])
-            spy(iteration_module, "monomial_gradient", calls["frame gradients"])
-            spy(bergman_module, "vandermonde", calls["monomials_at"])
+                     "exp_weight": [], "gram_matrix": [], "frame rows": [], "frame gradients": [],
+                     "monomials_at": []}
+            spies = [
+                (fiber_numerics, "ring_gram", "basis Gram"),  # psi_0's, through gram_matrix
+                (iteration_module, "ring_gram", "basis Gram"),  # the steps'
+                (bergman_module, "orthonormalize", "Cholesky"),  # psi_0's
+                (iteration_module, "orthonormalize", "Cholesky"),  # the steps'
+                (bergman_module, "ring_gram", "derivative Gram"),  # gram_jet_arrays'
+                (iteration_module, "ring_synthesis", "synthesis"),
+                (iteration_module, "exp_weight", "exp_weight"),
+                (bergman_module, "gram_matrix", "gram_matrix"),
+                (iteration_module, "vandermonde", "frame rows"),
+                (iteration_module, "monomial_gradient", "frame gradients"),
+                (bergman_module, "vandermonde", "monomials_at"),
+            ]
+            for module, name, key in spies:
+                self._spy(monkeypatch, module, name, calls[key])
             # a rule of its own, so no earlier run has kept anything on it
             quad = fiber_numerics._quadrature.__wrapped__(FiberDomain.disk(1.0), 48, 96)
             phi = QuadraticWeight.cross_term(0.5, n, 1)
@@ -499,6 +569,7 @@ class TestIterationCost:
             budget, stores = counts(K)
             assert budget == {"basis Gram": steps, "synthesis": K, "Cholesky": steps,
                               "derivative Gram": steps * (n + n * (n + 1) // 2),
+                              "exp_weight": K, "gram_matrix": 1,
                               "frame rows": 1, "frame gradients": 1, "monomials_at": 0}
             if K == 3:
                 first = stores
