@@ -67,8 +67,12 @@ N)``, whose value ``(basis, C, G, weight values)`` each
 :func:`bergman_basis` call wraps; all ``d_a G`` and ``d_a dbar_b G``,
 ``("gram_jets", t, N)`` (:func:`base_gram_jets`), which the section
 Hessian, the Hormander fields, the determinant Hessian and the first
-log-kernel jets of the iteration share; the section Hessian
-``("section_hessian", sections, t, N)``; and the contraction
+log-kernel jets of the iteration share; the section value with its
+degree-(N-2) truncation ``("section_value", sections, t, N)``
+(:func:`section_value_pair`), which the section, log and spectrum checks
+and the assembled Hormander bound read, each through its own truncation
+gate; the section Hessian ``("section_hessian", sections, t, N)``, where
+``sections`` is :attr:`SectionFamily.key`; and the contraction
 ``("fiber_contraction", t)`` (:func:`node_fiber_contraction`) that the L2
 bound and the assembled chain read.  They read the weight's own memoized
 node fields (``weights``), so every check of a scenario reads each of them
@@ -84,6 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -258,9 +263,9 @@ class SectionFamily:
         t = np.asarray(as_complex_tuple(t))
         return np.array([a(t) for a in self.amplitudes], dtype=complex)
 
-    @property
+    @cached_property
     def key(self) -> tuple:
-        """Hashable value of the family, for memo keys."""
+        """Hashable value of the family, for memo keys, computed once."""
         return (
             tuple(tuple(comp.key for comp in s) for s in self.sections),
             tuple(a.key for a in self.amplitudes),
@@ -518,13 +523,18 @@ def section_value_pair(
     ``sum_i a_i(t) u(s_i(t))`` in the orthonormal frame, and its leading
     degree-(N-2) entries (the transform is upper triangular), from one
     frame evaluation at the sections; quiet where the kernel is beyond the
-    double range, as :meth:`BergmanBasis.diag_convergence_gap` is."""
+    double range, as :meth:`BergmanBasis.diag_convergence_gap` is.
+    Memoized per (weight, sections, ``t``, ``N``) on the quadrature rule."""
     t = as_complex_tuple(t)
-    fam.check_inside(quad.domain, t)
-    b = bergman_basis(w, t, N, quad)
-    with np.errstate(over="ignore", invalid="ignore"):
-        v2 = np.abs(fam.amplitudes_at(t) @ b.orthonormal_at(fam.sections_at(t))) ** 2
-    return float(np.sum(v2)), float(np.sum(v2[: b.basis.truncated_dim(max(N - 2, 0))]))
+
+    def compute():
+        fam.check_inside(quad.domain, t)
+        b = bergman_basis(w, t, N, quad)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v2 = np.abs(fam.amplitudes_at(t) @ b.orthonormal_at(fam.sections_at(t))) ** 2
+        return float(np.sum(v2)), float(np.sum(v2[: b.basis.truncated_dim(max(N - 2, 0))]))
+
+    return quad.memoize(w, ("section_value", fam.key, t, N), compute)
 
 
 class SectionHessian(NamedTuple):

@@ -9,7 +9,8 @@ saved reports.
 Exit codes: 0 when every executed check passes, 2 when any check fails,
 3 when none fail but at least one is unconverged (the numerics did not
 settle at the requested resolution, so no verdict was reached; the message
-names the knob, ``degree`` and ``quadrature`` for a kernel truncation gap).
+names the knob, ``degree`` and ``quadrature`` for a kernel truncation gap,
+``degree`` for a basis Gram whose factorization fails in double precision).
 Every check reads exact base derivatives of its kernel quantities
 (``iterate`` included) and takes no finite-difference step.  A scenario that
 cannot be run (a parse error, an out-of-range field, a quadrature above

@@ -16,8 +16,9 @@ determinant check reads the rank from the frame and factors its Gram at
 ``t0`` alone.
 
 Verdicts are two-valued here (pass/fail); a failed convergence diagnostic
-raises :class:`UnconvergedBasisError` before any verdict, and the CLI maps
-that to its own third verdict rather than guessing.  Every kernel
+raises :class:`UnconvergedBasisError` (defined in ``fiber_numerics``, whose
+factorization raises it too) before any verdict, and the CLI maps that to
+its own third verdict rather than guessing.  Every kernel
 truncation check of the package goes through :func:`truncation_gate` at
 the one tolerance :data:`CONVERGENCE_TOL`, so all of them name the same
 knobs (degree and quadrature).
@@ -30,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bergman import DirectImageGram, SectionFamily, section_hessian, section_value_pair
+from .fiber_numerics import UnconvergedBasisError
 from .utils import as_complex_tuple
 from .weights import WeightFamily
 
@@ -53,10 +55,6 @@ __all__ = [
 # Relative change of a kernel quantity from degree N-2 to N that counts as
 # converged, for every truncation gate of the package.
 CONVERGENCE_TOL = 1e-6
-
-
-class UnconvergedBasisError(ArithmeticError):
-    """Convergence diagnostics failed; no verdict was produced."""
 
 
 def truncation_gate(gap: float, N: int, where: str) -> None:

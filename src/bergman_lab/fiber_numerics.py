@@ -127,6 +127,7 @@ __all__ = [
     "QuadratureRule",
     "MonomialBasis",
     "DegenerateBasisError",
+    "UnconvergedBasisError",
     "build_quadrature",
     "check_resolution",
     "max_exact_degree",
@@ -159,6 +160,10 @@ PIVOT_RTOL = 1e-13
 
 class DegenerateBasisError(ArithmeticError):
     """Cholesky pivot collapsed: basis numerically dependent at some degree."""
+
+
+class UnconvergedBasisError(ArithmeticError):
+    """Convergence diagnostics failed; no verdict was produced."""
 
 
 @dataclass(frozen=True)
@@ -293,11 +298,11 @@ class QuadratureRule:
 
     def memo(self, owner) -> dict:
         """This rule's store of results computed for ``owner``: a weight, for
-        its node fields (``weights``) and its bases, Gram derivatives, section
-        Hessians and node contractions (``bergman``); a :class:`MonomialBasis`,
-        for its ring tables and the iteration's sample frames (``iteration``);
-        or the rule itself, for its radial derivative matrices
-        (``hormander``).  The iteration's steps store nothing: their
+        its node fields (``weights``) and its bases, Gram derivatives,
+        section values and Hessians and node contractions (``bergman``); a
+        :class:`MonomialBasis`, for its ring tables and the iteration's
+        sample frames (``iteration``); or the rule itself, for its radial
+        derivative matrices and polar factors (``hormander``).  The iteration's steps store nothing: their
         potentials and mixed weights are arrays, not owners.
 
         Stores are held weakly by owner, so an entry is freed as soon as its
@@ -779,7 +784,9 @@ def cholesky_factor(gram: np.ndarray, label, what: str) -> np.ndarray:
     own diagonal entry, raises :class:`DegenerateBasisError` with the
     message ``what: ...`` naming ``label(j)``.  On ``D G D``, ``D``
     positive diagonal, pivots and diagonal scale alike, so the test does
-    not see the scale of the monomials (module docstring).
+    not see the scale of the monomials (module docstring).  A failed
+    factorization with no such pivot raises :class:`UnconvergedBasisError`
+    (:func:`_collapsed_pivot`).
     """
     G = np.array(gram, dtype=complex)
     dim = G.shape[0]
@@ -838,7 +845,9 @@ def _collapsed_pivot(G: np.ndarray, threshold: np.ndarray) -> tuple[int, float]:
     Error path only: LAPACK reports that a factorization failed, not where.
     The leading blocks are factored in turn; the pivot of the first block
     that fails is the Schur complement of its last diagonal entry against
-    the block before it.
+    the block before it.  When every leading block passes, the failure is
+    one of precision at this size, not a dependent basis element: it
+    raises :class:`UnconvergedBasisError`, which names the degree.
     """
     L = np.zeros((0, 0), dtype=complex)
     for j in range(G.shape[0]):
@@ -850,4 +859,7 @@ def _collapsed_pivot(G: np.ndarray, threshold: np.ndarray) -> tuple[int, float]:
         pivot = float(np.real(L[j, j])) ** 2
         if pivot <= threshold[j]:
             return j, pivot
-    raise AssertionError("the full Cholesky factorization failed but every leading block passed")
+    raise UnconvergedBasisError(
+        f"degree too high for double precision: the Cholesky factorization of a "
+        f"{G.shape[0]}-row Gram failed although every leading block passed its pivot test; "
+        f"lower degree")

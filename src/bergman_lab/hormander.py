@@ -72,15 +72,30 @@ ROUNDOFF_FLOOR = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HormanderData:
-    """Gamma, Lambda_a fields and the basis they were built on."""
+    """Gamma, Lambda_a fields and the basis they were built on, with the
+    node sums that the residuals read, formed once from the fields:
+    ``gamma_sq = |Gamma|^2`` on the nodes, ``gamma_norm2 = sum |Gamma|^2
+    mu`` (``||Gamma||^2``, which is B(t0)) and ``lambda_norm2[a] = sum
+    |Lambda_a|^2 mu``, ``mu`` the node measure."""
 
     t0: tuple
     w: WeightFamily
     fam: SectionFamily
     basis: BergmanBasis
     gamma: np.ndarray = field(repr=False)
-    lambdas: tuple = field(default=(), repr=False)  # one node array per base direction
-    node_measure: np.ndarray = field(default=None, repr=False)  # e^{-phi} times quadrature weights
+    lambdas: tuple = field(repr=False)  # one node array per base direction
+    node_measure: np.ndarray = field(repr=False)  # e^{-phi} times quadrature weights
+    gamma_sq: np.ndarray = field(init=False, repr=False)
+    gamma_norm2: float = field(init=False)
+    lambda_norm2: tuple = field(init=False)
+
+    def __post_init__(self):
+        mu = self.node_measure
+        gamma_sq = np.abs(self.gamma) ** 2
+        object.__setattr__(self, "gamma_sq", gamma_sq)
+        object.__setattr__(self, "gamma_norm2", float(np.sum(gamma_sq * mu).real))
+        object.__setattr__(self, "lambda_norm2", tuple(float(np.sum(np.abs(lam) ** 2 * mu).real)
+                                                       for lam in self.lambdas))
 
     @property
     def quad(self) -> QuadratureRule:
@@ -120,10 +135,6 @@ def build_hormander_data(
     return HormanderData(t0, w, fam, b0, gamma, tuple(lambdas), b0.weight_vals * quad.weights)
 
 
-def _weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:
-    return math.sqrt(float(np.sum(np.abs(vals) ** 2 * measure).real))
-
-
 def orthogonality_residual(data: HormanderData) -> float:
     """max_i |<u_i, Lambda_a>| / ||Lambda_a||, worst over directions.
 
@@ -131,10 +142,10 @@ def orthogonality_residual(data: HormanderData) -> float:
     """
     b = data.basis
     measure = data.node_measure
-    floor = ROUNDOFF_FLOOR * _weighted_norm(data.gamma, measure)
+    floor = ROUNDOFF_FLOOR * math.sqrt(data.gamma_norm2)
     worst = 0.0
-    for lam in data.lambdas:
-        norm = _weighted_norm(lam, measure)
+    for lam, norm2 in zip(data.lambdas, data.lambda_norm2):
+        norm = math.sqrt(norm2)
         if norm <= floor:
             continue
         # |<lam, u_i>| = |(C^T conj(m))_i| over the frame u = C^T M, with the
@@ -178,26 +189,33 @@ def _angular_derivative(grid: np.ndarray, axis: int) -> np.ndarray:
 def dbar_coordinate(vals: np.ndarray, quad: QuadratureRule, coord: int) -> np.ndarray:
     """d/d(conj xi_coord) of node values via polar-grid differentiation.
 
-    Radial: the collocation matrix on the Gauss-Legendre rings, built once
-    per rule and coordinate (``QuadratureRule.memoize``).  Angular:
+    Radial: the collocation matrix on the Gauss-Legendre rings.  Angular:
     FFT differentiation, exact below the Nyquist mode.  In polar
-    coordinates  d/d(conj xi) = (e^{i theta}/2)(d/dr + (i/r) d/dtheta).
+    coordinates  d/d(conj xi) = (e^{i theta}/2)(d/dr + (i/r) d/dtheta);
+    the matrix and the factors ``i/r`` and ``e^{i theta}/2``, shaped to
+    broadcast on the grid, are built once per rule and coordinate
+    (``QuadratureRule.memoize``) and combined in place.
     """
     g = quad.grid_view(np.asarray(vals, dtype=complex))
     axis_r, axis_t = 2 * coord, 2 * coord + 1
+    D, i_over_r, half_phase = quad.memoize(quad, ("radial_derivative", coord),
+                                           lambda: _polar_factors(quad, coord))
+    dr = np.moveaxis(np.tensordot(D, np.moveaxis(g, axis_r, 0), axes=(1, 0)), 0, axis_r)
+    out = _angular_derivative(g, axis_t)
+    np.multiply(i_over_r, out, out=out)
+    np.add(dr, out, out=out)
+    np.multiply(half_phase, out, out=out)
+    return out.reshape(-1)
+
+
+def _polar_factors(quad: QuadratureRule, coord: int) -> tuple:
+    """``(D, i/r, e^{i theta}/2)`` of :func:`dbar_coordinate` on ``quad``'s
+    grid over coordinate ``coord``."""
     nr, na = quad.shape[coord]
     r = quad.radial_nodes[coord]
-    D = quad.memoize(quad, ("radial_derivative", coord), lambda: _radial_derivative_matrix(r))
-    dr = np.moveaxis(np.tensordot(D, np.moveaxis(g, axis_r, 0), axes=(1, 0)), 0, axis_r)
-    dt = _angular_derivative(g, axis_t)
-    rshape = [1] * g.ndim
-    rshape[axis_r] = nr
-    tshape = [1] * g.ndim
-    tshape[axis_t] = na
-    theta = (2 * np.pi * np.arange(na) / na).reshape(tshape)
-    rr = r.reshape(rshape)
-    out = 0.5 * np.exp(1j * theta) * (dr + 1j / rr * dt)
-    return out.reshape(-1)
+    shape = lambda axis, size: tuple(size if k == axis else 1 for k in range(len(quad.grid_shape)))
+    theta = (2 * np.pi * np.arange(na) / na).reshape(shape(2 * coord + 1, na))
+    return _radial_derivative_matrix(r), 1j / r.reshape(shape(2 * coord, nr)), 0.5 * np.exp(1j * theta)
 
 
 def dbar_identity_residual(data: HormanderData) -> float:
@@ -210,7 +228,7 @@ def dbar_identity_residual(data: HormanderData) -> float:
     w, quad = data.w, data.quad
     measure = data.node_measure
     _tt, tf, _ff = node_hessian(w, data.t0, quad)
-    gnorm = _weighted_norm(data.gamma, measure)
+    gnorm = math.sqrt(data.gamma_norm2)
     worst = 0.0
     for a, lam in enumerate(data.lambdas):
         defect2 = 0.0
@@ -248,13 +266,11 @@ def hormander_bound_check(data: HormanderData) -> HormanderBoundReport:
     :class:`weights.FiberDegenerateError` where a fiber block is not
     positive definite.
     """
-    measure = data.node_measure
     contraction = node_fiber_contraction(data.w, data.t0, data.quad)  # (M, n), >= 0
-    gamma2 = np.abs(data.gamma) ** 2 * measure
-    floor = 1e-12 * float(np.sum(gamma2).real)
+    gamma2 = data.gamma_sq * data.node_measure
+    floor = 1e-12 * data.gamma_norm2
     lhs_list, rhs_list, ratio_list = [], [], []
-    for a, lam in enumerate(data.lambdas):
-        lhs = float(np.sum(np.abs(lam) ** 2 * measure).real)
+    for a, lhs in enumerate(data.lambda_norm2):
         rhs = float(np.sum(gamma2 * contraction[:, a]).real)
         if rhs <= floor:
             ratio = 0.0 if lhs <= floor else math.inf
@@ -304,11 +320,10 @@ def assembled_lower_bound(data: HormanderData, tolerance: float, eps0: float) ->
     :func:`hormander_bound_check` reads, from the same memo."""
     w, fam, t0, N, quad = data.w, data.fam, data.t0, data.basis.N, data.quad
     full, gap = section_truncation(w, fam, t0, N, quad)
-    measure = data.node_measure
     contraction = node_fiber_contraction(w, t0, quad)
     schur = schur_from_contraction(w.node_jets(t0, quad)[2], contraction)
-    rhs = float(np.sum(np.abs(data.gamma) ** 2 * schur * measure).real)
-    B0_repro = float(np.sum(np.abs(data.gamma) ** 2 * measure).real)
+    rhs = float(np.sum(data.gamma_sq * schur * data.node_measure).real)
+    B0_repro = data.gamma_norm2
     lhs = float(np.real(np.trace(section_hessian(w, fam, t0, N, quad).hessian)))
     tol = tolerance * max(1.0, full)
     return AssembledReport(

@@ -34,10 +34,12 @@ A stack that is one block broadcast along the point axis (stride 0, as a
 quadratic weight's ``hessian_field`` returns) is evaluated on that block
 alone and the result broadcast.  ``value`` and ``hessian_field`` take one
 base point or one per fiber point, so :func:`certify` evaluates its whole
-base x fiber grid in one call of each (and such a grid's one block, not its
-copies).  The Schur base trace is ``Re tr tt`` minus the sum of that
-diagonal, and :func:`joint_hessian` assembles ``[[tt, tf], [tf^H, ff]]``
-for every plurisubharmonicity test.
+base x fiber grid in one call of each; a weight whose Hessian is one
+constant block (``constant_hessian``, the quadratic kind, real by
+construction) is certified on that block alone, with no grid pass.  The
+Schur base trace is ``Re tr tt`` minus the sum of that diagonal, and
+:func:`joint_hessian` assembles ``[[tt, tf], [tf^H, ff]]`` for every
+plurisubharmonicity test.
 
 Evaluators take fiber input per coordinate (:func:`_as_points`): a point
 set's columns, or a :class:`QuadratureRule`'s broadcasting grids, which the
@@ -170,6 +172,9 @@ class WeightFamily:
     """Common evaluator interface; subclasses fix the derivative strategy."""
 
     kind = "abstract"
+    # True where phi is real by construction and its joint Hessian is one
+    # constant block, ``hessian_block()``: certify reads that block alone
+    constant_hessian = False
 
     def __init__(self, base_dim: int, fiber_dim: int, label: str = ""):
         if base_dim < 1 or fiber_dim < 1:
@@ -261,6 +266,7 @@ class QuadraticWeight(WeightFamily):
     """phi(x) = sum_jk H[j,k] x_j conj(x_k), H constant Hermitian."""
 
     kind = "quadratic"
+    constant_hessian = True
 
     def __init__(self, base_dim: int, fiber_dim: int, H: np.ndarray, label: str = ""):
         super().__init__(base_dim, fiber_dim, label)
@@ -318,13 +324,15 @@ class QuadraticWeight(WeightFamily):
         g = g.reshape(self.n, -1)
         return g[:, 0] if single else g
 
+    def hessian_block(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The one block ``(tt, tf, ff)`` of H, shapes (1, n, n), (1, n, d), (1, d, d)."""
+        n = self.n
+        return self.H[None, :n, :n], self.H[None, :n, n:], self.H[None, n:, n:]
+
     def hessian_field(self, t, xi):
         _, _, shape, _ = _as_points(t, xi, self.n, self.d)
-        M, n = math.prod(shape), self.n
-        tt = np.broadcast_to(self.H[:n, :n], (M, n, n))
-        tf = np.broadcast_to(self.H[:n, n:], (M, n, self.d))
-        ff = np.broadcast_to(self.H[n:, n:], (M, self.d, self.d))
-        return tt, tf, ff
+        M = math.prod(shape)
+        return tuple(np.broadcast_to(b, (M,) + b.shape[1:]) for b in self.hessian_block())
 
     def describe(self) -> str:
         return f"quadratic weight, n={self.n}, d={self.d}, H={self.H.tolist()}"
@@ -390,7 +398,7 @@ class CustomWeight(WeightFamily):
         return blocks
 
     def describe(self) -> str:
-        return f"custom weight, n={self.n}, d={self.d}, expr={to_text(self.expr)}"
+        return f"{self.kind} weight, n={self.n}, d={self.d}, expr={to_text(self.expr)}"
 
 
 class PolynomialWeight(CustomWeight):
@@ -404,10 +412,6 @@ class PolynomialWeight(CustomWeight):
         if not table.is_real(tol=REALITY_TOL):
             raise NotAWeightError("polynomial weight is not conjugation-symmetric (not real)")
         super().__init__(base_dim, fiber_dim, expr, label)
-        self.n_terms = len(table.terms)
-
-    def describe(self) -> str:
-        return f"polynomial weight, n={self.n}, d={self.d}, {self.n_terms} terms"
 
 
 @dataclass(frozen=True)
@@ -568,8 +572,10 @@ def certify(w: WeightFamily, grid: GridSpec) -> WeightCertificate:
     block eigenvalue) always.  A weight that is not real-valued on the grid
     raises :class:`NotAWeightError`, tested per base point.  The whole
     base x fiber grid is one per-point input: one ``value`` and one
-    ``hessian_field`` call, and one batched pass over the blocks (over the
-    one block, where they are one block broadcast).
+    ``hessian_field`` call, and one batched pass over the blocks.  A
+    ``constant_hessian`` weight is certified on its one block
+    (``hessian_block``), which every grid point would repeat, with no pass
+    over the grid: its ``phi`` is real by construction.
     """
     base_pts = grid.base_points()
     fiber_pts = grid.fiber_points()
@@ -578,12 +584,13 @@ def certify(w: WeightFamily, grid: GridSpec) -> WeightCertificate:
     if w.n != base_pts.shape[1]:
         raise ValueError("grid base dimension does not match the weight")
 
-    T = np.repeat(base_pts, len(fiber_pts), axis=0)  # base-major joint grid
-    X = np.tile(fiber_pts, (len(base_pts), 1))
-    w.value(T, X)  # raises NotAWeightError where phi is not real
-    tt, tf, ff = w.hessian_field(T, X)
-    if _one_block(tt) and _one_block(tf) and _one_block(ff):
-        tt, tf, ff = tt[:1], tf[:1], ff[:1]  # the distinct block, not its copies
+    if w.constant_hessian:
+        tt, tf, ff = w.hessian_block()
+    else:
+        T = np.repeat(base_pts, len(fiber_pts), axis=0)  # base-major joint grid
+        X = np.tile(fiber_pts, (len(base_pts), 1))
+        w.value(T, X)  # raises NotAWeightError where phi is not real
+        tt, tf, ff = w.hessian_field(T, X)
     psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
     tt_min = float(np.linalg.eigvalsh(tt)[:, 0].min())
     try:

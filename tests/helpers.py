@@ -8,10 +8,12 @@ iteration's ledger built through them, the block-by-block Hessian of
 log K at fiber points that the iteration's frame product is checked
 against, the base gradient of a log-kernel field from its inverse-Gram
 jets, a quadratic weight whose Hessian blocks are materialized copies, a
-weight evaluated one base point at a time, the Schur trace over stacked
-blocks and at one point, the distortion attenuation of a trace constant,
-the mixed exterior-power ratio that cross-checks the Schur trace, and a
-rule's nodes as an ``(M, d)`` point list."""
+weight evaluated one base point at a time, the grid route of ``certify``
+that a constant-block weight skips, the weighted node norm of the
+Hormander residuals, the Schur trace over stacked blocks and at one point,
+the distortion attenuation of a trace constant, the mixed exterior-power
+ratio that cross-checks the Schur trace, and a rule's nodes as an ``(M,
+d)`` point list."""
 
 import io
 import math
@@ -26,8 +28,9 @@ from bergman_lab.hormander import build_hormander_data
 from bergman_lab.iteration import IterationLedger, StepRecord, _measure, \
     _positive, _sample_frames, inverse_gram_jets, potential_node_jets, potential_point_jets
 from bergman_lab.utils import as_complex_tuple
-from bergman_lab.weights import PSH_TOL, FiberDegenerateError, QuadraticWeight, WeightFamily, \
-    _as_points, fiber_contraction, joint_hessian, schur_from_contraction, twist_weight
+from bergman_lab.weights import PSH_TOL, FiberDegenerateError, QuadraticWeight, WeightCertificate, \
+    WeightFamily, _as_points, _one_block, fiber_contraction, joint_hessian, schur_from_contraction, \
+    twist_weight
 
 A13_STEP = 1e-2  # finite-difference step of the a13 cross-check (Richardson gate at half)
 
@@ -437,7 +440,10 @@ def distortion_margin(n: int, delta: float, eps0: float) -> float:
 
 class MaterializedQuadratic(QuadraticWeight):
     """A quadratic weight whose Hessian blocks are contiguous copies rather
-    than the broadcast views of :class:`QuadraticWeight`."""
+    than the broadcast views of :class:`QuadraticWeight`, and which
+    ``certify`` evaluates over its grid like any weight."""
+
+    constant_hessian = False
 
     def hessian_field(self, t, xi):
         return tuple(np.ascontiguousarray(b) for b in super().hessian_field(t, xi))
@@ -474,6 +480,43 @@ class PerBasePoint(WeightFamily):
 
     def describe(self) -> str:
         return self.w.describe()
+
+
+def oracle_certify(w: WeightFamily, grid) -> WeightCertificate:
+    """``certify`` by its grid route for every weight: one ``value`` and one
+    ``hessian_field`` call over the whole base x fiber grid, and blocks
+    that are one block broadcast along the point axis taken as that block,
+    the route a ``constant_hessian`` weight skips."""
+    base_pts, fiber_pts = grid.base_points(), grid.fiber_points()
+    T = np.repeat(base_pts, len(fiber_pts), axis=0)  # base-major joint grid
+    X = np.tile(fiber_pts, (len(base_pts), 1))
+    w.value(T, X)  # raises NotAWeightError where phi is not real
+    tt, tf, ff = w.hessian_field(T, X)
+    if _one_block(tt) and _one_block(tf) and _one_block(ff):
+        tt, tf, ff = tt[:1], tf[:1], ff[:1]  # the distinct block, not its copies
+    psh_min = float(np.linalg.eigvalsh(joint_hessian(tt, tf, ff))[:, 0].min())
+    tt_min = float(np.linalg.eigvalsh(tt)[:, 0].min())
+    try:
+        contraction, ff_min = fiber_contraction(tf, ff, "on the certification grid")
+    except FiberDegenerateError as exc:
+        ff_min, schur_min, fiber_ok = exc.min_eig, -math.inf, False
+    else:
+        schur_min, fiber_ok = float(schur_from_contraction(tt, contraction).min()), True
+    psh_ok = psh_min >= -PSH_TOL * max(1.0, abs(psh_min))
+    return WeightCertificate(
+        eps0=max(0.0, schur_min / w.n) if (psh_ok and fiber_ok) else 0.0,
+        C=max(0.0, -tt_min),
+        psh_min_eig=psh_min,
+        grid_spec=(f"patch center {grid.patch.center}, radius {grid.patch.radius}; "
+                   f"{len(base_pts)} base points x {len(fiber_pts)} fiber points"),
+        diagnostics={"min_schur_trace": schur_min, "min_fiber_eig": ff_min, "min_base_eig": tt_min,
+                     "psh_ok": psh_ok, "fiber_pd": fiber_ok, "weight": w.describe()},
+    )
+
+
+def weighted_norm(vals: np.ndarray, measure: np.ndarray) -> float:
+    """``sqrt(sum |vals|^2 measure)``, the node norm the Hormander residuals read."""
+    return math.sqrt(float(np.sum(np.abs(vals) ** 2 * measure).real))
 
 
 def _sorted_sign(seq: tuple[int, ...]) -> tuple[tuple[int, ...], int]:

@@ -49,7 +49,7 @@ from bergman_lab.bergman import (
 )
 from bergman_lab.cli import run_scenario_checks
 from bergman_lab.fiber_numerics import DegenerateBasisError, FiberDomain, MonomialBasis, \
-    build_quadrature, monomial_basis, ring_gram
+    QuadratureRule, build_quadrature, monomial_basis, ring_gram
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import BasePatch, PolynomialWeight, QuadraticWeight
 from helpers import node_list
@@ -775,10 +775,22 @@ class TestBasisMemo:
         assert all(ref() is None for ref in owners)
         assert all(kept(k) for k in quad._memo.keys())  # the per-rule tables stay
 
-    def test_shared_context_matches_fresh_contexts(self):
-        sc = parse_scenario((SCENARIOS / "separable_c1.scn").read_text())
+    def test_shared_context_matches_fresh_contexts(self, monkeypatch):
+        # the four readers of B(t0) and its truncation value compute it once
+        # in a shared run, and each once in a run of its own
+        text = (SCENARIOS / "separable_c1.scn").read_text()
+        sc = parse_scenario(text)
+        readers = {"section_inequality", "log_inequality", "psh_spectrum", "hormander"}
+        assert readers <= set(sc.checks)
+        computed = []
+        real = QuadratureRule.memoize
+        monkeypatch.setattr(QuadratureRule, "memoize", lambda self, owner, key, compute: real(
+            self, owner, key, lambda: computed.append(key[0]) or compute()))
         shared = run_scenario_checks(sc, sc.checks)
-        fresh = [run_scenario_checks(sc, (name,))[0] for name in sc.checks]  # one run each
+        assert computed.count("section_value") == 1
+        # a fresh scenario, so a fresh weight and memo, for each check
+        fresh = [run_scenario_checks(parse_scenario(text), (name,))[0] for name in sc.checks]
+        assert computed.count("section_value") == 1 + len(readers)
         assert [r.payload() for r in shared] == [r.payload() for r in fresh]
         assert [r.verdict for r in shared] == ["pass"] * len(sc.checks)
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bergman_lab.cli import build_parser, main, run_scenario_checks
+from bergman_lab.reports import config_hash
 from bergman_lab.scenario import parse_scenario
 
 SEPARABLE = """
@@ -165,6 +166,21 @@ class TestRunCommand:
     def test_unconverged_degree_exits_three(self, scn, capsys):
         assert main(["run", "--scenario", scn(with_checks(CROSS, "bergman_infra")), "--degree", "6"]) == 3
         assert "bergman_infra: UNCONVERGED" in capsys.readouterr().out
+
+    def test_factorization_failing_in_double_precision_is_unconverged(self, scn, tmp_path, capsys):
+        # on the disk of radius 3 the flat norms pi R^(2k+2) / (k+1) of the
+        # 49 monomials of degree 48 span about 44 decades: the blocked
+        # Cholesky factorization fails although every leading block passes
+        # its pivot test, so no monomial is to blame
+        text = ("id = wide\nfiber = disk 3.0\nweight = cross 0.5\nt0 = 0.1-0.05j\ndegree = 48\n"
+                "quadrature = 64 128\nchecks = certify bergman_infra log_inequality\n")
+        out = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(text), "--out", str(out)]) == 3
+        assert "bergman_infra: UNCONVERGED (degree too high" in capsys.readouterr().out
+        records = [json.loads(line) for line in (out / "records.jsonl").read_text().splitlines()]
+        assert [r["verdict"] for r in records] == ["pass", "unconverged", "unconverged"]
+        assert all("49-row Gram" in r["error"] and r["error"].endswith("lower degree")
+                   for r in records[1:])
 
     @pytest.mark.parametrize("text, worst", [(ANNULUS_ITERATE, "(0.8+0j)"), (FLAT_ITERATE, "(0.5+0j)")],
                              ids=["annulus", "flat_disk"])
@@ -514,6 +530,20 @@ class TestPersistenceFlow:
         assert main(["run", "--scenario", scn(CROSS, "b.scn"), "--out", str(out)]) == 2
         assert "refusing to append" in capsys.readouterr().err
         assert (out / "records.jsonl").read_text() == before  # untouched
+
+    def test_polynomial_weights_differing_in_a_coefficient_keep_apart(self, scn, tmp_path, capsys):
+        # the config names a polynomial weight by its expression, not by its
+        # term count, which both weights share
+        poly = ("id = poly\nweight = polynomial (+ (* {c} (abs2 t1)) (abs2 z1) (* 0.3 (abs2 t1) (abs2 z1)))\n"
+                "degree = 8\nquadrature = 16 32\nchecks = certify\n")
+        first, second = poly.format(c=1.0), poly.format(c=2.0)
+        assert config_hash(parse_scenario(first).config()) != config_hash(parse_scenario(second).config())
+        out = tmp_path / "rep"
+        assert main(["run", "--scenario", scn(first, "a.scn"), "--out", str(out)]) == 0
+        before = (out / "records.jsonl").read_text()
+        assert main(["run", "--scenario", scn(second, "b.scn"), "--out", str(out)]) == 2
+        assert "refusing to append" in capsys.readouterr().err
+        assert (out / "records.jsonl").read_text() == before
 
     @pytest.mark.parametrize("first", ["{}", "[1]"])
     def test_foreign_records_file_is_refused_with_exit_2(self, scn, tmp_path, capsys, first):

@@ -31,7 +31,6 @@ from bergman_lab.hormander import (
     AssembledReport,
     HormanderBoundReport,
     _radial_derivative_matrix,
-    _weighted_norm,
     assembled_lower_bound,
     build_hormander_data,
     dbar_coordinate,
@@ -39,7 +38,8 @@ from bergman_lab.hormander import (
     hormander_bound_check,
     orthogonality_residual,
 )
-from helpers import as_materialized, fd_lambda_field, gamma_field, lambda_field, node_list
+from helpers import as_materialized, fd_lambda_field, gamma_field, lambda_field, node_list, \
+    weighted_norm
 from bergman_lab.scenario import parse_scenario
 from bergman_lab.weights import FiberDegenerateError, PolynomialWeight, QuadraticWeight
 
@@ -153,8 +153,8 @@ class TestLambdaField:
         # d/dt K = c conj(t) K cancels the weight term; only round-off is left
         w = QuadraticWeight.separable(1.0, 1, 1)
         data = build_hormander_data(w, ORIGIN_FAM, (0.35,), N, quad)
-        lam_norm = _weighted_norm(data.lambdas[0], data.node_measure)
-        gam_norm = _weighted_norm(data.gamma, data.node_measure)
+        lam_norm = weighted_norm(data.lambdas[0], data.node_measure)
+        gam_norm = weighted_norm(data.gamma, data.node_measure)
         assert lam_norm < 1e-12 * gam_norm
 
     def test_unconverged_truncation_raises(self, quad):
@@ -189,8 +189,8 @@ class TestLambdaField:
         data = build_hormander_data(w, fam, t0, N, quad)
         fd = fd_lambda_field(w, fam, t0, 0, N, quad, 1e-4)
         mu = data.node_measure
-        scale = max(_weighted_norm(data.lambdas[0], mu), _weighted_norm(data.gamma, mu))
-        assert _weighted_norm(data.lambdas[0] - fd, mu) < 1e-8 * scale
+        scale = max(weighted_norm(data.lambdas[0], mu), weighted_norm(data.gamma, mu))
+        assert weighted_norm(data.lambdas[0] - fd, mu) < 1e-8 * scale
 
     def test_builds_only_the_basis_at_t0(self, quad, monkeypatch):
         seen = []

@@ -22,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import PerBasePoint, as_materialized, distortion_margin, ma_ratio, node_list, \
-    point_blocks, schur_at, schur_trace_field
+    oracle_certify, point_blocks, schur_at, schur_trace_field
 
 from bergman_lab import weights
 from bergman_lab.exprs import wirtinger
@@ -596,6 +596,8 @@ class TestCertify:
 
     @pytest.mark.parametrize("name", ["quadratic n=2", "polynomial", "custom"])
     def test_one_value_and_one_hessian_call_per_certify(self, name, monkeypatch):
+        # a grid weight makes one call of each over the joint grid; a
+        # quadratic weight's Hessian is one constant block, read with none
         make, (n, d) = self.JOINT_GRID_WEIGHTS[name]
         w, grid = make(), default_grid(n, d)
         calls = []
@@ -605,7 +607,35 @@ class TestCertify:
                 calls.append((method, np.shape(t))) or real(t, xi)))
         certify(w, grid)
         points = len(grid.base_points()) * len(grid.fiber_points())
-        assert calls == [("value", (points, n)), ("hessian_field", (points, n))]
+        expected = [("value", (points, n)), ("hessian_field", (points, n))]
+        assert calls == ([] if w.constant_hessian else expected)
+        assert w.constant_hessian == name.startswith("quadratic")
+
+    @given(st.data())
+    def test_one_block_certificate_matches_the_grid_oracle(self, data):
+        # the constant-block route against the joint-grid route it replaces,
+        # bitwise, with no grid evaluation at all
+        n, d = data.draw(st.sampled_from([1, 2])), data.draw(st.sampled_from([1, 2]))
+        kind = data.draw(st.sampled_from(["separable", "cross", "hermitian"]))
+        if kind == "separable":
+            w = QuadraticWeight.separable(data.draw(st.floats(0.05, 3.0)), n, d)
+        elif kind == "cross":
+            w = QuadraticWeight.cross_term(data.draw(st.floats(-0.95, 0.95)), n, d)
+        else:
+            m = n + d
+            parts = st.floats(-1.0, 1.0)
+            B = np.array(data.draw(st.lists(parts, min_size=2 * m * m, max_size=2 * m * m)))
+            B = B[: m * m].reshape(m, m) + 1j * B[m * m :].reshape(m, m)
+            A = B @ B.conj().T + data.draw(st.floats(0.01, 1.0)) * np.eye(m)
+            w = QuadraticWeight(n, d, 0.5 * (A + A.conj().T))
+        grid = default_grid(n, d)
+        reference = oracle_certify(w, grid)
+        seen = []
+        for method in ("value", "hessian_field", "_value_raw"):
+            setattr(w, method, lambda *args, method=method: seen.append(method))
+        cert = certify(w, grid)
+        assert seen == []
+        assert cert == reference  # eps0, C, psh_min_eig, grid_spec and the diagnostics
 
     def test_reality_is_tested_at_each_base_points_own_scale(self):
         # Im phi = 1e-11 Im z1 everywhere; at t = 0 (scale 1) that fails,
